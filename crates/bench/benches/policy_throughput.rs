@@ -1,7 +1,7 @@
 //! Policy scoring throughput: compiled bytecode kernels vs the
 //! interpreted `dyn Policy` tree walk.
 //!
-//! Two measurements, both asserted **bit-identical** across paths before
+//! Three measurements, all asserted **bit-identical** across paths before
 //! any number is reported:
 //!
 //! 1. **Queue re-scoring** — the hot kernel of every time-dependent
@@ -16,10 +16,7 @@
 //!    event: lane-blocked batch re-score + sortedness verify + binary
 //!    insert, against the pre-incremental compiled path (scalar residual
 //!    loop + full re-sort every event).
-//! 3. **Wide-queue top-k** — order construction for general residuals
-//!    under strict scheduling: partial selection of the startable head
-//!    vs a full sort of a 4096-job queue.
-//! 4. **End-to-end simulation throughput** — full engine runs under a
+//! 3. **End-to-end simulation throughput** — full engine runs under a
 //!    learned-family aging policy (time-dependent, the class every
 //!    learned `G1..Gk` + aging deployment falls into) and under static
 //!    F1, interpreted vs compiled disciplines.
@@ -384,60 +381,6 @@ fn regenerate() {
         delta_events as f64 / inc_delta_secs,
     );
 
-    // Wide-queue top-k: order construction for a general residual under
-    // strict scheduling, where only the startable head (available + 1
-    // positions) needs exact order. Scores are precomputed per event so
-    // the timing isolates the ordering step both paths share scoring for.
-    let ratio = ExprPolicy::parse("ratio-aging", "-((w / (r + 1)) ^ 2) * sqrt(n)").unwrap();
-    let compiled_ratio = ratio.compile().unwrap();
-    assert_eq!(compiled_ratio.residual_class(), ResidualClass::General);
-    let wide = 4096usize;
-    let head = 33usize; // 32 free cores: the strict pass reads <= 33 positions
-    let topk_events = 48usize;
-    let wq = Queue::build(&sequences(1, wide, 256, 17)[0], &compiled_ratio);
-    let wt_last = wq.s.iter().fold(0.0, |a: f64, &b| a.max(b));
-    let mut event_scores = vec![vec![0.0; wide]; topk_events];
-    for (e, scores) in event_scores.iter_mut().enumerate() {
-        compiled_ratio.score_batch(scores, wq.lanes(), wt_last + e as f64 * dt, &mut scratch);
-    }
-    let mut topk_order: Vec<usize> = Vec::new();
-    for (e, scores) in event_scores.iter().enumerate() {
-        rebuild_order(&mut full_order, scores, wide);
-        topk_order.clear();
-        topk_order.extend(0..wide);
-        let cmp = order_cmp(scores);
-        let (front, _, _) = topk_order.select_nth_unstable_by(head - 1, &cmp);
-        front.sort_unstable_by(&cmp);
-        assert_eq!(
-            &full_order[..head],
-            &topk_order[..head],
-            "top-k event {e}: startable head diverged from the full sort"
-        );
-    }
-    let full_sort_secs = best_of(5, || {
-        for scores in &event_scores {
-            rebuild_order(&mut full_order, scores, wide);
-            black_box(&full_order);
-        }
-    });
-    let topk_secs = best_of(5, || {
-        for scores in &event_scores {
-            topk_order.clear();
-            topk_order.extend(0..wide);
-            let cmp = order_cmp(scores);
-            let (front, _, _) = topk_order.select_nth_unstable_by(head - 1, &cmp);
-            front.sort_unstable_by(&cmp);
-            black_box(&topk_order);
-        }
-    });
-    let topk_speedup = full_sort_secs / topk_secs;
-    println!(
-        "wide-queue top-k ({wide}-job queue, head {head}, {topk_events} events):\n  \
-         full sort: {full_sort_secs:.5} s\n  \
-         top-k:     {topk_secs:.5} s\n  \
-         speedup:   {topk_speedup:.2}x",
-    );
-
     // End-to-end: full simulations, time-dependent aging policy and the
     // static F1 (cached-score path: compiled replaces per-arrival walks).
     let (n_seqs, jobs) = if full_scale() { (10, 1_000) } else { (6, 300) };
@@ -471,10 +414,6 @@ fn regenerate() {
         "incremental re-scoring must be at least 2x the full batch path \
          on single-job deltas (got {delta_speedup:.2}x)"
     );
-    assert!(
-        topk_speedup >= 1.5,
-        "top-k selection must clearly beat the full sort (got {topk_speedup:.2}x)"
-    );
 
     let json = format!(
         "{{\n  \
@@ -496,14 +435,6 @@ fn regenerate() {
              \"scalar_full_sort\": {{ \"seconds\": {full_delta_secs:.5}, \"events_per_sec\": {:.0} }},\n    \
              \"blocked_incremental\": {{ \"seconds\": {inc_delta_secs:.5}, \"events_per_sec\": {:.0} }},\n    \
              \"speedup\": {delta_speedup:.3},\n    \
-             \"bit_identical\": true\n  }},\n  \
-           \"wide_queue_topk\": {{\n    \
-             \"queue_size\": {wide},\n    \
-             \"startable_head\": {head},\n    \
-             \"order_events\": {topk_events},\n    \
-             \"full_sort\": {{ \"seconds\": {full_sort_secs:.5} }},\n    \
-             \"topk_select\": {{ \"seconds\": {topk_secs:.5} }},\n    \
-             \"speedup\": {topk_speedup:.3},\n    \
              \"bit_identical\": true\n  }},\n  \
            \"end_to_end\": {{\n    \
              \"sequences\": {n_seqs},\n    \

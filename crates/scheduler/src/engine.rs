@@ -84,8 +84,8 @@
 //! entirely: it is scored exactly once, at enqueue, through the scalar
 //! kernel, like any other cached-score discipline.
 //!
-//! On top of the batch kernel sits an **incremental re-scoring layer**,
-//! keyed off the compile-time [`ResidualClass`] of the policy's residual:
+//! What happens after the batch re-score is keyed off the compile-time
+//! [`ResidualClass`] of the policy's residual and the backfill mode:
 //!
 //! * *Uniform-aging* residuals (affine in `w` with a job-uniform
 //!   coefficient, or a monotone transform thereof) keep the previous
@@ -95,23 +95,32 @@
 //!   collapse a strict pair into a position-broken tie) falls back to the
 //!   full sort. Started jobs are carried out of the order by the same
 //!   compaction that maintains the queue and lanes.
-//! * *General* residuals under strict ([`BackfillMode::None`])
-//!   scheduling build the order by **partial top-k selection**: the
-//!   strict pass reads at most `available + 1` order positions (each
-//!   start consumes ≥ 1 core; the first non-fit ends the pass), so only
-//!   that head is sorted exactly.
+//! * *General* residuals under strict ([`BackfillMode::None`]) or classic
+//!   EASY ([`BackfillMode::Aggressive`], one reservation) scheduling
+//!   build **no order at all**: the strict pass selects each head **on
+//!   demand**, by one linear scan for the minimum score among the entries
+//!   it has not started yet, and stops asking at the first head that does
+//!   not fit — which, on a saturated machine, is usually the first one.
+//!   EASY then sorts only the waiting jobs narrow enough to fit the cores
+//!   free at that moment: availability only falls during the backfill
+//!   scan and a job that does not fit is skipped without side effects, so
+//!   the scan visits the jobs the full order would have it visit, in the
+//!   same order.
+//! * Conservative and deep-EASY passes read every position, so they
+//!   full-sort.
 //!
 //! The class is a hint, never a correctness input — scores are freshly
 //! evaluated every event, and because the ordering comparator
 //! `(score, queue position)` is total and injective, the sorted
-//! permutation of a score vector is unique: whichever maintenance path
-//! produced it, it is *the* full-sort order. Scores (and therefore every
-//! schedule) stay **bit-identical** to the interpreted
-//! [`QueueDiscipline::Policy`] path; the `compiled_bit_identity` and
-//! `incremental_rescore` suites pin full simulations across backfill
-//! modes, decision modes, layouts and thread counts, and
-//! [`crate::reference`] stays on the per-task scalar, full-sort path as
-//! the oracle.
+//! permutation of a score vector is unique: the minimum of the entries
+//! not yet taken *is* the next element of the full-sort order, and a
+//! verified or binary-inserted standing order *is* that order. Scores
+//! (and therefore every schedule) stay **bit-identical** to the
+//! interpreted [`QueueDiscipline::Policy`] path; the
+//! `compiled_bit_identity` and `incremental_rescore` suites pin full
+//! simulations across backfill modes, decision modes, layouts and thread
+//! counts, and [`crate::reference`] stays on the per-task scalar,
+//! full-sort path as the oracle.
 
 use crate::checkpoint::Checkpoint;
 use crate::config::{BackfillMode, SchedulerConfig};
@@ -362,9 +371,12 @@ pub struct SimWorkspace {
     /// SoA half the binary-search scans read.
     q_keys: Vec<f64>,
     /// Priority order of queue positions for time-dependent policies
-    /// (static disciplines keep the queue itself priority-sorted).
+    /// (static disciplines keep the queue itself priority-sorted; stays
+    /// empty where heads are selected on demand).
     order: Vec<usize>,
-    /// `(queue position, score)` scratch for time-dependent policies.
+    /// `(queue position, score)` scratch: the whole queue for interpreted
+    /// time-dependent policies, the EASY backfill candidates under
+    /// on-demand selection.
     scored: Vec<(usize, f64)>,
     /// Maintained sorted releases of the running set.
     releases: Vec<Release>,
@@ -762,16 +774,20 @@ impl SimWorkspace {
             }
             _ => self.static_lanes.reset(0, 0),
         }
-        // Incremental queue maintenance is keyed off the compiled
-        // residual's class (a hint — every shortcut re-verifies against
-        // fresh score bits): uniform-aging residuals keep the previous
-        // event's order alive across events; general residuals under
-        // strict scheduling only need the startable head in exact order.
-        let (incremental, topk) = match discipline {
+        // Queue maintenance is keyed off the compiled residual's class (a
+        // hint — every path works on fresh score bits): uniform-aging
+        // residuals keep the previous event's order alive across events;
+        // general residuals under strict or classic-EASY scheduling build
+        // no order at all and pick each head on demand.
+        let (incremental, on_demand) = match discipline {
             QueueDiscipline::Compiled(cp) if cp.time_dependent() => (
                 cp.residual_class() == ResidualClass::UniformAging,
                 cp.residual_class() == ResidualClass::General
-                    && config.backfill == BackfillMode::None,
+                    && match config.backfill {
+                        BackfillMode::None => true,
+                        BackfillMode::Aggressive => config.reservation_depth <= 1,
+                        BackfillMode::Conservative => false,
+                    },
             ),
             _ => (false, false),
         };
@@ -875,7 +891,7 @@ impl SimWorkspace {
             track_lanes: matches!(discipline, QueueDiscipline::Compiled(_))
                 && queue_order == QueueOrder::TimeDependent,
             incremental,
-            topk,
+            on_demand,
             known: if incremental { resume_known } else { 0 },
             max_retries,
             events,
@@ -1283,10 +1299,10 @@ struct Engine<'a, 'b, K: CompletionSink, T: TraceSource> {
     /// compiled residuals): verified sorted under fresh scores and
     /// binary-inserted into, instead of rebuilt by a full sort.
     incremental: bool,
-    /// Whether only the startable queue head needs exact order (general
-    /// compiled residuals under strict scheduling): the order is built by
-    /// partial selection instead of a full sort.
-    topk: bool,
+    /// Whether the pass picks each head on demand instead of reading a
+    /// built order (general compiled residuals under strict or classic
+    /// EASY scheduling): see [`Engine::next_head`].
+    on_demand: bool,
     /// Queue length the incremental order was last synchronized at;
     /// queue positions at or beyond it arrived since the last event.
     known: usize,
@@ -1596,9 +1612,11 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
     /// Queue position holding the `pos`-th highest-priority job. Static
     /// disciplines keep the queue itself priority-sorted, so the order is
     /// the identity; time-dependent policies read the order computed by
-    /// [`Engine::order_queue`].
+    /// [`Engine::order_queue`] / [`Engine::order_queue_compiled`] — which
+    /// builds none under on-demand selection ([`Engine::next_head`]).
     #[inline]
     fn ord(&self, pos: usize) -> usize {
+        debug_assert!(!self.on_demand, "on-demand selection builds no order");
         if self.queue_order == QueueOrder::TimeDependent {
             self.order[pos]
         } else {
@@ -1640,16 +1658,16 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
         self.order.extend(self.scored.iter().map(|&(i, _)| i));
     }
 
-    /// Order the queue for a time-dependent *compiled* policy: one
-    /// lane-blocked batch re-score over the SoA lanes, then rebuild — or
-    /// incrementally maintain — the priority order of queue positions.
+    /// Re-score the queue for a time-dependent *compiled* policy — one
+    /// lane-blocked batch pass over the SoA lanes into `batch_scores` —
+    /// then bring the priority order of queue positions up to date as far
+    /// as the pass that follows will read it.
     ///
     /// Bit-identity argument: the comparator `(score, queue position)` is
     /// total and injective (positions are distinct), so the sorted
     /// permutation of any score vector is **unique** — every path below
-    /// produces it or falls back to the full sort that does. Scores are
-    /// always freshly evaluated; the residual class only chooses which
-    /// maintenance shortcut is *attempted*:
+    /// reads a prefix of it. Scores are always freshly evaluated; the
+    /// residual class only chooses how much of the permutation is built:
     ///
     /// * **Incremental** (uniform-aging residuals): time advance shifts
     ///   all queued scores in lockstep, so the previous event's order is
@@ -1657,11 +1675,14 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
     ///   arrivals are binary-inserted. Rounding artifacts (a strict pair
     ///   collapsing into a position-broken tie) fail the verify and take
     ///   the full sort.
-    /// * **Top-k** (general residuals, strict mode): the strict pass
-    ///   below reads at most `available + 1` order positions — every
-    ///   start consumes at least one core and the first non-fit ends the
-    ///   pass — so only that head is selection-sorted exactly; positions
-    ///   past it are never read.
+    /// * **On demand** (general residuals, strict or classic EASY): no
+    ///   order is built here at all. The strict pass asks
+    ///   [`Engine::next_head`] for one head at a time — the minimum of
+    ///   the not-yet-started entries under the same comparator, which is
+    ///   by construction the entry the unique permutation holds next —
+    ///   and most passes stop at the first.
+    /// * **Full sort** otherwise (conservative and deep-EASY passes read
+    ///   every position).
     fn order_queue_compiled(&mut self, cp: &CompiledPolicy, now: f64) -> Result<(), EngineError> {
         let len = self.queue.len();
         if self.q_r.len() != len
@@ -1692,6 +1713,9 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
             "policy {} produced NaN at t={now}",
             cp.name()
         );
+        if self.on_demand {
+            return Ok(());
+        }
         let scores: &[f64] = self.batch_scores;
         let cmp = |a: &usize, b: &usize| scores[*a].total_cmp(&scores[*b]).then(a.cmp(b));
         if self.incremental {
@@ -1726,15 +1750,28 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
         } else {
             self.order.clear();
             self.order.extend(0..len);
-            let head = self.ledger.available() as usize + 1;
-            if self.topk && head < len {
-                let (front, _, _) = self.order.select_nth_unstable_by(head - 1, cmp);
-                front.sort_unstable_by(cmp);
-            } else {
-                self.order.sort_unstable_by(cmp);
-            }
+            self.order.sort_unstable_by(cmp);
         }
         Ok(())
+    }
+
+    /// On-demand head selection: the queue position the full-sort order
+    /// would hold next, i.e. the minimum of the not-yet-started entries
+    /// under `(score.total_cmp, queue position)`. One linear scan; the
+    /// strict `<` keeps the first of equal scores, which is the
+    /// lowest-position tie-break. Every entry ahead of it in that order
+    /// has been started by this pass, so successive calls walk the
+    /// unique sorted permutation without ever materializing it.
+    ///
+    /// Callers guarantee at least one waiting entry is left.
+    fn next_head(&self) -> usize {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, (&s, e)) in self.batch_scores.iter().zip(self.queue.iter()).enumerate() {
+            if !e.started && best.is_none_or(|(_, b)| s.total_cmp(&b).is_lt()) {
+                best = Some((i, s));
+            }
+        }
+        best.expect("a waiting entry is left").0
     }
 
     #[cfg(debug_assertions)]
@@ -1772,6 +1809,33 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
             self.rel_scratch
                 .sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
         }
+    }
+
+    /// One step of the classic-EASY backfill scan: start the waiting job
+    /// at queue position `qi` if it fits now and either ends (by its
+    /// decision-mode runtime) by the head's `shadow` time or uses only
+    /// cores `spare` even then. Returns whether it started.
+    fn try_backfill(
+        &mut self,
+        qi: usize,
+        now: f64,
+        shadow: f64,
+        spare: &mut u32,
+    ) -> Result<bool, EngineError> {
+        let cand = self.queue[qi].job;
+        if !self.ledger.fits(cand.cores) {
+            return Ok(false);
+        }
+        let ends_by_shadow = now + self.config.decision_time(cand.runtime, cand.estimate) <= shadow;
+        if !ends_by_shadow {
+            if cand.cores > *spare {
+                return Ok(false);
+            }
+            *spare -= cand.cores;
+        }
+        self.start_job(qi, now)?;
+        *self.backfilled += 1;
+        Ok(true)
     }
 
     fn reschedule(&mut self, now: f64) -> Result<(), EngineError> {
@@ -1836,16 +1900,21 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
             }
         } else {
             // Strict pass: start in priority order, stop at the first task
-            // that does not fit (§4.2: "the scheduler waits").
-            let mut blocked_at: Option<usize> = None;
+            // that does not fit (§4.2: "the scheduler waits"). `blocked` is
+            // that task's (order position, queue position).
+            let mut blocked: Option<(usize, usize)> = None;
             for pos in 0..len {
-                let qi = self.ord(pos);
+                let qi = if self.on_demand {
+                    self.next_head()
+                } else {
+                    self.ord(pos)
+                };
                 let job = self.queue[qi].job;
                 if self.ledger.fits(job.cores) {
                     self.start_job(qi, now)?;
                     any_started = true;
                 } else {
-                    blocked_at = Some(pos);
+                    blocked = Some((pos, qi));
                     break;
                 }
             }
@@ -1853,7 +1922,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
             // completion frees cores or a higher-priority arrival lands,
             // every further reschedule would stop at this same head.
             if self.skip_eligible {
-                self.head_blocked = blocked_at.is_some();
+                self.head_blocked = blocked.is_some();
             }
 
             if self.config.backfill == BackfillMode::Aggressive && self.config.reservation_depth > 1
@@ -1862,7 +1931,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
                 // hold reservations in an availability profile; any other
                 // job may start only where the profile admits it *now*.
                 // Depth → ∞ converges to conservative backfilling.
-                if let Some(head_pos) = blocked_at {
+                if let Some((head_pos, _)) = blocked {
                     self.fill_rel_scratch(now);
                     self.profile.rebuild_from_sorted(
                         now,
@@ -1897,8 +1966,8 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
                     }
                 }
             } else if self.config.backfill == BackfillMode::Aggressive {
-                if let Some(head_pos) = blocked_at {
-                    let head = self.queue[self.ord(head_pos)].job;
+                if let Some((head_pos, head_qi)) = blocked {
+                    let head = self.queue[head_qi].job;
                     // Shadow time: when enough cores free up for the head,
                     // assuming running jobs finish at their decision-mode
                     // expected ends (clamped to now if overdue). The
@@ -1921,23 +1990,31 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
                     // either finishes (by its decision-mode runtime) before
                     // the shadow time, or only uses cores spare even at the
                     // shadow time.
-                    for pos in head_pos + 1..len {
-                        let qi = self.ord(pos);
-                        let cand = self.queue[qi].job;
-                        if !self.ledger.fits(cand.cores) {
-                            continue;
+                    if self.on_demand {
+                        // Everything ahead of the head was started, so the
+                        // rest of the order is the waiting entries minus
+                        // the head. Availability only falls during the
+                        // scan and a candidate that does not fit is skipped
+                        // without side effects, so sorting just the ones
+                        // that fit *now* (the blocked head is not one)
+                        // visits the same jobs in the same order as
+                        // walking the full order.
+                        self.scored.clear();
+                        for (i, (e, &s)) in self.queue.iter().zip(&*self.batch_scores).enumerate() {
+                            if !e.started && self.ledger.fits(e.job.cores) {
+                                self.scored.push((i, s));
+                            }
                         }
-                        let ends_by_shadow =
-                            now + self.config.decision_time(cand.runtime, cand.estimate) <= shadow;
-                        if ends_by_shadow {
-                            self.start_job(qi, now)?;
-                            any_started = true;
-                            *self.backfilled += 1;
-                        } else if cand.cores <= spare {
-                            spare -= cand.cores;
-                            self.start_job(qi, now)?;
-                            any_started = true;
-                            *self.backfilled += 1;
+                        self.scored
+                            .sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                        for k in 0..self.scored.len() {
+                            let qi = self.scored[k].0;
+                            any_started |= self.try_backfill(qi, now, shadow, &mut spare)?;
+                        }
+                    } else {
+                        for pos in head_pos + 1..len {
+                            let qi = self.ord(pos);
+                            any_started |= self.try_backfill(qi, now, shadow, &mut spare)?;
                         }
                     }
                 }
@@ -2499,6 +2576,45 @@ mod tests {
     fn events_processed_counts_arrivals_and_completions() {
         let r = run_fcfs(vec![job(0, 0.0, 1.0, 1), job(1, 5.0, 1.0, 1)], 4);
         assert_eq!(r.events_processed, 4);
+    }
+
+    #[test]
+    fn on_demand_selection_builds_no_order() {
+        // A general residual (WFP3) under strict and classic-EASY
+        // scheduling picks its heads on demand: the order vector — which a
+        // checkpoint would copy — is never filled. Conservative and
+        // deep-EASY passes read every position and still build it.
+        use dynsched_policies::{Policy, Wfp3};
+        let jobs: Vec<Job> = (0..40)
+            .map(|i| job(i, (i / 4) as f64, 20.0 + (i % 7) as f64 * 9.0, 1 + i % 4))
+            .collect();
+        let trace = Trace::from_jobs(jobs);
+        let wfp = Wfp3.compile().unwrap();
+        let mut ws = SimWorkspace::new();
+        for (backfill, depth, on_demand) in [
+            (BackfillMode::None, 1, true),
+            (BackfillMode::Aggressive, 1, true),
+            (BackfillMode::Aggressive, 3, false),
+            (BackfillMode::Conservative, 1, false),
+        ] {
+            let mut config = cfg(6);
+            config.backfill = backfill;
+            config.reservation_depth = depth;
+            let mut ckpt = Checkpoint::default();
+            ws.run_prefix(
+                &trace,
+                &QueueDiscipline::Compiled(&wfp),
+                &config,
+                15.0,
+                &mut ckpt,
+            );
+            assert!(!ckpt.queue.is_empty(), "the prefix must stop mid-queue");
+            assert_eq!(
+                ckpt.order.is_empty(),
+                on_demand,
+                "{backfill:?}, depth {depth}"
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use crate::config::{BackfillMode, SchedulerConfig};
 use crate::engine::QueueDiscipline;
-use crate::profile::Profile;
+use crate::profile::{clamp_release, Profile};
 use crate::result::{SimMetrics, SimulationResult};
 use dynsched_cluster::{AbandonedJob, AvailabilitySchedule, CompletedJob, Job, JobId};
 use dynsched_policies::{sort_views, TaskView};
@@ -29,8 +29,42 @@ enum Event {
 
 #[derive(Debug, Clone, Copy)]
 struct Running {
+    /// Position of the job in the trace: the last tie-break of
+    /// [`expected_releases`].
+    idx: usize,
     job: Job,
     start: f64,
+}
+
+/// Decision-mode expected `(end, cores)` of every running job, raw (not
+/// clamped), in one total order: `clamp(end)`, then the raw end, then the
+/// trace index. `running` is a `HashMap`, whose iteration order differs
+/// from map to map; sorting by the clamped end alone left jobs with equal
+/// ends — or several overdue jobs, all clamped to one instant — in that
+/// order, and classic EASY's `spare` depends on which of them the shadow
+/// walk meets first. Under EASY's monotone clamp (`max(now)`) this is the
+/// `(raw end, trace index)` order of the optimized engine's maintained
+/// release list; the availability profile merges equal times by summing
+/// their cores, so there the tie-break only makes the walk repeatable.
+fn expected_releases<K>(
+    running: &HashMap<K, Running>,
+    config: &SchedulerConfig,
+    clamp: impl Fn(f64) -> f64,
+) -> Vec<(f64, u32)> {
+    let mut releases: Vec<(f64, usize, u32)> = running
+        .values()
+        .map(|r| {
+            let end = r.start + config.decision_time(r.job.runtime, r.job.estimate);
+            (end, r.idx, r.job.cores)
+        })
+        .collect();
+    releases.sort_by(|a, b| {
+        clamp(a.0)
+            .total_cmp(&clamp(b.0))
+            .then(a.0.total_cmp(&b.0))
+            .then(a.1.cmp(&b.1))
+    });
+    releases.into_iter().map(|(end, _, c)| (end, c)).collect()
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -415,14 +449,22 @@ fn reschedule(
     }
     let order = order_queue(queue, now, discipline, config);
 
-    let start_job = |job: Job,
+    let start_job = |idx: usize,
+                     job: Job,
                      ledger: &mut dynsched_cluster::AllocationLedger,
                      running: &mut HashMap<JobId, Running>,
                      events: &mut EventQueue<Event>| {
         ledger
             .allocate(job.id, job.cores, now)
             .expect("start checked to fit");
-        running.insert(job.id, Running { job, start: now });
+        running.insert(
+            job.id,
+            Running {
+                idx,
+                job,
+                start: now,
+            },
+        );
         events.push(
             now + config.execution_time(job.runtime, job.estimate),
             Event::Completion(job.id),
@@ -434,25 +476,17 @@ fn reschedule(
     if config.backfill == BackfillMode::Conservative {
         // Every job gets the earliest reservation that delays nobody ahead
         // of it; jobs reserved for *now* start.
-        let releases: Vec<(f64, u32)> = running
-            .values()
-            .map(|r| {
-                (
-                    r.start + config.decision_time(r.job.runtime, r.job.estimate),
-                    r.job.cores,
-                )
-            })
-            .collect();
+        let releases = expected_releases(running, config, |t| clamp_release(now, t));
         let mut profile = Profile::new(now, ledger.available(), &releases);
         for (rank, &qi) in order.iter().enumerate() {
-            let job = queue[qi].job;
+            let QueueEntry { idx, job, .. } = queue[qi];
             let duration = config.decision_time(job.runtime, job.estimate).max(1e-9);
             let start = profile
                 .earliest_fit(job.cores, duration)
                 .expect("job width pre-checked against platform");
             profile.reserve(start, start + duration, job.cores);
             if start == now {
-                start_job(job, ledger, running, events);
+                start_job(idx, job, ledger, running, events);
                 started[qi] = true;
                 if rank > 0 {
                     *backfilled += 1;
@@ -464,9 +498,9 @@ fn reschedule(
         // does not fit (§4.2: "the scheduler waits").
         let mut blocked_at: Option<usize> = None;
         for (pos, &qi) in order.iter().enumerate() {
-            let job = queue[qi].job;
+            let QueueEntry { idx, job, .. } = queue[qi];
             if ledger.fits(job.cores) {
-                start_job(job, ledger, running, events);
+                start_job(idx, job, ledger, running, events);
                 started[qi] = true;
             } else {
                 blocked_at = Some(pos);
@@ -479,26 +513,18 @@ fn reschedule(
             // reservations in an availability profile; any other job may
             // start only where the profile admits it *now*.
             if let Some(head_pos) = blocked_at {
-                let releases: Vec<(f64, u32)> = running
-                    .values()
-                    .map(|r| {
-                        (
-                            r.start + config.decision_time(r.job.runtime, r.job.estimate),
-                            r.job.cores,
-                        )
-                    })
-                    .collect();
+                let releases = expected_releases(running, config, |t| clamp_release(now, t));
                 let mut profile = Profile::new(now, ledger.available(), &releases);
                 let mut reservations = 0u32;
                 for &qi in &order[head_pos..] {
-                    let job = queue[qi].job;
+                    let QueueEntry { idx, job, .. } = queue[qi];
                     let duration = config.decision_time(job.runtime, job.estimate).max(1e-9);
                     let start = profile
                         .earliest_fit(job.cores, duration)
                         .expect("job width pre-checked against platform");
                     if start == now {
                         profile.reserve(start, start + duration, job.cores);
-                        start_job(job, ledger, running, events);
+                        start_job(idx, job, ledger, running, events);
                         started[qi] = true;
                         *backfilled += 1;
                     } else if reservations < config.reservation_depth {
@@ -511,39 +537,32 @@ fn reschedule(
             if let Some(head_pos) = blocked_at {
                 let head = queue[order[head_pos]].job;
                 // Shadow time: when enough cores free up for the head.
-                let mut releases: Vec<(f64, u32)> = running
-                    .values()
-                    .map(|r| {
-                        let end = r.start + config.decision_time(r.job.runtime, r.job.estimate);
-                        (end.max(now), r.job.cores)
-                    })
-                    .collect();
-                releases.sort_by(|a, b| a.0.total_cmp(&b.0));
+                let releases = expected_releases(running, config, |t| t.max(now));
                 let mut avail = ledger.available();
                 let mut shadow = now;
                 let mut spare = 0u32;
                 for (end, cores) in releases {
                     avail += cores;
                     if avail >= head.cores {
-                        shadow = end;
+                        shadow = end.max(now);
                         spare = avail - head.cores;
                         break;
                     }
                 }
                 for &qi in &order[head_pos + 1..] {
-                    let cand = queue[qi].job;
+                    let QueueEntry { idx, job: cand, .. } = queue[qi];
                     if !ledger.fits(cand.cores) {
                         continue;
                     }
                     let ends_by_shadow =
                         now + config.decision_time(cand.runtime, cand.estimate) <= shadow;
                     if ends_by_shadow {
-                        start_job(cand, ledger, running, events);
+                        start_job(idx, cand, ledger, running, events);
                         started[qi] = true;
                         *backfilled += 1;
                     } else if cand.cores <= spare {
                         spare -= cand.cores;
-                        start_job(cand, ledger, running, events);
+                        start_job(idx, cand, ledger, running, events);
                         started[qi] = true;
                         *backfilled += 1;
                     }
@@ -587,7 +606,14 @@ fn reschedule_faulty(
         ledger
             .allocate(job.id, job.cores, now)
             .expect("start checked to fit");
-        running.insert(idx, Running { job, start: now });
+        running.insert(
+            idx,
+            Running {
+                idx,
+                job,
+                start: now,
+            },
+        );
         events.push(
             now + config.execution_time(job.runtime, job.estimate),
             FaultyEvent::Completion(idx, attempt_of[idx]),
@@ -597,15 +623,7 @@ fn reschedule_faulty(
     let mut started = vec![false; queue.len()];
 
     if config.backfill == BackfillMode::Conservative {
-        let releases: Vec<(f64, u32)> = running
-            .values()
-            .map(|r| {
-                (
-                    r.start + config.decision_time(r.job.runtime, r.job.estimate),
-                    r.job.cores,
-                )
-            })
-            .collect();
+        let releases = expected_releases(running, config, |t| clamp_release(now, t));
         let mut profile = Profile::new(now, ledger.available(), &releases);
         for (rank, &qi) in order.iter().enumerate() {
             let QueueEntry { idx, job, .. } = queue[qi];
@@ -637,15 +655,7 @@ fn reschedule_faulty(
 
         if config.backfill == BackfillMode::Aggressive && config.reservation_depth > 1 {
             if let Some(head_pos) = blocked_at {
-                let releases: Vec<(f64, u32)> = running
-                    .values()
-                    .map(|r| {
-                        (
-                            r.start + config.decision_time(r.job.runtime, r.job.estimate),
-                            r.job.cores,
-                        )
-                    })
-                    .collect();
+                let releases = expected_releases(running, config, |t| clamp_release(now, t));
                 let mut profile = Profile::new(now, ledger.available(), &releases);
                 let mut reservations = 0u32;
                 for &qi in &order[head_pos..] {
@@ -668,21 +678,14 @@ fn reschedule_faulty(
         } else if config.backfill == BackfillMode::Aggressive {
             if let Some(head_pos) = blocked_at {
                 let head = queue[order[head_pos]].job;
-                let mut releases: Vec<(f64, u32)> = running
-                    .values()
-                    .map(|r| {
-                        let end = r.start + config.decision_time(r.job.runtime, r.job.estimate);
-                        (end.max(now), r.job.cores)
-                    })
-                    .collect();
-                releases.sort_by(|a, b| a.0.total_cmp(&b.0));
+                let releases = expected_releases(running, config, |t| t.max(now));
                 let mut avail = ledger.available();
                 let mut shadow = now;
                 let mut spare = 0u32;
                 for (end, cores) in releases {
                     avail += cores;
                     if avail >= head.cores {
-                        shadow = end;
+                        shadow = end.max(now);
                         spare = avail - head.cores;
                         break;
                     }

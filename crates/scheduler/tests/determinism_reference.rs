@@ -17,17 +17,11 @@ use dynsched_scheduler::{
 use dynsched_simkit::Rng;
 use dynsched_workload::Trace;
 
-/// Random jobs with continuous times and, crucially, *over*-estimates
-/// only (factor in `[1, 3)`). The reference engine collects the running
-/// set's releases in `HashMap` iteration order; with under-estimates,
-/// overdue jobs all clamp to `now` in the classic-EASY shadow scan, and
-/// the reference breaks those ties in hash order — which varies per
-/// process, i.e. the *reference* is nondeterministic there (the optimized
-/// engine resolves the same ties by trace index, deterministically). The
-/// bit-identity property is therefore asserted on the domain where the
-/// reference itself is well-defined: no overdue running jobs, which
-/// over-estimates guarantee. Under-estimate behaviour is covered by the
-/// legality property tests and the engine's unit tests.
+/// Random jobs with continuous times and *over*-estimates only (factor in
+/// `[1, 3)`): no two expected ends coincide and no running job is ever
+/// overdue. Equal and overdue expected ends — where the order the
+/// releases are walked in decides classic EASY's `spare` — are the
+/// subject of [`equal_and_overdue_expected_ends_are_ordered_by_trace_index`].
 fn random_trace(rng: &mut Rng, max_jobs: usize, cores: u32) -> Trace {
     let n = rng.range_u64(2, max_jobs as u64) as usize;
     let jobs: Vec<Job> = (0..n)
@@ -208,5 +202,62 @@ fn one_shot_simulate_equals_workspace_reuse() {
         let fresh = simulate(&trace, &discipline, &config);
         let reused = simulate_into(&mut ws, &trace, &discipline, &config);
         assert_eq!(fresh, reused, "round {round}");
+    }
+}
+
+/// Whole-second times, estimates drawn from three modal values, arrivals
+/// in same-instant waves: many running jobs share one expected end, and
+/// the under-estimated half overruns it, so several overdue jobs clamp to
+/// the same instant.
+fn modal_trace(rng: &mut Rng, cores: u32) -> Trace {
+    let mut jobs = Vec::new();
+    for wave in 0..12u32 {
+        let submit = wave as f64 * 400.0;
+        for _ in 0..rng.range_u64(3, 9) {
+            let estimate = [600.0, 1_800.0, 3_600.0][rng.range_u64(0, 2) as usize];
+            let runtime = (estimate * rng.range_f64(0.2, 1.6)).round().max(1.0);
+            let width = rng.range_u64(1, cores as u64 / 2) as u32;
+            let id = jobs.len() as u32;
+            jobs.push(Job::new(id, submit, runtime, estimate, width));
+        }
+    }
+    Trace::from_jobs(jobs)
+}
+
+#[test]
+fn equal_and_overdue_expected_ends_are_ordered_by_trace_index() {
+    // The reference keeps its running set in a `HashMap`, and every map
+    // hashes with its own keys: two runs in one process iterate it in
+    // different orders. Sorting the releases by (clamped end, raw end,
+    // trace index) must make that invisible — reference == reference —
+    // and must be the order the engine walks its maintained list in.
+    let lineup = paper_lineup();
+    let mut ws = SimWorkspace::new();
+    let mut rng = Rng::new(0x40DA1);
+    for round in 0..4 {
+        let trace = modal_trace(&mut rng, 16);
+        for config in configs(16) {
+            if config.backfill == BackfillMode::None {
+                continue; // never reads the releases
+            }
+            for policy in &lineup {
+                let discipline = QueueDiscipline::Policy(policy.as_ref());
+                let want = simulate_reference(&trace, &discipline, &config);
+                let again = simulate_reference(&trace, &discipline, &config);
+                assert_eq!(
+                    want,
+                    again,
+                    "round {round}, policy {}, config {config:?}: the reference disagrees with itself",
+                    policy.name()
+                );
+                let got = simulate_into(&mut ws, &trace, &discipline, &config);
+                assert_eq!(
+                    got,
+                    want,
+                    "round {round}, policy {}, config {config:?}",
+                    policy.name()
+                );
+            }
+        }
     }
 }
