@@ -24,9 +24,7 @@ use dynsched_bench::{banner, criterion, full_scale};
 use dynsched_cluster::{AvailabilitySchedule, FaultProfile, Platform};
 use dynsched_policies::{Fcfs, LearnedPolicy, Policy, Spt};
 use dynsched_scheduler::reference::simulate_reference_faulty;
-use dynsched_scheduler::{
-    simulate, simulate_faulty, QueueDiscipline, SchedulerConfig, SimWorkspace,
-};
+use dynsched_scheduler::{simulate, QueueDiscipline, SchedulerConfig, SimWorkspace};
 use dynsched_simkit::Rng;
 use dynsched_workload::{LublinModel, Trace};
 use std::hint::black_box;
@@ -105,12 +103,20 @@ fn regenerate() {
             let discipline = QueueDiscipline::Policy(policy.as_ref());
             for config in &configs {
                 let plain = simulate(trace, &discipline, config);
-                let idle = simulate_faulty(trace, &discipline, config, &empty).unwrap();
+                let mut fresh = SimWorkspace::new();
+                fresh
+                    .run_faulty(trace, &discipline, config, &empty)
+                    .unwrap();
+                let idle = fresh.result();
                 assert_eq!(
                     plain, idle,
                     "empty schedule diverged from the zero-fault engine"
                 );
-                let faulty = simulate_faulty(trace, &discipline, config, &schedules[s]).unwrap();
+                let mut fresh = SimWorkspace::new();
+                fresh
+                    .run_faulty(trace, &discipline, config, &schedules[s])
+                    .unwrap();
+                let faulty = fresh.result();
                 assert_eq!(
                     faulty,
                     simulate_reference_faulty(trace, &discipline, config, &schedules[s]),

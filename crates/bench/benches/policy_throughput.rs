@@ -31,9 +31,7 @@ use dynsched_policies::{
     BatchScratch, CompiledPolicy, ExprPolicy, LearnedPolicy, Policy, ResidualClass, ScoreLanes,
     TaskView,
 };
-use dynsched_scheduler::{
-    simulate_metrics_into, BackfillMode, QueueDiscipline, SchedulerConfig, SimWorkspace,
-};
+use dynsched_scheduler::{BackfillMode, QueueDiscipline, SchedulerConfig, SimWorkspace};
 use dynsched_simkit::Rng;
 use dynsched_workload::{LublinModel, Trace, TraceSource};
 use std::cmp::Ordering;
@@ -201,36 +199,18 @@ fn end_to_end(
     let compiled = policy.compile().expect("built-in policies compile");
     let mut ws = SimWorkspace::new();
     for seq in seqs {
-        let a = simulate_metrics_into(&mut ws, seq, &QueueDiscipline::Policy(policy), config, 10.0);
-        let b = simulate_metrics_into(
-            &mut ws,
-            seq,
-            &QueueDiscipline::Compiled(&compiled),
-            config,
-            10.0,
-        );
+        let a = ws.run_metrics(seq, &QueueDiscipline::Policy(policy), config, 10.0);
+        let b = ws.run_metrics(seq, &QueueDiscipline::Compiled(&compiled), config, 10.0);
         assert_eq!(a, b, "{}: compiled simulation diverged", policy.name());
     }
     let interpreted_secs = best_of(reps, || {
         for seq in seqs {
-            black_box(simulate_metrics_into(
-                &mut ws,
-                seq,
-                &QueueDiscipline::Policy(policy),
-                config,
-                10.0,
-            ));
+            black_box(ws.run_metrics(seq, &QueueDiscipline::Policy(policy), config, 10.0));
         }
     });
     let compiled_secs = best_of(reps, || {
         for seq in seqs {
-            black_box(simulate_metrics_into(
-                &mut ws,
-                seq,
-                &QueueDiscipline::Compiled(&compiled),
-                config,
-                10.0,
-            ));
+            black_box(ws.run_metrics(seq, &QueueDiscipline::Compiled(&compiled), config, 10.0));
         }
     });
     EndToEnd {
@@ -494,25 +474,11 @@ fn bench(c: &mut Criterion) {
     let config = SchedulerConfig::actual_runtimes(Platform::new(64));
     let mut ws = SimWorkspace::new();
     c.bench_function("simulate/aging_200_jobs_interpreted", |b| {
-        b.iter(|| {
-            black_box(simulate_metrics_into(
-                &mut ws,
-                seq,
-                &QueueDiscipline::Policy(&aging),
-                &config,
-                10.0,
-            ))
-        })
+        b.iter(|| black_box(ws.run_metrics(seq, &QueueDiscipline::Policy(&aging), &config, 10.0)))
     });
     c.bench_function("simulate/aging_200_jobs_compiled", |b| {
         b.iter(|| {
-            black_box(simulate_metrics_into(
-                &mut ws,
-                seq,
-                &QueueDiscipline::Compiled(&compiled),
-                &config,
-                10.0,
-            ))
+            black_box(ws.run_metrics(seq, &QueueDiscipline::Compiled(&compiled), &config, 10.0))
         })
     });
 }

@@ -102,7 +102,6 @@
 
 #![warn(missing_docs)]
 
-pub mod artifact;
 pub mod checkpoint;
 pub mod convergence;
 pub mod custom;

@@ -9,10 +9,10 @@
 //! cell a `(trace, policy, scheduler-config, τ)` quadruple — fanned out
 //! over the deterministic thread pool with **one reusable
 //! [`SimWorkspace`] per worker**. Every cell runs in the engine's
-//! metrics-only mode ([`simulate_metrics_into`]), which streams completion
-//! events into a [`SimMetrics`] accumulator instead of materializing a
-//! per-job schedule, so the steady-state evaluation loop performs no heap
-//! allocation at all.
+//! metrics-only mode ([`SimWorkspace::run_metrics`]), which streams
+//! completion events into a [`SimMetrics`] accumulator instead of
+//! materializing a per-job schedule, so the steady-state evaluation loop
+//! performs no heap allocation at all.
 //!
 //! # Compiled scoring
 //!
@@ -38,10 +38,7 @@
 
 use dynsched_cluster::AvailabilitySchedule;
 use dynsched_policies::{CompiledPolicy, Policy};
-use dynsched_scheduler::{
-    simulate_metrics_faulty_into, simulate_metrics_into, QueueDiscipline, SchedulerConfig,
-    SimMetrics, SimWorkspace,
-};
+use dynsched_scheduler::{QueueDiscipline, SchedulerConfig, SimMetrics, SimWorkspace};
 use dynsched_simkit::parallel::{try_run_scoped, PoolError};
 use dynsched_workload::TraceView;
 use std::ops::Range;
@@ -211,21 +208,12 @@ impl<'a> EvalSession<'a> {
             .collect();
         try_run_scoped(self.cells.len(), SimWorkspace::new, |i, ws| {
             let cell = &self.cells[i];
-            let discipline = match &programs[cell_program[i]] {
-                Some(compiled) => QueueDiscipline::Compiled(compiled),
-                None => QueueDiscipline::Policy(cell.policy),
-            };
+            let discipline = QueueDiscipline::of(cell.policy, programs[cell_program[i]].as_ref());
             match cell.faults {
-                None => simulate_metrics_into(ws, cell.trace, &discipline, cell.config, cell.tau),
-                Some(schedule) => simulate_metrics_faulty_into(
-                    ws,
-                    cell.trace,
-                    &discipline,
-                    cell.config,
-                    schedule,
-                    cell.tau,
-                )
-                .expect("fault schedule drove the engine into an inconsistent state"),
+                None => ws.run_metrics(cell.trace, &discipline, cell.config, cell.tau),
+                Some(schedule) => ws
+                    .run_metrics_faulty(cell.trace, &discipline, cell.config, schedule, cell.tau)
+                    .expect("fault schedule drove the engine into an inconsistent state"),
             }
         })
     }
@@ -346,16 +334,11 @@ mod tests {
         );
         for (p, policy) in policies.iter().enumerate() {
             for (s, seq) in seqs.iter().enumerate() {
-                let want = SimMetrics::from_result(
-                    &dynsched_scheduler::simulate_faulty(
-                        seq,
-                        &QueueDiscipline::Policy(policy.as_ref()),
-                        &config,
-                        &schedules[s],
-                    )
-                    .expect("engine error"),
-                    DEFAULT_TAU,
-                );
+                let mut ws = SimWorkspace::new();
+                let discipline = QueueDiscipline::Policy(policy.as_ref());
+                ws.run_faulty(seq, &discipline, &config, &schedules[s])
+                    .expect("engine error");
+                let want = SimMetrics::from_result(&ws.result(), DEFAULT_TAU);
                 assert_eq!(table[p * seqs.len() + s], want, "policy {p}, sequence {s}");
             }
         }

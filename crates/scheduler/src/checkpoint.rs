@@ -29,7 +29,7 @@
 //! sequence), the waiting queue with its SoA priority keys, the maintained
 //! incremental order and its synchronization watermark, the blocked-head
 //! fact, the sorted release list, the compiled batch-scoring input lanes,
-//! per-job start times, the [`CoreLedger`] (capacity state plus its
+//! per-job start times, the core ledger (capacity state plus its
 //! busy/offline integrals), the completion prefix, the arrival cursor, and
 //! the event/backfill counters. What it deliberately does *not* capture is
 //! state the engine rebuilds from scratch at every use — the availability
@@ -62,9 +62,8 @@
 //! [`SimWorkspace::run`](crate::SimWorkspace::run) simulates from time zero exactly as before, and
 //! `scheduler::reference` never checkpoints.
 
-use crate::engine::{Completion, QueueEntry, Release};
-use dynsched_cluster::{CompletedJob, CoreLedger};
-use dynsched_simkit::EventQueue;
+use crate::engine::SimState;
+use dynsched_cluster::CompletedJob;
 
 /// A snapshot of the engine's full mutable state at a divergence horizon,
 /// produced by [`SimWorkspace::run_prefix`](crate::SimWorkspace::run_prefix) and consumed (any number of
@@ -79,48 +78,16 @@ pub struct Checkpoint {
     /// The divergence horizon the prefix ran to: every event strictly
     /// before it is inside the snapshot, none at or after it is.
     pub(crate) horizon: f64,
-    /// Trace length the snapshot was captured for; a resume against a
-    /// different-length trace is rejected.
-    pub(crate) n_jobs: usize,
-    /// Arrival cursor: trace positions `0..cursor` have been enqueued.
-    pub(crate) cursor: usize,
-    /// Pending completion events (all at or after the horizon), with the
-    /// FIFO tie-break sequence preserved.
-    pub(crate) events: EventQueue<Completion>,
-    /// Waiting queue at the horizon.
-    pub(crate) queue: Vec<QueueEntry>,
-    /// SoA priority keys, in lockstep with `queue`.
-    pub(crate) q_keys: Vec<f64>,
-    /// Incrementally maintained priority order (uniform-aging compiled
-    /// residuals only; empty otherwise).
-    pub(crate) order: Vec<usize>,
-    /// Queue length `order` was last synchronized at.
-    pub(crate) known: usize,
-    /// Whether the strict-mode blocked-head fast path had a standing
-    /// blocked fact at the horizon.
-    pub(crate) head_blocked: bool,
-    /// Maintained sorted release list of the running set.
-    pub(crate) releases: Vec<Release>,
-    /// Compiled batch-scoring input lanes (time-dependent compiled
-    /// disciplines only; empty otherwise), in lockstep with `queue`.
-    pub(crate) q_r: Vec<f64>,
-    pub(crate) q_n: Vec<f64>,
-    pub(crate) q_s: Vec<f64>,
-    pub(crate) q_slots: Vec<f64>,
-    /// Start time per trace position (NaN = not running).
-    pub(crate) start_of: Vec<f64>,
-    /// Core ledger at the horizon: capacity, in-use count, and the
-    /// busy/offline core-second integrals.
-    pub(crate) ledger: CoreLedger,
+    /// The engine state at the horizon — the same struct a workspace
+    /// runs on, so what is captured is declared in exactly one place
+    /// (`engine::state`) and capture and restore are one `copy_from`.
+    pub(crate) state: SimState,
     /// Jobs completed before the horizon, in completion order. Replayed
     /// into the completion sink at resume, ahead of every suffix
     /// completion — prefix completions all finish strictly before the
-    /// horizon, so the merged stream is in true completion order.
+    /// horizon, so the merged stream is in true completion order. Not
+    /// engine state: the engine only sees a generic sink.
     pub(crate) completed: Vec<CompletedJob>,
-    /// Events processed by the prefix (the resume continues the count).
-    pub(crate) events_processed: u64,
-    /// Jobs the prefix started via backfilling.
-    pub(crate) backfilled: u64,
 }
 
 impl Checkpoint {
@@ -135,14 +102,15 @@ impl Checkpoint {
         self.horizon
     }
 
-    /// Trace length the snapshot was captured for.
+    /// Trace length the snapshot was captured for; a resume against a
+    /// different-length trace is rejected.
     pub fn jobs(&self) -> usize {
-        self.n_jobs
+        self.state.start_of.len()
     }
 
     /// Trace positions enqueued by the prefix (the arrival cursor).
     pub fn arrivals_processed(&self) -> usize {
-        self.cursor
+        self.state.cursor
     }
 
     /// Jobs that completed before the horizon.
@@ -152,6 +120,6 @@ impl Checkpoint {
 
     /// Scheduling events the prefix processed.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.state.events_processed
     }
 }

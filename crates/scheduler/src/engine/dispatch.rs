@@ -1,0 +1,301 @@
+//! One rescheduling pass: the strict policy starts, the three backfilling
+//! variants, and the compaction that carries the queue, its SoA lanes and
+//! the incremental order past the jobs the pass started.
+
+use super::event_loop::Engine;
+use super::{CompletionSink, EngineError, QueueOrder};
+use crate::config::BackfillMode;
+use crate::profile::clamp_release;
+use dynsched_workload::TraceSource;
+
+impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
+    /// Rebuild the availability profile at `now` from the maintained
+    /// release list, applying the overdue clamp. The list is sorted by raw
+    /// end time; clamping can only disorder it when an unclamped end falls
+    /// inside the nudge window just past `now`, so the (rare) re-sort is
+    /// behind a sortedness check.
+    fn rebuild_profile(&mut self, now: f64) {
+        let rel = &mut self.scratch.rel_scratch;
+        rel.clear();
+        let mut sorted = true;
+        let mut prev = f64::NEG_INFINITY;
+        for &(end, cores, _) in self.st.releases.iter() {
+            let t = clamp_release(now, end);
+            sorted &= prev <= t;
+            prev = t;
+            rel.push((t, cores));
+        }
+        if !sorted {
+            rel.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        }
+        self.scratch
+            .profile
+            .rebuild_from_sorted(now, self.st.ledger.available(), rel);
+    }
+
+    /// The earliest `(start, end, cores)` slot the profile admits for the
+    /// waiting job at queue position `qi`, sized by its decision-mode
+    /// runtime. `None` only under reduced capacity: the profile may then
+    /// have no slot wide enough at any horizon (the job must wait for a
+    /// restore the profile cannot see); with full capacity the width was
+    /// pre-checked, so a fit always exists.
+    fn earliest_slot(&self, qi: usize) -> Option<(f64, f64, u32)> {
+        let job = self.st.queue[qi].job;
+        let duration = self
+            .config
+            .decision_time(job.runtime, job.estimate)
+            .max(1e-9);
+        let start = self.scratch.profile.earliest_fit(job.cores, duration)?;
+        Some((start, start + duration, job.cores))
+    }
+
+    /// One step of the classic-EASY backfill scan: start the waiting job
+    /// at queue position `qi` if it fits now and either ends (by its
+    /// decision-mode runtime) by the head's `shadow` time or uses only
+    /// cores `spare` even then. Returns whether it started.
+    fn try_backfill(
+        &mut self,
+        qi: usize,
+        now: f64,
+        shadow: f64,
+        spare: &mut u32,
+    ) -> Result<bool, EngineError> {
+        let cand = self.st.queue[qi].job;
+        if !self.st.ledger.fits(cand.cores) {
+            return Ok(false);
+        }
+        let ends_by_shadow = now + self.config.decision_time(cand.runtime, cand.estimate) <= shadow;
+        if !ends_by_shadow {
+            if cand.cores > *spare {
+                return Ok(false);
+            }
+            *spare -= cand.cores;
+        }
+        self.start_job(qi, now)?;
+        self.st.backfilled += 1;
+        Ok(true)
+    }
+
+    pub(super) fn reschedule(&mut self, now: f64) -> Result<(), EngineError> {
+        if self.st.queue.is_empty() {
+            return Ok(());
+        }
+        if self.st.head_blocked {
+            // Fast path: strict mode, static order, and nothing since the
+            // last pass could have unblocked the head (no completion, no
+            // arrival ahead of it). The strict pass would stop at the same
+            // head immediately — a guaranteed no-op, so skip it.
+            debug_assert!(self.skip_eligible);
+            debug_assert!(!self.st.ledger.fits(self.st.queue[0].job.cores));
+            return Ok(());
+        }
+        if self.queue_order == QueueOrder::TimeDependent {
+            self.reorder(now)?;
+        } else {
+            debug_assert!(self.queue_is_priority_sorted());
+        }
+        let len = self.st.queue.len();
+        let mut any_started = false;
+
+        if self.config.backfill == BackfillMode::Conservative {
+            // Every job gets the earliest reservation that delays nobody
+            // ahead of it; jobs reserved for *now* start.
+            self.rebuild_profile(now);
+            for rank in 0..len {
+                let qi = self.ord(rank);
+                let Some((start, end, cores)) = self.earliest_slot(qi) else {
+                    continue;
+                };
+                self.scratch.profile.reserve(start, end, cores);
+                if start == now {
+                    self.start_job(qi, now)?;
+                    any_started = true;
+                    if rank > 0 {
+                        self.st.backfilled += 1;
+                    }
+                }
+            }
+        } else {
+            // Strict pass: start in priority order, stop at the first task
+            // that does not fit (§4.2: "the scheduler waits"). `blocked` is
+            // that task's (order position, queue position).
+            let mut blocked: Option<(usize, usize)> = None;
+            for pos in 0..len {
+                let qi = if self.on_demand {
+                    self.next_head()
+                } else {
+                    self.ord(pos)
+                };
+                let job = self.st.queue[qi].job;
+                if self.st.ledger.fits(job.cores) {
+                    self.start_job(qi, now)?;
+                    any_started = true;
+                } else {
+                    blocked = Some((pos, qi));
+                    break;
+                }
+            }
+            // In strict mode a blocked pass is now a standing fact: until a
+            // completion frees cores or a higher-priority arrival lands,
+            // every further reschedule would stop at this same head.
+            if self.skip_eligible {
+                self.st.head_blocked = blocked.is_some();
+            }
+
+            if self.config.backfill == BackfillMode::Aggressive && self.config.reservation_depth > 1
+            {
+                // Deep EASY: the first `reservation_depth` blocked jobs
+                // hold reservations in an availability profile; any other
+                // job may start only where the profile admits it *now*.
+                // Depth → ∞ converges to conservative backfilling.
+                if let Some((head_pos, _)) = blocked {
+                    self.rebuild_profile(now);
+                    let mut reservations = 0u32;
+                    for pos in head_pos..len {
+                        let qi = self.ord(pos);
+                        let Some((start, end, cores)) = self.earliest_slot(qi) else {
+                            continue;
+                        };
+                        if start == now {
+                            self.scratch.profile.reserve(start, end, cores);
+                            self.start_job(qi, now)?;
+                            any_started = true;
+                            self.st.backfilled += 1;
+                        } else if reservations < self.config.reservation_depth {
+                            self.scratch.profile.reserve(start, end, cores);
+                            reservations += 1;
+                        }
+                        // Beyond the reservation depth, unstartable jobs
+                        // place no reservation: later candidates may
+                        // overtake them, exactly like classic EASY's tail.
+                    }
+                }
+            } else if self.config.backfill == BackfillMode::Aggressive {
+                if let Some((head_pos, head_qi)) = blocked {
+                    let head = self.st.queue[head_qi].job;
+                    // Shadow time: when enough cores free up for the head,
+                    // assuming running jobs finish at their decision-mode
+                    // expected ends (clamped to now if overdue). The
+                    // maintained list is sorted by raw end, and the clamp
+                    // is monotone, so this walk sees clamped ends in
+                    // sorted order without any re-sort.
+                    let mut avail = self.st.ledger.available();
+                    let mut shadow = now;
+                    let mut spare = 0u32;
+                    for &(end, cores, _) in self.st.releases.iter() {
+                        avail += cores;
+                        if avail >= head.cores {
+                            shadow = end.max(now);
+                            spare = avail - head.cores;
+                            break;
+                        }
+                    }
+                    // Backfill pass over the rest of the queue in priority
+                    // order: a candidate may start if it fits now and
+                    // either finishes (by its decision-mode runtime) before
+                    // the shadow time, or only uses cores spare even at the
+                    // shadow time.
+                    if self.on_demand {
+                        // Everything ahead of the head was started, so the
+                        // rest of the order is the waiting entries minus
+                        // the head. Availability only falls during the
+                        // scan and a candidate that does not fit is skipped
+                        // without side effects, so sorting just the ones
+                        // that fit *now* (the blocked head is not one)
+                        // visits the same jobs in the same order as
+                        // walking the full order.
+                        self.scratch.scored.clear();
+                        for (i, (e, &s)) in self
+                            .st
+                            .queue
+                            .iter()
+                            .zip(&self.scratch.batch_scores)
+                            .enumerate()
+                        {
+                            if !e.started && self.st.ledger.fits(e.job.cores) {
+                                self.scratch.scored.push((i, s));
+                            }
+                        }
+                        self.scratch
+                            .scored
+                            .sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                        for k in 0..self.scratch.scored.len() {
+                            let qi = self.scratch.scored[k].0;
+                            any_started |= self.try_backfill(qi, now, shadow, &mut spare)?;
+                        }
+                    } else {
+                        for pos in head_pos + 1..len {
+                            let qi = self.ord(pos);
+                            any_started |= self.try_backfill(qi, now, shadow, &mut spare)?;
+                        }
+                    }
+                }
+            }
+        }
+
+        if any_started {
+            self.compact();
+        }
+        Ok(())
+    }
+
+    /// Drop the entries the pass started: compact `queue` and its SoA key
+    /// array in lockstep — plus the compiled batch-scoring input lanes and
+    /// the incremental order when they are maintained.
+    fn compact(&mut self) {
+        let stride = if self.track_lanes {
+            self.scratch.static_lanes.slots()
+        } else {
+            0
+        };
+        if self.incremental {
+            self.scratch.order_remap.clear();
+            self.scratch
+                .order_remap
+                .resize(self.st.queue.len(), u32::MAX);
+        }
+        let mut w = 0usize;
+        for r in 0..self.st.queue.len() {
+            if !self.st.queue[r].started {
+                if self.incremental {
+                    self.scratch.order_remap[r] = w as u32;
+                }
+                if w != r {
+                    self.st.queue[w] = self.st.queue[r];
+                    self.st.q_keys[w] = self.st.q_keys[r];
+                    if self.track_lanes {
+                        self.st.q_r[w] = self.st.q_r[r];
+                        self.st.q_n[w] = self.st.q_n[r];
+                        self.st.q_s[w] = self.st.q_s[r];
+                        self.st
+                            .q_slots
+                            .copy_within(r * stride..(r + 1) * stride, w * stride);
+                    }
+                }
+                w += 1;
+            }
+        }
+        self.st.queue.truncate(w);
+        self.st.q_keys.truncate(w);
+        if self.track_lanes {
+            self.st.q_r.truncate(w);
+            self.st.q_n.truncate(w);
+            self.st.q_s.truncate(w);
+            self.st.q_slots.truncate(w * stride);
+        }
+        if self.incremental {
+            // Carry the order across the compaction: drop started
+            // positions, rewrite survivors to their new positions. The
+            // remap is monotone over survivors, so the filtered order
+            // stays sorted under the scores just computed — the next
+            // event's verify starts from a coherent prefix.
+            let remap = &self.scratch.order_remap;
+            self.st.order.retain_mut(|p| {
+                let np = remap[*p];
+                *p = np as usize;
+                np != u32::MAX
+            });
+            self.st.known = w;
+        }
+    }
+}

@@ -1,0 +1,392 @@
+//! The event-driven online scheduler (§4.2's scheduling algorithm).
+//!
+//! Tasks arrive into a centralized waiting queue; the scheduler performs a
+//! reschedule at two events: (i) a task arrives, (ii) a resource is
+//! released. A reschedule sorts the queue with the active policy and starts
+//! the highest-priority task while it fits; if it does not fit the
+//! scheduler either waits ([`BackfillMode::None`]) or runs a backfilling
+//! pass ([`BackfillMode::Aggressive`] = EASY, [`BackfillMode::Conservative`]).
+//!
+//! All *decisions* (queue order, backfill feasibility) use the processing
+//! time selected by the [`DecisionMode`](dynsched_policies::DecisionMode);
+//! *execution* always uses the actual runtime — exactly the paper's
+//! protocol for the user-estimate experiments.
+//!
+//! # The zero-allocation hot path
+//!
+//! The training stage simulates hundreds of thousands of independent
+//! permutation trials per `(S, Q)` tuple; at that call rate the engine's
+//! per-call allocations (event heap, running-job hash table, per-timestamp
+//! batch vector, per-reschedule order/releases vectors) dominate the wall
+//! time. The engine therefore runs entirely out of a [`SimWorkspace`]:
+//!
+//! * every buffer lives in the workspace and is **cleared, not
+//!   reallocated** between runs — after a few warm-up runs the engine
+//!   performs no heap allocation at all;
+//! * job state is **index-dense**: jobs are keyed by their position in the
+//!   trace (`0..n`), so the running table is a flat `Vec` and
+//!   [`QueueDiscipline::FixedOrder`] is a plain rank slice — no `HashMap`
+//!   on any per-event path;
+//! * the running set's decision-mode release times are kept in a
+//!   **maintained sorted list** (binary-search insert on start, remove on
+//!   completion), so backfill passes no longer re-collect and re-sort the
+//!   releases at every rescheduling event.
+//!
+//! [`simulate`] is the one convenience wrapper (fresh workspace per call);
+//! anything that runs more than once holds a workspace and calls its
+//! methods ([`SimWorkspace::run`] and friends, then the accessors or
+//! [`SimWorkspace::result`]). Both produce results bit-identical to the
+//! original engine, which is preserved in [`crate::reference`] as the
+//! oracle for the determinism regression tests. A workspace holds no
+//! cross-run state: every run starts by resetting its simulation state,
+//! so reuse can never leak one simulation into the next.
+//!
+//! # Layout
+//!
+//! The engine's mutable state is declared once, in `state`, as three
+//! structs a workspace owns and lends to the per-run `Engine`: the
+//! forkable `SimState` (all the engine state a [`Checkpoint`] holds,
+//! captured and restored by one `copy_from`), per-event `Scratch`, and
+//! the fault-only `FaultState`. Around it, one file per seam: this one
+//! (errors, [`QueueDiscipline`], the small shared types); `workspace`
+//! ([`SimWorkspace`]: the public run methods over two private finishers,
+//! the accessors, [`simulate`]); `event_loop` (per-run set-up, the
+//! arrival / completion / capacity-step merge, enqueue / start /
+//! complete); `ordering` (time-dependent queue ordering: full sort,
+//! incremental, on demand); `dispatch` (one rescheduling pass: strict
+//! starts, the three backfilling variants, compaction); `faults`
+//! (capacity steps, victim selection, requeue, abandonment).
+//!
+//! # Metrics-only mode
+//!
+//! The evaluation layer reduces every simulation to one [`SimMetrics`]
+//! and discards the per-job schedule, so the main loop is generic over a
+//! *completion sink*: the full mode pushes each completion into the
+//! workspace's list, [`SimWorkspace::run_metrics`] folds it straight into
+//! the accumulator — same events, same order, hence the same bits, with
+//! no per-run `Vec<CompletedJob>`.
+//!
+//! # Reschedule fast paths
+//!
+//! Two structural optimizations keep grid-scale evaluation cheap without
+//! changing any observable schedule (both are proven bit-identical against
+//! [`crate::reference`]):
+//!
+//! * **No-op reschedule skip.** Under [`BackfillMode::None`] with a static
+//!   queue order, an arrival that sorts behind a blocked queue head cannot
+//!   start anything: availability is unchanged and the strict pass stops at
+//!   the same head. The engine tracks head-blocked state and skips the
+//!   entire pass for such arrivals.
+//! * **SoA queue keys.** The priority key of every waiting job (fixed-order
+//!   rank or cached score) lives in a dense `Vec<f64>` parallel to the
+//!   entry list, so the binary-search insertions and sortedness scans touch
+//!   8-byte keys instead of full queue entries.
+//!
+//! # Compiled policy kernels
+//!
+//! [`QueueDiscipline::Compiled`] runs a policy as bytecode
+//! ([`CompiledPolicy`]) instead of through the `dyn Policy` vtable. At run
+//! start the engine evaluates the policy's **wait-invariant prefix** once
+//! per trace position into a dense [`JobLanes`] row block (the per-job
+//! static part: everything depending only on `r`/`n`/`s`); each
+//! rescheduling event then re-scores the whole queue with one
+//! lane-blocked [`CompiledPolicy::score_batch`] pass over SoA input lanes
+//! maintained in lockstep with the queue — no vtable dispatch, no tree
+//! walk, and no per-job [`TaskView`] construction on the hot path. A
+//! *static* compiled policy (residual never reads `w`) skips the lanes
+//! entirely: it is scored exactly once, at enqueue, through the scalar
+//! kernel, like any other cached-score discipline.
+//!
+//! What happens after the batch re-score is keyed off the compile-time
+//! [`ResidualClass`] of the policy's residual and the backfill mode:
+//!
+//! * *Uniform-aging* residuals (affine in `w` with a job-uniform
+//!   coefficient, or a monotone transform thereof) keep the previous
+//!   event's priority order alive: after the batch re-score the standing
+//!   order is verified still-sorted in O(queue) under the fresh bits and
+//!   new arrivals are binary-inserted; any mismatch (rounding can
+//!   collapse a strict pair into a position-broken tie) falls back to the
+//!   full sort. Started jobs are carried out of the order by the same
+//!   compaction that maintains the queue and lanes.
+//! * *General* residuals under strict ([`BackfillMode::None`]) or classic
+//!   EASY ([`BackfillMode::Aggressive`], one reservation) scheduling
+//!   build **no order at all**: the strict pass selects each head **on
+//!   demand**, by one linear scan for the minimum score among the entries
+//!   it has not started yet, and stops asking at the first head that does
+//!   not fit — which, on a saturated machine, is usually the first one.
+//!   EASY then sorts only the waiting jobs narrow enough to fit the cores
+//!   free at that moment: availability only falls during the backfill
+//!   scan and a job that does not fit is skipped without side effects, so
+//!   the scan visits the jobs the full order would have it visit, in the
+//!   same order.
+//! * Conservative and deep-EASY passes read every position, so they
+//!   full-sort.
+//!
+//! The class is a hint, never a correctness input — scores are freshly
+//! evaluated every event, and because the ordering comparator
+//! `(score, queue position)` is total and injective, the sorted
+//! permutation of a score vector is unique: the minimum of the entries
+//! not yet taken *is* the next element of the full-sort order, and a
+//! verified or binary-inserted standing order *is* that order. Scores
+//! (and therefore every schedule) stay **bit-identical** to the
+//! interpreted [`QueueDiscipline::Policy`] path; the
+//! `compiled_bit_identity` and `incremental_rescore` suites pin full
+//! simulations across backfill modes, decision modes, layouts and thread
+//! counts, and [`crate::reference`] stays on the per-task scalar,
+//! full-sort path as the oracle.
+//!
+//! [`BackfillMode::None`]: crate::BackfillMode::None
+//! [`BackfillMode::Aggressive`]: crate::BackfillMode::Aggressive
+//! [`BackfillMode::Conservative`]: crate::BackfillMode::Conservative
+//! [`JobLanes`]: dynsched_workload::JobLanes
+//! [`ResidualClass`]: dynsched_policies::ResidualClass
+
+mod dispatch;
+mod event_loop;
+mod faults;
+mod ordering;
+mod state;
+#[cfg(test)]
+mod tests;
+mod workspace;
+
+pub(crate) use state::SimState;
+pub use workspace::{simulate, SimWorkspace};
+
+use crate::checkpoint::Checkpoint;
+use crate::config::SchedulerConfig;
+use crate::result::SimMetrics;
+use dynsched_cluster::{CompletedJob, Job, LedgerError};
+use dynsched_policies::{CompiledPolicy, Policy, TaskView};
+
+/// A structured engine failure: an internal inconsistency that previously
+/// panicked now surfaces as a diagnosable error. In a zero-fault run these
+/// states are unreachable (the engine checks
+/// [`CoreLedger::fits`](dynsched_cluster::CoreLedger::fits) before every
+/// allocation and releases exactly what it allocated); under fault
+/// injection they guard the revocable-capacity bookkeeping.
+#[derive(Debug, Clone, PartialEq)]
+pub enum EngineError {
+    /// A core-ledger operation failed (oversubscription or over-release).
+    Ledger(LedgerError),
+    /// The maintained release list disagreed with the running set: a
+    /// running job was missing at completion/preemption, or a job being
+    /// started was already present.
+    ReleaseListInconsistent {
+        /// Trace position of the offending job.
+        idx: u32,
+        /// Simulation time at which the inconsistency was detected.
+        time: f64,
+    },
+    /// The queue-parallel SoA score-input lanes fell out of lockstep with
+    /// the waiting queue before a compiled batch re-score. Checked (O(1))
+    /// at every batch-scoring event instead of feeding mismatched lanes
+    /// to the kernel.
+    ScoreLanesInconsistent {
+        /// Queue length at the failed event.
+        queued: usize,
+        /// Simulation time at which the mismatch was detected.
+        time: f64,
+    },
+    /// The incrementally maintained priority order no longer describes
+    /// the waiting queue (its length disagrees with the last synchronized
+    /// prefix). Guards the incremental re-scoring layer the same way
+    /// [`EngineError::ReleaseListInconsistent`] guards the release list.
+    QueueOrderInconsistent {
+        /// Entries in the maintained order.
+        ordered: usize,
+        /// Jobs actually waiting.
+        queued: usize,
+        /// Simulation time at which the mismatch was detected.
+        time: f64,
+    },
+    /// Every pending event was processed but jobs were still waiting or
+    /// running — the run cannot have produced a complete schedule.
+    /// Reachable from bad inputs: a
+    /// [`TraceSource`](dynsched_workload::TraceSource) implementation whose
+    /// `cores(i)` (pre-checked against the platform) disagrees with the
+    /// `job(i)` it hands the queue can park an unstartable job forever.
+    QueueNotDrained {
+        /// Jobs still waiting when the event loop ran dry.
+        waiting: usize,
+        /// Cores still marked in use.
+        running: u32,
+        /// Time of the last processed event.
+        time: f64,
+    },
+}
+
+impl std::fmt::Display for EngineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EngineError::Ledger(e) => write!(f, "core ledger error: {e}"),
+            EngineError::ReleaseListInconsistent { idx, time } => write!(
+                f,
+                "release list inconsistent with running set for trace index {idx} at t={time}"
+            ),
+            EngineError::ScoreLanesInconsistent { queued, time } => write!(
+                f,
+                "score lanes out of lockstep with the {queued}-job waiting queue at t={time}"
+            ),
+            EngineError::QueueOrderInconsistent {
+                ordered,
+                queued,
+                time,
+            } => write!(
+                f,
+                "incremental order covers {ordered} entries but {queued} jobs wait at t={time}"
+            ),
+            EngineError::QueueNotDrained {
+                waiting,
+                running,
+                time,
+            } => write!(
+                f,
+                "events drained at t={time} with {waiting} jobs waiting and {running} cores in use"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for EngineError {}
+
+impl From<LedgerError> for EngineError {
+    fn from(e: LedgerError) -> Self {
+        EngineError::Ledger(e)
+    }
+}
+
+/// How the waiting queue is ordered at each rescheduling event.
+pub enum QueueDiscipline<'a> {
+    /// Order by a scoring policy (lower score first), evaluated through
+    /// the interpreted `dyn Policy` path.
+    Policy(&'a dyn Policy),
+    /// Order by a compiled bytecode policy (lower score first): the
+    /// engine precomputes the wait-invariant prefix per job and re-scores
+    /// the queue with the batch kernel. Bit-identical to
+    /// [`QueueDiscipline::Policy`] on the policy it was compiled from.
+    Compiled(&'a CompiledPolicy),
+    /// Order by a fixed rank per **trace position**: the job at
+    /// `trace.jobs()[i]` has rank `ranks[i]`, lower rank first. Ranks must
+    /// be distinct (ties would be resolved by arrival order, which is
+    /// usually not what a permutation trial means). Used by the training
+    /// trials, where the queue order is a random permutation of `Q`.
+    FixedOrder(&'a [usize]),
+}
+
+impl<'a> QueueDiscipline<'a> {
+    /// The discipline for `policy` given the outcome of
+    /// [`Policy::compile`]: the bytecode kernel where a program exists,
+    /// the interpreted path otherwise. Schedules are bit-identical either
+    /// way, so every caller that has a policy wants exactly this choice.
+    pub fn of(policy: &'a dyn Policy, compiled: Option<&'a CompiledPolicy>) -> Self {
+        match compiled {
+            Some(program) => Self::Compiled(program),
+            None => Self::Policy(policy),
+        }
+    }
+}
+
+/// The policy-visible view of `job` at time `now`: decision-mode
+/// processing time, cores, arrival — the one place a [`TaskView`] is
+/// assembled for the interpreted scoring paths.
+#[inline]
+fn task_view(config: &SchedulerConfig, job: &Job, now: f64) -> TaskView {
+    TaskView {
+        processing_time: config.decision_time(job.runtime, job.estimate),
+        cores: job.cores,
+        submit: job.submit,
+        now,
+    }
+}
+
+/// Heap events are completions only, carrying the finished job's trace
+/// index and the attempt number it was started under. Arrivals never enter
+/// the heap: the trace is submit-sorted, so an advancing cursor yields them
+/// in exactly the order the reference engine's heap did (same-time arrivals
+/// in trace order, and — because the reference pushed all arrivals before
+/// any completion — arrivals ahead of completions at equal timestamps).
+///
+/// The attempt number makes preemption sound without heap surgery: killing
+/// a job bumps its attempt counter, so the already-scheduled completion of
+/// the killed attempt no longer matches and is skipped when popped. In a
+/// zero-fault run the attempt is always 0 and never consulted; the payload
+/// widens `Scheduled<Completion>` within the same 24-byte layout.
+pub(crate) type Completion = (u32, u32);
+
+/// A waiting job. Its priority key (fixed-order rank or cached score) is
+/// *not* stored here: keys live in a parallel `Vec<f64>` (`q_keys`) so the
+/// binary-search scans that order the queue stay dense — the SoA split.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QueueEntry {
+    /// Position of the job in the trace — the dense key for `start_of`
+    /// and `FixedOrder` ranks.
+    idx: u32,
+    job: Job,
+    /// Set by the current reschedule pass; started entries are compacted
+    /// out of the queue at the end of the pass.
+    started: bool,
+}
+
+/// Where completion events go. The full mode materializes the per-job
+/// schedule; the metrics mode folds each event into a [`SimMetrics`]
+/// accumulator as it happens (same order, same float operations — that is
+/// the bit-identity argument).
+trait CompletionSink {
+    fn record(&mut self, c: CompletedJob);
+}
+
+impl CompletionSink for Vec<CompletedJob> {
+    #[inline]
+    fn record(&mut self, c: CompletedJob) {
+        self.push(c);
+    }
+}
+
+impl CompletionSink for SimMetrics {
+    #[inline]
+    fn record(&mut self, c: CompletedJob) {
+        self.push(&c);
+    }
+}
+
+/// One running job's expected release, kept sorted by
+/// `(decision-mode end time, trace index)`.
+pub(crate) type Release = (f64, u32, u32); // (decision_end, cores, idx)
+
+/// What span of the event loop one `run_with` call covers: the whole
+/// schedule, a prefix captured into a [`Checkpoint`], or a continuation
+/// restored from one. Prefix/resume are zero-fault only — the trial
+/// kernel they serve never injects faults, and fault streams would make
+/// a shared prefix meaningless.
+enum RunMode<'c> {
+    /// Simulate from time zero until the queue drains (every path that
+    /// existed before checkpointing).
+    Full,
+    /// Stop before the first event at or after `horizon` and capture the
+    /// engine state into `into` instead of draining the queue.
+    Prefix {
+        horizon: f64,
+        into: &'c mut Checkpoint,
+    },
+    /// Start from a captured snapshot instead of the pristine state, then
+    /// run to drain as usual.
+    Resume { from: &'c Checkpoint },
+}
+
+/// How the waiting queue is kept ordered. For *static* disciplines — fixed
+/// ranks, or policies whose scores never change after arrival — the queue
+/// itself is maintained in priority order by binary-search insertion, so a
+/// reschedule pays no sort at all (the priority order is the queue order).
+/// Time-dependent policies re-score and re-sort at every event.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum QueueOrder {
+    /// Queue maintained sorted by `ranks[idx]` (ranks are distinct).
+    ByRank,
+    /// Queue maintained sorted by `(cached_score, arrival order)` — equal
+    /// scores insert after their peers, which reproduces the reference's
+    /// stable-sort arrival tie-break.
+    ByCachedScore,
+    /// Re-sorted at every rescheduling event.
+    TimeDependent,
+}

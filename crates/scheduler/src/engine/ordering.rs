@@ -1,0 +1,194 @@
+//! Queue ordering: which waiting job is the `pos`-th in priority order.
+//! Static disciplines keep the queue itself sorted at enqueue; this file is
+//! the time-dependent half — full re-score and sort (interpreted), batch
+//! re-score then incremental / on-demand / full-sort (compiled).
+
+use super::event_loop::Engine;
+use super::{task_view, CompletionSink, EngineError, QueueDiscipline, QueueOrder};
+use dynsched_policies::{CompiledPolicy, Policy, ScoreLanes};
+use dynsched_workload::TraceSource;
+
+impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
+    /// Bring the priority order up to date for the pass at `now`. Only
+    /// time-dependent policies come here; static disciplines keep the
+    /// queue itself priority-sorted.
+    pub(super) fn reorder(&mut self, now: f64) -> Result<(), EngineError> {
+        // The policy references are copied out of the discipline (they
+        // outlive `self`), so the call below can borrow `self` mutably.
+        match *self.discipline {
+            QueueDiscipline::Compiled(cp) => self.order_queue_compiled(cp, now),
+            QueueDiscipline::Policy(policy) => {
+                self.order_queue(policy, now);
+                Ok(())
+            }
+            QueueDiscipline::FixedOrder(_) => unreachable!("TimeDependent implies a policy"),
+        }
+    }
+
+    /// Queue position holding the `pos`-th highest-priority job. Static
+    /// disciplines keep the queue itself priority-sorted, so the order is
+    /// the identity; time-dependent policies read the order computed by
+    /// [`Engine::reorder`] — which builds none under on-demand selection
+    /// ([`Engine::next_head`]).
+    #[inline]
+    pub(super) fn ord(&self, pos: usize) -> usize {
+        debug_assert!(!self.on_demand, "on-demand selection builds no order");
+        if self.queue_order == QueueOrder::TimeDependent {
+            self.st.order[pos]
+        } else {
+            pos
+        }
+    }
+
+    /// Rebuild `order` (priority order of queue positions) for a
+    /// time-dependent *interpreted* policy. Ordering semantics are
+    /// identical to the reference engine: scores sort ascending with
+    /// arrival order as tie-break, which makes the comparator total — so
+    /// the non-allocating unstable sort produces the same permutation the
+    /// reference's stable sort does. This path deliberately stays the
+    /// score-everything/full-sort twin of the compiled incremental layer
+    /// (the `incremental_rescore` suite pins the two against each other).
+    fn order_queue(&mut self, policy: &dyn Policy, now: f64) {
+        let scored = &mut self.scratch.scored;
+        scored.clear();
+        for (i, e) in self.st.queue.iter().enumerate() {
+            let view = task_view(self.config, &e.job, now);
+            let s = policy.score(&view);
+            debug_assert!(
+                !s.is_nan(),
+                "policy {} produced NaN for {view:?}",
+                policy.name()
+            );
+            scored.push((i, s));
+        }
+        scored.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        self.st.order.clear();
+        self.st.order.extend(scored.iter().map(|&(i, _)| i));
+    }
+
+    /// Re-score the queue for a time-dependent *compiled* policy — one
+    /// lane-blocked batch pass over the SoA lanes into `batch_scores` —
+    /// then bring the priority order of queue positions up to date as far
+    /// as the pass that follows will read it.
+    ///
+    /// Bit-identity argument: the comparator `(score, queue position)` is
+    /// total and injective (positions are distinct), so the sorted
+    /// permutation of any score vector is **unique** — every path below
+    /// reads a prefix of it. Scores are always freshly evaluated; the
+    /// residual class only chooses how much of the permutation is built
+    /// (the module docs' *Compiled policy kernels* section describes the
+    /// three paths): the verified-and-inserted standing order *is* that
+    /// permutation, and so is the sequence of minima
+    /// [`Engine::next_head`] yields where no order is built at all.
+    fn order_queue_compiled(&mut self, cp: &CompiledPolicy, now: f64) -> Result<(), EngineError> {
+        let len = self.st.queue.len();
+        if self.st.q_r.len() != len
+            || self.st.q_n.len() != len
+            || self.st.q_s.len() != len
+            || self.st.q_slots.len() != len * cp.slot_count()
+        {
+            return Err(EngineError::ScoreLanesInconsistent {
+                queued: len,
+                time: now,
+            });
+        }
+        self.scratch.batch_scores.clear();
+        self.scratch.batch_scores.resize(len, 0.0);
+        cp.score_batch(
+            self.scratch.batch_scores.as_mut_slice(),
+            ScoreLanes {
+                r: self.st.q_r.as_slice(),
+                n: self.st.q_n.as_slice(),
+                s: self.st.q_s.as_slice(),
+                slots: self.st.q_slots.as_slice(),
+            },
+            now,
+            &mut self.scratch.batch_scratch,
+        );
+        debug_assert!(
+            self.scratch.batch_scores.iter().all(|s| !s.is_nan()),
+            "policy {} produced NaN at t={now}",
+            cp.name()
+        );
+        if self.on_demand {
+            return Ok(());
+        }
+        let scores: &[f64] = &self.scratch.batch_scores;
+        let cmp = |a: &usize, b: &usize| scores[*a].total_cmp(&scores[*b]).then(a.cmp(b));
+        if self.incremental {
+            if self.st.order.len() != self.st.known || self.st.known > len {
+                return Err(EngineError::QueueOrderInconsistent {
+                    ordered: self.st.order.len(),
+                    queued: len,
+                    time: now,
+                });
+            }
+            let fresh = len - self.st.known;
+            // Reuse the standing order unless an arrival wave makes
+            // insertion quadratic-ish, or the verify fails.
+            let reuse = fresh <= 16.max(len / 8)
+                && self
+                    .st
+                    .order
+                    .windows(2)
+                    .all(|p| cmp(&p[0], &p[1]) == std::cmp::Ordering::Less);
+            if reuse {
+                for p in self.st.known..len {
+                    let at = self
+                        .st
+                        .order
+                        .partition_point(|q| cmp(q, &p) == std::cmp::Ordering::Less);
+                    self.st.order.insert(at, p);
+                }
+            } else {
+                self.st.order.clear();
+                self.st.order.extend(0..len);
+                self.st.order.sort_unstable_by(cmp);
+            }
+            self.st.known = len;
+        } else {
+            self.st.order.clear();
+            self.st.order.extend(0..len);
+            self.st.order.sort_unstable_by(cmp);
+        }
+        Ok(())
+    }
+
+    /// On-demand head selection: the queue position the full-sort order
+    /// would hold next, i.e. the minimum of the not-yet-started entries
+    /// under `(score.total_cmp, queue position)`. One linear scan; the
+    /// strict `<` keeps the first of equal scores, which is the
+    /// lowest-position tie-break. Every entry ahead of it in that order
+    /// has been started by this pass, so successive calls walk the
+    /// unique sorted permutation without ever materializing it.
+    ///
+    /// Callers guarantee at least one waiting entry is left.
+    pub(super) fn next_head(&self) -> usize {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, (&s, e)) in self
+            .scratch
+            .batch_scores
+            .iter()
+            .zip(self.st.queue.iter())
+            .enumerate()
+        {
+            if !e.started && best.is_none_or(|(_, b)| s.total_cmp(&b).is_lt()) {
+                best = Some((i, s));
+            }
+        }
+        best.expect("a waiting entry is left").0
+    }
+
+    /// Debug check that a static discipline's queue is in priority order.
+    pub(super) fn queue_is_priority_sorted(&self) -> bool {
+        match self.queue_order {
+            QueueOrder::ByRank => self.st.q_keys.windows(2).all(|w| w[0] <= w[1]),
+            QueueOrder::ByCachedScore => self
+                .st
+                .q_keys
+                .windows(2)
+                .all(|w| w[0].total_cmp(&w[1]).is_le()),
+            QueueOrder::TimeDependent => true,
+        }
+    }
+}

@@ -5,7 +5,11 @@
 //! * [`config`] — decision mode (actual runtimes vs user estimates) and
 //!   backfilling variant (none / aggressive-EASY / conservative);
 //! * [`engine`] — the simulation loop: centralized queue, rescheduling on
-//!   arrival and resource release, strict policy starts, backfilling;
+//!   arrival and resource release, strict policy starts, backfilling. One
+//!   directory, one file per seam (state, workspace, event loop, queue
+//!   ordering, dispatch, fault handling); its module docs map the layout;
+//! * [`mod@checkpoint`] — the engine's forkable state captured at a
+//!   horizon, for the checkpoint/fork trial kernel;
 //! * [`federation`] — sharded multi-cluster simulation: cross-cluster
 //!   routing policies, one partitioned engine per shard fanned over the
 //!   scoped pool, and a deterministic cross-shard completion merge;
@@ -18,9 +22,12 @@
 //!
 //! The engine is zero-allocation in steady state: all per-simulation
 //! buffers live in a [`SimWorkspace`] that is cleared — never reallocated —
-//! between runs. [`simulate`] spins up a throwaway workspace per call;
-//! loops (the training trials foremost) hold one workspace per thread and
-//! call [`simulate_into`] or [`SimWorkspace::run`]. Two guarantees:
+//! between runs. Every run is a [`SimWorkspace`] method — `run`,
+//! `try_run`, `run_faulty`, `run_metrics`, `run_metrics_faulty`,
+//! `run_prefix`, `resume_from` — and loops (the training trials foremost)
+//! hold one workspace per thread. [`simulate`] is the only free-function
+//! wrapper: a throwaway workspace, one `run`, the owned result. Two
+//! guarantees:
 //!
 //! 1. **No cross-run state.** A workspace carries heap *capacity* between
 //!    runs, never information: every run resets every buffer, so a reused
@@ -36,91 +43,54 @@
 //!    the tie deterministically by trace index instead — strictly more
 //!    reproducible, identical wherever the reference was well-defined.
 //!
-//! # Metrics-only evaluation mode
+//! # One event loop, several ways in
 //!
-//! The evaluation layer (experiment grids, load sweeps, Table 4 rows)
-//! reduces every cell to a few scalars. [`simulate_metrics_into`] /
-//! [`SimWorkspace::run_metrics`] run the same engine but stream completion
-//! events into a [`SimMetrics`] accumulator (AVEbsld sum under τ, backfill
-//! count, makespan) instead of materializing per-job vectors — zero heap
-//! allocation per cell once the workspace is warm. Events stream in
-//! completion order, so the accumulated sums are bit-identical to reducing
-//! a full [`SimulationResult`] after the fact ([`SimMetrics::from_result`]
-//! is that reduction; [`reference::reference_metrics`] applies it to the
-//! original engine, and the `determinism_reference` suite diffs the two).
-//! The contract for callers holding a workspace across cells is unchanged:
-//! capacity carries over, state never does.
+//! Every mode below is the same loop; the full contract sits with the
+//! code that implements it, and the suite that pins it is named here.
 //!
-//! # Columnar traces
-//!
-//! Every engine entry point is generic over
-//! [`TraceSource`](dynsched_workload::TraceSource): it accepts the AoS
-//! [`Trace`](dynsched_workload::Trace) or the dense SoA columns of a
-//! [`TraceView`](dynsched_workload::TraceView) (the trace store's shared
-//! handle) and reads per-field lanes either way. The two layouts present
-//! identical values in the identical canonical order, so results are
-//! bit-identical across them — the `soa_bit_identity` suite pins this for
-//! both engine modes, all backfill/decision modes, and shared-view
-//! fan-outs at any worker count. [`mod@reference`] stays on the AoS path:
-//! the oracle never changes layout.
-//!
-//! # Compiled policy kernels
-//!
-//! [`QueueDiscipline::Compiled`] accepts a bytecode
-//! [`CompiledPolicy`](dynsched_policies::CompiledPolicy): the engine
-//! evaluates its wait-invariant prefix once per job into dense slot lanes
-//! and re-scores the queue with one batch pass per rescheduling event —
-//! the last interpreted hot path (per-job `dyn Policy` tree walks)
-//! removed. Schedules are bit-identical to the interpreted
-//! [`QueueDiscipline::Policy`] path (the `compiled_bit_identity` suite
-//! pins it); [`mod@reference`] scores compiled disciplines one task at a
-//! time and never runs the batch kernel.
-//!
-//! # Checkpoint and fork
-//!
-//! [`SimWorkspace::run_prefix`] executes the event loop up to a
-//! caller-supplied divergence horizon and captures every piece of mutable
-//! engine state — event queue, waiting queue and priority keys, release
-//! list, ledger, start times, completion prefix, counters, arrival
-//! cursor — into a reusable [`Checkpoint`];
-//! [`SimWorkspace::resume_from`] copy-restores the snapshot (no
-//! allocation once warm), re-keys the restored waiting queue under its
-//! own discipline, and continues to completion. Provided every scheduling
-//! decision before the horizon is the same under both disciplines, the
-//! resumed result is **bit-identical** to a scratch [`SimWorkspace::run`]
-//! at any worker count — the `checkpoint_bit_identity` suite pins it
-//! across disciplines, backfill/decision modes, trace layouts, re-keyed
-//! queued-probe forks, and the degenerate horizon-0 snapshot. The
-//! training stage's permutation trials are the motivating caller: one
-//! identity-ranks run per tuple locates the first pass whose outcome can
-//! depend on probe order, and one shared checkpoint at that horizon
-//! replaces per-trial warmup re-simulation (see [`mod@checkpoint`] for
-//! the permutation-safety argument). The scratch path is preserved
-//! unchanged and [`mod@reference`] never checkpoints — the oracle
-//! convention.
-//!
-//! # Fault injection and revocable capacity
-//!
-//! [`simulate_faulty`] / [`SimWorkspace::run_faulty`] run the same engine
-//! against an
-//! [`AvailabilitySchedule`](dynsched_cluster::AvailabilitySchedule) of
-//! capacity steps (expanded deterministically from a
-//! [`FaultProfile`](dynsched_cluster::FaultProfile)): the core ledger
-//! follows the steps, jobs running when capacity drops below the in-use
-//! count are preempted — youngest start first, higher trace position as
-//! tie-break — and requeued until their retry cap, and the queue keeps
-//! scheduling against whatever capacity remains. Per timestamp the order
-//! is arrivals, then completions, then capacity steps, then one
-//! reschedule, so a job finishing at `t` is never a victim at `t`.
-//! Resilience outcomes (preemption count, lost core-seconds, abandoned
-//! jobs) ride along in [`SimulationResult`] and [`SimMetrics`]. Two
-//! contracts, pinned by the `fault_bit_identity` suite: a run with an
-//! **empty** schedule is bit-identical to the zero-fault engine across
-//! all disciplines, backfill modes, and trace layouts — the fault
-//! machinery is monomorphized away when off — and faulty runs are
-//! bit-identical to [`reference::simulate_reference_faulty`] at any
-//! worker count. Internal inconsistencies surface as a structured
-//! [`EngineError`] rather than a panic.
+//! * **Metrics-only.** [`SimWorkspace::run_metrics`] streams completion
+//!   events into a [`SimMetrics`] accumulator instead of materializing
+//!   per-job vectors: no heap allocation per cell once the workspace is
+//!   warm, and — events stream in completion order — sums bit-identical
+//!   to reducing a full [`SimulationResult`] afterwards
+//!   ([`SimMetrics::from_result`]; [`reference::reference_metrics`] is the
+//!   oracle, `determinism_reference` diffs the two).
+//! * **Columnar traces.** Every entry point is generic over
+//!   [`TraceSource`](dynsched_workload::TraceSource): the AoS
+//!   [`Trace`](dynsched_workload::Trace) or the SoA columns of a
+//!   [`TraceView`](dynsched_workload::TraceView), bit-identical in every
+//!   result (`soa_bit_identity`). [`mod@reference`] stays on the AoS
+//!   path: the oracle never changes layout.
+//! * **Compiled policies.** [`QueueDiscipline::Compiled`] runs a
+//!   [`CompiledPolicy`](dynsched_policies::CompiledPolicy) as bytecode —
+//!   wait-invariant prefix once per job, one batch re-score per event,
+//!   queue maintenance keyed off the residual class (see the [`engine`]
+//!   docs). Schedules are bit-identical to [`QueueDiscipline::Policy`]
+//!   (`compiled_bit_identity`, `incremental_rescore`), so a caller
+//!   holding a policy picks with [`QueueDiscipline::of`]: compiled where
+//!   [`Policy::compile`](dynsched_policies::Policy::compile) yields a
+//!   program, interpreted otherwise. [`mod@reference`] scores one task at
+//!   a time and never runs the batch kernel.
+//! * **Checkpoint and fork.** [`SimWorkspace::run_prefix`] stops at a
+//!   divergence horizon and captures the engine state — the one struct
+//!   the workspace itself runs on — into a reusable [`Checkpoint`];
+//!   [`SimWorkspace::resume_from`] copies it back with the routine that
+//!   captured it (no allocation once warm) and continues. The resume is
+//!   bit-identical to a scratch run at any worker count
+//!   (`checkpoint_bit_identity`); [`mod@checkpoint`] has the contract and
+//!   the permutation-safety argument the trial kernel relies on. The
+//!   scratch path is untouched and [`mod@reference`] never checkpoints.
+//! * **Fault injection.** [`SimWorkspace::run_faulty`] (metrics-only
+//!   twin: [`SimWorkspace::run_metrics_faulty`]) follows an
+//!   [`AvailabilitySchedule`](dynsched_cluster::AvailabilitySchedule) of
+//!   capacity steps: per timestamp arrivals, then completions, then
+//!   steps, then one reschedule, so a job finishing at `t` is never a
+//!   victim at `t`; victims are youngest-start-first and requeue until
+//!   their retry cap. An **empty** schedule is bit-identical to the
+//!   zero-fault engine (the fault branches are monomorphized away) and
+//!   faulty runs to [`reference::simulate_reference_faulty`] at any
+//!   worker count (`fault_bit_identity`). Internal inconsistencies
+//!   surface as a structured [`EngineError`], never a panic.
 //!
 //! RNG never appears in this crate: randomized callers (the trial driver,
 //! fault-schedule expansion) derive each simulation's inputs from
@@ -142,10 +112,7 @@ pub mod timeline;
 
 pub use checkpoint::Checkpoint;
 pub use config::{BackfillMode, SchedulerConfig};
-pub use engine::{
-    simulate, simulate_faulty, simulate_faulty_into, simulate_into, simulate_metrics_faulty_into,
-    simulate_metrics_into, EngineError, QueueDiscipline, SimWorkspace,
-};
+pub use engine::{simulate, EngineError, QueueDiscipline, SimWorkspace};
 pub use export::write_schedule_swf;
 pub use federation::{
     merge_completions, route, run_federation, run_federation_faulty, FederationResult,

@@ -197,7 +197,7 @@ enum FaultyEvent {
 /// Simulate `trace` under a fault schedule with the slow-path oracle:
 /// allocation-heavy, one `HashMap`-keyed running table, fresh vectors per
 /// reschedule — the executable specification
-/// [`crate::engine::simulate_faulty`] must match **bit-identically**.
+/// [`crate::SimWorkspace::run_faulty`] must match **bit-identically**.
 ///
 /// Semantics (shared with the optimized engine):
 /// * per timestamp, arrivals process first (trace order), then live
@@ -380,7 +380,7 @@ pub fn reference_metrics_faulty(
 /// The metrics-mode oracle: run the reference engine, then reduce its
 /// materialized result with the exact fold the optimized engine's
 /// streaming path applies per completion event. The optimized
-/// [`crate::engine::simulate_metrics_into`] must match this bit for bit —
+/// [`crate::SimWorkspace::run_metrics`] must match this bit for bit —
 /// same AVEbsld sum under `tau`, same backfill count, same makespan.
 pub fn reference_metrics(
     trace: &Trace,

@@ -77,7 +77,7 @@ impl SimulationResult {
 /// layer keeps from a cell, without the per-job completion list.
 ///
 /// The engine's metrics-only mode
-/// ([`simulate_metrics_into`](crate::simulate_metrics_into)) feeds
+/// ([`SimWorkspace::run_metrics`](crate::SimWorkspace::run_metrics)) feeds
 /// completion events into [`SimMetrics::push`] as they happen — in
 /// completion order, the same order [`SimulationResult`] stores jobs — so
 /// the accumulated sums are **bit-identical** to materializing a full

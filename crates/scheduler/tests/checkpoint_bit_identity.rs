@@ -10,10 +10,10 @@
 //! exactly like a plain run). The scratch path is the oracle here, and
 //! `scheduler::reference` stays untouched behind it.
 
-use dynsched_cluster::{Job, Platform};
-use dynsched_policies::{ExprPolicy, Fcfs, LearnedPolicy, Policy, Unicef, Wfp3};
+use dynsched_cluster::{AvailabilitySchedule, CapacityStep, Job, Platform};
+use dynsched_policies::{ExprPolicy, Fcfs, LearnedPolicy, Policy, ResidualClass, Unicef, Wfp3};
 use dynsched_scheduler::{
-    simulate, BackfillMode, Checkpoint, QueueDiscipline, SchedulerConfig, SimWorkspace,
+    simulate, BackfillMode, Checkpoint, QueueDiscipline, SchedulerConfig, SimMetrics, SimWorkspace,
     SimulationResult,
 };
 use dynsched_simkit::parallel::{par_map_scoped, with_worker_limit};
@@ -412,31 +412,82 @@ fn shared_checkpoint_fanout_is_thread_count_independent() {
 #[test]
 fn checkpoint_and_workspace_reuse_carry_no_state() {
     let mut rng = Rng::new(0x2E05E);
-    let config = SchedulerConfig::estimates_with_backfilling(Platform::new(16));
+    // EASY on estimates, and strict scheduling — the only mode in which a
+    // static order can leave a blocked-head fact standing.
+    let configs = [
+        SchedulerConfig::estimates_with_backfilling(Platform::new(16)),
+        SchedulerConfig::actual_runtimes(Platform::new(16)),
+    ];
+    // One compiled policy per time-dependent residual class: a prefix
+    // under the first leaves lanes, a standing order and its watermark
+    // behind; under the second, lanes and no order.
+    let aging = lineup()[3].compile().unwrap();
+    let wfp = Wfp3.compile().unwrap();
+    assert_eq!(aging.residual_class(), ResidualClass::UniformAging);
+    assert_eq!(wfp.residual_class(), ResidualClass::General);
+    // Two outages down to 2 of 16 cores, one requeue allowed: wide jobs
+    // caught by both are abandoned.
+    let step = |time, capacity| CapacityStep { time, capacity };
+    let outages = AvailabilitySchedule::from_steps(
+        vec![
+            step(1_000.0, 2),
+            step(1_500.0, 16),
+            step(2_500.0, 2),
+            step(3_000.0, 16),
+        ],
+        1,
+    );
     let mut ws = SimWorkspace::new();
     let mut ckpt = Checkpoint::new();
-    for case in 0..6u64 {
+    for case in 0..6usize {
         let trace = random_trace(&mut rng, 45, 16);
-        let discipline = QueueDiscipline::Policy(&Fcfs);
-        // Pollute the workspace and checkpoint with a full run and an
-        // unrelated capture before the measured round-trip.
-        ws.run(&trace, &discipline, &config);
+        let config = configs[case / 3];
+        let fcfs = QueueDiscipline::Policy(&Fcfs);
+        // Pollute the workspace and checkpoint before the measured
+        // round-trip: a full run, a faulty run that preempts and abandons,
+        // a metrics-only run, and unrelated captures that stop mid-queue
+        // under a static order and each time-dependent residual class
+        // (rotated, so any of them may be what the workspace and the
+        // checkpoint last held).
+        ws.run(&trace, &fcfs, &config);
         let pollute = random_trace(&mut rng, 30, 16);
-        ws.run_prefix(
-            &pollute,
-            &discipline,
-            &config,
-            pollute.submit(pollute.len() / 2),
-            &mut ckpt,
+        ws.run_faulty(&pollute, &fcfs, &config, &outages).unwrap();
+        assert!(
+            ws.preempted_jobs() > 0 && !ws.abandoned().is_empty() && ws.lost_core_seconds() > 0.0,
+            "case {case}: the faulty pollution run must preempt and abandon"
         );
+        ws.run_metrics(&pollute, &fcfs, &config, 10.0);
+        let mid = pollute.submit(pollute.len() / 2);
+        let mut disciplines = [
+            fcfs,
+            QueueDiscipline::Compiled(&aging),
+            QueueDiscipline::Compiled(&wfp),
+        ];
+        disciplines.rotate_left(case % 3);
+        for discipline in &disciplines {
+            ws.run_prefix(&pollute, discipline, &config, mid, &mut ckpt);
+        }
+        let discipline = &disciplines[1];
+        // Each run kind starts clean on the polluted workspace: a faulty
+        // run (first — the last capture left jobs running), the measured
+        // round-trip, a metrics-only run.
+        let mut fresh = SimWorkspace::new();
+        fresh
+            .run_faulty(&trace, discipline, &config, &outages)
+            .unwrap();
+        ws.run_faulty(&trace, discipline, &config, &outages)
+            .unwrap();
+        assert_eq!(fresh.result(), ws.result(), "case {case}: faulty reuse");
         let horizon = trace.submit(trace.len() / 2);
         let resumed = {
-            ws.run_prefix(&trace, &discipline, &config, horizon, &mut ckpt);
-            ws.resume_from(&ckpt, &trace, &discipline, &config);
+            ws.run_prefix(&trace, discipline, &config, horizon, &mut ckpt);
+            ws.resume_from(&ckpt, &trace, discipline, &config);
             ws.result()
         };
-        let scratch = simulate(&trace, &discipline, &config);
+        let scratch = simulate(&trace, discipline, &config);
         assert_eq!(scratch, resumed, "case {case}: reuse leaked state");
+        let metrics = ws.run_metrics(&trace, discipline, &config, 10.0);
+        assert_eq!(metrics, SimMetrics::from_result(&scratch, 10.0));
     }
 }
 

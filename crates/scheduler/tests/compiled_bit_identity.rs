@@ -16,8 +16,7 @@ use dynsched_policies::{
 };
 use dynsched_scheduler::reference::simulate_reference;
 use dynsched_scheduler::{
-    simulate, simulate_into, simulate_metrics_into, BackfillMode, QueueDiscipline, SchedulerConfig,
-    SimMetrics, SimWorkspace,
+    simulate, BackfillMode, QueueDiscipline, SchedulerConfig, SimMetrics, SimWorkspace,
 };
 use dynsched_simkit::parallel::{par_map_scoped, with_worker_limit};
 use dynsched_simkit::Rng;
@@ -88,10 +87,11 @@ fn compiled_simulations_are_bit_identical_to_interpreted() {
                 let b = simulate(&trace, &comp, &config);
                 assert_eq!(a, b, "case {case}, {}: compiled diverged", policy.name());
                 // Columnar layout and workspace reuse change nothing.
-                let b_view = simulate_into(&mut ws, &view, &comp, &config);
+                ws.run(&view, &comp, &config);
+                let b_view = ws.result();
                 assert_eq!(a, b_view, "case {case}, {}: SoA", policy.name());
                 // Metrics-only streaming over the compiled path agrees.
-                let m = simulate_metrics_into(&mut ws, &view, &comp, &config, 10.0);
+                let m = ws.run_metrics(&view, &comp, &config, 10.0);
                 assert_eq!(m, SimMetrics::from_result(&a, 10.0));
                 // The oracle (scalar per-task scoring, no batch kernel)
                 // agrees with both.
@@ -118,20 +118,12 @@ fn interleaving_compiled_and_interpreted_runs_leaks_nothing() {
         if i % 2 == 0 {
             config.backfill = BackfillMode::Aggressive;
         }
-        let a1 = simulate_into(
-            &mut ws,
-            &trace,
-            &QueueDiscipline::Compiled(&compiled_aging),
-            &config,
-        );
+        ws.run(&trace, &QueueDiscipline::Compiled(&compiled_aging), &config);
+        let a1 = ws.result();
         let a2 = simulate(&trace, &QueueDiscipline::Policy(&aging), &config);
         assert_eq!(a1, a2, "run {i}: aging");
-        let w1 = simulate_into(
-            &mut ws,
-            &trace,
-            &QueueDiscipline::Compiled(&compiled_wfp),
-            &config,
-        );
+        ws.run(&trace, &QueueDiscipline::Compiled(&compiled_wfp), &config);
+        let w1 = ws.result();
         let w2 = simulate(&trace, &QueueDiscipline::Policy(&wfp), &config);
         assert_eq!(w1, w2, "run {i}: wfp3");
     }
@@ -154,8 +146,7 @@ fn compiled_fanout_is_thread_count_independent() {
             .collect();
         let run_fanout = || {
             par_map_scoped(&cells, SimWorkspace::new, |&(p, s), ws| {
-                simulate_metrics_into(
-                    ws,
+                ws.run_metrics(
                     &views[s],
                     &QueueDiscipline::Compiled(&compiled[p]),
                     &config,

@@ -1,5 +1,5 @@
 //! Regression proof for the zero-allocation engine: [`simulate`] /
-//! [`simulate_into`] must produce **bit-identical** [`SimulationResult`]s
+//! [`SimWorkspace::run`] must produce **bit-identical** [`SimulationResult`]s
 //! to the original allocation-per-call engine preserved in
 //! `dynsched_scheduler::reference` — same completed set in the same order,
 //! same makespan, utilization, event count, and backfill count — across
@@ -11,8 +11,7 @@ use dynsched_cluster::{Job, Platform};
 use dynsched_policies::paper_lineup;
 use dynsched_scheduler::reference::{reference_metrics, simulate_reference};
 use dynsched_scheduler::{
-    simulate, simulate_into, simulate_metrics_into, BackfillMode, QueueDiscipline, SchedulerConfig,
-    SimMetrics, SimWorkspace,
+    simulate, BackfillMode, QueueDiscipline, SchedulerConfig, SimMetrics, SimWorkspace,
 };
 use dynsched_simkit::Rng;
 use dynsched_workload::Trace;
@@ -75,7 +74,8 @@ fn fast_path_matches_reference_for_policies() {
             let policy = &lineup[(round + cases) % lineup.len()];
             let discipline = QueueDiscipline::Policy(policy.as_ref());
             let want = simulate_reference(&trace, &discipline, &config);
-            let got = simulate_into(&mut ws, &trace, &discipline, &config);
+            ws.run(&trace, &discipline, &config);
+            let got = ws.result();
             assert_eq!(
                 got,
                 want,
@@ -98,7 +98,8 @@ fn fast_path_matches_reference_for_fixed_orders() {
         let discipline = QueueDiscipline::FixedOrder(&ranks);
         for config in configs(16) {
             let want = simulate_reference(&trace, &discipline, &config);
-            let got = simulate_into(&mut ws, &trace, &discipline, &config);
+            ws.run(&trace, &discipline, &config);
+            let got = ws.result();
             assert_eq!(got, want, "round {round}, config {config:?}");
         }
     }
@@ -119,15 +120,15 @@ fn metrics_mode_matches_reference_reduction() {
             let policy = &lineup[(round + k) % lineup.len()];
             let discipline = QueueDiscipline::Policy(policy.as_ref());
             let want = reference_metrics(&trace, &discipline, config, tau);
-            let got = simulate_metrics_into(&mut ws, &trace, &discipline, config, tau);
+            let got = ws.run_metrics(&trace, &discipline, config, tau);
             assert_eq!(
                 got,
                 want,
                 "round {round}, policy {}, config {config:?}",
                 policy.name()
             );
-            let full =
-                SimMetrics::from_result(&simulate_into(&mut ws, &trace, &discipline, config), tau);
+            ws.run(&trace, &discipline, config);
+            let full = SimMetrics::from_result(&ws.result(), tau);
             assert_eq!(got, full, "streaming vs materialized reduction diverged");
             assert_eq!(got.avg_bounded_slowdown(), full.avg_bounded_slowdown());
         }
@@ -144,7 +145,7 @@ fn metrics_mode_matches_reference_for_fixed_orders() {
         let discipline = QueueDiscipline::FixedOrder(&ranks);
         for config in configs(16) {
             let want = reference_metrics(&trace, &discipline, &config, 10.0);
-            let got = simulate_metrics_into(&mut ws, &trace, &discipline, &config, 10.0);
+            let got = ws.run_metrics(&trace, &discipline, &config, 10.0);
             assert_eq!(got, want, "round {round}, config {config:?}");
         }
     }
@@ -176,13 +177,15 @@ fn noop_reschedule_skip_matches_reference_under_saturation() {
         for policy in &lineup {
             let discipline = QueueDiscipline::Policy(policy.as_ref());
             let want = simulate_reference(&trace, &discipline, &config);
-            let got = simulate_into(&mut ws, &trace, &discipline, &config);
+            ws.run(&trace, &discipline, &config);
+            let got = ws.result();
             assert_eq!(got, want, "round {round}, policy {}", policy.name());
         }
         let ranks = rng.permutation(trace.len());
         let discipline = QueueDiscipline::FixedOrder(&ranks);
         let want = simulate_reference(&trace, &discipline, &config);
-        let got = simulate_into(&mut ws, &trace, &discipline, &config);
+        ws.run(&trace, &discipline, &config);
+        let got = ws.result();
         assert_eq!(got, want, "round {round}, fixed order");
     }
 }
@@ -200,7 +203,8 @@ fn one_shot_simulate_equals_workspace_reuse() {
         let policy = &lineup[round % lineup.len()];
         let discipline = QueueDiscipline::Policy(policy.as_ref());
         let fresh = simulate(&trace, &discipline, &config);
-        let reused = simulate_into(&mut ws, &trace, &discipline, &config);
+        ws.run(&trace, &discipline, &config);
+        let reused = ws.result();
         assert_eq!(fresh, reused, "round {round}");
     }
 }
@@ -250,7 +254,8 @@ fn equal_and_overdue_expected_ends_are_ordered_by_trace_index() {
                     "round {round}, policy {}, config {config:?}: the reference disagrees with itself",
                     policy.name()
                 );
-                let got = simulate_into(&mut ws, &trace, &discipline, &config);
+                ws.run(&trace, &discipline, &config);
+                let got = ws.result();
                 assert_eq!(
                     got,
                     want,

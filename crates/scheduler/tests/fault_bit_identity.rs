@@ -19,13 +19,24 @@ use dynsched_cluster::{AvailabilitySchedule, FaultProfile, Job, Platform};
 use dynsched_policies::paper_lineup;
 use dynsched_scheduler::reference::{reference_metrics_faulty, simulate_reference_faulty};
 use dynsched_scheduler::{
-    simulate, simulate_faulty, simulate_faulty_into, simulate_metrics_faulty_into,
-    simulate_metrics_into, BackfillMode, QueueDiscipline, SchedulerConfig, SimMetrics,
-    SimWorkspace,
+    simulate, BackfillMode, EngineError, QueueDiscipline, SchedulerConfig, SimMetrics,
+    SimWorkspace, SimulationResult,
 };
 use dynsched_simkit::parallel::{par_map_scoped, with_worker_limit};
 use dynsched_simkit::Rng;
 use dynsched_workload::Trace;
+
+/// One faulty run on a throwaway workspace, as an owned result.
+fn simulate_faulty(
+    trace: &Trace,
+    discipline: &QueueDiscipline<'_>,
+    config: &SchedulerConfig,
+    schedule: &AvailabilitySchedule,
+) -> Result<SimulationResult, EngineError> {
+    let mut ws = SimWorkspace::new();
+    ws.run_faulty(trace, discipline, config, schedule)?;
+    Ok(ws.result())
+}
 
 fn random_trace(rng: &mut Rng, max_jobs: usize, cores: u32) -> Trace {
     let n = rng.range_u64(2, max_jobs as u64) as usize;
@@ -91,23 +102,17 @@ fn empty_schedule_runs_are_bit_identical_to_the_zero_fault_engine() {
                 assert_eq!(faulty.lost_core_seconds, 0.0);
                 assert!(faulty.abandoned.is_empty());
                 // SoA layout and workspace reuse agree too.
-                let soa =
-                    simulate_faulty_into(&mut ws, &view, &discipline, &config, &empty).unwrap();
+                ws.run_faulty(&view, &discipline, &config, &empty).unwrap();
+                let soa = ws.result();
                 assert_eq!(
                     plain, soa,
                     "case {case}: layouts diverged under empty faults"
                 );
                 // Metrics-only mode: the faulty fold equals the plain fold.
-                let m_plain = simulate_metrics_into(&mut ws, &trace, &discipline, &config, 10.0);
-                let m_faulty = simulate_metrics_faulty_into(
-                    &mut ws,
-                    &view,
-                    &discipline,
-                    &config,
-                    &empty,
-                    10.0,
-                )
-                .unwrap();
+                let m_plain = ws.run_metrics(&trace, &discipline, &config, 10.0);
+                let m_faulty = ws
+                    .run_metrics_faulty(&view, &discipline, &config, &empty, 10.0)
+                    .unwrap();
                 assert_eq!(m_plain, m_faulty, "case {case}: metrics modes diverged");
                 assert_eq!(m_faulty, SimMetrics::from_result(&plain, 10.0));
             }
@@ -163,19 +168,14 @@ fn faulty_runs_are_bit_identical_to_the_reference_oracle() {
                 preemptions += fast.preempted_jobs;
                 abandonments += fast.abandoned.len() as u64;
                 // SoA layout and a reused workspace match the oracle too.
-                let soa =
-                    simulate_faulty_into(&mut ws, &view, &discipline, &config, &schedule).unwrap();
+                ws.run_faulty(&view, &discipline, &config, &schedule)
+                    .unwrap();
+                let soa = ws.result();
                 assert_eq!(oracle, soa, "case {case}: SoA faulty run diverged");
                 // Metrics-only faulty mode equals the oracle's fold.
-                let m = simulate_metrics_faulty_into(
-                    &mut ws,
-                    &view,
-                    &discipline,
-                    &config,
-                    &schedule,
-                    10.0,
-                )
-                .unwrap();
+                let m = ws
+                    .run_metrics_faulty(&view, &discipline, &config, &schedule, 10.0)
+                    .unwrap();
                 assert_eq!(
                     m,
                     reference_metrics_faulty(&trace, &discipline, &config, &schedule, 10.0),
@@ -244,8 +244,7 @@ fn faulty_fanout_is_thread_count_independent() {
         .collect();
     let run_fanout = || {
         par_map_scoped(&cells, SimWorkspace::new, |&(p, s), ws| {
-            simulate_metrics_faulty_into(
-                ws,
+            ws.run_metrics_faulty(
                 &views[s],
                 &QueueDiscipline::Policy(lineup[p].as_ref()),
                 &config,

@@ -23,12 +23,24 @@ use dynsched_policies::{
 };
 use dynsched_scheduler::reference::{simulate_reference, simulate_reference_faulty};
 use dynsched_scheduler::{
-    simulate, simulate_faulty, simulate_into, simulate_metrics_into, BackfillMode, QueueDiscipline,
-    SchedulerConfig, SimMetrics, SimWorkspace,
+    simulate, BackfillMode, EngineError, QueueDiscipline, SchedulerConfig, SimMetrics,
+    SimWorkspace, SimulationResult,
 };
 use dynsched_simkit::parallel::{par_map_scoped, with_worker_limit};
 use dynsched_simkit::Rng;
 use dynsched_workload::Trace;
+
+/// One faulty run on a throwaway workspace, as an owned result.
+fn simulate_faulty(
+    trace: &Trace,
+    discipline: &QueueDiscipline<'_>,
+    config: &SchedulerConfig,
+    schedule: &AvailabilitySchedule,
+) -> Result<SimulationResult, EngineError> {
+    let mut ws = SimWorkspace::new();
+    ws.run_faulty(trace, discipline, config, schedule)?;
+    Ok(ws.result())
+}
 
 /// A trace that keeps the queue deep: submits clustered well inside the
 /// total work span so dozens of jobs wait at once — the regime where the
@@ -158,10 +170,11 @@ fn random_event_sequences_match_full_resort_and_reference() {
                 let b = simulate(&trace, &comp, &config);
                 assert_eq!(a, b, "case {case}, {}: maintenance diverged", policy.name());
                 // Columnar layout and workspace reuse change nothing.
-                let b_view = simulate_into(&mut ws, &view, &comp, &config);
+                ws.run(&view, &comp, &config);
+                let b_view = ws.result();
                 assert_eq!(a, b_view, "case {case}, {}: SoA", policy.name());
                 // Metrics-only streaming agrees with the full fold.
-                let m = simulate_metrics_into(&mut ws, &view, &comp, &config, 10.0);
+                let m = ws.run_metrics(&view, &comp, &config, 10.0);
                 assert_eq!(m, SimMetrics::from_result(&a, 10.0));
                 // The scalar full-sort oracle agrees bit for bit.
                 let r = simulate_reference(&trace, &comp, &config);
@@ -269,8 +282,7 @@ fn incremental_fanout_is_thread_count_independent() {
             .collect();
         let run_fanout = || {
             par_map_scoped(&cells, SimWorkspace::new, |&(p, s), ws| {
-                simulate_metrics_into(
-                    ws,
+                ws.run_metrics(
                     &views[s],
                     &QueueDiscipline::Compiled(&compiled[p]),
                     &config,
@@ -458,7 +470,7 @@ fn on_demand_heads_match_the_reference_on_ties_and_edges() {
             // The same cells through the pool, at n workers and at one.
             let fanout = || {
                 par_map_scoped(&compiled, SimWorkspace::new, |cp, ws| {
-                    simulate_metrics_into(ws, &view, &QueueDiscipline::Compiled(cp), &config, 10.0)
+                    ws.run_metrics(&view, &QueueDiscipline::Compiled(cp), &config, 10.0)
                 })
             };
             let wide = fanout();

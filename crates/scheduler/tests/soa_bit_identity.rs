@@ -14,8 +14,7 @@
 use dynsched_cluster::{Job, Platform};
 use dynsched_policies::paper_lineup;
 use dynsched_scheduler::{
-    simulate, simulate_into, simulate_metrics_into, BackfillMode, QueueDiscipline, SchedulerConfig,
-    SimMetrics, SimWorkspace,
+    simulate, BackfillMode, QueueDiscipline, SchedulerConfig, SimMetrics, SimWorkspace,
 };
 use dynsched_simkit::parallel::{par_map_scoped, with_worker_limit};
 use dynsched_simkit::Rng;
@@ -67,14 +66,15 @@ fn view_simulations_are_bit_identical_to_trace_simulations() {
                 let soa = simulate(&view, &discipline, &config);
                 assert_eq!(aos, soa, "case {case}, {}: layouts diverged", policy.name());
                 // Workspace reuse across alternating layouts leaks nothing.
-                let reused = simulate_into(&mut ws, &view, &discipline, &config);
+                ws.run(&view, &discipline, &config);
+                let reused = ws.result();
                 assert_eq!(
                     aos, reused,
                     "case {case}: reused workspace diverged on view"
                 );
                 // Metrics-only mode agrees too.
-                let m_aos = simulate_metrics_into(&mut ws, &trace, &discipline, &config, 10.0);
-                let m_soa = simulate_metrics_into(&mut ws, &view, &discipline, &config, 10.0);
+                let m_aos = ws.run_metrics(&trace, &discipline, &config, 10.0);
+                let m_soa = ws.run_metrics(&view, &discipline, &config, 10.0);
                 assert_eq!(m_aos, m_soa, "case {case}: metrics diverged across layouts");
                 assert_eq!(m_soa, SimMetrics::from_result(&aos, 10.0));
             }
@@ -115,8 +115,7 @@ fn shared_view_fanout_is_thread_count_independent() {
         .collect();
     let run_fanout = || {
         par_map_scoped(&cells, SimWorkspace::new, |&(p, s), ws| {
-            simulate_metrics_into(
-                ws,
+            ws.run_metrics(
                 &views[s],
                 &QueueDiscipline::Policy(lineup[p].as_ref()),
                 &config,

@@ -64,7 +64,6 @@ pub mod durable;
 pub mod events;
 pub mod json;
 pub mod parallel;
-pub mod quantile;
 pub mod rng;
 pub mod stats;
 

@@ -9,6 +9,7 @@ use dynsched::scheduler::timeline::{curve_max, curve_mean, queue_length_curve, u
 use dynsched::scheduler::{
     ascii_gantt, simulate, write_schedule_swf, QueueDiscipline, SchedulerConfig,
 };
+use dynsched::simkit::durable::write_atomic;
 use dynsched::simkit::Rng;
 use dynsched::workload::LublinModel;
 
@@ -70,7 +71,7 @@ fn main() {
     let out = std::path::Path::new("target/figures");
     std::fs::create_dir_all(out).expect("create target/figures");
     let path = out.join("f1_schedule.swf");
-    std::fs::write(&path, write_schedule_swf(&result, "F1 on 32 cores", 32)).expect("write swf");
+    write_atomic(&path, write_schedule_swf(&result, "F1 on 32 cores", 32)).expect("write swf");
     println!(
         "F1 schedule exported to {} (SWF with simulated wait times).",
         path.display()

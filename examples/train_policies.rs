@@ -20,6 +20,7 @@ use dynsched::core::pipeline::{learn_policies, TrainingConfig};
 use dynsched::core::trials::{trial_scores, TrialSpec};
 use dynsched::core::tuples::{TaskTuple, TupleSpec};
 use dynsched::mlreg::EnumerateOptions;
+use dynsched::simkit::durable::write_atomic;
 use dynsched::simkit::Rng;
 use dynsched::workload::LublinModel;
 
@@ -115,7 +116,7 @@ fn main() {
     let out_dir = std::path::Path::new("target/figures");
     std::fs::create_dir_all(out_dir).expect("create target/figures");
     let path = out_dir.join("learned_policies.txt");
-    std::fs::write(&path, dynsched::policies::save_learned(&report.policies))
+    write_atomic(&path, dynsched::policies::save_learned(&report.policies))
         .expect("write policy file");
     println!(
         "\nlearned policies saved to {} (reload with dynsched::policies::load_policies)",

@@ -25,13 +25,13 @@ use dynsched::core::{learned_beat_adhoc, run_experiments, run_full_checkpointed,
 use dynsched::mlreg::EnumerateOptions;
 use dynsched::policies::{by_name, paper_lineup, save_learned, CompiledPolicy, Policy};
 use dynsched::scheduler::{
-    run_federation, run_federation_faulty, simulate, BackfillMode, FederationSpec, QueueDiscipline,
-    Router, SchedulerConfig,
+    run_federation, run_federation_faulty, simulate, BackfillMode, FederationResult,
+    FederationSpec, QueueDiscipline, Router, SchedulerConfig, SimulationResult,
 };
 use dynsched::simkit::durable::write_atomic;
 use dynsched::workload::{
     read_swf_file, validate_trace, LublinModel, ScenarioParams, ScenarioRegistry, SequenceSpec,
-    TraceStore,
+    Trace, TraceStore,
 };
 use std::process::ExitCode;
 
@@ -242,13 +242,28 @@ fn f64_flag(args: &[String], name: &str, default: f64) -> Result<f64, String> {
         .map(|v| v.unwrap_or(default))
 }
 
+/// Parse a core count. Zero is rejected here, once: `Platform::new(0)`
+/// panics, and every subcommand that builds a platform parses through this.
+fn parse_cores(text: &str) -> Result<u32, String> {
+    match text.parse::<u32>() {
+        Ok(0) => Err("bad core count: a platform needs at least one core".to_string()),
+        Ok(cores) => Ok(cores),
+        Err(e) => Err(format!("bad core count: {e}")),
+    }
+}
+
+/// `--cores N` through [`parse_cores`] (default 256).
+fn cores_flag(args: &[String]) -> Result<u32, String> {
+    flag_value(args, "--cores")?.map_or(Ok(256), parse_cores)
+}
+
 /// The training knobs `train` and `run` share: `(tuples, trials, cores,
 /// seed)` with common defaults.
 fn training_flags(args: &[String]) -> Result<(usize, usize, u32, u64), String> {
     Ok((
         usize_flag(args, "--tuples", 12)?,
         usize_flag(args, "--trials", 8_000)?,
-        usize_flag(args, "--cores", 256)? as u32,
+        cores_flag(args)?,
         u64_flag(args, "--seed", 0x5C17)?,
     ))
 }
@@ -273,12 +288,72 @@ fn fault_flags(
     ))
 }
 
-fn load_swf(
-    path: &str,
-) -> Result<(dynsched::workload::SwfHeader, dynsched::workload::Trace), String> {
+fn load_swf(path: &str) -> Result<(dynsched::workload::SwfHeader, Trace), String> {
     // Streams line-by-line through a BufReader: archive logs never need to
     // fit in memory as one string.
     read_swf_file(path).map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+/// The line `simulate` and `federate` print when capping the trace to the
+/// platform width dropped jobs (they could never start).
+fn dropped_note(dropped: usize, cores: u32) -> Option<String> {
+    (dropped > 0).then(|| format!("dropped {dropped} job(s) wider than the {cores}-core platform"))
+}
+
+/// Load a trace for replay on a `cores`-wide platform: jobs wider than
+/// the platform are dropped, and the drop is reported, not silent.
+fn load_capped(path: &str, cores: u32) -> Result<Trace, String> {
+    let (_, trace) = load_swf(path)?;
+    let capped = trace.capped_to(cores);
+    if let Some(note) = dropped_note(trace.len() - capped.len(), cores) {
+        println!("{note}");
+    }
+    if capped.is_empty() {
+        return Err("no usable jobs after capping to the platform width".to_string());
+    }
+    Ok(capped)
+}
+
+/// What `simulate` and `federate` share: the `<trace> <cores>`
+/// positionals, the queue policy, and the scheduler knobs.
+struct ReplaySetup<'a> {
+    path: &'a str,
+    cores: u32,
+    policy_name: &'a str,
+    policy: Box<dyn Policy>,
+    config: SchedulerConfig,
+}
+
+fn replay_setup<'a>(args: &'a [String], command: &str) -> Result<ReplaySetup<'a>, String> {
+    let path = args
+        .first()
+        .ok_or_else(|| format!("{command} needs a trace path"))?;
+    let cores = args
+        .get(1)
+        .ok_or_else(|| format!("{command} needs a core count"))?;
+    let cores = parse_cores(cores)?;
+    let policy_name = flag_value(args, "--policy")?.unwrap_or("F1");
+    let policy = by_name(policy_name).ok_or_else(|| format!("unknown policy {policy_name:?}"))?;
+
+    let mut config = if has_flag(args, "--estimates") {
+        SchedulerConfig::user_estimates(Platform::new(cores))
+    } else {
+        SchedulerConfig::actual_runtimes(Platform::new(cores))
+    };
+    config.backfill = match flag_value(args, "--backfill")?.unwrap_or("none") {
+        "none" => BackfillMode::None,
+        "easy" | "aggressive" => BackfillMode::Aggressive,
+        "conservative" => BackfillMode::Conservative,
+        other => return Err(format!("unknown backfill mode {other:?}")),
+    };
+    config.kill_at_estimate = has_flag(args, "--kill");
+    Ok(ReplaySetup {
+        path,
+        cores,
+        policy_name,
+        policy,
+        config,
+    })
 }
 
 fn cmd_validate(args: &[String]) -> Result<(), String> {
@@ -287,7 +362,7 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
     let (header, trace) = load_swf(path)?;
     let cores = args
         .get(1)
-        .map(|c| c.parse::<u32>().map_err(|e| format!("bad core count: {e}")))
+        .map(|c| parse_cores(c))
         .transpose()?
         .or(header.max_procs)
         .ok_or("no core count given and the header has no MaxProcs")?;
@@ -304,58 +379,42 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_simulate(args: &[String]) -> Result<(), String> {
+/// `simulate` up to (not including) its result line; returns the result
+/// and the seconds the simulation took.
+fn run_simulate(args: &[String]) -> Result<(SimulationResult, f64), String> {
     reject_unknown(
         args,
         2,
         &["--policy", "--backfill"],
         &["--estimates", "--kill"],
     )?;
-    let path = args.first().ok_or("simulate needs a trace path")?;
-    let cores: u32 = args
-        .get(1)
-        .ok_or("simulate needs a core count")?
-        .parse()
-        .map_err(|e| format!("bad core count: {e}"))?;
-    let policy_name = flag_value(args, "--policy")?.unwrap_or("F1");
-    let policy = by_name(policy_name).ok_or_else(|| format!("unknown policy {policy_name:?}"))?;
-
-    let mut config = if has_flag(args, "--estimates") {
-        SchedulerConfig::user_estimates(Platform::new(cores))
-    } else {
-        SchedulerConfig::actual_runtimes(Platform::new(cores))
-    };
-    config.backfill = match flag_value(args, "--backfill")?.unwrap_or("none") {
-        "none" => BackfillMode::None,
-        "easy" | "aggressive" => BackfillMode::Aggressive,
-        "conservative" => BackfillMode::Conservative,
-        other => return Err(format!("unknown backfill mode {other:?}")),
-    };
-    config.kill_at_estimate = has_flag(args, "--kill");
-
-    let (_, trace) = load_swf(path)?;
-    let trace = trace.capped_to(cores);
-    if trace.is_empty() {
-        return Err("no usable jobs after capping to the platform width".to_string());
-    }
+    let setup = replay_setup(args, "simulate")?;
+    let trace = load_capped(setup.path, setup.cores)?;
     println!(
-        "Scheduling {} jobs on {cores} cores under {}...",
+        "Scheduling {} jobs on {} cores under {}...",
         trace.len(),
-        policy.name()
+        setup.cores,
+        setup.policy.name()
     );
+    let compiled = setup.policy.compile();
+    let discipline = QueueDiscipline::of(setup.policy.as_ref(), compiled.as_ref());
     let t0 = std::time::Instant::now();
-    let result = simulate(&trace, &QueueDiscipline::Policy(policy.as_ref()), &config);
+    let result = simulate(&trace, &discipline, &setup.config);
+    Ok((result, t0.elapsed().as_secs_f64()))
+}
+
+fn cmd_simulate(args: &[String]) -> Result<(), String> {
+    let (result, elapsed) = run_simulate(args)?;
     // Empty results print "n/a" for both per-job statistics: the old mix
     // (NaN for AVEbsld, 0.0 for mean wait) made an empty run read as a
     // measured zero-wait schedule.
     println!(
-        "AVEbsld = {} | mean wait = {} s | utilization = {:.3} | makespan = {:.2} days | backfilled = {} | [{:.1} s]",
+        "AVEbsld = {} | mean wait = {} s | utilization = {:.3} | makespan = {:.2} days | backfilled = {} | [{elapsed:.1} s]",
         stat_or_na(result.avg_bounded_slowdown(DEFAULT_TAU), 2),
         stat_or_na(result.mean_wait(), 1),
         result.utilization,
         result.makespan / 86_400.0,
         result.backfilled_jobs,
-        t0.elapsed().as_secs_f64(),
     );
     Ok(())
 }
@@ -405,7 +464,9 @@ impl RouterSpec {
     }
 }
 
-fn cmd_federate(args: &[String]) -> Result<(), String> {
+/// `federate` up to (not including) its result tables; returns the
+/// result, whether faults were injected, and the seconds it took.
+fn run_federate(args: &[String]) -> Result<(FederationResult, bool, f64), String> {
     reject_unknown(
         args,
         2,
@@ -424,63 +485,37 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
         ],
         &["--estimates", "--kill"],
     )?;
-    let path = args.first().ok_or("federate needs a trace path")?;
-    let cores: u32 = args
-        .get(1)
-        .ok_or("federate needs a per-cluster core count")?
-        .parse()
-        .map_err(|e| format!("bad core count: {e}"))?;
+    let setup = replay_setup(args, "federate")?;
+    let cores = setup.cores;
     let shards = usize_flag(args, "--shards", 4)?;
     if shards == 0 {
         return Err("a federation needs at least one shard".to_string());
     }
-
-    let policy_name = flag_value(args, "--policy")?.unwrap_or("F1");
-    let policy = by_name(policy_name).ok_or_else(|| format!("unknown policy {policy_name:?}"))?;
-
-    let mut config = if has_flag(args, "--estimates") {
-        SchedulerConfig::user_estimates(Platform::new(cores))
-    } else {
-        SchedulerConfig::actual_runtimes(Platform::new(cores))
-    };
-    config.backfill = match flag_value(args, "--backfill")?.unwrap_or("none") {
-        "none" => BackfillMode::None,
-        "easy" | "aggressive" => BackfillMode::Aggressive,
-        "conservative" => BackfillMode::Conservative,
-        other => return Err(format!("unknown backfill mode {other:?}")),
-    };
-    config.kill_at_estimate = has_flag(args, "--kill");
-
     let router_name = flag_value(args, "--router")?.unwrap_or("least-loaded");
-    let router_spec = RouterSpec::parse(router_name, args, policy_name)?;
-    let router = router_spec.as_router();
+    let router_spec = RouterSpec::parse(router_name, args, setup.policy_name)?;
     let fault = fault_flags(args, cores, 0x5C17)?;
 
-    let (_, trace) = load_swf(path)?;
-    let trace = trace.capped_to(cores);
-    if trace.is_empty() {
-        return Err("no usable jobs after capping to the per-cluster width".to_string());
-    }
+    let trace = load_capped(setup.path, cores)?;
     println!(
         "Federating {} jobs across {shards} x {cores}-core clusters ({router_name} routing, {} queues)...",
         trace.len(),
-        policy.name()
+        setup.policy.name()
     );
 
-    let spec = FederationSpec::uniform(shards, config, router);
-    let compiled = policy.compile();
-    let discipline = match &compiled {
-        Some(cp) => QueueDiscipline::Compiled(cp),
-        None => QueueDiscipline::Policy(policy.as_ref()),
-    };
+    let spec = FederationSpec::uniform(shards, setup.config, router_spec.as_router());
+    let compiled = setup.policy.compile();
+    let discipline = QueueDiscipline::of(setup.policy.as_ref(), compiled.as_ref());
     let t0 = std::time::Instant::now();
     let result = match &fault {
         Some(profile) => run_federation_faulty(&trace, &spec, &discipline, profile),
         None => run_federation(&trace, &spec, &discipline),
     }
     .map_err(|e| format!("federated simulation failed: {e}"))?;
-    let elapsed = t0.elapsed().as_secs_f64();
+    Ok((result, fault.is_some(), t0.elapsed().as_secs_f64()))
+}
 
+fn cmd_federate(args: &[String]) -> Result<(), String> {
+    let (result, faulty, elapsed) = run_federate(args)?;
     println!(
         "  {:<8} {:>8} {:>10} {:>12} {:>10} {:>12}",
         "cluster", "jobs", "AVEbsld", "mean wait", "util", "makespan(d)"
@@ -503,7 +538,7 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
         result.makespan() / 86_400.0,
         result.backfilled_jobs(),
     );
-    if fault.is_some() {
+    if faulty {
         println!(
             "resilience: preempted = {} | abandoned = {} | lost core-seconds = {:.0}",
             result.preempted_jobs(),
@@ -690,7 +725,7 @@ fn cmd_scenarios(args: &[String]) -> Result<(), String> {
         ],
         &["--eval"],
     )?;
-    let cores = usize_flag(args, "--cores", 256)? as u32;
+    let cores = cores_flag(args)?;
     // span_days is f64 end to end: `--days 2.5` is a valid half-day span
     // (the old usize round-trip rejected it), and seeds parse as u64
     // directly rather than truncating through usize.
@@ -831,6 +866,8 @@ fn cmd_policies(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynsched::cluster::Job;
+    use dynsched::workload::write_swf_trace;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -951,5 +988,88 @@ mod tests {
         assert_eq!(stat_or_na(None, 2), "n/a");
         assert_eq!(stat_or_na(Some(1.25), 2), "1.25");
         assert_eq!(stat_or_na(Some(3.0), 1), "3.0");
+    }
+
+    #[test]
+    fn zero_core_platforms_are_an_error_not_a_panic() {
+        // Regression: each of these reached `Platform::new(0)` and aborted
+        // with a backtrace; `scenarios --cores 0` printed an empty table.
+        // The core count is parsed before the trace is opened, so no file
+        // is needed.
+        for result in [
+            cmd_simulate(&args(&["t.swf", "0"])),
+            cmd_federate(&args(&["t.swf", "0"])),
+            cmd_train(&args(&["--cores", "0"])),
+            cmd_run(&args(&["--cores", "0"])),
+            cmd_scenarios(&args(&["--cores", "0"])),
+        ] {
+            let err = result.unwrap_err();
+            assert!(err.contains("at least one core"), "{err}");
+        }
+        assert_eq!(parse_cores("64"), Ok(64));
+        assert!(parse_cores("-1").is_err());
+    }
+
+    /// Write `jobs` as an SWF file under the temp dir and return its path.
+    fn swf_file(name: &str, jobs: Vec<Job>, cores: u32) -> String {
+        let path = std::env::temp_dir().join(format!("dynsched-{}-{name}.swf", std::process::id()));
+        let swf = write_swf_trace(&Trace::from_jobs(jobs), cores);
+        std::fs::write(&path, swf).unwrap();
+        path.to_string_lossy().into_owned()
+    }
+
+    #[test]
+    fn jobs_wider_than_the_platform_are_dropped_loudly() {
+        // Regression: a 3-job trace with one 16-core job on 8 cores
+        // printed "Scheduling 2 jobs" and nothing else.
+        assert_eq!(dropped_note(0, 8), None);
+        let note = dropped_note(1, 8).unwrap();
+        assert!(note.contains("1 job") && note.contains("8-core"), "{note}");
+        let jobs = vec![
+            Job::new(0, 0.0, 10.0, 10.0, 4),
+            Job::new(1, 1.0, 10.0, 10.0, 16),
+            Job::new(2, 2.0, 10.0, 10.0, 8),
+        ];
+        let path = swf_file("dropped", jobs, 16);
+        assert_eq!(load_capped(&path, 8).unwrap().len(), 2);
+        assert_eq!(load_capped(&path, 16).unwrap().len(), 3);
+        assert!(load_capped(&path, 2).is_err(), "nothing left to schedule");
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn simulate_equals_one_shard_federate() {
+        // WFP is time-dependent with a general residual and EASY backfills:
+        // `simulate` runs the compiled kernel like the federation does, and
+        // the 1-shard federation must print the same digits.
+        let jobs = (0..60u32)
+            .map(|i| {
+                let runtime = 50.0 + f64::from(i % 7) * 90.0;
+                Job::new(
+                    i,
+                    f64::from(i / 3) * 20.0,
+                    runtime,
+                    runtime * 1.5,
+                    1 + i % 6,
+                )
+            })
+            .collect();
+        let path = swf_file("one-shard", jobs, 8);
+        let flags = ["--policy", "WFP", "--backfill", "easy", "--estimates"];
+        let (single, _) =
+            run_simulate(&args(&[&[path.as_str(), "8"], &flags[..]].concat())).unwrap();
+        let federate_args = [&[path.as_str(), "8", "--shards", "1"], &flags[..]].concat();
+        let (federated, faulty, _) = run_federate(&args(&federate_args)).unwrap();
+        std::fs::remove_file(path).unwrap();
+        assert!(!faulty);
+        assert!(single.backfilled_jobs > 0, "the trace must exercise EASY");
+        assert_eq!(single.completed, federated.completed);
+        assert_eq!(
+            single.avg_bounded_slowdown(DEFAULT_TAU),
+            federated.avg_bounded_slowdown(DEFAULT_TAU)
+        );
+        assert_eq!(single.mean_wait(), federated.mean_wait());
+        assert_eq!(single.makespan, federated.makespan());
+        assert_eq!(single.backfilled_jobs, federated.backfilled_jobs());
     }
 }

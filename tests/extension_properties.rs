@@ -1,12 +1,11 @@
 //! Property tests for the post-initial-build extensions: walltime kills,
-//! deep reservations, transforms, and the streaming quantile. Cases are
-//! generated with the in-tree deterministic RNG (no crates.io access, so no
-//! proptest); failures report the case seed that reproduces them.
+//! deep reservations, and transforms. Cases are generated with the in-tree
+//! deterministic RNG (no crates.io access, so no proptest); failures
+//! report the case seed that reproduces them.
 
 use dynsched::cluster::{Job, Platform};
 use dynsched::policies::{paper_lineup, Fcfs};
 use dynsched::scheduler::{simulate, BackfillMode, QueueDiscipline, SchedulerConfig};
-use dynsched::simkit::quantile::P2Quantile;
 use dynsched::simkit::Rng;
 use dynsched::workload::transform::{rescale_platform, scale_load};
 use dynsched::workload::Trace;
@@ -126,25 +125,5 @@ fn rescale_platform_respects_bounds() {
                 assert_eq!(b.cores, 1, "case {case}");
             }
         }
-    }
-}
-
-#[test]
-fn p2_median_tracks_exact_median() {
-    for seed in 0..100u64 {
-        let mut rng = Rng::new(seed);
-        let xs: Vec<f64> = (0..2_000).map(|_| rng.next_f64() * 100.0).collect();
-        let mut p2 = P2Quantile::median();
-        for &x in &xs {
-            p2.push(x);
-        }
-        let mut sorted = xs.clone();
-        sorted.sort_by(f64::total_cmp);
-        let exact = sorted[1_000];
-        let est = p2.estimate().unwrap();
-        assert!(
-            (est - exact).abs() < 5.0,
-            "seed {seed}: est {est} exact {exact}"
-        );
     }
 }
