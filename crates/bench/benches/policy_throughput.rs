@@ -13,7 +13,7 @@
 //!    per event over SoA lanes.
 //! 2. **Single-job-delta re-scoring** — the incremental maintenance the
 //!    engine runs for uniform-aging residuals when one job arrives per
-//!    event: lane-blocked batch re-score + sortedness verify + binary
+//!    event: chunked batch re-score + sortedness verify + binary
 //!    insert, against the pre-incremental compiled path (scalar residual
 //!    loop + full re-sort every event).
 //! 3. **End-to-end simulation throughput** — full engine runs under a
@@ -283,7 +283,7 @@ fn regenerate() {
 
     // Single-job-delta re-scoring: one arrival per event on a standing
     // queue — the engine's incremental maintenance for uniform-aging
-    // residuals (lane-blocked re-score + verify + binary insert) against
+    // residuals (chunked batch re-score + verify + binary insert) against
     // the pre-incremental compiled path (scalar residual loop + full
     // re-sort every event). Orders and score bits must agree per event
     // before anything is timed.
@@ -355,7 +355,7 @@ fn regenerate() {
     println!(
         "single-job-delta re-scoring ({q0}->{queue_size} jobs, {delta_events} events):\n  \
          scalar + full sort:   {full_delta_secs:.5} s  ({:.0} events/s)\n  \
-         blocked + incremental: {inc_delta_secs:.5} s  ({:.0} events/s)\n  \
+         batch + incremental:  {inc_delta_secs:.5} s  ({:.0} events/s)\n  \
          speedup:   {delta_speedup:.2}x",
         delta_events as f64 / full_delta_secs,
         delta_events as f64 / inc_delta_secs,
@@ -413,7 +413,7 @@ fn regenerate() {
              \"queue_size_to\": {queue_size},\n    \
              \"delta_events\": {delta_events},\n    \
              \"scalar_full_sort\": {{ \"seconds\": {full_delta_secs:.5}, \"events_per_sec\": {:.0} }},\n    \
-             \"blocked_incremental\": {{ \"seconds\": {inc_delta_secs:.5}, \"events_per_sec\": {:.0} }},\n    \
+             \"batch_incremental\": {{ \"seconds\": {inc_delta_secs:.5}, \"events_per_sec\": {:.0} }},\n    \
              \"speedup\": {delta_speedup:.3},\n    \
              \"bit_identical\": true\n  }},\n  \
            \"end_to_end\": {{\n    \

@@ -238,8 +238,8 @@ impl Policy for Wfp3 {
 ///
 /// The literal formula divides by zero for serial jobs (`log2(1) = 0`); we
 /// use `log2(max(n, 2))` so serial jobs keep the strongest finite
-/// small-task preference without emitting ±∞/NaN (see DESIGN.md,
-/// "Faithfulness notes").
+/// small-task preference without emitting ±∞/NaN, which would corrupt
+/// the queue order.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Unicef;
 

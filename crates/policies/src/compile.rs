@@ -43,22 +43,26 @@
 //! policy; the scheduler's `compiled_bit_identity` suite pins whole
 //! simulations.
 //!
-//! # Lane-blocked execution
+//! # Chunked columnar execution
 //!
 //! [`CompiledPolicy::score_batch`] does not interpret the residual once
-//! per job: it walks the opcode list once per **block of [`LANES`] jobs**,
-//! keeping a stack of `[f64; LANES]` value rows (`Program::exec_block`)
-//! so each opcode's inner loop is a fixed-width, branch-free sweep the
-//! autovectorizer can keep in vector registers. The trailing `len %
-//! LANES` jobs run through the scalar machine. This is a pure execution
-//! reordering: lane `j` of every stack row holds exactly the value the
-//! scalar machine would have on its stack for job `base + j`, and every
-//! per-lane operation is the *same scalar call* ([`Func::eval`],
+//! per job: it walks the opcode list once per **chunk** of up to `CHUNK`
+//! consecutive jobs, and each opcode sweeps one contiguous `[f64]` row of
+//! a flat value stack held in [`BatchScratch`] (`Program::exec_rows`) —
+//! one dispatch per opcode per chunk, and an inner loop that is a plain
+//! slice sweep. A chunk's rows fit in L1 (`w`, the clamped `now - s`, is
+//! one more row, filled where the program loads it); the ragged last
+//! chunk is the same loop with a shorter row, so there is one execution
+//! path at every queue length. This is a pure execution reordering:
+//! element `j` of stack row `d` holds exactly the value the scalar
+//! machine would have at depth `d` for job `base + j`, and every
+//! per-element operation is the *same scalar call* ([`Func::eval`],
 //! [`BinOp::eval`], the raw opcodes) the scalar machine makes — NaN
 //! propagation, the division clamp, `max`/`clamp01` guards and the final
-//! NaN sanitizer all behave identically per lane, so blocked and scalar
-//! execution are bit-identical job by job (the `compile_properties` batch
-//! property pins this across block boundaries and tails).
+//! NaN sanitizer all behave identically per element, so chunked and
+//! scalar execution are bit-identical job by job at any vector width (the
+//! `compile_properties` batch property pins this across chunk boundaries,
+//! ragged tails and scratch reuse).
 //!
 //! # Residual classification
 //!
@@ -92,20 +96,19 @@ use crate::policy::Policy;
 use crate::task_view::TaskView;
 use std::fmt;
 
-/// Jobs processed per opcode step by the lane-blocked batch kernel. Eight
-/// `f64`s span one or two vector registers on every target the engine
-/// cares about (AVX-512 / AVX2 / NEON); the value is a throughput knob
-/// only — scores are bit-identical at any lane count.
-pub const LANES: usize = 8;
+/// Jobs swept per opcode step by the batch kernel: long enough to
+/// amortize the opcode dispatch, short enough that a residual's whole
+/// value stack stays in L1 (1 KiB a row). Throughput only — scores are
+/// bit-identical at any chunk length.
+const CHUNK: usize = 128;
 
-/// Reusable scratch for [`CompiledPolicy::score_batch`]: the blocked
-/// `[f64; LANES]` value stack plus the scalar stack for the tail jobs.
-/// Construct once per worker and hand to every batch call — after warm-up
-/// the kernel performs no allocation.
+/// Reusable scratch for [`CompiledPolicy::score_batch`]: the flat value
+/// stack of one chunk, `CHUNK` values per stack depth. Construct once per
+/// worker and hand to every batch call — after warm-up the kernel
+/// performs no allocation.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
-    block: Vec<[f64; LANES]>,
-    scalar: Vec<f64>,
+    rows: Vec<f64>,
 }
 
 impl BatchScratch {
@@ -430,88 +433,74 @@ impl Program {
         *a = f(*a, b);
     }
 
-    /// Execute on a block of [`LANES`] jobs at once: the stack holds
-    /// `[f64; LANES]` rows and every opcode sweeps its lanes in a
-    /// fixed-width inner loop (the shape the autovectorizer turns into
-    /// vector-register arithmetic). Lane `j` sees exactly the scalar
-    /// machine's value sequence for job `j` — each per-lane operation is
-    /// the identical scalar call, so blocked execution is bit-identical
-    /// to [`Program::exec`] per job. Leaves `self.outputs` rows on
-    /// `stack`; `slots` holds the block's `LANES` slot rows (row-major,
-    /// `stride` values each).
+    /// Execute on the chunk of jobs in `lanes` (`stride` slots a job) at
+    /// time `now`, all at once: `stack` is a flat value stack whose row `d`
+    /// is `stack[d * len..][..len]`, and every opcode sweeps whole rows.
+    /// Element `j` sees exactly the scalar machine's value sequence for job
+    /// `j` — each per-element operation is the identical scalar call, `w`
+    /// the [`TaskView::wait`] clamp — so this is bit-identical to
+    /// [`Program::exec`] per job. Leaves `self.outputs` rows at the bottom
+    /// of `stack`.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn exec_block(
-        &self,
-        r: &[f64; LANES],
-        n: &[f64; LANES],
-        s: &[f64; LANES],
-        w: &[f64; LANES],
-        slots: &[f64],
-        stride: usize,
-        stack: &mut Vec<[f64; LANES]>,
-    ) {
-        stack.clear();
-        stack.reserve(self.max_stack);
+    fn exec_rows(&self, lanes: ScoreLanes<'_>, now: f64, stride: usize, stack: &mut [f64]) {
+        let len = lanes.s.len();
+        // Start of the first free row; validation bounds it by `max_stack`.
+        let mut top = 0usize;
         for op in &self.ops {
             match *op {
-                OpCode::Const(c) => stack.push([c; LANES]),
-                OpCode::LoadR => stack.push(*r),
-                OpCode::LoadN => stack.push(*n),
-                OpCode::LoadS => stack.push(*s),
-                OpCode::LoadW => stack.push(*w),
+                OpCode::Const(c) => stack[top..top + len].fill(c),
+                OpCode::LoadR => stack[top..top + len].copy_from_slice(lanes.r),
+                OpCode::LoadN => stack[top..top + len].copy_from_slice(lanes.n),
+                OpCode::LoadS => stack[top..top + len].copy_from_slice(lanes.s),
+                OpCode::LoadW => {
+                    for (w, s) in stack[top..top + len].iter_mut().zip(lanes.s) {
+                        *w = (now - s).max(0.0);
+                    }
+                }
+                OpCode::LoadSlot(_) if stride == 1 => {
+                    stack[top..top + len].copy_from_slice(lanes.slots)
+                }
                 OpCode::LoadSlot(k) => {
-                    let mut v = [0.0; LANES];
-                    for (j, vj) in v.iter_mut().enumerate() {
-                        *vj = slots[j * stride + k as usize];
-                    }
-                    stack.push(v);
-                }
-                OpCode::Neg => {
-                    let a = stack.last_mut().expect("validated");
-                    for x in a {
-                        *x = -*x;
+                    let rows = lanes.slots.chunks_exact(stride);
+                    for (x, row) in stack[top..top + len].iter_mut().zip(rows) {
+                        *x = row[k as usize];
                     }
                 }
-                OpCode::Dup => stack.push(*stack.last().expect("validated")),
-                OpCode::Call(f) => {
-                    let a = stack.last_mut().expect("validated");
-                    for x in a {
-                        *x = f.eval(*x);
-                    }
-                }
-                OpCode::Clamp01 => {
-                    let a = stack.last_mut().expect("validated");
-                    for x in a {
-                        *x = x.clamp(0.0, 1.0);
-                    }
-                }
+                OpCode::Dup => stack.copy_within(top - len..top, top),
+                OpCode::Neg => Self::map_row(stack, top, len, |a| -a),
+                OpCode::Call(f) => Self::map_row(stack, top, len, |a| f.eval(a)),
+                OpCode::Clamp01 => Self::map_row(stack, top, len, |a| a.clamp(0.0, 1.0)),
                 OpCode::NanToMax => {
-                    let a = stack.last_mut().expect("validated");
-                    for x in a {
-                        if x.is_nan() {
-                            *x = f64::MAX;
-                        }
-                    }
+                    Self::map_row(stack, top, len, |a| if a.is_nan() { f64::MAX } else { a })
                 }
-                OpCode::Add => Self::bin_block(stack, |a, b| a + b),
-                OpCode::Sub => Self::bin_block(stack, |a, b| a - b),
-                OpCode::Mul => Self::bin_block(stack, |a, b| a * b),
-                OpCode::Div => Self::bin_block(stack, |a, b| BinOp::Div.eval(a, b)),
-                OpCode::DivRaw => Self::bin_block(stack, |a, b| a / b),
-                OpCode::Pow => Self::bin_block(stack, |a, b| BinOp::Pow.eval(a, b)),
-                OpCode::Max => Self::bin_block(stack, f64::max),
+                OpCode::Add => Self::zip_rows(stack, top, len, |a, b| a + b),
+                OpCode::Sub => Self::zip_rows(stack, top, len, |a, b| a - b),
+                OpCode::Mul => Self::zip_rows(stack, top, len, |a, b| a * b),
+                OpCode::Div => Self::zip_rows(stack, top, len, |a, b| BinOp::Div.eval(a, b)),
+                OpCode::DivRaw => Self::zip_rows(stack, top, len, |a, b| a / b),
+                OpCode::Pow => Self::zip_rows(stack, top, len, |a, b| BinOp::Pow.eval(a, b)),
+                OpCode::Max => Self::zip_rows(stack, top, len, f64::max),
             }
+            let (takes, gives) = op.arity();
+            top = top + gives * len - takes * len;
         }
-        debug_assert_eq!(stack.len(), self.outputs);
+        debug_assert_eq!(top, self.outputs * len);
     }
 
-    #[inline]
-    fn bin_block(stack: &mut Vec<[f64; LANES]>, f: impl Fn(f64, f64) -> f64) {
-        let b = stack.pop().expect("validated");
-        let a = stack.last_mut().expect("validated");
-        for (x, y) in a.iter_mut().zip(b) {
-            *x = f(*x, y);
+    /// Rewrite the top row in place.
+    #[inline(always)]
+    fn map_row(stack: &mut [f64], top: usize, len: usize, f: impl Fn(f64) -> f64) {
+        for x in &mut stack[top - len..top] {
+            *x = f(*x);
+        }
+    }
+
+    /// Fold the top row into the one below it: `a = f(a, b)`.
+    #[inline(always)]
+    fn zip_rows(stack: &mut [f64], top: usize, len: usize, f: impl Fn(f64, f64) -> f64) {
+        let (a, b) = stack[top - 2 * len..top].split_at_mut(len);
+        for (x, y) in a.iter_mut().zip(&*b) {
+            *x = f(*x, *y);
         }
     }
 }
@@ -680,10 +669,11 @@ impl CompiledPolicy {
     /// job `i`, `out[i]` becomes the score at time `now` with
     /// `w = (now - s[i]).max(0.0)` — the exact [`TaskView::wait`] clamp.
     ///
-    /// Full blocks of [`LANES`] jobs run through the lane-blocked machine
-    /// (`Program::exec_block`); the tail runs scalar. Both produce the
-    /// scalar path's exact bits per job (see the module docs). `scratch`
-    /// is reusable; no other memory is touched.
+    /// The queue is cut into chunks of up to `CHUNK` jobs and the
+    /// residual runs once per chunk over whole rows (`Program::exec_rows`);
+    /// every job gets the scalar path's exact bits (see the module docs).
+    /// Every element of `out` is overwritten. `scratch` is reusable; no
+    /// other memory is touched.
     ///
     /// # Panics
     /// Panics if the lane lengths disagree with `out` (or the slot lane
@@ -701,39 +691,20 @@ impl CompiledPolicy {
         assert_eq!(lanes.s.len(), len, "s lane length");
         assert_eq!(lanes.slots.len(), len * self.slot_count, "slot lane length");
         let k = self.slot_count;
-        let mut base = 0usize;
-        while base + LANES <= len {
-            let r: &[f64; LANES] = lanes.r[base..base + LANES].try_into().expect("block");
-            let n: &[f64; LANES] = lanes.n[base..base + LANES].try_into().expect("block");
-            let s: &[f64; LANES] = lanes.s[base..base + LANES].try_into().expect("block");
-            let mut w = [0.0; LANES];
-            for (wj, sj) in w.iter_mut().zip(s) {
-                *wj = (now - sj).max(0.0);
-            }
-            self.residual.exec_block(
-                r,
-                n,
-                s,
-                &w,
-                &lanes.slots[base * k..(base + LANES) * k],
-                k,
-                &mut scratch.block,
-            );
-            out[base..base + LANES].copy_from_slice(&scratch.block[0]);
-            base += LANES;
+        let rows = self.residual.max_stack * CHUNK;
+        if scratch.rows.len() < rows {
+            scratch.rows.resize(rows, 0.0);
         }
-        for (i, out_i) in out.iter_mut().enumerate().skip(base) {
-            let s = lanes.s[i];
-            let w = (now - s).max(0.0);
-            self.residual.exec(
-                lanes.r[i],
-                lanes.n[i],
-                s,
-                w,
-                &lanes.slots[i * k..(i + 1) * k],
-                &mut scratch.scalar,
-            );
-            *out_i = scratch.scalar[0];
+        for (c, out) in out.chunks_mut(CHUNK).enumerate() {
+            let at = c * CHUNK..c * CHUNK + out.len();
+            let chunk = ScoreLanes {
+                r: &lanes.r[at.clone()],
+                n: &lanes.n[at.clone()],
+                s: &lanes.s[at.clone()],
+                slots: &lanes.slots[at.start * k..at.end * k],
+            };
+            self.residual.exec_rows(chunk, now, k, &mut scratch.rows);
+            out.copy_from_slice(&scratch.rows[..out.len()]);
         }
     }
 }
@@ -972,8 +943,7 @@ mod tests {
             s: &s,
             slots: &slots,
         };
-        // 40 jobs = 5 full lane blocks and no tail; the property suite
-        // covers ragged tails.
+        // One short chunk; the property suite covers chunk boundaries.
         c.score_batch(&mut out, lanes, 500.0, &mut BatchScratch::new());
         for (i, v) in jobs.iter().enumerate() {
             assert_eq!(bits(out[i]), bits(c.score(v)), "job {i}");

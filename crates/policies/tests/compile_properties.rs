@@ -7,8 +7,8 @@
 
 use dynsched_policies::expr::{parse_expr, BinOp, Expr, Func, Var};
 use dynsched_policies::{
-    paper_lineup, BaseFunc, ExprPolicy, LearnedPolicy, MultiFactor, MultiFactorWeights,
-    NonlinearFunction, OpKind, Policy, TaskView,
+    paper_lineup, BaseFunc, BatchScratch, CompiledPolicy, ExprPolicy, LearnedPolicy, MultiFactor,
+    MultiFactorWeights, NonlinearFunction, OpKind, Policy, ScoreLanes, TaskView, Unicef, Wfp3,
 };
 use dynsched_simkit::Rng;
 
@@ -101,54 +101,114 @@ fn random_trees_compile_bit_identically() {
     }
 }
 
+/// Batch-score `views` at `now` through `scratch` and require, job by
+/// job, the exact bits of the scalar residual over the same slot row.
+/// `out` starts as NaN, so an element the kernel skipped cannot pass.
+fn assert_batch_matches_scalar(
+    compiled: &CompiledPolicy,
+    views: &[TaskView],
+    now: f64,
+    scratch: &mut BatchScratch,
+    what: &str,
+) {
+    let k = compiled.slot_count();
+    let (mut r, mut n, mut s, mut slots) = (vec![], vec![], vec![], vec![]);
+    let mut stack = Vec::new();
+    let mut row = vec![0.0; k];
+    for v in views {
+        r.push(v.processing_time);
+        n.push(v.cores as f64);
+        s.push(v.submit);
+        compiled.prefix_into(
+            v.processing_time,
+            v.cores as f64,
+            v.submit,
+            &mut row,
+            &mut stack,
+        );
+        slots.extend_from_slice(&row);
+    }
+    let mut out = vec![f64::NAN; views.len()];
+    compiled.score_batch(
+        &mut out,
+        ScoreLanes {
+            r: &r,
+            n: &n,
+            s: &s,
+            slots: &slots,
+        },
+        now,
+        scratch,
+    );
+    for (i, v) in views.iter().enumerate() {
+        let w = (now - s[i]).max(0.0);
+        let scalar = compiled.residual_score(r[i], n[i], s[i], w, &slots[i * k..][..k], &mut stack);
+        assert_eq!(
+            out[i].to_bits(),
+            scalar.to_bits(),
+            "{what}, {} jobs, job {i}",
+            views.len()
+        );
+        // ... which is the policy's score of that job at `now`.
+        let at_now = TaskView { now, ..*v };
+        assert_eq!(scalar.to_bits(), compiled.score(&at_now).to_bits());
+    }
+}
+
+/// Queue lengths on every side of the batch kernel's chunk length (128):
+/// empty, short, one job either side of one chunk, and of two.
+fn boundary_lengths() -> impl Iterator<Item = usize> {
+    (0..=39).chain(120..=140).chain(250..=270)
+}
+
 #[test]
 fn random_trees_batch_score_matches_scalar_path() {
-    use dynsched_policies::{BatchScratch, ScoreLanes};
     let mut rng = Rng::new(0x5C0AE5);
     let mut scratch = BatchScratch::new();
-    for case in 0..40u64 {
+    for len in boundary_lengths() {
         let expr = random_expr(&mut rng, 4);
         let compiled = ExprPolicy::from_expr("t", expr).compile().unwrap();
-        // Queue lengths sweep 0..=39: every lane-block/tail split shape
-        // (empty, tail-only, exact blocks, blocks + ragged tail) is hit,
-        // so a blocked-vs-scalar divergence cannot hide at a boundary.
-        let views: Vec<TaskView> = (0..case).map(|_| random_view(&mut rng)).collect();
+        let views: Vec<TaskView> = (0..len).map(|_| random_view(&mut rng)).collect();
         let now = views.iter().map(|v| v.now).fold(0.0, f64::max);
-        let (mut r, mut n, mut s, mut slots) = (vec![], vec![], vec![], vec![]);
-        let mut stack = Vec::new();
-        let mut row = vec![0.0; compiled.slot_count()];
-        for v in &views {
-            r.push(v.processing_time);
-            n.push(v.cores as f64);
-            s.push(v.submit);
-            compiled.prefix_into(
-                v.processing_time,
-                v.cores as f64,
-                v.submit,
-                &mut row,
-                &mut stack,
-            );
-            slots.extend_from_slice(&row);
-        }
-        let mut out = vec![0.0; views.len()];
-        compiled.score_batch(
-            &mut out,
-            ScoreLanes {
-                r: &r,
-                n: &n,
-                s: &s,
-                slots: &slots,
-            },
-            now,
-            &mut scratch,
-        );
-        for (i, v) in views.iter().enumerate() {
-            let at_now = TaskView { now, ..*v };
-            assert_eq!(
-                out[i].to_bits(),
-                compiled.score(&at_now).to_bits(),
-                "case {case}, job {i}"
-            );
+        assert_batch_matches_scalar(&compiled, &views, now, &mut scratch, "random tree");
+    }
+}
+
+#[test]
+fn batch_score_is_exact_across_chunk_boundaries_and_scratch_reuse() {
+    // The programs the engine batch-scores: WFP's `Dup Dup Mul Mul` cube,
+    // UNICEF, and two-slot residuals (the strided slot gather) — the
+    // multifactor sum and an aging expression with two hoisted subtrees.
+    let aging = parse_expr("log10(r)*n - 1.5e-2*w + 8.70e2*log10(s)").unwrap();
+    let programs: Vec<CompiledPolicy> = [
+        Box::new(Wfp3) as Box<dyn Policy>,
+        Box::new(Unicef),
+        Box::new(MultiFactor::default()),
+        Box::new(ExprPolicy::from_expr("aging", aging)),
+    ]
+    .iter()
+    .map(|p| p.compile().unwrap())
+    .collect();
+    assert!(programs[2].slot_count() > 1 && programs[3].slot_count() > 1);
+    let mut rng = Rng::new(0xC4A2C);
+    // One scratch for everything, longest queue first: a shorter call
+    // that read a stale row of a longer one would diverge here. Every
+    // fifth job arrives at `now`, so `w = 0` (WFP's `-0.0`) is in every
+    // chunk.
+    let mut scratch = BatchScratch::new();
+    let mut lengths: Vec<usize> = boundary_lengths().collect();
+    lengths.reverse();
+    let now = 1e7; // no `random_view` submit is later
+    for compiled in &programs {
+        for &len in &lengths {
+            let views: Vec<TaskView> = (0..len)
+                .map(|i| {
+                    let v = random_view(&mut rng);
+                    let submit = if i % 5 == 0 { now } else { v.submit };
+                    TaskView { submit, ..v }
+                })
+                .collect();
+            assert_batch_matches_scalar(compiled, &views, now, &mut scratch, compiled.name());
         }
     }
 }

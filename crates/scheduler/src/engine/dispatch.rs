@@ -3,6 +3,7 @@
 //! the incremental order past the jobs the pass started.
 
 use super::event_loop::Engine;
+use super::ordering::next_head;
 use super::{CompletionSink, EngineError, QueueOrder};
 use crate::config::BackfillMode;
 use crate::profile::clamp_release;
@@ -122,7 +123,8 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
             let mut blocked: Option<(usize, usize)> = None;
             for pos in 0..len {
                 let qi = if self.on_demand {
-                    self.next_head()
+                    next_head(&self.scratch.batch_scores, &self.st.queue, pos == 0)
+                        .expect("the pass visits at most one head per waiting entry")
                 } else {
                     self.ord(pos)
                 };

@@ -35,22 +35,20 @@ impl SimWorkspace {
         );
         let n_jobs = trace.len();
         let total_cores = config.platform.total_cores;
-        for i in 0..n_jobs {
-            assert!(
-                trace.cores(i) <= total_cores,
-                "job {} requests {} cores on a {}-core platform",
-                trace.id(i),
-                trace.cores(i),
-                total_cores
-            );
+        if let Some(i) = (0..n_jobs).find(|&i| trace.cores(i) > total_cores) {
+            return Err(EngineError::JobWiderThanPlatform {
+                job: trace.id(i),
+                cores: trace.cores(i),
+                platform_cores: total_cores,
+            });
         }
         if let QueueDiscipline::FixedOrder(ranks) = discipline {
-            assert!(
-                ranks.len() >= n_jobs,
-                "fixed order needs a rank per trace position ({} ranks, {} jobs)",
-                ranks.len(),
-                n_jobs
-            );
+            if ranks.len() < n_jobs {
+                return Err(EngineError::RankSliceTooShort {
+                    ranks: ranks.len(),
+                    jobs: n_jobs,
+                });
+            }
         }
 
         self.state.reset(n_jobs, config.platform);
@@ -189,7 +187,7 @@ pub(super) struct Engine<'a, 'b, K: CompletionSink, T: TraceSource> {
     pub(super) incremental: bool,
     /// Whether the pass picks each head on demand instead of reading a
     /// built order (general compiled residuals under strict or classic
-    /// EASY scheduling): see [`Engine::next_head`].
+    /// EASY scheduling): see `ordering::next_head`.
     pub(super) on_demand: bool,
     /// Preemption retry cap of the active fault schedule (`u32::MAX` for
     /// zero-fault runs, where it is never consulted).

@@ -89,8 +89,8 @@
 //! start the engine evaluates the policy's **wait-invariant prefix** once
 //! per trace position into a dense [`JobLanes`] row block (the per-job
 //! static part: everything depending only on `r`/`n`/`s`); each
-//! rescheduling event then re-scores the whole queue with one
-//! lane-blocked [`CompiledPolicy::score_batch`] pass over SoA input lanes
+//! rescheduling event then re-scores the whole queue with one chunked
+//! [`CompiledPolicy::score_batch`] pass over SoA input lanes
 //! maintained in lockstep with the queue — no vtable dispatch, no tree
 //! walk, and no per-job [`TaskView`] construction on the hot path. A
 //! *static* compiled policy (residual never reads `w`) skips the lanes
@@ -114,6 +114,10 @@
 //!   demand**, by one linear scan for the minimum score among the entries
 //!   it has not started yet, and stops asking at the first head that does
 //!   not fit — which, on a saturated machine, is usually the first one.
+//!   The scan compares scores as order-preserving integer keys
+//!   (`f64::total_cmp`'s bit transform, applied once per element), and
+//!   the first scan of a pass, which precedes every start, reads the
+//!   score lane alone and skips the queue entries' `started` flags.
 //!   EASY then sorts only the waiting jobs narrow enough to fit the cores
 //!   free at that moment: availability only falls during the backfill
 //!   scan and a job that does not fit is skipped without side effects, so
@@ -159,14 +163,34 @@ use crate::result::SimMetrics;
 use dynsched_cluster::{CompletedJob, Job, LedgerError};
 use dynsched_policies::{CompiledPolicy, Policy, TaskView};
 
-/// A structured engine failure: an internal inconsistency that previously
-/// panicked now surfaces as a diagnosable error. In a zero-fault run these
-/// states are unreachable (the engine checks
+/// A structured engine failure: inputs the engine cannot schedule (the
+/// first two variants, checked before the first event) or an
+/// internal inconsistency that previously panicked, surfaced as a
+/// diagnosable error. Given valid inputs, a zero-fault run cannot reach
+/// the inconsistency states (the engine checks
 /// [`CoreLedger::fits`](dynsched_cluster::CoreLedger::fits) before every
 /// allocation and releases exactly what it allocated); under fault
 /// injection they guard the revocable-capacity bookkeeping.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
+    /// A job requests more cores than the platform has: it could never
+    /// start (pre-filter with `Trace::capped_to`).
+    JobWiderThanPlatform {
+        /// Id of the first such job in trace order.
+        job: u32,
+        /// Cores it requests.
+        cores: u32,
+        /// Cores the platform has.
+        platform_cores: u32,
+    },
+    /// A [`QueueDiscipline::FixedOrder`] slice has fewer ranks than the
+    /// trace has jobs.
+    RankSliceTooShort {
+        /// Ranks supplied.
+        ranks: usize,
+        /// Jobs in the trace.
+        jobs: usize,
+    },
     /// A core-ledger operation failed (oversubscription or over-release).
     Ledger(LedgerError),
     /// The maintained release list disagreed with the running set: a
@@ -219,6 +243,18 @@ pub enum EngineError {
 impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            EngineError::JobWiderThanPlatform {
+                job,
+                cores,
+                platform_cores,
+            } => write!(
+                f,
+                "job {job} requests {cores} cores on a {platform_cores}-core platform"
+            ),
+            EngineError::RankSliceTooShort { ranks, jobs } => write!(
+                f,
+                "fixed order needs a rank per trace position ({ranks} ranks, {jobs} jobs)"
+            ),
             EngineError::Ledger(e) => write!(f, "core ledger error: {e}"),
             EngineError::ReleaseListInconsistent { idx, time } => write!(
                 f,

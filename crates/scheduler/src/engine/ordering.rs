@@ -4,7 +4,7 @@
 //! re-score then incremental / on-demand / full-sort (compiled).
 
 use super::event_loop::Engine;
-use super::{task_view, CompletionSink, EngineError, QueueDiscipline, QueueOrder};
+use super::{task_view, CompletionSink, EngineError, QueueDiscipline, QueueEntry, QueueOrder};
 use dynsched_policies::{CompiledPolicy, Policy, ScoreLanes};
 use dynsched_workload::TraceSource;
 
@@ -29,7 +29,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
     /// disciplines keep the queue itself priority-sorted, so the order is
     /// the identity; time-dependent policies read the order computed by
     /// [`Engine::reorder`] — which builds none under on-demand selection
-    /// ([`Engine::next_head`]).
+    /// ([`next_head`]).
     #[inline]
     pub(super) fn ord(&self, pos: usize) -> usize {
         debug_assert!(!self.on_demand, "on-demand selection builds no order");
@@ -67,7 +67,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
     }
 
     /// Re-score the queue for a time-dependent *compiled* policy — one
-    /// lane-blocked batch pass over the SoA lanes into `batch_scores` —
+    /// chunked batch pass over the SoA lanes into `batch_scores` —
     /// then bring the priority order of queue positions up to date as far
     /// as the pass that follows will read it.
     ///
@@ -79,7 +79,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
     /// (the module docs' *Compiled policy kernels* section describes the
     /// three paths): the verified-and-inserted standing order *is* that
     /// permutation, and so is the sequence of minima
-    /// [`Engine::next_head`] yields where no order is built at all.
+    /// [`next_head`] yields where no order is built at all.
     fn order_queue_compiled(&mut self, cp: &CompiledPolicy, now: f64) -> Result<(), EngineError> {
         let len = self.st.queue.len();
         if self.st.q_r.len() != len
@@ -92,7 +92,8 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
                 time: now,
             });
         }
-        self.scratch.batch_scores.clear();
+        // No zero-fill of the surviving prefix: the kernel overwrites
+        // every element.
         self.scratch.batch_scores.resize(len, 0.0);
         cp.score_batch(
             self.scratch.batch_scores.as_mut_slice(),
@@ -154,31 +155,6 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
         Ok(())
     }
 
-    /// On-demand head selection: the queue position the full-sort order
-    /// would hold next, i.e. the minimum of the not-yet-started entries
-    /// under `(score.total_cmp, queue position)`. One linear scan; the
-    /// strict `<` keeps the first of equal scores, which is the
-    /// lowest-position tie-break. Every entry ahead of it in that order
-    /// has been started by this pass, so successive calls walk the
-    /// unique sorted permutation without ever materializing it.
-    ///
-    /// Callers guarantee at least one waiting entry is left.
-    pub(super) fn next_head(&self) -> usize {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, (&s, e)) in self
-            .scratch
-            .batch_scores
-            .iter()
-            .zip(self.st.queue.iter())
-            .enumerate()
-        {
-            if !e.started && best.is_none_or(|(_, b)| s.total_cmp(&b).is_lt()) {
-                best = Some((i, s));
-            }
-        }
-        best.expect("a waiting entry is left").0
-    }
-
     /// Debug check that a static discipline's queue is in priority order.
     pub(super) fn queue_is_priority_sorted(&self) -> bool {
         match self.queue_order {
@@ -191,4 +167,46 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
             QueueOrder::TimeDependent => true,
         }
     }
+}
+
+/// On-demand head selection: the queue position the full-sort order
+/// would hold next, i.e. the minimum of the not-yet-started entries under
+/// `(score.total_cmp, queue position)`. One linear scan: scores compare
+/// as [`order_key`]s and `min_by_key` keeps the first of equal keys, which
+/// is the lowest-position tie-break. Every entry ahead of it in that
+/// order has been started by this pass, so successive calls walk the
+/// unique sorted permutation without ever materializing it.
+///
+/// `nothing_started` is the caller's word that no entry is started yet —
+/// true for the first head of a pass, where most passes stop — so that
+/// scan reads the 8-byte score lane alone, never the queue entries.
+/// `None` when no waiting entry is left.
+pub(super) fn next_head(
+    scores: &[f64],
+    queue: &[QueueEntry],
+    nothing_started: bool,
+) -> Option<usize> {
+    debug_assert_eq!(scores.len(), queue.len());
+    let keyed = scores.iter().map(|&s| order_key(s)).enumerate();
+    let head = if nothing_started {
+        debug_assert!(queue.iter().all(|e| !e.started));
+        keyed.min_by_key(|&(_, key)| key)
+    } else {
+        keyed
+            .zip(queue)
+            .filter(|(_, e)| !e.started)
+            .map(|(keyed, _)| keyed)
+            .min_by_key(|&(_, key)| key)
+    };
+    head.map(|(position, _)| position)
+}
+
+/// `f64::total_cmp`'s order as an integer: `order_key(a) < order_key(b)`
+/// iff `a.total_cmp(&b).is_lt()` (so `-0.0 < +0.0`, and equal bits give
+/// equal keys). It is `total_cmp`'s own bit transform, applied once per
+/// element instead of twice per comparison.
+#[inline]
+pub(super) fn order_key(score: f64) -> i64 {
+    let bits = score.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }

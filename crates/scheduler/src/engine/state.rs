@@ -132,7 +132,7 @@ pub(super) struct Scratch {
     pub(super) batch_scores: Vec<f64>,
     /// Bytecode VM stack.
     pub(super) vm_stack: Vec<f64>,
-    /// Lane-blocked batch-kernel scratch (block stack + scalar tail).
+    /// Batch-kernel scratch (one chunk's value-stack rows).
     pub(super) batch_scratch: BatchScratch,
     /// Prefix slot row for scoring a static compiled policy at enqueue
     /// (its scores never change, so no per-trace lanes exist).

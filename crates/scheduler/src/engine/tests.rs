@@ -287,6 +287,32 @@ fn short_rank_slice_panics() {
 }
 
 #[test]
+fn try_run_reports_unschedulable_inputs_as_errors() {
+    // The same two inputs through the structured surface: an error
+    // value, not a panic, and the workspace stays usable.
+    let mut ws = SimWorkspace::new();
+    let wide = Trace::from_jobs(vec![job(0, 0.0, 1.0, 2), job(7, 1.0, 1.0, 64)]);
+    assert_eq!(
+        ws.try_run(&wide, &QueueDiscipline::Policy(&Fcfs), &cfg(4)),
+        Err(EngineError::JobWiderThanPlatform {
+            job: 7,
+            cores: 64,
+            platform_cores: 4,
+        })
+    );
+    let two = Trace::from_jobs(vec![job(0, 0.0, 1.0, 1), job(1, 0.0, 1.0, 1)]);
+    assert_eq!(
+        ws.try_run(&two, &QueueDiscipline::FixedOrder(&[0]), &cfg(4)),
+        Err(EngineError::RankSliceTooShort { ranks: 1, jobs: 2 })
+    );
+    assert_eq!(
+        ws.try_run(&two, &QueueDiscipline::FixedOrder(&[1, 0]), &cfg(4)),
+        Ok(())
+    );
+    assert_eq!(ws.completed().len(), 2);
+}
+
+#[test]
 fn determinism_same_inputs_same_schedule() {
     let jobs: Vec<Job> = (0..40)
         .map(|i| {
@@ -534,6 +560,47 @@ fn on_demand_selection_builds_no_order() {
             on_demand,
             "{backfill:?}, depth {depth}"
         );
+    }
+}
+
+#[test]
+fn on_demand_heads_walk_the_full_sort_order() {
+    // Marking each returned head started, `next_head` must enumerate the
+    // queue in exactly the order of a full sort by `(score.total_cmp,
+    // position)` — through equal scores (lowest position first), both
+    // zeros (`-0.0` sorts first; WFP scores `-0.0` at `w = 0`),
+    // negatives, `f64::MAX` and the infinities.
+    use super::ordering::next_head;
+    use super::QueueEntry;
+    const INF: f64 = f64::INFINITY;
+    const MAX: f64 = f64::MAX;
+    let vectors: [&[f64]; 4] = [
+        &[3.0, -0.0, 0.0, -2.5, 3.0, MAX, -0.0, INF, 0.0],
+        &[-INF, -1e300, -INF, -MAX, -1e-300],
+        &[0.0, -0.0, 0.0, -0.0],
+        &[7.0],
+    ];
+    for scores in vectors {
+        let mut queue: Vec<QueueEntry> = (0..scores.len() as u32)
+            .map(|idx| QueueEntry {
+                idx,
+                job: job(idx, 0.0, 1.0, 1),
+                started: false,
+            })
+            .collect();
+        let mut sorted: Vec<usize> = (0..scores.len()).collect();
+        sorted.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]).then(a.cmp(&b)));
+        for (taken, &expected) in sorted.iter().enumerate() {
+            assert_eq!(
+                next_head(scores, &queue, taken == 0),
+                Some(expected),
+                "{scores:?}, head {taken}"
+            );
+            // The general scan agrees with the score-lane-only one.
+            assert_eq!(next_head(scores, &queue, false), Some(expected));
+            queue[expected].started = true;
+        }
+        assert_eq!(next_head(scores, &queue, false), None);
     }
 }
 

@@ -33,9 +33,11 @@ pub struct SimWorkspace {
     utilization: f64,
 }
 
-/// Unwrap the outcome of a run without a fault schedule.
+/// Unwrap the outcome of a run without a fault schedule: given valid
+/// inputs it cannot reach an engine error, and the panicking entry points
+/// document the invalid ones — the message is the error's `Display`.
 fn zero_fault<R>(outcome: Result<R, EngineError>) -> R {
-    outcome.expect("zero-fault simulation cannot reach an engine error")
+    outcome.unwrap_or_else(|e| panic!("{e}"))
 }
 
 impl SimWorkspace {
@@ -65,9 +67,11 @@ impl SimWorkspace {
         zero_fault(self.try_run(trace, discipline, config));
     }
 
-    /// Fallible form of [`SimWorkspace::run`]. In a zero-fault run every
-    /// [`EngineError`] state is unreachable, so this only exists for
-    /// callers that want the structured error surface instead of a panic.
+    /// Fallible form of [`SimWorkspace::run`]: the inputs `run` panics on
+    /// come back as [`EngineError::JobWiderThanPlatform`] and
+    /// [`EngineError::RankSliceTooShort`], before the first event. Given
+    /// valid inputs every other [`EngineError`] state is unreachable in a
+    /// zero-fault run.
     pub fn try_run<T: TraceSource>(
         &mut self,
         trace: &T,
@@ -91,8 +95,9 @@ impl SimWorkspace {
     /// and [`SimWorkspace::abandoned`], and ride along in
     /// [`SimWorkspace::result`].
     ///
-    /// # Panics
-    /// See [`SimWorkspace::run`].
+    /// # Errors
+    /// The inputs [`SimWorkspace::run`] panics on, as in
+    /// [`SimWorkspace::try_run`], plus the bookkeeping guards.
     pub fn run_faulty<T: TraceSource>(
         &mut self,
         trace: &T,
@@ -134,8 +139,9 @@ impl SimWorkspace {
     /// from the run. The AVEbsld sum covers completed jobs only — an
     /// abandoned job has no finish time to score.
     ///
-    /// # Panics
-    /// See [`SimWorkspace::run`].
+    /// # Errors
+    /// The inputs [`SimWorkspace::run`] panics on, as in
+    /// [`SimWorkspace::try_run`], plus the bookkeeping guards.
     pub fn run_metrics_faulty<T: TraceSource>(
         &mut self,
         trace: &T,

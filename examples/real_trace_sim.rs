@@ -3,7 +3,8 @@
 //!
 //! By default this uses the synthetic stand-ins for the four Parallel
 //! Workloads Archive platforms of Table 5 (Curie, ANL Intrepid, SDSC Blue,
-//! CTC SP2) — see DESIGN.md for the substitution rationale. If you have a
+//! CTC SP2) — the build is offline and cannot fetch the archive logs, so
+//! `workload::archive` synthesizes each platform's trace. If you have a
 //! real SWF log, pass it directly and the identical code path runs on it:
 //!
 //!   cargo run --release --example real_trace_sim                  # stand-ins

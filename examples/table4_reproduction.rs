@@ -7,7 +7,8 @@
 //!   DYNSCHED_FULL=1 cargo run --release --example table4_reproduction
 //!                                             # the paper's 10 x 15-day protocol
 //!
-//! Absolute values depend on the workload calibration (see DESIGN.md);
+//! Absolute values depend on the workload calibration (the Lublin
+//! model's constants follow the published description, not `lublin99.c`);
 //! the comparison to check is the *shape*: F1–F4 ≪ ad-hoc policies, the
 //! ordering among F's, and the compression of the gap under backfilling.
 

@@ -12,8 +12,8 @@
 //! * [`mlreg`] — weighted nonlinear regression and function enumeration;
 //! * [`core`] — the end-to-end training pipeline and experiment harness.
 //!
-//! See `examples/quickstart.rs` for a five-minute tour and `DESIGN.md` for
-//! the full system inventory and experiment index.
+//! See `examples/quickstart.rs` for a five-minute tour; each member
+//! crate's module docs are the system inventory.
 
 pub use dynsched_cluster as cluster;
 pub use dynsched_core as core;

@@ -1,6 +1,6 @@
 //! Property-based tests of the scheduling substrate.
 //!
-//! These check the invariants DESIGN.md promises on randomly generated
+//! These check the substrate's invariants on randomly generated
 //! workloads: schedule legality (no early starts, exact runtimes, full
 //! completion), metric bounds, score-distribution normalization, SWF and
 //! expression round-trips. Cases are generated with the in-tree
