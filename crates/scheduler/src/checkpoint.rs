@@ -28,9 +28,10 @@
 //! has: the pending completion-event queue (including its FIFO tie-break
 //! sequence), the waiting queue with its SoA priority keys, the maintained
 //! incremental order and its synchronization watermark, the blocked-head
-//! fact, the sorted release list, the compiled batch-scoring input lanes,
-//! per-job start times, the core ledger (capacity state plus its
-//! busy/offline integrals), the completion prefix, the arrival cursor, and
+//! fact, the sorted release list, the narrowest-waiter width, the
+//! compiled batch-scoring input lanes, per-job start times, the core
+//! ledger (capacity state plus its busy/offline integrals), the
+//! completion prefix, the arrival cursor, and
 //! the event/backfill counters. What it deliberately does *not* capture is
 //! state the engine rebuilds from scratch at every use — the availability
 //! profile and its release scratch (rebuilt from the release list at every

@@ -171,9 +171,10 @@ pub(super) struct Engine<'a, 'b, K: CompletionSink, T: TraceSource> {
     pub(super) discipline: &'a QueueDiscipline<'b>,
     pub(super) config: &'a SchedulerConfig,
     pub(super) queue_order: QueueOrder,
-    /// Whether the maintained release list is needed at all: only the
-    /// backfilling modes ever read it, so under [`BackfillMode::None`] the
-    /// engine skips its upkeep entirely.
+    /// Whether the run backfills at all, and with it whether the two
+    /// things only backfilling passes read are kept up: the maintained
+    /// release list and the narrowest-waiter width. Under
+    /// [`BackfillMode::None`] the engine skips the upkeep of both.
     pub(super) track_releases: bool,
     /// Whether the no-op reschedule skip may ever fire (strict mode with a
     /// static queue order).
@@ -332,6 +333,9 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
             job,
             started: false,
         };
+        if self.track_releases {
+            self.st.narrowest = self.st.narrowest.min(job.cores);
+        }
         if self.queue_order == QueueOrder::TimeDependent {
             self.st.queue.push(entry);
             self.st.q_keys.push(0.0);

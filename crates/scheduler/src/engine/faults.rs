@@ -98,5 +98,6 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
         self.st.q_slots.clear();
         self.st.order.clear();
         self.st.known = 0;
+        self.st.narrowest = u32::MAX;
     }
 }

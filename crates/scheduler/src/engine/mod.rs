@@ -68,8 +68,8 @@
 //!
 //! # Reschedule fast paths
 //!
-//! Two structural optimizations keep grid-scale evaluation cheap without
-//! changing any observable schedule (both are proven bit-identical against
+//! Three structural optimizations keep grid-scale evaluation cheap without
+//! changing any observable schedule (all are proven bit-identical against
 //! [`crate::reference`]):
 //!
 //! * **No-op reschedule skip.** Under [`BackfillMode::None`] with a static
@@ -81,6 +81,26 @@
 //!   rank or cached score) lives in a dense `Vec<f64>` parallel to the
 //!   entry list, so the binary-search insertions and sortedness scans touch
 //!   8-byte keys instead of full queue entries.
+//! * **Narrowest-waiter gate.** In every backfilling mode a job starts
+//!   only if its cores are free *now*, so a pass entered with fewer free
+//!   cores than the narrowest waiting job asks for starts nothing — and
+//!   leaves nothing else behind either: the profile and its reservations
+//!   are per-pass scratch, and a priority order is rebuilt (or verified
+//!   under fresh scores) by the next pass that runs. The engine keeps
+//!   that width (`SimState::narrowest`: lowered at enqueue, recomputed
+//!   over the survivors after each compaction) and returns before the
+//!   re-score, the profile rebuild and the reservations. The
+//!   conservative loop stops on the same test once its starts have used
+//!   the free cores up: a reservation that does not start now is only
+//!   observable through a later job that could. (Deep EASY has the entry
+//!   gate only — no benchmark workload runs a depth above 1, so a cut
+//!   there would be unmeasured.) Within a pass the width may be stale —
+//!   too *low*, after a waiter of that width started — which only makes
+//!   the test fire later than it could, never wrongly: every remaining
+//!   waiter is at least that wide. The width is tracked exactly where the
+//!   release list is (`track_releases`: `backfill != None`); the strict
+//!   mode has its own blocked-head skip and would pay the upkeep for
+//!   nothing. The oracle runs every pass in full.
 //!
 //! # Compiled policy kernels
 //!

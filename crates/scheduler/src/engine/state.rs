@@ -44,6 +44,13 @@ pub(crate) struct SimState {
     pub(crate) head_blocked: bool,
     /// Maintained sorted releases of the running set.
     pub(crate) releases: Vec<Release>,
+    /// Fewest cores any waiting job asks for (`u32::MAX` on an empty
+    /// queue), maintained in the backfilling modes only: while fewer cores
+    /// than this are free no mode can start anything, and the pass is
+    /// skipped. Lowered at enqueue, recomputed over the survivors by the
+    /// compaction: exact between passes; within a pass it can only be too
+    /// low, once a waiter of this width has started.
+    pub(crate) narrowest: u32,
     /// Queue-parallel SoA input lanes for compiled batch scoring
     /// (decision-mode `r`, `n`, `s`), maintained in lockstep with `queue`
     /// only for time-dependent compiled disciplines.
@@ -76,6 +83,7 @@ impl SimState {
         self.known = 0;
         self.head_blocked = false;
         self.releases.clear();
+        self.narrowest = u32::MAX;
         self.q_r.clear();
         self.q_n.clear();
         self.q_s.clear();
@@ -101,6 +109,7 @@ impl SimState {
         self.known = src.known;
         self.head_blocked = src.head_blocked;
         self.releases.clone_from(&src.releases);
+        self.narrowest = src.narrowest;
         self.q_r.clone_from(&src.q_r);
         self.q_n.clone_from(&src.q_n);
         self.q_s.clone_from(&src.q_s);

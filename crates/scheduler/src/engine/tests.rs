@@ -730,3 +730,118 @@ fn workspace_accessors_match_result() {
     );
     assert_eq!(ws.avg_bounded_slowdown_of(&|_| false, 10.0), None);
 }
+
+#[test]
+fn swf_widths_beyond_u32_are_wider_than_any_platform() {
+    // A record asking for 2^32 + 1 processors used to wrap to a 1-core
+    // job and be simulated; saturated, the engine refuses it up front.
+    let trace = dynsched_workload::parse_swf_trace(
+        "9 0 5 100 4294967297 -1 -1 4 200 -1 1 3 1 -1 1 1 -1 -1\n",
+    )
+    .unwrap();
+    assert_eq!(
+        SimWorkspace::new().try_run(&trace, &QueueDiscipline::Policy(&Fcfs), &cfg(u32::MAX - 1)),
+        Err(EngineError::JobWiderThanPlatform {
+            job: 0,
+            cores: u32::MAX,
+            platform_cores: u32::MAX - 1,
+        })
+    );
+}
+
+#[test]
+fn gated_passes_are_unobservable() {
+    // The backfilling modes skip a pass entered with fewer free cores
+    // than the narrowest waiter asks for, and cut a conservative pass
+    // short once its starts have used the free cores up. On an 8-core
+    // machine: job 0 pins it exactly full over three arrivals (gate
+    // armed, the narrowest width falling 4 → 2); at t=100 the narrowest
+    // waiter starts and the width is recomputed (6, with 2 cores free:
+    // armed again); a narrower 1-core arrival re-opens the pass; and in
+    // the faulty runs a capacity drop at t=100.5 kills the youngest
+    // starts, so the former narrowest waiter is requeued beside the wide
+    // one. Job 8 pins the machine full a second time, late. Every
+    // schedule must equal the oracle's, whose profile and passes are
+    // ungated.
+    use crate::reference::{simulate_reference, simulate_reference_faulty};
+    use dynsched_cluster::{AvailabilitySchedule, CapacityStep};
+    use dynsched_policies::{LearnedPolicy, Policy, Unicef, Wfp3};
+    let trace = Trace::from_jobs(vec![
+        Job::new(0, 0.0, 100.0, 150.0, 8),
+        Job::new(1, 1.0, 50.0, 60.0, 4),
+        Job::new(2, 2.0, 30.0, 45.0, 2),
+        Job::new(3, 3.0, 20.0, 20.0, 6),
+        Job::new(4, 101.0, 10.0, 25.0, 1),
+        Job::new(5, 102.0, 5.0, 5.0, 2),
+        Job::new(6, 103.0, 200.0, 260.0, 1),
+        Job::new(7, 104.0, 15.0, 15.0, 3),
+        Job::new(8, 140.0, 40.0, 40.0, 8),
+        Job::new(9, 141.0, 10.0, 12.0, 1),
+        Job::new(10, 142.0, 10.0, 12.0, 2),
+    ]);
+    let schedule = AvailabilitySchedule::from_steps(
+        vec![
+            CapacityStep {
+                time: 100.5,
+                capacity: 5,
+            },
+            CapacityStep {
+                time: 120.0,
+                capacity: 8,
+            },
+        ],
+        3,
+    );
+    let policies: [(&str, &dyn Policy); 4] = [
+        ("FCFS", &Fcfs),
+        ("F1", &LearnedPolicy::f1()),
+        ("WFP", &Wfp3),
+        ("UNI", &Unicef),
+    ];
+    let mut ws = SimWorkspace::new();
+    let mut ckpt = Checkpoint::new();
+    for (backfill, depth) in [
+        (BackfillMode::Aggressive, 1),
+        (BackfillMode::Aggressive, 3),
+        (BackfillMode::Conservative, 1),
+    ] {
+        let mut config = SchedulerConfig::user_estimates(Platform::new(8));
+        config.backfill = backfill;
+        config.reservation_depth = depth;
+        for (name, policy) in policies {
+            let what = format!("{name}, {backfill:?}, depth {depth}");
+            let compiled = policy.compile().expect("every built-in compiles");
+            let discipline = QueueDiscipline::Compiled(&compiled);
+
+            let scratch = simulate(&trace, &discipline, &config);
+            assert_eq!(
+                scratch,
+                simulate_reference(&trace, &discipline, &config),
+                "{what}"
+            );
+
+            ws.run_faulty(&trace, &discipline, &config, &schedule)
+                .unwrap();
+            let faulty = ws.result();
+            assert!(faulty.preempted_jobs > 0, "{what}: the drop must bite");
+            assert_eq!(
+                faulty,
+                simulate_reference_faulty(&trace, &discipline, &config, &schedule),
+                "{what}, faulty"
+            );
+
+            // Checkpoint bit-identity with the horizon falling while the
+            // gate is armed: machine full behind job 0 at 3.5; after the
+            // recompute at 100.5 (FCFS started jobs 1 and 2, job 3 waits).
+            for (horizon, narrowest, free) in [(3.5, 2, 0), (100.5, 6, 2)] {
+                ws.run_prefix(&trace, &discipline, &config, horizon, &mut ckpt);
+                if horizon < 100.0 || name == "FCFS" {
+                    assert_eq!(ckpt.state.narrowest, narrowest, "{what}");
+                    assert_eq!(ckpt.state.ledger.available(), free, "{what}");
+                }
+                ws.resume_from(&ckpt, &trace, &discipline, &config);
+                assert_eq!(ws.result(), scratch, "{what}, resumed from {horizon}");
+            }
+        }
+    }
+}

@@ -482,9 +482,9 @@ fn reschedule(
             let QueueEntry { idx, job, .. } = queue[qi];
             let duration = config.decision_time(job.runtime, job.estimate).max(1e-9);
             let start = profile
-                .earliest_fit(job.cores, duration)
+                .earliest_fit_scan(job.cores, duration)
                 .expect("job width pre-checked against platform");
-            profile.reserve(start, start + duration, job.cores);
+            profile.reserve_scan(start, start + duration, job.cores);
             if start == now {
                 start_job(idx, job, ledger, running, events);
                 started[qi] = true;
@@ -520,15 +520,15 @@ fn reschedule(
                     let QueueEntry { idx, job, .. } = queue[qi];
                     let duration = config.decision_time(job.runtime, job.estimate).max(1e-9);
                     let start = profile
-                        .earliest_fit(job.cores, duration)
+                        .earliest_fit_scan(job.cores, duration)
                         .expect("job width pre-checked against platform");
                     if start == now {
-                        profile.reserve(start, start + duration, job.cores);
+                        profile.reserve_scan(start, start + duration, job.cores);
                         start_job(idx, job, ledger, running, events);
                         started[qi] = true;
                         *backfilled += 1;
                     } else if reservations < config.reservation_depth {
-                        profile.reserve(start, start + duration, job.cores);
+                        profile.reserve_scan(start, start + duration, job.cores);
                         reservations += 1;
                     }
                 }
@@ -628,10 +628,10 @@ fn reschedule_faulty(
         for (rank, &qi) in order.iter().enumerate() {
             let QueueEntry { idx, job, .. } = queue[qi];
             let duration = config.decision_time(job.runtime, job.estimate).max(1e-9);
-            let Some(start) = profile.earliest_fit(job.cores, duration) else {
+            let Some(start) = profile.earliest_fit_scan(job.cores, duration) else {
                 continue; // wider than current capacity: wait for a restore
             };
-            profile.reserve(start, start + duration, job.cores);
+            profile.reserve_scan(start, start + duration, job.cores);
             if start == now {
                 start_job(idx, job, ledger, running, events);
                 started[qi] = true;
@@ -661,16 +661,16 @@ fn reschedule_faulty(
                 for &qi in &order[head_pos..] {
                     let QueueEntry { idx, job, .. } = queue[qi];
                     let duration = config.decision_time(job.runtime, job.estimate).max(1e-9);
-                    let Some(start) = profile.earliest_fit(job.cores, duration) else {
+                    let Some(start) = profile.earliest_fit_scan(job.cores, duration) else {
                         continue;
                     };
                     if start == now {
-                        profile.reserve(start, start + duration, job.cores);
+                        profile.reserve_scan(start, start + duration, job.cores);
                         start_job(idx, job, ledger, running, events);
                         started[qi] = true;
                         *backfilled += 1;
                     } else if reservations < config.reservation_depth {
-                        profile.reserve(start, start + duration, job.cores);
+                        profile.reserve_scan(start, start + duration, job.cores);
                         reservations += 1;
                     }
                 }

@@ -110,7 +110,10 @@ impl SwfRecord {
     /// estimate = requested time, falling back to the actual run time.
     ///
     /// Returns `None` for records unusable in a rigid-job simulation
-    /// (missing run time or processor count, or zero processors).
+    /// (missing run time or processor count, zero processors, or a time
+    /// field that is NaN or overflowed to infinity). A processor count
+    /// beyond `u32` saturates to `u32::MAX`, so it reads as wider than any
+    /// platform instead of wrapping to a narrow job.
     pub fn to_job(&self, id: u32) -> Option<Job> {
         let cores = if self.allocated_procs > 0 {
             self.allocated_procs
@@ -120,12 +123,9 @@ impl SwfRecord {
         if cores <= 0 {
             return None;
         }
-        // NaN run times / submits are unusable too, hence the negated form.
-        if self.run_time.is_nan()
-            || self.run_time < 0.0
-            || self.submit.is_nan()
-            || self.submit < 0.0
-        {
+        // `1e400` parses to `inf`, which `Job::new` rejects like NaN.
+        let usable = |t: f64| t.is_finite() && t >= 0.0;
+        if !usable(self.run_time) || !usable(self.submit) || self.requested_time == f64::INFINITY {
             return None;
         }
         let runtime = self.run_time.max(1.0);
@@ -134,7 +134,8 @@ impl SwfRecord {
         } else {
             runtime
         };
-        Some(Job::new(id, self.submit, runtime, estimate, cores as u32))
+        let cores = u32::try_from(cores).unwrap_or(u32::MAX);
+        Some(Job::new(id, self.submit, runtime, estimate, cores))
     }
 }
 
@@ -532,6 +533,36 @@ mod tests {
         // Job 2 has no run time; job 3 has zero procs. Only job 1 survives.
         assert_eq!(trace.jobs().len(), 1);
         assert_eq!(trace.jobs()[0].cores, 4);
+    }
+
+    /// `1e400` overflows to `inf` in each time field: the record is
+    /// dropped, not handed to `Job::new`'s asserts.
+    #[test]
+    fn overflowed_time_fields_make_a_record_unusable() {
+        let ok = "1 0 5 100 4 -1 -1 4 200 -1 1 3 1 -1 1 1 -1 -1\n";
+        for (field, name) in [(1, "submit"), (3, "run time"), (8, "requested time")] {
+            let mut fields: Vec<&str> = ok.split_whitespace().collect();
+            fields[field] = "1e400";
+            let line = format!("{}\n{ok}", fields.join(" "));
+            let (_, records) = parse_swf(&line).unwrap();
+            assert!(records[0].to_job(0).is_none(), "overflowed {name}");
+            let trace = parse_swf_trace(&line).unwrap();
+            assert_eq!(trace.jobs().len(), 1, "overflowed {name}");
+        }
+    }
+
+    /// 2^32 + 1 processors must not wrap to a 1-core job: the width
+    /// saturates, so capping drops it and the engine refuses it.
+    #[test]
+    fn processor_counts_beyond_u32_saturate() {
+        for line in [
+            "1 0 5 100 4294967297 -1 -1 4 200 -1 1 3 1 -1 1 1 -1 -1\n",
+            "1 0 5 100 -1 -1 -1 4294967297 200 -1 1 3 1 -1 1 1 -1 -1\n",
+        ] {
+            let trace = parse_swf_trace(line).unwrap();
+            assert_eq!(trace.jobs()[0].cores, u32::MAX);
+            assert!(trace.capped_to(1 << 20).jobs().is_empty());
+        }
     }
 
     #[test]
