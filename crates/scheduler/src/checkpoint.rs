@@ -26,7 +26,9 @@
 //! Everything the event loop reads or writes, at the instant every event
 //! strictly before the horizon has been processed and none at or after it
 //! has: the pending completion-event queue (including its FIFO tie-break
-//! sequence), the waiting queue with its SoA priority keys, the maintained
+//! sequence), the waiting queue with its SoA priority keys (the live
+//! window only: entries a static-order pass left behind its `head` cursor
+//! are not copied, and a captured or restored cursor is 0), the maintained
 //! incremental order and its synchronization watermark, the blocked-head
 //! fact, the sorted release list, the narrowest-waiter width, the
 //! compiled batch-scoring input lanes, per-job start times, the core

@@ -1,6 +1,8 @@
 //! One rescheduling pass: the strict policy starts, the three backfilling
-//! variants, and the compaction that carries the queue, its SoA lanes and
-//! the incremental order past the jobs the pass started.
+//! variants, and what takes the jobs the pass started out of the queue — a
+//! cursor moved over the front of the live window under a static order,
+//! the compaction that carries the queue, its SoA lanes and the
+//! incremental order under a time-dependent one.
 
 use super::event_loop::Engine;
 use super::ordering::next_head;
@@ -86,7 +88,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
     }
 
     pub(super) fn reschedule(&mut self, now: f64) -> Result<(), EngineError> {
-        if self.st.queue.is_empty() {
+        if self.st.waiting().is_empty() {
             return Ok(());
         }
         if self.st.head_blocked {
@@ -95,13 +97,13 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
             // arrival ahead of it). The strict pass would stop at the same
             // head immediately — a guaranteed no-op, so skip it.
             debug_assert!(self.skip_eligible);
-            debug_assert!(!self.st.ledger.fits(self.st.queue[0].job.cores));
+            debug_assert!(!self.st.ledger.fits(self.st.waiting()[0].job.cores));
             return Ok(());
         }
         if self.track_releases {
             debug_assert_eq!(
                 Some(self.st.narrowest),
-                self.st.queue.iter().map(|e| e.job.cores).min(),
+                self.st.waiting().iter().map(|e| e.job.cores).min(),
                 "narrowest-waiter width out of step with the queue"
             );
             if self.starved() {
@@ -119,7 +121,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
         } else {
             debug_assert!(self.queue_is_priority_sorted());
         }
-        let len = self.st.queue.len();
+        let len = self.st.waiting().len();
         let mut any_started = false;
 
         if self.config.backfill == BackfillMode::Conservative {
@@ -266,15 +268,65 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
         }
 
         if any_started {
-            self.compact();
+            if self.queue_order == QueueOrder::TimeDependent {
+                self.compact();
+            } else {
+                self.advance_window();
+            }
         }
         Ok(())
     }
 
-    /// Drop the entries the pass started: compact `queue` and its SoA key
-    /// array in lockstep — plus the compiled batch-scoring input lanes and
-    /// the incremental order when they are maintained.
+    /// Static orders: take the entries the pass started out of the live
+    /// window. The queue is the priority order and the strict pass starts
+    /// in that order up to the first job that does not fit, so its starts
+    /// are a leading run of the window: the cursor moves over them and no
+    /// entry moves. A backfilling pass may also have started jobs behind
+    /// the blocked head; those are compacted out inside the window. Either
+    /// way the survivors are the sequence a full rewrite would have left
+    /// (module docs, *Live window*).
+    fn advance_window(&mut self) {
+        let st = &mut *self.st;
+        let mut head = st.head;
+        while st.queue.get(head).is_some_and(|e| e.started) {
+            head += 1;
+        }
+        if self.track_releases {
+            let mut w = head;
+            for r in head..st.queue.len() {
+                if !st.queue[r].started {
+                    if w != r {
+                        st.queue[w] = st.queue[r];
+                        st.q_keys[w] = st.q_keys[r];
+                    }
+                    w += 1;
+                }
+            }
+            st.queue.truncate(w);
+            st.q_keys.truncate(w);
+            let widths = st.queue[head..].iter().map(|e| e.job.cores);
+            st.narrowest = widths.min().unwrap_or(u32::MAX);
+        }
+        debug_assert!(st.queue[head..].iter().all(|e| !e.started));
+        // Reclaim the dead prefix once it outgrows the window. The drain
+        // moves fewer entries than were removed since the last one, so it
+        // is amortised O(1) per removed entry, and the `Vec` stays within
+        // twice the live queue; an emptied window is the same test.
+        if head > st.queue.len() - head {
+            st.queue.drain(..head);
+            st.q_keys.drain(..head);
+            head = 0;
+        }
+        st.head = head;
+    }
+
+    /// Time-dependent orders: drop the entries the pass started, which lie
+    /// anywhere in the arrival-ordered queue. Compacts `queue` and its SoA
+    /// key array in lockstep — plus the compiled batch-scoring input lanes
+    /// and the incremental order when they are maintained, both indexed by
+    /// queue position from 0 (`head` stays 0 here).
     fn compact(&mut self) {
+        debug_assert_eq!(self.st.head, 0);
         let stride = if self.track_lanes {
             self.scratch.static_lanes.slots()
         } else {
@@ -330,9 +382,9 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
             self.st.known = w;
         }
         if self.track_releases {
-            // A pass of its own, not a fold into the loop above: that loop
-            // is the strict mode's hot one on deep queues (folded in,
-            // `replay_static` read 168 → 188 ns/event on `paperbench`).
+            // A pass of its own, not a fold into the loop above: strict
+            // time-dependent replays run that loop without tracking the
+            // width, and the fold would put this test in it per entry.
             let widths = self.st.queue.iter().map(|e| e.job.cores);
             self.st.narrowest = widths.min().unwrap_or(u32::MAX);
         }

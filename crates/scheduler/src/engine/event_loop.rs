@@ -274,7 +274,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
             return Ok(());
         }
 
-        if FAULTY && !self.st.queue.is_empty() {
+        if FAULTY && !self.st.waiting().is_empty() {
             // The schedule ended with too little capacity for these jobs
             // and nothing pending can ever free more: report them as
             // abandoned (in trace order) rather than dropping them.
@@ -287,9 +287,9 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
         // is reachable from bad inputs (an inconsistent `TraceSource` can
         // park an unstartable job forever), so it is an error in release
         // builds too, not an empty-but-plausible result.
-        if !self.st.queue.is_empty() || self.st.ledger.used() != 0 {
+        if !self.st.waiting().is_empty() || self.st.ledger.used() != 0 {
             return Err(EngineError::QueueNotDrained {
-                waiting: self.st.queue.len(),
+                waiting: self.st.waiting().len(),
                 running: self.st.ledger.used(),
                 time: clock.now(),
             });
@@ -350,22 +350,24 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
             }
             return;
         }
-        // Static disciplines keep the queue in priority order: insert at
-        // the upper bound of the new key (scanned over the dense SoA key
-        // array), so equal keys land *after* their peers — the
-        // arrival-order tie-break of a stable sort. An insert at position
-        // 0 replaces the head, so any blocked-head fact is invalidated.
+        // Static disciplines keep the live window in priority order: insert
+        // at the upper bound of the new key (bisected over the window of
+        // the dense SoA key array), so equal keys land *after* their peers
+        // — the arrival-order tie-break of a stable sort. An insert at the
+        // front of the window replaces the head, so any blocked-head fact
+        // is invalidated.
         let key = self.static_key(idx, &job);
-        let pos = if self.queue_order == QueueOrder::ByRank {
-            self.st.q_keys.partition_point(|&k| k <= key)
-        } else {
-            self.st
-                .q_keys
-                .partition_point(|k| k.total_cmp(&key).is_le())
-        };
+        let head = self.st.head;
+        let live_keys = &self.st.q_keys[head..];
+        let pos = head
+            + if self.queue_order == QueueOrder::ByRank {
+                live_keys.partition_point(|&k| k <= key)
+            } else {
+                live_keys.partition_point(|k| k.total_cmp(&key).is_le())
+            };
         self.st.queue.insert(pos, entry);
         self.st.q_keys.insert(pos, key);
-        self.st.head_blocked &= pos > 0;
+        self.st.head_blocked &= pos > head;
     }
 
     /// Re-key (and re-sort) a restored waiting queue under the *active*
@@ -377,8 +379,10 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
     /// (static scores are time-independent), so a same-discipline resume
     /// recomputes the checkpointed bits verbatim and the sort is a no-op.
     /// Time-dependent orders never enter: they re-score every pass anyway.
+    /// A restored queue is its live window (`copy_from` leaves `head` 0).
     fn rescore_restored_queue(&mut self) {
         debug_assert_ne!(self.queue_order, QueueOrder::TimeDependent);
+        debug_assert_eq!(self.st.head, 0);
         for qi in 0..self.st.queue.len() {
             let QueueEntry { idx, job, .. } = self.st.queue[qi];
             self.st.q_keys[qi] = self.static_key(idx, &job);

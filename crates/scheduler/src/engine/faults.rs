@@ -78,9 +78,11 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
     /// clear the queue. Reached only when the schedule ends with too little
     /// capacity for the remaining jobs and no event can ever free more.
     pub(super) fn strand_waiting(&mut self, now: f64) {
-        // The queue is cleared below, so it can be sorted in place.
-        self.st.queue.sort_unstable_by_key(|e| e.idx);
-        for e in self.st.queue.iter() {
+        // The queue is cleared below, so its live window can be sorted in
+        // place.
+        let head = self.st.head;
+        self.st.queue[head..].sort_unstable_by_key(|e| e.idx);
+        for e in self.st.waiting() {
             self.faults.abandoned.push(AbandonedJob {
                 job: e.job,
                 idx: e.idx,
@@ -92,6 +94,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
         // the lanes and the order where they are not maintained).
         self.st.queue.clear();
         self.st.q_keys.clear();
+        self.st.head = 0;
         self.st.q_r.clear();
         self.st.q_n.clear();
         self.st.q_s.clear();

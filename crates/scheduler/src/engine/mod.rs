@@ -54,7 +54,8 @@
 //! arrival / completion / capacity-step merge, enqueue / start /
 //! complete); `ordering` (time-dependent queue ordering: full sort,
 //! incremental, on demand); `dispatch` (one rescheduling pass: strict
-//! starts, the three backfilling variants, compaction); `faults`
+//! starts, the three backfilling variants, taking the started jobs out of
+//! the queue); `faults`
 //! (capacity steps, victim selection, requeue, abandonment).
 //!
 //! # Metrics-only mode
@@ -68,7 +69,7 @@
 //!
 //! # Reschedule fast paths
 //!
-//! Three structural optimizations keep grid-scale evaluation cheap without
+//! Four structural optimizations keep grid-scale evaluation cheap without
 //! changing any observable schedule (all are proven bit-identical against
 //! [`crate::reference`]):
 //!
@@ -81,6 +82,29 @@
 //!   rank or cached score) lives in a dense `Vec<f64>` parallel to the
 //!   entry list, so the binary-search insertions and sortedness scans touch
 //!   8-byte keys instead of full queue entries.
+//! * **Live window.** Under a static order (fixed ranks, cached scores)
+//!   the queue *is* the priority order, and the waiting jobs are the
+//!   window `queue[head..]` / `q_keys[head..]` of the two `Vec`s
+//!   (`SimState::head`). The strict pass starts jobs in queue order and
+//!   stops at the first that does not fit, so what it started is exactly
+//!   a *leading run* of the window: the pass ends by moving `head` over
+//!   that run — O(started), no entry moves — where a rewrite of the
+//!   queue moves an entry and a key per *waiter*, thousands deep on an
+//!   over-subscribed trace. A backfilling pass can also start jobs behind
+//!   the blocked head; after the cursor has moved, those few are
+//!   compacted out inside the window. Survivors keep their relative order
+//!   and their key bits either way, so every later bisection, insert and
+//!   pass sees the sequence the rewrite would have produced — exact by
+//!   construction, not a verified hint. The dead prefix is reclaimed by
+//!   one rule with no tunable: when `head` exceeds the window's length
+//!   (an emptied window included) the prefix is drained and `head`
+//!   returns to 0. The drain moves fewer entries than were removed since
+//!   the last one — amortised O(1) per removed entry — and the `Vec`
+//!   never holds more than twice the live queue. A [`Checkpoint`] copies
+//!   the window only. Time-dependent orders keep the full compaction and
+//!   `head == 0`: their queue is in arrival order, so a pass's starts lie
+//!   anywhere in it, and the score lanes and the incremental order index
+//!   it by position from 0.
 //! * **Narrowest-waiter gate.** In every backfilling mode a job starts
 //!   only if its cores are free *now*, so a pass entered with fewer free
 //!   cores than the narrowest waiting job asks for starts nothing — and
@@ -88,8 +112,8 @@
 //!   are per-pass scratch, and a priority order is rebuilt (or verified
 //!   under fresh scores) by the next pass that runs. The engine keeps
 //!   that width (`SimState::narrowest`: lowered at enqueue, recomputed
-//!   over the survivors after each compaction) and returns before the
-//!   re-score, the profile rebuild and the reservations. The
+//!   over the survivors by a pass that started anything) and returns before
+//!   the re-score, the profile rebuild and the reservations. The
 //!   conservative loop stops on the same test once its starts have used
 //!   the free cores up: a reservation that does not start now is only
 //!   observable through a later job that could. (Deep EASY has the entry
@@ -379,8 +403,8 @@ pub(crate) struct QueueEntry {
     /// and `FixedOrder` ranks.
     idx: u32,
     job: Job,
-    /// Set by the current reschedule pass; started entries are compacted
-    /// out of the queue at the end of the pass.
+    /// Set by the current reschedule pass; started entries leave the
+    /// queue at the end of the pass.
     started: bool,
 }
 

@@ -27,7 +27,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
 
     /// Queue position holding the `pos`-th highest-priority job. Static
     /// disciplines keep the queue itself priority-sorted, so the order is
-    /// the identity; time-dependent policies read the order computed by
+    /// the live window's; time-dependent policies read the order computed by
     /// [`Engine::reorder`] — which builds none under on-demand selection
     /// ([`next_head`]).
     #[inline]
@@ -36,7 +36,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
         if self.queue_order == QueueOrder::TimeDependent {
             self.st.order[pos]
         } else {
-            pos
+            self.st.head + pos
         }
     }
 
@@ -157,13 +157,10 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
 
     /// Debug check that a static discipline's queue is in priority order.
     pub(super) fn queue_is_priority_sorted(&self) -> bool {
+        let keys = &self.st.q_keys[self.st.head..];
         match self.queue_order {
-            QueueOrder::ByRank => self.st.q_keys.windows(2).all(|w| w[0] <= w[1]),
-            QueueOrder::ByCachedScore => self
-                .st
-                .q_keys
-                .windows(2)
-                .all(|w| w[0].total_cmp(&w[1]).is_le()),
+            QueueOrder::ByRank => keys.windows(2).all(|w| w[0] <= w[1]),
+            QueueOrder::ByCachedScore => keys.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()),
             QueueOrder::TimeDependent => true,
         }
     }

@@ -23,12 +23,19 @@ use dynsched_workload::JobLanes;
 pub(crate) struct SimState {
     /// Pending completion events, FIFO tie-break sequence included.
     pub(crate) events: EventQueue<Completion>,
-    /// The waiting queue.
+    /// The waiting queue: the live window `queue[head..]` (see
+    /// [`SimState::waiting`]).
     pub(crate) queue: Vec<QueueEntry>,
     /// Priority key per queue position (rank as f64, or cached score),
     /// maintained in lockstep with `queue` for static disciplines — the
     /// SoA half the binary-search scans read.
     pub(crate) q_keys: Vec<f64>,
+    /// Start of the live window in `queue` / `q_keys`. A static-order
+    /// pass moves it over the leading run it started instead of moving the
+    /// survivors down; entries before it are dead and never read. Always 0
+    /// under a time-dependent order (those compact in full) and in a
+    /// [`Checkpoint`](crate::Checkpoint).
+    pub(crate) head: usize,
     /// Priority order of queue positions for time-dependent policies
     /// (static disciplines keep the queue itself priority-sorted; stays
     /// empty where heads are selected on demand).
@@ -47,9 +54,9 @@ pub(crate) struct SimState {
     /// Fewest cores any waiting job asks for (`u32::MAX` on an empty
     /// queue), maintained in the backfilling modes only: while fewer cores
     /// than this are free no mode can start anything, and the pass is
-    /// skipped. Lowered at enqueue, recomputed over the survivors by the
-    /// compaction: exact between passes; within a pass it can only be too
-    /// low, once a waiter of this width has started.
+    /// skipped. Lowered at enqueue, recomputed over the survivors at the
+    /// end of a pass that started anything: exact between passes; within a
+    /// pass it can only be too low, once a waiter of this width has started.
     pub(crate) narrowest: u32,
     /// Queue-parallel SoA input lanes for compiled batch scoring
     /// (decision-mode `r`, `n`, `s`), maintained in lockstep with `queue`
@@ -79,6 +86,7 @@ impl SimState {
         self.events.reset();
         self.queue.clear();
         self.q_keys.clear();
+        self.head = 0;
         self.order.clear();
         self.known = 0;
         self.head_blocked = false;
@@ -96,15 +104,26 @@ impl SimState {
         self.backfilled = 0;
     }
 
+    /// The jobs waiting now, in queue order: the live window.
+    #[inline]
+    pub(crate) fn waiting(&self) -> &[QueueEntry] {
+        &self.queue[self.head..]
+    }
+
     /// Overwrite `self` with `src`, field by field, into the buffers
     /// `self` already owns — the one routine behind both capture
     /// (workspace → checkpoint) and restore (checkpoint → workspace). A
     /// derived `Clone::clone_from` would reallocate every buffer per fork;
-    /// this way a warm destination allocates nothing.
+    /// this way a warm destination allocates nothing. Of the queue only
+    /// the live window is copied, to position 0: a copy never carries a
+    /// dead prefix.
     pub(super) fn copy_from(&mut self, src: &SimState) {
         self.events.restore_from(&src.events);
-        self.queue.clone_from(&src.queue);
-        self.q_keys.clone_from(&src.q_keys);
+        self.queue.clear();
+        self.queue.extend_from_slice(src.waiting());
+        self.q_keys.clear();
+        self.q_keys.extend_from_slice(&src.q_keys[src.head..]);
+        self.head = 0;
         self.order.clone_from(&src.order);
         self.known = src.known;
         self.head_blocked = src.head_blocked;

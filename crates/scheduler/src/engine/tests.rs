@@ -471,47 +471,61 @@ fn cached_scores_match_uncached_evaluation() {
 #[test]
 fn inconsistent_trace_source_surfaces_queue_not_drained() {
     // An adversarial `TraceSource` whose per-field accessors disagree
-    // with `job()`: `cores(i)` reports 1 (so the pre-run platform
-    // check passes) but the reassembled job demands more cores than
-    // the machine has. The job can never start, no pending event can
+    // with `job()`: `cores(i)` reports at most 4 (so the pre-run platform
+    // check passes) but the last job, reassembled, demands more cores
+    // than the machine has. It can never start, no pending event can
     // change that, and the run must end in a structured
     // `QueueNotDrained` error — not a panic, and not an
     // empty-but-plausible schedule.
-    struct LyingCores;
-    impl TraceSource for LyingCores {
+    struct LastJobLies(Trace);
+    impl TraceSource for LastJobLies {
         fn len(&self) -> usize {
-            1
+            self.0.len()
         }
-        fn id(&self, _: usize) -> u32 {
-            0
+        fn id(&self, i: usize) -> u32 {
+            self.0.id(i)
         }
-        fn submit(&self, _: usize) -> f64 {
-            0.0
+        fn submit(&self, i: usize) -> f64 {
+            self.0.submit(i)
         }
-        fn runtime(&self, _: usize) -> f64 {
-            5.0
+        fn runtime(&self, i: usize) -> f64 {
+            self.0.runtime(i)
         }
-        fn estimate(&self, _: usize) -> f64 {
-            5.0
+        fn estimate(&self, i: usize) -> f64 {
+            self.0.estimate(i)
         }
-        fn cores(&self, _: usize) -> u32 {
-            1
+        fn cores(&self, i: usize) -> u32 {
+            self.0.cores(i).min(4)
         }
-        fn job(&self, _: usize) -> Job {
-            Job::new(0, 0.0, 5.0, 5.0, 64)
+        fn job(&self, i: usize) -> Job {
+            self.0.job(i)
         }
     }
+    // Alone, and behind two honest jobs: job 1 starts off the front of
+    // the queue when job 0 completes and stays behind the cursor as a
+    // dead entry (one dead, one live: not yet reclaimed). `waiting`
+    // counts the live window, so one job either way.
+    let alone = vec![job(0, 0.0, 5.0, 64)];
+    let behind = vec![
+        job(0, 0.0, 10.0, 4),
+        job(1, 1.0, 10.0, 4),
+        job(2, 2.0, 5.0, 64),
+    ];
     let mut ws = SimWorkspace::new();
-    let err = ws
-        .try_run(&LyingCores, &QueueDiscipline::Policy(&Fcfs), &cfg(4))
-        .expect_err("an unstartable job must not drain");
-    match err {
-        EngineError::QueueNotDrained {
-            waiting, running, ..
-        } => {
-            assert_eq!((waiting, running), (1, 0));
-        }
-        other => panic!("expected QueueNotDrained, got {other}"),
+    for (jobs, queue_len, head, time) in [(alone, 1, 0, 0.0), (behind, 2, 1, 20.0)] {
+        let trace = LastJobLies(Trace::from_jobs(jobs));
+        let err = ws
+            .try_run(&trace, &QueueDiscipline::Policy(&Fcfs), &cfg(4))
+            .expect_err("an unstartable job must not drain");
+        assert_eq!((ws.state.queue.len(), ws.state.head), (queue_len, head));
+        assert_eq!(
+            err,
+            EngineError::QueueNotDrained {
+                waiting: 1,
+                running: 0,
+                time,
+            }
+        );
     }
 }
 
@@ -842,6 +856,138 @@ fn gated_passes_are_unobservable() {
                 ws.resume_from(&ckpt, &trace, &discipline, &config);
                 assert_eq!(ws.result(), scratch, "{what}, resumed from {horizon}");
             }
+        }
+    }
+}
+
+#[test]
+fn front_removal_is_unobservable() {
+    // Under a static order a pass takes what it started off the front of
+    // the live window `queue[head..]` instead of rewriting the queue. The
+    // trace holds a standing backlog of a few hundred jobs on 16 cores,
+    // with bursts of equal submit times, five runtimes and two estimate
+    // factors (tied SPT keys, tied expected ends), 16-wide jobs that pin
+    // the machine exactly full, and every 40th job a one-second, one-core
+    // sprinter that SPT and the rank table put ahead of any waiting head.
+    // Every schedule must equal the oracle's, which rebuilds and re-sorts
+    // its queue at every event.
+    use crate::reference::{simulate_reference, simulate_reference_faulty};
+    use dynsched_cluster::{AvailabilitySchedule, CapacityStep};
+    use dynsched_policies::{LearnedPolicy, Policy};
+    use dynsched_simkit::Rng;
+    const CORES: u32 = 16;
+    let mut rng = Rng::new(0xF407);
+    let mut submit = 0.0;
+    let mut sprinters = Vec::new();
+    let jobs: Vec<Job> = (0..480u32)
+        .map(|i| {
+            submit += rng.next_below(3) as f64;
+            if i % 40 == 39 {
+                sprinters.push(i as usize);
+                return Job::new(i, submit, 1.0, 1.0, 1);
+            }
+            let runtime = *rng.choose(&[5.0, 10.0, 20.0, 40.0, 80.0]);
+            let estimate = runtime * *rng.choose(&[1.0, 2.0]);
+            let cores = *rng.choose(&[1, 2, 2, 4, 4, 8, CORES]);
+            Job::new(i, submit, runtime, estimate, cores)
+        })
+        .collect();
+    let trace = Trace::from_jobs(jobs);
+    // Sprinters hold the lowest ranks, everything else a random order.
+    let mut by_rank = sprinters.clone();
+    let others = rng.permutation(trace.len()).into_iter();
+    by_rank.extend(others.filter(|i| !sprinters.contains(i)));
+    let mut ranks = vec![0; trace.len()];
+    for (rank, &i) in by_rank.iter().enumerate() {
+        ranks[i] = rank;
+    }
+    let (fcfs, spt, f1) = (
+        Fcfs.compile().unwrap(),
+        Spt.compile().unwrap(),
+        LearnedPolicy::f1().compile().unwrap(),
+    );
+    let disciplines = [
+        ("ranks", QueueDiscipline::FixedOrder(&ranks)),
+        ("FCFS", QueueDiscipline::Compiled(&fcfs)),
+        ("SPT", QueueDiscipline::Compiled(&spt)),
+        ("F1", QueueDiscipline::Compiled(&f1)),
+        ("SPT interpreted", QueueDiscipline::Policy(&Spt)),
+    ];
+    let mut ws = SimWorkspace::new();
+    let mut ckpt = Checkpoint::new();
+    for backfill in [
+        BackfillMode::None,
+        BackfillMode::Aggressive,
+        BackfillMode::Conservative,
+    ] {
+        let mut config = SchedulerConfig::user_estimates(Platform::new(CORES));
+        config.backfill = backfill;
+        for (name, discipline) in &disciplines {
+            let what = format!("{name}, {backfill:?}");
+            ws.run(&trace, discipline, &config);
+            let scratch = ws.result();
+            assert_eq!((ws.state.queue.len(), ws.state.head), (0, 0), "{what}");
+            assert_eq!(
+                scratch,
+                simulate_reference(&trace, discipline, &config),
+                "{what}"
+            );
+
+            // Cut the run just before and just after each sprinter's
+            // arrival. The dead prefix never outgrows the window, a
+            // checkpoint holds the window alone, and a resume from it is
+            // the scratch run.
+            let mut deepest = 0;
+            let mut sprinter_met_a_dead_prefix = false;
+            let mut drop_at = None;
+            for &s in &sprinters {
+                for after in [false, true] {
+                    let horizon = trace.submit(s) + if after { 0.5 } else { 0.0 };
+                    ws.run_prefix(&trace, discipline, &config, horizon, &mut ckpt);
+                    let (len, head) = (ws.state.queue.len(), ws.state.head);
+                    let live = len - head;
+                    assert!(head <= live, "{what}: {head} dead, {live} live");
+                    assert_eq!((ckpt.state.queue.len(), ckpt.state.head), (live, 0));
+                    assert_eq!(ckpt.state.q_keys, ws.state.q_keys[head..]);
+                    deepest = deepest.max(live);
+                    if head > 0 && after && ws.state.ledger.used() > 1 {
+                        drop_at = drop_at.or(Some(horizon));
+                    }
+                    sprinter_met_a_dead_prefix |= head > 0 && !after;
+                    ws.resume_from(&ckpt, &trace, discipline, &config);
+                    assert_eq!(ws.result(), scratch, "{what}, resumed from {horizon}");
+                }
+            }
+            assert!(deepest >= 200, "{what}: backlog of {deepest}");
+            assert!(sprinter_met_a_dead_prefix, "{what}");
+
+            // Take all but one core away while jobs run and the queue has
+            // a dead prefix (the faulty run is the zero-fault one up to
+            // its first step): the kills are requeued into the window.
+            let drop_at = drop_at.expect("a busy cut with a dead prefix");
+            let step = |after: f64, capacity| CapacityStep {
+                time: drop_at + after,
+                capacity,
+            };
+            let schedule = AvailabilitySchedule::from_steps(
+                vec![
+                    step(0.0, 1),
+                    step(60.0, CORES),
+                    step(200.0, CORES / 4),
+                    step(240.0, CORES),
+                ],
+                3,
+            );
+            ws.run_faulty(&trace, discipline, &config, &schedule)
+                .unwrap();
+            let faulty = ws.result();
+            assert!(faulty.preempted_jobs > 0, "{what}: the drop must bite");
+            assert_eq!((ws.state.queue.len(), ws.state.head), (0, 0), "{what}");
+            assert_eq!(
+                faulty,
+                simulate_reference_faulty(&trace, discipline, &config, &schedule),
+                "{what}, faulty"
+            );
         }
     }
 }

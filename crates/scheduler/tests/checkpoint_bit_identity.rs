@@ -348,6 +348,78 @@ fn fork_with_queued_probes_rekeys_the_restored_queue() {
     }
 }
 
+/// Forks from a horizon that falls just after a pass started the *front*
+/// of a standing queue: under a static order the engine leaves those
+/// entries behind a cursor instead of rewriting the queue, and the
+/// checkpoint must hold the waiting jobs alone. Job 0 holds the machine
+/// until t=100; eight 3-core warmup jobs and ten probes (2+ cores each)
+/// pile up behind it; at t=100 five warmup jobs start, one core stays
+/// free, and nothing else fits in any backfilling mode — so every
+/// pre-horizon pass is decided inside the warmup region, identically under
+/// every rank table here.
+#[test]
+fn fork_from_a_queue_whose_front_has_started() {
+    let cores = 16u32;
+    let warmup = 9usize;
+    let probes = 10usize;
+    let mut jobs = vec![Job::new(0, 0.0, 100.0, 100.0, cores)];
+    for i in 1..warmup as u32 {
+        let runtime = 500.0 * i as f64;
+        jobs.push(Job::new(i, 0.0, runtime, runtime, 3));
+    }
+    let mut rng = Rng::new(0x51DE);
+    for p in 0..probes {
+        let runtime = rng.range_f64(100.0, 2_000.0);
+        let width = rng.range_u64(2, cores as u64 - 1) as u32;
+        let id = (warmup + p) as u32;
+        jobs.push(Job::new(id, 1.0 + 9.0 * p as f64, runtime, runtime, width));
+    }
+    let trace = Trace::from_jobs(jobs);
+    let n = trace.len();
+    let identity: Vec<usize> = (0..n).collect();
+    let mut ws = SimWorkspace::new();
+    let mut ckpt = Checkpoint::new();
+    for backfill in [
+        BackfillMode::None,
+        BackfillMode::Aggressive,
+        BackfillMode::Conservative,
+    ] {
+        let mut config = SchedulerConfig::actual_runtimes(Platform::new(cores));
+        config.backfill = backfill;
+        ws.run_prefix(
+            &trace,
+            &QueueDiscipline::FixedOrder(&identity),
+            &config,
+            150.0,
+            &mut ckpt,
+        );
+        assert_eq!(ckpt.arrivals_processed(), n);
+        assert_eq!(ckpt.completed_jobs(), 1, "only job 0 has finished");
+        for fork in 0..8u64 {
+            let mut tail: Vec<usize> = (0..probes).collect();
+            Rng::new(0xF00D ^ fork).shuffle(&mut tail);
+            let mut ranks: Vec<usize> = (0..warmup).collect();
+            ranks.resize(n, 0);
+            for (pos, &k) in tail.iter().enumerate() {
+                ranks[warmup + k] = warmup + pos;
+            }
+            let discipline = QueueDiscipline::FixedOrder(&ranks);
+            ws.resume_from(&ckpt, &trace, &discipline, &config);
+            let resumed = ws.result();
+            let scratch = simulate(&trace, &discipline, &config);
+            assert_eq!(
+                scratch, resumed,
+                "{backfill:?}, fork {fork} diverged from scratch"
+            );
+            let by_id = resumed.by_id();
+            assert!(
+                (1..6).all(|id| by_id[&id].start == 100.0) && by_id[&6].start > 150.0,
+                "the horizon must fall between the front's start and the next"
+            );
+        }
+    }
+}
+
 /// One shared immutable checkpoint, forked across the scoped pool: results
 /// must be identical at one worker and at the natural width, and equal to
 /// the sequential scratch loop — thread count can never be an input.

@@ -184,13 +184,19 @@ impl From<SwfParseError> for SwfReadError {
 }
 
 /// Parse one 18-field data line (already trimmed, non-empty, not a
-/// comment).
+/// comment). The fields go into a fixed array, not a `Vec`: this runs once
+/// per record, and fields past the 18th are ignored unread.
 fn parse_record_line(line_num: usize, trimmed: &str) -> Result<SwfRecord, SwfParseError> {
-    let fields: Vec<&str> = trimmed.split_whitespace().collect();
-    if fields.len() < 18 {
+    let mut fields = [""; 18];
+    let mut found = 0;
+    for (slot, field) in fields.iter_mut().zip(trimmed.split_whitespace()) {
+        *slot = field;
+        found += 1;
+    }
+    if found < fields.len() {
         return Err(SwfParseError {
             line: line_num,
-            message: format!("expected 18 fields, found {}", fields.len()),
+            message: format!("expected 18 fields, found {found}"),
         });
     }
     let f = |i: usize| -> Result<f64, SwfParseError> {
@@ -236,27 +242,49 @@ fn parse_record_line(line_num: usize, trimmed: &str) -> Result<SwfRecord, SwfPar
 /// classifies each line, and hands comments/records to the callbacks. All
 /// of the format's dirty-input rules live in one place — line numbers
 /// count comments and blanks, short/garbage lines error with their
-/// position, comments may appear anywhere.
+/// position, comments may appear anywhere. Lines are read as bytes:
+/// archive headers carry Latin-1 site names, so a comment that is not
+/// UTF-8 is taken lossily (`U+FFFD` per bad byte, the `Key: value` part
+/// intact), while a record line that is not — records are plain numbers —
+/// is a parse error at its line.
 fn scan_swf<R: BufRead>(
     mut reader: R,
     mut on_comment: impl FnMut(&str),
     mut on_record: impl FnMut(SwfRecord),
 ) -> Result<(), SwfReadError> {
-    let mut line = String::new();
+    let mut line = Vec::new();
     let mut line_num = 0usize;
     loop {
         line.clear();
-        if reader.read_line(&mut line).map_err(SwfReadError::Io)? == 0 {
+        if reader
+            .read_until(b'\n', &mut line)
+            .map_err(SwfReadError::Io)?
+            == 0
+        {
             return Ok(());
         }
         line_num += 1;
-        let trimmed = line.trim();
+        let valid = std::str::from_utf8(&line);
+        let lossy;
+        let trimmed = match valid {
+            Ok(text) => text.trim(),
+            Err(_) => {
+                lossy = String::from_utf8_lossy(&line);
+                lossy.trim()
+            }
+        };
         if trimmed.is_empty() {
             continue;
         }
         if let Some(comment) = trimmed.strip_prefix(';') {
             on_comment(comment.trim());
             continue;
+        }
+        if valid.is_err() {
+            return Err(SwfReadError::Parse(SwfParseError {
+                line: line_num,
+                message: "record line is not valid UTF-8".to_string(),
+            }));
         }
         on_record(parse_record_line(line_num, trimmed)?);
     }
@@ -504,6 +532,57 @@ mod tests {
         let err = parse_swf("1 2 3\n").unwrap_err();
         assert_eq!(err.line, 1);
         assert!(err.message.contains("18 fields"));
+    }
+
+    #[test]
+    fn field_count_is_checked_against_eighteen() {
+        let ok = "1 0 5 100 4 -1 -1 4 200 -1 1 3 1 -1 1 1 -1 -1";
+        let seventeen = ok.rsplit_once(' ').unwrap().0;
+        let err = parse_swf(seventeen).unwrap_err();
+        assert_eq!(err.message, "expected 18 fields, found 17");
+        // A 19th field (some archive conversions add one) is ignored,
+        // whatever it holds.
+        let (_, records) = parse_swf(&format!("{ok}\n{ok} extra\n")).unwrap();
+        assert_eq!(records[0], records[1]);
+    }
+
+    #[test]
+    fn tabs_and_crlf_separate_like_spaces_and_lf() {
+        let dos: String = SAMPLE
+            .lines()
+            .map(|line| {
+                if line.starts_with(';') {
+                    format!("{line}\r\n")
+                } else {
+                    format!("{}\r\n", line.replace(' ', "\t"))
+                }
+            })
+            .collect();
+        assert_eq!(parse_swf(&dos).unwrap(), parse_swf(SAMPLE).unwrap());
+    }
+
+    #[test]
+    fn latin1_bytes_are_tolerated_in_comments_only() {
+        // `Universit\xE9`: a Latin-1 site name, as archive headers have.
+        let mut src = b"; Installation: Universit\xE9 de Test\n; MaxProcs: 128\n".to_vec();
+        src.extend_from_slice(b"1 0 5 100 4 -1 -1 4 200 -1 1 3 1 -1 1 1 -1 -1\n");
+        let (header, trace) = parse_swf_with_header_reader(&src[..]).unwrap();
+        assert_eq!(
+            header.installation.as_deref(),
+            Some("Universit\u{FFFD} de Test")
+        );
+        assert_eq!(header.max_procs, Some(128));
+        assert_eq!(trace.len(), 1);
+        // The same byte in a record line is that line's parse error, not
+        // an I/O failure of the whole file.
+        src.extend_from_slice(b"2 10 0 50 1 -1 -1 1 \xE9 -1 1 3 1 -1 1 1 -1 -1\n");
+        match parse_swf_with_header_reader(&src[..]).unwrap_err() {
+            SwfReadError::Parse(p) => {
+                assert_eq!(p.line, 4);
+                assert!(p.message.contains("UTF-8"), "{}", p.message);
+            }
+            SwfReadError::Io(e) => panic!("expected a parse error, got {e}"),
+        }
     }
 
     #[test]
