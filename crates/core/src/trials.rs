@@ -321,7 +321,7 @@ pub fn trial_scores_batched(
             identity.extend(0..tuple.s_tasks.len() + tuple.q_tasks.len());
             let discipline = QueueDiscipline::FixedOrder(&identity);
             prefix_ws.run(trace, &discipline, &config);
-            let horizon = prefix_horizon(tuple, &prefix_ws.result().completed);
+            let horizon = prefix_horizon(tuple, prefix_ws.completed());
             let mut ckpt = Checkpoint::new();
             prefix_ws.run_prefix(trace, &discipline, &config, horizon, &mut ckpt);
             ckpt

@@ -198,6 +198,7 @@ mod state;
 mod tests;
 mod workspace;
 
+pub(crate) use ordering::order_key;
 pub(crate) use state::SimState;
 pub use workspace::{simulate, SimWorkspace};
 
@@ -208,7 +209,7 @@ use dynsched_cluster::{CompletedJob, Job, LedgerError};
 use dynsched_policies::{CompiledPolicy, Policy, TaskView};
 
 /// A structured engine failure: inputs the engine cannot schedule (the
-/// first two variants, checked before the first event) or an
+/// first four variants, checked before the first event) or an
 /// internal inconsistency that previously panicked, surfaced as a
 /// diagnosable error. Given valid inputs, a zero-fault run cannot reach
 /// the inconsistency states (the engine checks
@@ -235,6 +236,12 @@ pub enum EngineError {
         /// Jobs in the trace.
         jobs: usize,
     },
+    /// A federation was given no clusters to route to.
+    NoClusters,
+    /// A federation was asked to run a [`QueueDiscipline::FixedOrder`]:
+    /// fixed ranks are indexed by single-trace position and have no
+    /// cross-shard meaning.
+    FixedOrderFederated,
     /// A core-ledger operation failed (oversubscription or over-release).
     Ledger(LedgerError),
     /// The maintained release list disagreed with the running set: a
@@ -298,6 +305,11 @@ impl std::fmt::Display for EngineError {
             EngineError::RankSliceTooShort { ranks, jobs } => write!(
                 f,
                 "fixed order needs a rank per trace position ({ranks} ranks, {jobs} jobs)"
+            ),
+            EngineError::NoClusters => write!(f, "a federation needs at least one cluster"),
+            EngineError::FixedOrderFederated => write!(
+                f,
+                "fixed-order disciplines are per-trace and cannot federate"
             ),
             EngineError::Ledger(e) => write!(f, "core ledger error: {e}"),
             EngineError::ReleaseListInconsistent { idx, time } => write!(

@@ -203,7 +203,7 @@ pub(super) fn next_head(
 /// equal keys). It is `total_cmp`'s own bit transform, applied once per
 /// element instead of twice per comparison.
 #[inline]
-pub(super) fn order_key(score: f64) -> i64 {
+pub(crate) fn order_key(score: f64) -> i64 {
     let bits = score.to_bits() as i64;
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }

@@ -991,3 +991,59 @@ fn front_removal_is_unobservable() {
         }
     }
 }
+
+#[test]
+fn take_result_moves_out_what_result_copies() {
+    use dynsched_cluster::{AvailabilitySchedule, CapacityStep};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    // A permanent drop to 2 cores at t=5 kills the 4-wide job (no retries
+    // left) and strands the other 4-wide one: both abandonment paths fill
+    // the second list `take_result` moves.
+    let trace = Trace::from_jobs(vec![
+        job(0, 0.0, 10.0, 4),
+        job(1, 1.0, 10.0, 1),
+        job(2, 2.0, 30.0, 4),
+        job(3, 6.0, 3.0, 2),
+    ]);
+    let schedule = AvailabilitySchedule::from_steps(
+        vec![CapacityStep {
+            time: 5.0,
+            capacity: 2,
+        }],
+        0,
+    );
+    let discipline = QueueDiscipline::Policy(&Fcfs);
+    let mut ws = SimWorkspace::new();
+    for faulty in [false, true] {
+        let run = |ws: &mut SimWorkspace| match faulty {
+            false => ws.run(&trace, &discipline, &cfg(4)),
+            true => ws
+                .run_faulty(&trace, &discipline, &cfg(4), &schedule)
+                .unwrap(),
+        };
+        run(&mut ws);
+        let copied = ws.result();
+        assert_eq!(copied.abandoned.is_empty(), !faulty);
+        let moved = ws.take_result();
+        assert_eq!(moved, copied, "faulty: {faulty}");
+        // The scalar accessors survive the move …
+        assert_eq!(ws.makespan(), copied.makespan);
+        assert_eq!(ws.events_processed(), copied.events_processed);
+        assert_eq!(ws.preempted_jobs(), copied.preempted_jobs);
+        // … every per-job one refuses instead of reading an emptied list …
+        let mut refused = |read: &dyn Fn(&mut SimWorkspace)| {
+            let payload = catch_unwind(AssertUnwindSafe(|| read(&mut ws))).unwrap_err();
+            let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(message.contains("take_result"), "{message}");
+        };
+        refused(&|ws| _ = ws.completed());
+        refused(&|ws| _ = ws.result());
+        refused(&|ws| _ = ws.avg_bounded_slowdown_of(&|_| true, 10.0));
+        refused(&|ws| _ = ws.abandoned());
+        refused(&|ws| _ = ws.take_result());
+        // … and the next run on the emptied workspace is an ordinary run.
+        run(&mut ws);
+        assert_eq!(ws.result(), copied, "faulty: {faulty}, rerun");
+        assert_eq!(ws.completed(), &copied.completed[..]);
+    }
+}

@@ -15,8 +15,9 @@ use dynsched_workload::TraceSource;
 /// then call [`SimWorkspace::run`] any number of times; every buffer is
 /// cleared and refilled per run, retaining its allocation. Results stay in
 /// the workspace until the next run: read them with the accessor methods,
-/// or materialize an owned [`SimulationResult`] with
-/// [`SimWorkspace::result`]. The batched trial kernel reads
+/// copy them into an owned [`SimulationResult`] with
+/// [`SimWorkspace::result`], or move them out with
+/// [`SimWorkspace::take_result`]. The batched trial kernel reads
 /// [`SimWorkspace::avg_bounded_slowdown_of`] directly and never
 /// materializes a result — that is the fully allocation-free path.
 #[derive(Debug, Default)]
@@ -25,12 +26,24 @@ pub struct SimWorkspace {
     pub(super) scratch: Scratch,
     pub(super) faults: FaultState,
     completed: Vec<CompletedJob>,
-    /// Set while the workspace's last run was metrics-only (`run_metrics`):
-    /// the completion list was streamed away, so the per-job accessors
-    /// must refuse rather than return an empty-but-plausible result.
-    metrics_only: bool,
+    lists: Lists,
     makespan: f64,
     utilization: f64,
+}
+
+/// Where the last run's per-job lists are. When they are not in the
+/// workspace the per-job accessors must refuse rather than return an
+/// empty-but-plausible result.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+enum Lists {
+    /// In the workspace, readable.
+    #[default]
+    Kept,
+    /// The run was metrics-only (`run_metrics`): completions were streamed
+    /// into the accumulator; the abandonment list was kept.
+    Streamed,
+    /// Moved out by `take_result`, completions and abandonments both.
+    Taken,
 }
 
 /// Unwrap the outcome of a run without a fault schedule: given valid
@@ -229,9 +242,13 @@ impl SimWorkspace {
     ) -> Result<(), EngineError> {
         let mut completed = std::mem::take(&mut self.completed);
         completed.clear();
+        // Every job completes at most once, so this is the list's final
+        // size: a no-op on a warm workspace, and one exact allocation —
+        // not a doubling regrowth — after `take_result` moved the list out.
+        completed.reserve(trace.len());
         let outcome = self.run_with(trace, discipline, config, &mut completed, schedule, mode);
         self.completed = completed;
-        self.metrics_only = false;
+        self.lists = Lists::Kept;
         self.makespan = self.completed.iter().map(|c| c.finish).fold(0.0, f64::max);
         self.utilization = self.state.ledger.utilization(self.makespan).unwrap_or(0.0);
         outcome
@@ -250,7 +267,7 @@ impl SimWorkspace {
     ) -> Result<SimMetrics, EngineError> {
         let mut metrics = SimMetrics::new(tau);
         self.completed.clear();
-        self.metrics_only = true;
+        self.lists = Lists::Streamed;
         self.run_with(
             trace,
             discipline,
@@ -272,14 +289,23 @@ impl SimWorkspace {
     ///
     /// # Panics
     /// Panics if the last run was metrics-only ([`SimWorkspace::run_metrics`]
-    /// streams completions away instead of materializing them — an empty
-    /// list here would be silently wrong, not empty).
+    /// streams completions away instead of materializing them) or its
+    /// result was moved out by [`SimWorkspace::take_result`] — an empty
+    /// list here would be silently wrong, not empty.
     pub fn completed(&self) -> &[CompletedJob] {
         assert!(
-            !self.metrics_only,
+            self.lists != Lists::Streamed,
             "the last run was metrics-only: per-job completions were not materialized"
         );
+        self.assert_not_taken();
         &self.completed
+    }
+
+    fn assert_not_taken(&self) {
+        assert!(
+            self.lists != Lists::Taken,
+            "the last run's result was moved out by take_result: run again first"
+        );
     }
 
     /// Time the last job of the last run finished.
@@ -318,7 +344,11 @@ impl SimWorkspace {
     /// Jobs the last run abandoned (retry cap exhausted, or stranded by a
     /// schedule that never restores enough capacity), in abandonment order.
     /// Readable in both full and metrics-only mode.
+    ///
+    /// # Panics
+    /// Panics if [`SimWorkspace::take_result`] moved the list out.
     pub fn abandoned(&self) -> &[AbandonedJob] {
+        self.assert_not_taken();
         &self.faults.abandoned
     }
 
@@ -357,23 +387,54 @@ impl SimWorkspace {
     }
 
     /// Materialize the last run's outcome as an owned [`SimulationResult`]
-    /// (one exact-size clone of the completed list — the only allocation a
-    /// warmed-up workspace performs).
+    /// by **copying** it (one exact-size clone of the completed list — the
+    /// only allocation a warmed-up workspace performs). Use this when the
+    /// workspace is read again afterwards, or runs more traces in a loop:
+    /// the list it keeps is the next run's buffer. When the owned result
+    /// is all that is wanted of the run, use [`SimWorkspace::take_result`].
     ///
     /// # Panics
     /// Panics if the last run was metrics-only (see
     /// [`SimWorkspace::completed`]): its per-job schedule was streamed into
     /// the accumulator, so there is nothing to materialize.
     pub fn result(&self) -> SimulationResult {
+        self.result_with(self.completed().to_vec(), self.abandoned().to_vec())
+    }
+
+    /// [`SimWorkspace::result`] by **moving**: the completion and
+    /// abandonment lists leave the workspace instead of being cloned, so a
+    /// long schedule is never held twice. For the caller that keeps the
+    /// result and is done with the run — a federation shard, [`simulate`].
+    /// The scalar accessors stay readable; the per-job ones
+    /// ([`SimWorkspace::completed`], [`SimWorkspace::abandoned`],
+    /// [`SimWorkspace::result`], [`SimWorkspace::avg_bounded_slowdown_of`],
+    /// a second `take_result`) panic until the next materializing run, which
+    /// allocates its list afresh, once, at the trace's length.
+    ///
+    /// # Panics
+    /// As [`SimWorkspace::result`].
+    pub fn take_result(&mut self) -> SimulationResult {
+        self.completed(); // refuses what `result()` refuses
+        self.lists = Lists::Taken;
+        let completed = std::mem::take(&mut self.completed);
+        let abandoned = std::mem::take(&mut self.faults.abandoned);
+        self.result_with(completed, abandoned)
+    }
+
+    fn result_with(
+        &self,
+        completed: Vec<CompletedJob>,
+        abandoned: Vec<AbandonedJob>,
+    ) -> SimulationResult {
         SimulationResult {
-            completed: self.completed().to_vec(),
+            completed,
             makespan: self.makespan,
             utilization: self.utilization,
             events_processed: self.state.events_processed,
             backfilled_jobs: self.state.backfilled,
             preempted_jobs: self.faults.preempted,
             lost_core_seconds: self.faults.lost_core_seconds,
-            abandoned: self.faults.abandoned.clone(),
+            abandoned,
         }
     }
 }
@@ -382,7 +443,7 @@ impl SimWorkspace {
 /// `config`. Runs until every job has completed (the queue drains).
 ///
 /// The one convenience wrapper: a throwaway [`SimWorkspace`], one
-/// [`SimWorkspace::run`], the owned [`SimWorkspace::result`]. Callers in a
+/// [`SimWorkspace::run`], the owned [`SimWorkspace::take_result`]. Callers in a
 /// loop should hold a workspace and call its run methods instead.
 ///
 /// # Panics
@@ -394,5 +455,5 @@ pub fn simulate<T: TraceSource>(
 ) -> SimulationResult {
     let mut ws = SimWorkspace::new();
     ws.run(trace, discipline, config);
-    ws.result()
+    ws.take_result()
 }

@@ -21,7 +21,7 @@ use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 thread_local! {
     static WORKER_LIMIT: Cell<Option<usize>> = const { Cell::new(None) };
@@ -353,6 +353,82 @@ where
     })
 }
 
+/// Disjoint-slice fan-out: cut `out` at `bounds` and run
+/// `f(p, &mut out[bounds[p]..bounds[p + 1]])` once for every part `p`, on
+/// the pool. For a kernel that *writes its result in place* — each worker
+/// fills (and first-touches) its own stretch of one shared output, nothing
+/// is collected or concatenated afterwards. `T` may be
+/// [`MaybeUninit`](std::mem::MaybeUninit): the parts of a `Vec`'s spare
+/// capacity.
+///
+/// `bounds` holds one offset more than there are parts: it starts at 0,
+/// never decreases (a part may be empty — `f` still sees it) and ends at
+/// `out.len()`. The sub-slices come from `split_at_mut`, so disjointness
+/// is the borrow checker's, not an index argument. Parts are claimed in
+/// order by at most [`max_workers`] threads, the caller's among them; one
+/// worker (one part, or [`with_worker_limit`]`(1)`) runs every part inline
+/// and spawns nothing. The determinism contract is the caller's to keep:
+/// `f(p, _)` may depend on `p` alone.
+///
+/// Supervised like the other drivers: a panicking part stops the claiming,
+/// the scope joins, and the payload is re-raised here. `out` is then only
+/// partly written — a caller filling a `Vec`'s spare capacity sets the
+/// length after this returns, and so never observes that.
+///
+/// # Panics
+/// Panics if `bounds` is not such a tiling of `out`, and re-raises the
+/// first panic of `f`.
+pub fn for_each_part_mut<T, F>(out: &mut [T], bounds: &[usize], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    assert!(
+        bounds.first() == Some(&0) && bounds.last() == Some(&out.len()),
+        "part bounds must run from 0 to the output's length"
+    );
+    let mut rest = out;
+    let mut parts = Vec::with_capacity(bounds.len() - 1);
+    for w in bounds.windows(2) {
+        let len = w[1]
+            .checked_sub(w[0])
+            .expect("part bounds must not decrease");
+        let (part, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        parts.push(part);
+        rest = tail;
+    }
+    let workers = worker_count(parts.len());
+    let claims = parts.into_iter().enumerate();
+    if workers == 1 {
+        claims.for_each(|(p, part)| f(p, part));
+        return;
+    }
+    let claims = Mutex::new(claims);
+    let stop = AtomicBool::new(false);
+    let failure: Mutex<Option<PanicAt>> = Mutex::new(None);
+    let work = || {
+        while !stop.load(Ordering::Relaxed) {
+            // The lock covers one `next()` of a `Vec` iterator, which
+            // cannot panic, so a poisoned lock still guards a valid queue.
+            let claimed = claims.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((p, part)) = claimed else { break };
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(p, part))) {
+                record_panic(&stop, &failure, p, payload);
+                return;
+            }
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
+    });
+    if let Some((_part, payload)) = failure.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        resume_unwind(payload);
+    }
+}
+
 /// Parallel map over a slice, output in input order. No RNG involved; for
 /// deterministic randomized work use [`run_indexed`] / [`map_items`].
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
@@ -652,6 +728,96 @@ mod tests {
             caught.downcast_ref::<&str>().copied(),
             Some("original payload")
         );
+    }
+
+    #[test]
+    fn every_part_is_visited_once_with_its_own_bounds() {
+        // Zero-length parts at the front, in the middle and at the end.
+        let bounds = [0, 0, 3, 3, 4, 10, 10];
+        for limit in [None, Some(1), Some(2), Some(16)] {
+            let mut out = vec![usize::MAX; 10];
+            let seen = Mutex::new(Vec::new());
+            let mut run = || {
+                for_each_part_mut(&mut out, &bounds, |p, part| {
+                    seen.lock().unwrap().push((p, part.len()));
+                    part.fill(p);
+                })
+            };
+            match limit {
+                Some(limit) => with_worker_limit(limit, run),
+                None => run(),
+            }
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_unstable();
+            let want: Vec<_> = bounds.windows(2).map(|w| w[1] - w[0]).enumerate().collect();
+            assert_eq!(seen, want, "limit {limit:?}");
+            assert_eq!(out, [1, 1, 1, 3, 4, 4, 4, 4, 4, 4], "limit {limit:?}");
+        }
+        // No parts at all: nothing to call.
+        for_each_part_mut(&mut [] as &mut [u8], &[0], |_, _| unreachable!());
+    }
+
+    #[test]
+    fn one_worker_runs_the_parts_inline_and_in_order() {
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        with_worker_limit(1, || {
+            for_each_part_mut(&mut [0u8; 9], &[0, 2, 4, 9], |p, _| {
+                assert_eq!(std::thread::current().id(), caller);
+                order.lock().unwrap().push(p);
+            })
+        });
+        assert_eq!(order.into_inner().unwrap(), [0, 1, 2]);
+    }
+
+    #[test]
+    fn panicking_part_is_re_raised_after_a_clean_join() {
+        for limit in [1, 2, 4] {
+            // The way the federation merge uses the driver: the parts are
+            // a `Vec`'s spare capacity, and its length would be set only
+            // after the driver returned — which it must not, here.
+            let mut out: Vec<u64> = Vec::with_capacity(64);
+            let entered = AtomicUsize::new(0);
+            let left = AtomicUsize::new(0);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                with_worker_limit(limit, || {
+                    let bounds: Vec<usize> = (0..=8).map(|p| p * 8).collect();
+                    for_each_part_mut(&mut out.spare_capacity_mut()[..64], &bounds, |p, part| {
+                        entered.fetch_add(1, Ordering::SeqCst);
+                        if p == 2 {
+                            left.fetch_add(1, Ordering::SeqCst);
+                            panic!("part {p} exploded");
+                        }
+                        part.iter_mut().for_each(|slot| _ = slot.write(p as u64));
+                        left.fetch_add(1, Ordering::SeqCst);
+                    });
+                });
+                unreachable!("part 2 panics at every width");
+            }))
+            .unwrap_err();
+            assert_eq!(
+                caught.downcast_ref::<String>().map(String::as_str),
+                Some("part 2 exploded"),
+                "limit {limit}"
+            );
+            // Joined: every part that started has finished (inline, the
+            // parts behind the panicking one never start), and nothing
+            // the other parts wrote is observable.
+            let entered = entered.into_inner();
+            assert_eq!(entered, left.into_inner(), "limit {limit}");
+            assert!(if limit == 1 {
+                entered == 3
+            } else {
+                entered >= 1
+            });
+            assert!(out.is_empty());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "part bounds must run from 0 to the output's length")]
+    fn bounds_that_do_not_tile_the_output_are_refused() {
+        for_each_part_mut(&mut [0u8; 4], &[0, 2, 3], |_, _| ());
     }
 
     #[test]
