@@ -9,6 +9,10 @@
 //! 2. **Measure** a representative kernel with Criterion, so performance
 //!    regressions in the simulator/regressor show up in CI.
 //!
+//! The one exception is `fault_throughput`, which regenerates nothing: it
+//! asserts the idle fault machinery's ≤ 1.05× budget. Throughput and
+//! speedup numbers are `paperbench/`'s, not this crate's.
+//!
 //! Scale control: benches default to a reduced protocol so the whole suite
 //! finishes in minutes. Set `DYNSCHED_FULL=1` to run the paper's protocol
 //! (10 × 15-day sequences, 256k trials, the full 512k convergence ladder).
@@ -56,18 +60,6 @@ pub fn criterion() -> Criterion {
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(2))
         .configure_from_args()
-}
-
-/// The `"host_cpus"`/`"workers"` fragment every `BENCH_*.json` records so
-/// throughput numbers can be normalized across machines: the host's
-/// logical CPU count and the scoped pool's natural worker width. Both are
-/// informational — simulation results never depend on either.
-pub fn host_json() -> String {
-    format!(
-        "\"host_cpus\": {},\n  \"workers\": {},",
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-        dynsched_simkit::parallel::max_workers(),
-    )
 }
 
 /// Print a banner separating regeneration output from Criterion output.

@@ -7,7 +7,7 @@
 //!
 //! * [`tuples`] — the `(S, Q)` task tuples of the simulation scheme (§3.2);
 //! * [`trials`] — random-permutation trials and the Eq. 3 score
-//!   distribution, rayon-parallel and deterministic;
+//!   distribution, fanned out on the scoped pool and deterministic;
 //! * [`convergence`] — the trial-count convergence study (Fig. 2);
 //! * [`pipeline`] — tuples → trials → pooled `score(r,n,s)` → weighted
 //!   nonlinear regression → ranked policies (Table 3), plus

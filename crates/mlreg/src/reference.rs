@@ -7,17 +7,12 @@
 //! every residual pass; the family was walked without shared state and
 //! ranked by a stable sort on fitness alone.
 //!
-//! This module keeps that path verbatim, for the same two reasons the
-//! scheduler keeps its seed engine in `dynsched_scheduler::reference`:
-//!
-//! * **bit-identity oracle** — the `learning_pipeline` golden suite and
-//!   the `regression_properties` tests pin the batched
-//!   [`fit_all`](crate::enumerate::fit_all) against
-//!   [`fit_all_reference`]; keep those tests green when touching the
-//!   enumeration or the optimizer;
-//! * **performance baseline** — the `learning_throughput` bench measures
-//!   the batched session against this sequential enumeration, the same
-//!   convention `trial_throughput` uses for the seed engine.
+//! This module keeps that path verbatim, for the same reason the
+//! scheduler keeps its seed engine in `dynsched_scheduler::reference`: it
+//! is the **bit-identity oracle** — the `learning_pipeline` golden suite
+//! and the `regression_properties` tests pin the batched
+//! [`fit_all`](crate::enumerate::fit_all) against [`fit_all_reference`];
+//! keep those tests green when touching the enumeration or the optimizer.
 
 use crate::dataset::TrainingSet;
 use crate::enumerate::{EnumerateOptions, FitResult};

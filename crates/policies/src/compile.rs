@@ -64,30 +64,6 @@
 //! `compile_properties` batch property pins this across chunk boundaries,
 //! ragged tails and scratch reuse).
 //!
-//! # Residual classification
-//!
-//! At assembly time every residual program is classified by an abstract
-//! interpretation over its bytecode into a [`ResidualClass`]:
-//!
-//! * [`ResidualClass::Static`] — the residual never reads `w`; scores are
-//!   immutable after arrival and the scheduler never batch re-scores.
-//! * [`ResidualClass::UniformAging`] — every queued job's score is a
-//!   job-uniform weakly-monotone transform of `u_i + c·w` (affine in the
-//!   waiting time with one shared coefficient). Advancing time shifts all
-//!   scores in lockstep, so the previous event's queue order is *almost
-//!   always* still sorted; the scheduler exploits that with an
-//!   incremental verify-and-insert order instead of a full re-sort.
-//! * [`ResidualClass::General`] — anything else (job-dependent aging
-//!   rates, `abs`, ratios of `w` to job fields, …).
-//!
-//! The class is a **performance hint, never a correctness input**: float
-//! rounding can collapse a strict ordering into a position-broken tie
-//! even under an exactly-affine residual, so the scheduler always
-//! re-evaluates the scores and verifies any reused order against the
-//! fresh bits, falling back to a full sort on mismatch. The lattice is
-//! conservative — when in doubt a program classifies as `General`, which
-//! only costs the fallback path its shortcut.
-//!
 //! [`Expr`]: crate::expr::Expr
 //! [`NonlinearFunction`]: crate::learned::NonlinearFunction
 
@@ -115,156 +91,6 @@ impl BatchScratch {
     /// Fresh, empty scratch. Buffers grow on first use and are retained.
     pub fn new() -> Self {
         Self::default()
-    }
-}
-
-/// How a compiled residual's score can evolve while a job waits — derived
-/// at assembly time by abstract interpretation over the bytecode (see the
-/// module docs). A scheduling-layer *hint*: it selects which queue
-/// maintenance shortcut is worth attempting, never what the scores are.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResidualClass {
-    /// The residual never reads `w`: scores are immutable after arrival.
-    Static,
-    /// Every score is one job-uniform weakly-monotone transform of
-    /// `u_i + c·w` with a shared coefficient `c`: time advance shifts all
-    /// queued scores in lockstep, so relative order is (rounding aside)
-    /// preserved between events.
-    UniformAging,
-    /// No exploitable structure was proven; re-rank from scratch.
-    General,
-}
-
-/// Abstract value for the residual classifier, ordered from most to least
-/// structured. `Konst` is a job-uniform constant; `Inv` is wait-invariant
-/// but job-varying; `Affine` is `u_i + c·w` with job-uniform `c`;
-/// `Stable` is a job-uniform weakly-monotone transform of an `Affine`
-/// value; `General` is everything else.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Sym {
-    Konst,
-    Inv,
-    Affine,
-    Stable,
-    General,
-}
-
-/// Whether `Func::eval(f, ·)` is weakly monotone over all of `f64` (with
-/// its guard): saturating logs, `sqrt(max(x, 0))`, `exp` and the guarded
-/// reciprocal all are; `abs` is the one exception.
-fn func_monotone(f: Func) -> bool {
-    !matches!(f, Func::Abs)
-}
-
-/// Transfer function of the classifier's binary operations.
-fn bin_sym(op: OpCode, a: Sym, b: Sym) -> Sym {
-    use Sym::*;
-    match op {
-        OpCode::Add | OpCode::Sub => match (a, b) {
-            (Konst, Konst) => Konst,
-            (Konst | Inv, Konst | Inv) => Inv,
-            // Sums and differences of affines stay affine (coefficients
-            // are job-uniform, so the combined coefficient is too).
-            (Affine, Konst | Inv | Affine) | (Konst | Inv, Affine) => Affine,
-            // A monotone transform shifted by a job-uniform constant is
-            // still the same monotone transform; a job-varying shift is
-            // not (it can reorder as the transform saturates).
-            (Stable, Konst) | (Konst, Stable) => Stable,
-            _ => General,
-        },
-        OpCode::Mul => match (a, b) {
-            (Konst, Konst) => Konst,
-            (Konst | Inv, Konst | Inv) => Inv,
-            // Scaling by a job-uniform constant preserves both classes
-            // (a negative constant flips direction, which monotone-ness
-            // up to direction absorbs); a job-varying factor does not.
-            (Affine, Konst) | (Konst, Affine) => Affine,
-            (Stable, Konst) | (Konst, Stable) => Stable,
-            _ => General,
-        },
-        OpCode::Div | OpCode::DivRaw => match (a, b) {
-            (Konst, Konst) => Konst,
-            (Konst | Inv, Konst | Inv) => Inv,
-            // Dividing by a job-uniform constant is a scale; a reciprocal
-            // of an aging value is not monotone across the sign change.
-            (Affine, Konst) => Affine,
-            (Stable, Konst) => Stable,
-            _ => General,
-        },
-        OpCode::Pow => match (a, b) {
-            (Konst, Konst) => Konst,
-            (Konst | Inv, Konst | Inv) => Inv,
-            _ => General,
-        },
-        OpCode::Max => match (a, b) {
-            (Konst, Konst) => Konst,
-            (Konst | Inv, Konst | Inv) => Inv,
-            // `max(x, k)` with job-uniform `k` is a monotone saturation.
-            (Affine | Stable, Konst) | (Konst, Affine | Stable) => Stable,
-            _ => General,
-        },
-        _ => unreachable!("not a binary opcode: {op:?}"),
-    }
-}
-
-/// Classify a residual program by symbolic execution of its bytecode.
-/// Only called for wait-reading residuals (wait-free ones are `Static`
-/// by definition); conservative in every uncertain case.
-fn classify_residual(ops: &[OpCode]) -> ResidualClass {
-    use Sym::*;
-    let mut stack: Vec<Sym> = Vec::new();
-    for op in ops {
-        match *op {
-            OpCode::Const(_) => stack.push(Konst),
-            OpCode::LoadR | OpCode::LoadN | OpCode::LoadS | OpCode::LoadSlot(_) => stack.push(Inv),
-            OpCode::LoadW => stack.push(Affine),
-            // Negation is an exact affine scale by -1: class-preserving.
-            OpCode::Neg => {}
-            OpCode::Dup => {
-                let a = *stack.last().expect("validated");
-                stack.push(a);
-            }
-            OpCode::Call(f) => {
-                let a = stack.last_mut().expect("validated");
-                *a = match (*a, func_monotone(f)) {
-                    (Konst, _) => Konst,
-                    (Inv, _) => Inv,
-                    (Affine | Stable, true) => Stable,
-                    _ => General,
-                };
-            }
-            OpCode::Clamp01 => {
-                let a = stack.last_mut().expect("validated");
-                *a = match *a {
-                    Konst => Konst,
-                    Inv => Inv,
-                    // Clamping to [0, 1] is a monotone saturation.
-                    Affine | Stable => Stable,
-                    General => General,
-                };
-            }
-            // The NaN sanitizer maps NaN lanes to f64::MAX — a fixed
-            // job-independent rewrite that the verify-and-fallback layer
-            // absorbs like any other tie/rounding artifact.
-            OpCode::NanToMax => {}
-            OpCode::Add
-            | OpCode::Sub
-            | OpCode::Mul
-            | OpCode::Div
-            | OpCode::DivRaw
-            | OpCode::Pow
-            | OpCode::Max => {
-                let b = stack.pop().expect("validated");
-                let a = stack.last_mut().expect("validated");
-                *a = bin_sym(*op, *a, b);
-            }
-        }
-    }
-    match stack.pop() {
-        Some(General) => ResidualClass::General,
-        // Konst/Inv with a LoadW somewhere means the wait contribution
-        // cancelled (e.g. `w * 0`): still order-stable over time.
-        Some(_) | None => ResidualClass::UniformAging,
     }
 }
 
@@ -535,7 +361,6 @@ pub struct CompiledPolicy {
     name: String,
     time_dependent: bool,
     slot_count: usize,
-    residual_class: ResidualClass,
     prefix: Program,
     residual: Program,
 }
@@ -553,18 +378,12 @@ impl CompiledPolicy {
         residual_ops: Vec<OpCode>,
     ) -> Self {
         let time_dependent = residual_ops.iter().any(|op| matches!(op, OpCode::LoadW));
-        let residual_class = if time_dependent {
-            classify_residual(&residual_ops)
-        } else {
-            ResidualClass::Static
-        };
         let prefix = Program::new(prefix_ops, slot_count, 0, false);
         let residual = Program::new(residual_ops, 1, slot_count, true);
         Self {
             name: name.into(),
             time_dependent,
             slot_count,
-            residual_class,
             prefix,
             residual,
         }
@@ -586,14 +405,6 @@ impl CompiledPolicy {
     /// Number of wait-invariant slots the prefix computes per job.
     pub fn slot_count(&self) -> usize {
         self.slot_count
-    }
-
-    /// How this policy's scores evolve with waiting time — the
-    /// compile-time [`ResidualClass`] the scheduler uses to pick its
-    /// queue-maintenance strategy (see the module docs). A hint only:
-    /// every shortcut it enables is verified against fresh score bits.
-    pub fn residual_class(&self) -> ResidualClass {
-        self.residual_class
     }
 
     /// Evaluate the wait-invariant prefix for one job, writing its
@@ -948,55 +759,6 @@ mod tests {
         for (i, v) in jobs.iter().enumerate() {
             assert_eq!(bits(out[i]), bits(c.score(v)), "job {i}");
         }
-    }
-
-    #[test]
-    fn residual_classification_recognizes_uniform_aging() {
-        let aging = [
-            "log10(r)*n + 8.70e2*log10(s) - 1.5e-2*w", // the paper's G1 + aging
-            "w",
-            "inv(r) - w",
-            "0 - w * 3.5",
-            "exp(0 - w / 1000)", // monotone transform of affine
-            "sqrt(w + r) * 2",   // monotone transform of affine, scaled
-            "log10(w) + 5",      // stable + job-uniform shift
-        ];
-        for src in aging {
-            let c = compile_expr("t", &parse_expr(src).unwrap());
-            assert_eq!(
-                c.residual_class(),
-                ResidualClass::UniformAging,
-                "{src} should classify as uniform aging"
-            );
-            assert!(c.time_dependent());
-        }
-    }
-
-    #[test]
-    fn residual_classification_is_conservative_for_general_forms() {
-        let general = [
-            "-((w / r) ^ 3) * n",         // WFP-style: job-dependent aging rate
-            "0 - w / s",                  // UNICEF-style ratio
-            "abs(w - 100)",               // non-monotone transform
-            "exp(0 - w / 1000) + inv(r)", // monotone transform + job-varying shift
-            "w * n",                      // job-dependent coefficient
-            "log10(w) + log10(r + w)",    // sum of two transforms
-        ];
-        for src in general {
-            let c = compile_expr("t", &parse_expr(src).unwrap());
-            assert_eq!(
-                c.residual_class(),
-                ResidualClass::General,
-                "{src} must not claim uniform aging"
-            );
-        }
-    }
-
-    #[test]
-    fn static_residuals_classify_as_static() {
-        let c = compile_expr("F1", &parse_expr("log10(r)*n + 8.70e2*log10(s)").unwrap());
-        assert_eq!(c.residual_class(), ResidualClass::Static);
-        assert!(!c.time_dependent());
     }
 
     #[test]

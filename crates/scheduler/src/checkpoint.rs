@@ -28,17 +28,17 @@
 //! has: the pending completion-event queue (including its FIFO tie-break
 //! sequence), the waiting queue with its SoA priority keys (the live
 //! window only: entries a static-order pass left behind its `head` cursor
-//! are not copied, and a captured or restored cursor is 0), the maintained
-//! incremental order and its synchronization watermark, the blocked-head
-//! fact, the sorted release list, the narrowest-waiter width, the
-//! compiled batch-scoring input lanes, per-job start times, the core
+//! are not copied, and a captured or restored cursor is 0), the
+//! blocked-head fact, the sorted release list, the narrowest-waiter width,
+//! the compiled batch-scoring input lanes, per-job start times, the core
 //! ledger (capacity state plus its busy/offline integrals), the
-//! completion prefix, the arrival cursor, and
-//! the event/backfill counters. What it deliberately does *not* capture is
-//! state the engine rebuilds from scratch at every use — the availability
-//! profile and its release scratch (rebuilt from the release list at every
-//! backfilling pass), per-event score scratch, and the compiled static
-//! lanes (recomputed deterministically from the trace at run start) — and
+//! completion prefix, the arrival cursor, and the event/backfill counters.
+//! What it deliberately does *not* capture is state the engine rebuilds
+//! from scratch at every use — the availability profile and its release
+//! scratch (rebuilt from the release list at every backfilling pass), a
+//! time-dependent priority order (no pass reads one it did not just
+//! build), per-event score scratch, and the compiled static lanes
+//! (recomputed deterministically from the trace at run start) — and
 //! the per-job attempt counters, which are identically zero in the
 //! zero-fault runs checkpointing supports.
 //!

@@ -10,9 +10,9 @@ pub enum BackfillMode {
     /// No backfilling: if the highest-priority task does not fit, the
     /// scheduler waits (§4.2's base setting).
     None,
-    /// Aggressive (EASY) backfilling: only the head task holds a
-    /// reservation; any later task may jump ahead if it does not delay the
-    /// head (§4.2.3). FCFS + this = the EASY algorithm.
+    /// Aggressive (EASY) backfilling: the blocked head task holds the one
+    /// and only reservation; any later task may jump ahead if it does not
+    /// delay the head (§4.2.3). FCFS + this = the EASY algorithm.
     Aggressive,
     /// Conservative backfilling: every queued task holds a reservation; a
     /// task may jump ahead only if it delays nobody. Not evaluated in the
@@ -27,13 +27,9 @@ pub struct SchedulerConfig {
     pub platform: Platform,
     /// Whether policies see actual runtimes or user estimates.
     pub decision_mode: DecisionMode,
-    /// Backfilling variant.
+    /// Backfilling variant. EASY ([`BackfillMode::Aggressive`]) means
+    /// exactly one reservation — the paper's setting (§4.2.3).
     pub backfill: BackfillMode,
-    /// Number of blocked jobs that hold reservations under
-    /// [`BackfillMode::Aggressive`]: 1 is classic EASY (the paper's
-    /// setting); larger values interpolate toward conservative
-    /// backfilling. Ignored by the other modes.
-    pub reservation_depth: u32,
     /// Enforce walltimes: kill a job once it has run for its user estimate
     /// (production behaviour). The paper's simulations let jobs run to
     /// completion, so this defaults to `false`.
@@ -48,7 +44,6 @@ impl SchedulerConfig {
             platform,
             decision_mode: DecisionMode::ActualRuntime,
             backfill: BackfillMode::None,
-            reservation_depth: 1,
             kill_at_estimate: false,
         }
     }

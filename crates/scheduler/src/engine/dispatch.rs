@@ -1,8 +1,8 @@
-//! One rescheduling pass: the strict policy starts, the three backfilling
+//! One rescheduling pass: the strict policy starts, the two backfilling
 //! variants, and what takes the jobs the pass started out of the queue — a
 //! cursor moved over the front of the live window under a static order,
-//! the compaction that carries the queue, its SoA lanes and the
-//! incremental order under a time-dependent one.
+//! the compaction that carries the queue and its SoA lanes under a
+//! time-dependent one.
 
 use super::event_loop::Engine;
 use super::ordering::next_head;
@@ -52,7 +52,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
         Some((start, start + duration, job.cores))
     }
 
-    /// One step of the classic-EASY backfill scan: start the waiting job
+    /// One step of the EASY backfill scan: start the waiting job
     /// at queue position `qi` if it fits now and either ends (by its
     /// decision-mode runtime) by the head's `shadow` time or uses only
     /// cores `spare` even then. Returns whether it started.
@@ -109,10 +109,9 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
             if self.starved() {
                 // Fast path: a start needs its cores free *now* in every
                 // backfilling mode, and no waiter is that narrow. Nothing
-                // the pass would build survives it (the order is rebuilt
-                // or re-verified under fresh scores by the next pass that
-                // runs, the profile and its reservations are per-pass
-                // scratch), so the re-score is skipped along with it.
+                // the pass would build survives it (the order, the profile
+                // and its reservations are per-pass scratch), so the
+                // re-score is skipped along with it.
                 return Ok(());
             }
         }
@@ -176,35 +175,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
                 self.st.head_blocked = blocked.is_some();
             }
 
-            if self.config.backfill == BackfillMode::Aggressive && self.config.reservation_depth > 1
-            {
-                // Deep EASY: the first `reservation_depth` blocked jobs
-                // hold reservations in an availability profile; any other
-                // job may start only where the profile admits it *now*.
-                // Depth → ∞ converges to conservative backfilling.
-                if let Some((head_pos, _)) = blocked {
-                    self.rebuild_profile(now);
-                    let mut reservations = 0u32;
-                    for pos in head_pos..len {
-                        let qi = self.ord(pos);
-                        let Some((start, end, cores)) = self.earliest_slot(qi) else {
-                            continue;
-                        };
-                        if start == now {
-                            self.scratch.profile.reserve(start, end, cores);
-                            self.start_job(qi, now)?;
-                            any_started = true;
-                            self.st.backfilled += 1;
-                        } else if reservations < self.config.reservation_depth {
-                            self.scratch.profile.reserve(start, end, cores);
-                            reservations += 1;
-                        }
-                        // Beyond the reservation depth, unstartable jobs
-                        // place no reservation: later candidates may
-                        // overtake them, exactly like classic EASY's tail.
-                    }
-                }
-            } else if self.config.backfill == BackfillMode::Aggressive {
+            if self.config.backfill == BackfillMode::Aggressive {
                 if let Some((head_pos, head_qi)) = blocked {
                     let head = self.st.queue[head_qi].job;
                     // Shadow time: when enough cores free up for the head,
@@ -323,8 +294,8 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
     /// Time-dependent orders: drop the entries the pass started, which lie
     /// anywhere in the arrival-ordered queue. Compacts `queue` and its SoA
     /// key array in lockstep — plus the compiled batch-scoring input lanes
-    /// and the incremental order when they are maintained, both indexed by
-    /// queue position from 0 (`head` stays 0 here).
+    /// when they are maintained, indexed by queue position from 0 (`head`
+    /// stays 0 here).
     fn compact(&mut self) {
         debug_assert_eq!(self.st.head, 0);
         let stride = if self.track_lanes {
@@ -332,18 +303,9 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
         } else {
             0
         };
-        if self.incremental {
-            self.scratch.order_remap.clear();
-            self.scratch
-                .order_remap
-                .resize(self.st.queue.len(), u32::MAX);
-        }
         let mut w = 0usize;
         for r in 0..self.st.queue.len() {
             if !self.st.queue[r].started {
-                if self.incremental {
-                    self.scratch.order_remap[r] = w as u32;
-                }
                 if w != r {
                     self.st.queue[w] = self.st.queue[r];
                     self.st.q_keys[w] = self.st.q_keys[r];
@@ -366,20 +328,6 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
             self.st.q_n.truncate(w);
             self.st.q_s.truncate(w);
             self.st.q_slots.truncate(w * stride);
-        }
-        if self.incremental {
-            // Carry the order across the compaction: drop started
-            // positions, rewrite survivors to their new positions. The
-            // remap is monotone over survivors, so the filtered order
-            // stays sorted under the scores just computed — the next
-            // event's verify starts from a coherent prefix.
-            let remap = &self.scratch.order_remap;
-            self.st.order.retain_mut(|p| {
-                let np = remap[*p];
-                *p = np as usize;
-                np != u32::MAX
-            });
-            self.st.known = w;
         }
         if self.track_releases {
             // A pass of its own, not a fold into the loop above: strict

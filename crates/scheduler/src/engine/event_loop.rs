@@ -8,7 +8,6 @@ use super::{
 };
 use crate::config::{BackfillMode, SchedulerConfig};
 use dynsched_cluster::{AvailabilitySchedule, CapacityStep, CompletedJob, Job};
-use dynsched_policies::{CompiledPolicy, ResidualClass};
 use dynsched_simkit::Clock;
 use dynsched_workload::TraceSource;
 
@@ -84,19 +83,11 @@ impl SimWorkspace {
             }
             None => self.scratch.static_lanes.reset(0, 0),
         }
-        // Queue maintenance is keyed off the compiled residual's class (a
-        // hint — every path works on fresh score bits): uniform-aging
-        // residuals keep the previous event's order alive across events;
-        // general residuals under strict or classic-EASY scheduling build
-        // no order at all and pick each head on demand.
-        let class = batch_scored.map(CompiledPolicy::residual_class);
-        let incremental = class == Some(ResidualClass::UniformAging);
-        let on_demand = class == Some(ResidualClass::General)
-            && match config.backfill {
-                BackfillMode::None => true,
-                BackfillMode::Aggressive => config.reservation_depth <= 1,
-                BackfillMode::Conservative => false,
-            };
+        // A time-dependent compiled discipline (`batch_scored`: its
+        // `time_dependent()` holds) under strict or EASY scheduling builds
+        // no order at all and picks each head on demand; a conservative
+        // pass reads every position, so it full-sorts.
+        let on_demand = batch_scored.is_some() && config.backfill != BackfillMode::Conservative;
         // The no-op skip only applies where a blocked head is a stable
         // fact: strict mode (nothing behind the head can ever start)
         // with a static order (the head cannot change by re-scoring).
@@ -132,7 +123,6 @@ impl SimWorkspace {
             track_releases: config.backfill != BackfillMode::None,
             skip_eligible,
             track_lanes: batch_scored.is_some(),
-            incremental,
             on_demand,
             max_retries: schedule.map_or(u32::MAX, AvailabilitySchedule::max_retries),
             st: &mut self.state,
@@ -182,12 +172,8 @@ pub(super) struct Engine<'a, 'b, K: CompletionSink, T: TraceSource> {
     /// Whether the queue-parallel SoA input lanes are maintained — only
     /// for time-dependent compiled disciplines, which batch-score them.
     pub(super) track_lanes: bool,
-    /// Whether the priority order persists across events (uniform-aging
-    /// compiled residuals): verified sorted under fresh scores and
-    /// binary-inserted into, instead of rebuilt by a full sort.
-    pub(super) incremental: bool,
     /// Whether the pass picks each head on demand instead of reading a
-    /// built order (general compiled residuals under strict or classic
+    /// built order (time-dependent compiled disciplines under strict or
     /// EASY scheduling): see `ordering::next_head`.
     pub(super) on_demand: bool,
     /// Preemption retry cap of the active fault schedule (`u32::MAX` for

@@ -91,7 +91,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
             });
         }
         // Everything in lockstep with the queue goes with it (a no-op for
-        // the lanes and the order where they are not maintained).
+        // the lanes where they are not maintained).
         self.st.queue.clear();
         self.st.q_keys.clear();
         self.st.head = 0;
@@ -99,8 +99,6 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
         self.st.q_n.clear();
         self.st.q_s.clear();
         self.st.q_slots.clear();
-        self.st.order.clear();
-        self.st.known = 0;
         self.st.narrowest = u32::MAX;
     }
 }

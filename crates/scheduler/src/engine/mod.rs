@@ -52,11 +52,10 @@
 //! ([`SimWorkspace`]: the public run methods over two private finishers,
 //! the accessors, [`simulate`]); `event_loop` (per-run set-up, the
 //! arrival / completion / capacity-step merge, enqueue / start /
-//! complete); `ordering` (time-dependent queue ordering: full sort,
-//! incremental, on demand); `dispatch` (one rescheduling pass: strict
-//! starts, the three backfilling variants, taking the started jobs out of
-//! the queue); `faults`
-//! (capacity steps, victim selection, requeue, abandonment).
+//! complete); `ordering` (time-dependent queue ordering: full sort or
+//! heads on demand); `dispatch` (one rescheduling pass: strict starts, the
+//! two backfilling variants, taking the started jobs out of the queue);
+//! `faults` (capacity steps, victim selection, requeue, abandonment).
 //!
 //! # Metrics-only mode
 //!
@@ -103,24 +102,21 @@
 //!   never holds more than twice the live queue. A [`Checkpoint`] copies
 //!   the window only. Time-dependent orders keep the full compaction and
 //!   `head == 0`: their queue is in arrival order, so a pass's starts lie
-//!   anywhere in it, and the score lanes and the incremental order index
-//!   it by position from 0.
+//!   anywhere in it, and the score lanes index it by position from 0.
 //! * **Narrowest-waiter gate.** In every backfilling mode a job starts
 //!   only if its cores are free *now*, so a pass entered with fewer free
 //!   cores than the narrowest waiting job asks for starts nothing — and
-//!   leaves nothing else behind either: the profile and its reservations
-//!   are per-pass scratch, and a priority order is rebuilt (or verified
-//!   under fresh scores) by the next pass that runs. The engine keeps
-//!   that width (`SimState::narrowest`: lowered at enqueue, recomputed
-//!   over the survivors by a pass that started anything) and returns before
-//!   the re-score, the profile rebuild and the reservations. The
-//!   conservative loop stops on the same test once its starts have used
-//!   the free cores up: a reservation that does not start now is only
-//!   observable through a later job that could. (Deep EASY has the entry
-//!   gate only — no benchmark workload runs a depth above 1, so a cut
-//!   there would be unmeasured.) Within a pass the width may be stale —
-//!   too *low*, after a waiter of that width started — which only makes
-//!   the test fire later than it could, never wrongly: every remaining
+//!   leaves nothing else behind either: the profile, its reservations
+//!   and a time-dependent priority order are per-pass scratch, rebuilt by
+//!   the next pass that runs. The engine keeps that width
+//!   (`SimState::narrowest`: lowered at enqueue, recomputed over the
+//!   survivors by a pass that started anything) and returns before the
+//!   re-score, the profile rebuild and the reservations. The conservative
+//!   loop stops on the same test once its starts have used the free cores
+//!   up: a reservation that does not start now is only observable through
+//!   a later job that could. Within a pass the width may be stale — too
+//!   *low*, after a waiter of that width started — which only makes the
+//!   test fire later than it could, never wrongly: every remaining
 //!   waiter is at least that wide. The width is tracked exactly where the
 //!   release list is (`track_releases`: `backfill != None`); the strict
 //!   mode has its own blocked-head skip and would pay the upkeep for
@@ -141,53 +137,42 @@
 //! entirely: it is scored exactly once, at enqueue, through the scalar
 //! kernel, like any other cached-score discipline.
 //!
-//! What happens after the batch re-score is keyed off the compile-time
-//! [`ResidualClass`] of the policy's residual and the backfill mode:
+//! What happens after the batch re-score has two shapes, chosen by the
+//! backfill mode alone:
 //!
-//! * *Uniform-aging* residuals (affine in `w` with a job-uniform
-//!   coefficient, or a monotone transform thereof) keep the previous
-//!   event's priority order alive: after the batch re-score the standing
-//!   order is verified still-sorted in O(queue) under the fresh bits and
-//!   new arrivals are binary-inserted; any mismatch (rounding can
-//!   collapse a strict pair into a position-broken tie) falls back to the
-//!   full sort. Started jobs are carried out of the order by the same
-//!   compaction that maintains the queue and lanes.
-//! * *General* residuals under strict ([`BackfillMode::None`]) or classic
-//!   EASY ([`BackfillMode::Aggressive`], one reservation) scheduling
-//!   build **no order at all**: the strict pass selects each head **on
-//!   demand**, by one linear scan for the minimum score among the entries
-//!   it has not started yet, and stops asking at the first head that does
-//!   not fit — which, on a saturated machine, is usually the first one.
-//!   The scan compares scores as order-preserving integer keys
-//!   (`f64::total_cmp`'s bit transform, applied once per element), and
-//!   the first scan of a pass, which precedes every start, reads the
-//!   score lane alone and skips the queue entries' `started` flags.
-//!   EASY then sorts only the waiting jobs narrow enough to fit the cores
-//!   free at that moment: availability only falls during the backfill
-//!   scan and a job that does not fit is skipped without side effects, so
-//!   the scan visits the jobs the full order would have it visit, in the
-//!   same order.
-//! * Conservative and deep-EASY passes read every position, so they
-//!   full-sort.
+//! * Strict ([`BackfillMode::None`]) and EASY
+//!   ([`BackfillMode::Aggressive`]) passes build **no order at all**: the
+//!   strict pass selects each head **on demand**, by one linear scan for
+//!   the minimum score among the entries it has not started yet, and
+//!   stops asking at the first head that does not fit — which, on a
+//!   saturated machine, is usually the first one. The scan compares
+//!   scores as order-preserving integer keys (`f64::total_cmp`'s bit
+//!   transform, applied once per element), and the first scan of a pass,
+//!   which precedes every start, reads the score lane alone and skips the
+//!   queue entries' `started` flags. EASY then sorts only the waiting
+//!   jobs narrow enough to fit the cores free at that moment:
+//!   availability only falls during the backfill scan and a job that does
+//!   not fit is skipped without side effects, so the scan visits the jobs
+//!   the full order would have it visit, in the same order.
+//! * A conservative pass reads every position, so it full-sorts into a
+//!   per-pass scratch order.
 //!
-//! The class is a hint, never a correctness input — scores are freshly
-//! evaluated every event, and because the ordering comparator
-//! `(score, queue position)` is total and injective, the sorted
-//! permutation of a score vector is unique: the minimum of the entries
-//! not yet taken *is* the next element of the full-sort order, and a
-//! verified or binary-inserted standing order *is* that order. Scores
-//! (and therefore every schedule) stay **bit-identical** to the
-//! interpreted [`QueueDiscipline::Policy`] path; the
-//! `compiled_bit_identity` and `incremental_rescore` suites pin full
-//! simulations across backfill modes, decision modes, layouts and thread
-//! counts, and [`crate::reference`] stays on the per-task scalar,
-//! full-sort path as the oracle.
+//! Neither shape carries anything from one event to the next — scores
+//! are freshly evaluated every event — and because the ordering
+//! comparator `(score, queue position)` is total and injective, the
+//! sorted permutation of a score vector is unique: the minimum of the
+//! entries not yet taken *is* the next element of the full-sort order.
+//! Scores (and therefore every schedule) stay **bit-identical** to the
+//! interpreted [`QueueDiscipline::Policy`] path, which full-sorts in
+//! every mode; the `compiled_bit_identity` and `incremental_rescore`
+//! suites pin full simulations across backfill modes, decision modes,
+//! layouts and thread counts, and [`crate::reference`] stays on the
+//! per-task scalar, full-sort path as the oracle.
 //!
 //! [`BackfillMode::None`]: crate::BackfillMode::None
 //! [`BackfillMode::Aggressive`]: crate::BackfillMode::Aggressive
 //! [`BackfillMode::Conservative`]: crate::BackfillMode::Conservative
 //! [`JobLanes`]: dynsched_workload::JobLanes
-//! [`ResidualClass`]: dynsched_policies::ResidualClass
 
 mod dispatch;
 mod event_loop;
@@ -263,18 +248,6 @@ pub enum EngineError {
         /// Simulation time at which the mismatch was detected.
         time: f64,
     },
-    /// The incrementally maintained priority order no longer describes
-    /// the waiting queue (its length disagrees with the last synchronized
-    /// prefix). Guards the incremental re-scoring layer the same way
-    /// [`EngineError::ReleaseListInconsistent`] guards the release list.
-    QueueOrderInconsistent {
-        /// Entries in the maintained order.
-        ordered: usize,
-        /// Jobs actually waiting.
-        queued: usize,
-        /// Simulation time at which the mismatch was detected.
-        time: f64,
-    },
     /// Every pending event was processed but jobs were still waiting or
     /// running — the run cannot have produced a complete schedule.
     /// Reachable from bad inputs: a
@@ -319,14 +292,6 @@ impl std::fmt::Display for EngineError {
             EngineError::ScoreLanesInconsistent { queued, time } => write!(
                 f,
                 "score lanes out of lockstep with the {queued}-job waiting queue at t={time}"
-            ),
-            EngineError::QueueOrderInconsistent {
-                ordered,
-                queued,
-                time,
-            } => write!(
-                f,
-                "incremental order covers {ordered} entries but {queued} jobs wait at t={time}"
             ),
             EngineError::QueueNotDrained {
                 waiting,

@@ -1,7 +1,7 @@
 //! Queue ordering: which waiting job is the `pos`-th in priority order.
 //! Static disciplines keep the queue itself sorted at enqueue; this file is
 //! the time-dependent half — full re-score and sort (interpreted), batch
-//! re-score then incremental / on-demand / full-sort (compiled).
+//! re-score then heads on demand or a full sort (compiled).
 
 use super::event_loop::Engine;
 use super::{task_view, CompletionSink, EngineError, QueueDiscipline, QueueEntry, QueueOrder};
@@ -34,7 +34,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
     pub(super) fn ord(&self, pos: usize) -> usize {
         debug_assert!(!self.on_demand, "on-demand selection builds no order");
         if self.queue_order == QueueOrder::TimeDependent {
-            self.st.order[pos]
+            self.scratch.order[pos]
         } else {
             self.st.head + pos
         }
@@ -46,7 +46,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
     /// arrival order as tie-break, which makes the comparator total — so
     /// the non-allocating unstable sort produces the same permutation the
     /// reference's stable sort does. This path deliberately stays the
-    /// score-everything/full-sort twin of the compiled incremental layer
+    /// score-everything/full-sort twin of the compiled on-demand layer
     /// (the `incremental_rescore` suite pins the two against each other).
     fn order_queue(&mut self, policy: &dyn Policy, now: f64) {
         let scored = &mut self.scratch.scored;
@@ -62,8 +62,8 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
             scored.push((i, s));
         }
         scored.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        self.st.order.clear();
-        self.st.order.extend(scored.iter().map(|&(i, _)| i));
+        self.scratch.order.clear();
+        self.scratch.order.extend(scored.iter().map(|&(i, _)| i));
     }
 
     /// Re-score the queue for a time-dependent *compiled* policy — one
@@ -73,13 +73,12 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
     ///
     /// Bit-identity argument: the comparator `(score, queue position)` is
     /// total and injective (positions are distinct), so the sorted
-    /// permutation of any score vector is **unique** — every path below
-    /// reads a prefix of it. Scores are always freshly evaluated; the
-    /// residual class only chooses how much of the permutation is built
-    /// (the module docs' *Compiled policy kernels* section describes the
-    /// three paths): the verified-and-inserted standing order *is* that
-    /// permutation, and so is the sequence of minima
-    /// [`next_head`] yields where no order is built at all.
+    /// permutation of any score vector is **unique**. Scores are always
+    /// freshly evaluated; the backfill mode only chooses how much of the
+    /// permutation is built (the module docs' *Compiled policy kernels*
+    /// section describes the two shapes): the full sort builds all of it,
+    /// and the sequence of minima [`next_head`] yields where no order is
+    /// built at all walks the same one.
     fn order_queue_compiled(&mut self, cp: &CompiledPolicy, now: f64) -> Result<(), EngineError> {
         let len = self.st.queue.len();
         if self.st.q_r.len() != len
@@ -115,43 +114,10 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
             return Ok(());
         }
         let scores: &[f64] = &self.scratch.batch_scores;
-        let cmp = |a: &usize, b: &usize| scores[*a].total_cmp(&scores[*b]).then(a.cmp(b));
-        if self.incremental {
-            if self.st.order.len() != self.st.known || self.st.known > len {
-                return Err(EngineError::QueueOrderInconsistent {
-                    ordered: self.st.order.len(),
-                    queued: len,
-                    time: now,
-                });
-            }
-            let fresh = len - self.st.known;
-            // Reuse the standing order unless an arrival wave makes
-            // insertion quadratic-ish, or the verify fails.
-            let reuse = fresh <= 16.max(len / 8)
-                && self
-                    .st
-                    .order
-                    .windows(2)
-                    .all(|p| cmp(&p[0], &p[1]) == std::cmp::Ordering::Less);
-            if reuse {
-                for p in self.st.known..len {
-                    let at = self
-                        .st
-                        .order
-                        .partition_point(|q| cmp(q, &p) == std::cmp::Ordering::Less);
-                    self.st.order.insert(at, p);
-                }
-            } else {
-                self.st.order.clear();
-                self.st.order.extend(0..len);
-                self.st.order.sort_unstable_by(cmp);
-            }
-            self.st.known = len;
-        } else {
-            self.st.order.clear();
-            self.st.order.extend(0..len);
-            self.st.order.sort_unstable_by(cmp);
-        }
+        let order = &mut self.scratch.order;
+        order.clear();
+        order.extend(0..len);
+        order.sort_unstable_by(|a, b| scores[*a].total_cmp(&scores[*b]).then(a.cmp(b)));
         Ok(())
     }
 

@@ -36,13 +36,6 @@ pub(crate) struct SimState {
     /// under a time-dependent order (those compact in full) and in a
     /// [`Checkpoint`](crate::Checkpoint).
     pub(crate) head: usize,
-    /// Priority order of queue positions for time-dependent policies
-    /// (static disciplines keep the queue itself priority-sorted; stays
-    /// empty where heads are selected on demand).
-    pub(crate) order: Vec<usize>,
-    /// Queue length the incremental `order` was last synchronized at;
-    /// queue positions at or beyond it arrived since the last event.
-    pub(crate) known: usize,
     /// True while the queue head is known not to fit *and* nothing that
     /// could change that has happened: set when a strict pass leaves the
     /// queue blocked, cleared by any completion (cores freed) or by an
@@ -87,8 +80,6 @@ impl SimState {
         self.queue.clear();
         self.q_keys.clear();
         self.head = 0;
-        self.order.clear();
-        self.known = 0;
         self.head_blocked = false;
         self.releases.clear();
         self.narrowest = u32::MAX;
@@ -124,8 +115,6 @@ impl SimState {
         self.q_keys.clear();
         self.q_keys.extend_from_slice(&src.q_keys[src.head..]);
         self.head = 0;
-        self.order.clone_from(&src.order);
-        self.known = src.known;
         self.head_blocked = src.head_blocked;
         self.releases.clone_from(&src.releases);
         self.narrowest = src.narrowest;
@@ -150,6 +139,11 @@ pub(super) struct Scratch {
     /// time-dependent policies, the EASY backfill candidates under
     /// on-demand selection.
     pub(super) scored: Vec<(usize, f64)>,
+    /// Priority order of queue positions, rebuilt by every time-dependent
+    /// pass that reads one (conservative backfilling, interpreted
+    /// policies); on-demand selection builds none and static disciplines
+    /// keep the queue itself priority-sorted.
+    pub(super) order: Vec<usize>,
     /// Clamped `(time, cores)` copy of the releases handed to the profile.
     pub(super) rel_scratch: Vec<(f64, u32)>,
     /// Wait-invariant prefix slots of a compiled policy, one row per
@@ -165,9 +159,6 @@ pub(super) struct Scratch {
     /// Prefix slot row for scoring a static compiled policy at enqueue
     /// (its scores never change, so no per-trace lanes exist).
     pub(super) slot_row: Vec<f64>,
-    /// Old→new queue-position remap for carrying the incremental order
-    /// across a compaction (`u32::MAX` marks a started entry).
-    pub(super) order_remap: Vec<u32>,
     /// Availability profile, rebuilt from the releases at every
     /// backfilling pass that needs it.
     pub(super) profile: Profile,

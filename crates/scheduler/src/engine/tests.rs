@@ -369,66 +369,6 @@ fn kill_at_estimate_frees_cores_for_waiters() {
 }
 
 #[test]
-fn deep_reservations_protect_second_blocked_job() {
-    // 5 cores. Job0 holds 3 until t=10. Head job1 (4c, 5s) is reserved
-    // [10, 15); the *second* blocked job2 needs the whole machine (5c,
-    // 10s). Job3 (1c, 30s) fits classic EASY's spare core at t=3 —
-    // which silently pushes job2 from 15 to 33. Depth-2 reservations
-    // protect job2: job3 must wait until job2's window has passed.
-    let jobs = vec![
-        job(0, 0.0, 10.0, 3),
-        job(1, 1.0, 5.0, 4),  // head: reserved [10, 15)
-        job(2, 2.0, 10.0, 5), // second blocked: whole machine
-        job(3, 3.0, 30.0, 1), // long 1-core backfill candidate
-    ];
-    // Classic EASY (depth 1): job3 takes the shadow spare core at t=3
-    // and job2 slips to t=33.
-    let mut config = cfg(5);
-    config.backfill = BackfillMode::Aggressive;
-    let r1 = simulate(
-        &Trace::from_jobs(jobs.clone()),
-        &QueueDiscipline::Policy(&Fcfs),
-        &config,
-    );
-    assert_eq!(r1.by_id()[&3].start, 3.0);
-    assert_eq!(r1.by_id()[&2].start, 33.0);
-    // Depth 2: job2's reservation [15, 25) is inviolable; job3 starts
-    // only after it, and job2 keeps its slot.
-    config.reservation_depth = 2;
-    let r2 = simulate(
-        &Trace::from_jobs(jobs),
-        &QueueDiscipline::Policy(&Fcfs),
-        &config,
-    );
-    assert_eq!(r2.by_id()[&1].start, 10.0);
-    assert_eq!(
-        r2.by_id()[&2].start,
-        15.0,
-        "deep reservation must protect job 2"
-    );
-    assert_eq!(r2.by_id()[&3].start, 25.0);
-}
-
-#[test]
-fn deep_easy_still_backfills_harmless_jobs() {
-    let jobs = vec![
-        job(0, 0.0, 10.0, 3),
-        job(1, 1.0, 5.0, 4), // head reserved [10, 15)
-        job(2, 2.0, 2.0, 1), // ends by t=4 < 10: harmless
-    ];
-    let mut config = cfg(4);
-    config.backfill = BackfillMode::Aggressive;
-    config.reservation_depth = 4;
-    let r = simulate(
-        &Trace::from_jobs(jobs),
-        &QueueDiscipline::Policy(&Fcfs),
-        &config,
-    );
-    assert_eq!(r.by_id()[&2].start, 2.0);
-    assert_eq!(r.by_id()[&1].start, 10.0);
-}
-
-#[test]
 fn cached_scores_match_uncached_evaluation() {
     // Force F1 through the time-dependent (uncached) path via a wrapper
     // and check the schedule is identical to the cached fast path.
@@ -537,43 +477,47 @@ fn events_processed_counts_arrivals_and_completions() {
 
 #[test]
 fn on_demand_selection_builds_no_order() {
-    // A general residual (WFP3) under strict and classic-EASY
-    // scheduling picks its heads on demand: the order vector — which a
-    // checkpoint would copy — is never filled. Conservative and
-    // deep-EASY passes read every position and still build it.
-    use dynsched_policies::{Policy, Wfp3};
+    // A time-dependent compiled policy — a job-dependent aging rate
+    // (WFP3) or a job-uniform one (the aging expression) — under strict
+    // and EASY scheduling picks its heads on demand: the scratch order is
+    // never filled. A conservative pass reads every position and still
+    // builds it.
+    use dynsched_policies::{ExprPolicy, Policy, Wfp3};
     let jobs: Vec<Job> = (0..40)
         .map(|i| job(i, (i / 4) as f64, 20.0 + (i % 7) as f64 * 9.0, 1 + i % 4))
         .collect();
     let trace = Trace::from_jobs(jobs);
-    let wfp = Wfp3.compile().unwrap();
-    let mut ws = SimWorkspace::new();
-    for (backfill, depth, on_demand) in [
-        (BackfillMode::None, 1, true),
-        (BackfillMode::Aggressive, 1, true),
-        (BackfillMode::Aggressive, 3, false),
-        (BackfillMode::Conservative, 1, false),
-    ] {
-        let mut config = cfg(6);
-        config.backfill = backfill;
-        config.reservation_depth = depth;
-        let mut ckpt = Checkpoint::default();
-        ws.run_prefix(
-            &trace,
-            &QueueDiscipline::Compiled(&wfp),
-            &config,
-            15.0,
-            &mut ckpt,
-        );
-        assert!(
-            !ckpt.state.queue.is_empty(),
-            "the prefix must stop mid-queue"
-        );
-        assert_eq!(
-            ckpt.state.order.is_empty(),
-            on_demand,
-            "{backfill:?}, depth {depth}"
-        );
+    let aging = ExprPolicy::parse("aging", "log10(r)*n + 8.70e2*log10(s) - 1.5e-2*w").unwrap();
+    for compiled in [Wfp3.compile().unwrap(), aging.compile().unwrap()] {
+        for (backfill, on_demand) in [
+            (BackfillMode::None, true),
+            (BackfillMode::Aggressive, true),
+            (BackfillMode::Conservative, false),
+        ] {
+            let mut config = cfg(6);
+            config.backfill = backfill;
+            // A fresh workspace per case: the order is scratch, so a used
+            // one keeps whatever its last conservative pass built.
+            let mut ws = SimWorkspace::new();
+            let mut ckpt = Checkpoint::default();
+            ws.run_prefix(
+                &trace,
+                &QueueDiscipline::Compiled(&compiled),
+                &config,
+                15.0,
+                &mut ckpt,
+            );
+            assert!(
+                !ckpt.state.queue.is_empty(),
+                "the prefix must stop mid-queue"
+            );
+            assert_eq!(
+                ws.scratch.order.is_empty(),
+                on_demand,
+                "{}, {backfill:?}",
+                compiled.name()
+            );
+        }
     }
 }
 
@@ -814,16 +758,11 @@ fn gated_passes_are_unobservable() {
     ];
     let mut ws = SimWorkspace::new();
     let mut ckpt = Checkpoint::new();
-    for (backfill, depth) in [
-        (BackfillMode::Aggressive, 1),
-        (BackfillMode::Aggressive, 3),
-        (BackfillMode::Conservative, 1),
-    ] {
+    for backfill in [BackfillMode::Aggressive, BackfillMode::Conservative] {
         let mut config = SchedulerConfig::user_estimates(Platform::new(8));
         config.backfill = backfill;
-        config.reservation_depth = depth;
         for (name, policy) in policies {
-            let what = format!("{name}, {backfill:?}, depth {depth}");
+            let what = format!("{name}, {backfill:?}");
             let compiled = policy.compile().expect("every built-in compiles");
             let discipline = QueueDiscipline::Compiled(&compiled);
 

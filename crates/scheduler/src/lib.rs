@@ -64,8 +64,8 @@
 //! * **Compiled policies.** [`QueueDiscipline::Compiled`] runs a
 //!   [`CompiledPolicy`](dynsched_policies::CompiledPolicy) as bytecode —
 //!   wait-invariant prefix once per job, one batch re-score per event,
-//!   queue maintenance keyed off the residual class (see the [`engine`]
-//!   docs). Schedules are bit-identical to [`QueueDiscipline::Policy`]
+//!   then heads on demand or a full sort by backfill mode (see the
+//!   [`engine`] docs). Schedules are bit-identical to [`QueueDiscipline::Policy`]
 //!   (`compiled_bit_identity`, `incremental_rescore`), so a caller
 //!   holding a policy picks with [`QueueDiscipline::of`]: compiled where
 //!   [`Policy::compile`](dynsched_policies::Policy::compile) yields a

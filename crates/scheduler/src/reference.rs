@@ -6,10 +6,10 @@
 //! on every call. The optimized engine in [`crate::engine`] must produce
 //! **bit-identical** [`SimulationResult`]s — the determinism regression
 //! tests diff the two across policies, fixed orders, and every backfill
-//! mode, and the `trial_throughput` bench uses this as the baseline the
-//! zero-allocation fast path is measured against.
+//! mode.
 //!
-//! Not part of the supported API; only tests and benches should call this.
+//! Not part of the supported API; only tests and benchmarks should call
+//! this.
 
 use crate::config::{BackfillMode, SchedulerConfig};
 use crate::engine::QueueDiscipline;
@@ -508,32 +508,7 @@ fn reschedule(
             }
         }
 
-        if config.backfill == BackfillMode::Aggressive && config.reservation_depth > 1 {
-            // Deep EASY: the first `reservation_depth` blocked jobs hold
-            // reservations in an availability profile; any other job may
-            // start only where the profile admits it *now*.
-            if let Some(head_pos) = blocked_at {
-                let releases = expected_releases(running, config, |t| clamp_release(now, t));
-                let mut profile = Profile::new(now, ledger.available(), &releases);
-                let mut reservations = 0u32;
-                for &qi in &order[head_pos..] {
-                    let QueueEntry { idx, job, .. } = queue[qi];
-                    let duration = config.decision_time(job.runtime, job.estimate).max(1e-9);
-                    let start = profile
-                        .earliest_fit_scan(job.cores, duration)
-                        .expect("job width pre-checked against platform");
-                    if start == now {
-                        profile.reserve_scan(start, start + duration, job.cores);
-                        start_job(idx, job, ledger, running, events);
-                        started[qi] = true;
-                        *backfilled += 1;
-                    } else if reservations < config.reservation_depth {
-                        profile.reserve_scan(start, start + duration, job.cores);
-                        reservations += 1;
-                    }
-                }
-            }
-        } else if config.backfill == BackfillMode::Aggressive {
+        if config.backfill == BackfillMode::Aggressive {
             if let Some(head_pos) = blocked_at {
                 let head = queue[order[head_pos]].job;
                 // Shadow time: when enough cores free up for the head.
@@ -653,29 +628,7 @@ fn reschedule_faulty(
             }
         }
 
-        if config.backfill == BackfillMode::Aggressive && config.reservation_depth > 1 {
-            if let Some(head_pos) = blocked_at {
-                let releases = expected_releases(running, config, |t| clamp_release(now, t));
-                let mut profile = Profile::new(now, ledger.available(), &releases);
-                let mut reservations = 0u32;
-                for &qi in &order[head_pos..] {
-                    let QueueEntry { idx, job, .. } = queue[qi];
-                    let duration = config.decision_time(job.runtime, job.estimate).max(1e-9);
-                    let Some(start) = profile.earliest_fit_scan(job.cores, duration) else {
-                        continue;
-                    };
-                    if start == now {
-                        profile.reserve_scan(start, start + duration, job.cores);
-                        start_job(idx, job, ledger, running, events);
-                        started[qi] = true;
-                        *backfilled += 1;
-                    } else if reservations < config.reservation_depth {
-                        profile.reserve_scan(start, start + duration, job.cores);
-                        reservations += 1;
-                    }
-                }
-            }
-        } else if config.backfill == BackfillMode::Aggressive {
+        if config.backfill == BackfillMode::Aggressive {
             if let Some(head_pos) = blocked_at {
                 let head = queue[order[head_pos]].job;
                 let releases = expected_releases(running, config, |t| t.max(now));

@@ -3,7 +3,7 @@
 //! be **bit-identical** to the same simulation run from scratch — same
 //! completed set in the same order, same makespan, utilization, event and
 //! backfill counts — across every discipline kind (interpreted static and
-//! time-dependent policies, compiled policies of every residual class,
+//! time-dependent policies, compiled static and time-dependent policies,
 //! fixed rank orders), all three backfill modes, both decision modes, both
 //! trace layouts, shared-checkpoint fan-outs at 1 worker and at the pool's
 //! natural width, and the degenerate horizon-0 snapshot (which must behave
@@ -11,7 +11,7 @@
 //! `scheduler::reference` stays untouched behind it.
 
 use dynsched_cluster::{AvailabilitySchedule, CapacityStep, Job, Platform};
-use dynsched_policies::{ExprPolicy, Fcfs, LearnedPolicy, Policy, ResidualClass, Unicef, Wfp3};
+use dynsched_policies::{ExprPolicy, Fcfs, LearnedPolicy, Policy, Unicef, Wfp3};
 use dynsched_scheduler::{
     simulate, BackfillMode, Checkpoint, QueueDiscipline, SchedulerConfig, SimMetrics, SimWorkspace,
     SimulationResult,
@@ -74,7 +74,8 @@ fn configs(cores: u32) -> Vec<SchedulerConfig> {
 /// Policies spanning every engine queue-order mode: static cached-score
 /// (Fcfs, the static learned F1), time-dependent interpreted (Wfp3,
 /// Unicef, aging expressions), and — via `compile()` below — compiled
-/// static, uniform-aging, and general residual classes.
+/// static residuals and time-dependent ones with a job-uniform and a
+/// job-dependent aging rate.
 fn lineup() -> Vec<Box<dyn Policy>> {
     vec![
         Box::new(Fcfs),
@@ -490,13 +491,11 @@ fn checkpoint_and_workspace_reuse_carry_no_state() {
         SchedulerConfig::estimates_with_backfilling(Platform::new(16)),
         SchedulerConfig::actual_runtimes(Platform::new(16)),
     ];
-    // One compiled policy per time-dependent residual class: a prefix
-    // under the first leaves lanes, a standing order and its watermark
-    // behind; under the second, lanes and no order.
+    // Two time-dependent compiled policies, a job-uniform aging rate and
+    // a job-dependent one: a prefix under either leaves score lanes
+    // behind, and no order (both select their heads on demand here).
     let aging = lineup()[3].compile().unwrap();
     let wfp = Wfp3.compile().unwrap();
-    assert_eq!(aging.residual_class(), ResidualClass::UniformAging);
-    assert_eq!(wfp.residual_class(), ResidualClass::General);
     // Two outages down to 2 of 16 cores, one requeue allowed: wide jobs
     // caught by both are abandoned.
     let step = |time, capacity| CapacityStep { time, capacity };
@@ -517,8 +516,10 @@ fn checkpoint_and_workspace_reuse_carry_no_state() {
         let fcfs = QueueDiscipline::Policy(&Fcfs);
         // Pollute the workspace and checkpoint before the measured
         // round-trip: a full run, a faulty run that preempts and abandons,
-        // a metrics-only run, and unrelated captures that stop mid-queue
-        // under a static order and each time-dependent residual class
+        // a metrics-only run, a conservative time-dependent run (its last
+        // pass leaves a non-empty scratch order behind, which no later
+        // run or fork may read), and unrelated captures that stop
+        // mid-queue under a static order and each time-dependent policy
         // (rotated, so any of them may be what the workspace and the
         // checkpoint last held).
         ws.run(&trace, &fcfs, &config);
@@ -529,6 +530,11 @@ fn checkpoint_and_workspace_reuse_carry_no_state() {
             "case {case}: the faulty pollution run must preempt and abandon"
         );
         ws.run_metrics(&pollute, &fcfs, &config, 10.0);
+        let conservative = SchedulerConfig {
+            backfill: BackfillMode::Conservative,
+            ..config
+        };
+        ws.run(&pollute, &QueueDiscipline::Compiled(&wfp), &conservative);
         let mid = pollute.submit(pollute.len() / 2);
         let mut disciplines = [
             fcfs,

@@ -1,15 +1,14 @@
 //! Regression proof for what the engine does *after* the compiled batch
-//! re-score. Whatever the residual class and backfill mode select — order
-//! reuse with binary insertion for uniform-aging residuals; for general
-//! residuals under strict or classic-EASY scheduling, no order at all but
-//! each head picked **on demand** as the minimum of the entries not yet
-//! started (and, under EASY, a sort of only the candidates that fit the
-//! free cores); a full sort otherwise — the resulting schedule must be
+//! re-score. Whatever the backfill mode selects — under strict or EASY
+//! scheduling, no order at all but each head picked **on demand** as the
+//! minimum of the entries not yet started (and, under EASY, a sort of
+//! only the candidates that fit the free cores); a full sort under
+//! conservative backfilling — the resulting schedule must be
 //! **bit-identical** to the interpreted full-re-sort twin
 //! ([`QueueDiscipline::Policy`]) and to the scalar reference oracle,
 //! across all backfill modes, both decision modes, both trace layouts,
-//! 1 vs n worker threads, arrival waves that force the fallback sort,
-//! and fault schedules whose preemptions requeue jobs mid-run. The
+//! 1 vs n worker threads, bulk arrival waves, and fault schedules whose
+//! preemptions requeue jobs mid-run. The
 //! comparator `(score.total_cmp, queue position)` is total and injective,
 //! so the minimum of the remaining entries *is* the next element of the
 //! unique full-sort order; the tie and edge cases at the end of this file
@@ -19,7 +18,7 @@
 use dynsched_cluster::{AvailabilitySchedule, FaultProfile, Job, Platform};
 use dynsched_policies::expr::{BinOp, Expr, Func, Var};
 use dynsched_policies::{
-    CompiledPolicy, ExprPolicy, LearnedPolicy, Policy, ResidualClass, TaskView, Unicef, Wfp3,
+    CompiledPolicy, ExprPolicy, LearnedPolicy, Policy, TaskView, Unicef, Wfp3,
 };
 use dynsched_scheduler::reference::{simulate_reference, simulate_reference_faulty};
 use dynsched_scheduler::{
@@ -44,8 +43,7 @@ fn simulate_faulty(
 
 /// A trace that keeps the queue deep: submits clustered well inside the
 /// total work span so dozens of jobs wait at once — the regime where the
-/// incremental order and the on-demand head actually differ from a
-/// trivial queue.
+/// on-demand head actually differs from a trivial queue.
 fn saturated_trace(rng: &mut Rng, max_jobs: usize, cores: u32) -> Trace {
     let n = rng.range_u64(10, max_jobs as u64) as usize;
     let jobs: Vec<Job> = (0..n)
@@ -60,9 +58,8 @@ fn saturated_trace(rng: &mut Rng, max_jobs: usize, cores: u32) -> Trace {
     Trace::from_jobs(jobs)
 }
 
-/// Bulk same-timestamp arrival waves: each wave dumps more fresh jobs
-/// than the incremental reuse threshold admits, forcing the full-sort
-/// fallback, while the trickle between waves exercises binary insertion.
+/// Bulk same-timestamp arrival waves — dozens of fresh jobs re-scored at
+/// one event — with a trickle of single arrivals between them.
 fn wave_trace(rng: &mut Rng, waves: usize, wave_size: usize, cores: u32) -> Trace {
     let mut jobs = Vec::new();
     let mut id = 0u32;
@@ -74,7 +71,7 @@ fn wave_trace(rng: &mut Rng, waves: usize, wave_size: usize, cores: u32) -> Trac
             jobs.push(Job::new(id, at, runtime, runtime * 1.5, width));
             id += 1;
         }
-        // Trickle arrivals between waves: one-at-a-time inserts.
+        // Trickle arrivals between waves: one at a time.
         for k in 0..3 {
             let runtime = rng.range_f64(100.0, 2_500.0);
             jobs.push(Job::new(
@@ -107,10 +104,10 @@ fn configs(cores: u32) -> Vec<SchedulerConfig> {
     out
 }
 
-/// One policy per maintenance path: uniform-aging residuals (incremental
-/// order reuse), general residuals (on-demand heads under strict and EASY
-/// scheduling, full sort under conservative), and a static learned
-/// function (enqueue-time scalar scoring, no lanes).
+/// Time-dependent residuals with a job-uniform aging rate (the first two)
+/// and a job-dependent one (the next three) — on-demand heads under strict
+/// and EASY scheduling, full sort under conservative — and a static
+/// learned function (enqueue-time scalar scoring, no lanes).
 fn lineup() -> Vec<Box<dyn Policy>> {
     vec![
         Box::new(ExprPolicy::parse("G1-aging", "log10(r)*n + 8.70e2*log10(s) - 1.5e-2*w").unwrap()),
@@ -123,31 +120,18 @@ fn lineup() -> Vec<Box<dyn Policy>> {
 }
 
 #[test]
-fn lineup_covers_every_residual_class() {
-    // The suite proves nothing if the policies all classify the same way:
-    // pin each policy's class so the incremental, on-demand, and static
-    // paths are all known to be on somewhere below.
-    let classes: Vec<(String, ResidualClass)> = lineup()
+fn lineup_covers_time_dependent_and_static_policies() {
+    // The suite proves nothing if the policies all take the same path: pin
+    // which ones re-score at every event, so the on-demand / full-sort
+    // shapes and the static path are all known to be on somewhere below.
+    let time_dependent: Vec<bool> = lineup()
         .iter()
-        .map(|p| {
-            let cp = p.compile().unwrap();
-            (p.name().to_string(), cp.residual_class())
-        })
+        .map(|p| p.compile().unwrap().time_dependent())
         .collect();
-    let count = |c: ResidualClass| classes.iter().filter(|(_, k)| *k == c).count();
     assert_eq!(
-        count(ResidualClass::UniformAging),
-        2,
-        "aging expressions must classify as uniform-aging: {classes:?}"
-    );
-    assert!(
-        count(ResidualClass::General) >= 3,
-        "ratio/WFP3/UNICEF must stay general: {classes:?}"
-    );
-    assert_eq!(
-        count(ResidualClass::Static),
-        1,
-        "F1 must classify as static: {classes:?}"
+        time_dependent,
+        [true, true, true, true, true, false],
+        "five residuals must read w and F1 must not"
     );
 }
 
@@ -166,7 +150,7 @@ fn random_event_sequences_match_full_resort_and_reference() {
                 let comp = QueueDiscipline::Compiled(&compiled);
                 // Interpreted path: score-everything + full re-sort twin.
                 let a = simulate(&trace, &interp, &config);
-                // Compiled path: incremental / on-demand / static shortcut.
+                // Compiled path: on-demand / full-sort / static shortcut.
                 let b = simulate(&trace, &comp, &config);
                 assert_eq!(a, b, "case {case}, {}: maintenance diverged", policy.name());
                 // Columnar layout and workspace reuse change nothing.
@@ -185,12 +169,12 @@ fn random_event_sequences_match_full_resort_and_reference() {
 }
 
 #[test]
-fn arrival_waves_force_fallback_and_stay_identical() {
+fn arrival_waves_stay_identical() {
     let mut rng = Rng::new(0x3A7E5);
     let policies = lineup();
     for case in 0..3u64 {
-        // Waves of 25 overwhelm the reuse threshold (16.max(len / 8)) at
-        // every realistic queue depth; the trickle jobs binary-insert.
+        // Waves of 25 land at one timestamp; the trickle jobs arrive
+        // one at a time in between.
         let trace = wave_trace(&mut rng, 4, 25, 8);
         for config in configs(8) {
             for policy in &policies {
@@ -206,9 +190,8 @@ fn arrival_waves_force_fallback_and_stay_identical() {
 #[test]
 fn preempt_requeue_churn_matches_the_faulty_oracle() {
     // Fault schedules preempt running jobs back into the queue mid-run:
-    // requeued jobs enter at the queue tail and must binary-insert into a
-    // standing order (or be carried by the fallback sort) exactly where
-    // the full re-sort would place them.
+    // requeued jobs enter at the queue tail and must be picked exactly
+    // where the full re-sort would place them.
     let mut rng = Rng::new(0xFA_0C7);
     let policies = lineup();
     let mut preemptions = 0u64;
@@ -364,7 +347,7 @@ fn random_expr(rng: &mut Rng, depth: u32) -> Expr {
     }
 }
 
-/// General-class policies only (the ones selected on demand): the two
+/// Time-dependent policies only (the ones selected on demand): the two
 /// paper baselines, one whose scores at `w = 0` are `0.0` or `-0.0` by
 /// job width, one that overflows to `±inf` and, where both terms do, to
 /// the sanitizer's `f64::MAX`, and six random trees.
@@ -378,14 +361,13 @@ fn edge_lineup() -> Vec<Box<dyn Policy>> {
     let mut rng = Rng::new(0xED6E5);
     while out.len() < 10 {
         let policy = ExprPolicy::from_expr(format!("rand-{}", out.len()), random_expr(&mut rng, 4));
-        if policy.compile().unwrap().residual_class() == ResidualClass::General {
+        if policy.compile().unwrap().time_dependent() {
             out.push(Box::new(policy));
         }
     }
     for p in &out {
-        assert_eq!(
-            p.compile().unwrap().residual_class(),
-            ResidualClass::General,
+        assert!(
+            p.compile().unwrap().time_dependent(),
             "{} must be selected on demand",
             p.name()
         );
@@ -393,7 +375,7 @@ fn edge_lineup() -> Vec<Box<dyn Policy>> {
     out
 }
 
-/// Strict and classic-EASY scheduling — the two modes that select heads
+/// Strict and EASY scheduling — the two modes that select heads
 /// on demand — under both decision modes.
 fn on_demand_configs(cores: u32) -> Vec<SchedulerConfig> {
     configs(cores)

@@ -1,8 +1,8 @@
 //! Crash-safe file writes.
 //!
 //! Every durable artifact the workspace produces — run checkpoints,
-//! `--out` reports, learned-policy exports, the `BENCH_*.json` trajectory
-//! files — goes through [`write_atomic`], so a crash or kill mid-write
+//! `--out` reports, learned-policy exports, benchmark records — goes
+//! through [`write_atomic`], so a crash or kill mid-write
 //! can never leave a torn file behind: readers see either the complete
 //! old contents or the complete new contents, never a prefix.
 

@@ -40,8 +40,8 @@
 //! ([`parallel::try_run_scoped`] and friends) catch the unwind, stop the
 //! remaining workers, join the scope cleanly and return a structured
 //! [`parallel::PoolError`] naming the failing slot. The panicking drivers
-//! (`run_scoped`, `run_indexed`, …) keep their historical semantics by
-//! re-raising the original payload after the clean join.
+//! (`run_scoped`, `par_map_scoped`, `for_each_part_mut`) re-raise the
+//! original payload after the clean join.
 //!
 //! # Determinism contract
 //!
@@ -50,12 +50,12 @@
 //! task derives its RNG stream from `(master seed, task index)`** via
 //! [`Rng::fork`] — never from thread identity, wall-clock, or any shared
 //! mutable state. The parallel drivers additionally guarantee index-ordered
-//! output, so `run_indexed(master, n, f)` equals the sequential
-//! `(0..n).map(|i| f(i, &mut master.fork(i)))` bit for bit at any thread
-//! count. [`parallel::run_indexed_scoped`] extends the contract to
-//! worker-local *scratch* state (e.g. a reusable simulation workspace):
-//! the state may carry heap capacity between tasks, but must never carry
-//! information — closures reset it before use.
+//! output, so `run_scoped(n, init, f)` with `f` forking `master.fork(i)`
+//! equals the sequential loop bit for bit at any thread count.
+//! [`parallel::run_scoped`] extends the contract to worker-local *scratch*
+//! state (e.g. a reusable simulation workspace): the state may carry heap
+//! capacity between tasks, but must never carry information — closures
+//! reset it before use.
 
 #![warn(missing_docs)]
 

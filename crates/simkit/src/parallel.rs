@@ -13,10 +13,10 @@
 //! seed and `i`, and the returned vector is ordered by index. Worker threads
 //! claim contiguous chunks of indices dynamically, so scheduling varies run
 //! to run — but since no per-task state leaks between indices (worker-local
-//! state handed out by [`run_indexed_scoped`] must be *reset* by the closure,
-//! never read), results do not.
+//! state handed out by [`run_scoped`] must be *reset* by the closure, never
+//! read), results do not. A randomized task forks its stream inside the
+//! closure: `master.fork(i as u64)`.
 
-use crate::rng::Rng;
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -53,10 +53,9 @@ fn worker_count(count: usize) -> usize {
 
 /// Worker threads a large fan-out would use on this thread right now: the
 /// host's available parallelism, or the [`with_worker_limit`] override if
-/// one is active. Purely informational (the benches record it next to
-/// their throughput numbers so cross-machine trajectories stay
-/// comparable); results never depend on it — that is the determinism
-/// contract above.
+/// one is active. Purely informational (the benchmark records it next to
+/// its timings so cross-machine trajectories stay comparable); results
+/// never depend on it — that is the determinism contract above.
 pub fn max_workers() -> usize {
     worker_count(usize::MAX)
 }
@@ -228,22 +227,6 @@ where
         .collect())
 }
 
-/// Panicking shell around [`fan_out_supervised`]: historical behaviour
-/// for the in-tree drivers — the first worker panic is re-raised on the
-/// caller thread after a clean join (and, since the supervised rewrite,
-/// without leaking completed slots).
-fn fan_out<T, S, I, F>(count: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(usize, &mut S) -> T + Sync,
-{
-    match fan_out_supervised(count, init, f) {
-        Ok(out) => out,
-        Err((_slot, payload)) => resume_unwind(payload),
-    }
-}
-
 /// Supervised twin of [`run_scoped`]: same determinism contract, but a
 /// panicking closure yields `Err(`[`PoolError`]`)` — naming the failing
 /// slot and carrying the stringified payload — instead of unwinding
@@ -258,45 +241,38 @@ where
     fan_out_supervised(count, init, f).map_err(PoolError::from_panic)
 }
 
-/// Supervised twin of [`run_indexed_scoped`]: forked-RNG fan-out that
-/// returns a structured [`PoolError`] instead of re-raising a worker
-/// panic. Same scratch and determinism contract.
-pub fn try_run_indexed_scoped<T, S, I, F>(
-    master: &Rng,
-    count: usize,
-    init: I,
-    f: F,
-) -> Result<Vec<T>, PoolError>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(usize, &mut Rng, &mut S) -> T + Sync,
-{
-    try_run_scoped(count, init, |i, state| {
-        let mut rng = master.fork(i as u64);
-        f(i, &mut rng, state)
-    })
-}
-
-/// Deterministic scoped fan-out without RNG: run `f(i, &mut state)` for
-/// every `i` in `0..count` on the pool, collecting results in index order.
-/// `init` builds one reusable state per worker thread (the evaluation
-/// session hands each worker a simulation workspace this way). The scratch
-/// contract of [`run_indexed_scoped`] applies: `f` must fully reset the
-/// state before use, so slot `i` depends only on `i`.
+/// Deterministic scoped fan-out: run `f(i, &mut state)` for every `i` in
+/// `0..count` on the pool, collecting results in index order. `init` builds
+/// one reusable state per worker thread (the evaluation session and the
+/// trial kernel hand each worker a simulation workspace this way).
+///
+/// Determinism: `state` is worker-local and survives across the indices a
+/// worker happens to process, so `f` must treat it as *scratch* — fully
+/// reset before use, never read to influence the result. Under that
+/// contract slot `i` depends only on `i` (and, for randomized work, on the
+/// stream `f` forks from `(master seed, i)`) and is bit-identical for any
+/// thread count.
+///
+/// The panicking shell around `fan_out_supervised`: the first worker
+/// panic is re-raised on the caller thread after a clean join, without
+/// leaking completed slots.
 pub fn run_scoped<T, S, I, F>(count: usize, init: I, f: F) -> Vec<T>
 where
     T: Send,
     I: Fn() -> S + Sync,
     F: Fn(usize, &mut S) -> T + Sync,
 {
-    fan_out(count, init, f)
+    match fan_out_supervised(count, init, f) {
+        Ok(out) => out,
+        Err((_slot, payload)) => resume_unwind(payload),
+    }
 }
 
-/// Like [`par_map`], but hands each worker thread a reusable state built by
-/// `init` — the batched evaluation session uses this to give every worker
-/// one simulation workspace that is cleared, not reallocated, between the
-/// cells it executes. Same scratch contract as [`run_indexed_scoped`].
+/// Parallel map over a slice, output in input order, handing each worker
+/// thread a reusable state built by `init` — the batched evaluation
+/// session uses this to give every worker one simulation workspace that is
+/// cleared, not reallocated, between the cells it executes. Same scratch
+/// contract as [`run_scoped`].
 pub fn par_map_scoped<T, U, S, I, F>(items: &[T], init: I, f: F) -> Vec<U>
 where
     T: Sync,
@@ -304,53 +280,7 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&T, &mut S) -> U + Sync,
 {
-    fan_out(items.len(), init, |i, state| f(&items[i], state))
-}
-
-/// Run `count` independent jobs in parallel, each with its own forked RNG.
-///
-/// `f(index, rng)` is invoked once per index in `0..count`; the output vector
-/// is ordered by index. Results are independent of thread scheduling,
-/// because stream `i` depends only on `master.seed()` and `i`.
-///
-/// # Example
-/// ```
-/// use dynsched_simkit::rng::Rng;
-/// use dynsched_simkit::parallel::run_indexed;
-///
-/// let master = Rng::new(42);
-/// let par = run_indexed(&master, 64, |i, rng| (i, rng.next_u64()));
-/// let seq: Vec<_> = (0..64u64).map(|i| (i as usize, master.fork(i).next_u64())).collect();
-/// assert_eq!(par, seq);
-/// ```
-pub fn run_indexed<T, F>(master: &Rng, count: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &mut Rng) -> T + Sync,
-{
-    run_indexed_scoped(master, count, || (), |i, rng, ()| f(i, rng))
-}
-
-/// Like [`run_indexed`], but hands each worker thread a reusable state
-/// built by `init` — the hook the batched trial kernel uses to give every
-/// worker one simulation workspace that is cleared, not reallocated,
-/// between trials.
-///
-/// Determinism: `state` is worker-local and survives across the indices a
-/// worker happens to process, so `f` must treat it as *scratch* — fully
-/// reset before use, never read to influence the result. Under that
-/// contract the output for index `i` still depends only on
-/// `(master.seed(), i)` and is bit-identical for any thread count.
-pub fn run_indexed_scoped<T, S, I, F>(master: &Rng, count: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(usize, &mut Rng, &mut S) -> T + Sync,
-{
-    fan_out(count, init, |i, state| {
-        let mut rng = master.fork(i as u64);
-        f(i, &mut rng, state)
-    })
+    run_scoped(items.len(), init, |i, state| f(&items[i], state))
 }
 
 /// Disjoint-slice fan-out: cut `out` at `bounds` and run
@@ -429,95 +359,18 @@ where
     }
 }
 
-/// Parallel map over a slice, output in input order. No RNG involved; for
-/// deterministic randomized work use [`run_indexed`] / [`map_items`].
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    fan_out(items.len(), || (), |i, ()| f(&items[i]))
-}
-
-/// Like [`run_indexed`], but folds results into `workers` partial
-/// accumulators (one per contiguous index range) and reduces them
-/// left-to-right. Deterministic for *associative* operations; for
-/// floating-point sums — which are not associative — the partial split
-/// still depends on the worker count, so when bit-exact reproducibility
-/// across machines matters, prefer [`run_indexed`] followed by a
-/// sequential fold, as the training pipeline does.
-pub fn run_indexed_reduce<A, F, R, I>(
-    master: &Rng,
-    count: usize,
-    identity: I,
-    fold: F,
-    reduce: R,
-) -> A
-where
-    A: Send,
-    I: Fn() -> A + Sync + Send,
-    F: Fn(A, usize, &mut Rng) -> A + Sync,
-    R: Fn(A, A) -> A + Sync + Send,
-{
-    if count == 0 {
-        return identity();
-    }
-    let workers = worker_count(count);
-    let per = count.div_ceil(workers);
-    let partials: Vec<A> = par_map(
-        &(0..workers)
-            .map(|w| (w * per, ((w + 1) * per).min(count)))
-            .collect::<Vec<_>>(),
-        |&(start, end)| {
-            let mut acc = identity();
-            for i in start..end {
-                let mut rng = master.fork(i as u64);
-                acc = fold(acc, i, &mut rng);
-            }
-            acc
-        },
-    );
-    partials.into_iter().fold(identity(), reduce)
-}
-
-/// Run a job per element of `items`, in parallel, each with a forked stream.
-pub fn map_items<T, U, F>(master: &Rng, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T, usize, &mut Rng) -> U + Sync,
-{
-    run_indexed(master, items.len(), |i, rng| f(&items[i], i, rng))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::Welford;
-
-    #[test]
-    fn run_indexed_matches_sequential() {
-        let master = Rng::new(7);
-        let par = run_indexed(&master, 257, |i, rng| i as u64 ^ rng.next_u64());
-        let seq: Vec<u64> = (0..257u64).map(|i| i ^ master.fork(i).next_u64()).collect();
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn run_indexed_is_repeatable() {
-        let master = Rng::new(13);
-        let a = run_indexed(&master, 100, |_, rng| rng.next_f64());
-        let b = run_indexed(&master, 100, |_, rng| rng.next_f64());
-        assert_eq!(a, b);
-    }
+    use crate::rng::Rng;
 
     #[test]
     fn scoped_state_is_reusable_scratch() {
         // The worker-local buffer is cleared per task; results must be as if
         // each task had a fresh one.
         let master = Rng::new(99);
-        let got = run_indexed_scoped(&master, 500, Vec::<u64>::new, |i, rng, buf| {
+        let got = run_scoped(500, Vec::<u64>::new, |i, buf| {
+            let mut rng = master.fork(i as u64);
             buf.clear();
             buf.extend((0..4).map(|_| rng.next_u64()));
             buf.iter().fold(i as u64, |a, &x| a.wrapping_add(x))
@@ -562,54 +415,10 @@ mod tests {
     }
 
     #[test]
-    fn par_map_preserves_order() {
-        let items: Vec<i64> = (0..1000).collect();
-        let out = par_map(&items, |&x| x * 2);
-        assert_eq!(out, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn reduce_welford_matches_vector_path() {
-        let master = Rng::new(21);
-        let samples = run_indexed(&master, 10_000, |_, rng| rng.next_f64());
-        let mut expect = Welford::new();
-        for &s in &samples {
-            expect.push(s);
-        }
-        let got = run_indexed_reduce(
-            &master,
-            10_000,
-            Welford::new,
-            |mut acc, _, rng| {
-                acc.push(rng.next_f64());
-                acc
-            },
-            |mut a, b| {
-                a.merge(&b);
-                a
-            },
-        );
-        assert_eq!(got.count(), expect.count());
-        assert!((got.mean() - expect.mean()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn map_items_preserves_order() {
-        let master = Rng::new(3);
-        let items: Vec<i32> = (0..50).collect();
-        let out = map_items(&master, &items, |&x, i, _| (x, i));
-        for (k, &(x, i)) in out.iter().enumerate() {
-            assert_eq!(x as usize, k);
-            assert_eq!(i, k);
-        }
-    }
-
-    #[test]
     fn zero_count_is_fine() {
-        let master = Rng::new(9);
-        let out: Vec<u64> = run_indexed(&master, 0, |_, rng| rng.next_u64());
+        let out: Vec<usize> = run_scoped(0, || (), |i, ()| i);
         assert!(out.is_empty());
-        let empty: Vec<u8> = par_map(&[] as &[u8], |&b| b);
+        let empty: Vec<u8> = par_map_scoped(&[] as &[u8], || (), |&b, ()| b);
         assert!(empty.is_empty());
     }
 
@@ -660,16 +469,6 @@ mod tests {
             try_run_scoped(8, || -> () { panic!("no state for you") }, |i, ()| i).unwrap_err();
         assert_eq!(err.slot, usize::MAX);
         assert_eq!(err.message, "no state for you");
-    }
-
-    #[test]
-    fn try_run_indexed_scoped_matches_run_indexed() {
-        let master = Rng::new(7);
-        let ok =
-            try_run_indexed_scoped(&master, 257, || (), |i, rng, ()| i as u64 ^ rng.next_u64())
-                .unwrap();
-        let plain = run_indexed(&master, 257, |i, rng| i as u64 ^ rng.next_u64());
-        assert_eq!(ok, plain);
     }
 
     #[test]
@@ -823,7 +622,11 @@ mod tests {
     #[test]
     fn non_copy_results_survive_the_unsafe_collection() {
         let master = Rng::new(31);
-        let out = run_indexed(&master, 300, |i, rng| format!("{i}:{}", rng.next_u64()));
+        let out = run_scoped(
+            300,
+            || (),
+            |i, ()| format!("{i}:{}", master.fork(i as u64).next_u64()),
+        );
         for (i, s) in out.iter().enumerate() {
             assert!(s.starts_with(&format!("{i}:")));
         }

@@ -257,12 +257,43 @@ fn cores_flag(args: &[String]) -> Result<u32, String> {
     flag_value(args, "--cores")?.map_or(Ok(256), parse_cores)
 }
 
+/// Parse the value of `name` as a quantity that only means something when
+/// positive: a count (`u32`) of at least one, or an `f64` above zero and
+/// finite. Checked here, once, because the library asserts on these
+/// (`--tuples 0`, `--trials 0` and `--load -1` panicked), or worse does
+/// not: `--days nan` printed a garbage table and `--mtbf 0` injected no
+/// faults without saying so.
+fn parse_positive<T>(name: &str, text: &str) -> Result<T, String>
+where
+    T: std::str::FromStr + Copy + Into<f64>,
+    T::Err: std::fmt::Display,
+{
+    let value: T = text.parse().map_err(|e| format!("bad {name}: {e}"))?;
+    let size: f64 = value.into();
+    if size > 0.0 && size.is_finite() {
+        Ok(value)
+    } else {
+        Err(format!(
+            "bad {name}: {text:?} is not a positive finite number"
+        ))
+    }
+}
+
+/// `name` through [`parse_positive`], or `default` when absent.
+fn positive_flag<T>(args: &[String], name: &str, default: T) -> Result<T, String>
+where
+    T: std::str::FromStr + Copy + Into<f64>,
+    T::Err: std::fmt::Display,
+{
+    flag_value(args, name)?.map_or(Ok(default), |v| parse_positive(name, v))
+}
+
 /// The training knobs `train` and `run` share: `(tuples, trials, cores,
 /// seed)` with common defaults.
 fn training_flags(args: &[String]) -> Result<(usize, usize, u32, u64), String> {
     Ok((
-        usize_flag(args, "--tuples", 12)?,
-        usize_flag(args, "--trials", 8_000)?,
+        positive_flag(args, "--tuples", 12u32)? as usize,
+        positive_flag(args, "--trials", 8_000u32)? as usize,
         cores_flag(args)?,
         u64_flag(args, "--seed", 0x5C17)?,
     ))
@@ -278,9 +309,9 @@ fn fault_flags(
     let Some(v) = flag_value(args, "--mtbf")? else {
         return Ok(None);
     };
-    let mtbf: f64 = v.parse().map_err(|e| format!("bad --mtbf: {e}"))?;
+    let mtbf: f64 = parse_positive("--mtbf", v)?;
     let mttr = f64_flag(args, "--mttr", 3_600.0)?;
-    let fault_cores = usize_flag(args, "--fault-cores", (cores / 8).max(1) as usize)? as u32;
+    let fault_cores = positive_flag(args, "--fault-cores", (cores / 8).max(1))?;
     let retries = usize_flag(args, "--fault-retries", 3)? as u32;
     let fault_seed = u64_flag(args, "--fault-seed", default_seed)?;
     Ok(Some(
@@ -729,9 +760,17 @@ fn cmd_scenarios(args: &[String]) -> Result<(), String> {
     // span_days is f64 end to end: `--days 2.5` is a valid half-day span
     // (the old usize round-trip rejected it), and seeds parse as u64
     // directly rather than truncating through usize.
-    let days = f64_flag(args, "--days", 7.0)?;
-    let load = f64_flag(args, "--load", 0.8)?;
+    let days = positive_flag(args, "--days", 7.0)?;
+    let load = positive_flag(args, "--load", 0.8)?;
+    // The upper end of `LublinModel::calibrated_to_load`'s range, which the
+    // families assert on from inside a trace-store build.
+    if load > 1.5 {
+        return Err(format!("bad --load: {load} is above 1.5"));
+    }
     let seed = u64_flag(args, "--seed", 0x5C17)?;
+    // Optional deterministic fault injection for the evaluation below;
+    // parsed before the registry table so a bad value fails up front.
+    let fault = fault_flags(args, cores, seed)?;
 
     let registry = ScenarioRegistry::builtin();
     let store = TraceStore::new();
@@ -762,9 +801,6 @@ fn cmd_scenarios(args: &[String]) -> Result<(), String> {
             family.description(),
         );
     }
-
-    // Optional deterministic fault injection for the evaluation below.
-    let fault = fault_flags(args, cores, seed)?;
 
     if has_flag(args, "--eval") {
         let mut registry = registry;
@@ -1008,6 +1044,72 @@ mod tests {
         }
         assert_eq!(parse_cores("64"), Ok(64));
         assert!(parse_cores("-1").is_err());
+    }
+
+    #[test]
+    fn zero_tuples_or_trials_are_an_error_not_a_panic() {
+        // Regression: `--tuples 0` aborted in `pipeline.rs` ("need at least
+        // one tuple") and `--trials 0` in `trials.rs`, each with a backtrace.
+        for flag in ["--tuples", "--trials"] {
+            for result in [cmd_train(&args(&[flag, "0"])), cmd_run(&args(&[flag, "0"]))] {
+                let err = result.unwrap_err();
+                assert!(err.contains(flag) && err.contains("positive"), "{err}");
+            }
+        }
+        assert_eq!(parse_positive::<u32>("--tuples", "12"), Ok(12));
+        assert!(parse_positive::<u32>("--tuples", "-1").is_err());
+    }
+
+    #[test]
+    fn scenario_spans_and_loads_must_be_positive_and_finite() {
+        // Regression: `--load -1|nan` (and anything above 1.5) panicked in
+        // `lublin.rs` from inside a trace-store build; `--days 0|nan`
+        // exited 0 with a garbage calibration row.
+        for (flag, value) in [
+            ("--load", "-1"),
+            ("--load", "nan"),
+            ("--load", "0"),
+            ("--load", "2"),
+            ("--days", "0"),
+            ("--days", "nan"),
+            ("--days", "inf"),
+        ] {
+            let err = cmd_scenarios(&args(&[flag, value])).unwrap_err();
+            assert!(err.contains(flag), "{flag} {value}: {err}");
+        }
+        assert_eq!(parse_positive::<f64>("--load", "1.5"), Ok(1.5));
+        assert_eq!(parse_positive::<f64>("--days", "2.5"), Ok(2.5));
+    }
+
+    #[test]
+    fn fault_rates_that_inject_nothing_are_refused() {
+        // Regression: `--mtbf 0|-1|nan` (and `--fault-cores 0`) built a
+        // profile with no failures in it, so the run exited 0 and printed
+        // `preempted = 0` as if faults had been injected. The flags are
+        // parsed before the trace is opened, so no file is needed.
+        for value in ["0", "-1", "nan", "inf"] {
+            for result in [
+                cmd_scenarios(&args(&["--mtbf", value])),
+                cmd_federate(&args(&["t.swf", "8", "--mtbf", value])),
+            ] {
+                let err = result.unwrap_err();
+                assert!(err.contains("--mtbf"), "--mtbf {value}: {err}");
+            }
+        }
+        let err = cmd_federate(&args(&[
+            "t.swf",
+            "8",
+            "--mtbf",
+            "500",
+            "--fault-cores",
+            "0",
+        ]));
+        assert!(err.unwrap_err().contains("--fault-cores"));
+        let profile = fault_flags(&args(&["--mtbf", "500"]), 64, 7)
+            .unwrap()
+            .unwrap();
+        assert!(profile.has_failures());
+        assert_eq!(profile.failure_cores, 8);
     }
 
     /// Write `jobs` as an SWF file under the temp dir and return its path.

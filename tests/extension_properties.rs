@@ -1,11 +1,11 @@
-//! Property tests for the post-initial-build extensions: walltime kills,
-//! deep reservations, and transforms. Cases are generated with the in-tree
-//! deterministic RNG (no crates.io access, so no proptest); failures
-//! report the case seed that reproduces them.
+//! Property tests for the post-initial-build extensions: walltime kills
+//! and transforms. Cases are generated with the in-tree deterministic RNG
+//! (no crates.io access, so no proptest); failures report the case seed
+//! that reproduces them.
 
 use dynsched::cluster::{Job, Platform};
-use dynsched::policies::{paper_lineup, Fcfs};
-use dynsched::scheduler::{simulate, BackfillMode, QueueDiscipline, SchedulerConfig};
+use dynsched::policies::Fcfs;
+use dynsched::scheduler::{simulate, QueueDiscipline, SchedulerConfig};
 use dynsched::simkit::Rng;
 use dynsched::workload::transform::{rescale_platform, scale_load};
 use dynsched::workload::Trace;
@@ -46,39 +46,6 @@ fn kill_mode_schedules_are_legal() {
                 "case {case}"
             );
             assert!(c.bounded_slowdown(10.0) >= 1.0, "case {case}");
-        }
-    }
-}
-
-#[test]
-fn deep_reservations_stay_legal_for_every_depth() {
-    let lineup = paper_lineup();
-    for case in 0..48u64 {
-        let mut rng = Rng::new(0x2222 ^ case);
-        let jobs = random_jobs(&mut rng, 25);
-        let depth = rng.range_u64(1, 5) as u32;
-        let policy = &lineup[rng.next_below(lineup.len() as u64) as usize];
-        let mut config = SchedulerConfig::user_estimates(Platform::new(32));
-        config.backfill = BackfillMode::Aggressive;
-        config.reservation_depth = depth;
-        let trace = Trace::from_jobs(jobs.clone());
-        let result = simulate(&trace, &QueueDiscipline::Policy(policy.as_ref()), &config);
-        assert_eq!(result.completed.len(), jobs.len(), "case {case}");
-        // Core conservation via event replay.
-        let mut events: Vec<(f64, i64)> = Vec::new();
-        for c in &result.completed {
-            assert!(c.start >= c.job.submit, "case {case}");
-            events.push((c.start, c.job.cores as i64));
-            events.push((c.finish, -(c.job.cores as i64)));
-        }
-        events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut used = 0i64;
-        for (_, d) in events {
-            used += d;
-            assert!(
-                (0..=32).contains(&used),
-                "case {case}: depth {depth}, {used} in use"
-            );
         }
     }
 }
