@@ -1,22 +1,20 @@
 //! Ablation: backfilling variant (none / aggressive-EASY / conservative).
 //!
 //! The paper evaluates aggressive backfilling; conservative backfilling is
-//! this repository's extension. The bench reports median AVEbsld and mean
-//! backfilled jobs per sequence for all three variants across the paper's
-//! line-up, plus Criterion kernels comparing the per-event costs.
+//! this repository's extension. Reports median AVEbsld and mean backfilled
+//! jobs per sequence for all three variants across the paper's line-up.
 
-use criterion::Criterion;
-use dynsched_bench::{banner, criterion, scenario_scale};
-use dynsched_core::scenarios::{model_scenario, Condition};
+use dynsched_bench::{banner, scenario_scale};
+use dynsched_core::scenarios::{model_scenario_in, Condition};
 use dynsched_core::{run_experiment, Experiment};
-use dynsched_policies::{paper_lineup, LearnedPolicy};
-use dynsched_scheduler::{simulate, BackfillMode, QueueDiscipline, SchedulerConfig};
-use std::hint::black_box;
+use dynsched_policies::paper_lineup;
+use dynsched_scheduler::BackfillMode;
+use dynsched_workload::TraceStore;
 
-fn regenerate() {
+fn main() {
     banner("Ablation: backfilling variants");
     let scale = scenario_scale();
-    let base = model_scenario(256, Condition::UserEstimates, &scale);
+    let base = model_scenario_in(&TraceStore::new(), 256, Condition::UserEstimates, &scale);
     let lineup = paper_lineup();
     let variants = [
         ("none", BackfillMode::None),
@@ -48,29 +46,4 @@ fn regenerate() {
     println!("better order so backfilling finds fewer holes (paper §4.2.3).");
     println!("Conservative backfilling is costlier per event and usually lands between");
     println!("none and EASY in median.");
-}
-
-fn bench(c: &mut Criterion) {
-    let scale = scenario_scale();
-    let base = model_scenario(256, Condition::UserEstimates, &scale);
-    let seq = base.sequences[0].clone();
-    let f1 = LearnedPolicy::f1();
-    for (label, mode) in [
-        ("none", BackfillMode::None),
-        ("easy", BackfillMode::Aggressive),
-        ("conservative", BackfillMode::Conservative),
-    ] {
-        let mut config = SchedulerConfig::user_estimates(base.scheduler.platform);
-        config.backfill = mode;
-        c.bench_function(&format!("ablation_backfill/sequence_{label}"), |b| {
-            b.iter(|| black_box(simulate(&seq, &QueueDiscipline::Policy(&f1), &config)))
-        });
-    }
-}
-
-fn main() {
-    regenerate();
-    let mut c = criterion();
-    bench(&mut c);
-    c.final_summary();
 }

@@ -5,18 +5,15 @@
 //! shape and fitness move — checking that the learned structure (size term
 //! + large log10(s) term) is robust to the tuple geometry.
 
-use criterion::Criterion;
-use dynsched_bench::{banner, criterion, full_scale};
+use dynsched_bench::{banner, full_scale};
 use dynsched_cluster::Platform;
 use dynsched_core::pipeline::{generate_training_set, TrainingConfig};
-use dynsched_core::trials::{trial_scores, TrialSpec};
-use dynsched_core::tuples::{TaskTuple, TupleSpec};
+use dynsched_core::trials::TrialSpec;
+use dynsched_core::tuples::TupleSpec;
 use dynsched_mlreg::{fit_all, EnumerateOptions};
-use dynsched_simkit::Rng;
 use dynsched_workload::LublinModel;
-use std::hint::black_box;
 
-fn regenerate() {
+fn main() {
     banner("Ablation: probe-set size |Q|");
     let trials = if full_scale() { 65_536 } else { 4_096 };
     let model = LublinModel::new(256);
@@ -48,38 +45,4 @@ fn regenerate() {
     }
     println!("\nreading: fitness is not comparable across |Q| (scores scale as 1/|Q|),");
     println!("but the winning shape should stay in the size-term + c*log10(s) family.");
-}
-
-fn bench(c: &mut Criterion) {
-    let model = LublinModel::new(256);
-    let spec_small = TupleSpec {
-        s_size: 16,
-        q_size: 8,
-        max_start_offset: 172_800.0,
-    };
-    let spec_big = TupleSpec {
-        s_size: 16,
-        q_size: 64,
-        max_start_offset: 172_800.0,
-    };
-    let trial_spec = TrialSpec {
-        trials: 256,
-        platform: Platform::new(256),
-        tau: 10.0,
-    };
-    let small = TaskTuple::generate(&spec_small, &model, &mut Rng::new(1));
-    let big = TaskTuple::generate(&spec_big, &model, &mut Rng::new(1));
-    c.bench_function("ablation_q/trials_q8", |b| {
-        b.iter(|| black_box(trial_scores(&small, &trial_spec, &Rng::new(2))))
-    });
-    c.bench_function("ablation_q/trials_q64", |b| {
-        b.iter(|| black_box(trial_scores(&big, &trial_spec, &Rng::new(2))))
-    });
-}
-
-fn main() {
-    regenerate();
-    let mut c = criterion();
-    bench(&mut c);
-    c.final_summary();
 }

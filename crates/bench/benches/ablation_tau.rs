@@ -4,18 +4,16 @@
 //! schedules under τ ∈ {1, 10, 60} to show how much of each policy's
 //! reported advantage rides on tiny-job slowdowns.
 
-use criterion::Criterion;
-use dynsched_bench::{banner, criterion, scenario_scale};
-use dynsched_core::scenarios::{model_scenario, Condition};
+use dynsched_bench::{banner, scenario_scale};
+use dynsched_core::scenarios::{model_scenario_in, Condition};
 use dynsched_core::{run_experiment, Experiment};
 use dynsched_policies::paper_lineup;
-use dynsched_simkit::stats::median;
-use std::hint::black_box;
+use dynsched_workload::TraceStore;
 
-fn regenerate() {
+fn main() {
     banner("Ablation: bounded-slowdown threshold tau");
     let scale = scenario_scale();
-    let base = model_scenario(256, Condition::ActualRuntimes, &scale);
+    let base = model_scenario_in(&TraceStore::new(), 256, Condition::ActualRuntimes, &scale);
     let lineup = paper_lineup();
     println!("medians of AVEbsld on the same workload, per tau:");
     print!("{:>6}", "tau");
@@ -39,18 +37,4 @@ fn regenerate() {
     println!("\nreading: smaller tau inflates every policy's AVEbsld (short jobs'");
     println!("slowdowns explode), but the policy ordering should be stable — the");
     println!("paper's conclusions do not hinge on the tau = 10 s choice.");
-}
-
-fn bench(c: &mut Criterion) {
-    let xs: Vec<f64> = (0..1_000).map(|i| 1.0 + (i % 97) as f64).collect();
-    c.bench_function("ablation_tau/median_1000", |b| {
-        b.iter(|| black_box(median(&xs)))
-    });
-}
-
-fn main() {
-    regenerate();
-    let mut c = criterion();
-    bench(&mut c);
-    c.final_summary();
 }

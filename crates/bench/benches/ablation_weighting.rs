@@ -6,15 +6,13 @@
 //! fits the family with and without the weight and compares both the
 //! winning functions and their error on the biggest-quartile tasks.
 
-use criterion::Criterion;
-use dynsched_bench::{banner, criterion, trial_count};
+use dynsched_bench::{banner, trial_count};
 use dynsched_cluster::Platform;
 use dynsched_core::pipeline::{generate_training_set, TrainingConfig};
 use dynsched_core::trials::TrialSpec;
 use dynsched_core::tuples::TupleSpec;
 use dynsched_mlreg::{fit_all, EnumerateOptions, TrainingSet};
 use dynsched_workload::LublinModel;
-use std::hint::black_box;
 
 fn big_task_mae(ts: &TrainingSet, f: &dynsched_policies::NonlinearFunction) -> f64 {
     let mut areas: Vec<f64> = ts.observations().iter().map(|o| o.weight()).collect();
@@ -31,7 +29,7 @@ fn big_task_mae(ts: &TrainingSet, f: &dynsched_policies::NonlinearFunction) -> f
         / big.len() as f64
 }
 
-fn regenerate() {
+fn main() {
     banner("Ablation: Eq. 4 area weighting in the regression");
     let config = TrainingConfig {
         tuple_spec: TupleSpec::default(),
@@ -63,32 +61,4 @@ fn regenerate() {
     }
     println!("reading: the weighted fit should track big tasks at least as well,");
     println!("which is what keeps them from blocking queues when the fit becomes a policy.");
-}
-
-fn bench(c: &mut Criterion) {
-    let config = TrainingConfig {
-        tuple_spec: TupleSpec {
-            s_size: 8,
-            q_size: 16,
-            max_start_offset: 100_000.0,
-        },
-        trial_spec: TrialSpec {
-            trials: 512,
-            platform: Platform::new(256),
-            tau: 10.0,
-        },
-        tuples: 4,
-        seed: 2,
-    };
-    let (_, training) = generate_training_set(&config, &LublinModel::new(256));
-    c.bench_function("ablation_weighting/fit_all_576_64obs", |b| {
-        b.iter(|| black_box(fit_all(&training, &EnumerateOptions::default())))
-    });
-}
-
-fn main() {
-    regenerate();
-    let mut c = criterion();
-    bench(&mut c);
-    c.final_summary();
 }

@@ -1,19 +1,16 @@
 //! Figure 1: trial score distributions for two `(S, Q)` tuples
 //! (|S| = 16, |Q| = 32, 256-core cluster).
 //!
-//! Regenerates the two panels (per-task scores around the 1/32 mean) and
-//! benchmarks the trial engine.
+//! Regenerates the two panels (per-task scores around the 1/32 mean).
 
-use criterion::Criterion;
-use dynsched_bench::{banner, criterion, trial_count};
+use dynsched_bench::{banner, trial_count};
 use dynsched_cluster::Platform;
-use dynsched_core::trials::{run_trial, trial_scores, TrialSpec};
+use dynsched_core::trials::{trial_scores, TrialSpec};
 use dynsched_core::tuples::{TaskTuple, TupleSpec};
 use dynsched_simkit::Rng;
 use dynsched_workload::LublinModel;
-use std::hint::black_box;
 
-fn regenerate() {
+fn main() {
     banner("Figure 1: trial score distributions (mean = 1/32 = 0.03125)");
     let model = LublinModel::new(256);
     let spec = TupleSpec::default();
@@ -34,29 +31,4 @@ fn regenerate() {
         let below = scores.scores.iter().filter(|&&s| s < 1.0 / 32.0).count();
         println!("tasks below the mean (favourable to run first): {below}/32\n");
     }
-}
-
-fn bench(c: &mut Criterion) {
-    let model = LublinModel::new(256);
-    let tuple = TaskTuple::generate(&TupleSpec::default(), &model, &mut Rng::new(7));
-    let spec = TrialSpec {
-        trials: 256,
-        platform: Platform::new(256),
-        tau: 10.0,
-    };
-    let master = Rng::new(8);
-    c.bench_function("fig1/single_trial_48_jobs", |b| {
-        let perm: Vec<usize> = (0..32).collect();
-        b.iter(|| black_box(run_trial(&tuple, &perm, &spec)))
-    });
-    c.bench_function("fig1/256_trials_parallel", |b| {
-        b.iter(|| black_box(trial_scores(&tuple, &spec, &master)))
-    });
-}
-
-fn main() {
-    regenerate();
-    let mut c = criterion();
-    bench(&mut c);
-    c.final_summary();
 }

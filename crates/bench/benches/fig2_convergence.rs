@@ -1,17 +1,15 @@
 //! Figure 2: normalized standard deviation of trial scores vs number of
 //! trials (1k … 512k; the paper picks 256k where the value reaches 0.02).
 
-use criterion::Criterion;
-use dynsched_bench::{banner, criterion, full_scale};
+use dynsched_bench::{banner, full_scale};
 use dynsched_cluster::Platform;
 use dynsched_core::convergence::{convergence_curve, paper_trial_counts};
 use dynsched_core::trials::TrialSpec;
 use dynsched_core::tuples::{TaskTuple, TupleSpec};
 use dynsched_simkit::Rng;
 use dynsched_workload::LublinModel;
-use std::hint::black_box;
 
-fn regenerate() {
+fn main() {
     banner("Figure 2: score convergence vs trial count");
     let model = LublinModel::new(256);
     let tuple = TaskTuple::generate(&TupleSpec::default(), &model, &mut Rng::new(42));
@@ -38,24 +36,4 @@ fn regenerate() {
     }
     println!("\npaper: normalized std ≈ 0.02 at 256k trials; the curve should fall");
     println!("roughly as 1/sqrt(trials) (each doubling divides it by ~1.41).");
-}
-
-fn bench(c: &mut Criterion) {
-    let model = LublinModel::new(256);
-    let tuple = TaskTuple::generate(&TupleSpec::default(), &model, &mut Rng::new(5));
-    let base = TrialSpec {
-        trials: 0,
-        platform: Platform::new(256),
-        tau: 10.0,
-    };
-    c.bench_function("fig2/convergence_point_2x128_trials", |b| {
-        b.iter(|| black_box(convergence_curve(&tuple, &[128], 2, &base, &Rng::new(6))))
-    });
-}
-
-fn main() {
-    regenerate();
-    let mut c = criterion();
-    bench(&mut c);
-    c.final_summary();
 }

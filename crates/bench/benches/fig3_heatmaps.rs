@@ -5,11 +5,9 @@
 //! coarse ASCII rendering plus the monotonicity reading the paper makes
 //! (earlier arrivals darker; smaller tasks darker at fixed arrival).
 
-use criterion::Criterion;
-use dynsched_bench::{banner, criterion};
+use dynsched_bench::banner;
 use dynsched_core::report::{heatmap_csv, heatmap_grid, HeatmapAxes};
 use dynsched_policies::LearnedPolicy;
-use std::hint::black_box;
 
 const SHADES: [char; 5] = ['█', '▓', '▒', '░', ' '];
 
@@ -26,7 +24,7 @@ fn ascii(grid: &[Vec<f64>]) -> String {
     out
 }
 
-fn regenerate() {
+fn main() {
     banner("Figure 3: policy heatmaps (dark = high priority)");
     let out_dir = std::path::Path::new("target/figures");
     std::fs::create_dir_all(out_dir).expect("create target/figures");
@@ -66,18 +64,4 @@ fn regenerate() {
     println!("CSV grids for all 4 policies x 3 panels written to target/figures/");
     println!("reading: rows darken toward small s (earlier arrivals prioritized);");
     println!("within a row, scores rise with r and n (smaller tasks favoured).");
-}
-
-fn bench(c: &mut Criterion) {
-    let f1 = LearnedPolicy::f1().function().to_owned();
-    c.bench_function("fig3/heatmap_grid_64x64", |b| {
-        b.iter(|| black_box(heatmap_grid(&f1, HeatmapAxes::paper_fig3a(), 64)))
-    });
-}
-
-fn main() {
-    regenerate();
-    let mut c = criterion();
-    bench(&mut c);
-    c.final_summary();
 }

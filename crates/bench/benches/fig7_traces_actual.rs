@@ -5,11 +5,8 @@
 //! inter-quartile ranges; the best F varies by platform (F2 on Curie,
 //! SDSC Blue and CTC SP2; F3 on ANL Intrepid).
 
-use dynsched_bench::{
-    banner, bench_first_sequence, criterion, regenerate_archive_figure, scenario_scale,
-};
-use dynsched_core::scenarios::{archive_scenario, Condition};
-use dynsched_workload::ArchivePlatform;
+use dynsched_bench::{banner, regenerate_archive_figure};
+use dynsched_core::scenarios::Condition;
 
 fn main() {
     banner("Figure 7 / Table 4 rows 7-10: archive traces, actual runtimes");
@@ -19,13 +16,4 @@ fn main() {
     println!("  Intrepid:  30.04/11.78/6.03/3.34/1.94/1.71/1.87/2.14");
     println!("  SDSC Blue: 299.83/44.40/20.37/21.77/14.33/10.38/4.31/10.22");
     println!("  CTC SP2:   439.72/309.72/29.87/87.55/19.02/14.06/5.32/10.27");
-
-    let mut c = criterion();
-    let experiment = archive_scenario(
-        &ArchivePlatform::CTC_SP2,
-        Condition::ActualRuntimes,
-        &scenario_scale(),
-    );
-    bench_first_sequence(&mut c, "fig7/simulate_one_sequence_f1_ctc", &experiment);
-    c.final_summary();
 }

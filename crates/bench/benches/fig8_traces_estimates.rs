@@ -5,11 +5,8 @@
 //! medians and tighter quartiles on every platform; the ad-hoc policies
 //! show large outliers that hurt perceived QoS.
 
-use dynsched_bench::{
-    banner, bench_first_sequence, criterion, regenerate_archive_figure, scenario_scale,
-};
-use dynsched_core::scenarios::{archive_scenario, Condition};
-use dynsched_workload::ArchivePlatform;
+use dynsched_bench::{banner, regenerate_archive_figure};
+use dynsched_core::scenarios::Condition;
 
 fn main() {
     banner("Figure 8 / Table 4 rows 11-14: archive traces, user estimates");
@@ -19,13 +16,4 @@ fn main() {
     println!("  Intrepid:  30.04/17.82/11.42/5.44/4.15/3.15/2.57/2.64");
     println!("  SDSC Blue: 299.83/94.87/39.69/36.42/24.26/10.16/9.88/12.14");
     println!("  CTC SP2:   439.72/369.93/98.58/290.39/31.23/21.58/13.78/15.14");
-
-    let mut c = criterion();
-    let experiment = archive_scenario(
-        &ArchivePlatform::SDSC_BLUE,
-        Condition::UserEstimates,
-        &scenario_scale(),
-    );
-    bench_first_sequence(&mut c, "fig8/simulate_one_sequence_f1_sdsc", &experiment);
-    c.final_summary();
 }

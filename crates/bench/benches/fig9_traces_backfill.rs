@@ -5,11 +5,8 @@
 //! learned policies gain little but remain the better general choice in
 //! median and/or quartile spread on most platforms.
 
-use dynsched_bench::{
-    banner, bench_first_sequence, criterion, regenerate_archive_figure, scenario_scale,
-};
-use dynsched_core::scenarios::{archive_scenario, Condition};
-use dynsched_workload::ArchivePlatform;
+use dynsched_bench::{banner, regenerate_archive_figure};
+use dynsched_core::scenarios::Condition;
 
 fn main() {
     banner("Figure 9 / Table 4 rows 15-18: archive traces, estimates + EASY backfilling");
@@ -19,17 +16,4 @@ fn main() {
     println!("  Intrepid:  8.56/6.00/4.01/3.70/3.52/2.87/2.54/2.64");
     println!("  SDSC Blue: 36.40/17.76/13.07/10.20/9.37/10.18/9.66/11.97");
     println!("  CTC SP2:   74.96/54.32/24.06/17.32/14.12/14.40/10.77/14.07");
-
-    let mut c = criterion();
-    let experiment = archive_scenario(
-        &ArchivePlatform::CURIE,
-        Condition::EstimatesWithBackfilling,
-        &scenario_scale(),
-    );
-    bench_first_sequence(
-        &mut c,
-        "fig9/simulate_one_sequence_f1_curie_bf",
-        &experiment,
-    );
-    c.final_summary();
 }

@@ -8,16 +8,14 @@
 //! jobs, hyper-exponential runtimes, Poisson sessions) that shares nothing
 //! with the Lublin generator except "rigid jobs on a cluster".
 
-use criterion::Criterion;
-use dynsched_bench::{banner, criterion, full_scale};
+use dynsched_bench::{banner, full_scale};
 use dynsched_cluster::Platform;
 use dynsched_core::report::artifact_report;
 use dynsched_core::{learned_beat_adhoc, run_experiment, Experiment};
 use dynsched_policies::paper_lineup;
-use dynsched_scheduler::{simulate, QueueDiscipline, SchedulerConfig};
+use dynsched_scheduler::SchedulerConfig;
 use dynsched_simkit::Rng;
 use dynsched_workload::{FeitelsonModel, Trace, TsafrirEstimates};
-use std::hint::black_box;
 
 fn sequences(seed: u64) -> Vec<Trace> {
     let (count, jobs_per_seq) = if full_scale() { (10, 3_000) } else { (4, 600) };
@@ -34,7 +32,7 @@ fn sequences(seed: u64) -> Vec<Trace> {
         .collect()
 }
 
-fn regenerate() {
+fn main() {
     banner("Generalization: Lublin-trained policies on a Feitelson'96-style workload");
     let lineup = paper_lineup();
     for (label, scheduler) in [
@@ -65,20 +63,4 @@ fn regenerate() {
     }
     println!("reading: the F-policies were never trained on this generator; if they");
     println!("still lead, the paper's generalization claim extends across models too.");
-}
-
-fn bench(c: &mut Criterion) {
-    let seq = sequences(1)[0].clone();
-    let f1 = dynsched_policies::LearnedPolicy::f1();
-    let config = SchedulerConfig::actual_runtimes(Platform::new(256));
-    c.bench_function("generalization/feitelson_sequence_f1", |b| {
-        b.iter(|| black_box(simulate(&seq, &QueueDiscipline::Policy(&f1), &config)))
-    });
-}
-
-fn main() {
-    regenerate();
-    let mut c = criterion();
-    bench(&mut c);
-    c.final_summary();
 }

@@ -7,15 +7,13 @@
 //! operator would use to decide whether deploying a learned policy is
 //! worth it.
 
-use criterion::Criterion;
-use dynsched_bench::{banner, criterion, full_scale};
+use dynsched_bench::{banner, full_scale};
 use dynsched_cluster::Platform;
 use dynsched_core::sweep::{sweep_load, sweep_table};
 use dynsched_policies::paper_lineup;
 use dynsched_scheduler::SchedulerConfig;
 use dynsched_simkit::Rng;
 use dynsched_workload::{LublinModel, Trace};
-use std::hint::black_box;
 
 fn sequences(count: usize, jobs: usize) -> Vec<Trace> {
     let mut model = LublinModel::new(256);
@@ -26,7 +24,7 @@ fn sequences(count: usize, jobs: usize) -> Vec<Trace> {
         .collect()
 }
 
-fn regenerate() {
+fn main() {
     banner("Load sweep: median AVEbsld vs offered load (256 cores, actual runtimes)");
     let (count, jobs) = if full_scale() { (10, 2_000) } else { (4, 500) };
     let seqs = sequences(count, jobs);
@@ -45,27 +43,4 @@ fn regenerate() {
     println!("jobs starve under strict r*n ordering, the same outliers the paper's");
     println!("Fig. 7 shows — so the learned policies cost little at low load and");
     println!("dominate exactly where contention hurts.");
-}
-
-fn bench(c: &mut Criterion) {
-    let seqs = sequences(1, 200);
-    let lineup = paper_lineup();
-    c.bench_function("sweep/one_load_point_200_jobs", |b| {
-        b.iter(|| {
-            black_box(sweep_load(
-                "bench",
-                &seqs,
-                SchedulerConfig::actual_runtimes(Platform::new(256)),
-                &lineup,
-                &[0.8],
-            ))
-        })
-    });
-}
-
-fn main() {
-    regenerate();
-    let mut c = criterion();
-    bench(&mut c);
-    c.final_summary();
 }

@@ -5,18 +5,15 @@
 //! ranked winners in the artifact's verbose format and the paper's
 //! simplified form, next to the published F1–F4.
 
-use criterion::Criterion;
-use dynsched_bench::{banner, criterion, full_scale, trial_count};
+use dynsched_bench::{banner, full_scale, trial_count};
 use dynsched_cluster::Platform;
 use dynsched_core::pipeline::{generate_training_set, TrainingConfig};
 use dynsched_core::trials::TrialSpec;
 use dynsched_core::tuples::TupleSpec;
-use dynsched_mlreg::{fit_all, fit_function, EnumerateOptions};
-use dynsched_policies::NonlinearFunction;
+use dynsched_mlreg::{fit_all, EnumerateOptions};
 use dynsched_workload::LublinModel;
-use std::hint::black_box;
 
-fn regenerate() {
+fn main() {
     banner("Table 3: best nonlinear functions from regression");
     let config = TrainingConfig {
         tuple_spec: TupleSpec::default(),
@@ -61,34 +58,4 @@ fn regenerate() {
     println!("\nexpected agreement: the top functions combine a task-size term");
     println!("(a product of increasing functions of r and n) with a large");
     println!("positive coefficient on log10(s) — algebraic equivalents tie.");
-}
-
-fn bench(c: &mut Criterion) {
-    let config = TrainingConfig {
-        tuple_spec: TupleSpec {
-            s_size: 8,
-            q_size: 16,
-            max_start_offset: 100_000.0,
-        },
-        trial_spec: TrialSpec {
-            trials: 512,
-            platform: Platform::new(256),
-            tau: 10.0,
-        },
-        tuples: 4,
-        seed: 1,
-    };
-    let model = LublinModel::new(256);
-    let (_, training) = generate_training_set(&config, &model);
-    let shape = NonlinearFunction::enumerate_family()[0];
-    c.bench_function("table3/fit_one_function_64_obs", |b| {
-        b.iter(|| black_box(fit_function(shape, &training, &EnumerateOptions::default())))
-    });
-}
-
-fn main() {
-    regenerate();
-    let mut c = criterion();
-    bench(&mut c);
-    c.final_summary();
 }

@@ -1,23 +1,26 @@
-//! Shared plumbing for the figure/table regeneration benches.
+//! Shared plumbing for the figure/table regenerators.
 //!
-//! Every bench in `benches/` does two jobs:
-//!
-//! 1. **Regenerate** its table or figure: during setup it runs the
-//!    corresponding experiment and prints the same rows/series the paper
-//!    reports (artifact-style statistics, boxplot five-number summaries,
-//!    ranked functions, …).
-//! 2. **Measure** a representative kernel with Criterion, so performance
-//!    regressions in the simulator/regressor show up in CI.
+//! Every program in `benches/` does one job: it **regenerates** its table
+//! or figure — runs the corresponding experiment and prints the same
+//! rows/series the paper reports (artifact-style statistics, boxplot
+//! five-number summaries, ranked functions, …). Table 4 itself is
+//! `dynsched table4`; the per-condition rows are Figs. 4–9 here.
 //!
 //! The one exception is `fault_throughput`, which regenerates nothing: it
-//! asserts the idle fault machinery's ≤ 1.05× budget. Throughput and
-//! speedup numbers are `paperbench/`'s, not this crate's.
+//! asserts the idle fault machinery's ≤ 1.05× budget. Nothing in this
+//! crate times anything else: throughput and speedup numbers are
+//! `paperbench/`'s per-layer metrics.
 //!
-//! Scale control: benches default to a reduced protocol so the whole suite
-//! finishes in minutes. Set `DYNSCHED_FULL=1` to run the paper's protocol
-//! (10 × 15-day sequences, 256k trials, the full 512k convergence ladder).
+//! ```text
+//! cargo bench -p dynsched-bench --bench fig4_model_actual   # one regenerator
+//! cargo bench -p dynsched-bench                             # all of them, in seconds
+//! ```
+//!
+//! Scale control: the regenerators default to a reduced protocol so the
+//! whole suite finishes in seconds. Set `DYNSCHED_FULL=1` to run the
+//! paper's protocol (10 × 15-day sequences, 256k trials, the full 512k
+//! convergence ladder).
 
-use criterion::Criterion;
 use dynsched_core::scenarios::ScenarioScale;
 use dynsched_workload::SequenceSpec;
 
@@ -52,17 +55,7 @@ pub fn trial_count() -> usize {
     }
 }
 
-/// Criterion tuned for the regeneration suite: small sample counts so the
-/// measured kernels don't dominate the wall time of `cargo bench`.
-pub fn criterion() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(std::time::Duration::from_millis(300))
-        .measurement_time(std::time::Duration::from_secs(2))
-        .configure_from_args()
-}
-
-/// Print a banner separating regeneration output from Criterion output.
+/// Print the banner that opens a regenerator's output.
 pub fn banner(title: &str) {
     println!("\n=== {title} ===");
     println!(
@@ -72,10 +65,10 @@ pub fn banner(title: &str) {
 }
 
 use dynsched_core::report::artifact_report;
-use dynsched_core::scenarios::{archive_scenario, model_scenario, Condition};
+use dynsched_core::scenarios::{archive_scenario_in, model_scenario_in, Condition};
 use dynsched_core::{run_experiment, Experiment, ExperimentResult};
 use dynsched_policies::paper_lineup;
-use dynsched_workload::ArchivePlatform;
+use dynsched_workload::{ArchivePlatform, TraceStore};
 
 /// Run one experiment under the paper's eight-policy line-up, print the
 /// artifact-style statistics plus boxplot numbers, and save the boxplot
@@ -124,30 +117,18 @@ pub fn run_and_print(experiment: &Experiment) -> ExperimentResult {
 
 /// Regenerate one §4.2 model figure (both platform sizes).
 pub fn regenerate_model_figure(condition: Condition) -> Vec<ExperimentResult> {
-    let scale = scenario_scale();
+    let (scale, store) = (scenario_scale(), TraceStore::new());
     [256u32, 1024]
         .iter()
-        .map(|&nmax| run_and_print(&model_scenario(nmax, condition, &scale)))
+        .map(|&nmax| run_and_print(&model_scenario_in(&store, nmax, condition, &scale)))
         .collect()
 }
 
 /// Regenerate one §4.3 archive figure (all four platforms).
 pub fn regenerate_archive_figure(condition: Condition) -> Vec<ExperimentResult> {
-    let scale = scenario_scale();
+    let (scale, store) = (scenario_scale(), TraceStore::new());
     ArchivePlatform::ALL
         .iter()
-        .map(|platform| run_and_print(&archive_scenario(platform, condition, &scale)))
+        .map(|platform| run_and_print(&archive_scenario_in(&store, platform, condition, &scale)))
         .collect()
-}
-
-/// Criterion kernel: schedule the first sequence of an experiment under F1.
-pub fn bench_first_sequence(c: &mut criterion::Criterion, tag: &str, experiment: &Experiment) {
-    use dynsched_policies::LearnedPolicy;
-    use dynsched_scheduler::{simulate, QueueDiscipline};
-    let f1 = LearnedPolicy::f1();
-    let seq = experiment.sequences[0].clone();
-    let config = experiment.scheduler;
-    c.bench_function(tag, |b| {
-        b.iter(|| std::hint::black_box(simulate(&seq, &QueueDiscipline::Policy(&f1), &config)))
-    });
 }

@@ -38,7 +38,7 @@
 //!
 //! Every evaluation path — [`run_experiment`] grids, [`sweep_load`]
 //! curves, [`convergence_curve`] repetitions, the
-//! 18 Table 4 rows via [`scenarios::table4_results`] — flattens into one
+//! 18 Table 4 rows via [`scenarios::table4_results_in`] — flattens into one
 //! batched cell set: an [`session::EvalSession`] for simulation cells, a
 //! [`trials::trial_scores_batched`] call for permutation-trial cells.
 //! Each worker thread owns one reusable
@@ -129,12 +129,11 @@ pub use report::{
     artifact_report, full_run_markdown, learned_beat_adhoc, table4_comparison, table4_markdown,
 };
 pub use scenarios::{
-    archive_scenario, archive_scenario_in, model_scenario, model_scenario_in, scenario_experiment,
-    scenario_results, table4_experiments, table4_experiments_in, table4_results, table4_results_in,
-    Condition, ScenarioScale,
+    archive_scenario_in, model_scenario_in, scenario_experiment, scenario_results,
+    table4_experiments_in, table4_results_in, Condition, ScenarioScale,
 };
 pub use session::{EvalCell, EvalSession};
-pub use sweep::{sweep_load, sweep_scenario, sweep_table, LoadPoint};
+pub use sweep::{sweep_load, sweep_table, LoadPoint};
 pub use trials::{
     run_trial, to_observations, trial_scores, trial_scores_batched, TrialBatch, TrialScores,
     TrialSpec,

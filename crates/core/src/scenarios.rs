@@ -12,9 +12,8 @@
 //! sequences are built once per distinct `(generator, params, seed)`
 //! tuple and shared — the 18 Table-4 rows construct only 6 sequence sets,
 //! one per workload, reused across the three conditions (the condition
-//! changes the scheduler, never the jobs). The store-less convenience
-//! wrappers spin up a private store per call, so they still share within
-//! the call and stay bit-identical to the historical per-row builders.
+//! changes the scheduler, never the jobs). A caller with one scenario to
+//! build passes a fresh `&TraceStore::new()`.
 //!
 //! Beyond the paper's grid, [`scenario_experiment`] / [`scenario_results`]
 //! turn any named [`ScenarioFamily`] of the workload registry
@@ -158,12 +157,6 @@ pub fn model_scenario_in(
     )
 }
 
-/// Store-less convenience over [`model_scenario_in`] (private store per
-/// call).
-pub fn model_scenario(nmax: u32, condition: Condition, scale: &ScenarioScale) -> Experiment {
-    model_scenario_in(&TraceStore::new(), nmax, condition, scale)
-}
-
 /// Build the §4.3 archive-trace scenario for `platform` under `condition`,
 /// using the synthetic stand-in documented in
 /// [`dynsched_workload::archive`], sharing the stand-in build through
@@ -182,15 +175,6 @@ pub fn archive_scenario_in(
         sequences,
         condition.scheduler(Platform::new(platform.cpus)),
     )
-}
-
-/// Store-less convenience over [`archive_scenario_in`].
-pub fn archive_scenario(
-    platform: &ArchivePlatform,
-    condition: Condition,
-    scale: &ScenarioScale,
-) -> Experiment {
-    archive_scenario_in(&TraceStore::new(), platform, condition, scale)
 }
 
 /// All 18 experiments of Table 4, in the paper's row order, sharing
@@ -214,12 +198,6 @@ pub fn table4_experiments_in(store: &TraceStore, scale: &ScenarioScale) -> Vec<E
     rows
 }
 
-/// All 18 experiments of Table 4 through a private store (6 builds, 12
-/// hits; bit-identical to the historical 18-build construction).
-pub fn table4_experiments(scale: &ScenarioScale) -> Vec<Experiment> {
-    table4_experiments_in(&TraceStore::new(), scale)
-}
-
 /// Run all 18 Table 4 experiments under `policies` as **one** batched
 /// evaluation session (every `row × policy × sequence` cell shares a
 /// single fan-out; see [`crate::session`]), with sequence builds shared
@@ -231,14 +209,6 @@ pub fn table4_results_in(
     policies: &[Box<dyn Policy>],
 ) -> Vec<ExperimentResult> {
     run_experiments(&table4_experiments_in(store, scale), policies)
-}
-
-/// [`table4_results_in`] through a private store.
-pub fn table4_results(
-    scale: &ScenarioScale,
-    policies: &[Box<dyn Policy>],
-) -> Vec<ExperimentResult> {
-    table4_results_in(&TraceStore::new(), scale, policies)
 }
 
 /// Build one experiment from a named registry scenario family: the
@@ -312,7 +282,7 @@ mod tests {
     #[test]
     fn model_scenario_has_requested_structure() {
         let scale = ScenarioScale::quick();
-        let exp = model_scenario(256, Condition::ActualRuntimes, &scale);
+        let exp = model_scenario_in(&TraceStore::new(), 256, Condition::ActualRuntimes, &scale);
         assert_eq!(exp.sequences.len(), 3);
         assert_eq!(exp.scheduler.platform.total_cores, 256);
         assert_eq!(exp.scheduler.backfill, BackfillMode::None);
@@ -330,17 +300,27 @@ mod tests {
     #[test]
     fn conditions_map_to_scheduler_settings() {
         let scale = ScenarioScale::quick();
-        let est = model_scenario(256, Condition::UserEstimates, &scale);
+        let est = model_scenario_in(&TraceStore::new(), 256, Condition::UserEstimates, &scale);
         assert_eq!(est.scheduler.decision_mode, DecisionMode::UserEstimate);
         assert_eq!(est.scheduler.backfill, BackfillMode::None);
-        let bf = model_scenario(256, Condition::EstimatesWithBackfilling, &scale);
+        let bf = model_scenario_in(
+            &TraceStore::new(),
+            256,
+            Condition::EstimatesWithBackfilling,
+            &scale,
+        );
         assert_eq!(bf.scheduler.backfill, BackfillMode::Aggressive);
     }
 
     #[test]
     fn archive_scenario_uses_platform_width() {
         let scale = ScenarioScale::quick();
-        let exp = archive_scenario(&ArchivePlatform::CTC_SP2, Condition::ActualRuntimes, &scale);
+        let exp = archive_scenario_in(
+            &TraceStore::new(),
+            &ArchivePlatform::CTC_SP2,
+            Condition::ActualRuntimes,
+            &scale,
+        );
         assert_eq!(exp.scheduler.platform.total_cores, 338);
         assert!(exp.name.starts_with("CTC SP2"));
     }
@@ -348,7 +328,7 @@ mod tests {
     #[test]
     fn table4_has_18_rows_in_paper_order() {
         let scale = ScenarioScale::quick();
-        let rows = table4_experiments(&scale);
+        let rows = table4_experiments_in(&TraceStore::new(), &scale);
         assert_eq!(rows.len(), 18);
         assert!(rows[0].name.contains("nmax = 256") && rows[0].name.contains("actual"));
         assert!(rows[1].name.contains("nmax = 1024"));
@@ -370,9 +350,12 @@ mod tests {
             ..ScenarioScale::default()
         };
         let lineup: Vec<Box<dyn Policy>> = vec![Box::new(Fcfs), Box::new(Spt)];
-        let batched = table4_results(&scale, &lineup);
+        let batched = table4_results_in(&TraceStore::new(), &scale, &lineup);
         assert_eq!(batched.len(), 18);
-        for (row, experiment) in batched.iter().zip(table4_experiments(&scale)) {
+        for (row, experiment) in batched
+            .iter()
+            .zip(table4_experiments_in(&TraceStore::new(), &scale))
+        {
             assert_eq!(
                 *row,
                 run_experiment(&experiment, &lineup),
@@ -385,8 +368,8 @@ mod tests {
     #[test]
     fn same_seed_same_scenario() {
         let scale = ScenarioScale::quick();
-        let a = model_scenario(256, Condition::ActualRuntimes, &scale);
-        let b = model_scenario(256, Condition::ActualRuntimes, &scale);
+        let a = model_scenario_in(&TraceStore::new(), 256, Condition::ActualRuntimes, &scale);
+        let b = model_scenario_in(&TraceStore::new(), 256, Condition::ActualRuntimes, &scale);
         assert_eq!(a.sequences, b.sequences);
     }
 
@@ -413,9 +396,12 @@ mod tests {
         // rows interleave by nmax: rows 0 and 2 are both nmax = 256).
         assert!(rows[0].sequences[0].shares_storage(&rows[2].sequences[0]));
         assert!(rows[6].sequences[0].shares_storage(&rows[10].sequences[0]));
-        // ... and the shared build is bit-identical to store-less per-row
-        // construction.
-        for (shared, fresh) in rows.iter().zip(table4_experiments(&scale)) {
+        // ... and the shared build is bit-identical to construction through
+        // a store of its own.
+        for (shared, fresh) in rows
+            .iter()
+            .zip(table4_experiments_in(&TraceStore::new(), &scale))
+        {
             assert_eq!(shared.sequences, fresh.sequences, "{}", shared.name);
         }
     }

@@ -8,11 +8,10 @@
 //! and differences are purely contention effects.
 
 use crate::experiments::{run_experiments, Experiment, ExperimentResult};
-use crate::scenarios::ScenarioScale;
 use dynsched_policies::Policy;
 use dynsched_scheduler::SchedulerConfig;
 use dynsched_workload::transform::scale_load;
-use dynsched_workload::{ScenarioFamily, ScenarioParams, Trace, TraceStore};
+use dynsched_workload::Trace;
 use serde::{Deserialize, Serialize};
 
 /// One load point of a sweep.
@@ -72,37 +71,6 @@ pub fn sweep_load(
             result,
         })
         .collect()
-}
-
-/// Sweep offered load over a **named registry scenario family**: the
-/// family's sequences are built once (interned in `store` under the
-/// family's key, shared with any other entry point naming the same
-/// tuple), then rescaled per target exactly as [`sweep_load`] does.
-///
-/// Returns an error if the family's trace yields fewer sequences than
-/// `scale.spec` requests.
-pub fn sweep_scenario(
-    store: &TraceStore,
-    family: &ScenarioFamily,
-    params: &ScenarioParams,
-    scale: &ScenarioScale,
-    scheduler: SchedulerConfig,
-    policies: &[Box<dyn Policy>],
-    targets: &[f64],
-) -> Result<Vec<LoadPoint>, String> {
-    let views = family
-        .sequences(store, params, &scale.spec, scale.seed)
-        .map_err(|e| format!("scenario {:?}: {e}", family.name()))?;
-    // Rescaling rewrites every submit time, so the sweep works on owned
-    // AoS traces; the shared store still saves the (expensive) generation.
-    let sequences: Vec<Trace> = views.iter().map(|v| v.to_trace()).collect();
-    Ok(sweep_load(
-        family.name(),
-        &sequences,
-        scheduler,
-        policies,
-        targets,
-    ))
 }
 
 /// Render a sweep as a compact table: one row per load, one column per
@@ -195,52 +163,6 @@ mod tests {
         assert_eq!(table.lines().count(), 3);
         assert!(table.contains("FCFS"));
         assert!(table.contains("0.30"));
-    }
-
-    #[test]
-    fn scenario_sweep_matches_plain_sweep_over_the_same_sequences() {
-        use dynsched_workload::{ScenarioRegistry, SequenceSpec};
-        let registry = ScenarioRegistry::builtin();
-        let family = registry.get("bursty").unwrap();
-        let store = dynsched_workload::TraceStore::new();
-        let params = dynsched_workload::ScenarioParams {
-            cores: 32,
-            span_days: 3.0,
-            target_load: 0.9,
-        };
-        let scale = crate::scenarios::ScenarioScale {
-            spec: SequenceSpec {
-                count: 2,
-                days: 1.0,
-                min_jobs: 2,
-            },
-            ..crate::scenarios::ScenarioScale::default()
-        };
-        let scheduler = SchedulerConfig::actual_runtimes(Platform::new(32));
-        let targets = [0.4, 1.0];
-        let points = sweep_scenario(
-            &store,
-            family,
-            &params,
-            &scale,
-            scheduler,
-            &lineup(),
-            &targets,
-        )
-        .unwrap();
-        let seqs: Vec<Trace> = family
-            .sequences(&store, &params, &scale.spec, scale.seed)
-            .unwrap()
-            .iter()
-            .map(|v| v.to_trace())
-            .collect();
-        let want = sweep_load(family.name(), &seqs, scheduler, &lineup(), &targets);
-        assert_eq!(points, want);
-        assert_eq!(
-            store.builds(),
-            2,
-            "base trace + sequence set, shared between the sweep and the check"
-        );
     }
 
     #[test]

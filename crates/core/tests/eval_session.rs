@@ -13,7 +13,7 @@
 use dynsched_cluster::Platform;
 use dynsched_core::convergence::convergence_curve;
 use dynsched_core::experiments::{run_experiment, Experiment, ExperimentResult, PolicyOutcome};
-use dynsched_core::scenarios::{model_scenario, Condition, ScenarioScale};
+use dynsched_core::scenarios::{model_scenario_in, Condition, ScenarioScale};
 use dynsched_core::sweep::{sweep_load, LoadPoint};
 use dynsched_core::trials::{trial_scores, TrialSpec};
 use dynsched_core::tuples::{TaskTuple, TupleSpec};
@@ -24,7 +24,7 @@ use dynsched_simkit::parallel::with_worker_limit;
 use dynsched_simkit::stats::{mean, median, std_dev, std_dev_population, BoxplotSummary};
 use dynsched_simkit::Rng;
 use dynsched_workload::transform::scale_load;
-use dynsched_workload::{LublinModel, SequenceSpec, Trace};
+use dynsched_workload::{LublinModel, SequenceSpec, Trace, TraceStore};
 
 /// A line-up mixing cached-score, time-dependent, and learned policies so
 /// the session crosses every queue-order path of the engine.
@@ -183,7 +183,7 @@ fn run_experiment_is_bit_identical_to_per_cell_simulate() {
     // All three conditions of the paper, at 1 worker and at pool width.
     let lineup = lineup();
     for condition in Condition::ALL {
-        let experiment = model_scenario(64, condition, &quick_scale(0x5E55));
+        let experiment = model_scenario_in(&TraceStore::new(), 64, condition, &quick_scale(0x5E55));
         let want = legacy_run_experiment(&experiment, &lineup);
         let wide = run_experiment(&experiment, &lineup);
         let narrow = with_worker_limit(1, || run_experiment(&experiment, &lineup));
@@ -223,8 +223,7 @@ fn sweep_load_is_bit_identical_to_per_target_loop() {
 
 #[test]
 fn table4_through_shared_store_is_bit_identical_to_per_row_runs() {
-    use dynsched_core::scenarios::{table4_experiments, table4_results_in};
-    use dynsched_workload::TraceStore;
+    use dynsched_core::scenarios::{table4_experiments_in, table4_results_in};
     let scale = ScenarioScale {
         spec: SequenceSpec {
             count: 2,
@@ -234,9 +233,9 @@ fn table4_through_shared_store_is_bit_identical_to_per_row_runs() {
         ..ScenarioScale::default()
     };
     let lineup = lineup();
-    // The historical path: per-row construction (no sharing), per-row
-    // batched runs.
-    let want: Vec<ExperimentResult> = table4_experiments(&scale)
+    // The historical path: construction through a store of its own,
+    // per-row batched runs.
+    let want: Vec<ExperimentResult> = table4_experiments_in(&TraceStore::new(), &scale)
         .iter()
         .map(|e| run_experiment(e, &lineup))
         .collect();

@@ -59,4 +59,4 @@ pub use lm::{
 };
 pub use reference::{fit_all_reference, fit_function_reference};
 pub use select::{coefficient_diagnostics, selection_report, CoefficientDiagnostics};
-pub use validate::{cross_validate, fit_stats, CrossValidation, FitStats};
+pub use validate::{fit_stats, FitStats};

@@ -60,7 +60,7 @@ pub struct LmFit {
     pub cost: f64,
     /// Outer iterations performed.
     pub iterations: usize,
-    /// Whether a tolerance-based stopping criterion was met (as opposed to
+    /// Whether a tolerance-based stopping test was met (as opposed to
     /// hitting the iteration or damping limits).
     pub converged: bool,
 }
@@ -128,7 +128,7 @@ pub struct LmOutcome {
     pub cost: f64,
     /// Outer iterations performed.
     pub iterations: usize,
-    /// Whether a tolerance-based stopping criterion was met.
+    /// Whether a tolerance-based stopping test was met.
     pub converged: bool,
 }
 

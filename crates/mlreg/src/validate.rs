@@ -1,13 +1,11 @@
-//! Fit validation: k-fold cross-validation and goodness-of-fit summaries.
+//! Fit validation: goodness-of-fit summaries.
 //!
 //! The paper ranks functions on their training error (Eq. 5); a downstream
-//! user choosing between near-tied candidates wants to know whether the
-//! ranking survives resampling. This module provides deterministic k-fold
-//! cross-validation over the observation set and classic goodness-of-fit
-//! statistics (R², RMSE) for a fitted function.
+//! user choosing between near-tied candidates wants more than one number.
+//! This module provides the classic goodness-of-fit statistics (R², RMSE)
+//! for a fitted function.
 
-use crate::dataset::{Observation, TrainingSet};
-use crate::enumerate::{fit_function, rank, EnumerateOptions};
+use crate::dataset::TrainingSet;
 use dynsched_policies::NonlinearFunction;
 use serde::{Deserialize, Serialize};
 
@@ -51,73 +49,10 @@ pub fn fit_stats(function: &NonlinearFunction, data: &TrainingSet) -> FitStats {
     }
 }
 
-/// Result of one cross-validation run for one function shape.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CrossValidation {
-    /// Eq. 5 error on each held-out fold.
-    pub fold_errors: Vec<f64>,
-    /// Mean of `fold_errors`.
-    pub mean_error: f64,
-    /// Sample standard deviation of `fold_errors` (0 for k < 2).
-    pub std_error: f64,
-}
-
-/// Deterministic k-fold cross-validation of one function *shape*: for each
-/// fold, the coefficients are refitted on the remaining folds and the
-/// Eq. 5 error is measured on the held-out fold. Folds are assigned
-/// round-robin by index (observations are already an arbitrary pooling of
-/// tuples, so round-robin is an unbiased split and keeps the procedure
-/// seed-free).
-///
-/// # Panics
-/// Panics if `k < 2` or the set has fewer than `k` observations.
-pub fn cross_validate(
-    shape: NonlinearFunction,
-    data: &TrainingSet,
-    k: usize,
-    options: &EnumerateOptions,
-) -> CrossValidation {
-    assert!(k >= 2, "need at least 2 folds");
-    let obs = data.observations();
-    assert!(obs.len() >= k, "need at least one observation per fold");
-    let mut fold_errors = Vec::with_capacity(k);
-    for fold in 0..k {
-        let train: Vec<Observation> = obs
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % k != fold)
-            .map(|(_, o)| *o)
-            .collect();
-        let test: Vec<Observation> = obs
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % k == fold)
-            .map(|(_, o)| *o)
-            .collect();
-        let fitted = fit_function(shape, &TrainingSet::new(train), options);
-        fold_errors.push(rank(&fitted.function, &TrainingSet::new(test)));
-    }
-    let mean_error = fold_errors.iter().sum::<f64>() / k as f64;
-    let std_error = if k >= 2 {
-        let var = fold_errors
-            .iter()
-            .map(|e| (e - mean_error) * (e - mean_error))
-            .sum::<f64>()
-            / (k as f64 - 1.0);
-        var.sqrt()
-    } else {
-        0.0
-    };
-    CrossValidation {
-        fold_errors,
-        mean_error,
-        std_error,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Observation;
     use dynsched_policies::learned::{BaseFunc, OpKind};
 
     fn generating_shape() -> NonlinearFunction {
@@ -180,48 +115,6 @@ mod tests {
         assert!(
             stats.r_squared < 0.5,
             "a zero predictor must not look good: {stats:?}; mean {mean}"
-        );
-    }
-
-    #[test]
-    fn cross_validation_recovers_generating_shape_with_low_error() {
-        let ts = synthetic_set(1e-5);
-        let cv = cross_validate(generating_shape(), &ts, 5, &EnumerateOptions::default());
-        assert_eq!(cv.fold_errors.len(), 5);
-        assert!(cv.mean_error < 1e-4, "cv error {:?}", cv);
-        // Errors are consistent across folds.
-        assert!(cv.std_error < cv.mean_error * 2.0 + 1e-9);
-    }
-
-    #[test]
-    fn cross_validation_penalizes_wrong_shape() {
-        let ts = synthetic_set(1e-5);
-        let right = cross_validate(generating_shape(), &ts, 4, &EnumerateOptions::default());
-        // A structurally wrong shape: everything through inv().
-        let wrong_shape = NonlinearFunction::with_shape(
-            BaseFunc::Inv,
-            OpKind::Mul,
-            BaseFunc::Inv,
-            OpKind::Mul,
-            BaseFunc::Inv,
-        );
-        let wrong = cross_validate(wrong_shape, &ts, 4, &EnumerateOptions::default());
-        assert!(
-            wrong.mean_error > right.mean_error,
-            "wrong {} vs right {}",
-            wrong.mean_error,
-            right.mean_error
-        );
-    }
-
-    #[test]
-    #[should_panic]
-    fn too_few_folds_rejected() {
-        cross_validate(
-            generating_shape(),
-            &synthetic_set(0.0),
-            1,
-            &EnumerateOptions::default(),
         );
     }
 }

@@ -1,9 +1,9 @@
 //! Statistical distributions used by the workload models.
 //!
-//! The Lublin–Feitelson model needs gamma and *hyper-gamma* (two-component
-//! gamma mixture) variates, plus the "two-stage uniform" distribution used
-//! for job sizes in log space. The Tsafrir estimate model needs categorical
-//! draws. All samplers consume the in-tree [`crate::rng::Rng`] so the
+//! The Lublin–Feitelson model needs gamma variates (its runtime is a
+//! two-component gamma mixture, which `lublin.rs` draws from two [`Gamma`]s
+//! directly), plus the "two-stage uniform" distribution used for job sizes
+//! in log space. The Tsafrir estimate model needs categorical draws. All samplers consume the in-tree [`crate::rng::Rng`] so the
 //! whole pipeline stays deterministic under a single seed.
 
 use crate::rng::Rng;
@@ -182,90 +182,6 @@ impl Sample for Gamma {
     }
 }
 
-/// Hyper-gamma distribution: a two-component gamma mixture.
-///
-/// With probability `p` the variate comes from `Gamma(a1, b1)`, otherwise
-/// from `Gamma(a2, b2)`. This is the runtime distribution of the
-/// Lublin–Feitelson model, where `p` itself depends linearly on the job size.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HyperGamma {
-    first: Gamma,
-    second: Gamma,
-    p: f64,
-}
-
-impl HyperGamma {
-    /// Create a hyper-gamma mixture; `p` is clamped to `[0, 1]`.
-    pub fn new(a1: f64, b1: f64, a2: f64, b2: f64, p: f64) -> Self {
-        Self {
-            first: Gamma::new(a1, b1),
-            second: Gamma::new(a2, b2),
-            p: p.clamp(0.0, 1.0),
-        }
-    }
-
-    /// Mixture probability of the first component.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-}
-
-impl Sample for HyperGamma {
-    fn sample(&self, rng: &mut Rng) -> f64 {
-        if rng.chance(self.p) {
-            self.first.sample(rng)
-        } else {
-            self.second.sample(rng)
-        }
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some(self.p * self.first.mean().unwrap() + (1.0 - self.p) * self.second.mean().unwrap())
-    }
-}
-
-/// Log-normal distribution: `exp(N(mu, sigma))`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogNormal {
-    normal: Normal,
-}
-
-impl LogNormal {
-    /// Create a log-normal distribution with underlying normal `N(mu, sigma)`.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        Self {
-            normal: Normal::new(mu, sigma),
-        }
-    }
-}
-
-impl Sample for LogNormal {
-    fn sample(&self, rng: &mut Rng) -> f64 {
-        self.normal.sample(rng).exp()
-    }
-}
-
-/// Weibull distribution with shape `k` and scale `lambda`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Weibull {
-    k: f64,
-    lambda: f64,
-}
-
-impl Weibull {
-    /// Create a Weibull distribution; requires positive parameters.
-    pub fn new(k: f64, lambda: f64) -> Self {
-        assert!(k > 0.0 && lambda > 0.0, "weibull params must be positive");
-        Self { k, lambda }
-    }
-}
-
-impl Sample for Weibull {
-    fn sample(&self, rng: &mut Rng) -> f64 {
-        self.lambda * (-rng.next_f64_open().ln()).powf(1.0 / self.k)
-    }
-}
-
 /// The "two-stage uniform" distribution of the Lublin–Feitelson model.
 ///
 /// A value is drawn uniformly from `[lo, med]` with probability `prob` and
@@ -382,21 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn hyper_gamma_mixture_mean() {
-        let d = HyperGamma::new(2.0, 1.0, 10.0, 2.0, 0.3);
-        // mean = 0.3*2 + 0.7*20 = 14.6
-        assert!((empirical_mean(&d, 300_000, 12) - 14.6).abs() < 0.3);
-        assert_eq!(d.mean(), Some(0.3 * 2.0 + 0.7 * 20.0));
-    }
-
-    #[test]
-    fn hyper_gamma_extreme_p_selects_single_component() {
-        let d = HyperGamma::new(2.0, 1.0, 100.0, 10.0, 1.0);
-        // With p=1 the mean must match the first component (mean 2).
-        assert!((empirical_mean(&d, 100_000, 13) - 2.0).abs() < 0.1);
-    }
-
-    #[test]
     fn two_stage_uniform_bounds_and_mass() {
         let d = TwoStageUniform::new(1.0, 3.0, 9.0, 0.75);
         let mut rng = Rng::new(14);
@@ -411,22 +312,6 @@ mod tests {
         }
         let frac = low as f64 / n as f64;
         assert!((frac - 0.75).abs() < 0.01, "lower-stage mass {frac}");
-    }
-
-    #[test]
-    fn weibull_shape_one_is_exponential() {
-        let d = Weibull::new(1.0, 5.0);
-        assert!((empirical_mean(&d, 200_000, 15) - 5.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn lognormal_median() {
-        let d = LogNormal::new(1.0, 0.5);
-        let mut rng = Rng::new(16);
-        let mut xs: Vec<f64> = (0..100_001).map(|_| d.sample(&mut rng)).collect();
-        xs.sort_by(f64::total_cmp);
-        let median = xs[50_000];
-        assert!((median - 1.0f64.exp()).abs() < 0.1, "median {median}");
     }
 
     #[test]

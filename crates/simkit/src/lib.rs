@@ -10,11 +10,11 @@
 //! * [`rng`] — deterministic, fork-able pseudo-random streams
 //!   (xoshiro256++ seeded via SplitMix64);
 //! * [`dist`] — the distributions needed by the Lublin–Feitelson and
-//!   Tsafrir workload models (gamma, hyper-gamma, two-stage uniform, …);
+//!   Tsafrir workload models (gamma, two-stage uniform, …);
 //! * [`events`] — a time-ordered event queue with deterministic FIFO
 //!   tie-breaking and a monotonic simulation clock;
 //! * [`stats`] — descriptive statistics (median/quantiles/boxplot
-//!   summaries/Welford accumulators) used by the evaluation harness;
+//!   summaries) used by the evaluation harness;
 //! * [`parallel`] — deterministic fan-out for the hundreds of thousands of
 //!   independent training trials, on an in-tree scoped thread pool;
 //! * [`json`] — hand-rolled JSON (no deps) with exact-bit `f64`

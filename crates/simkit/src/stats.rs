@@ -141,146 +141,6 @@ impl BoxplotSummary {
     }
 }
 
-/// A fixed-width histogram over `[lo, hi)` with out-of-range counting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    below: u64,
-    above: u64,
-    nan: u64,
-}
-
-impl Histogram {
-    /// Create a histogram with `nbins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `nbins == 0` or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, nbins: usize) -> Self {
-        assert!(nbins > 0, "histogram needs at least one bin");
-        assert!(lo < hi, "histogram range must be non-empty");
-        Self {
-            lo,
-            hi,
-            bins: vec![0; nbins],
-            below: 0,
-            above: 0,
-            nan: 0,
-        }
-    }
-
-    /// Record one observation. NaN goes to its own counter — both range
-    /// comparisons are false for NaN, and the saturating `as usize` cast
-    /// would otherwise silently deposit it in bin 0 as if it were a real
-    /// measurement at `lo`.
-    pub fn record(&mut self, x: f64) {
-        if x.is_nan() {
-            self.nan += 1;
-        } else if x < self.lo {
-            self.below += 1;
-        } else if x >= self.hi {
-            self.above += 1;
-        } else {
-            let nbins = self.bins.len();
-            let idx = ((x - self.lo) / (self.hi - self.lo) * nbins as f64) as usize;
-            self.bins[idx.min(nbins - 1)] += 1;
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Count of observations below the range.
-    pub fn below(&self) -> u64 {
-        self.below
-    }
-
-    /// Count of observations at or above the range's upper bound.
-    pub fn above(&self) -> u64 {
-        self.above
-    }
-
-    /// Count of NaN observations (never binned; a nonzero value usually
-    /// means an upstream metric produced garbage).
-    pub fn nan(&self) -> u64 {
-        self.nan
-    }
-
-    /// Total number of recorded observations, NaN included.
-    pub fn total(&self) -> u64 {
-        self.below + self.above + self.nan + self.bins.iter().sum::<u64>()
-    }
-}
-
-/// Streaming mean/variance accumulator (Welford's algorithm).
-///
-/// Used by the training pipeline to aggregate per-task scores without
-/// retaining every trial outcome in memory.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.n as f64 / n as f64;
-        self.m2 += other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-    }
-
-    /// Number of observations recorded.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean of recorded observations (0 if none).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Unbiased sample variance. `None` if fewer than 2 observations.
-    pub fn variance(&self) -> Option<f64> {
-        if self.n < 2 {
-            None
-        } else {
-            Some(self.m2 / (self.n as f64 - 1.0))
-        }
-    }
-
-    /// Sample standard deviation. `None` if fewer than 2 observations.
-    pub fn std_dev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,84 +202,5 @@ mod tests {
         let b = BoxplotSummary::from_samples(&xs).unwrap();
         assert_eq!(b.outliers, vec![100.0]);
         assert_eq!(b.whisker_hi, 5.0);
-    }
-
-    #[test]
-    fn histogram_bins_and_overflow() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [0.0, 0.5, 5.0, 9.99, 10.0, -1.0] {
-            h.record(x);
-        }
-        assert_eq!(h.bins()[0], 2);
-        assert_eq!(h.bins()[5], 1);
-        assert_eq!(h.bins()[9], 1);
-        assert_eq!(h.above(), 1);
-        assert_eq!(h.below(), 1);
-        assert_eq!(h.total(), 6);
-    }
-
-    #[test]
-    fn histogram_nan_never_reaches_bin_zero() {
-        // Regression: NaN fails both range comparisons and the saturating
-        // `as usize` cast maps it to 0, so it used to inflate bin 0.
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record(f64::NAN);
-        h.record(-f64::NAN);
-        assert_eq!(h.bins()[0], 0);
-        assert_eq!(h.below(), 0);
-        assert_eq!(h.above(), 0);
-        assert_eq!(h.nan(), 2);
-        assert_eq!(h.total(), 2);
-        // Real observations still bin as before alongside the NaNs.
-        h.record(0.0);
-        assert_eq!(h.bins()[0], 1);
-        assert_eq!(h.total(), 3);
-    }
-
-    #[test]
-    fn welford_matches_batch() {
-        let xs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        assert!((w.mean() - mean(&xs).unwrap()).abs() < 1e-12);
-        assert!((w.variance().unwrap() - variance(&xs).unwrap()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = Welford::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut left = Welford::new();
-        let mut right = Welford::new();
-        for &x in &xs[..37] {
-            left.push(x);
-        }
-        for &x in &xs[37..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), all.count());
-        assert!((left.mean() - all.mean()).abs() < 1e-10);
-        assert!((left.variance().unwrap() - all.variance().unwrap()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn welford_merge_with_empty() {
-        let mut a = Welford::new();
-        a.push(1.0);
-        a.push(2.0);
-        let b = Welford::new();
-        let mut merged = a;
-        merged.merge(&b);
-        assert_eq!(merged.count(), 2);
-        let mut empty = Welford::new();
-        empty.merge(&a);
-        assert_eq!(empty.count(), 2);
-        assert!((empty.mean() - 1.5).abs() < 1e-12);
     }
 }

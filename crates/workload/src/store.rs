@@ -30,7 +30,7 @@
 //! bit-identical, so distinct parameters can never collide into one cache
 //! entry). Under that contract, interning is observably pure: a store-hit
 //! returns columns bit-identical to what rebuilding would produce, which
-//! is why `table4_results` and `pipeline::run_full` stay bit-identical to
+//! is why `table4_results_in` and `pipeline::run_full` stay bit-identical to
 //! their pre-store behaviour while doing a third of the construction work.
 //! Build closures run under the store lock (builds are setup-phase work);
 //! a build must not re-enter the same store.

@@ -84,5 +84,5 @@ fn main() {
             fit.fitness
         );
     }
-    println!("\nDone. Next steps: examples/train_policies.rs, examples/compare_policies.rs.");
+    println!("\nDone. Next steps: examples/train_policies.rs, `dynsched table4 --quick`.");
 }

@@ -14,10 +14,12 @@
 
 use dynsched::cluster::Platform;
 use dynsched::core::report::artifact_report;
-use dynsched::core::scenarios::{archive_scenario, Condition, ScenarioScale};
+use dynsched::core::scenarios::{archive_scenario_in, Condition, ScenarioScale};
 use dynsched::core::{run_experiments, Experiment};
 use dynsched::policies::paper_lineup;
-use dynsched::workload::{extract_sequences, parse_swf_trace, ArchivePlatform, SequenceSpec};
+use dynsched::workload::{
+    extract_sequences, parse_swf_trace, ArchivePlatform, SequenceSpec, TraceStore,
+};
 
 fn scale() -> ScenarioScale {
     if std::env::var("DYNSCHED_FULL").is_ok() {
@@ -91,13 +93,15 @@ fn main() {
     );
 
     let lineup = paper_lineup();
-    // Every (condition × platform) experiment runs in one batched session.
+    // Every (condition × platform) experiment runs in one batched session;
+    // the three conditions of a platform share its sequences through the store.
+    let store = &TraceStore::new();
     let experiments: Vec<Experiment> = Condition::ALL
         .into_iter()
         .flat_map(|condition| {
             ArchivePlatform::ALL
                 .iter()
-                .map(move |platform| archive_scenario(platform, condition, &scale))
+                .map(move |platform| archive_scenario_in(store, platform, condition, &scale))
         })
         .collect();
     let t0 = std::time::Instant::now();

@@ -7,7 +7,7 @@
 //! dynsched train [opts]                        learn policies from the Lublin model
 //! dynsched run [opts]                          one-shot learn → evaluate (the whole paper loop),
 //!                                              crash-safe with --checkpoint-dir/--resume
-//! dynsched table4 [--full]                     regenerate the paper's Table 4
+//! dynsched table4 [--quick]                    regenerate the paper's Table 4
 //! dynsched scenarios [opts]                    list/evaluate the workload scenario registry
 //! dynsched policies                            list built-in policies
 //! ```
@@ -18,10 +18,12 @@
 use dynsched::cluster::{FaultProfile, Platform, DEFAULT_TAU};
 use dynsched::core::pipeline::{learn_policies, run_full, FullRunConfig, TrainingConfig};
 use dynsched::core::report::{full_run_markdown, table4_comparison, table4_markdown};
-use dynsched::core::scenarios::{scenario_results, table4_experiments, ScenarioScale};
+use dynsched::core::scenarios::{scenario_results, table4_experiments_in, ScenarioScale};
 use dynsched::core::trials::TrialSpec;
 use dynsched::core::tuples::TupleSpec;
-use dynsched::core::{learned_beat_adhoc, run_experiments, run_full_checkpointed, RunError};
+use dynsched::core::{
+    learned_beat_adhoc, run_experiments, run_full_checkpointed, ExperimentResult, RunError,
+};
 use dynsched::mlreg::EnumerateOptions;
 use dynsched::policies::{by_name, paper_lineup, save_learned, CompiledPolicy, Policy};
 use dynsched::scheduler::{
@@ -30,8 +32,7 @@ use dynsched::scheduler::{
 };
 use dynsched::simkit::durable::write_atomic;
 use dynsched::workload::{
-    read_swf_file, validate_trace, LublinModel, ScenarioParams, ScenarioRegistry, SequenceSpec,
-    Trace, TraceStore,
+    read_swf_file, validate_trace, LublinModel, ScenarioParams, ScenarioRegistry, Trace, TraceStore,
 };
 use std::process::ExitCode;
 
@@ -252,17 +253,23 @@ fn parse_cores(text: &str) -> Result<u32, String> {
     }
 }
 
-/// `--cores N` through [`parse_cores`] (default 256).
+/// `--cores N` through [`parse_cores`] (default 256). The commands that
+/// take it (`train`, `run`, `scenarios`) all generate their workload from
+/// the Lublin model, and `LublinModel::new` asserts a parallel machine, so
+/// one core is refused here.
 fn cores_flag(args: &[String]) -> Result<u32, String> {
-    flag_value(args, "--cores")?.map_or(Ok(256), parse_cores)
+    match flag_value(args, "--cores")?.map_or(Ok(256), parse_cores)? {
+        1 => Err("bad --cores: the workload model needs at least 2 cores".to_string()),
+        cores => Ok(cores),
+    }
 }
 
 /// Parse the value of `name` as a quantity that only means something when
 /// positive: a count (`u32`) of at least one, or an `f64` above zero and
 /// finite. Checked here, once, because the library asserts on these
 /// (`--tuples 0`, `--trials 0` and `--load -1` panicked), or worse does
-/// not: `--days nan` printed a garbage table and `--mtbf 0` injected no
-/// faults without saying so.
+/// not: `--days nan` printed a garbage table, and `--mtbf 0` or `--mttr 0`
+/// injected no faults without saying so.
 fn parse_positive<T>(name: &str, text: &str) -> Result<T, String>
 where
     T: std::str::FromStr + Copy + Into<f64>,
@@ -310,9 +317,13 @@ fn fault_flags(
         return Ok(None);
     };
     let mtbf: f64 = parse_positive("--mtbf", v)?;
-    let mttr = f64_flag(args, "--mttr", 3_600.0)?;
+    let mttr = positive_flag(args, "--mttr", 3_600.0)?;
     let fault_cores = positive_flag(args, "--fault-cores", (cores / 8).max(1))?;
-    let retries = usize_flag(args, "--fault-retries", 3)? as u32;
+    // Narrowed to the width `FaultProfile` stores by `try_from`, so a count
+    // beyond it is an error and cannot wrap (2^32 would read as 0 retries).
+    // Zero itself is legal: abandon at the first kill.
+    let retries = u32::try_from(u64_flag(args, "--fault-retries", 3)?)
+        .map_err(|e| format!("bad --fault-retries: {e}"))?;
     let fault_seed = u64_flag(args, "--fault-seed", default_seed)?;
     Ok(Some(
         FaultProfile::failures(mtbf, mttr, fault_cores, fault_seed).with_max_retries(retries),
@@ -469,9 +480,17 @@ impl RouterSpec {
         match router_name {
             "round-robin" => Ok(Self::RoundRobin),
             "least-loaded" => Ok(Self::LeastLoaded),
-            "locality" => Ok(Self::Locality {
-                spill: f64_flag(args, "--spill", 0.0)?,
-            }),
+            "locality" => {
+                // A NaN tolerance makes every `home <= best + spill` test
+                // false, which is least-loaded routing under another name.
+                let spill = f64_flag(args, "--spill", 0.0)?;
+                if !(spill >= 0.0 && spill.is_finite()) {
+                    return Err(format!(
+                        "bad --spill: {spill} is not a finite, non-negative number of seconds"
+                    ));
+                }
+                Ok(Self::Locality { spill })
+            }
             "learned" => {
                 let name = flag_value(args, "--router-policy")?.unwrap_or(policy_name);
                 let p = by_name(name).ok_or_else(|| format!("unknown router policy {name:?}"))?;
@@ -665,14 +684,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         enumerate: EnumerateOptions::default(),
         top_k,
         eval_scale: if has_flag(args, "--quick") {
-            ScenarioScale {
-                spec: SequenceSpec {
-                    count: 3,
-                    days: 2.0,
-                    min_jobs: 5,
-                },
-                ..ScenarioScale::default()
-            }
+            ScenarioScale::quick()
         } else {
             ScenarioScale::default()
         },
@@ -710,27 +722,25 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_table4(args: &[String]) -> Result<(), String> {
+/// `table4` up to (not including) its tables: the 18 rows' results under
+/// the paper's line-up.
+fn run_table4(args: &[String]) -> Result<Vec<ExperimentResult>, String> {
     reject_unknown(args, 0, &[], &["--quick"])?;
     let scale = if has_flag(args, "--quick") {
-        ScenarioScale {
-            spec: SequenceSpec {
-                count: 3,
-                days: 2.0,
-                min_jobs: 5,
-            },
-            ..ScenarioScale::default()
-        }
+        ScenarioScale::quick()
     } else {
         ScenarioScale::default()
     };
-    let lineup = paper_lineup();
     // One batched evaluation session across all 18 rows.
-    let experiments = table4_experiments(&scale);
+    let experiments = table4_experiments_in(&TraceStore::new(), &scale);
     for (i, experiment) in experiments.iter().enumerate() {
         eprintln!("[{:>2}/18] {}", i + 1, experiment.name);
     }
-    let results = run_experiments(&experiments, &lineup);
+    Ok(run_experiments(&experiments, &paper_lineup()))
+}
+
+fn cmd_table4(args: &[String]) -> Result<(), String> {
+    let results = run_table4(args)?;
     println!("{}", table4_markdown(&results));
     println!("{}", table4_comparison(&results));
     let wins = results.iter().filter(|r| learned_beat_adhoc(r)).count();
@@ -826,13 +836,8 @@ fn cmd_scenarios(args: &[String]) -> Result<(), String> {
             );
         }
         let scale = ScenarioScale {
-            spec: SequenceSpec {
-                count: 3,
-                days: 2.0,
-                min_jobs: 5,
-            },
             seed,
-            ..ScenarioScale::default()
+            ..ScenarioScale::quick()
         };
         println!(
             "\nevaluating {} family(ies) under all three conditions...",
@@ -1042,6 +1047,18 @@ mod tests {
             let err = result.unwrap_err();
             assert!(err.contains("at least one core"), "{err}");
         }
+        // Regression: the model-based commands reached `LublinModel::new(1)`
+        // ("the model needs a parallel machine"), `scenarios` after it had
+        // printed its table header.
+        for result in [
+            cmd_train(&args(&["--cores", "1"])),
+            cmd_run(&args(&["--cores", "1"])),
+            cmd_scenarios(&args(&["--cores", "1"])),
+        ] {
+            let err = result.unwrap_err();
+            assert!(err.contains("--cores"), "{err}");
+        }
+        assert_eq!(cores_flag(&args(&["--cores", "2"])), Ok(2));
         assert_eq!(parse_cores("64"), Ok(64));
         assert!(parse_cores("-1").is_err());
     }
@@ -1085,15 +1102,22 @@ mod tests {
     fn fault_rates_that_inject_nothing_are_refused() {
         // Regression: `--mtbf 0|-1|nan` (and `--fault-cores 0`) built a
         // profile with no failures in it, so the run exited 0 and printed
-        // `preempted = 0` as if faults had been injected. The flags are
-        // parsed before the trace is opened, so no file is needed.
+        // `preempted = 0` as if faults had been injected; so did
+        // `--mttr 0|-1|nan`, a repair time `FaultProfile::expand` treats as
+        // "the failure is a no-op". The flags are parsed before the trace
+        // is opened, so no file is needed.
         for value in ["0", "-1", "nan", "inf"] {
-            for result in [
-                cmd_scenarios(&args(&["--mtbf", value])),
-                cmd_federate(&args(&["t.swf", "8", "--mtbf", value])),
+            for (flag, flags) in [
+                ("--mtbf", &["--mtbf", value][..]),
+                ("--mttr", &["--mtbf", "500", "--mttr", value]),
             ] {
-                let err = result.unwrap_err();
-                assert!(err.contains("--mtbf"), "--mtbf {value}: {err}");
+                for result in [
+                    cmd_scenarios(&args(flags)),
+                    cmd_federate(&args(&[&["t.swf", "8"], flags].concat())),
+                ] {
+                    let err = result.unwrap_err();
+                    assert!(err.contains(flag), "{flag} {value}: {err}");
+                }
             }
         }
         let err = cmd_federate(&args(&[
@@ -1105,11 +1129,68 @@ mod tests {
             "0",
         ]));
         assert!(err.unwrap_err().contains("--fault-cores"));
+        // Regression: 2^32 retries went through `usize` and `as u32`,
+        // wrapped to 0 and abandoned every preempted job at its first kill.
+        let err = fault_flags(
+            &args(&["--mtbf", "500", "--fault-retries", "4294967296"]),
+            64,
+            7,
+        );
+        assert!(err.unwrap_err().contains("--fault-retries"));
         let profile = fault_flags(&args(&["--mtbf", "500"]), 64, 7)
             .unwrap()
             .unwrap();
         assert!(profile.has_failures());
         assert_eq!(profile.failure_cores, 8);
+        assert_eq!((profile.mttr, profile.max_retries), (3_600.0, 3));
+        let flags = args(&["--mtbf", "500", "--fault-retries", "0"]);
+        let profile = fault_flags(&flags, 64, 7).unwrap().unwrap();
+        assert_eq!(profile.max_retries, 0, "abandon at the first kill is legal");
+    }
+
+    #[test]
+    fn spill_tolerances_must_be_finite_and_non_negative() {
+        // Regression: `--spill nan` made `waits[home] <= waits[best] + spill`
+        // false for every job, so `--router locality` routed least-loaded
+        // and said nothing. Parsed before the trace is opened.
+        for value in ["nan", "-1", "inf"] {
+            let err = cmd_federate(&args(&[
+                "t.swf", "8", "--router", "locality", "--spill", value,
+            ]))
+            .unwrap_err();
+            assert!(err.contains("--spill"), "--spill {value}: {err}");
+        }
+        for (value, want) in [("0", 0.0), ("900.5", 900.5)] {
+            assert!(matches!(
+                RouterSpec::parse("locality", &args(&["--spill", value]), "F1"),
+                Ok(RouterSpec::Locality { spill }) if spill == want
+            ));
+        }
+    }
+
+    #[test]
+    fn quick_table4_has_every_row_and_column_of_the_papers() {
+        use dynsched::core::report::TABLE4_POLICIES;
+        let results = run_table4(&args(&["--quick"])).unwrap();
+        assert_eq!(results.len(), 18);
+        for row in &results {
+            let columns: Vec<&str> = row.outcomes.iter().map(|o| o.policy.as_str()).collect();
+            assert_eq!(columns, TABLE4_POLICIES, "{}", row.name);
+            for o in &row.outcomes {
+                assert!(
+                    o.median.is_finite() && o.median >= 1.0,
+                    "{} / {}: median {}",
+                    row.name,
+                    o.policy,
+                    o.median
+                );
+            }
+        }
+        // A row `PAPER_TABLE4` does not know, or a policy the row lacks,
+        // renders as a `-` cell.
+        let comparison = table4_comparison(&results);
+        assert_eq!(comparison.lines().count(), 2 + 18 * 9);
+        assert!(!comparison.contains("| - |"), "{comparison}");
     }
 
     /// Write `jobs` as an SWF file under the temp dir and return its path.

@@ -3,12 +3,12 @@
 
 use dynsched::cluster::Platform;
 use dynsched::core::run_experiment;
-use dynsched::core::scenarios::{model_scenario, Condition, ScenarioScale};
+use dynsched::core::scenarios::{model_scenario_in, Condition, ScenarioScale};
 use dynsched::core::trials::{trial_scores, TrialSpec};
 use dynsched::core::tuples::{TaskTuple, TupleSpec};
 use dynsched::policies::paper_lineup;
 use dynsched::simkit::Rng;
-use dynsched::workload::{LublinModel, SequenceSpec};
+use dynsched::workload::{LublinModel, SequenceSpec, TraceStore};
 
 #[test]
 fn trial_scores_identical_across_thread_pools() {
@@ -48,11 +48,11 @@ fn scenario_and_experiment_are_seed_stable() {
     };
     let lineup = paper_lineup();
     let a = run_experiment(
-        &model_scenario(64, Condition::ActualRuntimes, &scale),
+        &model_scenario_in(&TraceStore::new(), 64, Condition::ActualRuntimes, &scale),
         &lineup,
     );
     let b = run_experiment(
-        &model_scenario(64, Condition::ActualRuntimes, &scale),
+        &model_scenario_in(&TraceStore::new(), 64, Condition::ActualRuntimes, &scale),
         &lineup,
     );
     assert_eq!(a, b);
@@ -68,8 +68,8 @@ fn different_seeds_give_different_workloads() {
         },
         ..ScenarioScale::default()
     };
-    let exp_a = model_scenario(64, Condition::ActualRuntimes, &scale_a);
+    let exp_a = model_scenario_in(&TraceStore::new(), 64, Condition::ActualRuntimes, &scale_a);
     scale_a.seed ^= 0xFFFF;
-    let exp_b = model_scenario(64, Condition::ActualRuntimes, &scale_a);
+    let exp_b = model_scenario_in(&TraceStore::new(), 64, Condition::ActualRuntimes, &scale_a);
     assert_ne!(exp_a.sequences, exp_b.sequences);
 }

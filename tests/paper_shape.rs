@@ -5,10 +5,10 @@
 //! ad-hoc line-up, backfilling helps FCFS the most, and estimates degrade
 //! everyone but the learned policies stay ahead.
 
-use dynsched::core::scenarios::{model_scenario, Condition, ScenarioScale};
+use dynsched::core::scenarios::{model_scenario_in, Condition, ScenarioScale};
 use dynsched::core::{learned_beat_adhoc, run_experiment, ExperimentResult};
 use dynsched::policies::paper_lineup;
-use dynsched::workload::SequenceSpec;
+use dynsched::workload::{SequenceSpec, TraceStore};
 
 fn quick_scale() -> ScenarioScale {
     ScenarioScale {
@@ -23,7 +23,7 @@ fn quick_scale() -> ScenarioScale {
 
 fn run(condition: Condition) -> ExperimentResult {
     let scale = quick_scale();
-    let experiment = model_scenario(256, condition, &scale);
+    let experiment = model_scenario_in(&TraceStore::new(), 256, condition, &scale);
     run_experiment(&experiment, &paper_lineup())
 }
 
