@@ -15,6 +15,37 @@
 //! changes the scheduler, never the jobs). A caller with one scenario to
 //! build passes a fresh `&TraceStore::new()`.
 //!
+//! # A workload is built in two halves
+//!
+//! *Calibrate*: seed → the Lublin model with its arrival rate tuned to the
+//! target load, plus the RNG where calibration left it. *Generate*: that
+//! pair → `generate_span` → Tsafrir estimates → `extract_sequences`,
+//! columnarised by the store. Calibration is three 30 000-job probes per
+//! workload against the few thousand jobs it then generates — 88 % of a
+//! build — and since a probe is two accumulators
+//! (`workload::lublin`), it allocates nothing; generation is all the
+//! allocation and 12 % of the time. The single-row constructors run the
+//! halves back to back inside the store's build closure.
+//! [`table4_experiments_in`] schedules the same halves in two phases:
+//!
+//! 1. list the six workloads whose key the store does not hold
+//!    ([`TraceStore::contains`], which counts nothing) and calibrate them
+//!    on the pool. Nothing is interned, so a panicking calibration leaves
+//!    the store as it found it. At one worker (`with_worker_limit(1)`, a
+//!    1-CPU host) the calibrations run inline, in row order.
+//! 2. intern the 18 rows serially, in row order, exactly as a loop over
+//!    the single-row constructors would: each builder runs under the store
+//!    lock, never re-enters the store, and is handed its calibration
+//!    instead of recomputing it.
+//!
+//! Each calibration owns the stream its workload's seed names, so results
+//! do not depend on the worker count. Only calibration is fanned out
+//! because only it can be: building whole workloads on the pool took
+//! `wall_s` @ `table4` −19 % but grew peak RSS 6.5 → 8.1 MB there and
+//! 16.7 → 30.0 MB on `paper_loop` (per-thread allocator arenas; measured
+//! for ISSUE 17), where pool threads that touch no `Vec` leave both where
+//! they were (6.4–6.7 and 16.7–16.8 MB before and after).
+//!
 //! Beyond the paper's grid, [`scenario_experiment`] / [`scenario_results`]
 //! turn any named [`ScenarioFamily`] of the workload registry
 //! (heavy-tail, bursty, diurnal, Feitelson'96, SWF replay, …) into the
@@ -25,7 +56,9 @@ use crate::experiments::{run_experiments, Experiment, ExperimentResult};
 use dynsched_cluster::Platform;
 use dynsched_policies::Policy;
 use dynsched_scheduler::SchedulerConfig;
+use dynsched_simkit::parallel::par_map_scoped;
 use dynsched_simkit::Rng;
+use dynsched_workload::sequence::SequenceError;
 use dynsched_workload::{
     extract_sequences, ArchivePlatform, LublinModel, ScenarioFamily, ScenarioParams,
     ScenarioRegistry, SequenceSpec, Trace, TraceKey, TraceStore, TsafrirEstimates,
@@ -109,27 +142,109 @@ impl ScenarioScale {
     }
 }
 
-/// Generate the §4.2 model sequences (the store builder; the condition is
-/// deliberately absent — it changes the scheduler, never the jobs).
-fn model_sequences(nmax: u32, scale: &ScenarioScale) -> Vec<Trace> {
-    let mut rng = Rng::new(scale.seed ^ (nmax as u64).wrapping_mul(0x9E37_79B9));
-    let model = LublinModel::new(nmax).calibrated_to_load(scale.model_target_load, &mut rng);
-    let span_days = scale.spec.days * (scale.spec.count as f64 + 1.0);
-    let trace = model.generate_span(span_days * 86_400.0, &mut rng);
-    let trace = TsafrirEstimates::with_max_estimate(model.max_runtime).apply(&trace, &mut rng);
-    extract_sequences(&trace, &scale.spec)
-        .expect("model trace spans enough windows by construction")
+/// One of the workloads Table 4 evaluates on: a §4.2 Lublin-model
+/// platform size or a §4.3 archive stand-in. The condition is deliberately
+/// absent — it changes the scheduler, never the jobs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Workload {
+    Model(u32),
+    Archive(ArchivePlatform),
 }
 
-/// The interning key of the §4.2 model sequences: every generation input
-/// (platform size, load target, sequence protocol, seed) as exact bits.
-fn model_key(nmax: u32, scale: &ScenarioScale) -> TraceKey {
-    TraceKey::new("table4/lublin-model", scale.seed)
-        .with_u64(nmax as u64)
-        .with_f64(scale.model_target_load)
-        .with_u64(scale.spec.count as u64)
-        .with_f64(scale.spec.days)
-        .with_u64(scale.spec.min_jobs as u64)
+/// What [`Workload::calibrate`] hands [`Workload::generate`]: the
+/// calibrated generator and the RNG where calibration left it.
+type Calibration = (LublinModel, Rng);
+
+impl Workload {
+    /// The six workloads of Table 4: rows 1–6 run on the first two, rows
+    /// 7–18 on the archive platforms, in the paper's order.
+    const TABLE4: [Workload; 6] = [
+        Workload::Model(256),
+        Workload::Model(1024),
+        Workload::Archive(ArchivePlatform::CURIE),
+        Workload::Archive(ArchivePlatform::ANL_INTREPID),
+        Workload::Archive(ArchivePlatform::SDSC_BLUE),
+        Workload::Archive(ArchivePlatform::CTC_SP2),
+    ];
+
+    /// The interning key of the workload's sequences: every generation
+    /// input (platform, load target, sequence protocol, seed) as exact
+    /// bits.
+    fn key(self, scale: &ScenarioScale) -> TraceKey {
+        match self {
+            Workload::Model(nmax) => TraceKey::new("table4/lublin-model", scale.seed)
+                .with_u64(nmax as u64)
+                .with_f64(scale.model_target_load)
+                .with_u64(scale.spec.count as u64)
+                .with_f64(scale.spec.days)
+                .with_u64(scale.spec.min_jobs as u64),
+            Workload::Archive(platform) => platform.sequence_key(&scale.spec, scale.seed),
+        }
+    }
+
+    /// First half of a build: allocation-free, so safe to run on a pool
+    /// thread ahead of the intern.
+    fn calibrate(self, scale: &ScenarioScale) -> Calibration {
+        match self {
+            Workload::Model(nmax) => {
+                let mut rng = Rng::new(scale.seed ^ (nmax as u64).wrapping_mul(0x9E37_79B9));
+                let model =
+                    LublinModel::new(nmax).calibrated_to_load(scale.model_target_load, &mut rng);
+                (model, rng)
+            }
+            Workload::Archive(platform) => platform.calibrate(scale.seed),
+        }
+    }
+
+    /// Second half of a build: the trace, its Tsafrir estimates (they only
+    /// influence the estimate-based conditions) and the sequences cut from
+    /// it.
+    fn generate(
+        self,
+        calibration: Calibration,
+        spec: &SequenceSpec,
+    ) -> Result<Vec<Trace>, SequenceError> {
+        // One spare window of slack covers any skipped sparse window.
+        let days = spec.days * (spec.count as f64 + 1.0);
+        let trace = match self {
+            Workload::Model(_) => {
+                let (model, mut rng) = calibration;
+                let trace = model.generate_span(days * 86_400.0, &mut rng);
+                TsafrirEstimates::with_max_estimate(model.max_runtime).apply(&trace, &mut rng)
+            }
+            Workload::Archive(platform) => platform.generate(calibration, days),
+        };
+        extract_sequences(&trace, spec)
+    }
+
+    /// The workload's row under `condition`, its sequences interned in
+    /// `store`. On a miss the builder runs under the store lock — it never
+    /// re-enters the store — and continues from `calibration` when handed
+    /// one, calibrating on the spot otherwise.
+    fn experiment(
+        self,
+        store: &TraceStore,
+        condition: Condition,
+        scale: &ScenarioScale,
+        calibration: Option<Calibration>,
+    ) -> Experiment {
+        let sequences = store
+            .get_or_try_build_set(self.key(scale), || {
+                let calibration = calibration.unwrap_or_else(|| self.calibrate(scale));
+                self.generate(calibration, &scale.spec)
+            })
+            .expect("the generated trace spans enough windows by construction")
+            .to_vec();
+        let label = condition.label();
+        let (name, cores) = match self {
+            Workload::Model(nmax) => (format!("Workload model, nmax = {nmax}, {label}"), nmax),
+            Workload::Archive(platform) => (
+                format!("{} workload trace, {label}", platform.name),
+                platform.cpus,
+            ),
+        };
+        Experiment::from_views(name, sequences, condition.scheduler(Platform::new(cores)))
+    }
 }
 
 /// Build the §4.2 workload-model scenario for `nmax` cores under
@@ -137,24 +252,16 @@ fn model_key(nmax: u32, scale: &ScenarioScale) -> TraceKey {
 ///
 /// The trace is generated by the Lublin model configured for `nmax` cores,
 /// calibrated to `scale.model_target_load`, with Tsafrir estimates
-/// attached (they only influence the estimate-based conditions). All
-/// three conditions of one `(nmax, scale)` point intern the same key, so
-/// they share one build — bit-identical to building per condition, since
-/// the generation stream never depended on the condition.
+/// attached. All three conditions of one `(nmax, scale)` point intern the
+/// same key, so they share one build — bit-identical to building per
+/// condition, since the generation stream never depended on the condition.
 pub fn model_scenario_in(
     store: &TraceStore,
     nmax: u32,
     condition: Condition,
     scale: &ScenarioScale,
 ) -> Experiment {
-    let sequences = store
-        .get_or_build_set(model_key(nmax, scale), || model_sequences(nmax, scale))
-        .to_vec();
-    Experiment::from_views(
-        format!("Workload model, nmax = {nmax}, {}", condition.label()),
-        sequences,
-        condition.scheduler(Platform::new(nmax)),
-    )
+    Workload::Model(nmax).experiment(store, condition, scale, None)
 }
 
 /// Build the §4.3 archive-trace scenario for `platform` under `condition`,
@@ -167,32 +274,44 @@ pub fn archive_scenario_in(
     condition: Condition,
     scale: &ScenarioScale,
 ) -> Experiment {
-    let sequences = platform
-        .sequence_views(store, &scale.spec, scale.seed)
-        .expect("stand-in synthesis spans enough windows by construction");
-    Experiment::from_views(
-        format!("{} workload trace, {}", platform.name, condition.label()),
-        sequences,
-        condition.scheduler(Platform::new(platform.cpus)),
-    )
+    Workload::Archive(*platform).experiment(store, condition, scale, None)
+}
+
+/// The Table-4 workloads `store` does not hold at `scale`: what phase 1 of
+/// [`table4_experiments_in`] calibrates. Asks through
+/// [`TraceStore::contains`], so listing moves no counter.
+fn table4_missing(store: &TraceStore, scale: &ScenarioScale) -> Vec<Workload> {
+    Workload::TABLE4
+        .into_iter()
+        .filter(|workload| !store.contains(&workload.key(scale)))
+        .collect()
 }
 
 /// All 18 experiments of Table 4, in the paper's row order, sharing
 /// sequence builds through `store`: 6 distinct workloads (2 model sizes +
 /// 4 archive platforms) are built once each and reused across the three
-/// conditions.
+/// conditions. The workloads the store lacks are calibrated on the pool
+/// first, then every row is interned serially (the module docs give the
+/// two phases); the result is what the single-row constructors return,
+/// row by row, at any worker count.
 pub fn table4_experiments_in(store: &TraceStore, scale: &ScenarioScale) -> Vec<Experiment> {
+    let missing = table4_missing(store, scale);
+    let calibrations = par_map_scoped(&missing, || (), |workload, ()| workload.calibrate(scale));
+    let mut handed: Vec<(Workload, Calibration)> = missing.into_iter().zip(calibrations).collect();
     let mut rows = Vec::with_capacity(18);
-    // Rows 1–6: workload model, grouped by condition then platform size.
-    for condition in Condition::ALL {
-        for nmax in [256u32, 1024] {
-            rows.push(model_scenario_in(store, nmax, condition, scale));
-        }
-    }
-    // Rows 7–18: archive traces, grouped by condition then platform.
-    for condition in Condition::ALL {
-        for platform in &ArchivePlatform::ALL {
-            rows.push(archive_scenario_in(store, platform, condition, scale));
+    // Rows 1–6: workload model, grouped by condition then platform size;
+    // rows 7–18: archive traces, grouped by condition then platform.
+    for group in [&Workload::TABLE4[..2], &Workload::TABLE4[2..]] {
+        for condition in Condition::ALL {
+            for workload in group {
+                // A workload's first row takes its calibration; the other
+                // two conditions are store hits.
+                let calibration = handed
+                    .iter()
+                    .position(|(calibrated, _)| calibrated == workload)
+                    .map(|slot| handed.swap_remove(slot).1);
+                rows.push(workload.experiment(store, condition, scale, calibration));
+            }
         }
     }
     rows
@@ -404,6 +523,28 @@ mod tests {
         {
             assert_eq!(shared.sequences, fresh.sequences, "{}", shared.name);
         }
+    }
+
+    #[test]
+    fn phase_one_lists_exactly_the_workloads_the_store_lacks() {
+        let scale = ScenarioScale::quick();
+        let store = TraceStore::new();
+        assert_eq!(table4_missing(&store, &scale), Workload::TABLE4);
+        // Partly warm: one platform interned through its single-row
+        // constructor drops out of the list, the other five stay in order.
+        let sdsc = ArchivePlatform::SDSC_BLUE;
+        archive_scenario_in(&store, &sdsc, Condition::UserEstimates, &scale);
+        let missing = table4_missing(&store, &scale);
+        assert_eq!(missing.len(), 5);
+        assert!(!missing.contains(&Workload::Archive(sdsc)));
+        // Warm: nothing left to calibrate — and asking counted nothing.
+        table4_experiments_in(&store, &scale);
+        let counters = (store.builds(), store.hits());
+        assert_eq!(table4_missing(&store, &scale), []);
+        assert_eq!((store.builds(), store.hits()), counters);
+        // Keys carry the whole protocol: another seed lacks all six again.
+        let reseeded = ScenarioScale { seed: 1, ..scale };
+        assert_eq!(table4_missing(&store, &reseeded).len(), 6);
     }
 
     #[test]

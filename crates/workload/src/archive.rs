@@ -20,8 +20,8 @@
 
 use crate::lublin::LublinModel;
 use crate::registry::fxhash;
-use crate::sequence::{extract_sequences, SequenceError, SequenceSpec};
-use crate::store::{TraceKey, TraceStore, TraceView};
+use crate::sequence::SequenceSpec;
+use crate::store::TraceKey;
 use crate::trace::Trace;
 use crate::tsafrir::TsafrirEstimates;
 use dynsched_simkit::Rng;
@@ -123,61 +123,48 @@ impl ArchivePlatform {
         base.calibrated_to_load(target, rng)
     }
 
-    /// Generate a synthetic stand-in trace covering `days` days, with
-    /// Tsafrir estimates attached.
-    pub fn synthesize(&self, days: f64, seed: u64) -> Trace {
+    /// First half of a synthesis: the platform's generator calibrated under
+    /// `seed`, and the RNG where calibration left it. Allocates nothing
+    /// (calibration probes are streamed), so it is the half that can run
+    /// on a pool thread ahead of time; [`ArchivePlatform::generate`]
+    /// continues from the returned pair.
+    pub fn calibrate(&self, seed: u64) -> (LublinModel, Rng) {
         let mut rng = Rng::new(seed ^ fxhash(self.name));
         let model = self.model(&mut rng);
+        (model, rng)
+    }
+
+    /// Second half of a synthesis: a stand-in trace covering `days` days
+    /// from a calibrated `(model, rng)` pair, with Tsafrir estimates
+    /// attached.
+    pub fn generate(&self, (model, mut rng): (LublinModel, Rng), days: f64) -> Trace {
         let trace = model.generate_span(days * 86_400.0, &mut rng);
         let estimates = TsafrirEstimates::with_max_estimate(model.max_runtime);
         estimates.apply(&trace, &mut rng)
     }
 
-    /// Generate the paper's experiment input directly: `spec.count` disjoint
-    /// sequences of `spec.days` days each.
-    pub fn synthesize_sequences(
-        &self,
-        spec: &SequenceSpec,
-        seed: u64,
-    ) -> Result<Vec<Trace>, SequenceError> {
-        // One spare window of slack covers any skipped sparse window.
-        let days = spec.days * (spec.count as f64 + 1.0);
-        let trace = self.synthesize(days, seed);
-        extract_sequences(&trace, spec)
+    /// Generate a synthetic stand-in trace covering `days` days, with
+    /// Tsafrir estimates attached: [`ArchivePlatform::calibrate`] then
+    /// [`ArchivePlatform::generate`].
+    pub fn synthesize(&self, days: f64, seed: u64) -> Trace {
+        self.generate(self.calibrate(seed), days)
     }
 
     /// The interning key of this platform's stand-in sequences under
-    /// `(spec, seed)`: everything that influences
-    /// [`ArchivePlatform::synthesize_sequences`] is captured, so distinct
-    /// protocols never share a store entry.
+    /// `(spec, seed)`: everything that influences their synthesis is
+    /// captured, so distinct protocols never share a store entry.
     pub fn sequence_key(&self, spec: &SequenceSpec, seed: u64) -> TraceKey {
         TraceKey::new(format!("archive/{}", self.name), seed)
             .with_u64(spec.count as u64)
             .with_f64(spec.days)
             .with_u64(spec.min_jobs as u64)
     }
-
-    /// [`ArchivePlatform::synthesize_sequences`] through a [`TraceStore`]:
-    /// the stand-in is synthesized once per `(platform, spec, seed)` and
-    /// shared by every evaluation condition that names it — the Table-4
-    /// grid alone asks for each platform's sequences three times.
-    pub fn sequence_views(
-        &self,
-        store: &TraceStore,
-        spec: &SequenceSpec,
-        seed: u64,
-    ) -> Result<Vec<TraceView>, SequenceError> {
-        Ok(store
-            .get_or_try_build_set(self.sequence_key(spec, seed), || {
-                self.synthesize_sequences(spec, seed)
-            })?
-            .to_vec())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sequence::extract_sequences;
 
     #[test]
     fn table5_constants_match_paper() {
@@ -221,8 +208,25 @@ mod tests {
             min_jobs: 5,
         };
         for p in ArchivePlatform::ALL {
-            let seqs = p.synthesize_sequences(&spec, 11).unwrap();
+            let seqs = extract_sequences(&p.synthesize(8.0, 11), &spec).unwrap();
             assert_eq!(seqs.len(), 3, "{}", p.name);
+        }
+    }
+
+    #[test]
+    fn synthesis_is_its_two_halves_back_to_back() {
+        for p in ArchivePlatform::ALL {
+            let whole = p.synthesize(3.0, 21);
+            assert_eq!(p.generate(p.calibrate(21), 3.0), whole, "{}", p.name);
+            // ... and both are the unsplit synthesis: one stream, seeded per
+            // platform, through calibration, generation and estimates.
+            let mut rng = Rng::new(21 ^ fxhash(p.name));
+            let model = p.model(&mut rng);
+            assert_eq!(p.calibrate(21), (model, rng.clone()), "{}", p.name);
+            let trace = model.generate_span(3.0 * 86_400.0, &mut rng);
+            let unsplit =
+                TsafrirEstimates::with_max_estimate(model.max_runtime).apply(&trace, &mut rng);
+            assert_eq!(unsplit, whole, "{}", p.name);
         }
     }
 

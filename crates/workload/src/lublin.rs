@@ -23,6 +23,23 @@
 //! the scheduling results depend on. `arrival_scale` is an explicit knob for
 //! calibrating offered load, used to match the utilizations in the paper's
 //! Table 5 (see [`LublinModel::calibrated_to_load`]).
+//!
+//! # Calibration probes
+//!
+//! Calibration measures the offered load of three 30 000-job probe streams,
+//! rescaling `arrival_scale` after each. A probe used to be a trace —
+//! `generate_jobs`, a sort, a nine-field `summary` of which one field was
+//! read — and the six Table-4 workloads spent 88 % of their build time on
+//! the 540 000 probe jobs, ten times what they then generate. A probe now
+//! keeps two numbers while it samples: the running sum of job areas, in
+//! generation order, and the last submit time. Same draws in the same
+//! order, the same sum term for term (a trace sorts by `(submit, id)` and
+//! arrivals never decrease, so sorted order *is* generation order), the
+//! same division — `arrival_scale` and the RNG state on return are
+//! bit-identical to the materialised probe's, which the test module keeps
+//! as the oracle. Calibration therefore allocates nothing, which is what
+//! lets `core::scenarios` run it on pool threads without growing their
+//! allocator arenas.
 
 use crate::trace::Trace;
 use dynsched_cluster::Job;
@@ -39,6 +56,12 @@ const DAILY_PROFILE: [f64; 24] = [
     1.75, 1.80, 1.85, 1.80, 1.65, 1.40, // 12–18
     1.10, 0.90, 0.75, 0.65, 0.55, 0.45, // 18–24
 ];
+
+/// Jobs per calibration probe. Like [`PROBE_ROUNDS`], an input to every
+/// calibrated trace (and so to every result digest downstream).
+const PROBE_JOBS: usize = 30_000;
+/// Probes per calibration, each rescaling the arrival rate once.
+const PROBE_ROUNDS: usize = 3;
 
 /// Configuration of the Lublin–Feitelson generator.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -257,9 +280,10 @@ impl LublinModel {
     /// (mean area / (capacity × mean gap)) approximates `target_load`.
     ///
     /// Job areas are heavy-tailed, so a point estimate from independent
-    /// draws is unreliable; instead we iteratively probe with generated
-    /// traces of `probe_jobs` jobs and rescale until the measured offered
-    /// load converges on the target.
+    /// draws is unreliable; instead we iteratively probe with streams of
+    /// `PROBE_JOBS` jobs and rescale until the measured offered load
+    /// converges on the target. A probe materialises nothing (the module
+    /// docs say what it keeps instead), so calibration allocates no memory.
     ///
     /// # Panics
     /// Panics if `target_load` is not in `(0, 1.5]`.
@@ -268,20 +292,42 @@ impl LublinModel {
             target_load > 0.0 && target_load <= 1.5,
             "target load {target_load} out of range"
         );
-        const PROBE_JOBS: usize = 30_000;
         let mut out = *self;
-        for _ in 0..3 {
-            let probe = out.generate_jobs(PROBE_JOBS, rng);
-            let load = probe
-                .summary(self.max_cores)
-                .expect("probe trace is non-empty")
-                .offered_load;
+        for _ in 0..PROBE_ROUNDS {
+            let load = out.probe_load(rng);
             if !load.is_finite() || load <= 0.0 {
                 break;
             }
             out.arrival_scale *= load / target_load;
         }
         out
+    }
+
+    /// One calibration probe: the offered load of the next [`PROBE_JOBS`]
+    /// jobs on `max_cores` cores, measured while they are sampled.
+    ///
+    /// The draws are [`LublinModel::generate_jobs`]' draws in its order —
+    /// shape, then the gap to the next job, the gap after the last job
+    /// included — so `rng` is left where generating the probe trace would
+    /// leave it. And the load is the bits `Trace::summary` would report for
+    /// that trace: arrivals never decrease, so the trace's `(submit, id)`
+    /// order is generation order and its `total_area` is this running sum,
+    /// term for term; its span is the last submit, the first being 0.
+    fn probe_load(&self, rng: &mut Rng) -> f64 {
+        let mut area = 0.0;
+        let mut now = 0.0;
+        let mut last_submit = 0.0;
+        for _ in 0..PROBE_JOBS {
+            let (runtime, cores) = self.sample_shape(rng);
+            area += runtime * cores as f64;
+            last_submit = now;
+            now = self.next_arrival(now, rng);
+        }
+        if last_submit > 0.0 {
+            area / (self.max_cores as f64 * last_submit)
+        } else {
+            f64::INFINITY
+        }
     }
 }
 
@@ -439,6 +485,70 @@ mod tests {
             load > 0.45 && load < 0.95,
             "calibrated load {load}, expected ≈ 0.7"
         );
+    }
+
+    /// The probe's slow twin, kept as the oracle: each round materialises
+    /// the probe trace and reads its load off the trace summary.
+    fn calibrated_to_load_materialised(
+        model: &LublinModel,
+        target_load: f64,
+        rng: &mut Rng,
+    ) -> LublinModel {
+        let mut out = *model;
+        for _ in 0..PROBE_ROUNDS {
+            let probe = out.generate_jobs(PROBE_JOBS, rng);
+            let load = probe.summary(model.max_cores).unwrap().offered_load;
+            if !load.is_finite() || load <= 0.0 {
+                break;
+            }
+            out.arrival_scale *= load / target_load;
+        }
+        out
+    }
+
+    #[test]
+    fn streamed_probes_are_the_materialised_probes_bits() {
+        let archive_walltime = crate::archive::ArchivePlatform::CTC_SP2.max_walltime;
+        // Every (width, walltime cap, load) cell under two seeds of its own:
+        // 48 seeds in all.
+        let mut seed = 0xCA11_u64;
+        for max_cores in [2, 256, 1_024, 93_312] {
+            for max_runtime in [None, Some(archive_walltime)] {
+                let mut base = LublinModel::new(max_cores);
+                if let Some(cap) = max_runtime {
+                    base.max_runtime = cap;
+                }
+                for target_load in [0.3, 0.9, 1.5] {
+                    for _ in 0..2 {
+                        seed += 1;
+                        let case = format!(
+                            "{max_cores} cores, cap {max_runtime:?}, load {target_load}, seed {seed}"
+                        );
+                        let mut fast_rng = Rng::new(seed);
+                        let mut slow_rng = fast_rng.clone();
+                        let fast = base.calibrated_to_load(target_load, &mut fast_rng);
+                        let slow =
+                            calibrated_to_load_materialised(&base, target_load, &mut slow_rng);
+                        assert_eq!(fast, slow, "{case}");
+                        assert_ne!(fast.arrival_scale, base.arrival_scale, "{case}");
+                        assert_eq!(fast_rng.next_u64(), slow_rng.next_u64(), "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_probe_that_never_advances_leaves_the_scale_alone() {
+        // A zero arrival scale submits every job at t = 0: the probe's span
+        // is zero, its load infinite, and calibration stops at once.
+        let mut m = LublinModel::new(64);
+        m.arrival_scale = 0.0;
+        let mut rng = Rng::new(14);
+        let mut slow_rng = rng.clone();
+        assert_eq!(m.calibrated_to_load(0.7, &mut rng), m);
+        assert_eq!(calibrated_to_load_materialised(&m, 0.7, &mut slow_rng), m);
+        assert_eq!(rng.next_u64(), slow_rng.next_u64());
     }
 
     #[test]

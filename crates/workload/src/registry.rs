@@ -55,13 +55,18 @@ impl ScenarioParams {
 /// Calibration summary of one family at one parameter point — the numbers
 /// the `dynsched scenarios` listing prints so an operator can see what a
 /// family actually generates before running a study on it.
+///
+/// The two rates are over the trace's span, first submit to last. A trace
+/// without one — empty, a single job, every job submitted at one instant —
+/// has no rate to report, and both read `0.0`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioCalibration {
     /// Jobs in the generated trace.
     pub jobs: usize,
-    /// Mean submissions per day.
+    /// Mean submissions per day (`0.0` for a zero-span trace).
     pub jobs_per_day: f64,
-    /// Offered load (area / capacity·span) — the utilization ceiling.
+    /// Offered load (area / capacity·span) — the utilization ceiling
+    /// (`0.0` for a zero-span trace).
     pub offered_load: f64,
     /// Coefficient of variation of actual runtimes (std/mean); > 1 marks a
     /// heavy tail.
@@ -255,11 +260,16 @@ impl ScenarioFamily {
         let mean_rt = runtimes.iter().sum::<f64>() / n as f64;
         let var_rt = runtimes.iter().map(|r| (r - mean_rt).powi(2)).sum::<f64>() / n as f64;
         let summary = view.summary(params.cores).expect("non-empty");
-        let span_days = (summary.span_seconds / 86_400.0).max(f64::MIN_POSITIVE);
+        let span_days = summary.span_seconds / 86_400.0;
+        let (jobs_per_day, offered_load) = if span_days > 0.0 {
+            (n as f64 / span_days, summary.offered_load)
+        } else {
+            (0.0, 0.0)
+        };
         ScenarioCalibration {
             jobs: n,
-            jobs_per_day: n as f64 / span_days,
-            offered_load: summary.offered_load,
+            jobs_per_day,
+            offered_load,
             runtime_cv: if mean_rt > 0.0 {
                 var_rt.sqrt() / mean_rt
             } else {
@@ -648,6 +658,39 @@ mod tests {
             assert!(c.runtime_cv.is_finite() && c.runtime_cv > 0.0);
             assert!(c.mean_cores >= 1.0);
             assert!((0.0..=1.0).contains(&c.serial_fraction));
+        }
+    }
+
+    #[test]
+    fn a_zero_span_trace_reports_zero_rates_not_a_308_digit_one() {
+        use dynsched_cluster::Job;
+        // One job — or several submitted at the same instant — spans no
+        // time: dividing by `f64::MIN_POSITIVE` days printed 4.5e307
+        // jobs/day and an infinite load.
+        let store = TraceStore::new();
+        let p = quick_params();
+        for jobs in [1u32, 3] {
+            let family = ScenarioFamily::custom("instant", "every job at t = 0", move |_, _| {
+                Trace::from_jobs((0..jobs).map(|i| Job::new(i, 0.0, 60.0, 60.0, 2)).collect())
+            })
+            .with_salt(jobs as u64);
+            let c = family.calibration(&store, &p, 1);
+            assert_eq!(c.jobs, jobs as usize);
+            assert_eq!((c.jobs_per_day, c.offered_load), (0.0, 0.0));
+            assert_eq!((c.runtime_cv, c.mean_cores), (0.0, 2.0));
+        }
+        // The built-in catalogue at a span too short for a second arrival
+        // (`dynsched scenarios --days 0.001`): finite numbers from every
+        // family.
+        let brief = ScenarioParams {
+            span_days: 0.001,
+            ..p
+        };
+        for family in ScenarioRegistry::builtin().families() {
+            let c = family.calibration(&store, &brief, 0x5C17);
+            assert!(c.jobs_per_day.is_finite(), "{}", family.name());
+            assert!(c.offered_load.is_finite(), "{}", family.name());
+            assert!(c.jobs > 1 || c.jobs_per_day == 0.0, "{}", family.name());
         }
     }
 

@@ -33,7 +33,12 @@
 //! is why `table4_results_in` and `pipeline::run_full` stay bit-identical to
 //! their pre-store behaviour while doing a third of the construction work.
 //! Build closures run under the store lock (builds are setup-phase work);
-//! a build must not re-enter the same store.
+//! a build must not re-enter the same store. Work a builder needs may be
+//! done *ahead* of the intern, outside the lock, and handed to it — the
+//! Table-4 grid calibrates its workloads on the pool that way — and the
+//! question "is this key worth preparing for?" is [`TraceStore::contains`]:
+//! it counts nothing, where [`TraceStore::get_set`] counts a hit like any
+//! other lookup that is served from the cache.
 
 use crate::trace::{Trace, TraceSource};
 use dynsched_cluster::Job;
@@ -348,6 +353,15 @@ impl TraceStore {
         views
     }
 
+    /// Whether `key` is interned. Counts nothing: neither
+    /// [`TraceStore::hits`] nor [`TraceStore::builds`] moves, so a caller
+    /// can ask before preparing a build without the question showing up
+    /// in the sharing statistics.
+    pub fn contains(&self, key: &TraceKey) -> bool {
+        let entries = self.entries.lock().expect("trace store poisoned");
+        entries.contains_key(key)
+    }
+
     /// Read-only probe: look up `key` without building; `None` on a miss.
     /// A hit counts in [`TraceStore::hits`].
     pub fn get_set(&self, key: &TraceKey) -> Option<Arc<[TraceView]>> {
@@ -485,6 +499,20 @@ mod tests {
         assert_eq!(store.builds(), 1);
         assert_eq!(store.hits(), 1);
         assert_eq!(store.len(), 1);
+    }
+
+    #[test]
+    fn contains_counts_nothing_and_get_set_counts_a_hit() {
+        let store = TraceStore::new();
+        let key = TraceKey::new("lublin", 7).with_u64(64);
+        assert!(!store.contains(&key));
+        assert!(store.get_set(&key).is_none());
+        store.get_or_build(key.clone(), || trace(0));
+        assert!(store.contains(&key));
+        assert!(!store.contains(&TraceKey::new("lublin", 8).with_u64(64)));
+        assert_eq!((store.builds(), store.hits()), (1, 0));
+        assert!(store.get_set(&key).is_some());
+        assert_eq!((store.builds(), store.hits()), (1, 1));
     }
 
     #[test]

@@ -777,12 +777,35 @@ fn cmd_scenarios(args: &[String]) -> Result<(), String> {
     if load > 1.5 {
         return Err(format!("bad --load: {load} is above 1.5"));
     }
+    // Every family generates its whole span in memory (≈ 500 jobs a day on
+    // the default platform), so an unbounded span runs until it is killed.
+    // The longest log the paper uses is SDSC Blue's 32 thirty-day months.
+    const MAX_DAYS: f64 = 960.0;
+    if days > MAX_DAYS {
+        return Err(format!("bad --days: {days} is above {MAX_DAYS}"));
+    }
     let seed = u64_flag(args, "--seed", 0x5C17)?;
     // Optional deterministic fault injection for the evaluation below;
     // parsed before the registry table so a bad value fails up front.
     let fault = fault_flags(args, cores, seed)?;
 
     let registry = ScenarioRegistry::builtin();
+    // So is the family --eval is narrowed to: the table below generates
+    // and calibrates the whole registry, which a misspelt name should not
+    // have to wait for.
+    let eval = has_flag(args, "--eval");
+    let family = flag_value(args, "--family")?;
+    if let Some(name) = family {
+        if !eval {
+            return Err("bad --family: it selects what --eval evaluates; pass --eval".to_string());
+        }
+        if registry.get(name).is_none() {
+            return Err(format!(
+                "bad --family: unknown family {name:?} (one of: {})",
+                registry.names().join(", ")
+            ));
+        }
+    }
     let store = TraceStore::new();
     let params = ScenarioParams {
         cores,
@@ -812,15 +835,10 @@ fn cmd_scenarios(args: &[String]) -> Result<(), String> {
         );
     }
 
-    if has_flag(args, "--eval") {
+    if eval {
         let mut registry = registry;
-        let names: Vec<String> = match flag_value(args, "--family")? {
-            Some(name) => {
-                registry
-                    .get(name)
-                    .ok_or_else(|| format!("unknown family {name:?}"))?;
-                vec![name.to_string()]
-            }
+        let names: Vec<String> = match family {
+            Some(name) => vec![name.to_string()],
             None => registry.names().iter().map(|n| n.to_string()).collect(),
         };
         if let Some(profile) = &fault {
@@ -1090,10 +1108,22 @@ mod tests {
             ("--days", "0"),
             ("--days", "nan"),
             ("--days", "inf"),
+            // ... `--days 1e9` printed the header and generated until it
+            // was killed; `--family` without `--eval` was silently ignored.
+            ("--days", "1e9"),
+            ("--days", "961"),
+            ("--family", "lublin"),
         ] {
             let err = cmd_scenarios(&args(&[flag, value])).unwrap_err();
             assert!(err.contains(flag), "{flag} {value}: {err}");
         }
+        // ... and `--eval --family nope` said so only after generating and
+        // printing the whole registry table.
+        let err = cmd_scenarios(&args(&["--eval", "--family", "nope"])).unwrap_err();
+        assert!(
+            err.contains("--family") && err.contains("\"nope\""),
+            "{err}"
+        );
         assert_eq!(parse_positive::<f64>("--load", "1.5"), Ok(1.5));
         assert_eq!(parse_positive::<f64>("--days", "2.5"), Ok(2.5));
     }
