@@ -1,16 +1,12 @@
 //! `dynsched` — command-line front end for the library.
 //!
-//! ```text
-//! dynsched validate <trace.swf> [cores]        audit an SWF trace
-//! dynsched simulate <trace.swf> <cores> [opts] schedule a trace, print stats
-//! dynsched federate <trace.swf> <cores> [opts] schedule across N federated clusters
-//! dynsched train [opts]                        learn policies from the Lublin model
-//! dynsched run [opts]                          one-shot learn → evaluate (the whole paper loop),
-//!                                              crash-safe with --checkpoint-dir/--resume
-//! dynsched table4 [--quick]                    regenerate the paper's Table 4
-//! dynsched scenarios [opts]                    list/evaluate the workload scenario registry
-//! dynsched policies                            list built-in policies
-//! ```
+//! `dynsched help` lists every command with its positionals and flags,
+//! rendered from the tables in [`spec`], where each is declared once;
+//! [`args::parse`] checks a command line against them before the command
+//! does anything. Flags and positionals may come in any order (`simulate
+//! --policy SPT t.swf 8`); a flag given twice, a value outside its range,
+//! and a flag without the one it refines (`--spill` without `--router
+//! locality`, `--mttr` without `--mtbf`) are each one `error:` line, exit 1.
 //!
 //! Everything here is a thin shell over the library crates; see
 //! `examples/` for programmatic use.
@@ -25,7 +21,7 @@ use dynsched::core::{
     learned_beat_adhoc, run_experiments, run_full_checkpointed, ExperimentResult, RunError,
 };
 use dynsched::mlreg::EnumerateOptions;
-use dynsched::policies::{by_name, paper_lineup, save_learned, CompiledPolicy, Policy};
+use dynsched::policies::{by_name, paper_lineup, save_learned, Policy};
 use dynsched::scheduler::{
     run_federation, run_federation_faulty, simulate, BackfillMode, FederationResult,
     FederationSpec, QueueDiscipline, Router, SchedulerConfig, SimulationResult,
@@ -35,109 +31,164 @@ use dynsched::workload::{
     read_swf_file, validate_trace, LublinModel, ScenarioParams, ScenarioRegistry, Trace, TraceStore,
 };
 use std::process::ExitCode;
+#[path = "dynsched/args.rs"]
+mod args;
+use args::{flag, parse, Args, CommandSpec, FlagSpec, Kind};
 
-const USAGE: &str = "\
-dynsched — dynamic HPC scheduling policies from simulation + ML (SC'17 reproduction)
+/// The command line, declared once: a row per flag, a `CommandSpec` per
+/// subcommand, and in `flags` the groups commands share.
+#[rustfmt::skip]
+mod spec {
+    use super::*;
+    use Kind::{Choice, Cores, Count, Path, Real, Seed, Switch, Text};
 
-USAGE:
-  dynsched validate <trace.swf> [cores]
-      Audit a Standard Workload Format trace (cores defaults to the
-      header's MaxProcs).
+    /// Every subcommand, in the order `dynsched help` lists them.
+    pub const COMMANDS: [&CommandSpec; 8] =
+        [&VALIDATE, &SIMULATE, &FEDERATE, &TRAIN, &RUN, &TABLE4, &SCENARIOS, &POLICIES];
 
-  dynsched simulate <trace.swf> <cores> [--policy NAME] [--estimates]
-                    [--backfill none|easy|conservative] [--kill]
-      Schedule the trace and print artifact-style statistics.
-      NAME: FCFS, WFP, UNI, SPT, F1..F4, MF, LCFS, LPT, SAF, LAF (default F1).
+    // Counts the library asserts on, and spans that mean nothing unless positive and finite:
+    // `--tuples 0` panicked, `--days nan` printed garbage, `--mtbf 0` silently injected no faults.
+    const POSITIVE: Kind = Count { min: 1, max: u32::MAX as u64 };
+    const fn positive_real(max: f64) -> Kind { Real { min: 0.0, max, open: true } }
+    const SECONDS: Kind = positive_real(f64::INFINITY);
 
-  dynsched federate <trace.swf> <cores-per-cluster> [--shards N]
-                    [--router round-robin|least-loaded|locality|learned]
-                    [--spill SECS] [--router-policy NAME]
-                    [--policy NAME] [--estimates]
-                    [--backfill none|easy|conservative] [--kill]
-                    [--mtbf SECS [--mttr SECS] [--fault-cores N]
-                     [--fault-retries N] [--fault-seed N]]
-      Route the trace across N identical clusters (default 4) and
-      schedule every shard concurrently, printing per-cluster and merged
-      global statistics. --router picks the cross-cluster routing policy
-      (default least-loaded); locality keeps each job on its home
-      cluster (id mod N) unless its estimated wait exceeds the best
-      cluster's by more than --spill seconds (default 0); learned scores
-      every cluster with the compiled form of --router-policy (default:
-      the queue policy) and routes to the lowest score. Queue scheduling
-      inside each cluster uses --policy (default F1) with the same
-      --estimates/--backfill/--kill knobs as `simulate`. With --mtbf,
-      each cluster draws its own deterministic fault stream from
-      (fault seed, shard index). Shard schedules are bit-identical at
-      any worker-thread count, and a 1-shard federation is bit-identical
-      to `simulate`.
+    const TRACE: FlagSpec = flag("<trace.swf>", Path, "a Standard Workload Format log");
+    /// `simulate` and `federate`: the trace, the platform, the queue policy, the scheduler knobs.
+    const REPLAY: &[FlagSpec] = &[
+        TRACE,
+        flag("<cores>", Cores { min: 1 }, "platform width (per cluster); wider jobs are dropped"),
+        flag("--policy", Text, "queue policy, one `dynsched policies` lists").default("F1"),
+        flag("--estimates", Switch, "decide on user estimates instead of actual runtimes"),
+        flag("--backfill", Choice(&["none", "easy", "aggressive", "conservative"]),
+             "backfilling mode; aggressive is another name for easy").default("none"),
+        flag("--kill", Switch, "kill a job once it has run for its estimate"),
+    ];
+    /// `federate` and `scenarios`: `--mtbf` turns deterministic fault injection on, `FAULT` tunes.
+    const MTBF: FlagSpec = flag("--mtbf", SECONDS,
+        "inject node failures this many seconds apart on average, and print resilience counters");
+    const FAULT: &[FlagSpec] = &[
+        flag("--mttr", SECONDS, "seconds a failed node is down").default("3600").requires("--mtbf"),
+        flag("--fault-cores", POSITIVE, "cores per failure (default: cores/8)").requires("--mtbf"),
+        flag("--fault-retries", Count { min: 0, max: u32::MAX as u64 },
+             "requeues of a preempted job before it is abandoned").default("3").requires("--mtbf"),
+        flag("--fault-seed", Seed, "seed of the fault stream (default: --seed, else 23575)")
+            .requires("--mtbf"),
+    ];
+    /// `train`, `run` and `scenarios`: the generated platform and its random streams.
+    const MODEL: &[FlagSpec] = &[
+        flag("--cores", Cores { min: 2 }, "platform width (the Lublin model needs a parallel one)")
+            .default("256"),
+        flag("--seed", Seed, "seed of every random stream").default("23575"),
+    ];
+    /// `train` and `run`.
+    const TRAINING: &[FlagSpec] = &[
+        flag("--tuples", POSITIVE, "(S, Q) tuples to sample").default("12"),
+        flag("--trials", POSITIVE, "permutation trials per tuple").default("8000"),
+    ];
+    /// `run` and `table4`.
+    const QUICK: &[FlagSpec] = &[flag("--quick", Switch, "shrink the evaluation protocol")];
 
-  dynsched train [--tuples N] [--trials N] [--cores N] [--seed N] [--out FILE]
-      Run the training pipeline (Lublin model) and print/export the best
-      learned policies. Permutation trials run on the checkpoint-and-fork
-      engine: each distinct (S, Q) tuple is simulated once up to the
-      point where task order can first matter, and all trials fork from
-      that shared snapshot (bit-identical to from-scratch trials at any
-      thread count).
-
-  dynsched run [--tuples N] [--trials N] [--cores N] [--seed N] [--top K]
-               [--quick] [--out FILE] [--checkpoint-dir DIR [--resume]]
-      One-shot run of the whole paper loop: train on the Lublin model,
-      fit and rank all 576 candidate functions, keep the top K as
-      policies G1..GK, and evaluate them against the ad-hoc baselines
-      across the full Table-4 scenario grid. Prints a single markdown
-      report (--out also writes it to FILE, atomically; --quick shrinks
-      the evaluation protocol). With --checkpoint-dir, a validated state
-      file is persisted (atomic write + fsync) after each durable stage
-      — the pooled training set, the ranked fits, then each Table-4 row
-      as it completes — and --resume picks the run back up after a crash,
-      recomputing any partial or corrupt stage and producing a report
-      bit-identical to an uninterrupted run. Resuming with a different
-      config, seed, or model is a loud error, never a silent mix.
-
-  dynsched table4 [--quick]
-      Regenerate the paper's Table 4 (all 18 experiments; --quick shrinks
-      the protocol).
-
-  dynsched scenarios [--cores N] [--days N] [--load X] [--seed N]
-                     [--eval [--family NAME]]
-                     [--mtbf SECS [--mttr SECS] [--fault-cores N]
-                      [--fault-retries N] [--fault-seed N]]
-      List the workload scenario registry with per-family calibration
-      summaries (jobs/day, offered load, runtime CV) at the given
-      parameter point. With --eval, run a quick evaluation of the named
-      family (or every family) under all three conditions and the paper's
-      policy line-up. With --mtbf, the evaluation runs under deterministic
-      fault injection: --fault-cores nodes (default cores/8) fail with
-      the given mean time between failures, repair after --mttr seconds
-      (default 3600), and preempted jobs requeue up to --fault-retries
-      times (default 3); resilience counters (preemptions, abandoned
-      jobs, lost core-seconds) print per row.
-
-  dynsched policies
-      List built-in policies.
-";
+    pub const VALIDATE: CommandSpec = CommandSpec {
+        name: "validate", run: cmd_validate,
+        flags: &[&[TRACE, flag("[cores]", Cores { min: 1 }, "platform width (default: MaxProcs)")]],
+        about: "Audit a Standard Workload Format trace.",
+    };
+    pub const SIMULATE: CommandSpec = CommandSpec {
+        name: "simulate", run: cmd_simulate, flags: &[REPLAY],
+        about: "Schedule the trace and print artifact-style statistics.",
+    };
+    pub const FEDERATE: CommandSpec = CommandSpec {
+        name: "federate", run: cmd_federate,
+        flags: &[REPLAY, &[
+            // 65 536 clusters run in 0.1 s; 10^7 print table rows for a minute, 2^32 wraps
+            // `shard as u32` in the routing table and 2^64 overflowed a capacity.
+            flag("--shards", Count { min: 1, max: 65_536 },
+                 "clusters to route across; the ceiling is far past any use").default("4"),
+            flag("--router", Choice(&["round-robin", "least-loaded", "locality", "learned"]),
+                 "locality keeps a job on its home cluster (id mod N) unless its estimated wait \
+                  there trails the best cluster's by more than --spill; learned routes to the \
+                  cluster --router-policy scores lowest").default("least-loaded"),
+            // A NaN tolerance fails every `home <= best + spill` test: least-loaded, misnamed.
+            flag("--spill", Real { min: 0.0, max: f64::INFINITY, open: false },
+                 "seconds of estimated wait the home cluster may trail the best by")
+                .default("0").requires("--router locality"),
+            flag("--router-policy", Text, "policy that scores the clusters (default: --policy)")
+                .requires("--router learned"),
+        ], &[MTBF], FAULT],
+        about: "Route the trace across identical clusters, schedule every shard concurrently and \
+                print per-cluster and merged statistics. With --mtbf, each cluster draws its own \
+                fault stream from (fault seed, shard index). Schedules are bit-identical at any \
+                worker-thread count, and a 1-shard federation is bit-identical to `simulate`.",
+    };
+    pub const TRAIN: CommandSpec = CommandSpec {
+        name: "train", run: cmd_train,
+        flags: &[TRAINING, MODEL, &[flag("--out", Path, "also write the learned policies here")]],
+        about: "Run the training pipeline (Lublin model) and print the best learned policies. Each \
+                distinct (S, Q) tuple is simulated once up to the point where task order can first \
+                matter, and all its permutation trials fork from that snapshot (bit-identical to \
+                from-scratch trials at any thread count).",
+    };
+    pub const RUN: CommandSpec = CommandSpec {
+        name: "run", run: cmd_run,
+        flags: &[TRAINING, MODEL, &[
+            flag("--top", Count { min: 1, max: 576 },
+                 "learned functions kept as policies G1..GK, of the 576 candidates").default("4"),
+            flag("--out", Path, "also write the report to this file, atomically"),
+            flag("--checkpoint-dir", Path,
+                 "persist a validated state file here (atomic write + fsync) after each durable \
+                  stage: the pooled training set, the ranked fits, then each Table-4 row"),
+            flag("--resume", Switch,
+                 "pick the run back up after a crash, recomputing any partial or corrupt stage: \
+                  the report is bit-identical to an uninterrupted run's; another config, seed or \
+                  model is a loud error, never a silent mix").requires("--checkpoint-dir"),
+        ], QUICK],
+        about: "The whole paper loop in one run: train on the Lublin model, fit and rank all 576 \
+                candidate functions, keep the top K as policies G1..GK, evaluate them against the \
+                ad-hoc baselines across the Table-4 scenario grid, and print one markdown report.",
+    };
+    pub const TABLE4: CommandSpec = CommandSpec {
+        name: "table4", run: cmd_table4, flags: &[QUICK],
+        about: "Regenerate the paper's Table 4 (all 18 experiments).",
+    };
+    pub const SCENARIOS: CommandSpec = CommandSpec {
+        name: "scenarios", run: cmd_scenarios,
+        flags: &[MODEL, &[
+            // Every family generates its whole span in memory (about 500 jobs a day on the
+            // default platform), so an unbounded span runs until it is killed.
+            flag("--days", positive_real(960.0),
+                 "span of every trace; the paper's longest log is 960 days").default("7"),
+            // The families assert on the range from inside a trace-store build.
+            flag("--load", positive_real(1.5),
+                 "target offered load; the model calibrates up to 1.5").default("0.8"),
+            flag("--eval", Switch,
+                 "then evaluate every family (or --family) under all three conditions"),
+            flag("--family", Text, "the one family --eval evaluates").requires("--eval"),
+            MTBF.requires("--eval"),
+        ], FAULT],
+        about: "List the workload scenario registry with each family's calibration summary \
+                (jobs/day, offered load, runtime CV) at the given parameter point.",
+    };
+    pub const POLICIES: CommandSpec = CommandSpec {
+        name: "policies", run: cmd_policies, flags: &[],
+        about: "List built-in policies.",
+    };
+}
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
-        eprint!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let rest = &args[1..];
-    let result = match command.as_str() {
-        "validate" => cmd_validate(rest),
-        "simulate" => cmd_simulate(rest),
-        "federate" => cmd_federate(rest),
-        "train" => cmd_train(rest),
-        "run" => cmd_run(rest),
-        "table4" => cmd_table4(rest),
-        "scenarios" => cmd_scenarios(rest),
-        "policies" => cmd_policies(rest),
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let result = match argv.first().map(String::as_str) {
+        None => {
+            eprint!("{}", args::help(&spec::COMMANDS));
+            return ExitCode::FAILURE;
+        }
+        Some("help" | "--help" | "-h") => {
+            print!("{}", args::help(&spec::COMMANDS));
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}; try `dynsched help`")),
+        Some(name) => match spec::COMMANDS.iter().find(|c| c.name == name) {
+            Some(command) => (command.run)(&argv[1..]),
+            None => Err(format!("unknown command {name:?}; try `dynsched help`")),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -148,191 +199,37 @@ fn main() -> ExitCode {
     }
 }
 
-/// Look up the value of `name`. A present flag with a missing value, or
-/// with a value that is itself a flag, is an error — `--policy --kill`
-/// used to swallow `"--kill"` as the policy name and `--tuples` at the
-/// end of the line silently fell back to the default.
-fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(None);
-    };
-    match args.get(i + 1).map(String::as_str) {
-        None => Err(format!("{name} needs a value")),
-        Some(v) if v.starts_with("--") => Err(format!(
-            "{name} needs a value, but the next argument is the flag {v:?}"
-        )),
-        Some(v) => Ok(Some(v)),
-    }
-}
-
-fn has_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-/// Validate the argument list against a subcommand's flag allowlist.
-///
-/// `value_flags` consume the token after them; `bool_flags` stand alone;
-/// anything else that starts with `--` — a typo like `--tirals`, an
-/// unknown option — is an error naming the offender, and more than
-/// `max_positionals` bare arguments is too. Before this check, `train
-/// --tirals 500` silently ran with the default trial count.
-fn reject_unknown(
-    args: &[String],
-    max_positionals: usize,
-    value_flags: &[&str],
-    bool_flags: &[&str],
-) -> Result<(), String> {
-    let mut positionals = 0usize;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        if value_flags.contains(&arg) {
-            // The value itself is validated by flag_value; just skip it
-            // here so a policy named "--kill" is not double-counted.
-            i += 2;
-        } else if bool_flags.contains(&arg) {
-            i += 1;
-        } else if arg.starts_with("--") {
-            let known: Vec<&str> = value_flags.iter().chain(bool_flags).copied().collect();
-            return Err(if known.is_empty() {
-                format!("unknown flag {arg:?} (this subcommand takes no flags)")
-            } else {
-                format!("unknown flag {arg:?} (known flags: {})", known.join(", "))
-            });
-        } else {
-            positionals += 1;
-            if positionals > max_positionals {
-                return Err(format!(
-                    "unexpected argument {arg:?} (at most {max_positionals} positional argument(s))"
-                ));
-            }
-            i += 1;
-        }
-    }
-    Ok(())
-}
-
 /// Render an optional per-job statistic: the value at `prec` decimal
 /// places, or a uniform `n/a` when nothing completed.
 fn stat_or_na(v: Option<f64>, prec: usize) -> String {
     v.map_or_else(|| "n/a".to_string(), |x| format!("{x:.prec$}"))
 }
 
-fn usize_flag(args: &[String], name: &str, default: usize) -> Result<usize, String> {
-    flag_value(args, name)?
-        .map(|v| v.parse().map_err(|e| format!("bad {name}: {e}")))
-        .transpose()
-        .map(|v| v.unwrap_or(default))
-}
-
-/// Parse `name` as `u64` directly — seeds must not round-trip through
-/// `usize` (lossy on 32-bit targets, rejects values above `usize::MAX`).
-fn u64_flag(args: &[String], name: &str, default: u64) -> Result<u64, String> {
-    flag_value(args, name)?
-        .map(|v| v.parse().map_err(|e| format!("bad {name}: {e}")))
-        .transpose()
-        .map(|v| v.unwrap_or(default))
-}
-
-/// Parse `name` as `f64` directly — fractional values like `--days 2.5`
-/// are legitimate wherever the underlying parameter is `f64`.
-fn f64_flag(args: &[String], name: &str, default: f64) -> Result<f64, String> {
-    flag_value(args, name)?
-        .map(|v| v.parse().map_err(|e| format!("bad {name}: {e}")))
-        .transpose()
-        .map(|v| v.unwrap_or(default))
-}
-
-/// Parse a core count. Zero is rejected here, once: `Platform::new(0)`
-/// panics, and every subcommand that builds a platform parses through this.
-fn parse_cores(text: &str) -> Result<u32, String> {
-    match text.parse::<u32>() {
-        Ok(0) => Err("bad core count: a platform needs at least one core".to_string()),
-        Ok(cores) => Ok(cores),
-        Err(e) => Err(format!("bad core count: {e}")),
+/// The training set-up of `train` and `run`.
+fn training_flags(args: &Args) -> TrainingConfig {
+    TrainingConfig {
+        tuple_spec: TupleSpec::default(),
+        trial_spec: TrialSpec {
+            trials: args.num("--trials"),
+            platform: Platform::new(args.num("--cores")),
+            tau: DEFAULT_TAU,
+        },
+        tuples: args.num("--tuples"),
+        seed: args.num("--seed"),
     }
 }
 
-/// `--cores N` through [`parse_cores`] (default 256). The commands that
-/// take it (`train`, `run`, `scenarios`) all generate their workload from
-/// the Lublin model, and `LublinModel::new` asserts a parallel machine, so
-/// one core is refused here.
-fn cores_flag(args: &[String]) -> Result<u32, String> {
-    match flag_value(args, "--cores")?.map_or(Ok(256), parse_cores)? {
-        1 => Err("bad --cores: the workload model needs at least 2 cores".to_string()),
-        cores => Ok(cores),
-    }
-}
-
-/// Parse the value of `name` as a quantity that only means something when
-/// positive: a count (`u32`) of at least one, or an `f64` above zero and
-/// finite. Checked here, once, because the library asserts on these
-/// (`--tuples 0`, `--trials 0` and `--load -1` panicked), or worse does
-/// not: `--days nan` printed a garbage table, and `--mtbf 0` or `--mttr 0`
-/// injected no faults without saying so.
-fn parse_positive<T>(name: &str, text: &str) -> Result<T, String>
-where
-    T: std::str::FromStr + Copy + Into<f64>,
-    T::Err: std::fmt::Display,
-{
-    let value: T = text.parse().map_err(|e| format!("bad {name}: {e}"))?;
-    let size: f64 = value.into();
-    if size > 0.0 && size.is_finite() {
-        Ok(value)
-    } else {
-        Err(format!(
-            "bad {name}: {text:?} is not a positive finite number"
-        ))
-    }
-}
-
-/// `name` through [`parse_positive`], or `default` when absent.
-fn positive_flag<T>(args: &[String], name: &str, default: T) -> Result<T, String>
-where
-    T: std::str::FromStr + Copy + Into<f64>,
-    T::Err: std::fmt::Display,
-{
-    flag_value(args, name)?.map_or(Ok(default), |v| parse_positive(name, v))
-}
-
-/// The training knobs `train` and `run` share: `(tuples, trials, cores,
-/// seed)` with common defaults.
-fn training_flags(args: &[String]) -> Result<(usize, usize, u32, u64), String> {
-    Ok((
-        positive_flag(args, "--tuples", 12u32)? as usize,
-        positive_flag(args, "--trials", 8_000u32)? as usize,
-        cores_flag(args)?,
-        u64_flag(args, "--seed", 0x5C17)?,
-    ))
-}
-
-/// The deterministic fault-injection knobs `scenarios` and `federate`
-/// share: `--mtbf` turns injection on, the rest refine it.
-fn fault_flags(
-    args: &[String],
-    cores: u32,
-    default_seed: u64,
-) -> Result<Option<FaultProfile>, String> {
-    let Some(v) = flag_value(args, "--mtbf")? else {
-        return Ok(None);
-    };
-    let mtbf: f64 = parse_positive("--mtbf", v)?;
-    let mttr = positive_flag(args, "--mttr", 3_600.0)?;
-    let fault_cores = positive_flag(args, "--fault-cores", (cores / 8).max(1))?;
-    // Narrowed to the width `FaultProfile` stores by `try_from`, so a count
-    // beyond it is an error and cannot wrap (2^32 would read as 0 retries).
-    // Zero itself is legal: abandon at the first kill.
-    let retries = u32::try_from(u64_flag(args, "--fault-retries", 3)?)
-        .map_err(|e| format!("bad --fault-retries: {e}"))?;
-    let fault_seed = u64_flag(args, "--fault-seed", default_seed)?;
-    Ok(Some(
-        FaultProfile::failures(mtbf, mttr, fault_cores, fault_seed).with_max_retries(retries),
-    ))
+/// The fault profile `--mtbf` asks for, if it was given.
+fn fault_flags(args: &Args, cores: u32, default_seed: u64) -> Option<FaultProfile> {
+    let mtbf = args.opt("--mtbf")?;
+    let fault_cores = args.opt("--fault-cores").unwrap_or((cores / 8).max(1));
+    let fault_seed = args.opt("--fault-seed").unwrap_or(default_seed);
+    let profile = FaultProfile::failures(mtbf, args.num("--mttr"), fault_cores, fault_seed);
+    Some(profile.with_max_retries(args.num("--fault-retries")))
 }
 
 fn load_swf(path: &str) -> Result<(dynsched::workload::SwfHeader, Trace), String> {
-    // Streams line-by-line through a BufReader: archive logs never need to
-    // fit in memory as one string.
+    // Streamed line by line: an archive log never has to fit in memory as one string.
     read_swf_file(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
@@ -356,56 +253,30 @@ fn load_capped(path: &str, cores: u32) -> Result<Trace, String> {
     Ok(capped)
 }
 
-/// What `simulate` and `federate` share: the `<trace> <cores>`
-/// positionals, the queue policy, and the scheduler knobs.
-struct ReplaySetup<'a> {
-    path: &'a str,
-    cores: u32,
-    policy_name: &'a str,
-    policy: Box<dyn Policy>,
-    config: SchedulerConfig,
-}
-
-fn replay_setup<'a>(args: &'a [String], command: &str) -> Result<ReplaySetup<'a>, String> {
-    let path = args
-        .first()
-        .ok_or_else(|| format!("{command} needs a trace path"))?;
-    let cores = args
-        .get(1)
-        .ok_or_else(|| format!("{command} needs a core count"))?;
-    let cores = parse_cores(cores)?;
-    let policy_name = flag_value(args, "--policy")?.unwrap_or("F1");
-    let policy = by_name(policy_name).ok_or_else(|| format!("unknown policy {policy_name:?}"))?;
-
-    let mut config = if has_flag(args, "--estimates") {
-        SchedulerConfig::user_estimates(Platform::new(cores))
+/// The queue policy and the scheduler knobs `simulate` and `federate` share.
+fn replay_setup(args: &Args) -> Result<(Box<dyn Policy>, SchedulerConfig), String> {
+    let name = args.text("--policy");
+    let policy = by_name(name).ok_or_else(|| format!("unknown policy {name:?}"))?;
+    let platform = Platform::new(args.num("<cores>"));
+    let mut config = if args.switch("--estimates") {
+        SchedulerConfig::user_estimates(platform)
     } else {
-        SchedulerConfig::actual_runtimes(Platform::new(cores))
+        SchedulerConfig::actual_runtimes(platform)
     };
-    config.backfill = match flag_value(args, "--backfill")?.unwrap_or("none") {
+    config.backfill = match args.text("--backfill") {
         "none" => BackfillMode::None,
-        "easy" | "aggressive" => BackfillMode::Aggressive,
         "conservative" => BackfillMode::Conservative,
-        other => return Err(format!("unknown backfill mode {other:?}")),
+        _ => BackfillMode::Aggressive,
     };
-    config.kill_at_estimate = has_flag(args, "--kill");
-    Ok(ReplaySetup {
-        path,
-        cores,
-        policy_name,
-        policy,
-        config,
-    })
+    config.kill_at_estimate = args.switch("--kill");
+    Ok((policy, config))
 }
 
 fn cmd_validate(args: &[String]) -> Result<(), String> {
-    reject_unknown(args, 2, &[], &[])?;
-    let path = args.first().ok_or("validate needs a trace path")?;
-    let (header, trace) = load_swf(path)?;
+    let args = parse(&spec::VALIDATE, args)?;
+    let (header, trace) = load_swf(args.text("<trace.swf>"))?;
     let cores = args
-        .get(1)
-        .map(|c| parse_cores(c))
-        .transpose()?
+        .opt("[cores]")
         .or(header.max_procs)
         .ok_or("no core count given and the header has no MaxProcs")?;
     if let Some(computer) = &header.computer {
@@ -424,24 +295,19 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
 /// `simulate` up to (not including) its result line; returns the result
 /// and the seconds the simulation took.
 fn run_simulate(args: &[String]) -> Result<(SimulationResult, f64), String> {
-    reject_unknown(
-        args,
-        2,
-        &["--policy", "--backfill"],
-        &["--estimates", "--kill"],
-    )?;
-    let setup = replay_setup(args, "simulate")?;
-    let trace = load_capped(setup.path, setup.cores)?;
+    let args = parse(&spec::SIMULATE, args)?;
+    let (policy, config) = replay_setup(&args)?;
+    let cores = config.platform.total_cores;
+    let trace = load_capped(args.text("<trace.swf>"), cores)?;
     println!(
-        "Scheduling {} jobs on {} cores under {}...",
+        "Scheduling {} jobs on {cores} cores under {}...",
         trace.len(),
-        setup.cores,
-        setup.policy.name()
+        policy.name()
     );
-    let compiled = setup.policy.compile();
-    let discipline = QueueDiscipline::of(setup.policy.as_ref(), compiled.as_ref());
+    let compiled = policy.compile();
+    let discipline = QueueDiscipline::of(policy.as_ref(), compiled.as_ref());
     let t0 = std::time::Instant::now();
-    let result = simulate(&trace, &discipline, &setup.config);
+    let result = simulate(&trace, &discipline, &config);
     Ok((result, t0.elapsed().as_secs_f64()))
 }
 
@@ -461,100 +327,44 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The owned form of a `--router` choice. `Router` borrows the learned
-/// router's compiled bytecode, so the bytecode must live somewhere the
-/// borrow can point into; owning it *inside* the variant makes the
-/// "learned router has a compiled policy" invariant a type-level fact
-/// instead of an `Option` that the match had to `expect` away.
-enum RouterSpec {
-    RoundRobin,
-    LeastLoaded,
-    Locality { spill: f64 },
-    Learned(CompiledPolicy),
-}
-
-impl RouterSpec {
-    /// Parse the `--router`/`--spill`/`--router-policy` flags into an
-    /// owned spec (compiling the router policy when needed).
-    fn parse(router_name: &str, args: &[String], policy_name: &str) -> Result<Self, String> {
-        match router_name {
-            "round-robin" => Ok(Self::RoundRobin),
-            "least-loaded" => Ok(Self::LeastLoaded),
-            "locality" => {
-                // A NaN tolerance makes every `home <= best + spill` test
-                // false, which is least-loaded routing under another name.
-                let spill = f64_flag(args, "--spill", 0.0)?;
-                if !(spill >= 0.0 && spill.is_finite()) {
-                    return Err(format!(
-                        "bad --spill: {spill} is not a finite, non-negative number of seconds"
-                    ));
-                }
-                Ok(Self::Locality { spill })
-            }
-            "learned" => {
-                let name = flag_value(args, "--router-policy")?.unwrap_or(policy_name);
-                let p = by_name(name).ok_or_else(|| format!("unknown router policy {name:?}"))?;
-                let compiled = p
-                    .compile()
-                    .ok_or_else(|| format!("policy {name:?} has no compiled form to route with"))?;
-                Ok(Self::Learned(compiled))
-            }
-            other => Err(format!("unknown router {other:?}")),
-        }
-    }
-
-    /// Borrow as the scheduler's `Router`, valid as long as `self` lives.
-    fn as_router(&self) -> Router<'_> {
-        match self {
-            Self::RoundRobin => Router::RoundRobin,
-            Self::LeastLoaded => Router::LeastLoaded,
-            Self::Locality { spill } => Router::LocalityAware { spill: *spill },
-            Self::Learned(compiled) => Router::Learned(compiled),
-        }
-    }
-}
-
 /// `federate` up to (not including) its result tables; returns the
 /// result, whether faults were injected, and the seconds it took.
 fn run_federate(args: &[String]) -> Result<(FederationResult, bool, f64), String> {
-    reject_unknown(
-        args,
-        2,
-        &[
-            "--shards",
-            "--router",
-            "--spill",
-            "--router-policy",
-            "--policy",
-            "--backfill",
-            "--mtbf",
-            "--mttr",
-            "--fault-cores",
-            "--fault-retries",
-            "--fault-seed",
-        ],
-        &["--estimates", "--kill"],
-    )?;
-    let setup = replay_setup(args, "federate")?;
-    let cores = setup.cores;
-    let shards = usize_flag(args, "--shards", 4)?;
-    if shards == 0 {
-        return Err("a federation needs at least one shard".to_string());
-    }
-    let router_name = flag_value(args, "--router")?.unwrap_or("least-loaded");
-    let router_spec = RouterSpec::parse(router_name, args, setup.policy_name)?;
-    let fault = fault_flags(args, cores, 0x5C17)?;
+    let args = parse(&spec::FEDERATE, args)?;
+    let (policy, config) = replay_setup(&args)?;
+    let cores = config.platform.total_cores;
+    let shards: usize = args.num("--shards");
+    let router_name = args.text("--router");
+    // `Router::Learned` borrows the router policy's bytecode, which lives here.
+    let learned = if router_name == "learned" {
+        let name = args.opt_text("--router-policy");
+        let name = name.unwrap_or(args.text("--policy"));
+        let p = by_name(name).ok_or_else(|| format!("unknown router policy {name:?}"))?;
+        let uncompiled = || format!("policy {name:?} has no compiled form to route with");
+        Some(p.compile().ok_or_else(uncompiled)?)
+    } else {
+        None
+    };
+    let spill = args.num("--spill");
+    let router = match (&learned, router_name) {
+        (Some(compiled), _) => Router::Learned(compiled),
+        (None, "round-robin") => Router::RoundRobin,
+        (None, "locality") => Router::LocalityAware { spill },
+        (None, _) => Router::LeastLoaded,
+    };
+    // `federate` has no `--seed`; its fault streams start from that flag's default.
+    let fault = fault_flags(&args, cores, 0x5C17);
 
-    let trace = load_capped(setup.path, cores)?;
+    let trace = load_capped(args.text("<trace.swf>"), cores)?;
     println!(
         "Federating {} jobs across {shards} x {cores}-core clusters ({router_name} routing, {} queues)...",
         trace.len(),
-        setup.policy.name()
+        policy.name()
     );
 
-    let spec = FederationSpec::uniform(shards, setup.config, router_spec.as_router());
-    let compiled = setup.policy.compile();
-    let discipline = QueueDiscipline::of(setup.policy.as_ref(), compiled.as_ref());
+    let spec = FederationSpec::uniform(shards, config, router);
+    let compiled = policy.compile();
+    let discipline = QueueDiscipline::of(policy.as_ref(), compiled.as_ref());
     let t0 = std::time::Instant::now();
     let result = match &fault {
         Some(profile) => run_federation_faulty(&trace, &spec, &discipline, profile),
@@ -600,25 +410,14 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_train(args: &[String]) -> Result<(), String> {
-    reject_unknown(
-        args,
-        0,
-        &["--tuples", "--trials", "--cores", "--seed", "--out"],
-        &[],
-    )?;
-    let (tuples, trials, cores, seed) = training_flags(args)?;
-
-    let config = TrainingConfig {
-        tuple_spec: TupleSpec::default(),
-        trial_spec: TrialSpec {
-            trials,
-            platform: Platform::new(cores),
-            tau: DEFAULT_TAU,
-        },
-        tuples,
-        seed,
-    };
-    println!("Training: {tuples} tuples x {trials} trials on {cores} cores (seed {seed})...");
+    let args = parse(&spec::TRAIN, args)?;
+    let config = training_flags(&args);
+    let trials = config.trial_spec.trials;
+    let cores = config.trial_spec.platform.total_cores;
+    println!(
+        "Training: {} tuples x {trials} trials on {cores} cores (seed {})...",
+        config.tuples, config.seed
+    );
     let t0 = std::time::Instant::now();
     let report = learn_policies(
         &config,
@@ -639,7 +438,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
             fit.fitness
         );
     }
-    if let Some(out) = flag_value(args, "--out")? {
+    if let Some(out) = args.opt_text("--out") {
         write_atomic(out, save_learned(&report.policies))
             .map_err(|e| format!("cannot write {out}: {e}"))?;
         println!("policy file written to {out}");
@@ -648,42 +447,19 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    reject_unknown(
-        args,
-        0,
-        &[
-            "--tuples",
-            "--trials",
-            "--cores",
-            "--seed",
-            "--top",
-            "--out",
-            "--checkpoint-dir",
-        ],
-        &["--quick", "--resume"],
-    )?;
-    let (tuples, trials, cores, seed) = training_flags(args)?;
-    let top_k = usize_flag(args, "--top", 4)?;
-    let checkpoint_dir = flag_value(args, "--checkpoint-dir")?;
-    let resume = has_flag(args, "--resume");
-    if resume && checkpoint_dir.is_none() {
-        return Err("--resume needs --checkpoint-dir DIR to resume from".to_string());
-    }
+    let args = parse(&spec::RUN, args)?;
+    let training = training_flags(&args);
+    let (tuples, trials, seed) = (training.tuples, training.trial_spec.trials, training.seed);
+    let cores = training.trial_spec.platform.total_cores;
+    let top_k = args.num("--top");
+    let checkpoint_dir = args.opt_text("--checkpoint-dir");
+    let resume = args.switch("--resume");
 
     let config = FullRunConfig {
-        training: TrainingConfig {
-            tuple_spec: TupleSpec::default(),
-            trial_spec: TrialSpec {
-                trials,
-                platform: Platform::new(cores),
-                tau: DEFAULT_TAU,
-            },
-            tuples,
-            seed,
-        },
+        training,
         enumerate: EnumerateOptions::default(),
         top_k,
-        eval_scale: if has_flag(args, "--quick") {
+        eval_scale: if args.switch("--quick") {
             ScenarioScale::quick()
         } else {
             ScenarioScale::default()
@@ -715,7 +491,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let markdown = full_run_markdown(&report);
     print!("{markdown}");
     eprintln!("[{:.1} s total]", t0.elapsed().as_secs_f64());
-    if let Some(out) = flag_value(args, "--out")? {
+    if let Some(out) = args.opt_text("--out") {
         write_atomic(out, &markdown).map_err(|e| format!("cannot write {out}: {e}"))?;
         eprintln!("report written to {out}");
     }
@@ -725,8 +501,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 /// `table4` up to (not including) its tables: the 18 rows' results under
 /// the paper's line-up.
 fn run_table4(args: &[String]) -> Result<Vec<ExperimentResult>, String> {
-    reject_unknown(args, 0, &[], &["--quick"])?;
-    let scale = if has_flag(args, "--quick") {
+    let scale = if parse(&spec::TABLE4, args)?.switch("--quick") {
         ScenarioScale::quick()
     } else {
         ScenarioScale::default()
@@ -749,62 +524,21 @@ fn cmd_table4(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_scenarios(args: &[String]) -> Result<(), String> {
-    reject_unknown(
-        args,
-        0,
-        &[
-            "--cores",
-            "--days",
-            "--load",
-            "--seed",
-            "--family",
-            "--mtbf",
-            "--mttr",
-            "--fault-cores",
-            "--fault-retries",
-            "--fault-seed",
-        ],
-        &["--eval"],
-    )?;
-    let cores = cores_flag(args)?;
-    // span_days is f64 end to end: `--days 2.5` is a valid half-day span
-    // (the old usize round-trip rejected it), and seeds parse as u64
-    // directly rather than truncating through usize.
-    let days = positive_flag(args, "--days", 7.0)?;
-    let load = positive_flag(args, "--load", 0.8)?;
-    // The upper end of `LublinModel::calibrated_to_load`'s range, which the
-    // families assert on from inside a trace-store build.
-    if load > 1.5 {
-        return Err(format!("bad --load: {load} is above 1.5"));
-    }
-    // Every family generates its whole span in memory (≈ 500 jobs a day on
-    // the default platform), so an unbounded span runs until it is killed.
-    // The longest log the paper uses is SDSC Blue's 32 thirty-day months.
-    const MAX_DAYS: f64 = 960.0;
-    if days > MAX_DAYS {
-        return Err(format!("bad --days: {days} is above {MAX_DAYS}"));
-    }
-    let seed = u64_flag(args, "--seed", 0x5C17)?;
-    // Optional deterministic fault injection for the evaluation below;
-    // parsed before the registry table so a bad value fails up front.
-    let fault = fault_flags(args, cores, seed)?;
+    let args = parse(&spec::SCENARIOS, args)?;
+    let cores: u32 = args.num("--cores");
+    let days: f64 = args.num("--days");
+    let load: f64 = args.num("--load");
+    let seed = args.num("--seed");
+    let fault = fault_flags(&args, cores, seed);
 
     let registry = ScenarioRegistry::builtin();
-    // So is the family --eval is narrowed to: the table below generates
-    // and calibrates the whole registry, which a misspelt name should not
-    // have to wait for.
-    let eval = has_flag(args, "--eval");
-    let family = flag_value(args, "--family")?;
-    if let Some(name) = family {
-        if !eval {
-            return Err("bad --family: it selects what --eval evaluates; pass --eval".to_string());
-        }
-        if registry.get(name).is_none() {
-            return Err(format!(
-                "bad --family: unknown family {name:?} (one of: {})",
-                registry.names().join(", ")
-            ));
-        }
+    // The table below generates and calibrates the whole registry, which a
+    // misspelt family should not have to wait for.
+    let eval = args.switch("--eval");
+    let family = args.opt_text("--family");
+    if let Some(name) = family.filter(|name| registry.get(name).is_none()) {
+        let known = registry.names().join(", ");
+        return Err(format!("bad --family: {name:?} is not one of {known}"));
     }
     let store = TraceStore::new();
     let params = ScenarioParams {
@@ -897,7 +631,7 @@ fn cmd_scenarios(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_policies(args: &[String]) -> Result<(), String> {
-    reject_unknown(args, 0, &[], &[])?;
+    parse(&spec::POLICIES, args)?;
     println!("built-in policies (lower score runs first):");
     for name in [
         "FCFS", "LCFS", "SPT", "LPT", "SAF", "LAF", "WFP", "UNI", "MF", "F1", "F2", "F3", "F4",
@@ -932,28 +666,37 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    /// `parse`'s error on `list`.
+    fn parse_err(spec: &'static CommandSpec, list: &[&str]) -> String {
+        parse(spec, &args(list)).err().expect("should be refused")
+    }
+
+    /// The number `parse` reads for `name` from `list`.
+    fn parsed<T: std::str::FromStr>(spec: &'static CommandSpec, list: &[&str], name: &str) -> T {
+        parse(spec, &args(list)).unwrap().num(name)
+    }
+
     #[test]
     fn flag_value_reads_a_present_value() {
-        let a = args(&["--policy", "SPT", "--kill"]);
-        assert_eq!(flag_value(&a, "--policy"), Ok(Some("SPT")));
-        assert_eq!(flag_value(&a, "--backfill"), Ok(None));
+        let a = args(&["t.swf", "8", "--policy", "SPT", "--kill"]);
+        let a = parse(&spec::SIMULATE, &a).unwrap();
+        assert_eq!(a.opt_text("--policy"), Some("SPT"));
+        assert_eq!(a.opt_text("--backfill"), Some("none"), "the default");
+        assert_eq!(parse(&spec::TRAIN, &[]).unwrap().opt_text("--out"), None);
     }
 
     #[test]
     fn flag_value_rejects_a_missing_value() {
         // Regression: `train --tuples` used to run with the default 12
         // instead of erroring.
-        let a = args(&["--tuples"]);
-        assert!(flag_value(&a, "--tuples").is_err());
-        assert!(usize_flag(&a, "--tuples", 12).is_err());
+        assert!(parse_err(&spec::TRAIN, &["--tuples"]).contains("--tuples"));
     }
 
     #[test]
     fn flag_value_rejects_a_flag_shaped_value() {
         // Regression: `--policy --kill` consumed "--kill" as the policy
         // name and failed later with a confusing "unknown policy".
-        let a = args(&["--policy", "--kill"]);
-        let err = flag_value(&a, "--policy").unwrap_err();
+        let err = parse_err(&spec::SIMULATE, &["t.swf", "8", "--policy", "--kill"]);
         assert!(err.contains("--kill"), "error should name the flag: {err}");
     }
 
@@ -961,11 +704,11 @@ mod tests {
     fn days_accept_fractions_and_seeds_parse_as_u64() {
         // Regression: --days round-tripped through usize, rejecting 2.5
         // even though span_days is f64; seeds truncated through usize.
-        let a = args(&["--days", "2.5", "--seed", "18446744073709551615"]);
-        assert_eq!(f64_flag(&a, "--days", 7.0), Ok(2.5));
-        assert_eq!(u64_flag(&a, "--seed", 0), Ok(u64::MAX));
-        assert!(f64_flag(&args(&["--days", "x"]), "--days", 7.0).is_err());
-        assert!(u64_flag(&args(&["--seed", "-1"]), "--seed", 0).is_err());
+        let a = ["--days", "2.5", "--seed", "18446744073709551615"];
+        assert_eq!(parsed::<f64>(&spec::SCENARIOS, &a, "--days"), 2.5);
+        assert_eq!(parsed::<u64>(&spec::SCENARIOS, &a, "--seed"), u64::MAX);
+        assert!(parse_err(&spec::SCENARIOS, &["--days", "x"]).contains("--days"));
+        assert!(parse_err(&spec::SCENARIOS, &["--seed", "-1"]).contains("--seed"));
     }
 
     #[test]
@@ -1002,36 +745,24 @@ mod tests {
         let err = cmd_train(&args(&["extra"])).unwrap_err();
         assert!(err.contains("extra"), "{err}");
         // `validate` takes at most two.
-        let err = reject_unknown(&args(&["a.swf", "64", "stray"]), 2, &[], &[]).unwrap_err();
+        let err = parse_err(&spec::VALIDATE, &["a.swf", "64", "stray"]);
         assert!(err.contains("stray"), "{err}");
     }
 
     #[test]
     fn allowlist_accepts_known_shapes() {
-        // A value flag consumes its value even when the value is
-        // flag-shaped (flag_value rejects it later with a better message).
-        assert!(reject_unknown(
-            &args(&[
-                "t.swf",
-                "64",
-                "--policy",
-                "SPT",
-                "--estimates",
-                "--backfill",
-                "easy"
-            ]),
-            2,
-            &["--policy", "--backfill"],
-            &["--estimates", "--kill"],
-        )
-        .is_ok());
-        assert!(reject_unknown(
-            &args(&["--checkpoint-dir", "ckpt", "--resume", "--quick"]),
-            0,
-            &["--checkpoint-dir"],
-            &["--resume", "--quick"],
-        )
-        .is_ok());
+        let a = [
+            "t.swf",
+            "64",
+            "--policy",
+            "SPT",
+            "--estimates",
+            "--backfill",
+            "easy",
+        ];
+        assert!(parse(&spec::SIMULATE, &args(&a)).is_ok());
+        let a = args(&["--checkpoint-dir", "ckpt", "--resume", "--quick"]);
+        assert!(parse(&spec::RUN, &a).is_ok());
     }
 
     #[test]
@@ -1076,9 +807,12 @@ mod tests {
             let err = result.unwrap_err();
             assert!(err.contains("--cores"), "{err}");
         }
-        assert_eq!(cores_flag(&args(&["--cores", "2"])), Ok(2));
-        assert_eq!(parse_cores("64"), Ok(64));
-        assert!(parse_cores("-1").is_err());
+        assert_eq!(parsed::<u32>(&spec::TRAIN, &["--cores", "2"], "--cores"), 2);
+        assert_eq!(
+            parsed::<u32>(&spec::SIMULATE, &["t.swf", "64"], "<cores>"),
+            64
+        );
+        assert!(parse_err(&spec::SIMULATE, &["t.swf", "-1"]).contains("<cores>"));
     }
 
     #[test]
@@ -1091,8 +825,11 @@ mod tests {
                 assert!(err.contains(flag) && err.contains("positive"), "{err}");
             }
         }
-        assert_eq!(parse_positive::<u32>("--tuples", "12"), Ok(12));
-        assert!(parse_positive::<u32>("--tuples", "-1").is_err());
+        assert_eq!(
+            parsed::<u32>(&spec::TRAIN, &["--tuples", "12"], "--tuples"),
+            12
+        );
+        assert!(parse_err(&spec::TRAIN, &["--tuples", "-1"]).contains("--tuples"));
     }
 
     #[test]
@@ -1124,8 +861,9 @@ mod tests {
             err.contains("--family") && err.contains("\"nope\""),
             "{err}"
         );
-        assert_eq!(parse_positive::<f64>("--load", "1.5"), Ok(1.5));
-        assert_eq!(parse_positive::<f64>("--days", "2.5"), Ok(2.5));
+        let a = ["--load", "1.5", "--days", "2.5"];
+        assert_eq!(parsed::<f64>(&spec::SCENARIOS, &a, "--load"), 1.5);
+        assert_eq!(parsed::<f64>(&spec::SCENARIOS, &a, "--days"), 2.5);
     }
 
     #[test]
@@ -1161,20 +899,18 @@ mod tests {
         assert!(err.unwrap_err().contains("--fault-cores"));
         // Regression: 2^32 retries went through `usize` and `as u32`,
         // wrapped to 0 and abandoned every preempted job at its first kill.
-        let err = fault_flags(
-            &args(&["--mtbf", "500", "--fault-retries", "4294967296"]),
-            64,
-            7,
+        let err = parse_err(
+            &spec::SCENARIOS,
+            &["--eval", "--mtbf", "500", "--fault-retries", "4294967296"],
         );
-        assert!(err.unwrap_err().contains("--fault-retries"));
-        let profile = fault_flags(&args(&["--mtbf", "500"]), 64, 7)
-            .unwrap()
-            .unwrap();
+        assert!(err.contains("--fault-retries"));
+        let flags = args(&["--eval", "--mtbf", "500"]);
+        let profile = fault_flags(&parse(&spec::SCENARIOS, &flags).unwrap(), 64, 7).unwrap();
         assert!(profile.has_failures());
         assert_eq!(profile.failure_cores, 8);
         assert_eq!((profile.mttr, profile.max_retries), (3_600.0, 3));
-        let flags = args(&["--mtbf", "500", "--fault-retries", "0"]);
-        let profile = fault_flags(&flags, 64, 7).unwrap().unwrap();
+        let flags = args(&["--eval", "--mtbf", "500", "--fault-retries", "0"]);
+        let profile = fault_flags(&parse(&spec::SCENARIOS, &flags).unwrap(), 64, 7).unwrap();
         assert_eq!(profile.max_retries, 0, "abandon at the first kill is legal");
     }
 
@@ -1191,10 +927,8 @@ mod tests {
             assert!(err.contains("--spill"), "--spill {value}: {err}");
         }
         for (value, want) in [("0", 0.0), ("900.5", 900.5)] {
-            assert!(matches!(
-                RouterSpec::parse("locality", &args(&["--spill", value]), "F1"),
-                Ok(RouterSpec::Locality { spill }) if spill == want
-            ));
+            let a = ["t.swf", "8", "--router", "locality", "--spill", value];
+            assert_eq!(parsed::<f64>(&spec::FEDERATE, &a, "--spill"), want);
         }
     }
 
@@ -1271,6 +1005,11 @@ mod tests {
         let flags = ["--policy", "WFP", "--backfill", "easy", "--estimates"];
         let (single, _) =
             run_simulate(&args(&[&[path.as_str(), "8"], &flags[..]].concat())).unwrap();
+        // Regression: positionals were read by index, so flags first made
+        // `--policy` the path and `WFP` the core count.
+        let (flags_first, _) =
+            run_simulate(&args(&[&flags[..], &[path.as_str(), "8"]].concat())).unwrap();
+        assert_eq!(single.completed, flags_first.completed);
         let federate_args = [&[path.as_str(), "8", "--shards", "1"], &flags[..]].concat();
         let (federated, faulty, _) = run_federate(&args(&federate_args)).unwrap();
         std::fs::remove_file(path).unwrap();
@@ -1284,5 +1023,93 @@ mod tests {
         assert_eq!(single.mean_wait(), federated.mean_wait());
         assert_eq!(single.makespan, federated.makespan());
         assert_eq!(single.backfilled_jobs, federated.backfilled_jobs());
+    }
+
+    /// Values `kind` must refuse: what no bounded kind takes, then one past
+    /// each end of its range.
+    fn hostile(kind: Kind) -> Vec<String> {
+        let mut bad = ["nan", "inf", "-1", "0x10", "1e999"]
+            .map(String::from)
+            .to_vec();
+        let past: Vec<f64> = match kind {
+            Kind::Switch | Kind::Text | Kind::Path => return vec![],
+            Kind::Choice(_) | Kind::Seed => vec![],
+            Kind::Cores { min } => vec![0.0, f64::from(min) - 1.0, 4_294_967_296.0],
+            Kind::Count { min, max } => vec![min as f64 - 1.0, max as f64 + 1.0],
+            Kind::Real { min, max, open } => {
+                vec![min - 1.0, max + 1.0, if open { min } else { f64::NAN }]
+            }
+        };
+        bad.extend(past.iter().map(f64::to_string));
+        // A fraction and 2^64 are outside every whole number's range, inside two of the reals'.
+        if !matches!(kind, Kind::Real { .. }) {
+            bad.extend(["1.5", "18446744073709551616"].map(String::from));
+        }
+        bad
+    }
+
+    #[test]
+    fn every_flag_of_every_command_refuses_what_its_kind_implies() {
+        for command in spec::COMMANDS {
+            let good = |row: &FlagSpec| row.default.unwrap_or("1");
+            // A line that is valid up to a flag: the required positionals,
+            // then what the flag `requires`, transitively.
+            let base = |mut requires: Option<&'static str>| {
+                let positionals = command.rows().filter(|row| row.name.starts_with('<'));
+                let mut line: Vec<&str> = positionals.map(good).collect();
+                while let Some(required) = requires {
+                    let (name, value) = required.split_once(' ').unwrap_or((required, ""));
+                    let needed = command.row(name).expect("`requires` names a flag");
+                    line.push(name);
+                    match needed.kind {
+                        Kind::Switch => {}
+                        _ if value.is_empty() => line.push(good(needed)),
+                        kind => {
+                            assert_eq!(kind.check(value), Ok(()), "{required}");
+                            line.push(value);
+                        }
+                    }
+                    requires = needed.requires;
+                }
+                line
+            };
+            let refused = |line: Vec<&str>, name: &str| {
+                let err = (command.run)(&args(&line)).expect_err(&format!("{line:?}"));
+                assert!(err.contains(name) && !err.contains('\n'), "{line:?}: {err}");
+            };
+            let names: Vec<&str> = command.rows().map(|row| row.name).collect();
+            for (i, row) in command.rows().enumerate() {
+                // The table itself: no name twice, the default inside the kind.
+                assert!(!names[..i].contains(&row.name), "{} twice", row.name);
+                assert_eq!(row.kind.check(good(row)), Ok(()), "{}", row.name);
+                if !row.is_option() {
+                    continue;
+                }
+                let hostile = hostile(row.kind);
+                let with = |tail| [base(row.requires), vec![row.name], tail].concat();
+                let value = match row.kind {
+                    Kind::Switch => vec![],
+                    _ => vec![good(row)],
+                };
+                refused(with([value.clone(), vec![row.name]].concat()), row.name);
+                if row.requires.is_some() {
+                    let alone = [base(None), vec![row.name], value.clone()].concat();
+                    refused(alone, row.name);
+                }
+                if !value.is_empty() {
+                    refused(with(vec![]), row.name);
+                    refused(with(vec!["--kill"]), row.name);
+                }
+                for value in &hostile {
+                    refused(with(vec![value]), row.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn help_is_rendered_from_the_tables() {
+        let help = args::help(&spec::COMMANDS);
+        assert_eq!(help, include_str!("dynsched/help.txt"));
     }
 }
