@@ -75,7 +75,11 @@ impl TrainingSet {
     }
 
     /// Parse the artifact's CSV format. Blank lines are skipped; a line
-    /// starting with `#` is treated as a comment.
+    /// starting with `#` is treated as a comment. Every field must be
+    /// finite, and runtime, core count and submit time non-negative: one
+    /// `nan` makes every fit's cost non-finite and the ranking returns
+    /// untouched initial coefficients, and a negative Eq. 4 weight `r·n`
+    /// changes sign — silently wrong policies either way.
     pub fn from_csv(input: &str) -> Result<Self, CsvError> {
         let mut observations = Vec::new();
         for (lineno, line) in input.lines().enumerate() {
@@ -91,10 +95,19 @@ impl TrainingSet {
                 });
             }
             let parse = |i: usize| -> Result<f64, CsvError> {
-                fields[i].parse().map_err(|e| CsvError {
+                let name = ["runtime", "cores", "submit", "score"][i];
+                let reject = |why: &dyn std::fmt::Display| CsvError {
                     line: lineno + 1,
-                    message: format!("field {} ({:?}): {e}", i + 1, fields[i]),
-                })
+                    message: format!("field {} ({name}, {:?}): {why}", i + 1, fields[i]),
+                };
+                let value: f64 = fields[i].parse().map_err(|e| reject(&e))?;
+                if !value.is_finite() {
+                    return Err(reject(&"not a finite number"));
+                }
+                if value < 0.0 && name != "score" {
+                    return Err(reject(&"negative"));
+                }
+                Ok(value)
             };
             observations.push(Observation {
                 runtime: parse(0)?,
@@ -249,6 +262,46 @@ mod tests {
         assert_eq!(err.line, 1);
         let err = TrainingSet::from_csv("1,2,3,x\n").unwrap_err();
         assert!(err.message.contains("field 4"));
+    }
+
+    #[test]
+    fn rejects_values_that_would_poison_every_fit() {
+        // Non-finite in any field, negative in the three that make the
+        // Eq. 4 weight and the features; the error names line and field.
+        let names = ["runtime", "cores", "submit", "score"];
+        for (field, name) in names.iter().enumerate() {
+            for bad in ["nan", "NaN", "inf", "-inf", "infinity", "1e999"] {
+                let mut row = ["3", "4", "200", "0.02"];
+                row[field] = bad;
+                let src = format!("1,1,1,0.1\n{}\n", row.join(","));
+                let err = TrainingSet::from_csv(&src).unwrap_err();
+                assert_eq!(err.line, 2, "{src:?}");
+                assert!(
+                    err.message.contains(&format!("field {}", field + 1)),
+                    "{err}"
+                );
+                assert!(err.message.contains(name), "{err}");
+            }
+            let mut row = ["3", "4", "200", "0.02"];
+            row[field] = "-1";
+            let parsed = TrainingSet::from_csv(&row.join(","));
+            if *name == "score" {
+                assert_eq!(parsed.unwrap().observations()[0].score, -1.0);
+            } else {
+                let err = parsed.unwrap_err();
+                assert!(
+                    err.message.contains(name) && err.message.contains("negative"),
+                    "{err}"
+                );
+            }
+        }
+        // Zero is a value, not a sign: the first job of a window has s = 0.
+        assert_eq!(
+            TrainingSet::from_csv("0,0,0,0\n-0,1,-0.0,0\n")
+                .unwrap()
+                .len(),
+            2
+        );
     }
 
     #[test]

@@ -15,18 +15,45 @@
 //!
 //! [`fit_all`] is the learning layer's batched session: the 576 fits fan
 //! out over the deterministic thread pool with **one reusable
-//! [`FitWorkspace`] per worker** (normal-equation matrices, Jacobian,
-//! residual and weight buffers — warm after the first fit, zero heap
-//! allocation afterwards), all reading one shared read-only
-//! [`FeatureTable`] of pre-transformed base-function values. Ranking
+//! [`FitWorkspace`] per worker** (normal-equation matrices, Jacobian and
+//! residual buffers — warm after the first fit, zero heap allocation
+//! afterwards), all reading one shared read-only [`FeatureTable`] of
+//! pre-transformed base-function values and its Eq. 4 weight column,
+//! borrowed, never copied. Ranking
 //! breaks fitness ties by [`FitResult::family_index`], a total order, so
 //! the result is bit-identical at any thread count and identical to the
 //! pre-refactor sequential enumeration preserved in [`crate::reference`]
 //! (the oracle the `learning_pipeline` golden suite pins against).
+//!
+//! # The residual pass
+//!
+//! A fit spends its time evaluating the residual vector — about 70 times
+//! a fit on a pooled set, three probes an iteration and one or two
+//! candidate steps — so that pass is compiled nine times, once per
+//! operator pair, and a fit picks its copy once. Inside, the shape is a
+//! constant: no per-observation `match` on the operators, the division
+//! guard present only where the pair divides, and a loop body the
+//! compiler vectorizes over the cached `α(r)`, `β(n)`, `γ(s)` columns.
+//! It is exact because it is the oracle's arithmetic element for
+//! element: the three products `cⱼ·column`, the association of
+//! [`eval_transformed`](NonlinearFunction::eval_transformed), the guard
+//! code of [`OpKind::apply`] itself (called, not re-typed), the NaN →
+//! `f64::MAX` sanitizer, then `w · (f − score)` — a SIMD lane rounds each
+//! of those exactly as the scalar unit does, and nothing is summed here.
+//! The sums (cost, `JᵀJ`, `Jᵀr`) are [`crate::lm`]'s, each sequential.
+//!
+//! The three products are recomputed on every pass, probes included.
+//! Keeping them in columns between passes — a probe moves one
+//! coefficient, so two products of three are unchanged — was built and
+//! measured: the pass is bound by its divisions and its five input
+//! streams, not by two multiplications, and writing three more columns at
+//! every candidate step cost more than the probes saved (`fit_all` on
+//! 5 120 observations, one worker, six alternating rounds: 0.48–0.56 s
+//! with the columns, 0.43–0.51 without, 1.00–1.29 before either).
 
 use crate::dataset::{FeatureTable, TrainingSet};
-use crate::lm::{levenberg_marquardt_scoped, LmOptions, LmWorkspace};
-use dynsched_policies::learned::{LearnedPolicy, NonlinearFunction};
+use crate::lm::{levenberg_marquardt_scoped, LmOptions, LmOutcome, LmWorkspace};
+use dynsched_policies::learned::{LearnedPolicy, NonlinearFunction, OpKind};
 use dynsched_simkit::parallel::par_map_scoped;
 use serde::{Deserialize, Serialize};
 
@@ -73,14 +100,77 @@ pub struct FitResult {
 }
 
 /// Reusable per-worker state of the batched enumeration: the optimizer's
-/// [`LmWorkspace`] plus the per-fit weight buffer. Cleared (fully
-/// overwritten) per fit, never read across fits — the scratch contract of
-/// the parallel drivers.
+/// [`LmWorkspace`] — five float columns, the residuals, a probe and the
+/// three Jacobian columns. Cleared (fully overwritten) per fit, never read
+/// across fits — the scratch contract of the parallel drivers.
 #[derive(Debug, Clone, Default)]
 pub struct FitWorkspace {
     lm: LmWorkspace,
-    weights: Vec<f64>,
+    /// The unweighted ablation's weight column, built on first use.
+    ones: Vec<f64>,
+    outcome: Option<LmOutcome>,
 }
+
+impl FitWorkspace {
+    /// What the optimizer did in the most recent fit (`None` before the
+    /// first): exit, iterations and the work counts. A pure function of
+    /// `(shape, table, options)`, like the fit itself.
+    pub fn last_outcome(&self) -> Option<LmOutcome> {
+        self.outcome
+    }
+}
+
+/// One Eq. 4 residual pass, compiled for one operator pair:
+/// `out[i] = w[i] · ((c₁·α[i]) op₁ (c₂·β[i]) op₂ (c₃·γ[i]) − score[i])`.
+type ResidualPass = fn(
+    coefficients: [f64; 3],
+    features: [&[f64]; 3],
+    scores: &[f64],
+    weights: &[f64],
+    out: &mut [f64],
+);
+
+/// [`ResidualPass`] for the pair `(OpKind::ALL[OP1], OpKind::ALL[OP2])`.
+/// Element for element it is
+/// [`eval_transformed`](NonlinearFunction::eval_transformed): the same
+/// three products, the same association (`A + (B op₂ C)` when `op₁` is
+/// `+` and `op₂` binds tighter, left to right otherwise), the operators
+/// through [`OpKind::apply`] — so the division guard is that function's
+/// code, folded at compile time onto the one arm the pair selects — and
+/// the same NaN → `f64::MAX` sanitizer. What is left per observation has
+/// no branch on the shape, so the loop vectorizes; each lane performs the
+/// scalar operations in the scalar order, so no bit moves.
+fn residual_pass<const OP1: usize, const OP2: usize>(
+    [c1, c2, c3]: [f64; 3],
+    [alpha, beta, gamma]: [&[f64]; 3],
+    scores: &[f64],
+    weights: &[f64],
+    out: &mut [f64],
+) {
+    let (op1, op2) = (OpKind::ALL[OP1], OpKind::ALL[OP2]);
+    let tight = op1 == OpKind::Add && op2.is_multiplicative();
+    let n = out.len();
+    let (alpha, beta, gamma) = (&alpha[..n], &beta[..n], &gamma[..n]);
+    let (scores, weights) = (&scores[..n], &weights[..n]);
+    for i in 0..n {
+        let (a, b, c) = (c1 * alpha[i], c2 * beta[i], c3 * gamma[i]);
+        let f = if tight {
+            op1.apply(a, op2.apply(b, c))
+        } else {
+            op2.apply(op1.apply(a, b), c)
+        };
+        let f = if f.is_nan() { f64::MAX } else { f };
+        out[i] = weights[i] * (f - scores[i]);
+    }
+}
+
+/// The nine passes, indexed by the operators' positions in [`OpKind::ALL`].
+#[rustfmt::skip]
+const RESIDUAL_PASSES: [[ResidualPass; 3]; 3] = [
+    [residual_pass::<0, 0>, residual_pass::<0, 1>, residual_pass::<0, 2>],
+    [residual_pass::<1, 0>, residual_pass::<1, 1>, residual_pass::<1, 2>],
+    [residual_pass::<2, 0>, residual_pass::<2, 1>, residual_pass::<2, 2>],
+];
 
 /// Fit one family member against the training set.
 ///
@@ -114,27 +204,35 @@ pub fn fit_function_scoped(
     let gamma_s = table.gamma(shape.gamma);
     let scores = table.scores();
 
-    ws.weights.clear();
-    if options.weighted {
-        ws.weights.extend_from_slice(table.weights());
+    let weights = if options.weighted {
+        table.weights()
     } else {
-        ws.weights.resize(n, 1.0);
-    }
-    let weights = &ws.weights;
+        ws.ones.resize(n, 1.0);
+        &ws.ones
+    };
 
+    let position = |op: OpKind| {
+        let found = OpKind::ALL.iter().position(|&o| o == op);
+        found.expect("OpKind::ALL lists every operator")
+    };
+    let pass = RESIDUAL_PASSES[position(shape.op1)][position(shape.op2)];
+    let features = [alpha_r, beta_n, gamma_s];
     let outcome = levenberg_marquardt_scoped(
         &mut ws.lm,
         |params, out| {
-            let f = shape.with_coefficients([params[0], params[1], params[2]]);
-            for i in 0..n {
-                out[i] = weights[i]
-                    * (f.eval_transformed(alpha_r[i], beta_n[i], gamma_s[i]) - scores[i]);
-            }
+            pass(
+                [params[0], params[1], params[2]],
+                features,
+                scores,
+                weights,
+                out,
+            )
         },
         &options.initial,
         n,
         &options.lm,
     );
+    ws.outcome = Some(outcome);
 
     let params = ws.lm.params();
     let fitted = shape.with_coefficients([params[0], params[1], params[2]]);
@@ -222,7 +320,7 @@ pub fn top_policies(results: &[FitResult], k: usize) -> Vec<LearnedPolicy> {
 mod tests {
     use super::*;
     use crate::dataset::Observation;
-    use dynsched_policies::learned::{BaseFunc, OpKind};
+    use dynsched_policies::learned::BaseFunc;
     use dynsched_policies::Policy as _;
 
     /// A training set generated exactly by an F1-shaped function, so the

@@ -244,6 +244,73 @@ pub fn solve_in_place(lu: &mut Matrix, x: &mut [f64]) -> Result<(), SolveError> 
     Ok(())
 }
 
+/// `JᵀJ` and `Jᵀr` of a **column-major** Jacobian: `columns` holds one
+/// contiguous column of `r.len()` entries per parameter. Bit-identical to
+/// [`Matrix::gram`] and [`Matrix::transpose_mul_vec`] on the row-major
+/// matrix of the same entries: every output entry has one accumulator
+/// that starts at `0.0` and adds its products in ascending row index,
+/// exactly as those do. With three columns — the regression family's
+/// case — the six upper-triangle sums and the three gradient sums share
+/// one sweep over the rows, so each column is read once, at unit stride,
+/// and nine independent additions are in flight instead of one.
+///
+/// # Panics
+/// Panics if `r` is empty or `columns` is not a whole number of columns.
+pub fn normal_equations(columns: &[f64], r: &[f64], gram: &mut Matrix, gradient: &mut Vec<f64>) {
+    let n = r.len();
+    assert!(n > 0 && !columns.is_empty(), "no rows or no columns");
+    let p = columns.len() / n;
+    assert_eq!(columns.len(), p * n, "dimension mismatch");
+    gram.reset(p, p);
+    gradient.clear();
+    if p == 3 {
+        let (c0, rest) = columns.split_at(n);
+        let (c1, c2) = rest.split_at(n);
+        let (mut g00, mut g01, mut g02, mut g11, mut g12, mut g22) = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
+        let (mut b0, mut b1, mut b2) = (0.0, 0.0, 0.0);
+        for (((&x0, &x1), &x2), &rk) in c0.iter().zip(c1).zip(c2).zip(r) {
+            g00 += x0 * x0;
+            g01 += x0 * x1;
+            g02 += x0 * x2;
+            g11 += x1 * x1;
+            g12 += x1 * x2;
+            g22 += x2 * x2;
+            b0 += x0 * rk;
+            b1 += x1 * rk;
+            b2 += x2 * rk;
+        }
+        for (i, j, g) in [
+            (0, 0, g00),
+            (0, 1, g01),
+            (0, 2, g02),
+            (1, 1, g11),
+            (1, 2, g12),
+            (2, 2, g22),
+        ] {
+            gram[(i, j)] = g;
+            gram[(j, i)] = g;
+        }
+        gradient.extend([b0, b1, b2]);
+        return;
+    }
+    let column = |j: usize| &columns[j * n..(j + 1) * n];
+    for i in 0..p {
+        for j in i..p {
+            let mut acc = 0.0;
+            for (x, y) in column(i).iter().zip(column(j)) {
+                acc += x * y;
+            }
+            gram[(i, j)] = acc;
+            gram[(j, i)] = acc;
+        }
+        let mut acc = 0.0;
+        for (x, rk) in column(i).iter().zip(r) {
+            acc += x * rk;
+        }
+        gradient.push(acc);
+    }
+}
+
 /// Euclidean norm of a vector.
 pub fn norm2(v: &[f64]) -> f64 {
     v.iter().map(|x| x * x).sum::<f64>().sqrt()
@@ -381,6 +448,31 @@ mod tests {
             assert_eq!(gram, a.gram());
             a.transpose_mul_vec_into(&v, &mut atv);
             assert_eq!(atv, a.transpose_mul_vec(&v));
+        }
+    }
+
+    #[test]
+    fn normal_equations_match_the_row_major_sums_bit_for_bit() {
+        // Lengths that are no multiple of any vector width; entries spread
+        // over twenty orders of magnitude so a re-associated sum shows.
+        let mut rng = dynsched_simkit::Rng::new(0x6AA3);
+        let mut gram = Matrix::zeros(1, 1);
+        let mut gradient = Vec::new();
+        for p in 1..=4 {
+            for n in [1usize, 2, 3, 5, 17, 513] {
+                let mut entry =
+                    || rng.range_f64(-1.0, 1.0) * 10f64.powf(rng.range_f64(-10.0, 10.0));
+                let rows: Vec<Vec<f64>> =
+                    (0..n).map(|_| (0..p).map(|_| entry()).collect()).collect();
+                let r: Vec<f64> = (0..n).map(|_| entry()).collect();
+                let columns: Vec<f64> = (0..p)
+                    .flat_map(|j| rows.iter().map(move |row| row[j]))
+                    .collect();
+                let row_major = Matrix::from_rows(&rows);
+                normal_equations(&columns, &r, &mut gram, &mut gradient);
+                assert_eq!(gram, row_major.gram(), "JᵀJ, {n} × {p}");
+                assert_eq!(gradient, row_major.transpose_mul_vec(&r), "Jᵀr, {n} × {p}");
+            }
         }
     }
 

@@ -10,15 +10,40 @@
 //! entry per observation (weights already applied by the caller), so the
 //! solver is reusable for any small-parameter fit.
 //!
-//! Two entry points share one kernel: [`levenberg_marquardt`] allocates
+//! Two entry points share one step loop: [`levenberg_marquardt`] allocates
 //! its working buffers per call, while [`levenberg_marquardt_scoped`] runs
 //! out of a caller-owned [`LmWorkspace`] — once the workspace is warm, an
 //! entire fit performs **no heap allocation**. The batched enumeration
 //! hands one workspace to each worker thread and reuses it across the
 //! hundreds of fits that worker executes. Both paths are bit-identical:
 //! the wrapper simply runs the kernel on a fresh workspace.
+//!
+//! # Layout, and why the bits are the oracle's
+//!
+//! The Jacobian is **column-major** — one contiguous column per
+//! parameter, each written in one pass as `(probe − res) / h` — and
+//! `JᵀJ` / `Jᵀr` come out of one sweep over the observations
+//! ([`normal_equations`]). The oracle ([`crate::reference`]) keeps a
+//! row-major Jacobian and sums each of those entries in a pass of its
+//! own; the two agree to the bit because no operation changed, only
+//! where its operands live:
+//!
+//! * every Jacobian entry is the same subtraction and the same
+//!   **division** by `h` (never a multiplication by `1/h`), with the same
+//!   non-finite → `0.0` rule;
+//! * every entry of `JᵀJ` and `Jᵀr`, and the cost, is a sum that starts
+//!   at `0.0` and adds its products in ascending observation index — one
+//!   accumulator per entry, never split or re-associated, so a wider
+//!   vectorizer has nothing to reorder (CI re-runs the crate's tests
+//!   under `-C target-cpu=native`);
+//! * a probe perturbs `params[j]` in place to `params[j] + h` and puts
+//!   the old value back — the vector the oracle builds by copying.
+//!
+//! `crates/mlreg/tests/fit_bit_identity.rs` pins all of it against the
+//! oracle on every one of the 576 shapes. [`LmOutcome`] says what a fit
+//! did — its exit and its work, as counts ([`LmCounts`]).
 
-use crate::linalg::{solve_in_place, Matrix};
+use crate::linalg::{normal_equations, solve_in_place, Matrix};
 
 /// Options controlling the optimizer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,8 +106,8 @@ pub struct LmWorkspace {
     params: Vec<f64>,
     res: Vec<f64>,
     probe: Vec<f64>,
-    stepped: Vec<f64>,
-    jac: Matrix,
+    /// Column-major: `jac[j * n_residuals..][..n_residuals]` is `∂res/∂pⱼ`.
+    jac: Vec<f64>,
     gram: Matrix,
     damped: Matrix,
     gradient: Vec<f64>,
@@ -103,8 +128,7 @@ impl LmWorkspace {
             params: Vec::new(),
             res: Vec::new(),
             probe: Vec::new(),
-            stepped: Vec::new(),
-            jac: Matrix::zeros(1, 1),
+            jac: Vec::new(),
             gram: Matrix::zeros(1, 1),
             damped: Matrix::zeros(1, 1),
             gradient: Vec::new(),
@@ -120,6 +144,37 @@ impl LmWorkspace {
     }
 }
 
+/// Which of the step loop's four ways out a fit took.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum LmExit {
+    /// The cost at the starting point was not finite; nothing was tried.
+    NonFiniteStart,
+    /// An accepted step met the cost or the step tolerance.
+    ToleranceMet,
+    /// λ passed [`LmOptions::max_lambda`] without an acceptable step.
+    LambdaExhausted,
+    /// [`LmOptions::max_iterations`] accepted steps, none within tolerance.
+    IterationCap,
+}
+
+/// What a fit did, as counts: a pure function of the problem and the
+/// options, so equal at any worker count and from run to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LmCounts {
+    /// Residual evaluations whose cost was taken: the start and one per
+    /// candidate step.
+    pub evaluations: usize,
+    /// Residual evaluations with one parameter moved by `h`, for a
+    /// Jacobian column: one per parameter per iteration.
+    pub probes: usize,
+    /// Candidate steps that lowered the cost.
+    pub accepted: usize,
+    /// Candidate steps that did not (λ grew and the step was retried).
+    pub rejected: usize,
+    /// Damped normal equations the LU solve refused (λ grew likewise).
+    pub failed_solves: usize,
+}
+
 /// Outcome of a workspace fit; the fitted parameters stay in the
 /// workspace ([`LmWorkspace::params`]) so the hot path moves no vectors.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,6 +185,10 @@ pub struct LmOutcome {
     pub iterations: usize,
     /// Whether a tolerance-based stopping test was met.
     pub converged: bool,
+    /// How the loop ended.
+    pub exit: LmExit,
+    /// The work it took.
+    pub counts: LmCounts,
 }
 
 /// Minimize `Σ residuals(params)²` starting from `initial`.
@@ -175,11 +234,13 @@ where
     assert!(n_params > 0, "no parameters to fit");
     assert!(n_residuals > 0, "no residuals to minimize");
 
+    let mut counts = LmCounts::default();
     ws.params.clear();
     ws.params.extend_from_slice(initial);
     ws.res.clear();
     ws.res.resize(n_residuals, 0.0);
     residuals(&ws.params, &mut ws.res);
+    counts.evaluations += 1;
     let mut cost = cost_of(&ws.res);
     if !cost.is_finite() {
         // A hopeless start: report it honestly (params stay at `initial`).
@@ -187,33 +248,37 @@ where
             cost: f64::INFINITY,
             iterations: 0,
             converged: false,
+            exit: LmExit::NonFiniteStart,
+            counts,
         };
     }
 
     let mut lambda = options.initial_lambda;
-    ws.jac.reset(n_residuals, n_params);
+    ws.jac.clear();
+    ws.jac.resize(n_params * n_residuals, 0.0);
     ws.probe.clear();
     ws.probe.resize(n_residuals, 0.0);
     let mut converged = false;
     let mut iterations = 0;
+    let mut exit = LmExit::IterationCap;
 
     for iter in 0..options.max_iterations {
         iterations = iter + 1;
-        // Forward-difference Jacobian.
-        for j in 0..n_params {
-            let h = 1e-7 * ws.params[j].abs().max(1e-7);
-            ws.stepped.clear();
-            ws.stepped.extend_from_slice(&ws.params);
-            ws.stepped[j] += h;
-            residuals(&ws.stepped, &mut ws.probe);
-            for i in 0..n_residuals {
-                let d = (ws.probe[i] - ws.res[i]) / h;
-                ws.jac[(i, j)] = if d.is_finite() { d } else { 0.0 };
+        // Forward-difference Jacobian, one contiguous column per parameter.
+        for (j, column) in ws.jac.chunks_exact_mut(n_residuals).enumerate() {
+            let base = ws.params[j];
+            let h = 1e-7 * base.abs().max(1e-7);
+            ws.params[j] = base + h;
+            residuals(&ws.params, &mut ws.probe);
+            ws.params[j] = base;
+            counts.probes += 1;
+            for ((d, p), r) in column.iter_mut().zip(&ws.probe).zip(&ws.res) {
+                let slope = (p - r) / h;
+                *d = if slope.is_finite() { slope } else { 0.0 };
             }
         }
 
-        ws.jac.gram_into(&mut ws.gram);
-        ws.jac.transpose_mul_vec_into(&ws.res, &mut ws.gradient);
+        normal_equations(&ws.jac, &ws.res, &mut ws.gram, &mut ws.gradient);
 
         // Inner loop: adapt λ until a step is accepted or λ explodes.
         let mut stepped_ok = false;
@@ -229,6 +294,7 @@ where
             ws.delta.clear();
             ws.delta.extend(ws.gradient.iter().map(|g| -g));
             if solve_in_place(&mut ws.damped, &mut ws.delta).is_err() {
+                counts.failed_solves += 1;
                 lambda *= options.lambda_factor;
                 continue;
             }
@@ -236,6 +302,7 @@ where
             ws.candidate
                 .extend(ws.params.iter().zip(&ws.delta).map(|(p, d)| p + d));
             residuals(&ws.candidate, &mut ws.probe);
+            counts.evaluations += 1;
             let new_cost = cost_of(&ws.probe);
             if new_cost.is_finite() && new_cost < cost {
                 // Accept.
@@ -246,8 +313,9 @@ where
                     .zip(&ws.params)
                     .map(|(d, p)| d.abs() / p.abs().max(1e-12))
                     .fold(0.0, f64::max);
+                counts.accepted += 1;
                 std::mem::swap(&mut ws.params, &mut ws.candidate);
-                ws.res.copy_from_slice(&ws.probe);
+                std::mem::swap(&mut ws.res, &mut ws.probe);
                 cost = new_cost;
                 lambda = (lambda / options.lambda_factor).max(1e-12);
                 stepped_ok = true;
@@ -256,6 +324,7 @@ where
                 }
                 break;
             }
+            counts.rejected += 1;
             lambda *= options.lambda_factor;
         }
 
@@ -263,6 +332,11 @@ where
             // Either tolerances met, or λ exhausted without an acceptable
             // step (a local minimum for all practical purposes — MINPACK
             // reports success in this case too if the gradient is tiny).
+            exit = if stepped_ok {
+                LmExit::ToleranceMet
+            } else {
+                LmExit::LambdaExhausted
+            };
             if !stepped_ok && lambda > options.max_lambda {
                 converged = converged || cost.is_finite();
             }
@@ -274,6 +348,8 @@ where
         cost,
         iterations,
         converged,
+        exit,
+        counts,
     }
 }
 
