@@ -1,10 +1,9 @@
-//! Deterministic fault injection: failure/maintenance schedules and
-//! revocable capacity.
+//! Deterministic fault injection: failure schedules and revocable
+//! capacity.
 //!
 //! The paper's platform (§3.1) is `nmax` homogeneous cores that are always
-//! up. Real clusters are not: nodes crash and are repaired, and racks are
-//! drained for scheduled maintenance. This module describes those outages
-//! as data — a [`FaultProfile`] — and expands them into a per-run
+//! up. Real clusters are not: nodes crash and are repaired. This module
+//! describes those outages as data — a [`FaultProfile`] — and expands them into a per-run
 //! [`AvailabilitySchedule`]: a sorted list of capacity-change events the
 //! scheduler engine merges into its event loop.
 //!
@@ -21,32 +20,17 @@
 //!
 //! Random node crashes are a Poisson process: inter-failure gaps are
 //! exponential with mean `mtbf`, repair durations exponential with mean
-//! `mttr` (the standard M/M availability model). Maintenance windows are
-//! literal `[start, start + duration)` outages, optionally widened by a
-//! drain lead-time during which the cores already refuse new work. Every
-//! outage ends: expansion always emits the capacity-restore event even
-//! when it falls past the horizon, so a schedule's final step returns the
-//! platform to full capacity and any simulation drains.
+//! `mttr` (the standard M/M availability model). Every outage ends:
+//! expansion always emits the capacity-restore event even when it falls
+//! past the horizon, so a schedule's final step returns the platform to
+//! full capacity and any simulation drains.
 
 use crate::job::Job;
 use dynsched_simkit::{Rng, Time};
-use serde::{Deserialize, Serialize};
 
 /// Salt folded into the fault RNG so fault streams can never collide with
 /// workload-generation streams derived from the same master seed.
 const FAULT_STREAM_SALT: u64 = 0xFA17_5EED_0D15_A57E;
-
-/// One scheduled maintenance outage: `cores` nodes go offline over
-/// `[start, start + duration)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MaintenanceWindow {
-    /// Outage start time (seconds).
-    pub start: Time,
-    /// Outage duration (seconds).
-    pub duration: Time,
-    /// Number of cores taken offline.
-    pub cores: u32,
-}
 
 /// Declarative description of a platform's unreliability.
 ///
@@ -55,7 +39,7 @@ pub struct MaintenanceWindow {
 /// empty schedule leaves the engine bit-identical to a fault-free run —
 /// that is the zero-fault regression contract the `fault_bit_identity`
 /// suite pins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultProfile {
     /// Mean time between random node failures (seconds). Zero or
     /// non-finite disables random failures.
@@ -65,11 +49,6 @@ pub struct FaultProfile {
     pub mttr: Time,
     /// Cores taken offline by each random failure (a node/blade width).
     pub failure_cores: u32,
-    /// Scheduled maintenance outages.
-    pub maintenance: Vec<MaintenanceWindow>,
-    /// Drain lead-time (seconds): maintenance cores stop accepting work
-    /// this long *before* the window starts (clamped at time 0).
-    pub drain: Time,
     /// How many times a preempted job may be re-queued before the engine
     /// abandons it (reported as an [`AbandonedJob`]).
     pub max_retries: u32,
@@ -84,20 +63,18 @@ impl Default for FaultProfile {
 }
 
 impl FaultProfile {
-    /// The empty profile: no failures, no maintenance.
+    /// The empty profile: no failures.
     pub fn none() -> Self {
         Self {
             mtbf: 0.0,
             mttr: 0.0,
             failure_cores: 0,
-            maintenance: Vec::new(),
-            drain: 0.0,
             max_retries: 3,
             seed: 0,
         }
     }
 
-    /// A pure random-failure profile (no maintenance).
+    /// A random-failure profile.
     pub fn failures(mtbf: Time, mttr: Time, failure_cores: u32, seed: u64) -> Self {
         Self {
             mtbf,
@@ -120,12 +97,6 @@ impl FaultProfile {
         self
     }
 
-    /// Add a maintenance window.
-    pub fn with_maintenance(mut self, window: MaintenanceWindow) -> Self {
-        self.maintenance.push(window);
-        self
-    }
-
     /// Whether random failures are enabled.
     pub fn has_failures(&self) -> bool {
         self.mtbf > 0.0 && self.mtbf.is_finite() && self.failure_cores > 0
@@ -133,7 +104,7 @@ impl FaultProfile {
 
     /// Whether this profile produces no outages at all.
     pub fn is_empty(&self) -> bool {
-        !self.has_failures() && self.maintenance.iter().all(|w| w.cores == 0)
+        !self.has_failures()
     }
 
     /// Expand into the concrete capacity-step schedule for one run.
@@ -146,8 +117,7 @@ impl FaultProfile {
     /// non-empty schedule restores full capacity.
     ///
     /// # Panics
-    /// Panics if `horizon` is NaN or any maintenance window has a
-    /// non-finite start/duration (NaN timestamps would corrupt the
+    /// Panics if `horizon` is NaN (NaN timestamps would corrupt the
     /// engine's event order).
     pub fn expand(
         &self,
@@ -174,19 +144,6 @@ impl FaultProfile {
                 deltas.push((t, self.failure_cores as i64));
                 deltas.push((t + repair, -(self.failure_cores as i64)));
             }
-        }
-        for w in &self.maintenance {
-            assert!(
-                w.start.is_finite() && w.duration.is_finite(),
-                "maintenance window times must be finite"
-            );
-            if w.cores == 0 {
-                continue;
-            }
-            let down = (w.start - self.drain.max(0.0)).max(0.0);
-            let up = (w.start + w.duration.max(0.0)).max(down);
-            deltas.push((down, w.cores as i64));
-            deltas.push((up, -(w.cores as i64)));
         }
         deltas.sort_by(|a, b| a.0.total_cmp(&b.0));
 
@@ -217,7 +174,7 @@ impl FaultProfile {
 }
 
 /// One capacity change: from `time` on, `capacity` cores are online.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapacityStep {
     /// When the change takes effect (seconds).
     pub time: Time,
@@ -229,7 +186,7 @@ pub struct CapacityStep {
 /// the retry cap for preempted jobs. Produced by [`FaultProfile::expand`];
 /// the engine merges the steps into its event loop and treats the platform
 /// as holding full capacity before the first step and after the last.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AvailabilitySchedule {
     steps: Vec<CapacityStep>,
     max_retries: u32,
@@ -285,21 +242,12 @@ impl AvailabilitySchedule {
     pub fn is_empty(&self) -> bool {
         self.steps.is_empty()
     }
-
-    /// The lowest capacity the schedule ever drops to, given the
-    /// platform's `total_cores` baseline.
-    pub fn min_capacity(&self, total_cores: u32) -> u32 {
-        self.steps
-            .iter()
-            .map(|s| s.capacity)
-            .fold(total_cores, u32::min)
-    }
 }
 
 /// A job the engine gave up on: preempted more times than the schedule's
 /// retry cap allows. Reported alongside completions so no trace job is
 /// ever silently dropped — every job either completes or appears here.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AbandonedJob {
     /// The job as submitted.
     pub job: Job,
@@ -323,7 +271,6 @@ mod tests {
     fn empty_profile_expands_to_empty_schedule() {
         let s = FaultProfile::none().expand(256, 1e6, 0);
         assert!(s.is_empty());
-        assert_eq!(s.min_capacity(256), 256);
         assert!(FaultProfile::none().is_empty());
     }
 
@@ -352,52 +299,74 @@ mod tests {
             256,
             "the last step must restore full capacity"
         );
-        assert!(s.min_capacity(256) < 256);
     }
 
+    /// Steps recorded at the commit before PR 23, which deleted the
+    /// maintenance-window loop that followed the failure loop (times as
+    /// `f64` bits): same draws, same bits. The second case overlaps
+    /// failures past the platform (48 offline of 32).
     #[test]
-    fn overlapping_outages_clamp_to_zero_capacity() {
-        // 40 cores of maintenance on a 32-core platform: capacity clamps
-        // to 0 and still restores.
-        let p = FaultProfile::none()
-            .with_maintenance(MaintenanceWindow {
-                start: 100.0,
-                duration: 50.0,
-                cores: 25,
-            })
-            .with_maintenance(MaintenanceWindow {
-                start: 120.0,
-                duration: 50.0,
-                cores: 15,
-            });
-        let s = p.expand(32, 1000.0, 0);
-        assert_eq!(s.min_capacity(32), 0);
-        assert_eq!(s.steps().last().unwrap().capacity, 32);
-    }
-
-    #[test]
-    fn maintenance_drain_moves_the_drop_earlier() {
-        let window = MaintenanceWindow {
-            start: 1_000.0,
-            duration: 500.0,
-            cores: 4,
-        };
-        let mut p = FaultProfile::none().with_maintenance(window);
-        p.drain = 300.0;
-        let s = p.expand(16, 10_000.0, 0);
-        assert_eq!(
-            s.steps(),
-            &[
-                CapacityStep {
-                    time: 700.0,
-                    capacity: 12
-                },
-                CapacityStep {
-                    time: 1_500.0,
-                    capacity: 16
-                },
-            ]
-        );
+    fn failure_expansion_is_pinned_step_for_step() {
+        type Case = (FaultProfile, u32, Time, u64, &'static [(u64, u32)]);
+        let cases: [Case; 3] = [
+            (
+                FaultProfile::failures(10_000.0, 2_000.0, 8, 42),
+                256,
+                5e4,
+                3,
+                &[
+                    (0x40bb023307c99736, 248),
+                    (0x40c00d5ded972e2f, 256),
+                    (0x40c36bf8061a8660, 248),
+                    (0x40c43cfcc30cfb04, 256),
+                    (0x40e032f8a538f5f5, 248),
+                    (0x40e0f845e56c7765, 256),
+                    (0x40e2d6a0eb346869, 248),
+                    (0x40e61ec2c2e4d6d6, 256),
+                ],
+            ),
+            (
+                FaultProfile::failures(1_000.0, 3_000.0, 24, 7),
+                32,
+                6e3,
+                0,
+                &[
+                    (0x407ccaaf27216d74, 8),
+                    (0x40811ea3d4cb30db, 0),
+                    (0x40ad9ff8bbc16053, 8),
+                    (0x40ae05d3a792237c, 0),
+                    (0x40c43bb97944a2a0, 8),
+                    (0x40c5a0f17cee27cb, 32),
+                ],
+            ),
+            (
+                FaultProfile::failures(2_500.0, 400.0, 4, 0xD15EA5E),
+                64,
+                1e4,
+                17,
+                &[
+                    (0x40a6a886f0f833d5, 60),
+                    (0x40ae5364ce57531e, 64),
+                    (0x40b1b49821452bf8, 60),
+                    (0x40b428e2942edc33, 64),
+                    (0x40b8624f2a3be129, 60),
+                    (0x40ba41db296a567f, 64),
+                    (0x40be3c262c9336ae, 60),
+                    (0x40c029a57f9674b2, 64),
+                    (0x40c20c0941ae2b82, 60),
+                    (0x40c36a45cc580d87, 64),
+                ],
+            ),
+        ];
+        for (profile, total_cores, horizon, stream, expected) in cases {
+            let schedule = profile.expand(total_cores, horizon, stream);
+            let steps: Vec<(u64, u32)> = schedule
+                .steps()
+                .iter()
+                .map(|step| (step.time.to_bits(), step.capacity))
+                .collect();
+            assert_eq!(steps, expected, "seed {}", profile.seed);
+        }
     }
 
     #[test]

@@ -6,13 +6,12 @@
 //! requirement `n` (cores), and arrival time `s`.
 
 use dynsched_simkit::Time;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a job, unique within one workload/trace.
 pub type JobId = u32;
 
 /// A rigid parallel job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Job {
     /// Identifier, unique within its workload.
     pub id: JobId,
@@ -65,7 +64,7 @@ impl Job {
 }
 
 /// Outcome of one job's simulated execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompletedJob {
     /// The job that ran.
     pub job: Job,
@@ -79,11 +78,6 @@ impl CompletedJob {
     /// Waiting time `w = start - submit`.
     pub fn wait(&self) -> Time {
         self.start - self.job.submit
-    }
-
-    /// Flow (turnaround) time `w + r`.
-    pub fn flow(&self) -> Time {
-        self.finish - self.job.submit
     }
 
     /// Time the job actually occupied the machine. Equals `job.runtime`
@@ -176,7 +170,6 @@ mod tests {
     fn completed_job_accessors() {
         let c = completed(5.0, 15.0, 20.0);
         assert_eq!(c.wait(), 10.0);
-        assert_eq!(c.flow(), 30.0);
         assert!((c.bounded_slowdown(10.0) - 1.5).abs() < 1e-12);
     }
 

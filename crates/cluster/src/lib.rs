@@ -11,9 +11,8 @@
 //!
 //! The [`availability`] module relaxes the always-up assumption: a
 //! [`FaultProfile`] describes node failures (exponential MTBF/MTTR) and
-//! maintenance windows, and expands deterministically into an
-//! [`AvailabilitySchedule`] of capacity steps that both ledgers can follow
-//! via their `set_capacity` methods.
+//! expands deterministically into an [`AvailabilitySchedule`] of capacity
+//! steps that both ledgers can follow via their `set_capacity` methods.
 
 #![warn(missing_docs)]
 
@@ -21,8 +20,6 @@ pub mod availability;
 pub mod job;
 pub mod platform;
 
-pub use availability::{
-    AbandonedJob, AvailabilitySchedule, CapacityStep, FaultProfile, MaintenanceWindow,
-};
+pub use availability::{AbandonedJob, AvailabilitySchedule, CapacityStep, FaultProfile};
 pub use job::{average_bounded_slowdown, bounded_slowdown, CompletedJob, Job, JobId, DEFAULT_TAU};
 pub use platform::{AllocationLedger, CoreLedger, LedgerError, Platform};

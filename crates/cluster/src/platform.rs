@@ -8,11 +8,10 @@
 
 use crate::job::JobId;
 use dynsched_simkit::Time;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Static description of a homogeneous cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Platform {
     /// Total number of cores (`nmax`).
     pub total_cores: u32,
@@ -26,11 +25,6 @@ impl Platform {
     pub fn new(total_cores: u32) -> Self {
         assert!(total_cores > 0, "a platform needs at least one core");
         Self { total_cores }
-    }
-
-    /// The 256-core platform used in the paper's training simulations.
-    pub fn paper_training() -> Self {
-        Self::new(256)
     }
 }
 
@@ -146,16 +140,6 @@ impl AllocationLedger {
     /// Whether `cores` could be allocated right now.
     pub fn fits(&self, cores: u32) -> bool {
         cores <= self.available()
-    }
-
-    /// Number of jobs currently holding cores.
-    pub fn running_jobs(&self) -> usize {
-        self.holdings.len()
-    }
-
-    /// Cores held by `job`, if it is running.
-    pub fn holding(&self, job: JobId) -> Option<u32> {
-        self.holdings.get(&job).copied()
     }
 
     /// Advance the utilization integral to time `now`. Must be called with
@@ -392,10 +376,8 @@ mod tests {
         assert!(l.fits(16));
         l.allocate(1, 10, 0.0).unwrap();
         assert_eq!(l.available(), 6);
-        assert_eq!(l.holding(1), Some(10));
         assert_eq!(l.release(1, 5.0).unwrap(), 10);
         assert_eq!(l.available(), 16);
-        assert_eq!(l.running_jobs(), 0);
     }
 
     #[test]

@@ -10,10 +10,9 @@ use crate::trials::{trial_scores_batched, TrialBatch, TrialSpec};
 use crate::tuples::TaskTuple;
 use dynsched_simkit::stats::std_dev_population;
 use dynsched_simkit::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One point of the convergence curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvergencePoint {
     /// Number of trials per repetition.
     pub trials: usize,

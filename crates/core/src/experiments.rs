@@ -13,7 +13,6 @@ use dynsched_scheduler::{SchedulerConfig, SimMetrics};
 use dynsched_simkit::parallel::PoolError;
 use dynsched_simkit::stats::{mean, median, std_dev, BoxplotSummary};
 use dynsched_workload::{Trace, TraceView};
-use serde::{Deserialize, Serialize};
 
 /// One fully-specified experiment: sequences + scheduler configuration.
 ///
@@ -74,7 +73,7 @@ impl Experiment {
 }
 
 /// Per-policy outcome across all sequences.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyOutcome {
     /// Policy display name.
     pub policy: String,
@@ -99,7 +98,7 @@ pub struct PolicyOutcome {
 }
 
 /// Result of one experiment across a policy line-up.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentResult {
     /// Experiment display name.
     pub name: String,

@@ -21,10 +21,9 @@ use dynsched_mlreg::{fit_all, top_policies, EnumerateOptions, FitResult, Trainin
 use dynsched_policies::{baseline_lineup, LearnedPolicy, Policy};
 use dynsched_simkit::Rng;
 use dynsched_workload::LublinModel;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a full training run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainingConfig {
     /// Tuple shape (|S|, |Q|, start-offset range).
     pub tuple_spec: TupleSpec,

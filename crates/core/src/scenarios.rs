@@ -63,10 +63,9 @@ use dynsched_workload::{
     extract_sequences, ArchivePlatform, LublinModel, ScenarioFamily, ScenarioParams,
     ScenarioRegistry, SequenceSpec, Trace, TraceKey, TraceStore, TsafrirEstimates,
 };
-use serde::{Deserialize, Serialize};
 
 /// The three evaluation conditions of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Condition {
     /// Decisions on actual runtimes `r`, no backfilling (§4.2.1/§4.3.1).
     ActualRuntimes,
@@ -107,7 +106,7 @@ impl Condition {
 }
 
 /// Protocol scale: the paper's is ten 15-day sequences.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioScale {
     /// Sequence extraction protocol.
     pub spec: SequenceSpec,

@@ -12,10 +12,9 @@ use dynsched_policies::Policy;
 use dynsched_scheduler::SchedulerConfig;
 use dynsched_workload::transform::scale_load;
 use dynsched_workload::Trace;
-use serde::{Deserialize, Serialize};
 
 /// One load point of a sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadPoint {
     /// Offered load of the rescaled sequences (area / capacity·span).
     pub offered_load: f64,

@@ -45,10 +45,9 @@ use dynsched_scheduler::{Checkpoint, QueueDiscipline, SchedulerConfig, SimWorksp
 use dynsched_simkit::parallel::run_scoped;
 use dynsched_simkit::Rng;
 use dynsched_workload::{Trace, TraceView};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a trial run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrialSpec {
     /// Number of random permutations to simulate (paper: 256 000).
     pub trials: usize,
@@ -79,7 +78,7 @@ impl TrialSpec {
 }
 
 /// The per-task score distribution of one tuple.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrialScores {
     /// `scores[k]` is Eq. 3 for the `k`-th task of `Q`.
     pub scores: Vec<f64>,

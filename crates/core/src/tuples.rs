@@ -14,10 +14,9 @@
 use dynsched_cluster::{Job, JobId};
 use dynsched_simkit::Rng;
 use dynsched_workload::LublinModel;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of tuple generation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TupleSpec {
     /// Size of the warmup set `S` (paper: 16).
     pub s_size: usize,
@@ -40,7 +39,7 @@ impl Default for TupleSpec {
 
 /// One `(S, Q)` tuple. Ids are assigned `0..s_size` to `S` and
 /// `s_size..s_size+q_size` to `Q`, so id membership is trivially checkable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskTuple {
     /// Warmup tasks, all submitted at the tuple's start instant.
     pub s_tasks: Vec<Job>,
@@ -86,11 +85,6 @@ impl TaskTuple {
     pub fn is_q_task(&self, id: JobId) -> bool {
         (id as usize) >= self.s_tasks.len()
     }
-
-    /// The job id of the `k`-th task of `Q`.
-    pub fn q_id(&self, k: usize) -> JobId {
-        self.q_tasks[k].id
-    }
 }
 
 #[cfg(test)]
@@ -134,9 +128,8 @@ mod tests {
         for s in &t.s_tasks {
             assert!(!t.is_q_task(s.id));
         }
-        for (k, q) in t.q_tasks.iter().enumerate() {
+        for q in &t.q_tasks {
             assert!(t.is_q_task(q.id));
-            assert_eq!(t.q_id(k), q.id);
         }
     }
 

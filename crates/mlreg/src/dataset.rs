@@ -7,11 +7,10 @@
 //! weighting (`w = r·n`) used by the regression.
 
 use dynsched_policies::learned::BaseFunc;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// One scheduling-behaviour observation of one task.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Observation {
     /// Processing time `r` (seconds).
     pub runtime: f64,
@@ -32,7 +31,7 @@ impl Observation {
 }
 
 /// A collection of observations (the pooled `score(r,n,s)` distribution).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TrainingSet {
     observations: Vec<Observation>,
 }

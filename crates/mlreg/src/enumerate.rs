@@ -55,7 +55,6 @@ use crate::dataset::{FeatureTable, TrainingSet};
 use crate::lm::{levenberg_marquardt_scoped, LmOptions, LmOutcome, LmWorkspace};
 use dynsched_policies::learned::{LearnedPolicy, NonlinearFunction, OpKind};
 use dynsched_simkit::parallel::par_map_scoped;
-use serde::{Deserialize, Serialize};
 
 /// Options for the enumeration run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,7 +82,7 @@ impl Default for EnumerateOptions {
 }
 
 /// A fitted family member with its Eq. 5 fitness.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FitResult {
     /// The function, with fitted coefficients.
     pub function: NonlinearFunction,

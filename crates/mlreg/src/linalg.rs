@@ -311,11 +311,6 @@ pub fn normal_equations(columns: &[f64], r: &[f64], gram: &mut Matrix, gradient:
     }
 }
 
-/// Euclidean norm of a vector.
-pub fn norm2(v: &[f64]) -> f64 {
-    v.iter().map(|x| x * x).sum::<f64>().sqrt()
-}
-
 /// Dot product.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len());
@@ -401,8 +396,7 @@ mod tests {
     }
 
     #[test]
-    fn norms_and_dots() {
-        assert_eq!(norm2(&[3.0, 4.0]), 5.0);
+    fn dot_products() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
     }
 

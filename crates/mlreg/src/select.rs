@@ -13,10 +13,9 @@ use crate::dataset::TrainingSet;
 use crate::enumerate::FitResult;
 use crate::linalg::{solve, Matrix};
 use dynsched_policies::NonlinearFunction;
-use serde::{Deserialize, Serialize};
 
 /// Coefficient-level diagnostics of one fitted function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoefficientDiagnostics {
     /// The fitted coefficients `[c1, c2, c3]`.
     pub coefficients: [f64; 3],

@@ -7,10 +7,9 @@
 
 use crate::dataset::TrainingSet;
 use dynsched_policies::NonlinearFunction;
-use serde::{Deserialize, Serialize};
 
 /// Goodness-of-fit summary of a function on a dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitStats {
     /// Mean absolute error (the paper's Eq. 5 "rank").
     pub mae: f64,

@@ -28,11 +28,10 @@
 
 use crate::policy::Policy;
 use crate::task_view::TaskView;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Task variables available to expressions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Var {
     /// Processing time (`r` or `e` depending on the scheduler's mode).
     R,
@@ -67,7 +66,7 @@ impl Var {
 /// `log(...)` parses to `Log10`, prints as `log10(...)`, and parses back
 /// to the same AST — printing is a fixed point even when the source used
 /// the alias.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Func {
     /// `log10(max(x, 1))`
     Log10,
@@ -147,7 +146,7 @@ impl Func {
 }
 
 /// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinOp {
     /// Addition.
     Add,
@@ -210,7 +209,7 @@ impl BinOp {
 }
 
 /// Expression AST.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Numeric literal.
     Const(f64),
@@ -500,7 +499,7 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
 }
 
 /// A policy defined by a parsed expression.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExprPolicy {
     name: String,
     expr: Expr,

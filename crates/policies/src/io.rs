@@ -49,8 +49,9 @@ impl From<(usize, ParseError)> for PolicyFileError {
 }
 
 /// Parse a policy file into named expression policies, preserving order.
+/// A name may be defined once.
 pub fn load_policies(input: &str) -> Result<Vec<ExprPolicy>, PolicyFileError> {
-    let mut out = Vec::new();
+    let mut out: Vec<ExprPolicy> = Vec::new();
     for (lineno, raw) in input.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -67,6 +68,13 @@ pub fn load_policies(input: &str) -> Result<Vec<ExprPolicy>, PolicyFileError> {
             return Err(PolicyFileError {
                 line: lineno + 1,
                 message: "empty policy name".to_string(),
+            });
+        }
+        // Every consumer looks a policy up by name and would reach only the first.
+        if out.iter().any(|p| p.name() == name) {
+            return Err(PolicyFileError {
+                line: lineno + 1,
+                message: format!("policy name `{name}` is already defined"),
             });
         }
         let policy = ExprPolicy::parse(name, source.trim())
@@ -178,6 +186,9 @@ mine = w / (r + 1)
         assert!(err.message.contains("empty policy name"));
         let err = load_policies("x = bogus(r)\n").unwrap_err();
         assert!(err.message.contains("bogus"));
+        let err = load_policies("# two\nx = r\ny = n\nx = s\n").unwrap_err();
+        assert_eq!(err.line, 4);
+        assert!(err.message.contains("`x` is already defined"));
     }
 
     #[test]

@@ -18,10 +18,9 @@
 
 use crate::policy::Policy;
 use crate::task_view::TaskView;
-use serde::{Deserialize, Serialize};
 
 /// Base functions of the paper's Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BaseFunc {
     /// `id(x) = x`
     Id,
@@ -83,7 +82,7 @@ impl BaseFunc {
 }
 
 /// The two binary operator slots of the family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Sum.
     Add,
@@ -132,7 +131,7 @@ impl OpKind {
 
 /// One member of the hypothesis space: base functions, operators, and the
 /// three fitted coefficients.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NonlinearFunction {
     /// Base function applied to the processing time `r`.
     pub alpha: BaseFunc,
@@ -336,7 +335,7 @@ impl std::fmt::Display for NonlinearFunction {
 }
 
 /// A learned nonlinear function used as a queue-ordering policy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LearnedPolicy {
     name: String,
     function: NonlinearFunction,

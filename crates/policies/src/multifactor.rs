@@ -12,11 +12,10 @@
 
 use crate::policy::Policy;
 use crate::task_view::TaskView;
-use serde::{Deserialize, Serialize};
 
 /// Weights of the multifactor priority. All factors are normalized to
 /// `[0, 1]`; a higher weighted sum means higher priority (runs earlier).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiFactorWeights {
     /// Weight of the age factor (`wait / max_age`, capped at 1): rewards
     /// long-waiting jobs — the anti-starvation term.
@@ -42,7 +41,7 @@ impl Default for MultiFactorWeights {
 }
 
 /// Normalization scales for the factors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiFactorScales {
     /// Wait time at which the age factor saturates (SLURM's
     /// `PriorityMaxAge`, commonly 7 days).
@@ -64,7 +63,7 @@ impl Default for MultiFactorScales {
 }
 
 /// The multifactor policy: `score = -(w_age·age + w_size·size + w_short·short)`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MultiFactor {
     /// Factor weights.
     pub weights: MultiFactorWeights,

@@ -9,10 +9,8 @@
 //! policies can never peek at simulation internals (like the actual runtime
 //! in estimate mode).
 
-use serde::{Deserialize, Serialize};
-
 /// Which processing time the scheduler exposes to policies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionMode {
     /// Decisions use the actual runtime `r` (§4.2.1; an oracle setting).
     ActualRuntime,
@@ -21,7 +19,7 @@ pub enum DecisionMode {
 }
 
 /// A policy's view of one queued task at a rescheduling event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskView {
     /// Processing time the policy may use (`r` or `e` per [`DecisionMode`]).
     pub processing_time: f64,

@@ -2,10 +2,9 @@
 
 use dynsched_cluster::Platform;
 use dynsched_policies::DecisionMode;
-use serde::{Deserialize, Serialize};
 
 /// Which backfilling algorithm runs after the strict policy pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackfillMode {
     /// No backfilling: if the highest-priority task does not fit, the
     /// scheduler waits (§4.2's base setting).
@@ -21,7 +20,7 @@ pub enum BackfillMode {
 }
 
 /// Full configuration of one simulated scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerConfig {
     /// The simulated platform.
     pub platform: Platform,

@@ -163,11 +163,6 @@ impl<'a> FederationSpec<'a> {
             router,
         }
     }
-
-    /// Number of clusters.
-    pub fn shard_count(&self) -> usize {
-        self.clusters.len()
-    }
 }
 
 /// Outcome of the routing pre-pass: the shard of every trace position,
@@ -566,11 +561,6 @@ pub struct FederationResult {
 }
 
 impl FederationResult {
-    /// Number of clusters.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Jobs routed to each shard.
     pub fn jobs_per_shard(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.shards.len()];

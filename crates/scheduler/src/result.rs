@@ -1,11 +1,10 @@
 //! Outcome of one simulated schedule.
 
 use dynsched_cluster::{average_bounded_slowdown, AbandonedJob, CompletedJob, JobId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Everything the evaluation harness needs from one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationResult {
     /// Completed jobs, in completion order.
     pub completed: Vec<CompletedJob>,
@@ -63,14 +62,6 @@ impl SimulationResult {
                 / self.completed.len() as f64,
         )
     }
-
-    /// Maximum waiting time over completed jobs (`None` if empty).
-    pub fn max_wait(&self) -> Option<f64> {
-        self.completed
-            .iter()
-            .map(CompletedJob::wait)
-            .fold(None, |acc, w| Some(acc.map_or(w, |a: f64| a.max(w))))
-    }
 }
 
 /// Streaming reduction of one simulation run: everything the evaluation
@@ -84,7 +75,7 @@ impl SimulationResult {
 /// result and reducing it afterwards ([`SimMetrics::from_result`] is that
 /// reduction, and the determinism suite diffs the two). τ is fixed at
 /// construction because the bounded-slowdown sum depends on it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimMetrics {
     /// Bounded-slowdown threshold the sum was accumulated under.
     pub tau: f64,
@@ -197,7 +188,6 @@ mod tests {
     fn wait_stats() {
         let r = result();
         assert_eq!(r.mean_wait(), Some(50.0));
-        assert_eq!(r.max_wait(), Some(100.0));
     }
 
     #[test]

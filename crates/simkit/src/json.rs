@@ -1,10 +1,10 @@
 //! Hand-rolled JSON with exact-bit `f64` round-tripping.
 //!
-//! The build environment has no crates.io access and the in-tree `serde`
-//! shim is a deliberate no-op, so durable state (run checkpoints, learned
-//! policy exports) needs a serializer of its own. This module provides a
-//! small JSON value model, a serializer and a parser — no dependencies —
-//! with one extension that makes it fit the repo's bit-identity religion:
+//! The build environment has no crates.io access, so durable state (run
+//! checkpoints, learned policy exports) needs a serializer of its own.
+//! This module provides a small JSON value model, a serializer and a
+//! parser — no dependencies — with one extension that makes it fit the
+//! repo's bit-identity religion:
 //!
 //! **Every `f64` is emitted as `<decimal>$<hex16>`**, e.g. `0.1$3fb999999999999a`,
 //! where the 16 hex digits are [`f64::to_bits`]. On parse the hex bits are

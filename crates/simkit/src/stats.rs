@@ -4,8 +4,6 @@
 //! five-number summaries (median, quartiles, whiskers at 1.5×IQR, outliers)
 //! of the average bounded slowdown across experiment repetitions.
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean. Returns `None` for an empty slice.
 pub fn mean(xs: &[f64]) -> Option<f64> {
     if xs.is_empty() {
@@ -73,7 +71,7 @@ pub fn median(xs: &[f64]) -> Option<f64> {
 /// (the one used by the paper's figures): whiskers extend to the most
 /// extreme data point within 1.5×IQR of the box; everything beyond is an
 /// outlier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoxplotSummary {
     /// First quartile (25th percentile).
     pub q1: f64,

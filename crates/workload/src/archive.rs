@@ -25,10 +25,9 @@ use crate::store::TraceKey;
 use crate::trace::Trace;
 use crate::tsafrir::TsafrirEstimates;
 use dynsched_simkit::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Published characteristics of one archive platform (the paper's Table 5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArchivePlatform {
     /// Platform name as used in the paper.
     pub name: &'static str,

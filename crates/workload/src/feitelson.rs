@@ -17,10 +17,9 @@ use crate::trace::Trace;
 use dynsched_cluster::Job;
 use dynsched_simkit::dist::{Exponential, Sample};
 use dynsched_simkit::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the Feitelson'96-style generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeitelsonModel {
     /// Platform width.
     pub max_cores: u32,

@@ -65,11 +65,6 @@ impl JobLanes {
         &self.values[i * self.slots..(i + 1) * self.slots]
     }
 
-    /// Row `i` as a mutable slice (empty when `slots` is 0).
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.values[i * self.slots..(i + 1) * self.slots]
-    }
-
     /// The whole block as one flat row-major slice.
     pub fn values(&self) -> &[f64] {
         &self.values
@@ -83,9 +78,12 @@ mod tests {
     #[test]
     fn rows_are_strided_views() {
         let mut lanes = JobLanes::new();
-        lanes.reset(3, 2);
+        lanes.fill(3, 2, |i, row| {
+            if i == 1 {
+                row.copy_from_slice(&[4.0, 5.0]);
+            }
+        });
         assert_eq!((lanes.jobs(), lanes.slots()), (3, 2));
-        lanes.row_mut(1).copy_from_slice(&[4.0, 5.0]);
         assert_eq!(lanes.row(0), &[0.0, 0.0]);
         assert_eq!(lanes.row(1), &[4.0, 5.0]);
         assert_eq!(lanes.values(), &[0.0, 0.0, 4.0, 5.0, 0.0, 0.0]);
@@ -94,8 +92,7 @@ mod tests {
     #[test]
     fn reset_clears_and_reshapes_without_stale_values() {
         let mut lanes = JobLanes::new();
-        lanes.reset(2, 3);
-        lanes.row_mut(1).copy_from_slice(&[1.0, 2.0, 3.0]);
+        lanes.fill(2, 3, |_, row| row.copy_from_slice(&[1.0, 2.0, 3.0]));
         lanes.reset(3, 2);
         assert_eq!((lanes.jobs(), lanes.slots()), (3, 2));
         assert!(lanes.values().iter().all(|&v| v == 0.0));

@@ -45,7 +45,6 @@ use crate::trace::Trace;
 use dynsched_cluster::Job;
 use dynsched_simkit::dist::{Gamma, Sample, TwoStageUniform};
 use dynsched_simkit::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Hour-of-day arrival weights (mean 1.0 after normalization): quiet nights,
 /// a morning ramp, and a broad working-hours plateau — the qualitative shape
@@ -64,7 +63,7 @@ const PROBE_JOBS: usize = 30_000;
 const PROBE_ROUNDS: usize = 3;
 
 /// Configuration of the Lublin–Feitelson generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LublinModel {
     /// Platform size; `uhi = log2(max_cores)`.
     pub max_cores: u32,
@@ -254,28 +253,6 @@ impl LublinModel {
         Trace::from_jobs(jobs)
     }
 
-    /// Empirical mean job area (core-seconds), estimated from `samples`
-    /// draws. Used for load calibration.
-    pub fn mean_area(&self, samples: usize, rng: &mut Rng) -> f64 {
-        let total: f64 = (0..samples)
-            .map(|_| {
-                let (r, n) = self.sample_shape(rng);
-                r * n as f64
-            })
-            .sum();
-        total / samples as f64
-    }
-
-    /// Empirical mean inter-arrival gap (seconds) under the current
-    /// `arrival_scale`, daily cycle included.
-    pub fn mean_gap(&self, samples: usize, rng: &mut Rng) -> f64 {
-        let mut now = 0.0;
-        for _ in 0..samples {
-            now = self.next_arrival(now, rng);
-        }
-        now / samples as f64
-    }
-
     /// Return a copy whose `arrival_scale` is calibrated so the offered load
     /// (mean area / (capacity × mean gap)) approximates `target_load`.
     ///
@@ -460,11 +437,13 @@ mod tests {
         let mut m = LublinModel::new(256);
         m.daily_cycle = false;
         m.max_gap = f64::INFINITY; // the cap truncates scales differently
-        let mut rng = Rng::new(9);
-        let base = m.mean_gap(20_000, &mut rng);
+        let mean_gap = |m: &LublinModel| {
+            let mut rng = Rng::new(9);
+            (0..20_000).fold(0.0, |now, _| m.next_arrival(now, &mut rng)) / 20_000.0
+        };
+        let base = mean_gap(&m);
         m.arrival_scale = 0.5;
-        let mut rng = Rng::new(9);
-        let halved = m.mean_gap(20_000, &mut rng);
+        let halved = mean_gap(&m);
         assert!(
             (halved / base - 0.5).abs() < 0.02,
             "ratio {}",

@@ -60,12 +60,6 @@ impl<'a, T: TraceSource> TraceSlice<'a, T> {
     pub fn positions(&self) -> &'a [u32] {
         self.positions
     }
-
-    /// Parent trace position backing slice position `i`.
-    #[inline]
-    pub fn parent_position(&self, i: usize) -> usize {
-        self.positions[i] as usize
-    }
 }
 
 impl<T: TraceSource> TraceSource for TraceSlice<'_, T> {
@@ -130,7 +124,6 @@ mod tests {
             assert_eq!(s.estimate(i), t.estimate(p as usize));
             assert_eq!(s.cores(i), t.cores(p as usize));
             assert_eq!(s.job(i), t.job(p as usize));
-            assert_eq!(s.parent_position(i), p as usize);
         }
     }
 

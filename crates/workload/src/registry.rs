@@ -4,14 +4,13 @@
 //! The paper evaluates on exactly two workload shapes (the Lublin model
 //! and archive stand-ins). Everything else the harness can express —
 //! heavy-tailed runtimes, bursty arrivals, exaggerated diurnal cycles, the
-//! structurally different Feitelson'96 mix, replay windows of real SWF
-//! logs — lives here as a [`ScenarioFamily`]: a named, seeded, parameterized
-//! generator that any evaluation entry point (experiment grids, load
-//! sweeps, the full-run pipeline, the `dynsched scenarios` CLI) can
-//! reference *by name*. Families build through the
-//! [`TraceStore`], so two entry points naming the same
-//! `(family, params, seed)` share one build — the same interning contract
-//! the Table-4 grid uses.
+//! structurally different Feitelson'96 mix — lives here as a
+//! [`ScenarioFamily`]: a named, seeded, parameterized generator that any
+//! evaluation entry point (experiment grids, load sweeps, the full-run
+//! pipeline, the `dynsched scenarios` CLI) can reference *by name*.
+//! Families build through the [`TraceStore`], so two entry points naming
+//! the same `(family, params, seed)` share one build — the same interning
+//! contract the Table-4 grid uses.
 
 use crate::feitelson::FeitelsonModel;
 use crate::lublin::LublinModel;
@@ -87,7 +86,7 @@ pub struct ScenarioFamily {
     description: String,
     /// Distinguishes families that share a name but capture different
     /// state in their build closure (a replaced registry entry, two
-    /// `swf_replay` families over different logs): the salt joins the
+    /// replay families over different logs): the salt joins the
     /// interning key, so such families never serve each other's cached
     /// traces. Plain `custom` closures default to 0; closures capturing
     /// data should set a content-derived salt (see
@@ -148,31 +147,6 @@ impl ScenarioFamily {
     /// The fault profile attached to this family, if any.
     pub fn fault_profile(&self) -> Option<&FaultProfile> {
         self.fault.as_ref()
-    }
-
-    /// A replay family over a real (or pre-parsed) SWF trace: each seed
-    /// selects a deterministic `span_days` window of the log, capped to the
-    /// platform width and rebased to start at 0. The key salt is a
-    /// fingerprint of the log's jobs, so two replay families sharing a
-    /// name but wrapping different logs never share store entries.
-    pub fn swf_replay(name: impl Into<String>, source: Trace) -> Self {
-        let name = name.into();
-        let description = format!("replay windows of an SWF log ({} jobs)", source.len());
-        let salt = trace_fingerprint(&source);
-        Self::custom(name, description, move |params, rng| {
-            let capped = source.capped_to(params.cores);
-            let span = capped.span();
-            let window = params.span_seconds().min(span);
-            let slack = (span - window).max(0.0);
-            let start = capped.start_time().unwrap_or(0.0)
-                + if slack > 0.0 {
-                    rng.range_f64(0.0, slack)
-                } else {
-                    0.0
-                };
-            capped.window(start, start + window).rebased(0.0)
-        })
-        .with_salt(salt)
     }
 
     /// The family's registry name.
@@ -397,24 +371,6 @@ impl ScenarioRegistry {
     }
 }
 
-/// Content fingerprint of a trace (FNV-1a over every job's exact field
-/// bits), used as the key salt of data-capturing families.
-fn trace_fingerprint(trace: &Trace) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |x: u64| {
-        h ^= x;
-        h = h.wrapping_mul(0x1_0000_0000_01b3);
-    };
-    for j in trace.jobs() {
-        mix(j.id as u64);
-        mix(j.submit.to_bits());
-        mix(j.runtime.to_bits());
-        mix(j.estimate.to_bits());
-        mix(j.cores as u64);
-    }
-    h
-}
-
 /// Tiny deterministic string hash (FNV-1a), used to give each family (and
 /// each archive platform) a distinct stream from the same user seed.
 pub(crate) fn fxhash(s: &str) -> u64 {
@@ -536,53 +492,17 @@ mod tests {
     }
 
     #[test]
-    fn swf_replay_windows_come_from_the_log() {
-        use dynsched_cluster::Job;
-        let log = Trace::from_jobs(
-            (0..500)
-                .map(|i| {
-                    Job::new(
-                        i,
-                        i as f64 * 600.0,
-                        30.0 + i as f64,
-                        60.0 + i as f64,
-                        1 + i % 8,
-                    )
-                })
-                .collect(),
-        );
-        let family = ScenarioFamily::swf_replay("ctc-replay", log.clone());
-        let p = ScenarioParams {
-            cores: 8,
-            span_days: 1.0,
-            target_load: 0.0,
-        };
-        let w = family.generate(&p, 2);
-        assert!(!w.is_empty());
-        assert_eq!(w.start_time(), Some(0.0), "windows are rebased");
-        assert!(w.span() <= 86_400.0 + 1e-6);
-        // Every (runtime, cores) shape exists in the source log.
-        for j in w.jobs() {
-            assert!(log
-                .jobs()
-                .iter()
-                .any(|l| l.runtime == j.runtime && l.cores == j.cores));
-        }
-        // Registered custom families are addressable by name.
-        let mut reg = ScenarioRegistry::builtin();
-        reg.register(family);
-        assert!(reg.get("ctc-replay").is_some());
-    }
-
-    #[test]
     fn same_named_families_over_different_data_never_share_entries() {
         use dynsched_cluster::Job;
-        let log = |runtime: f64| {
-            Trace::from_jobs(
+        // A data-capturing family salted by its data, as `custom` asks.
+        let replay = |runtime: f64| {
+            let log = Trace::from_jobs(
                 (0..50)
                     .map(|i| Job::new(i, i as f64 * 400.0, runtime, runtime, 1))
                     .collect(),
-            )
+            );
+            ScenarioFamily::custom("replay", "a captured log", move |_, _| log.clone())
+                .with_salt(runtime.to_bits())
         };
         let store = TraceStore::new();
         let p = ScenarioParams {
@@ -593,15 +513,15 @@ mod tests {
         // A registry whose "replay" entry is later replaced by a family
         // over a different log: the shared store must not serve the old
         // log's windows for the new family.
-        let a = ScenarioFamily::swf_replay("replay", log(30.0));
-        let b = ScenarioFamily::swf_replay("replay", log(900.0));
+        let a = replay(30.0);
+        let b = replay(900.0);
         let va = a.view(&store, &p, 1);
         let vb = b.view(&store, &p, 1);
         assert!(!va.shares_storage(&vb));
         assert_ne!(va, vb);
         assert_eq!(store.builds(), 2);
         // Identical data under the same name still interns once.
-        let a2 = ScenarioFamily::swf_replay("replay", log(30.0));
+        let a2 = replay(30.0);
         assert!(a2.view(&store, &p, 1).shares_storage(&va));
     }
 

@@ -7,10 +7,9 @@
 //! rebasing every sequence so its window starts at time 0.
 
 use crate::trace::Trace;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the sequence-extraction protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SequenceSpec {
     /// Number of disjoint sequences (paper: 10).
     pub count: usize,

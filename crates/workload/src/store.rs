@@ -37,8 +37,8 @@
 //! done *ahead* of the intern, outside the lock, and handed to it — the
 //! Table-4 grid calibrates its workloads on the pool that way — and the
 //! question "is this key worth preparing for?" is [`TraceStore::contains`]:
-//! it counts nothing, where [`TraceStore::get_set`] counts a hit like any
-//! other lookup that is served from the cache.
+//! it counts nothing, where a lookup that is served from the cache counts
+//! a hit.
 
 use crate::trace::{Trace, TraceSource};
 use dynsched_cluster::Job;
@@ -362,17 +362,6 @@ impl TraceStore {
         entries.contains_key(key)
     }
 
-    /// Read-only probe: look up `key` without building; `None` on a miss.
-    /// A hit counts in [`TraceStore::hits`].
-    pub fn get_set(&self, key: &TraceKey) -> Option<Arc<[TraceView]>> {
-        let entries = self.entries.lock().expect("trace store poisoned");
-        let found = entries.get(key).map(Arc::clone);
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
     /// Fallible-builder variant of [`TraceStore::get_or_build_set`]: a
     /// builder error propagates and nothing is interned, so a broken
     /// entry can never enter the cache. Same locking contract — `build`
@@ -502,17 +491,14 @@ mod tests {
     }
 
     #[test]
-    fn contains_counts_nothing_and_get_set_counts_a_hit() {
+    fn contains_counts_nothing() {
         let store = TraceStore::new();
         let key = TraceKey::new("lublin", 7).with_u64(64);
         assert!(!store.contains(&key));
-        assert!(store.get_set(&key).is_none());
         store.get_or_build(key.clone(), || trace(0));
         assert!(store.contains(&key));
         assert!(!store.contains(&TraceKey::new("lublin", 8).with_u64(64)));
         assert_eq!((store.builds(), store.hits()), (1, 0));
-        assert!(store.get_set(&key).is_some());
-        assert_eq!((store.builds(), store.hits()), (1, 1));
     }
 
     #[test]

@@ -19,14 +19,13 @@
 
 use crate::trace::Trace;
 use dynsched_cluster::Job;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::io::BufRead;
 use std::path::Path;
 
 /// One raw SWF record, all 18 fields. `-1` encodes "unknown" as per the
 /// format specification.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwfRecord {
     /// Field 1: job number.
     pub job_number: i64,
@@ -326,7 +325,7 @@ pub fn parse_swf_reader<R: BufRead>(
 
 /// Metadata from an SWF file's `;`-comment header. The archive's headers
 /// are `; Key: value` lines; unknown keys are preserved in `extra`.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SwfHeader {
     /// `Computer:` — machine description.
     pub computer: Option<String>,

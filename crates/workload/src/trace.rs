@@ -7,7 +7,6 @@
 //! by (platform capacity × mean inter-arrival).
 
 use dynsched_cluster::Job;
-use serde::{Deserialize, Serialize};
 
 /// Read access to a submit-sorted job sequence, independent of storage
 /// layout.
@@ -89,7 +88,7 @@ impl TraceSource for Trace {
 }
 
 /// A submit-time-ordered sequence of jobs.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
     jobs: Vec<Job>,
 }
@@ -236,7 +235,7 @@ impl Trace {
 }
 
 /// Aggregate statistics of a trace relative to a platform size.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceSummary {
     /// Number of jobs.
     pub jobs: usize,

@@ -18,7 +18,6 @@
 use crate::trace::Trace;
 use dynsched_cluster::Job;
 use dynsched_simkit::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Canonical round estimate values, in seconds: 1–45 minutes, then round
 /// hour counts up to 3 days. This is the "menu" users pick walltimes from.
@@ -29,7 +28,7 @@ pub const ROUND_VALUES: [f64; 24] = [
 ];
 
 /// Configuration of the estimate generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TsafrirEstimates {
     /// Ascending menu of allowed estimate values (seconds).
     pub round_values: Vec<f64>,

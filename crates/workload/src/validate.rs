@@ -8,10 +8,9 @@
 //! archive community recommends running on every log.
 
 use crate::trace::Trace;
-use serde::{Deserialize, Serialize};
 
 /// Severity of a finding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
     /// The trace is unusable for scheduling experiments as-is.
     Error,
@@ -22,7 +21,7 @@ pub enum Severity {
 }
 
 /// One audit finding.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Finding {
     /// How serious it is.
     pub severity: Severity,
@@ -33,7 +32,7 @@ pub struct Finding {
 }
 
 /// Audit report for one trace against one platform width.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ValidationReport {
     /// All findings, errors first.
     pub findings: Vec<Finding>,
@@ -43,11 +42,6 @@ impl ValidationReport {
     /// Whether the trace can be simulated without preprocessing.
     pub fn is_usable(&self) -> bool {
         self.findings.iter().all(|f| f.severity != Severity::Error)
-    }
-
-    /// Findings of a given severity.
-    pub fn of_severity(&self, severity: Severity) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(move |f| f.severity == severity)
     }
 
     /// Render as a human-readable report.
@@ -188,7 +182,6 @@ mod tests {
         ]);
         let report = validate_trace(&t, 64);
         assert!(report.is_usable());
-        assert!(report.of_severity(Severity::Error).count() == 0);
         // Always carries the summary info line.
         assert!(report.findings.iter().any(|f| f.code == "summary"));
     }

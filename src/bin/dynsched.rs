@@ -64,8 +64,10 @@ mod spec {
         flag("--kill", Switch, "kill a job once it has run for its estimate"),
     ];
     /// `federate` and `scenarios`: `--mtbf` turns deterministic fault injection on, `FAULT` tunes.
-    const MTBF: FlagSpec = flag("--mtbf", SECONDS,
-        "inject node failures this many seconds apart on average, and print resilience counters");
+    // A run draws span / X failures into memory: `--mtbf 1e-7` ran until killed.
+    const MTBF: FlagSpec = flag("--mtbf", Real { min: 1.0, max: f64::INFINITY, open: false },
+        "inject node failures this many seconds apart on average (a run draws span / X of them, \
+         so at least one second), and print resilience counters");
     const FAULT: &[FlagSpec] = &[
         flag("--mttr", SECONDS, "seconds a failed node is down").default("3600").requires("--mtbf"),
         flag("--fault-cores", POSITIVE, "cores per failure (default: cores/8)").requires("--mtbf"),
@@ -888,6 +890,14 @@ mod tests {
                 }
             }
         }
+        // Regression: `--mtbf 1e-7` passed, and `FaultProfile::expand` drew
+        // span / 1e-7 failures into a `Vec` until the run was killed.
+        for err in [
+            parse_err(&spec::SCENARIOS, &["--eval", "--mtbf", "1e-7"]),
+            parse_err(&spec::FEDERATE, &["t.swf", "8", "--mtbf", "1e-7"]),
+        ] {
+            assert!(err.contains("--mtbf") && err.contains("[1, inf]"), "{err}");
+        }
         let err = cmd_federate(&args(&[
             "t.swf",
             "8",
@@ -1037,7 +1047,12 @@ mod tests {
             Kind::Cores { min } => vec![0.0, f64::from(min) - 1.0, 4_294_967_296.0],
             Kind::Count { min, max } => vec![min as f64 - 1.0, max as f64 + 1.0],
             Kind::Real { min, max, open } => {
-                vec![min - 1.0, max + 1.0, if open { min } else { f64::NAN }]
+                vec![
+                    min - 1.0,
+                    min - 1e-7,
+                    max + 1.0,
+                    if open { min } else { f64::NAN },
+                ]
             }
         };
         bad.extend(past.iter().map(f64::to_string));
