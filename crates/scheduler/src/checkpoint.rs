@@ -32,7 +32,8 @@
 //! blocked-head fact, the sorted release list, the narrowest-waiter width,
 //! the compiled batch-scoring input lanes, per-job start times, the core
 //! ledger (capacity state plus its busy/offline integrals), the
-//! completion prefix, the arrival cursor, and the event/backfill counters.
+//! completion prefix, the arrival cursor, and the event, backfill and
+//! conservative-pass counters.
 //! What it deliberately does *not* capture is state the engine rebuilds
 //! from scratch at every use — the availability profile and its release
 //! scratch (rebuilt from the release list at every backfilling pass), a

@@ -36,22 +36,6 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
             .rebuild_from_sorted(now, self.st.ledger.available(), rel);
     }
 
-    /// The earliest `(start, end, cores)` slot the profile admits for the
-    /// waiting job at queue position `qi`, sized by its decision-mode
-    /// runtime. `None` only under reduced capacity: the profile may then
-    /// have no slot wide enough at any horizon (the job must wait for a
-    /// restore the profile cannot see); with full capacity the width was
-    /// pre-checked, so a fit always exists.
-    fn earliest_slot(&self, qi: usize) -> Option<(f64, f64, u32)> {
-        let job = self.st.queue[qi].job;
-        let duration = self
-            .config
-            .decision_time(job.runtime, job.estimate)
-            .max(1e-9);
-        let start = self.scratch.profile.earliest_fit(job.cores, duration)?;
-        Some((start, start + duration, job.cores))
-    }
-
     /// One step of the EASY backfill scan: start the waiting job
     /// at queue position `qi` if it fits now and either ends (by its
     /// decision-mode runtime) by the head's `shadow` time or uses only
@@ -127,13 +111,36 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
             // Every job gets the earliest reservation that delays nobody
             // ahead of it; jobs reserved for *now* start.
             self.rebuild_profile(now);
-            for rank in 0..len {
+            // The walk ends at the last waiter narrow enough to start now
+            // (one exists: the pass was not entered starved). A wider one
+            // cannot start in this pass, and its reservation is only
+            // observable through a later waiter that could (`profile`
+            // module docs, *The early stop*).
+            let available = self.st.ledger.available();
+            let walk = (0..len)
+                .rposition(|rank| self.st.queue[self.ord(rank)].job.cores <= available)
+                .map_or(0, |last| last + 1);
+            let mut reserved = 0;
+            for rank in 0..walk {
                 let qi = self.ord(rank);
-                let Some((start, end, cores)) = self.earliest_slot(qi) else {
+                let job = self.st.queue[qi].job;
+                let duration = self
+                    .config
+                    .decision_time(job.runtime, job.estimate)
+                    .max(1e-9);
+                // `None` only under reduced capacity: the profile may then
+                // have no slot wide enough at any horizon (the job must
+                // wait for a restore the profile cannot see); with full
+                // capacity the width was pre-checked, so a fit always exists.
+                let Some(start) = self.scratch.profile.reserve_earliest(job.cores, duration) else {
                     continue;
                 };
-                self.scratch.profile.reserve(start, end, cores);
-                if start == now {
+                reserved += 1;
+                // The ledger has the last word: a reservation whose length
+                // the clock absorbed (`now + duration == now`) took nothing
+                // from the profile, whose level at `now` then overstates
+                // the free cores. Everywhere else the test is implied.
+                if start == now && self.st.ledger.fits(job.cores) {
                     self.start_job(qi, now)?;
                     any_started = true;
                     if rank > 0 {
@@ -147,6 +154,11 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
                     }
                 }
             }
+            let stats = &mut self.st.conservative;
+            stats.passes += 1;
+            stats.queued += len as u64;
+            stats.reserved += reserved;
+            stats.passes_started += u64::from(any_started);
         } else {
             // Strict pass: start in priority order, stop at the first task
             // that does not fit (§4.2: "the scheduler waits"). `blocked` is

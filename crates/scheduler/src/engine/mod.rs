@@ -111,10 +111,16 @@
 //!   the next pass that runs. The engine keeps that width
 //!   (`SimState::narrowest`: lowered at enqueue, recomputed over the
 //!   survivors by a pass that started anything) and returns before the
-//!   re-score, the profile rebuild and the reservations. The conservative
-//!   loop stops on the same test once its starts have used the free cores
-//!   up: a reservation that does not start now is only observable through
-//!   a later job that could. Within a pass the width may be stale — too
+//!   re-score, the profile rebuild and the reservations. A conservative
+//!   pass that does run applies the same fact per waiter: its walk ends
+//!   at the last waiter, in priority order, no wider than the cores free
+//!   at entry — a wider one cannot be reserved for *now*, and a
+//!   reservation that does not start now is only observable through a
+//!   later job that could ([`crate::profile`], *The early stop*) — and
+//!   stops sooner, on the gate's own test, once its starts have used the
+//!   free cores up. [`ConservativeStats`] counts what that leaves: passes
+//!   entered, waiters queued, waiters reserved, passes that started a
+//!   job. Within a pass the width may be stale — too
 //!   *low*, after a waiter of that width started — which only makes the
 //!   test fire later than it could, never wrongly: every remaining
 //!   waiter is at least that wide. The width is tracked exactly where the
@@ -405,6 +411,23 @@ impl CompletionSink for SimMetrics {
     fn record(&mut self, c: CompletedJob) {
         self.push(&c);
     }
+}
+
+/// Work counts of a run's conservative-backfilling passes
+/// ([`SimWorkspace::conservative_stats`]): deterministic, and all zero
+/// under any other [`BackfillMode`](crate::BackfillMode). A pass the
+/// narrowest-waiter gate skipped was not entered and counts nowhere.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ConservativeStats {
+    /// Passes that built a profile and walked the queue.
+    pub passes: u64,
+    /// Waiters queued when a pass was entered, summed over the passes.
+    pub queued: u64,
+    /// Waiters a pass found a slot for and reserved it — the walk stops at
+    /// the last one narrow enough to start now, so at most `queued`.
+    pub reserved: u64,
+    /// Passes that started at least one job.
+    pub passes_started: u64,
 }
 
 /// One running job's expected release, kept sorted by

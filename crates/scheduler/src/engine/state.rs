@@ -9,7 +9,7 @@
 //! at every use goes in [`Scratch`] and is not, and state only the faulty
 //! engine writes goes in [`FaultState`] (checkpointing is zero-fault).
 
-use super::{Completion, QueueEntry, Release};
+use super::{Completion, ConservativeStats, QueueEntry, Release};
 use crate::profile::Profile;
 use dynsched_cluster::{AbandonedJob, CoreLedger, Platform};
 use dynsched_policies::BatchScratch;
@@ -70,6 +70,8 @@ pub(crate) struct SimState {
     pub(crate) events_processed: u64,
     /// Jobs started by a backfilling pass so far.
     pub(crate) backfilled: u64,
+    /// What the conservative passes did so far.
+    pub(crate) conservative: ConservativeStats,
 }
 
 impl SimState {
@@ -93,6 +95,7 @@ impl SimState {
         self.cursor = 0;
         self.events_processed = 0;
         self.backfilled = 0;
+        self.conservative = ConservativeStats::default();
     }
 
     /// The jobs waiting now, in queue order: the live window.
@@ -127,6 +130,7 @@ impl SimState {
         self.cursor = src.cursor;
         self.events_processed = src.events_processed;
         self.backfilled = src.backfilled;
+        self.conservative = src.conservative;
     }
 }
 

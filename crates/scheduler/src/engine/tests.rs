@@ -1,4 +1,4 @@
-use super::{simulate, EngineError, QueueDiscipline, SimWorkspace};
+use super::{simulate, ConservativeStats, EngineError, QueueDiscipline, SimWorkspace};
 use crate::{BackfillMode, Checkpoint, SchedulerConfig, SimMetrics, SimulationResult};
 use dynsched_cluster::{Job, Platform};
 use dynsched_policies::{Fcfs, Spt};
@@ -167,6 +167,75 @@ fn conservative_protects_all_reservations() {
         by_id[&2].start, 15.0,
         "conservative must respect head's reservation"
     );
+}
+
+/// Waiters `(queued, reserved)` by the one conservative pass at `t = 1`:
+/// 8 cores, 6 of them held from `t = 0` to 100 by a job of its own, and
+/// `waiters` (width, runtime) all submitted at 1, in FCFS order.
+fn conservative_pass_at_one(waiters: &[(u32, f64)]) -> (u64, u64) {
+    let mut jobs = vec![job(0, 0.0, 100.0, 6)];
+    for (i, &(cores, runtime)) in waiters.iter().enumerate() {
+        jobs.push(job(i as u32 + 1, 1.0, runtime, cores));
+    }
+    let trace = Trace::from_jobs(jobs);
+    let mut config = cfg(8);
+    config.backfill = BackfillMode::Conservative;
+    let mut ws = SimWorkspace::new();
+    let mut through = |horizon: f64| {
+        ws.run_prefix(
+            &trace,
+            &QueueDiscipline::Policy(&Fcfs),
+            &config,
+            horizon,
+            &mut Checkpoint::new(),
+        );
+        ws.conservative_stats()
+    };
+    let (before, after) = (through(0.5), through(1.5));
+    assert_eq!(before.passes, 1, "the holder's own arrival");
+    assert_eq!((after.passes, after.passes_started), (2, 2));
+    (
+        after.queued - before.queued,
+        after.reserved - before.reserved,
+    )
+}
+
+#[test]
+fn conservative_walk_stops_at_the_last_waiter_that_could_start_now() {
+    // Two cores are free. Only rank 0 is that narrow: the walk reserves it
+    // and stops, whatever is queued behind it.
+    let pass = conservative_pass_at_one(&[(2, 10.0), (4, 10.0), (8, 10.0), (3, 10.0)]);
+    assert_eq!(pass, (4, 1));
+    // The narrowest waiter is last: every one ahead of it is reserved.
+    let pass = conservative_pass_at_one(&[(4, 10.0), (8, 10.0), (3, 10.0), (2, 10.0)]);
+    assert_eq!(pass, (4, 4));
+}
+
+#[test]
+fn conservative_counters_reset_fork_and_stay_zero_in_the_other_modes() {
+    let trace = Trace::from_jobs(vec![
+        job(0, 0.0, 10.0, 3),
+        job(1, 1.0, 5.0, 4),
+        job(2, 2.0, 2.0, 1),
+    ]);
+    let discipline = QueueDiscipline::Policy(&Fcfs);
+    let mut config = cfg(4);
+    config.backfill = BackfillMode::Conservative;
+    let mut ws = SimWorkspace::new();
+    ws.run(&trace, &discipline, &config);
+    let scratch = ws.conservative_stats();
+    assert!(scratch.passes >= 3 && scratch.reserved >= scratch.passes_started);
+    // A fork carries the prefix's counts on.
+    let mut snapshot = Checkpoint::new();
+    ws.run_prefix(&trace, &discipline, &config, 1.5, &mut snapshot);
+    assert_ne!(ws.conservative_stats(), scratch);
+    ws.resume_from(&snapshot, &trace, &discipline, &config);
+    assert_eq!(ws.conservative_stats(), scratch);
+    for backfill in [BackfillMode::None, BackfillMode::Aggressive] {
+        config.backfill = backfill;
+        ws.run(&trace, &discipline, &config);
+        assert_eq!(ws.conservative_stats(), ConservativeStats::default());
+    }
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! private finishers, accessors that read the outcome back, [`simulate`].
 
 use super::state::{FaultState, Scratch};
-use super::{EngineError, QueueDiscipline, RunMode, SimState};
+use super::{ConservativeStats, EngineError, QueueDiscipline, RunMode, SimState};
 use crate::checkpoint::Checkpoint;
 use crate::config::SchedulerConfig;
 use crate::result::{SimMetrics, SimulationResult};
@@ -326,6 +326,11 @@ impl SimWorkspace {
     /// Jobs the last run started via backfilling.
     pub fn backfilled_jobs(&self) -> u64 {
         self.state.backfilled
+    }
+
+    /// What the last run's conservative-backfilling passes did.
+    pub fn conservative_stats(&self) -> ConservativeStats {
+        self.state.conservative
     }
 
     /// Preemptions (kill-and-requeue events) of the last run. Zero unless

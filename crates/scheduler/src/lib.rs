@@ -112,7 +112,7 @@ pub mod timeline;
 
 pub use checkpoint::Checkpoint;
 pub use config::{BackfillMode, SchedulerConfig};
-pub use engine::{simulate, EngineError, QueueDiscipline, SimWorkspace};
+pub use engine::{simulate, ConservativeStats, EngineError, QueueDiscipline, SimWorkspace};
 pub use export::write_schedule_swf;
 pub use federation::{
     merge_completions, route, run_federation, run_federation_faulty, FederationResult,

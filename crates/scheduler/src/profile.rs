@@ -7,32 +7,75 @@
 //! (estimated) duration, and actually launches the ones whose reserved
 //! start is *now*.
 //!
-//! # Cost of the two queries
+//! # Cost of the queries
 //!
-//! Both run once per waiting job per pass, so they are linear in the
+//! They run once per waiting job per pass, so they are linear in the
 //! breakpoints they must look at and no more:
 //!
-//! * [`Profile::earliest_fit`] **skips ahead past a failed window.** When
-//!   the window opened at breakpoint `k` fails at breakpoint `j` (level
-//!   below `cores`, strictly inside the window), every candidate in
-//!   `(k, j]` fails too: `j` itself is too low, and a candidate between
-//!   them starts later than `k`, so its window — float addition is
-//!   monotone, `start' > start` gives `start' + d >= start + d` — still
-//!   ends after `j` and contains it. The scan resumes at `j + 1`, and no
-//!   breakpoint is read twice. (On `paperbench`'s `replay_backfill` 43 %
-//!   of calls fail at least one window, 2.7 failed windows a call on
-//!   average: 24.9 breakpoints read a call where the restart read 32.2.)
+//! * The search behind [`Profile::earliest_fit`] **skips ahead past a
+//!   failed window.** When the window opened at breakpoint `k` fails at
+//!   breakpoint `j` (level below `cores`, strictly inside the window),
+//!   every candidate in `(k, j]` fails too: `j` itself is too low, and a
+//!   candidate between them starts later than `k`, so its window — float
+//!   addition is monotone, `start' > start` gives
+//!   `start' + d >= start + d` — still ends after `j` and contains it.
+//!   The scan resumes at `j + 1`, and no breakpoint is read twice.
 //! * [`Profile::reserve`] **subtracts over the range its two insertions
 //!   return.** The breakpoints in `[start, end)` are exactly the ones from
 //!   the index `start` landed on up to the index `end` landed on; nothing
 //!   outside it is visited.
+//! * [`Profile::reserve_earliest`] **finds and reserves in one sweep**,
+//!   and is what a conservative pass calls, once per waiter. The start
+//!   the search returns is always an existing breakpoint `k`, and a
+//!   window that holds was walked to its end: the search stopped on the
+//!   first breakpoint `j` at or past `start + duration`. So `reserve`'s
+//!   two binary searches would land on `k` and `j` again and its `start`
+//!   insertion would insert nothing; the fused query inserts the end at
+//!   `j` (unless `j` is that time already) and lowers `[k, j)`. One search
+//!   body serves it and `earliest_fit`. (On `paperbench`'s
+//!   `replay_backfill`, CTC SP2 under FCFS: 20 144 passes, 35.4 waiters
+//!   queued and 32.4 reserved a pass —
+//!   [`ConservativeStats`](crate::ConservativeStats) counts them.)
 //!
-//! The bodies those replaced — restart at `k + 1`, walk every breakpoint —
-//! are kept verbatim as the crate-private `earliest_fit_scan` /
-//! `reserve_scan`. They are the oracle's: `scheduler::reference` calls
+//! The bodies the first two replaced — restart at `k + 1`, walk every
+//! breakpoint — are kept verbatim as the crate-private `earliest_fit_scan`
+//! / `reserve_scan`. They are the oracle's: `scheduler::reference` calls
 //! only them, so `== simulate_reference` still compares the engine against
 //! an unoptimised profile, and the property loops in this module's tests
-//! pin each fast query against its twin on random profiles.
+//! pin each fast query against its twin, and the fused one against the two
+//! twins in sequence, on random profiles.
+//!
+//! # The early stop
+//!
+//! The engine does not reserve the whole queue: its walk ends at the last
+//! waiter, in priority order, whose width is at most the cores free when
+//! the pass is entered. The oracle walks to the end. The two start the
+//! same jobs, in the same order, and leave the same state behind, because
+//!
+//! 1. the profile's level at `now` starts at that availability and a
+//!    reservation only lowers levels, so a wider waiter cannot be reserved
+//!    for `now` — it does not start in this pass, wherever the walk ends;
+//! 2. a reservation is observable only through a later-ranked waiter that
+//!    starts, and behind the stop there is none;
+//! 3. the profile and a time-dependent order are per-pass scratch: nothing
+//!    a pass reserved outlives it.
+//!
+//! The `starved` break inside the walk is the same argument made again
+//! after the pass's own starts have used cores up.
+//!
+//! # A reservation the clock absorbs
+//!
+//! `start + duration == start` is possible — a zero decision time is
+//! floored at `1e-9`, and from `now ≈ 2·10⁷` s that is below half an ulp
+//! of the clock; whole seconds go the same way at `10¹⁶`. Such a
+//! reservation has no extent and takes nothing from the profile, but the
+//! job it stands for starts and takes cores from the ledger, so the
+//! profile's level at `now` can overstate what is free. Every caller
+//! therefore starts a waiter reserved for `now` only if the ledger also
+//! has its cores (engine and oracle alike); the waiter that is turned away
+//! starts at the next event — the zero-length job's completion, at the
+//! same timestamp. Wherever nothing was absorbed the level at `now` *is*
+//! the ledger's availability and the test is implied.
 
 /// The clamp applied to release times at or before `now`: a job that
 /// overran its estimate is "finishing any moment", but its cores are
@@ -136,6 +179,47 @@ impl Profile {
     /// Linear in the breakpoints: a failed window resumes the search after
     /// the breakpoint that failed it (module docs).
     pub fn earliest_fit(&self, cores: u32, duration: f64) -> Option<f64> {
+        let (k, _) = self.search(cores, duration)?;
+        Some(self.points[k].0)
+    }
+
+    /// [`Self::earliest_fit`] and the reservation of what it found, in the
+    /// one sweep: `cores` are taken from the returned start for `duration`
+    /// seconds. The search has already stopped on the first breakpoint at
+    /// or past the window's end, so the end is inserted there and the
+    /// levels in between are lowered — no second search, and no insertion
+    /// for the start, which is always an existing breakpoint (module
+    /// docs). The breakpoints it leaves are those of
+    /// `reserve(start, start + duration, cores)`, bit for bit; like that
+    /// call, it reserves nothing when the end is absorbed by the start
+    /// (`start + duration == start`).
+    ///
+    /// # Panics
+    /// Panics if `duration` is negative or NaN.
+    pub fn reserve_earliest(&mut self, cores: u32, duration: f64) -> Option<f64> {
+        let (k, j) = self.search(cores, duration)?;
+        let start = self.points[k].0;
+        let end = start + duration;
+        assert!(end >= start, "reservation ends before it starts");
+        if cores == 0 || end == start {
+            return Some(start);
+        }
+        if self.points.get(j).is_none_or(|p| p.0 != end) {
+            let level = self.points[j - 1].1;
+            self.points.insert(j, (end, level));
+        }
+        for p in &mut self.points[k..j] {
+            p.1 -= cores; // the search saw every one of them at `cores` or above
+        }
+        Some(start)
+    }
+
+    /// The one search behind both queries: `(k, j)`, where breakpoint `k`
+    /// is the earliest start at which `cores` stay available for
+    /// `duration` seconds and `j` indexes the first breakpoint at or past
+    /// that window's end (`len()` when the window outlasts them all).
+    /// `None` if `cores` exceeds the last breakpoint's level.
+    fn search(&self, cores: u32, duration: f64) -> Option<(usize, usize)> {
         if cores > self.points.last().expect("non-empty").1 {
             return None;
         }
@@ -143,13 +227,14 @@ impl Profile {
         let mut k = 0;
         while let Some(skip) = self.points[k..].iter().position(|p| p.1 >= cores) {
             k += skip;
-            let start = self.points[k].0;
-            let end = start + duration;
-            let mut window = self.points[k + 1..].iter().take_while(|p| p.0 < end);
-            match window.position(|p| p.1 < cores) {
-                None => return Some(start),
-                // Breakpoint `k + 1 + j` failed the window: resume after it.
-                Some(j) => k += j + 2,
+            let end = self.points[k].0 + duration;
+            // The first breakpoint that ends the window or fails it.
+            let window = &self.points[k + 1..];
+            let stop = window.iter().position(|p| p.0 >= end || p.1 < cores);
+            match stop {
+                Some(j) if window[j].0 < end => k += j + 2, // failed: resume after it
+                Some(j) => return Some((k, k + 1 + j)),
+                None => return Some((k, self.points.len())),
             }
         }
         // Invariant: the last breakpoint's level is >= `cores` (checked on
@@ -368,11 +453,12 @@ mod tests {
 
     // Property loops (deterministic RNG, like every property suite in the
     // workspace): the two linear queries against the bodies they
-    // replaced. Times sit on an integer grid so that release times
-    // collide, windows end exactly on breakpoints and reservations stack
-    // on shared edges; on top of that come overdue releases (clamped to
-    // just past `now`) and `1e-9` durations, the engine's floor for a
-    // zero decision time.
+    // replaced, and the one-sweep query against those bodies in sequence.
+    // Times sit on an integer grid so that release times collide, windows
+    // end exactly on breakpoints and reservations stack on shared edges;
+    // on top of that come overdue releases (clamped to just past `now`),
+    // `1e-9` durations, the engine's floor for a zero decision time, and
+    // clocks late enough to absorb them.
 
     /// A random running set on a `capacity`-core machine at `now`: the free
     /// cores and the `(expected end, cores)` releases, some of them overdue
@@ -393,6 +479,20 @@ mod tests {
         (free, releases)
     }
 
+    /// A clock on the integer grid up to `1e5`, or one far enough out that
+    /// a duration is absorbed (`start + d == start`): `1e-9` from `2e7`,
+    /// whole seconds at `1.9e16`.
+    fn random_now(rng: &mut Rng) -> f64 {
+        match rng.range_u64(0, 9) {
+            0..=2 => 0.0,
+            3 => 1e5,
+            4 => 2e7,
+            5 => 2e8,
+            6 => 1.9e16,
+            _ => rng.range_u64(0, 100_000) as f64,
+        }
+    }
+
     fn random_duration(rng: &mut Rng) -> f64 {
         match rng.range_u64(0, 9) {
             0 => 1e-9,
@@ -409,34 +509,41 @@ mod tests {
     #[test]
     fn linear_queries_equal_their_scans() {
         let mut rng = Rng::new(0x9120_F11E);
-        let mut delayed_fits = 0u32;
+        let (mut delayed_fits, mut absorbed) = (0u32, 0u32);
         for case in 0..3_000u32 {
             let capacity = rng.range_u64(2, 48) as u32;
-            let now = if rng.chance(0.3) {
-                0.0
-            } else {
-                rng.range_u64(0, 100_000) as f64
-            };
+            let now = random_now(&mut rng);
             let (free, releases) = random_state(&mut rng, capacity, now);
             let mut fast = Profile::new(now, free, &releases);
             let mut scan = fast.clone();
-            // Wider than the machine: no slot at any horizon, on both paths.
+            let mut fused = fast.clone();
+            // Wider than the machine: no slot at any horizon, on every
+            // path, and the one that reserves reserves nothing.
             assert_eq!(fast.earliest_fit(capacity + 1, 1.0), None);
             assert_eq!(scan.earliest_fit_scan(capacity + 1, 1.0), None);
+            assert_eq!(fused.reserve_earliest(capacity + 1, 1.0), None);
+            assert_eq!(bits(&fused.points), bits(&scan.points), "case {case}");
             for step in 0..rng.range_u64(1, 24) {
                 let cores = rng.range_u64(1, capacity as u64) as u32;
                 let duration = random_duration(&mut rng);
                 let what = format!("case {case}, step {step}: {cores} cores for {duration} s");
-                let start = fast.earliest_fit(cores, duration);
+                let start = scan
+                    .earliest_fit_scan(cores, duration)
+                    .expect("a job no wider than the machine always fits");
+                let found = Some(start.to_bits());
                 assert_eq!(
-                    start.map(f64::to_bits),
-                    scan.earliest_fit_scan(cores, duration).map(f64::to_bits),
+                    fast.earliest_fit(cores, duration).map(f64::to_bits),
+                    found,
                     "{what}"
                 );
-                let start = start.expect("a job no wider than the machine always fits");
                 delayed_fits += u32::from(start > now);
+                absorbed += u32::from(start + duration == start);
                 fast.reserve(start, start + duration, cores);
                 scan.reserve_scan(start, start + duration, cores);
+                // The one sweep: same start, same breakpoints.
+                let swept = fused.reserve_earliest(cores, duration);
+                assert_eq!(swept.map(f64::to_bits), found, "{what}");
+                assert_eq!(bits(&fused.points), bits(&scan.points), "{what}");
                 let points = &fast.points;
                 assert_eq!(bits(points), bits(&scan.points), "{what}");
                 assert!(points.windows(2).all(|w| w[0].0 < w[1].0), "{what}");
@@ -444,8 +551,10 @@ mod tests {
                 assert_eq!(points.last().unwrap().1, capacity, "{what}");
             }
         }
-        // The generator must leave most fits delayed: dips to skip past.
+        // The generators must reach both: dips to skip past, and ends the
+        // start absorbs (nothing reserved, on any path).
         assert!(delayed_fits > 10_000, "only {delayed_fits} delayed fits");
+        assert!(absorbed > 1_000, "only {absorbed} absorbed durations");
     }
 
     #[test]

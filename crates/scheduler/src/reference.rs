@@ -485,7 +485,7 @@ fn reschedule(
                 .earliest_fit_scan(job.cores, duration)
                 .expect("job width pre-checked against platform");
             profile.reserve_scan(start, start + duration, job.cores);
-            if start == now {
+            if start == now && ledger.fits(job.cores) {
                 start_job(idx, job, ledger, running, events);
                 started[qi] = true;
                 if rank > 0 {
@@ -607,7 +607,7 @@ fn reschedule_faulty(
                 continue; // wider than current capacity: wait for a restore
             };
             profile.reserve_scan(start, start + duration, job.cores);
-            if start == now {
+            if start == now && ledger.fits(job.cores) {
                 start_job(idx, job, ledger, running, events);
                 started[qi] = true;
                 if rank > 0 {

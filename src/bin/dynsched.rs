@@ -23,8 +23,8 @@ use dynsched::core::{
 use dynsched::mlreg::EnumerateOptions;
 use dynsched::policies::{by_name, paper_lineup, save_learned, Policy};
 use dynsched::scheduler::{
-    run_federation, run_federation_faulty, simulate, BackfillMode, FederationResult,
-    FederationSpec, QueueDiscipline, Router, SchedulerConfig, SimulationResult,
+    run_federation, run_federation_faulty, BackfillMode, ConservativeStats, FederationResult,
+    FederationSpec, QueueDiscipline, Router, SchedulerConfig, SimWorkspace, SimulationResult,
 };
 use dynsched::simkit::durable::write_atomic;
 use dynsched::workload::{
@@ -96,7 +96,10 @@ mod spec {
         about: "Audit a Standard Workload Format trace.",
     };
     pub const SIMULATE: CommandSpec = CommandSpec {
-        name: "simulate", run: cmd_simulate, flags: &[REPLAY],
+        name: "simulate", run: cmd_simulate,
+        flags: &[REPLAY, &[flag("--stats", Switch,
+            "also print what the conservative-backfilling passes did: passes run, waiters \
+             queued when they were entered, waiters reserved, passes that started a job")]],
         about: "Schedule the trace and print artifact-style statistics.",
     };
     pub const FEDERATE: CommandSpec = CommandSpec {
@@ -294,9 +297,12 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// `simulate` up to (not including) its result line; returns the result
-/// and the seconds the simulation took.
-fn run_simulate(args: &[String]) -> Result<(SimulationResult, f64), String> {
+/// `simulate` up to (not including) its result line; returns the result,
+/// the conservative-pass counts `--stats` asked for, and the seconds the
+/// simulation took.
+fn run_simulate(
+    args: &[String],
+) -> Result<(SimulationResult, Option<ConservativeStats>, f64), String> {
     let args = parse(&spec::SIMULATE, args)?;
     let (policy, config) = replay_setup(&args)?;
     let cores = config.platform.total_cores;
@@ -308,13 +314,17 @@ fn run_simulate(args: &[String]) -> Result<(SimulationResult, f64), String> {
     );
     let compiled = policy.compile();
     let discipline = QueueDiscipline::of(policy.as_ref(), compiled.as_ref());
+    let mut ws = SimWorkspace::new();
     let t0 = std::time::Instant::now();
-    let result = simulate(&trace, &discipline, &config);
-    Ok((result, t0.elapsed().as_secs_f64()))
+    ws.try_run(&trace, &discipline, &config)
+        .map_err(|e| format!("simulation failed: {e}"))?;
+    let elapsed = t0.elapsed().as_secs_f64();
+    let stats = args.switch("--stats").then(|| ws.conservative_stats());
+    Ok((ws.take_result(), stats, elapsed))
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    let (result, elapsed) = run_simulate(args)?;
+    let (result, stats, elapsed) = run_simulate(args)?;
     // Empty results print "n/a" for both per-job statistics: the old mix
     // (NaN for AVEbsld, 0.0 for mean wait) made an empty run read as a
     // measured zero-wait schedule.
@@ -326,6 +336,12 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         result.makespan / 86_400.0,
         result.backfilled_jobs,
     );
+    if let Some(s) = stats {
+        println!(
+            "conservative passes = {} | waiters queued = {} | reserved = {} | passes that started a job = {}",
+            s.passes, s.queued, s.reserved, s.passes_started,
+        );
+    }
     Ok(())
 }
 
@@ -1013,11 +1029,11 @@ mod tests {
             .collect();
         let path = swf_file("one-shard", jobs, 8);
         let flags = ["--policy", "WFP", "--backfill", "easy", "--estimates"];
-        let (single, _) =
+        let (single, _, _) =
             run_simulate(&args(&[&[path.as_str(), "8"], &flags[..]].concat())).unwrap();
         // Regression: positionals were read by index, so flags first made
         // `--policy` the path and `WFP` the core count.
-        let (flags_first, _) =
+        let (flags_first, _, _) =
             run_simulate(&args(&[&flags[..], &[path.as_str(), "8"]].concat())).unwrap();
         assert_eq!(single.completed, flags_first.completed);
         let federate_args = [&[path.as_str(), "8", "--shards", "1"], &flags[..]].concat();
@@ -1033,6 +1049,33 @@ mod tests {
         assert_eq!(single.mean_wait(), federated.mean_wait());
         assert_eq!(single.makespan, federated.makespan());
         assert_eq!(single.backfilled_jobs, federated.backfilled_jobs());
+    }
+
+    #[test]
+    fn simulate_counts_conservative_passes_and_survives_an_absorbing_clock() {
+        // Regression: `simulate` went through the panicking wrapper, and at
+        // `t = 2e8` the zero-length job's reservation is absorbed by the
+        // clock — the 8-core job was started into 4 free cores.
+        let jobs = vec![
+            Job::new(0, 2e8, 0.0, 0.0, 4),
+            Job::new(1, 2e8, 10.0, 10.0, 8),
+        ];
+        let path = swf_file("absorbed", jobs, 8);
+        let line = [
+            path.as_str(),
+            "8",
+            "--policy",
+            "FCFS",
+            "--backfill",
+            "conservative",
+        ];
+        let (result, stats, _) = run_simulate(&args(&line)).unwrap();
+        assert_eq!((result.completed.len(), stats), (2, None));
+        let (_, stats, _) = run_simulate(&args(&[&line[..], &["--stats"]].concat())).unwrap();
+        std::fs::remove_file(path).unwrap();
+        let stats = stats.expect("--stats was given");
+        assert_eq!((stats.passes, stats.passes_started), (2, 2));
+        assert_eq!((stats.queued, stats.reserved), (3, 3));
     }
 
     /// Values `kind` must refuse: what no bounded kind takes, then one past
