@@ -72,9 +72,9 @@
 //! horizon via `SimWorkspace::run_prefix`, and every trial then forks
 //! from the shared snapshot with `SimWorkspace::resume_from` under its
 //! own permuted ranks. The forked kernel is pinned bit-identical to the
-//! from-scratch trial loop (and thread-count independent) by the trials
-//! regression tests here and the scheduler crate's `differential`
-//! harness.
+//! from-scratch trial loop (and thread-count independent) by the
+//! `trial_differential` harness in `tests/` and the scheduler crate's
+//! `differential` harness.
 //!
 //! ## Quickstart
 //!
@@ -135,7 +135,7 @@ pub use scenarios::{
 pub use session::{EvalCell, EvalSession};
 pub use sweep::{sweep_load, sweep_table, LoadPoint};
 pub use trials::{
-    run_trial, to_observations, trial_scores, trial_scores_batched, TrialBatch, TrialScores,
-    TrialSpec,
+    divergence_horizon, run_trial, to_observations, trial_outcomes_batched, trial_scores,
+    trial_scores_batched, TrialBatch, TrialScores, TrialSpec,
 };
 pub use tuples::{TaskTuple, TupleSpec};
