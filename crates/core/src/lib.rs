@@ -70,8 +70,9 @@
 //! permutation could change a decision, captures a
 //! [`Checkpoint`](dynsched_scheduler::Checkpoint) of the engine at that
 //! horizon via `SimWorkspace::run_prefix`, and every trial then forks
-//! from the shared snapshot with `SimWorkspace::resume_from` under its
-//! own permuted ranks. The forked kernel is pinned bit-identical to the
+//! from the shared snapshot with `SimWorkspace::resume_metrics_from`
+//! under its own permuted ranks, keeping its AVEbsld sum and count, not
+//! its schedule. The forked kernel is pinned bit-identical to the
 //! from-scratch trial loop (and thread-count independent) by the
 //! `trial_differential` harness in `tests/` and the scheduler crate's
 //! `differential` harness.

@@ -24,24 +24,38 @@
 //! # Checkpoint and fork
 //!
 //! Every trial of a tuple shares an identical prefix: the warmup tasks `S`
-//! keep ranks `0..|S|` under **every** permutation and the `Q` tasks all
-//! submit strictly after the tuple start, so no two trials can differ
-//! before the first event at or after the earliest `Q` submit. The batched
-//! kernel therefore simulates that prefix once per distinct tuple — under
-//! identity ranks, into a shared immutable
-//! [`Checkpoint`] — and every worker forks
-//! its trials from the snapshot with
-//! [`SimWorkspace::resume_from`](dynsched_scheduler::SimWorkspace::resume_from)
-//! instead of re-simulating the warmup from time zero. Forking is a
-//! copy-restore into the worker's warm workspace (no allocation), and the
-//! resumed schedule is bit-identical to the scratch run — pinned here
-//! against the [`run_trial`] oracle and in the scheduler crate's
-//! `differential` harness.
+//! keep ranks `0..|S|` under **every** permutation, so no two trials can
+//! differ before the first strict pass whose outcome depends on the
+//! relative order of two `Q` tasks — the divergence horizon, which one
+//! identity-ranks run locates ([`divergence_horizon`]), often deep in the
+//! warmup drain with probes already queued. The batched kernel therefore
+//! simulates that prefix once per distinct tuple — under identity ranks,
+//! into a shared immutable [`Checkpoint`] — and every worker forks its
+//! trials from the snapshot instead of re-simulating the warmup from time
+//! zero. Forking is a copy-restore into the worker's warm workspace (no
+//! allocation), and the forked schedule is bit-identical to the scratch
+//! run.
+//!
+//! A fork keeps a number, not a schedule. Its completions stream into a
+//! [`TrialMetrics`] — Σ bounded slowdown and a count over the ids of `Q` —
+//! that [`Checkpoint::fold_prefix`] seeded once per tuple with the
+//! prefix's completions, through
+//! [`SimWorkspace::resume_metrics_from`](dynsched_scheduler::SimWorkspace::resume_metrics_from):
+//! no completion list is built, replayed or re-filtered per trial, and the
+//! float operations and their order are [`run_trial`]'s. The restored
+//! queue is re-keyed under the trial's ranks by a scatter, not a sort: a
+//! trial's ranks are a permutation of the trace positions, so each queued
+//! job's rank indexes its own slot. The `trial_differential` harness pins
+//! every trial's AVEbsld bits, the first counts and the scores against
+//! [`run_trial`] at 1 and n workers; the scheduler crate's `differential`
+//! harness pins the resumes themselves.
 
 use crate::tuples::TaskTuple;
-use dynsched_cluster::{CompletedJob, Platform, DEFAULT_TAU};
+use dynsched_cluster::{CompletedJob, JobId, Platform, DEFAULT_TAU};
 use dynsched_mlreg::{Observation, TrainingSet};
-use dynsched_scheduler::{Checkpoint, QueueDiscipline, SchedulerConfig, SimWorkspace};
+use dynsched_scheduler::{
+    Checkpoint, QueueDiscipline, SchedulerConfig, SimWorkspace, TrialMetrics,
+};
 use dynsched_simkit::parallel::run_scoped;
 use dynsched_simkit::Rng;
 use dynsched_workload::{Trace, TraceView};
@@ -313,8 +327,10 @@ pub struct TrialBatch<'a> {
 /// sharing a tuple (or content-equal copies of one) share everything — the
 /// trace is built once and the permutation-invariant warmup prefix is
 /// simulated once into a shared [`Checkpoint`] at the tuple's divergence
-/// horizon (the earliest `Q` submit); every trial then *forks* from the
-/// snapshot instead of re-running the warmup. `platform` and `tau` are
+/// horizon ([`divergence_horizon`]: the first pass whose outcome can
+/// depend on the relative order of two `Q` tasks); every trial then
+/// *forks* from the snapshot instead of re-running the warmup, and keeps
+/// one number of its schedule, not the schedule. `platform` and `tau` are
 /// shared by every cell; each batch's `trials` field supplies its own
 /// count (which is why this takes no [`TrialSpec`] — its `trials` field
 /// would be a silently ignored parameter).
@@ -406,6 +422,17 @@ pub fn trial_outcomes_batched(
             tuple_checkpoint(tuple, trace, &config, &mut prefix_ws, &mut identity)
         })
         .collect();
+    // What a fork keeps: the probe set's slowdown sum and count, seeded
+    // once per tuple with the prefix's completions, so no fork replays,
+    // lists or re-filters them.
+    let seeds: Vec<TrialMetrics> = distinct
+        .iter()
+        .zip(&checkpoints)
+        .map(|(tuple, ckpt)| {
+            let probes = TrialMetrics::new(tuple.s_tasks.len() as JobId, tau);
+            ckpt.fold_prefix(probes)
+        })
+        .collect();
     // Global index layout: batch b owns indices offsets[b]..offsets[b+1].
     let mut offsets: Vec<usize> = Vec::with_capacity(batches.len() + 1);
     let mut total = 0usize;
@@ -426,16 +453,15 @@ pub fn trial_outcomes_batched(
         st.perm.extend(0..q);
         rng.shuffle(&mut st.perm);
         fill_ranks(&mut st.ranks, tuple.s_tasks.len(), &st.perm);
-        st.ws.resume_from(
-            &checkpoints[trace_of[b]],
-            &traces[trace_of[b]],
+        let t = trace_of[b];
+        let trial = st.ws.resume_metrics_from(
+            &checkpoints[t],
+            &traces[t],
             &QueueDiscipline::FixedOrder(&st.ranks),
             &config,
+            seeds[t],
         );
-        let ave = st
-            .ws
-            .avg_bounded_slowdown_of(&|id| tuple.is_q_task(id), tau)
-            .expect("Q is non-empty");
+        let ave = trial.avg_bounded_slowdown().expect("Q is non-empty");
         (st.perm[0], ave)
     })
 }

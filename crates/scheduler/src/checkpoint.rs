@@ -19,7 +19,11 @@
 //! discipline, and continues under the trial's own ranks. The shared
 //! prefix — in congested tuples, the entire warmup occupancy with the
 //! probe set piling up behind it — is paid once per tuple instead of once
-//! per trial.
+//! per trial. A trial that keeps one number of its schedule forks with
+//! [`SimWorkspace::resume_metrics_from`](crate::SimWorkspace::resume_metrics_from)
+//! instead: its completions stream into a [`TrialMetrics`] that
+//! [`Checkpoint::fold_prefix`] seeded once per checkpoint, so the prefix's
+//! completions are neither replayed nor listed per fork.
 //!
 //! # What a checkpoint captures
 //!
@@ -56,18 +60,33 @@
 //! the prefix's. That is what lets the trial kernel place the horizon at
 //! the first pass whose outcome can depend on the relative order of two
 //! probe tasks — typically deep inside the warmup drain, with probe
-//! tasks already queued — rather than at the first probe arrival. The
-//! `differential` harness pins the equality across disciplines,
-//! backfill/decision modes, trace layouts and horizons, and its named
-//! cases across worker counts, re-keyed queued-probe forks, and the
-//! degenerate horizon-0 snapshot (which captures the pristine initial
-//! state, so resuming it *is* a plain run).
+//! tasks already queued — rather than at the first probe arrival. Under
+//! a fixed order whose queued ranks are distinct and below the trace's
+//! length — every trial's, whose ranks are a permutation — the re-sort is
+//! a scatter into rank-indexed slots and one gather: distinct keys have
+//! one sorted order, so it is the order the stable sort produces.
+//! Repeated or out-of-range ranks, and cached scores, re-sort by stable
+//! insertion.
+//!
+//! [`SimWorkspace::resume_metrics_from`](crate::SimWorkspace::resume_metrics_from)
+//! keeps the same contract and adds one: its seed must be
+//! [`Checkpoint::fold_prefix`] of *this* checkpoint. Prefix completions all
+//! finish strictly before the horizon, ahead of every suffix completion,
+//! so seed-then-suffix is the scratch run's completion order and the
+//! folded average takes the scratch reduction's float operations in its
+//! order. The `differential` harness pins both resumes across
+//! disciplines, backfill/decision modes, trace layouts and horizons, the
+//! re-key's scatter and its fallback, and its named cases across worker
+//! counts, re-keyed queued-probe forks, and the degenerate horizon-0
+//! snapshot (which captures the pristine initial state, so resuming it
+//! *is* a plain run).
 //!
 //! Per the oracle convention, the scratch path is untouched:
 //! [`SimWorkspace::run`](crate::SimWorkspace::run) simulates from time zero exactly as before, and
 //! `scheduler::reference` never checkpoints.
 
 use crate::engine::SimState;
+use crate::result::TrialMetrics;
 use dynsched_cluster::CompletedJob;
 
 /// A snapshot of the engine's full mutable state at a divergence horizon,
@@ -88,10 +107,11 @@ pub struct Checkpoint {
     /// (`engine::state`) and capture and restore are one `copy_from`.
     pub(crate) state: SimState,
     /// Jobs completed before the horizon, in completion order. Replayed
-    /// into the completion sink at resume, ahead of every suffix
-    /// completion — prefix completions all finish strictly before the
-    /// horizon, so the merged stream is in true completion order. Not
-    /// engine state: the engine only sees a generic sink.
+    /// into the completion sink at resume (or folded once into a seed,
+    /// [`Checkpoint::fold_prefix`]), ahead of every suffix completion —
+    /// prefix completions all finish strictly before the horizon, so the
+    /// merged stream is in true completion order. Not engine state: the
+    /// engine only sees a generic sink.
     pub(crate) completed: Vec<CompletedJob>,
 }
 
@@ -126,5 +146,16 @@ impl Checkpoint {
     /// Scheduling events the prefix processed.
     pub fn events_processed(&self) -> u64 {
         self.state.events_processed
+    }
+
+    /// `seed` with the completion prefix folded in, in completion order:
+    /// what [`SimWorkspace::resume_metrics_from`](crate::SimWorkspace::resume_metrics_from)
+    /// continues from instead of replaying the prefix at every resume. Fold
+    /// once per checkpoint and hand every fork a copy.
+    pub fn fold_prefix(&self, mut seed: TrialMetrics) -> TrialMetrics {
+        for c in &self.completed {
+            seed.push(c);
+        }
+        seed
     }
 }

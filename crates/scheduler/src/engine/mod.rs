@@ -64,7 +64,9 @@
 //! *completion sink*: the full mode pushes each completion into the
 //! workspace's list, [`SimWorkspace::run_metrics`] folds it straight into
 //! the accumulator — same events, same order, hence the same bits, with
-//! no per-run `Vec<CompletedJob>`.
+//! no per-run `Vec<CompletedJob>`. A permutation trial's fork
+//! ([`SimWorkspace::resume_metrics_from`]) folds into a [`TrialMetrics`]
+//! that already holds the checkpoint's completion prefix.
 //!
 //! # Reschedule fast paths
 //!
@@ -195,7 +197,7 @@ pub use workspace::{simulate, SimWorkspace};
 
 use crate::checkpoint::Checkpoint;
 use crate::config::SchedulerConfig;
-use crate::result::SimMetrics;
+use crate::result::{SimMetrics, TrialMetrics};
 use dynsched_cluster::{CompletedJob, Job, LedgerError};
 use dynsched_policies::{CompiledPolicy, Policy, TaskView};
 
@@ -413,6 +415,13 @@ impl CompletionSink for SimMetrics {
     }
 }
 
+impl CompletionSink for TrialMetrics {
+    #[inline]
+    fn record(&mut self, c: CompletedJob) {
+        self.push(&c);
+    }
+}
+
 /// Work counts of a run's conservative-backfilling passes
 /// ([`SimWorkspace::conservative_stats`]): deterministic, and all zero
 /// under any other [`BackfillMode`](crate::BackfillMode). A pass the
@@ -452,6 +461,20 @@ enum RunMode<'c> {
     /// Start from a captured snapshot instead of the pristine state, then
     /// run to drain as usual.
     Resume { from: &'c Checkpoint },
+    /// [`RunMode::Resume`] into a sink already seeded with the snapshot's
+    /// completion prefix ([`Checkpoint::fold_prefix`]): nothing is
+    /// replayed.
+    ResumeSeeded { from: &'c Checkpoint },
+}
+
+impl<'c> RunMode<'c> {
+    /// The snapshot a resume starts from.
+    fn restores(&self) -> Option<&'c Checkpoint> {
+        match *self {
+            RunMode::Resume { from } | RunMode::ResumeSeeded { from } => Some(from),
+            _ => None,
+        }
+    }
 }
 
 /// How the waiting queue is kept ordered. For *static* disciplines — fixed

@@ -166,6 +166,11 @@ pub(super) struct Scratch {
     /// Availability profile, rebuilt from the releases at every
     /// backfilling pass that needs it.
     pub(super) profile: Profile,
+    /// Queue position per fixed-order rank, then compacted: the scatter
+    /// that re-keys a restored queue.
+    pub(super) rank_slots: Vec<u32>,
+    /// The restored queue gathered in rank order; swapped with the queue.
+    pub(super) rekeyed: Vec<QueueEntry>,
 }
 
 /// State only a faulty run writes. Identically pristine throughout a

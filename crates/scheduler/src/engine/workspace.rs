@@ -5,7 +5,7 @@ use super::state::{FaultState, Scratch};
 use super::{ConservativeStats, EngineError, QueueDiscipline, RunMode, SimState};
 use crate::checkpoint::Checkpoint;
 use crate::config::SchedulerConfig;
-use crate::result::{SimMetrics, SimulationResult};
+use crate::result::{SimMetrics, SimulationResult, TrialMetrics};
 use dynsched_cluster::{AbandonedJob, AvailabilitySchedule, CompletedJob, JobId};
 use dynsched_workload::TraceSource;
 
@@ -17,9 +17,10 @@ use dynsched_workload::TraceSource;
 /// the workspace until the next run: read them with the accessor methods,
 /// copy them into an owned [`SimulationResult`] with
 /// [`SimWorkspace::result`], or move them out with
-/// [`SimWorkspace::take_result`]. The batched trial kernel reads
-/// [`SimWorkspace::avg_bounded_slowdown_of`] directly and never
-/// materializes a result — that is the fully allocation-free path.
+/// [`SimWorkspace::take_result`]. The batched trial kernel keeps no
+/// schedule at all: it forks with [`SimWorkspace::resume_metrics_from`],
+/// which folds each completion into a [`TrialMetrics`] as it happens —
+/// that is the fully allocation-free path.
 #[derive(Debug, Default)]
 pub struct SimWorkspace {
     pub(super) state: SimState,
@@ -39,8 +40,9 @@ enum Lists {
     /// In the workspace, readable.
     #[default]
     Kept,
-    /// The run was metrics-only (`run_metrics`): completions were streamed
-    /// into the accumulator; the abandonment list was kept.
+    /// The run was metrics-only (`run_metrics`, `resume_metrics_from`):
+    /// completions were streamed into the accumulator; the abandonment
+    /// list was kept.
     Streamed,
     /// Moved out by `take_result`, completions and abandonments both.
     Taken,
@@ -225,6 +227,40 @@ impl SimWorkspace {
     ) {
         let mode = RunMode::Resume { from };
         zero_fault(self.run_listed(trace, discipline, config, None, mode));
+    }
+
+    /// [`SimWorkspace::resume_from`] for a caller that keeps one number of
+    /// the schedule, not the schedule: the suffix's completions stream into
+    /// `seed` — a [`TrialMetrics`] that [`Checkpoint::fold_prefix`] filled
+    /// with `from`'s completion prefix, once per checkpoint — and the
+    /// prefix is not replayed. The float operations and their order are
+    /// those of [`SimWorkspace::avg_bounded_slowdown_of`] over the resumed
+    /// schedule, so the returned average is bit-identical to it (the
+    /// `differential` harness). This is the trial kernel's fork: a warm
+    /// workspace allocates nothing and lists no completion. Makespan and
+    /// utilization stay readable; the per-job accessors panic as after
+    /// [`SimWorkspace::run_metrics`].
+    ///
+    /// # Panics
+    /// As [`SimWorkspace::resume_from`].
+    pub fn resume_metrics_from<T: TraceSource>(
+        &mut self,
+        from: &Checkpoint,
+        trace: &T,
+        discipline: &QueueDiscipline<'_>,
+        config: &SchedulerConfig,
+        seed: TrialMetrics,
+    ) -> TrialMetrics {
+        let mut sink = seed;
+        self.completed.clear();
+        self.lists = Lists::Streamed;
+        let mode = RunMode::ResumeSeeded { from };
+        zero_fault(self.run_with(trace, discipline, config, &mut sink, None, mode));
+        // A drained zero-fault run's last ledger event is its last
+        // completion.
+        self.makespan = self.state.ledger.last_update();
+        self.utilization = self.state.ledger.utilization(self.makespan).unwrap_or(0.0);
+        sink
     }
 
     /// The finisher behind every run that materializes its schedule: lend

@@ -24,7 +24,7 @@
 //! buffers live in a [`SimWorkspace`] that is cleared — never reallocated —
 //! between runs. Every run is a [`SimWorkspace`] method — `run`,
 //! `try_run`, `run_faulty`, `run_metrics`, `run_metrics_faulty`,
-//! `run_prefix`, `resume_from` — and loops (the training trials foremost)
+//! `run_prefix`, `resume_from`, `resume_metrics_from` — and loops (the training trials foremost)
 //! hold one workspace per thread. [`simulate`] is the only free-function
 //! wrapper: a throwaway workspace, one `run`, the owned result. Two
 //! guarantees:
@@ -77,9 +77,12 @@
 //!   divergence horizon and captures the engine state — the one struct
 //!   the workspace itself runs on — into a reusable [`Checkpoint`];
 //!   [`SimWorkspace::resume_from`] copies it back with the routine that
-//!   captured it (no allocation once warm) and continues. The resume is
-//!   bit-identical to a scratch run at any worker count (the `resume
-//!   from` paths, and the harness's named fork cases); [`mod@checkpoint`]
+//!   captured it (no allocation once warm) and continues;
+//!   [`SimWorkspace::resume_metrics_from`] continues into a
+//!   [`TrialMetrics`] seeded with the prefix's completions instead of
+//!   listing the schedule. The resume is bit-identical to a scratch run
+//!   at any worker count (the `resume from` and `resume_metrics_from`
+//!   paths, and the harness's named fork cases); [`mod@checkpoint`]
 //!   has the contract and the permutation-safety argument the trial
 //!   kernel relies on. The
 //!   scratch path is untouched and [`mod@reference`] never checkpoints.
@@ -120,5 +123,5 @@ pub use federation::{
     merge_completions, route, run_federation, run_federation_faulty, FederationResult,
     FederationSpec, Router, RoutingTable,
 };
-pub use result::{SimMetrics, SimulationResult};
+pub use result::{SimMetrics, SimulationResult, TrialMetrics};
 pub use timeline::queue_length_curve;

@@ -143,6 +143,58 @@ impl SimMetrics {
     }
 }
 
+/// What a permutation trial keeps of its schedule: Σ bounded slowdown and
+/// a count over the jobs whose id is `first` or above — a tuple's probe set
+/// `Q`, whose ids follow the warm-up set's — folded in completion order.
+///
+/// A resumed trial streams its completions into one
+/// ([`SimWorkspace::resume_metrics_from`](crate::SimWorkspace::resume_metrics_from))
+/// that [`Checkpoint::fold_prefix`](crate::Checkpoint::fold_prefix) seeded
+/// with the prefix's completions, so the sum takes the float operations
+/// of [`SimulationResult::avg_bounded_slowdown_of`] over the whole
+/// schedule, in the same order: the average is **bit-identical** to it
+/// (the `differential` harness compares the bits).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TrialMetrics {
+    /// Bounded-slowdown threshold the sum was accumulated under.
+    pub tau: f64,
+    /// Lowest job id counted.
+    pub first: JobId,
+    /// Σ bounded slowdown over the counted jobs, in completion order.
+    pub bsld_sum: f64,
+    /// Counted jobs completed.
+    pub completed_jobs: u64,
+}
+
+impl TrialMetrics {
+    /// An empty accumulator over ids `first..` for threshold `tau`.
+    pub fn new(first: JobId, tau: f64) -> Self {
+        Self {
+            tau,
+            first,
+            bsld_sum: 0.0,
+            completed_jobs: 0,
+        }
+    }
+
+    /// Fold one completion event in, if its id is counted. Call in
+    /// completion order to stay bit-identical to the materialized
+    /// reduction.
+    #[inline]
+    pub fn push(&mut self, c: &CompletedJob) {
+        if c.job.id >= self.first {
+            self.bsld_sum += c.bounded_slowdown(self.tau);
+            self.completed_jobs += 1;
+        }
+    }
+
+    /// Average bounded slowdown over the counted jobs; `None` if none
+    /// completed.
+    pub fn avg_bounded_slowdown(&self) -> Option<f64> {
+        (self.completed_jobs > 0).then(|| self.bsld_sum / self.completed_jobs as f64)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -36,6 +36,7 @@ use dynsched_scheduler::federation::{
 use dynsched_scheduler::reference::{
     reference_metrics, reference_metrics_faulty, simulate_reference, simulate_reference_faulty,
 };
+use dynsched_scheduler::TrialMetrics;
 use dynsched_scheduler::{
     simulate, BackfillMode, Checkpoint, EngineError, QueueDiscipline, SchedulerConfig, SimMetrics,
     SimWorkspace, SimulationResult,
@@ -615,6 +616,34 @@ fn resume<T: TraceSource>(
     ws.result()
 }
 
+/// A checkpoint round trip that keeps one number: the prefix up to
+/// `horizon`, its completions folded into a seed over ids `first..`, then
+/// the seeded resume — its average's bits, and the makespan it reports.
+fn resume_metrics<T: TraceSource>(
+    (ws, ckpt): &mut Rig,
+    trace: &T,
+    discipline: &QueueDiscipline<'_>,
+    config: &SchedulerConfig,
+    horizon: f64,
+    first: u32,
+) -> (Option<u64>, f64) {
+    ws.run_prefix(trace, discipline, config, horizon, ckpt);
+    let seed = ckpt.fold_prefix(TrialMetrics::new(first, TAU));
+    let trial = ws.resume_metrics_from(ckpt, trace, discipline, config, seed);
+    (
+        trial.avg_bounded_slowdown().map(f64::to_bits),
+        ws.makespan(),
+    )
+}
+
+/// Jobs of `result` waiting at a checkpoint taken at `horizon`: arrived
+/// before it, not started before it.
+fn queued_at(result: &SimulationResult, horizon: f64) -> usize {
+    (result.completed.iter())
+        .filter(|c| c.job.submit < horizon && c.start >= horizon)
+        .count()
+}
+
 /// A worker's reused state: one workspace and one checkpoint, carried
 /// from case to case.
 type Rig = (SimWorkspace, Checkpoint);
@@ -663,6 +692,16 @@ fn check(case: &Case, lineup: &Lineup, rig: &mut Rig) -> Result<Coverage, Failur
     let n = trace.len();
     let (mid, last) = (trace.submit(n / 2), trace.submit(n - 1) + 1.0);
     let empty = AvailabilitySchedule::empty();
+    // `resume_metrics_from` counts the ids from a third of the way in, so a
+    // prefix holds completions it counts and completions it skips.
+    let first = (n / 3) as u32;
+    let kept = |result: &SimulationResult| {
+        let ave = result.avg_bounded_slowdown_of(&|id| id >= first, TAU);
+        (ave.map(f64::to_bits), result.makespan)
+    };
+    let mut sorted_ranks = case.ranks.clone();
+    sorted_ranks.sort_unstable();
+    let permutation = sorted_ranks.iter().enumerate().all(|(i, &r)| i == r);
     for (label, d) in &disciplines {
         let ws = &mut rig.0;
         let path = |step: &str| format!("{step} [{label}]");
@@ -701,6 +740,14 @@ fn check(case: &Case, lineup: &Lineup, rig: &mut Rig) -> Result<Coverage, Failur
             expect(&resumed("AoS"), &oracle, aos)?;
             let soa = || Ok(resume(rig, &view, d, config, horizon));
             expect(&resumed("SoA"), &oracle, soa)?;
+            let counted = |layout| path(&format!("resume_metrics_from horizon {at}, {layout}"));
+            let aos = || Ok(resume_metrics(rig, &trace, d, config, horizon, first));
+            expect(&counted("AoS"), &kept(&oracle), aos)?;
+            let soa = || Ok(resume_metrics(rig, &view, d, config, horizon, first));
+            expect(&counted("SoA"), &kept(&oracle), soa)?;
+            if case.policy.is_none() && permutation && queued_at(&oracle, horizon) >= 2 {
+                count(&mut cov, "scatter re-key", 1);
+            }
         }
         if case.policy.is_some() {
             let spec = FederationSpec::uniform(1, *config, lineup.router(case.index));
@@ -709,6 +756,26 @@ fn check(case: &Case, lineup: &Lineup, rig: &mut Rig) -> Result<Coverage, Failur
                 let fed = run_federation(&trace, &spec, d)?;
                 Ok((fed.shards, fed.completed))
             })?;
+        }
+    }
+
+    // Rank tables the scatter re-key cannot take, so every resume under
+    // them re-keys by the insertion-sort fallback: jobs that share ranks in
+    // pairs, and distinct ranks past the trace's length.
+    let tables = ["tied ranks", "ranks past the trace"];
+    for table in tables.into_iter().filter(|_| case.policy.is_none()) {
+        let derive = |&r: &usize| if table == "tied ranks" { r / 2 } else { n + r };
+        let ranks: Vec<usize> = case.ranks.iter().map(derive).collect();
+        let d = QueueDiscipline::FixedOrder(&ranks);
+        let oracle = simulate_reference(&trace, &d, config);
+        for (horizon, at) in [(mid, "mid submit"), (last, "last submit + 1")] {
+            let fallback = u64::from(queued_at(&oracle, horizon) >= 2);
+            count(&mut cov, "re-key fallback", fallback);
+            let path = |step: &str| format!("{step} horizon {at} [fixed order, {table}]");
+            let aos = || Ok(resume(rig, &trace, &d, config, horizon));
+            expect(&path("resume from"), &oracle, aos)?;
+            let soa = || Ok(resume_metrics(rig, &view, &d, config, horizon, first));
+            expect(&path("resume_metrics_from"), &kept(&oracle), soa)?;
         }
     }
 
@@ -832,6 +899,8 @@ fn assert_covered(cov: &Coverage) {
         ("cases under a time-dependent policy".to_string(), 1),
     ];
     want.extend(SPECIAL.map(|(_, name)| (format!("scores of {name}"), 1)));
+    want.push(("scatter re-key".to_string(), 1));
+    want.push(("re-key fallback".to_string(), 1));
     for (shape, _) in DOMAIN {
         for what in ["preemptions", "abandonments"] {
             want.push((format!("{what} on {shape:?} traces"), 1));
@@ -1011,6 +1080,71 @@ fn fork_with_queued_probes_rekeys_the_restored_queue() {
     assert_eq!(ckpt.arrivals_processed(), n, "every probe is queued");
     assert_eq!(ckpt.completed_jobs(), 0, "job 0 finishes at the horizon");
     forks_match_scratch(&mut ws, &ckpt, &trace, &trace, &config, warmup, 0xD00D);
+}
+
+/// Forks under fixed orders the scatter re-key cannot take — the probes
+/// share ranks in pairs, in every other fork past the trace's length too —
+/// re-sort the restored queue by the insertion-sort fallback: equal ranks
+/// keep their arrival order, and both resumes equal a scratch run under
+/// the same ranks. Sound for the reason the fork above is: job 0 holds
+/// every core until the horizon, and the warm-up jobs keep their identity
+/// ranks.
+#[test]
+fn forks_under_tied_out_of_range_ranks_take_the_fallback() {
+    let (cores, warmup, probes) = (16, 6, 10);
+    let mut jobs = vec![Job::new(0, 0.0, 10_000.0, 10_000.0, cores)];
+    for i in 1..warmup as u32 {
+        let runtime = 500.0 * i as f64;
+        jobs.push(Job::new(i, 0.0, runtime, runtime, 3));
+    }
+    let mut rng = Rng::new(0x71ED);
+    for p in 0..probes {
+        let runtime = rng.range_f64(100.0, 2_000.0);
+        let width = rng.range_u64(1, cores as u64 - 1) as u32;
+        let id = (warmup + p) as u32;
+        jobs.push(Job::new(
+            id,
+            500.0 * (p + 1) as f64,
+            runtime,
+            runtime,
+            width,
+        ));
+    }
+    let trace = Trace::from_jobs(jobs);
+    let n = trace.len();
+    let config = SchedulerConfig::actual_runtimes(Platform::new(cores));
+    let identity: Vec<usize> = (0..n).collect();
+    let unforked = simulate(&trace, &QueueDiscipline::FixedOrder(&identity), &config);
+    let mut ws = SimWorkspace::new();
+    let mut ckpt = Checkpoint::new();
+    let prefix = QueueDiscipline::FixedOrder(&identity);
+    ws.run_prefix(&trace, &prefix, &config, 10_000.0, &mut ckpt);
+    assert_eq!(ckpt.arrivals_processed(), n, "every probe is queued");
+    let first = warmup as u32;
+    let mut reordered = false;
+    for fork in 0..8 {
+        let paired = Rng::new(0x71ED ^ fork).permutation(probes);
+        let from = [warmup, n][fork as usize % 2];
+        let ranks: Vec<usize> = (0..warmup)
+            .chain(paired.iter().map(|r| from + r / 2))
+            .collect();
+        let discipline = QueueDiscipline::FixedOrder(&ranks);
+        let scratch = simulate(&trace, &discipline, &config);
+        reordered |= scratch != unforked;
+        ws.resume_from(&ckpt, &trace, &discipline, &config);
+        assert_eq!(ws.result(), scratch, "ranks {ranks:?}");
+        let seed = ckpt.fold_prefix(TrialMetrics::new(first, TAU));
+        let trial = ws.resume_metrics_from(&ckpt, &trace, &discipline, &config, seed);
+        let want = scratch.avg_bounded_slowdown_of(&|id| id >= first, TAU);
+        let got = trial.avg_bounded_slowdown();
+        assert_eq!(
+            got.map(f64::to_bits),
+            want.map(f64::to_bits),
+            "ranks {ranks:?}"
+        );
+        assert_eq!(ws.makespan(), scratch.makespan, "ranks {ranks:?}");
+    }
+    assert!(reordered, "some fork must schedule the probes differently");
 }
 
 /// Forks from just after a pass started the *front* of a standing queue:
