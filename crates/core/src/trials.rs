@@ -148,11 +148,15 @@ fn fill_ranks(ranks: &mut Vec<usize>, s_size: usize, perm: &[usize]) {
 /// starting (if every waiting `Q` task starts, any order starts the same
 /// set at the same instant — a set that fits fits in every prefix order —
 /// and a lone `Q` task compares only against invariantly-ranked `S`
-/// tasks). The identity run is valid evidence for every permutation
-/// precisely up to the first flagged time, which is why the scan can use
-/// its start times. `f64::INFINITY` (no flagged time — e.g. `|Q| = 1`)
-/// means the whole schedule is permutation-invariant and the checkpoint
-/// captures the completed run.
+/// tasks). A pass that starts every waiting `Q` task is flagged all the
+/// same when two of them will finish at the same instant: same-instant
+/// completions pop in start order, a pass starts in rank order, so the
+/// permutation decides their completion order and with it the order of
+/// the slowdown sum. The identity run is valid evidence for every
+/// permutation precisely up to the first flagged time, which is why the
+/// scan can use its start and finish times. `f64::INFINITY` (no flagged
+/// time — e.g. `|Q| = 1`) means the whole schedule is
+/// permutation-invariant and the checkpoint captures the completed run.
 ///
 /// A warmup-free tuple (`|S| = 0`) has nothing worth amortizing and keeps
 /// the degenerate horizon at time zero — the checkpoint of the pristine
@@ -166,9 +170,11 @@ fn prefix_horizon(tuple: &TaskTuple, identity_run: &[CompletedJob]) -> f64 {
     // Tuples assign ids 0..|S|+|Q| in submit order, so id == trace index.
     let mut submit = vec![0.0; n];
     let mut start = vec![0.0; n];
+    let mut finish = vec![0.0; n];
     for c in identity_run {
         submit[c.job.id as usize] = c.job.submit;
         start[c.job.id as usize] = c.start;
+        finish[c.job.id as usize] = c.finish;
     }
     // The waiting sets change only at event times; scanning every submit,
     // start, and finish covers all of them (extra candidates can only
@@ -187,7 +193,9 @@ fn prefix_horizon(tuple: &TaskTuple, identity_run: &[CompletedJob]) -> f64 {
             .filter(|&i| submit[i] <= t && start[i] >= t)
             .count();
         let pending = (s_size..n).any(|i| submit[i] <= t && start[i] > t);
-        if present >= 2 && pending {
+        let tied = (s_size..n)
+            .any(|i| start[i] == t && (i + 1..n).any(|j| start[j] == t && finish[j] == finish[i]));
+        if present >= 2 && (pending || tied) {
             return t;
         }
     }

@@ -62,6 +62,8 @@ enum Shape {
     /// and with the warm-up instant, zero runtimes, full-width jobs, and up
     /// to 12 probes — more than there are cores.
     Hostile(f64),
+    /// A tuple built by hand for one named case, not drawn.
+    Named(&'static str),
 }
 
 /// Shapes and how many tuples of each the harness draws.
@@ -129,6 +131,7 @@ impl Shape {
                 };
                 (8, tuple)
             }
+            Shape::Named(name) => unreachable!("`{name}` is built by hand, not drawn"),
         }
     }
 }
@@ -454,4 +457,37 @@ fn the_batched_kernel_equals_per_trial_scratch_runs() {
         }
     }
     assert_covered(&cov);
+}
+
+/// One pass the horizon scan need not flag for its started *set* starts two
+/// probes that finish at the same instant. Same-instant completions pop in
+/// start order, and a pass starts in rank order, so a trial whose
+/// permutation swaps jobs 3 and 4 completes them 4-then-3 while the
+/// identity checkpoint holds them 3-then-4 — and the slowdown sum differs
+/// in the last bit (under `[0, 2, 1]`: 4.619493065518891 from scratch,
+/// 4.61949306551889 from a fork of a checkpoint past that pass). Waiting
+/// job 1 shields the probes until all three start at 120, so only the tie
+/// flags a time.
+#[test]
+fn probes_started_together_that_finish_together_fork_in_start_order() {
+    let job = |id, submit, runtime, cores| Job::new(id, submit, runtime, runtime, cores);
+    let tuple = TaskTuple {
+        s_tasks: vec![job(0, 0.0, 120.0, 6), job(1, 0.0, 10.0, 4)],
+        q_tasks: vec![
+            job(2, 1.37, 17.0, 1),
+            job(3, 30.29, 41.0, 1),
+            job(4, 50.62, 41.0, 1),
+        ],
+    };
+    let case = Case {
+        index: 0,
+        shape: Shape::Named("probes started together that finish together"),
+        cores: 8,
+        copy: tuple.clone(),
+        tuple,
+        masters: [1, 2],
+    };
+    if let Err(failure) = check(&[&case]) {
+        panic!("{}", report(&case, &failure));
+    }
 }

@@ -29,15 +29,15 @@
 //!
 //! Everything the event loop reads or writes, at the instant every event
 //! strictly before the horizon has been processed and none at or after it
-//! has: the pending completion-event queue (including its FIFO tie-break
-//! sequence), the waiting queue with its SoA priority keys (the live
-//! window only: entries a static-order pass left behind its `head` cursor
-//! are not copied, and a captured or restored cursor is 0), the
-//! blocked-head fact, the sorted release list, the narrowest-waiter width,
-//! the compiled batch-scoring input lanes, per-job start times, the core
-//! ledger (capacity state plus its busy/offline integrals), the
-//! completion prefix, the arrival cursor, and the event, backfill and
-//! conservative-pass counters.
+//! has: the pending completion-event queue (in pop order, so same-instant
+//! completions keep their push order), the waiting queue with its SoA
+//! priority keys (the live window only: entries a static-order pass left
+//! behind its `head` cursor are not copied, and a captured or restored
+//! cursor is 0), the blocked-head fact, the sorted release list, the
+//! narrowest-waiter width, the compiled batch-scoring input lanes, per-job
+//! start times, the core ledger (capacity state plus its busy/offline
+//! integrals), the completion prefix, the arrival cursor, and the event,
+//! backfill and conservative-pass counters.
 //! What it deliberately does *not* capture is state the engine rebuilds
 //! from scratch at every use — the availability profile and its release
 //! scratch (rebuilt from the release list at every backfilling pass), a
@@ -52,15 +52,18 @@
 //! A resume is bit-identical to a scratch run **provided every scheduling
 //! decision before the horizon is the same under the prefix and resume
 //! disciplines** (same discipline kind, so the engine's queue-order mode
-//! matches; same pass outcomes — started sets and start times — at every
-//! pre-horizon event). The restored waiting queue itself is *not* trusted
-//! across disciplines: a static-order resume re-keys and re-sorts it
-//! under its own discipline before the first pass, so entries that were
-//! waiting at the horizon are scheduled by the resume's priorities, not
-//! the prefix's. That is what lets the trial kernel place the horizon at
-//! the first pass whose outcome can depend on the relative order of two
-//! probe tasks — typically deep inside the warmup drain, with probe
-//! tasks already queued — rather than at the first probe arrival. Under
+//! matches; same pass outcomes — started sets and start times and, among
+//! jobs that will finish at the same instant, the same start order — at
+//! every pre-horizon event: same-instant completions pop in start order,
+//! and the captured event queue holds the prefix's). The restored waiting
+//! queue itself is *not* trusted across disciplines: a static-order
+//! resume re-keys and re-sorts it under its own discipline before the
+//! first pass, so entries that were waiting at the horizon are scheduled
+//! by the resume's priorities, not the prefix's. That is what lets the
+//! trial kernel place the horizon at the first pass whose outcome can
+//! depend on the relative order of two probe tasks — typically deep
+//! inside the warmup drain, with probe tasks already queued — rather than
+//! at the first probe arrival. Under
 //! a fixed order whose queued ranks are distinct and below the trace's
 //! length — every trial's, whose ranks are a permutation — the re-sort is
 //! a scatter into rank-indexed slots and one gather: distinct keys have

@@ -194,11 +194,12 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
     /// one is at or after `stop_before` — then check the queue drained.
     ///
     /// Arrivals come off the submit-sorted trace via the cursor;
-    /// completions off the heap; under fault injection, capacity steps off
-    /// `steps`. At equal timestamps arrivals process first (trace order),
-    /// then completions (start/push order — the exact FIFO batch order the
-    /// reference engine's single heap produces), then capacity steps: a
-    /// job finishing at `t` is never a preemption victim at `t`.
+    /// completions off the event queue; under fault injection, capacity
+    /// steps off `steps`. At equal timestamps arrivals process first
+    /// (trace order), then completions (start/push order — the exact FIFO
+    /// batch order the reference engine's single event queue produces),
+    /// then capacity steps: a job finishing at `t` is never a preemption
+    /// victim at `t`.
     fn drive<const FAULTY: bool>(
         &mut self,
         steps: &[CapacityStep],

@@ -16,7 +16,7 @@
 //!
 //! The training stage simulates hundreds of thousands of independent
 //! permutation trials per `(S, Q)` tuple; at that call rate the engine's
-//! per-call allocations (event heap, running-job hash table, per-timestamp
+//! per-call allocations (event queue, running-job hash table, per-timestamp
 //! batch vector, per-reschedule order/releases vectors) dominate the wall
 //! time. The engine therefore runs entirely out of a [`SimWorkspace`]:
 //!
@@ -365,18 +365,19 @@ fn task_view(config: &SchedulerConfig, job: &Job, now: f64) -> TaskView {
     }
 }
 
-/// Heap events are completions only, carrying the finished job's trace
-/// index and the attempt number it was started under. Arrivals never enter
-/// the heap: the trace is submit-sorted, so an advancing cursor yields them
-/// in exactly the order the reference engine's heap did (same-time arrivals
-/// in trace order, and — because the reference pushed all arrivals before
-/// any completion — arrivals ahead of completions at equal timestamps).
+/// Event-queue events are completions only, carrying the finished job's
+/// trace index and the attempt number it was started under. Arrivals never
+/// enter the queue: the trace is submit-sorted, so an advancing cursor
+/// yields them in exactly the order the reference engine's queue does
+/// (same-time arrivals in trace order, and — because the reference pushes
+/// all arrivals before any completion — arrivals ahead of completions at
+/// equal timestamps).
 ///
-/// The attempt number makes preemption sound without heap surgery: killing
-/// a job bumps its attempt counter, so the already-scheduled completion of
-/// the killed attempt no longer matches and is skipped when popped. In a
-/// zero-fault run the attempt is always 0 and never consulted; the payload
-/// widens `Scheduled<Completion>` within the same 24-byte layout.
+/// The attempt number makes preemption sound without queue surgery:
+/// killing a job bumps its attempt counter, so the already-scheduled
+/// completion of the killed attempt no longer matches and is skipped when
+/// popped. In a zero-fault run the attempt is always 0 and never consulted;
+/// a queued `(time, Completion)` entry is 16 bytes either way.
 pub(crate) type Completion = (u32, u32);
 
 /// A waiting job. Its priority key (fixed-order rank or cached score) is

@@ -21,7 +21,7 @@ use dynsched_workload::JobLanes;
 /// has been processed and none at or after it has.
 #[derive(Debug, Default)]
 pub(crate) struct SimState {
-    /// Pending completion events, FIFO tie-break sequence included.
+    /// Pending completion events, in pop order (ties in push order).
     pub(crate) events: EventQueue<Completion>,
     /// The waiting queue: the live window `queue[head..]` (see
     /// [`SimState::waiting`]).

@@ -184,10 +184,10 @@ pub fn simulate_reference(
     }
 }
 
-/// Heap events of the faulty oracle. Completions carry the trace index and
-/// the attempt the job was started under: killing a job bumps its attempt
-/// counter, so the dead attempt's completion no longer matches and is
-/// skipped — the same liveness convention the optimized engine uses.
+/// Event-queue events of the faulty oracle. Completions carry the trace
+/// index and the attempt the job was started under: killing a job bumps
+/// its attempt counter, so the dead attempt's completion no longer matches
+/// and is skipped — the same liveness convention the optimized engine uses.
 #[derive(Debug, Clone, Copy)]
 enum FaultyEvent {
     Arrival(usize),
@@ -261,8 +261,8 @@ pub fn simulate_reference_faulty(
             (None, None) => break,
         };
         clock.advance_to(t);
-        // All arrivals were pushed before any completion, so the heap's
-        // FIFO tie-break yields arrivals (trace order) ahead of
+        // All arrivals were pushed before any completion, so the event
+        // queue's FIFO tie-break yields arrivals (trace order) ahead of
         // completions (start order) within the batch.
         while events.peek_time() == Some(t) {
             match events.pop().expect("peeked").1 {
