@@ -295,7 +295,7 @@ fn outcome_from_metrics(policy: &str, row: &[SimMetrics]) -> PolicyOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynsched_cluster::{Job, Platform};
+    use dynsched_cluster::Platform;
     use dynsched_policies::{Fcfs, Spt};
     use dynsched_simkit::Rng;
     use dynsched_workload::LublinModel;
@@ -319,23 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn runs_all_policies_on_all_sequences() {
-        let exp = Experiment::new(
-            "smoke",
-            heavy_tailed_sequences(1, 3),
-            SchedulerConfig::actual_runtimes(Platform::new(32)),
-        );
-        let res = run_experiment(&exp, &lineup());
-        assert_eq!(res.outcomes.len(), 2);
-        for o in &res.outcomes {
-            assert_eq!(o.ave_bslds.len(), 3);
-            for &x in &o.ave_bslds {
-                assert!(x >= 1.0, "AVEbsld is bounded below by 1");
-            }
-        }
-    }
-
-    #[test]
     fn spt_beats_fcfs_on_heavy_tails() {
         let exp = Experiment::new(
             "spt-vs-fcfs",
@@ -350,88 +333,6 @@ mod tests {
             "SPT should beat FCFS under saturation (SPT {spt}, FCFS {fcfs})"
         );
         assert_eq!(res.best_policy(), Some("SPT"));
-    }
-
-    #[test]
-    fn deterministic_across_runs() {
-        let exp = Experiment::new(
-            "det",
-            heavy_tailed_sequences(3, 3),
-            SchedulerConfig::actual_runtimes(Platform::new(32)),
-        );
-        let a = run_experiment(&exp, &lineup());
-        let b = run_experiment(&exp, &lineup());
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn single_trivial_sequence() {
-        let seq = Trace::from_jobs(vec![Job::new(0, 0.0, 100.0, 100.0, 1)]);
-        let exp = Experiment::new(
-            "one-job",
-            vec![seq],
-            SchedulerConfig::actual_runtimes(Platform::new(4)),
-        );
-        let res = run_experiment(&exp, &lineup());
-        for o in &res.outcomes {
-            assert_eq!(o.median, 1.0);
-            assert_eq!(o.std_dev, 0.0);
-        }
-    }
-
-    #[test]
-    fn batched_experiments_equal_individual_runs() {
-        let exps: Vec<Experiment> = (0..3)
-            .map(|k| {
-                Experiment::new(
-                    format!("exp-{k}"),
-                    heavy_tailed_sequences(10 + k, 2),
-                    SchedulerConfig::actual_runtimes(Platform::new(32)),
-                )
-            })
-            .collect();
-        let batched = run_experiments(&exps, &lineup());
-        let individual: Vec<ExperimentResult> =
-            exps.iter().map(|e| run_experiment(e, &lineup())).collect();
-        assert_eq!(batched, individual);
-    }
-
-    #[test]
-    fn fault_profile_threads_into_resilience_outcomes() {
-        let profile = FaultProfile::failures(3_000.0, 800.0, 8, 11).with_max_retries(3);
-        let exp = Experiment::new(
-            "faulty",
-            heavy_tailed_sequences(4, 3),
-            SchedulerConfig::actual_runtimes(Platform::new(32)),
-        )
-        .with_fault_profile(profile.clone());
-        let res = run_experiment(&exp, &lineup());
-        // Same schedules for every policy; failures actually occurred on
-        // this workload (MTBF well under the sequence span).
-        assert!(
-            res.outcomes.iter().any(|o| o.mean_preempted > 0.0),
-            "expected at least one preemption across the line-up"
-        );
-        for o in &res.outcomes {
-            assert!(o.mean_lost_core_seconds >= 0.0);
-        }
-        // Deterministic: the expansion is (seed, stream)-keyed.
-        assert_eq!(res, run_experiment(&exp, &lineup()));
-        // Zero-fault experiments report zero resilience counters and an
-        // empty profile attaches nothing.
-        let clean = Experiment::new(
-            "clean",
-            heavy_tailed_sequences(4, 3),
-            SchedulerConfig::actual_runtimes(Platform::new(32)),
-        )
-        .with_fault_profile(FaultProfile::none());
-        assert!(clean.fault.is_none());
-        let res = run_experiment(&clean, &lineup());
-        for o in &res.outcomes {
-            assert_eq!(o.mean_preempted, 0.0);
-            assert_eq!(o.mean_abandoned, 0.0);
-            assert_eq!(o.mean_lost_core_seconds, 0.0);
-        }
     }
 
     #[test]

@@ -220,50 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_is_deterministic() {
-        let model = LublinModel::new(64);
-        let (_, a) = generate_training_set(&tiny_config(), &model);
-        let (_, b) = generate_training_set(&tiny_config(), &model);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn run_full_links_training_to_evaluation() {
-        use dynsched_workload::SequenceSpec;
-        let mut enumerate = EnumerateOptions::default();
-        enumerate.lm.max_iterations = 20;
-        let config = FullRunConfig {
-            training: tiny_config(),
-            enumerate,
-            top_k: 3,
-            eval_scale: ScenarioScale {
-                spec: SequenceSpec {
-                    count: 2,
-                    days: 1.0,
-                    min_jobs: 2,
-                },
-                ..ScenarioScale::default()
-            },
-        };
-        let model = LublinModel::new(64);
-        let report = run_full(&config, &model);
-        assert_eq!(
-            report.lineup,
-            ["FCFS", "WFP", "UNI", "SPT", "G1", "G2", "G3"]
-        );
-        assert_eq!(report.evaluation.len(), 18, "full Table-4 grid");
-        for row in &report.evaluation {
-            let names: Vec<&str> = row.outcomes.iter().map(|o| o.policy.as_str()).collect();
-            assert_eq!(names, report.lineup, "{}", row.name);
-        }
-        // The shipped policies are exactly the top fits, in rank order.
-        assert_eq!(report.learned.policies.len(), 3);
-        for (policy, fit) in report.learned.policies.iter().zip(&report.learned.fits) {
-            assert_eq!(policy.function(), &fit.function);
-        }
-    }
-
-    #[test]
     fn learn_policies_produces_ranked_output() {
         let model = LublinModel::new(64);
         let mut enumerate = EnumerateOptions::default();

@@ -456,75 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn table4_results_match_per_row_runs() {
-        use crate::experiments::run_experiment;
-        use dynsched_policies::{Fcfs, Spt};
-        let scale = ScenarioScale {
-            spec: dynsched_workload::SequenceSpec {
-                count: 2,
-                days: 1.0,
-                min_jobs: 2,
-            },
-            ..ScenarioScale::default()
-        };
-        let lineup: Vec<Box<dyn Policy>> = vec![Box::new(Fcfs), Box::new(Spt)];
-        let batched = table4_results_in(&TraceStore::new(), &scale, &lineup);
-        assert_eq!(batched.len(), 18);
-        for (row, experiment) in batched
-            .iter()
-            .zip(table4_experiments_in(&TraceStore::new(), &scale))
-        {
-            assert_eq!(
-                *row,
-                run_experiment(&experiment, &lineup),
-                "{}",
-                experiment.name
-            );
-        }
-    }
-
-    #[test]
-    fn same_seed_same_scenario() {
-        let scale = ScenarioScale::quick();
-        let a = model_scenario_in(&TraceStore::new(), 256, Condition::ActualRuntimes, &scale);
-        let b = model_scenario_in(&TraceStore::new(), 256, Condition::ActualRuntimes, &scale);
-        assert_eq!(a.sequences, b.sequences);
-    }
-
-    #[test]
-    fn table4_grid_builds_six_workloads_for_eighteen_rows() {
-        let scale = ScenarioScale {
-            spec: dynsched_workload::SequenceSpec {
-                count: 2,
-                days: 1.0,
-                min_jobs: 2,
-            },
-            ..ScenarioScale::default()
-        };
-        let store = TraceStore::new();
-        let rows = table4_experiments_in(&store, &scale);
-        assert_eq!(rows.len(), 18);
-        assert_eq!(store.builds(), 6, "2 model sizes + 4 archive platforms");
-        assert_eq!(
-            store.hits(),
-            12,
-            "each workload reused by two further conditions"
-        );
-        // The same workload's rows share storage across conditions (model
-        // rows interleave by nmax: rows 0 and 2 are both nmax = 256).
-        assert!(rows[0].sequences[0].shares_storage(&rows[2].sequences[0]));
-        assert!(rows[6].sequences[0].shares_storage(&rows[10].sequences[0]));
-        // ... and the shared build is bit-identical to construction through
-        // a store of its own.
-        for (shared, fresh) in rows
-            .iter()
-            .zip(table4_experiments_in(&TraceStore::new(), &scale))
-        {
-            assert_eq!(shared.sequences, fresh.sequences, "{}", shared.name);
-        }
-    }
-
-    #[test]
     fn phase_one_lists_exactly_the_workloads_the_store_lacks() {
         let scale = ScenarioScale::quick();
         let store = TraceStore::new();

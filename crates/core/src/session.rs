@@ -218,244 +218,3 @@ impl<'a> EvalSession<'a> {
         })
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dynsched_cluster::{Platform, DEFAULT_TAU};
-    use dynsched_policies::{Fcfs, Spt};
-    use dynsched_scheduler::{simulate, SimMetrics};
-    use dynsched_simkit::parallel::with_worker_limit;
-    use dynsched_simkit::Rng;
-    use dynsched_workload::LublinModel;
-
-    fn sequences(count: usize) -> Vec<TraceView> {
-        let mut model = LublinModel::new(32);
-        model.daily_cycle = false;
-        model.arrival_scale = 0.05;
-        let mut rng = Rng::new(91);
-        (0..count)
-            .map(|_| model.generate_jobs(50, &mut rng).to_view())
-            .collect()
-    }
-
-    #[test]
-    fn session_matches_per_cell_simulate() {
-        let seqs = sequences(4);
-        let policies: Vec<Box<dyn Policy>> = vec![Box::new(Fcfs), Box::new(Spt)];
-        let config = SchedulerConfig::actual_runtimes(Platform::new(32));
-        let mut session = EvalSession::new();
-        let range = session.push_grid(&policies, &seqs, &config, DEFAULT_TAU);
-        assert_eq!(range, 0..8);
-        let table = session.run();
-        for (p, policy) in policies.iter().enumerate() {
-            for (s, seq) in seqs.iter().enumerate() {
-                let cell = &table[p * seqs.len() + s];
-                let want = SimMetrics::from_result(
-                    &simulate(seq, &QueueDiscipline::Policy(policy.as_ref()), &config),
-                    DEFAULT_TAU,
-                );
-                assert_eq!(cell, &want, "policy {p}, sequence {s}");
-            }
-        }
-    }
-
-    #[test]
-    fn session_is_thread_count_independent() {
-        let seqs = sequences(3);
-        let policies: Vec<Box<dyn Policy>> = vec![Box::new(Fcfs), Box::new(Spt)];
-        let config = SchedulerConfig::estimates_with_backfilling(Platform::new(32));
-        let eval = || {
-            let mut session = EvalSession::new();
-            session.push_grid(&policies, &seqs, &config, DEFAULT_TAU);
-            session.run()
-        };
-        let wide = eval();
-        let narrow = with_worker_limit(1, eval);
-        assert_eq!(wide, narrow);
-    }
-
-    #[test]
-    fn mixed_cells_keep_push_order() {
-        let seqs = sequences(2);
-        let fcfs = Fcfs;
-        let spt = Spt;
-        let a = SchedulerConfig::actual_runtimes(Platform::new(32));
-        let b = SchedulerConfig::user_estimates(Platform::new(32));
-        let mut session = EvalSession::new();
-        let i0 = session.push(EvalCell {
-            trace: &seqs[0],
-            policy: &fcfs,
-            config: &a,
-            tau: 10.0,
-            faults: None,
-        });
-        let i1 = session.push(EvalCell {
-            trace: &seqs[1],
-            policy: &spt,
-            config: &b,
-            tau: 7.0,
-            faults: None,
-        });
-        assert_eq!((i0, i1), (0, 1));
-        assert_eq!(session.len(), 2);
-        let table = session.run();
-        assert_eq!(table[1].tau, 7.0);
-        let want =
-            SimMetrics::from_result(&simulate(&seqs[1], &QueueDiscipline::Policy(&spt), &b), 7.0);
-        assert_eq!(table[1], want);
-    }
-
-    #[test]
-    fn faulty_grid_matches_per_cell_faulty_simulate() {
-        use dynsched_cluster::FaultProfile;
-        let seqs = sequences(3);
-        let policies: Vec<Box<dyn Policy>> = vec![Box::new(Fcfs), Box::new(Spt)];
-        let config = SchedulerConfig::estimates_with_backfilling(Platform::new(32));
-        let profile = FaultProfile::failures(2_000.0, 500.0, 8, 7).with_max_retries(2);
-        let schedules: Vec<_> = seqs
-            .iter()
-            .enumerate()
-            .map(|(s, seq)| profile.expand(32, seq.end_time().unwrap_or(0.0), s as u64))
-            .collect();
-        let mut session = EvalSession::new();
-        let range =
-            session.push_grid_with_faults(&policies, &seqs, &config, DEFAULT_TAU, &schedules);
-        assert_eq!(range, 0..6);
-        let table = session.run();
-        let narrow = with_worker_limit(1, || {
-            let mut session = EvalSession::new();
-            session.push_grid_with_faults(&policies, &seqs, &config, DEFAULT_TAU, &schedules);
-            session.run()
-        });
-        assert_eq!(
-            table, narrow,
-            "faulty grid must be thread-count independent"
-        );
-        for (p, policy) in policies.iter().enumerate() {
-            for (s, seq) in seqs.iter().enumerate() {
-                let mut ws = SimWorkspace::new();
-                let discipline = QueueDiscipline::Policy(policy.as_ref());
-                ws.run_faulty(seq, &discipline, &config, &schedules[s])
-                    .expect("engine error");
-                let want = SimMetrics::from_result(&ws.result(), DEFAULT_TAU);
-                assert_eq!(table[p * seqs.len() + s], want, "policy {p}, sequence {s}");
-            }
-        }
-    }
-
-    #[test]
-    fn empty_session_runs_to_empty_table() {
-        let session = EvalSession::new();
-        assert!(session.is_empty());
-        assert!(session.run().is_empty());
-    }
-
-    #[test]
-    fn uncompilable_policies_fall_back_to_the_interpreted_path() {
-        // A custom policy with no compiled form (the trait default): the
-        // session must route it through QueueDiscipline::Policy and still
-        // match the per-cell simulate loop, while compilable policies in
-        // the same session take the batch kernel.
-        struct Custom;
-        impl Policy for Custom {
-            fn name(&self) -> &str {
-                "custom"
-            }
-            fn score(&self, t: &dynsched_policies::TaskView) -> f64 {
-                t.processing_time * 2.0 + t.wait().sqrt()
-            }
-        }
-        let seqs = sequences(3);
-        let policies: Vec<Box<dyn Policy>> = vec![Box::new(Custom), Box::new(Fcfs)];
-        let config = SchedulerConfig::estimates_with_backfilling(Platform::new(32));
-        let mut session = EvalSession::new();
-        session.push_grid(&policies, &seqs, &config, DEFAULT_TAU);
-        let table = session.run();
-        for (p, policy) in policies.iter().enumerate() {
-            for (s, seq) in seqs.iter().enumerate() {
-                let want = SimMetrics::from_result(
-                    &simulate(seq, &QueueDiscipline::Policy(policy.as_ref()), &config),
-                    DEFAULT_TAU,
-                );
-                assert_eq!(table[p * seqs.len() + s], want, "policy {p}, sequence {s}");
-            }
-        }
-    }
-
-    #[test]
-    fn panicking_policy_yields_structured_error_not_abort() {
-        // A worker panic must surface as a PoolError naming the cell, with
-        // the scope joined cleanly and the already-completed cells dropped
-        // — not as an unwind through the session (let alone a leak).
-        struct Grenade;
-        impl Policy for Grenade {
-            fn name(&self) -> &str {
-                "grenade"
-            }
-            fn score(&self, t: &dynsched_policies::TaskView) -> f64 {
-                if t.wait() >= 0.0 {
-                    panic!("policy blew up");
-                }
-                t.processing_time
-            }
-        }
-        let seqs = sequences(2);
-        let policies: Vec<Box<dyn Policy>> = vec![Box::new(Fcfs), Box::new(Grenade)];
-        let config = SchedulerConfig::actual_runtimes(Platform::new(32));
-        let eval = || {
-            let mut session = EvalSession::new();
-            session.push_grid(&policies, &seqs, &config, DEFAULT_TAU);
-            session.try_run()
-        };
-        for err in [eval().unwrap_err(), with_worker_limit(1, eval).unwrap_err()] {
-            // The grenade occupies cells 2..4 (policy-major order).
-            assert!(
-                (2..4).contains(&err.slot),
-                "slot {} not a grenade cell",
-                err.slot
-            );
-            assert!(
-                err.message.contains("policy blew up"),
-                "message: {}",
-                err.message
-            );
-        }
-    }
-
-    #[test]
-    fn zero_sized_policies_sharing_a_name_are_not_aliased() {
-        // Two zero-sized policies with the *same display name* but
-        // different scoring: all ZSTs share one data address, so the
-        // compile cache must key on the full fat pointer (vtable
-        // included) or this impostor would silently run FCFS's compiled
-        // program. LCFS-like scoring makes any mix-up change the metrics.
-        struct NotReallyFcfs;
-        impl Policy for NotReallyFcfs {
-            fn name(&self) -> &str {
-                "FCFS"
-            }
-            fn score(&self, t: &dynsched_policies::TaskView) -> f64 {
-                -t.submit
-            }
-            fn time_dependent(&self) -> bool {
-                false
-            }
-        }
-        let seqs = sequences(2);
-        let policies: Vec<Box<dyn Policy>> = vec![Box::new(Fcfs), Box::new(NotReallyFcfs)];
-        let config = SchedulerConfig::actual_runtimes(Platform::new(32));
-        let mut session = EvalSession::new();
-        session.push_grid(&policies, &seqs, &config, DEFAULT_TAU);
-        let table = session.run();
-        for (p, policy) in policies.iter().enumerate() {
-            for (s, seq) in seqs.iter().enumerate() {
-                let want = SimMetrics::from_result(
-                    &simulate(seq, &QueueDiscipline::Policy(policy.as_ref()), &config),
-                    DEFAULT_TAU,
-                );
-                assert_eq!(table[p * seqs.len() + s], want, "policy {p}, sequence {s}");
-            }
-        }
-    }
-}

@@ -548,14 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn distribution_is_deterministic_and_thread_independent() {
-        let tuple = small_tuple(4);
-        let a = trial_scores(&tuple, &small_spec(256), &Rng::new(10));
-        let b = trial_scores(&tuple, &small_spec(256), &Rng::new(10));
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn dedup_keys_on_content_not_address() {
         let t1 = small_tuple(31);
         let copy = t1.clone(); // content-equal, different address
@@ -580,31 +572,6 @@ mod tests {
         let (distinct, trace_of) = dedup_tuples(&batches);
         assert_eq!(distinct.len(), 2, "content-equal copies must share a slot");
         assert_eq!(trace_of, vec![0, 0, 1]);
-    }
-
-    #[test]
-    fn content_equal_copies_score_identically() {
-        // Regression for the former pointer-identity dedup: a batch over a
-        // *clone* of a tuple must behave exactly like a batch over the
-        // original.
-        let t1 = small_tuple(33);
-        let copy = t1.clone();
-        let spec = small_spec(0);
-        let batches = vec![
-            TrialBatch {
-                tuple: &t1,
-                trials: 48,
-                master: Rng::new(500),
-            },
-            TrialBatch {
-                tuple: &copy,
-                trials: 48,
-                master: Rng::new(500),
-            },
-        ];
-        let got = trial_scores_batched(&batches, spec.platform, spec.tau);
-        assert_eq!(got[0], got[1]);
-        assert_eq!(got[0], trial_scores(&t1, &small_spec(48), &Rng::new(500)));
     }
 
     #[test]
