@@ -46,12 +46,14 @@
 //! the manifest and of every stage file — a mismatch (different seed,
 //! different scale, different code vintage) is a loud error, never a
 //! silent recompute. A stage file that is *missing, truncated, unparsable,
-//! or fails its checksum* is simply **recomputed**: partial state is never
-//! trusted, and recomputation is always safe because every stage is a
-//! deterministic function of the config. The result of a resumed run is
-//! **bit-identical** to an uninterrupted one — the `run_resume` suite pins
-//! this at every stage boundary, under corruption, and at 1 vs n worker
-//! threads.
+//! fails its checksum, or decodes to a shape this config cannot produce*
+//! (a fit table that is not one fit per family member, a training set
+//! with the wrong tuple count, tuple sizes or observations) is simply
+//! **recomputed**: partial state is never trusted, and recomputation is
+//! always safe because every stage is a deterministic function of the
+//! config. The result of a resumed run is **bit-identical** to an
+//! uninterrupted one — the `run_resume` suite pins this at every stage
+//! boundary, under corruption and forgery, and at 1 vs n worker threads.
 //!
 //! A worker panic during evaluation surfaces as
 //! [`RunError::Eval`] with the last completed checkpoint still on disk and
@@ -66,7 +68,9 @@
 //! the resumed report is byte-identical.
 
 use crate::experiments::{try_run_experiment, ExperimentResult, PolicyOutcome};
-use crate::pipeline::{generate_training_set, FullRunConfig, FullRunReport, LearnedReport};
+use crate::pipeline::{
+    generate_training_set, FullRunConfig, FullRunReport, LearnedReport, TrainingConfig,
+};
 use crate::scenarios::table4_experiments_in;
 use crate::tuples::TaskTuple;
 use dynsched_cluster::Job;
@@ -426,16 +430,27 @@ fn encode_training(tuples: &[TaskTuple], training: &TrainingSet) -> Json {
     ])
 }
 
-fn decode_training(payload: &Json) -> Option<(Vec<TaskTuple>, TrainingSet)> {
+/// The training stage, if it has the shape `config` generates: `tuples`
+/// tuples of `|S|` and `|Q|` tasks, and one observation per `Q` task, each
+/// as `TrainingSet::from_csv` would accept it (finite; runtime, cores and
+/// submit not negative). A stage that decodes but lies about its shape —
+/// with a checksum recomputed over the lie — is recomputed like a torn one.
+fn decode_training(
+    payload: &Json,
+    config: &TrainingConfig,
+) -> Option<(Vec<TaskTuple>, TrainingSet)> {
+    let spec = &config.tuple_spec;
     let tuples = payload
         .get("tuples")?
         .as_array()?
         .iter()
         .map(|t| {
-            Some(TaskTuple {
+            let tuple = TaskTuple {
                 s_tasks: jobs_from_json(t.get("s")?)?,
                 q_tasks: jobs_from_json(t.get("q")?)?,
-            })
+            };
+            let sizes = (tuple.s_tasks.len(), tuple.q_tasks.len());
+            (sizes == (spec.s_size, spec.q_size)).then_some(tuple)
         })
         .collect::<Option<Vec<_>>>()?;
     let observations = payload
@@ -446,15 +461,19 @@ fn decode_training(payload: &Json) -> Option<(Vec<TaskTuple>, TrainingSet)> {
             let [runtime, cores, submit, score] = o.as_array()? else {
                 return None;
             };
+            let finite = |v: &Json| v.as_f64().filter(|x| x.is_finite());
+            let non_negative = |v: &Json| finite(v).filter(|&x| x >= 0.0);
             Some(Observation {
-                runtime: runtime.as_f64()?,
-                cores: cores.as_f64()?,
-                submit: submit.as_f64()?,
-                score: score.as_f64()?,
+                runtime: non_negative(runtime)?,
+                cores: non_negative(cores)?,
+                submit: non_negative(submit)?,
+                score: finite(score)?,
             })
         })
         .collect::<Option<Vec<_>>>()?;
-    Some((tuples, TrainingSet::new(observations)))
+    let probes: usize = tuples.iter().map(|t| t.q_tasks.len()).sum();
+    let shaped = tuples.len() == config.tuples && observations.len() == probes;
+    shaped.then(|| (tuples, TrainingSet::new(observations)))
 }
 
 fn encode_fits(fits: &[FitResult]) -> Json {
@@ -481,11 +500,15 @@ fn encode_fits(fits: &[FitResult]) -> Json {
     )])
 }
 
+/// The fit stage, if it is a ranking of the whole family: one fit per
+/// member, the family indices a permutation of `0..576`. A truncated or
+/// duplicated table re-sealed with a fresh checksum is recomputed.
 fn decode_fits(payload: &Json) -> Option<Vec<FitResult>> {
     // The function shapes are reconstructed from the deterministic family
     // enumeration — only the index and fitted coefficients are persisted.
     let family = NonlinearFunction::enumerate_family();
-    payload
+    let mut seen = vec![false; family.len()];
+    let fits = payload
         .get("fits")?
         .as_array()?
         .iter()
@@ -495,6 +518,9 @@ fn decode_fits(payload: &Json) -> Option<Vec<FitResult>> {
             };
             let family_index = usize::try_from(index.as_u64()?).ok()?;
             let shape = family.get(family_index)?;
+            if std::mem::replace(&mut seen[family_index], true) {
+                return None;
+            }
             Some(FitResult {
                 function: shape.with_coefficients([c0.as_f64()?, c1.as_f64()?, c2.as_f64()?]),
                 family_index,
@@ -503,7 +529,8 @@ fn decode_fits(payload: &Json) -> Option<Vec<FitResult>> {
                 converged: converged.as_bool()?,
             })
         })
-        .collect()
+        .collect::<Option<Vec<_>>>()?;
+    (fits.len() == family.len()).then_some(fits)
 }
 
 fn f64s_to_json(xs: &[f64]) -> Json {
@@ -628,21 +655,21 @@ pub fn run_full_checkpointed(
 
     // Stage 1: the pooled training distribution.
     let training_path = dir.join("training.json");
-    let (tuples, training_set) =
-        match load_stage(&training_path, "training", fp)?.and_then(|p| decode_training(&p)) {
-            Some(loaded) => loaded,
-            None => {
-                let (tuples, training_set) = generate_training_set(&config.training, model);
-                write_stage(
-                    &training_path,
-                    "training",
-                    fp,
-                    encode_training(&tuples, &training_set),
-                )?;
-                crash_hook("training");
-                (tuples, training_set)
-            }
-        };
+    let loaded = load_stage(&training_path, "training", fp)?;
+    let (tuples, training_set) = match loaded.and_then(|p| decode_training(&p, &config.training)) {
+        Some(loaded) => loaded,
+        None => {
+            let (tuples, training_set) = generate_training_set(&config.training, model);
+            write_stage(
+                &training_path,
+                "training",
+                fp,
+                encode_training(&tuples, &training_set),
+            )?;
+            crash_hook("training");
+            (tuples, training_set)
+        }
+    };
 
     // Stage 2: the ranked 576-member fit table.
     let fits_path = dir.join("fits.json");
@@ -667,8 +694,8 @@ pub fn run_full_checkpointed(
 
     // Stage 3: the Table-4 evaluation grid, one checkpoint per row as it
     // completes. Per-row runs are bit-identical to the one-session batch
-    // `run_full` uses (the experiments suite pins this), so resumability
-    // costs nothing in fidelity.
+    // `run_full` uses (the `differential` harness pins this), so
+    // resumability costs nothing in fidelity.
     let mut lineup: Vec<Box<dyn Policy>> = baseline_lineup();
     for policy in &learned.policies {
         lineup.push(Box::new(policy.clone()));

@@ -193,7 +193,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "but a tuple needs 12")]
     fn tiny_trace_rejected() {
         let trace = Trace::from_jobs(vec![Job::new(0, 0.0, 1.0, 1.0, 1)]);
         tuple_from_trace(&trace, &spec(), &mut Rng::new(0));

@@ -336,7 +336,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "experiment without sequences")]
     fn empty_experiment_rejected() {
         let exp = Experiment::new(
             "empty",

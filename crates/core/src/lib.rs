@@ -48,13 +48,13 @@
 //! performs no heap allocation. Cells are pure functions of their inputs
 //! and results come back index-dense in push order, which makes every
 //! output bit-identical at any thread count (and bit-identical to the
-//! historical per-cell `simulate()` loops — the `eval_session` regression
-//! suite pins this).
+//! historical per-cell `simulate()` loops — the `differential` harness in
+//! `tests/` pins this).
 //!
 //! The learning layer follows the same architecture: the 576-candidate
 //! regression sweep inside [`learn_policies`] / [`run_full`] fans out
 //! with one reusable fit workspace per worker (see `dynsched_mlreg`),
-//! and the `learning_pipeline` golden suite pins the whole
+//! and the learning golden in the same harness pins the whole
 //! train → fit → select → evaluate loop bit-identical at 1 vs n threads
 //! and to the sequential pre-refactor enumeration.
 //!
@@ -73,9 +73,8 @@
 //! from the shared snapshot with `SimWorkspace::resume_metrics_from`
 //! under its own permuted ranks, keeping its AVEbsld sum and count, not
 //! its schedule. The forked kernel is pinned bit-identical to the
-//! from-scratch trial loop (and thread-count independent) by the
-//! `trial_differential` harness in `tests/` and the scheduler crate's
-//! `differential` harness.
+//! from-scratch trial loop (and thread-count independent) by the trial
+//! half of that harness and the scheduler crate's `differential` harness.
 //!
 //! ## Quickstart
 //!

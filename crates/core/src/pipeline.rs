@@ -163,7 +163,8 @@ pub struct FullRunReport {
 /// Every stage runs on the deterministic thread pool with per-worker
 /// reusable workspaces, so the whole report — training set, fit table,
 /// policy identities, and every AVEbsld cell — is bit-identical at any
-/// thread count. The `learning_pipeline` golden suite pins this.
+/// thread count. The learning golden in the `differential` harness pins
+/// this.
 pub fn run_full(config: &FullRunConfig, model: &LublinModel) -> FullRunReport {
     let learned = learn_policies(&config.training, model, &config.enumerate, config.top_k);
     let mut lineup: Vec<Box<dyn Policy>> = baseline_lineup();

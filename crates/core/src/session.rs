@@ -33,7 +33,7 @@
 //! per cell, never read) — so a session's output is bit-identical for any
 //! thread count, and bit-identical to calling the allocating
 //! [`simulate`](dynsched_scheduler::simulate) wrapper per cell and
-//! reducing afterwards. The `eval_session` regression suite pins both
+//! reducing afterwards. The `differential` harness in `tests/` pins both
 //! properties.
 
 use dynsched_cluster::AvailabilitySchedule;

@@ -165,7 +165,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "no sequences")]
     fn empty_sequences_rejected() {
         sweep_load(
             "x",

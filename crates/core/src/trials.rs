@@ -45,7 +45,7 @@
 //! float operations and their order are [`run_trial`]'s. The restored
 //! queue is re-keyed under the trial's ranks by a scatter, not a sort: a
 //! trial's ranks are a permutation of the trace positions, so each queued
-//! job's rank indexes its own slot. The `trial_differential` harness pins
+//! job's rank indexes its own slot. The `differential` harness pins
 //! every trial's AVEbsld bits, the first counts and the scores against
 //! [`run_trial`] at 1 and n workers; the scheduler crate's `differential`
 //! harness pins the resumes themselves.
@@ -605,7 +605,7 @@ mod tests {
     fn warmup_free_tuples_checkpoint_at_time_zero() {
         // |S| = 0: there is no permutation-invariant prefix, so the
         // horizon degenerates to time zero (the kernel's agreement with
-        // the scratch oracle there is `trial_differential`'s to check).
+        // the scratch oracle there is the `differential` harness's to check).
         let spec_gen = TupleSpec {
             s_size: 0,
             q_size: 6,

@@ -876,8 +876,8 @@ fn table4(d: &Drawn, width: &str, cov: &mut Coverage) -> Result<Vec<ExperimentRe
     let got = table4_experiments_in(&partly, &d.scale);
     same_rows(&path("partly warm store"), &got, &d.rows)?;
     // Five further builds; its three rows and two per other workload hit.
-    let partly = counts(&partly);
-    same(&path("partly warm store: builds, hits"), &partly, &(6, 13))?;
+    let tally = counts(&partly);
+    same(&path("partly warm store: builds, hits"), &tally, &(6, 13))?;
     // Row 9 is SDSC Blue under actual runtimes: the entry interned first.
     let kept = shares(&got[8], &interned);
     same(&path("partly warm store: row 9 kept"), &kept, &true)?;

@@ -12,6 +12,7 @@ use dynsched_core::scenarios::ScenarioScale;
 use dynsched_core::trials::TrialSpec;
 use dynsched_core::tuples::TupleSpec;
 use dynsched_mlreg::EnumerateOptions;
+use dynsched_simkit::json::{self, Json};
 use dynsched_simkit::parallel::with_worker_limit;
 use dynsched_workload::{LublinModel, SequenceSpec};
 use std::path::{Path, PathBuf};
@@ -138,7 +139,11 @@ fn resume_at_every_stage_boundary_is_bit_identical() {
 fn resume_is_thread_count_independent() {
     let config = tiny_config();
     let baseline_dir = scratch_dir("threads-baseline");
-    let baseline = run_full_checkpointed(&config, &model(), &baseline_dir, false).unwrap();
+    // Three workers, not the host's width: on a 1-CPU host that is one
+    // worker, and the comparison below would compare a run with itself.
+    let baseline = with_worker_limit(3, || {
+        run_full_checkpointed(&config, &model(), &baseline_dir, false).unwrap()
+    });
     let baseline_md = full_run_markdown(&baseline);
 
     // Resume the tail (everything after training) pinned to one worker:
@@ -201,6 +206,97 @@ fn corrupt_stage_files_are_recomputed_not_trusted() {
     assert_eq!(full_run_markdown(&second), baseline_md);
 
     std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&baseline_dir).unwrap();
+}
+
+/// Rewrite `file`'s payload with `edit` and re-seal it with a recomputed
+/// checksum, so only what the payload says can give the forgery away.
+fn forge(dir: &Path, file: &str, edit: impl FnOnce(&mut [(String, Json)])) {
+    let path = dir.join(file);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let Ok(Json::Object(mut members)) = json::parse(&text) else {
+        panic!("{file} is not a stage file");
+    };
+    let member = |members: &[(String, Json)], key: &str| -> usize {
+        members.iter().position(|(k, _)| k == key).unwrap()
+    };
+    let at = member(&members, "payload");
+    let Json::Object(fields) = &mut members[at].1 else {
+        panic!("{file}'s payload is not an object");
+    };
+    edit(fields);
+    let sealed = json::checksum(members[at].1.to_text().as_bytes());
+    let at = member(&members, "checksum");
+    members[at].1 = Json::Str(format!("{sealed:016x}"));
+    std::fs::write(&path, Json::Object(members).to_text()).unwrap();
+}
+
+/// The array under `key` in a stage payload.
+fn array<'a>(fields: &'a mut [(String, Json)], key: &str) -> &'a mut Vec<Json> {
+    match fields.iter_mut().find(|(k, _)| k == key) {
+        Some((_, Json::Array(items))) => items,
+        _ => panic!("no array {key:?} in the payload"),
+    }
+}
+
+#[test]
+fn forged_stages_with_valid_checksums_are_recomputed() {
+    let config = tiny_config();
+    let baseline_dir = scratch_dir("forged-baseline");
+    let baseline = run_full_checkpointed(&config, &model(), &baseline_dir, false).unwrap();
+    let baseline_md = full_run_markdown(&baseline);
+
+    type Edit = fn(&mut [(String, Json)]);
+    /// Overwrite field `field` (runtime, cores, submit, score) of the first
+    /// observation.
+    fn set(fields: &mut [(String, Json)], field: usize, value: f64) {
+        let Json::Array(observation) = &mut array(fields, "observations")[0] else {
+            panic!("an observation is an array");
+        };
+        observation[field] = Json::F64(value);
+    }
+    let forgeries: [(&str, &str, Edit); 9] = [
+        ("fits.json", "three fits", |f| array(f, "fits").truncate(3)),
+        ("fits.json", "one fit", |f| array(f, "fits").truncate(1)),
+        ("fits.json", "no fits", |f| array(f, "fits").clear()),
+        ("fits.json", "a family index twice", |f| {
+            let fits = array(f, "fits");
+            fits[1] = fits[0].clone();
+        }),
+        ("training.json", "a tuple short", |f| {
+            array(f, "tuples").pop();
+            let observations = array(f, "observations");
+            observations.truncate(observations.len() - 8);
+        }),
+        ("training.json", "an observation short", |f| {
+            array(f, "observations").pop();
+        }),
+        ("training.json", "a probe short", |f| {
+            let Json::Object(tuple) = &mut array(f, "tuples")[0] else {
+                panic!("a tuple is an object");
+            };
+            array(tuple, "q").pop();
+            array(f, "observations").pop();
+        }),
+        ("training.json", "a negative runtime", |f| set(f, 0, -1.0)),
+        ("training.json", "an infinite submit", |f| {
+            set(f, 2, f64::INFINITY)
+        }),
+    ];
+    for (file, lie, edit) in forgeries {
+        let dir = scratch_dir("forged");
+        copy_stages(&baseline_dir, &dir, stage_files().len());
+        forge(&dir, file, edit);
+        // Recomputed, not trusted: the report, and what it does not print.
+        let what = format!("{file} with {lie}, re-sealed");
+        let resumed = run_full_checkpointed(&config, &model(), &dir, true)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(full_run_markdown(&resumed), baseline_md, "{what}");
+        let (got, want) = (&resumed.learned, &baseline.learned);
+        assert_eq!(got.training_set, want.training_set, "{what}");
+        assert_eq!(got.tuples, want.tuples, "{what}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
     std::fs::remove_dir_all(&baseline_dir).unwrap();
 }
 

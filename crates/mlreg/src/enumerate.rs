@@ -23,7 +23,8 @@
 //! breaks fitness ties by [`FitResult::family_index`], a total order, so
 //! the result is bit-identical at any thread count and identical to the
 //! pre-refactor sequential enumeration preserved in [`crate::reference`]
-//! (the oracle the `learning_pipeline` golden suite pins against).
+//! (the oracle the learning golden in `dynsched-core`'s `differential`
+//! harness pins against).
 //!
 //! # The residual pass
 //!

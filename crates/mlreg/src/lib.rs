@@ -34,9 +34,10 @@
 //!
 //! * results are **bit-identical at any thread count**, and
 //! * bit-identical to the sequential pre-refactor path
-//!   ([`reference::fit_all_reference`]) — pinned by the
-//!   `learning_pipeline` golden suite and the `regression_properties`
-//!   tests; keep both green when touching this crate.
+//!   ([`reference::fit_all_reference`]) — pinned by the learning golden
+//!   in `dynsched-core`'s `differential` harness and the
+//!   `regression_properties` tests; keep both green when touching this
+//!   crate.
 //!
 //! Steady-state the sweep performs no heap allocation: buffers warm up on
 //! the first fit a worker executes and are reused for the rest.

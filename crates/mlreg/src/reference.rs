@@ -9,8 +9,8 @@
 //!
 //! This module keeps that path verbatim, for the same reason the
 //! scheduler keeps its seed engine in `dynsched_scheduler::reference`: it
-//! is the **bit-identity oracle** — the `learning_pipeline` golden suite
-//! and the `regression_properties` tests pin the batched
+//! is the **bit-identity oracle** — the learning golden in `dynsched-core`'s
+//! `differential` harness and the `regression_properties` tests pin the batched
 //! [`fit_all`](crate::enumerate::fit_all) against [`fit_all_reference`];
 //! keep those tests green when touching the enumeration or the optimizer.
 
