@@ -461,6 +461,8 @@ fn decode_training(
             let [runtime, cores, submit, score] = o.as_array()? else {
                 return None;
             };
+            // The same rule as `TrainingSet::from_csv` (mlreg's dataset.rs):
+            // change both or neither.
             let finite = |v: &Json| v.as_f64().filter(|x| x.is_finite());
             let non_negative = |v: &Json| finite(v).filter(|&x| x >= 0.0);
             Some(Observation {

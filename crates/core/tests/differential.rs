@@ -15,13 +15,14 @@
 //! * **Evaluation.** One generator of [`Grid`]s (Table-4 rows from a cold, a
 //!   warm and a partly warm store, model rows under every [`Condition`],
 //!   load sweeps, registry families with and without faults, hand-built
-//!   sequences, a convergence curve) over one [`lineup`], and one checker
-//!   ([`check_grid`]: the session, the grid's batched entry point and the
-//!   per-row runs against per-cell `simulate` / `run_faulty` under
-//!   `QueueDiscipline::Policy`, reduced the way the per-cell loop did).
+//!   sequences) over one [`lineup`], and one checker ([`check_grid`]: the
+//!   session, the grid's batched entry point and the per-row runs against
+//!   per-cell `simulate` / `run_faulty` under `QueueDiscipline::Policy`,
+//!   reduced the way the per-cell loop did).
 //!
-//! Below them sit the learning golden, one `run_full` at each width, and
-//! the named cases that pin a contract that is not a differential path.
+//! Below them sit a convergence curve against per-trial runs, the learning
+//! golden (one `run_full` at each width), and the named cases that pin a
+//! contract that is not a differential path.
 //!
 //! # Reading a failure
 //!
@@ -121,8 +122,9 @@ fn merge(cov: &mut Coverage, seen: Coverage) {
     }
 }
 
-/// A coverage table, printed and asserted: every row a checker counts is
-/// something the domain exists to reach, so each must be reached once.
+/// A coverage table, printed and asserted: each row is something the domain
+/// exists to reach, counted (0 when missed) on every case, so a row the
+/// domain stops reaching reads `[--]` and fails instead of vanishing.
 fn assert_covered(cov: &Coverage) {
     let mut table = String::new();
     for (row, &got) in cov {
@@ -382,7 +384,9 @@ fn reached_by_trials(case: &Case, cov: &mut Coverage) {
         h if h.is_finite() => "finite horizon",
         _ => "horizon ∞",
     };
-    count(kind, 1);
+    for row in ["horizon 0", "finite horizon", "horizon ∞"] {
+        count(row, usize::from(row == kind));
+    }
     let jobs = tuple.all_jobs();
     let identity: Vec<usize> = (0..jobs.len()).collect();
     let config = SchedulerConfig::actual_runtimes(Platform::new(cores));
@@ -528,11 +532,9 @@ enum Grid {
     /// One row per condition and [`hand_sequences`] entry, by
     /// `run_experiments`: one sequence a row.
     Hand,
-    /// A `convergence_curve` of one small tuple, against per-trial runs.
-    Convergence,
 }
 
-const GRIDS: [Grid; 8] = [
+const GRIDS: [Grid; 7] = [
     Grid::Table4,
     Grid::Model,
     Grid::Sweep(Condition::ActualRuntimes),
@@ -540,7 +542,6 @@ const GRIDS: [Grid; 8] = [
     Grid::Registry { faulty: false },
     Grid::Registry { faulty: true },
     Grid::Hand,
-    Grid::Convergence,
 ];
 
 const TARGETS: [f64; 3] = [0.3, 0.8, 1.3];
@@ -674,7 +675,6 @@ fn draw(index: usize, grid: Grid) -> Drawn {
             }
             rows
         }
-        Grid::Convergence => Vec::new(),
     };
     let lineup = lineup();
     Drawn {
@@ -846,14 +846,13 @@ fn check_session(d: &Drawn, wants: &Wants, width: &str, cov: &mut Coverage) -> C
 /// store holding one workload (partly warm): the rows one by one, and the
 /// build and hit counts that serial loop leaves. Then `table4_results_in`
 /// over the warm store.
-fn table4(d: &Drawn, width: &str, cov: &mut Coverage) -> Result<Vec<ExperimentResult>, Failure> {
+fn table4(d: &Drawn, width: &str) -> Result<Vec<ExperimentResult>, Failure> {
     let path = |what: &str| format!("table4_experiments_in, {what} [{width}]");
     let counts = |store: &TraceStore| (store.builds(), store.hits());
     let shares = |a: &Experiment, b: &Experiment| {
         let mut pairs = a.sequences.iter().zip(&b.sequences);
         pairs.all(|(a, b)| a.shares_storage(b))
     };
-    let mut reached = |row| *cov.entry(row).or_default() += 1;
     let store = TraceStore::new();
     let cold = table4_experiments_in(&store, &d.scale);
     same_rows(&path("cold store"), &cold, &d.rows)?;
@@ -863,13 +862,11 @@ fn table4(d: &Drawn, width: &str, cov: &mut Coverage) -> Result<Vec<ExperimentRe
     let first = |r: usize| if r < 6 { r % 2 } else { 6 + (r - 6) % 4 };
     let shared = (0..18).all(|r| shares(&cold[r], &cold[first(r)]));
     same(&path("cold store: one build a workload"), &shared, &true)?;
-    reached("Table-4 grids from a cold store");
     let warm = table4_experiments_in(&store, &d.scale);
     same_rows(&path("warm store"), &warm, &d.rows)?;
     same(&path("warm store: builds, hits"), &counts(&store), &(6, 30))?;
     let served = warm.iter().zip(&cold).all(|(w, c)| shares(w, c));
     same(&path("warm store: all served from it"), &served, &true)?;
-    reached("Table-4 grids from a warm store");
     let partly = TraceStore::new();
     let (blue, estimates) = (ArchivePlatform::SDSC_BLUE, Condition::UserEstimates);
     let interned = archive_scenario_in(&partly, &blue, estimates, &d.scale);
@@ -881,16 +878,15 @@ fn table4(d: &Drawn, width: &str, cov: &mut Coverage) -> Result<Vec<ExperimentRe
     // Row 9 is SDSC Blue under actual runtimes: the entry interned first.
     let kept = shares(&got[8], &interned);
     same(&path("partly warm store: row 9 kept"), &kept, &true)?;
-    reached("Table-4 grids from a partly warm store");
     Ok(table4_results_in(&store, &d.scale, &d.lineup))
 }
 
 /// The grid's batched entry point at the current width, with the store
 /// checks that go with it; returns its rows' results.
-fn entry(d: &Drawn, width: &str, cov: &mut Coverage) -> Result<Vec<ExperimentResult>, Failure> {
+fn entry(d: &Drawn, width: &str) -> Result<Vec<ExperimentResult>, Failure> {
     let lineup = &d.lineup;
     match d.grid {
-        Grid::Table4 => table4(d, width, cov),
+        Grid::Table4 => table4(d, width),
         Grid::Model | Grid::Hand => Ok(run_experiments(&d.rows, lineup)),
         Grid::Sweep(condition) => {
             let scheduler = condition.scheduler(Platform::new(32));
@@ -909,7 +905,6 @@ fn entry(d: &Drawn, width: &str, cov: &mut Coverage) -> Result<Vec<ExperimentRes
             same(&format!("scenario_results: builds [{width}]"), &builds, &4)?;
             Ok(got.expect("built-in families"))
         }
-        Grid::Convergence => unreachable!("a convergence curve has no rows"),
     }
 }
 
@@ -918,20 +913,22 @@ fn entry(d: &Drawn, width: &str, cov: &mut Coverage) -> Result<Vec<ExperimentRes
 /// `try_run_experiment` row by row; then what the grid reached.
 fn check_grid(d: &Drawn) -> Result<Coverage, Failure> {
     let mut cov = Coverage::new();
-    if d.grid == Grid::Convergence {
-        check_convergence(d)?;
-        cov.insert("convergence curves", 1);
-        return Ok(cov);
-    }
     let wants = per_cell(&d.rows, &d.lineup);
     let outcomes = wants.results.iter().flat_map(|r| &r.outcomes);
     let mut samples = outcomes.flat_map(|o| &o.ave_bslds);
     let low = samples.find(|x| !(**x >= 1.0 && x.is_finite()));
     same("oracle: an AVEbsld below 1", &low, &None)?;
+    // A lone job never waits: under every policy its slowdown is exactly 1.
+    let lone = |r: &&ExperimentResult| r.name.starts_with("a single job");
+    for r in wants.results.iter().filter(lone) {
+        let stats: Vec<(f64, f64)> = r.outcomes.iter().map(|o| (o.median, o.std_dev)).collect();
+        let path = "oracle: a single job's median, std";
+        same(path, &stats, &vec![(1.0, 0.0); stats.len()])?;
+    }
     for (width, workers) in WIDTHS {
         with_worker_limit(workers, || {
             check_session(d, &wants, width, &mut cov)?;
-            let got = entry(d, width, &mut cov)?;
+            let got = entry(d, width)?;
             same_results(&format!("{:?} [{width}]", d.grid), &got, &wants.results)?;
             let row = |e| try_run_experiment(e, &d.lineup).expect("no cell panics");
             let per_row: Vec<ExperimentResult> = d.rows.iter().map(row).collect();
@@ -943,20 +940,24 @@ fn check_grid(d: &Drawn) -> Result<Coverage, Failure> {
     Ok(cov)
 }
 
-/// What one grid reached, from the oracle's cells: the conditions, the
-/// engine's compiled, interpreted and time-dependent paths, backfills,
-/// preemptions and abandonments, the hand-built edges, and the impostor.
+/// What one grid reached: its stores and rows, and from the oracle's cells
+/// the engine's compiled, interpreted and time-dependent paths, backfills,
+/// preemptions, abandonments, the hand-built edges and the impostor.
 fn reached_by_grid(d: &Drawn, wants: &Wants, cov: &mut Coverage) {
     let mut count = |row: &'static str, n: usize| *cov.entry(row).or_default() += n as u64;
+    let table4 = usize::from(d.grid == Grid::Table4);
+    count("Table-4 grids from a cold store", table4);
+    count("Table-4 grids from a warm store", table4);
+    count("Table-4 grids from a partly warm store", table4);
     for (e, row) in d.rows.iter().zip(&wants.cells) {
         let platform = e.scheduler.platform;
         for c in Condition::ALL {
             count(c.label(), usize::from(c.scheduler(platform) == e.scheduler));
         }
-        if let Grid::Registry { faulty } = d.grid {
-            count("registry rows", 1);
-            count("registry rows under a fault profile", usize::from(faulty));
-        }
+        let registry = matches!(d.grid, Grid::Registry { .. });
+        count("registry rows", usize::from(registry));
+        let faulty = d.grid == Grid::Registry { faulty: true };
+        count("registry rows under a fault profile", usize::from(faulty));
         for (policy, runs) in d.lineup.iter().zip(row) {
             let (n, compiled) = (runs.len(), policy.compile().is_some());
             count("compiled cells", if compiled { n } else { 0 });
@@ -989,8 +990,9 @@ fn reached_by_grid(d: &Drawn, wants: &Wants, cov: &mut Coverage) {
 
 /// `convergence_curve` against the per-repetition loop it replaced, with
 /// each repetition's scores from per-trial scratch runs ([`per_trial`]).
-fn check_convergence(d: &Drawn) -> Result<(), Failure> {
-    let mut rng = Rng::new(d.scale.seed);
+#[test]
+fn the_convergence_curve_equals_per_trial_scratch_runs() {
+    let mut rng = Rng::new(!SEED).fork(GRIDS.len() as u64);
     let (cores, tuple) = Shape::Small.tuple(&mut rng);
     let (counts, repetitions, q) = ([16, 40], 3, tuple.q_tasks.len());
     let base = TrialSpec {
@@ -1018,9 +1020,10 @@ fn check_convergence(d: &Drawn) -> Result<(), Failure> {
     for (width, workers) in WIDTHS {
         let curve = || convergence_curve(&tuple, &counts, repetitions, &base, &master);
         let got = with_worker_limit(workers, curve);
-        same(&format!("convergence_curve [{width}]"), &got, &want)?;
+        if let Err(failure) = same(&format!("convergence_curve [{width}]"), &got, &want) {
+            disagree(0, "the convergence curve", failure);
+        }
     }
-    Ok(())
 }
 
 #[test]
@@ -1179,13 +1182,13 @@ fn run_full_is_one_report_at_either_width() {
     for (policy, fit) in learned.policies.iter().zip(&learned.fits) {
         assert_eq!(policy.function(), &fit.function);
     }
-    // All 18 rows, every line-up column, two AVEbsld of at least 1 each.
+    // All 18 rows, every line-up column, two finite AVEbsld of at least 1 each.
     assert_eq!(wide.evaluation.len(), 18);
     for row in &wide.evaluation {
         let names: Vec<&str> = row.outcomes.iter().map(|o| o.policy.as_str()).collect();
         assert_eq!(names, wide.lineup, "{}", row.name);
-        let ok =
-            |o: &PolicyOutcome| o.ave_bslds.len() == 2 && o.ave_bslds.iter().all(|&x| x >= 1.0);
+        let at_least_1 = |&x: &f64| x >= 1.0 && x.is_finite();
+        let ok = |o: &PolicyOutcome| o.ave_bslds.len() == 2 && o.ave_bslds.iter().all(at_least_1);
         assert!(row.outcomes.iter().all(ok), "{}", row.name);
     }
     let md = full_run_markdown(&wide);

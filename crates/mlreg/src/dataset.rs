@@ -100,6 +100,8 @@ impl TrainingSet {
                     message: format!("field {} ({name}, {:?}): {why}", i + 1, fields[i]),
                 };
                 let value: f64 = fields[i].parse().map_err(|e| reject(&e))?;
+                // `core::checkpoint`'s training-stage decoder applies the
+                // same rule to a resumed stage: change both or neither.
                 if !value.is_finite() {
                     return Err(reject(&"not a finite number"));
                 }
