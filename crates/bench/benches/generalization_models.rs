@@ -23,7 +23,7 @@ fn sequences(seed: u64) -> Vec<Trace> {
     // Saturate enough for queueing pressure.
     model.mean_interarrival = 220.0;
     let mut rng = Rng::new(seed);
-    let estimates = TsafrirEstimates::with_max_estimate(model.max_runtime);
+    let estimates = TsafrirEstimates::with_max_estimate(FeitelsonModel::MAX_RUNTIME);
     (0..count)
         .map(|_| {
             let t = model.generate_jobs(jobs_per_seq, &mut rng);

@@ -71,16 +71,19 @@ use crate::experiments::{try_run_experiment, ExperimentResult, PolicyOutcome};
 use crate::pipeline::{
     generate_training_set, FullRunConfig, FullRunReport, LearnedReport, TrainingConfig,
 };
-use crate::scenarios::table4_experiments_in;
-use crate::tuples::TaskTuple;
-use dynsched_cluster::Job;
-use dynsched_mlreg::{fit_all, top_policies, FitResult, Observation, TrainingSet};
+use crate::scenarios::{table4_experiments_in, ScenarioScale};
+use crate::trials::TrialSpec;
+use crate::tuples::{TaskTuple, TupleSpec};
+use dynsched_cluster::{Job, Platform};
+use dynsched_mlreg::{
+    fit_all, top_policies, EnumerateOptions, FitResult, Observation, TrainingSet,
+};
 use dynsched_policies::{baseline_lineup, NonlinearFunction, Policy};
 use dynsched_simkit::durable::write_atomic;
 use dynsched_simkit::json::{self, Json};
 use dynsched_simkit::parallel::PoolError;
 use dynsched_simkit::stats::BoxplotSummary;
-use dynsched_workload::LublinModel;
+use dynsched_workload::{LublinModel, SequenceSpec};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -150,82 +153,98 @@ impl std::error::Error for RunError {
 /// FNV-1a fingerprint of the canonical serialization of the entire run
 /// configuration (training, regression, selection and evaluation stages)
 /// plus the workload model. Two runs share a fingerprint iff every
-/// parameter that can influence any stage's output is identical.
+/// parameter that can influence any stage's output is identical: it echoes
+/// every field of both, and the models' and the optimizer's constants are
+/// the build's, not the run's.
 pub fn fingerprint(config: &FullRunConfig, model: &LublinModel) -> u64 {
     json::checksum(config_json(config, model).to_text().as_bytes())
 }
 
+/// The run's configuration as JSON. The patterns name every field, so a
+/// field added to any of these types does not compile until it is echoed.
 fn config_json(config: &FullRunConfig, model: &LublinModel) -> Json {
-    let t = &config.training;
-    let e = &config.enumerate;
-    let s = &config.eval_scale;
+    let FullRunConfig {
+        training,
+        enumerate,
+        top_k,
+        eval_scale,
+    } = *config;
+    let TrainingConfig {
+        tuple_spec,
+        trial_spec,
+        tuples,
+        seed: training_seed,
+    } = training;
+    let TupleSpec {
+        s_size,
+        q_size,
+        max_start_offset,
+    } = tuple_spec;
+    let TrialSpec {
+        trials,
+        platform: Platform { total_cores },
+        tau,
+    } = trial_spec;
+    let EnumerateOptions {
+        weighted,
+        max_iterations,
+    } = enumerate;
+    let ScenarioScale {
+        spec: SequenceSpec {
+            count,
+            days,
+            min_jobs,
+        },
+        model_target_load,
+        seed: eval_seed,
+    } = eval_scale;
+    let LublinModel {
+        max_cores,
+        b2,
+        arrival_scale,
+        daily_cycle,
+        max_runtime,
+    } = *model;
     Json::Object(vec![
         (
             "training".into(),
             Json::Object(vec![
-                ("s_size".into(), Json::Uint(t.tuple_spec.s_size as u64)),
-                ("q_size".into(), Json::Uint(t.tuple_spec.q_size as u64)),
-                (
-                    "max_start_offset".into(),
-                    Json::F64(t.tuple_spec.max_start_offset),
-                ),
-                ("trials".into(), Json::Uint(t.trial_spec.trials as u64)),
-                (
-                    "cores".into(),
-                    Json::Uint(u64::from(t.trial_spec.platform.total_cores)),
-                ),
-                ("tau".into(), Json::F64(t.trial_spec.tau)),
-                ("tuples".into(), Json::Uint(t.tuples as u64)),
-                ("seed".into(), Json::Uint(t.seed)),
+                ("s_size".into(), Json::Uint(s_size as u64)),
+                ("q_size".into(), Json::Uint(q_size as u64)),
+                ("max_start_offset".into(), Json::F64(max_start_offset)),
+                ("trials".into(), Json::Uint(trials as u64)),
+                ("cores".into(), Json::Uint(u64::from(total_cores))),
+                ("tau".into(), Json::F64(tau)),
+                ("tuples".into(), Json::Uint(tuples as u64)),
+                ("seed".into(), Json::Uint(training_seed)),
             ]),
         ),
         (
             "enumerate".into(),
             Json::Object(vec![
-                ("weighted".into(), Json::Bool(e.weighted)),
-                (
-                    "initial".into(),
-                    Json::Array(e.initial.iter().map(|&x| Json::F64(x)).collect()),
-                ),
-                (
-                    "max_iterations".into(),
-                    Json::Uint(e.lm.max_iterations as u64),
-                ),
-                ("cost_tolerance".into(), Json::F64(e.lm.cost_tolerance)),
-                ("step_tolerance".into(), Json::F64(e.lm.step_tolerance)),
-                ("initial_lambda".into(), Json::F64(e.lm.initial_lambda)),
-                ("lambda_factor".into(), Json::F64(e.lm.lambda_factor)),
-                ("max_lambda".into(), Json::F64(e.lm.max_lambda)),
+                ("weighted".into(), Json::Bool(weighted)),
+                ("max_iterations".into(), Json::Uint(max_iterations as u64)),
             ]),
         ),
-        ("top_k".into(), Json::Uint(config.top_k as u64)),
+        ("top_k".into(), Json::Uint(top_k as u64)),
         (
             "eval".into(),
             Json::Object(vec![
-                ("count".into(), Json::Uint(s.spec.count as u64)),
-                ("days".into(), Json::F64(s.spec.days)),
-                ("min_jobs".into(), Json::Uint(s.spec.min_jobs as u64)),
-                ("model_target_load".into(), Json::F64(s.model_target_load)),
-                ("seed".into(), Json::Uint(s.seed)),
+                ("count".into(), Json::Uint(count as u64)),
+                ("days".into(), Json::F64(days)),
+                ("min_jobs".into(), Json::Uint(min_jobs as u64)),
+                ("model_target_load".into(), Json::F64(model_target_load)),
+                ("seed".into(), Json::Uint(eval_seed)),
             ]),
         ),
         (
             "model".into(),
             Json::Object(vec![
-                ("max_cores".into(), Json::Uint(u64::from(model.max_cores))),
-                ("serial_prob".into(), Json::F64(model.serial_prob)),
-                ("ulow".into(), Json::F64(model.ulow)),
-                ("umed_gap".into(), Json::F64(model.umed_gap)),
-                ("uprob".into(), Json::F64(model.uprob)),
-                ("pa".into(), Json::F64(model.pa)),
-                ("pb".into(), Json::F64(model.pb)),
-                ("aarr".into(), Json::F64(model.aarr)),
-                ("barr".into(), Json::F64(model.barr)),
-                ("arrival_scale".into(), Json::F64(model.arrival_scale)),
-                ("max_gap".into(), Json::F64(model.max_gap)),
-                ("daily_cycle".into(), Json::Bool(model.daily_cycle)),
-                ("max_runtime".into(), Json::F64(model.max_runtime)),
-                ("min_runtime".into(), Json::F64(model.min_runtime)),
+                ("max_cores".into(), Json::Uint(u64::from(max_cores))),
+                ("b2".into(), Json::F64(b2)),
+                ("arrival_scale".into(), Json::F64(arrival_scale)),
+                ("daily_cycle".into(), Json::Bool(daily_cycle)),
+                ("max_runtime".into(), Json::F64(max_runtime)),
             ]),
         ),
     ])
@@ -432,8 +451,7 @@ fn encode_training(tuples: &[TaskTuple], training: &TrainingSet) -> Json {
 
 /// The training stage, if it has the shape `config` generates: `tuples`
 /// tuples of `|S|` and `|Q|` tasks, and one observation per `Q` task, each
-/// as `TrainingSet::from_csv` would accept it (finite; runtime, cores and
-/// submit not negative). A stage that decodes but lies about its shape —
+/// one [`Observation::from_fields`] admits. A stage that decodes but lies about its shape —
 /// with a checksum recomputed over the lie — is recomputed like a torn one.
 fn decode_training(
     payload: &Json,
@@ -461,16 +479,13 @@ fn decode_training(
             let [runtime, cores, submit, score] = o.as_array()? else {
                 return None;
             };
-            // The same rule as `TrainingSet::from_csv` (mlreg's dataset.rs):
-            // change both or neither.
-            let finite = |v: &Json| v.as_f64().filter(|x| x.is_finite());
-            let non_negative = |v: &Json| finite(v).filter(|&x| x >= 0.0);
-            Some(Observation {
-                runtime: non_negative(runtime)?,
-                cores: non_negative(cores)?,
-                submit: non_negative(submit)?,
-                score: finite(score)?,
-            })
+            Observation::from_fields([
+                runtime.as_f64()?,
+                cores.as_f64()?,
+                submit.as_f64()?,
+                score.as_f64()?,
+            ])
+            .ok()
         })
         .collect::<Option<Vec<_>>>()?;
     let probes: usize = tuples.iter().map(|t| t.q_tasks.len()).sum();

@@ -12,11 +12,10 @@
 //! of a custom policy against the paper's general F1–F4 on held-out
 //! windows of the same platform.
 
-use crate::pipeline::LearnedReport;
-use crate::trials::{to_observations, trial_scores, TrialSpec};
+use crate::pipeline::{pooled_training_set, LearnedReport, TrainingConfig};
 use crate::tuples::{TaskTuple, TupleSpec};
 use dynsched_cluster::{Job, JobId};
-use dynsched_mlreg::{fit_all, top_policies, EnumerateOptions, TrainingSet};
+use dynsched_mlreg::{fit_all, top_policies, EnumerateOptions};
 use dynsched_simkit::Rng;
 use dynsched_workload::Trace;
 
@@ -65,41 +64,23 @@ pub fn tuple_from_trace(trace: &Trace, spec: &TupleSpec, rng: &mut Rng) -> TaskT
     TaskTuple { s_tasks, q_tasks }
 }
 
-/// Configuration for a custom (per-platform) training run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CustomTrainingConfig {
-    /// Tuple geometry (|S|, |Q|; the offset field is unused here — window
-    /// positions come from the trace itself).
-    pub tuple_spec: TupleSpec,
-    /// Trial count, platform, τ.
-    pub trial_spec: TrialSpec,
-    /// Number of windows to sample.
-    pub tuples: usize,
-    /// Master seed.
-    pub seed: u64,
-}
-
-/// Run the full pipeline against `trace`: sample windows, run permutation
-/// trials, pool observations, fit the family, export the best `top_k`
-/// policies (named `G1..`).
+/// Run the full pipeline against `trace`: sample `config.tuples` windows,
+/// run permutation trials, pool observations, fit the family, export the
+/// best `top_k` policies (named `G1..`). `config.tuple_spec`'s start offset
+/// is unused: window positions come from the trace itself.
+///
+/// Every window's trials run in **one** batched trial session, on the
+/// streams of [`generate_training_set`](crate::pipeline::generate_training_set):
+/// `2i` picks window `i`, `2i + 1` seeds its trials.
 pub fn learn_custom_policies(
     trace: &Trace,
-    config: &CustomTrainingConfig,
+    config: &TrainingConfig,
     enumerate: &EnumerateOptions,
     top_k: usize,
 ) -> LearnedReport {
-    assert!(config.tuples > 0, "need at least one tuple");
-    let master = Rng::new(config.seed);
-    let mut pooled = TrainingSet::default();
-    let mut tuples = Vec::with_capacity(config.tuples);
-    for i in 0..config.tuples {
-        let mut window_rng = master.fork(2 * i as u64);
-        let tuple = tuple_from_trace(trace, &config.tuple_spec, &mut window_rng);
-        let trial_master = master.fork(2 * i as u64 + 1);
-        let scores = trial_scores(&tuple, &config.trial_spec, &trial_master);
-        pooled.extend_from(&to_observations(&tuple, &scores));
-        tuples.push(tuple);
-    }
+    let (tuples, pooled) = pooled_training_set(config, |rng| {
+        tuple_from_trace(trace, &config.tuple_spec, rng)
+    });
     let fits = fit_all(&pooled, enumerate);
     let policies = top_policies(&fits, top_k);
     LearnedReport {
@@ -113,7 +94,9 @@ pub fn learn_custom_policies(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trials::{to_observations, trial_scores, TrialSpec};
     use dynsched_cluster::Platform;
+    use dynsched_mlreg::{FitResult, Observation, TrainingSet};
     use dynsched_workload::LublinModel;
 
     fn platform_trace() -> Trace {
@@ -171,10 +154,8 @@ mod tests {
         assert_ne!(a, b);
     }
 
-    #[test]
-    fn learn_custom_policies_end_to_end() {
-        let trace = platform_trace();
-        let config = CustomTrainingConfig {
+    fn custom_config() -> TrainingConfig {
+        TrainingConfig {
             tuple_spec: spec(),
             trial_spec: TrialSpec {
                 trials: 160,
@@ -183,13 +164,59 @@ mod tests {
             },
             tuples: 4,
             seed: 9,
+        }
+    }
+
+    #[test]
+    fn learn_custom_policies_end_to_end() {
+        let trace = platform_trace();
+        let opts = EnumerateOptions {
+            max_iterations: 25,
+            ..Default::default()
         };
-        let mut opts = EnumerateOptions::default();
-        opts.lm.max_iterations = 25;
-        let report = learn_custom_policies(&trace, &config, &opts, 2);
+        let report = learn_custom_policies(&trace, &custom_config(), &opts, 2);
         assert_eq!(report.training_set.len(), 4 * 8);
         assert_eq!(report.policies.len(), 2);
         assert!(report.fits[0].fitness.is_finite());
+    }
+
+    #[test]
+    fn one_batched_session_is_the_per_window_loop_bit_for_bit() {
+        let (trace, config) = (platform_trace(), custom_config());
+        let opts = EnumerateOptions {
+            max_iterations: 25,
+            ..Default::default()
+        };
+        let report = learn_custom_policies(&trace, &config, &opts, 2);
+        // The loop this replaced: one `trial_scores` per window, in order.
+        let master = Rng::new(config.seed);
+        let mut pooled = TrainingSet::default();
+        for i in 0..config.tuples {
+            let mut window_rng = master.fork(2 * i as u64);
+            let tuple = tuple_from_trace(&trace, &config.tuple_spec, &mut window_rng);
+            let trial_master = master.fork(2 * i as u64 + 1);
+            let scores = trial_scores(&tuple, &config.trial_spec, &trial_master);
+            pooled.extend_from(&to_observations(&tuple, &scores));
+            assert_eq!(tuple, report.tuples[i], "window {i}");
+        }
+        let fits = fit_all(&pooled, &opts);
+        let observation_bits = |set: &TrainingSet| -> Vec<[u64; 4]> {
+            let bits = |o: &Observation| [o.runtime, o.cores, o.submit, o.score].map(f64::to_bits);
+            set.observations().iter().map(bits).collect()
+        };
+        assert_eq!(
+            observation_bits(&report.training_set),
+            observation_bits(&pooled)
+        );
+        let fit_bits = |fits: &[FitResult]| -> Vec<(usize, [u64; 5], bool)> {
+            let bits = |f: &FitResult| {
+                let [c1, c2, c3] = f.function.coefficients;
+                let values = [c1, c2, c3, f.fitness, f.weighted_sse];
+                (f.family_index, values.map(f64::to_bits), f.converged)
+            };
+            fits.iter().map(bits).collect()
+        };
+        assert_eq!(fit_bits(&report.fits), fit_bits(&fits));
     }
 
     #[test]

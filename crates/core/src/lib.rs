@@ -94,8 +94,7 @@
 //!     seed: 7,
 //! };
 //! let model = LublinModel::new(64);
-//! let mut opts = EnumerateOptions::default();
-//! opts.lm.max_iterations = 20;
+//! let opts = EnumerateOptions { max_iterations: 20, ..Default::default() };
 //! let report = learn_policies(&config, &model, &opts, 4);
 //! assert_eq!(report.policies.len(), 4);
 //! ```
@@ -116,7 +115,7 @@ pub mod tuples;
 
 pub use checkpoint::{run_full_checkpointed, RunError, RUN_STATE_FORMAT, RUN_STATE_VERSION};
 pub use convergence::{convergence_curve, paper_trial_counts, ConvergencePoint};
-pub use custom::{learn_custom_policies, tuple_from_trace, CustomTrainingConfig};
+pub use custom::{learn_custom_policies, tuple_from_trace};
 pub use experiments::{
     run_experiment, run_experiments, try_run_experiment, try_run_experiments, Experiment,
     ExperimentResult, PolicyOutcome,

@@ -70,13 +70,22 @@ pub fn generate_training_set(
     config: &TrainingConfig,
     model: &LublinModel,
 ) -> (Vec<TaskTuple>, TrainingSet) {
+    pooled_training_set(config, |rng| {
+        TaskTuple::generate(&config.tuple_spec, model, rng)
+    })
+}
+
+/// [`generate_training_set`] with the tuples drawn by `sample` instead of
+/// the Lublin model: tuple `i` from stream `2i` of the master seed, its
+/// trials from stream `2i + 1`, all trials in one batched session.
+pub(crate) fn pooled_training_set(
+    config: &TrainingConfig,
+    mut sample: impl FnMut(&mut Rng) -> TaskTuple,
+) -> (Vec<TaskTuple>, TrainingSet) {
     assert!(config.tuples > 0, "need at least one tuple");
     let master = Rng::new(config.seed);
     let tuples: Vec<TaskTuple> = (0..config.tuples)
-        .map(|i| {
-            let mut tuple_rng = master.fork(2 * i as u64);
-            TaskTuple::generate(&config.tuple_spec, model, &mut tuple_rng)
-        })
+        .map(|i| sample(&mut master.fork(2 * i as u64)))
         .collect();
     let batches: Vec<TrialBatch<'_>> = tuples
         .iter()
@@ -223,8 +232,10 @@ mod tests {
     #[test]
     fn learn_policies_produces_ranked_output() {
         let model = LublinModel::new(64);
-        let mut enumerate = EnumerateOptions::default();
-        enumerate.lm.max_iterations = 25;
+        let enumerate = EnumerateOptions {
+            max_iterations: 25,
+            ..Default::default()
+        };
         let report = learn_policies(&tiny_config(), &model, &enumerate, 4);
         assert_eq!(report.fits.len(), 576);
         assert_eq!(report.policies.len(), 4);

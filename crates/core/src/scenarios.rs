@@ -47,10 +47,10 @@
 //! they were (6.4–6.7 and 16.7–16.8 MB before and after).
 //!
 //! Beyond the paper's grid, [`scenario_experiment`] / [`scenario_results`]
-//! turn any named [`ScenarioFamily`] of the workload registry
-//! (heavy-tail, bursty, diurnal, Feitelson'96, SWF replay, …) into the
-//! same `Experiment` currency, so `run_experiments`, sweeps, and the CLI
-//! evaluate registry scenarios exactly like Table-4 rows.
+//! turn any named [`ScenarioFamily`] of the workload registry (heavy-tail,
+//! bursty, diurnal, Feitelson'96, …) into the same `Experiment` currency,
+//! so `run_experiments`, sweeps, and the CLI evaluate registry scenarios
+//! exactly like Table-4 rows.
 
 use crate::experiments::{run_experiments, Experiment, ExperimentResult};
 use dynsched_cluster::Platform;

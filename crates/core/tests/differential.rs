@@ -1127,8 +1127,10 @@ fn empty_sessions_and_fault_profiles_are_nothing() {
 /// trials on 64 cores, 25 LM iterations, G1..G3, and a Table-4 grid of two
 /// one-day sequences a row.
 fn golden_config() -> FullRunConfig {
-    let mut enumerate = EnumerateOptions::default();
-    enumerate.lm.max_iterations = 25;
+    let enumerate = EnumerateOptions {
+        max_iterations: 25,
+        ..Default::default()
+    };
     let training = TrainingConfig {
         tuple_spec: TupleSpec {
             s_size: 4,

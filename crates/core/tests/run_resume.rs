@@ -19,8 +19,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn tiny_config() -> FullRunConfig {
-    let mut enumerate = EnumerateOptions::default();
-    enumerate.lm.max_iterations = 20;
+    let enumerate = EnumerateOptions {
+        max_iterations: 20,
+        ..Default::default()
+    };
     FullRunConfig {
         training: TrainingConfig {
             tuple_spec: TupleSpec {
@@ -357,6 +359,59 @@ fn mismatched_config_errors_loudly() {
     ));
 
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Each field of `FullRunConfig`'s sub-configs and of `LublinModel`, changed
+/// alone, changes the fingerprint: a checkpoint directory is never resumed
+/// by a run that would compute something else.
+#[test]
+fn every_field_of_the_run_changes_its_fingerprint() {
+    let (config, model) = (tiny_config(), model());
+    let reference = fingerprint(&config, &model);
+    type ConfigEdit = fn(&mut FullRunConfig);
+    let configs: [(&str, ConfigEdit); 16] = [
+        ("s_size", |c| c.training.tuple_spec.s_size += 1),
+        ("q_size", |c| c.training.tuple_spec.q_size += 1),
+        ("max_start_offset", |c| {
+            c.training.tuple_spec.max_start_offset *= 2.0
+        }),
+        ("trials", |c| c.training.trial_spec.trials += 1),
+        ("total_cores", |c| {
+            c.training.trial_spec.platform = Platform::new(128)
+        }),
+        ("tau", |c| c.training.trial_spec.tau += 1.0),
+        ("tuples", |c| c.training.tuples += 1),
+        ("training seed", |c| c.training.seed += 1),
+        ("weighted", |c| c.enumerate.weighted = !c.enumerate.weighted),
+        ("max_iterations", |c| c.enumerate.max_iterations += 1),
+        ("top_k", |c| c.top_k += 1),
+        ("count", |c| c.eval_scale.spec.count += 1),
+        ("days", |c| c.eval_scale.spec.days *= 2.0),
+        ("min_jobs", |c| c.eval_scale.spec.min_jobs += 1),
+        ("model_target_load", |c| {
+            c.eval_scale.model_target_load /= 2.0
+        }),
+        ("eval seed", |c| c.eval_scale.seed ^= 1),
+    ];
+    for (field, edit) in configs {
+        let mut other = config;
+        edit(&mut other);
+        assert_ne!(fingerprint(&other, &model), reference, "{field}");
+    }
+    type ModelEdit = fn(&mut LublinModel);
+    let models: [(&str, ModelEdit); 5] = [
+        ("max_cores", |m| m.max_cores *= 2),
+        // The heavy-tail family's change.
+        ("b2", |m| m.b2 *= 1.3),
+        ("arrival_scale", |m| m.arrival_scale *= 2.0),
+        ("daily_cycle", |m| m.daily_cycle = !m.daily_cycle),
+        ("max_runtime", |m| m.max_runtime *= 4.0),
+    ];
+    for (field, edit) in models {
+        let mut other = model;
+        edit(&mut other);
+        assert_ne!(fingerprint(&config, &other), reference, "model {field}");
+    }
 }
 
 #[test]

@@ -23,6 +23,31 @@ pub struct Observation {
 }
 
 impl Observation {
+    /// The observation with these fields, in the artifact's CSV order
+    /// `[runtime, cores, submit, score]`, if each is admissible: finite,
+    /// and runtime, core count and submit time non-negative. One `nan`
+    /// makes every fit's cost non-finite and the ranking returns untouched
+    /// initial coefficients, and a negative Eq. 4 weight `r·n` changes
+    /// sign — silently wrong policies either way. Otherwise the position
+    /// of the first field that is not admissible, and why.
+    pub fn from_fields(fields: [f64; 4]) -> Result<Self, (usize, &'static str)> {
+        for (i, &value) in fields.iter().enumerate() {
+            if !value.is_finite() {
+                return Err((i, "not a finite number"));
+            }
+            if value < 0.0 && i != 3 {
+                return Err((i, "negative"));
+            }
+        }
+        let [runtime, cores, submit, score] = fields;
+        Ok(Self {
+            runtime,
+            cores,
+            submit,
+            score,
+        })
+    }
+
     /// The Eq. 4 regression weight `r·n`: big tasks must be fitted well
     /// because misranking them blocks many small tasks.
     pub fn weight(&self) -> f64 {
@@ -74,11 +99,8 @@ impl TrainingSet {
     }
 
     /// Parse the artifact's CSV format. Blank lines are skipped; a line
-    /// starting with `#` is treated as a comment. Every field must be
-    /// finite, and runtime, core count and submit time non-negative: one
-    /// `nan` makes every fit's cost non-finite and the ranking returns
-    /// untouched initial coefficients, and a negative Eq. 4 weight `r·n`
-    /// changes sign — silently wrong policies either way.
+    /// starting with `#` is treated as a comment. Every line must be an
+    /// observation [`Observation::from_fields`] admits.
     pub fn from_csv(input: &str) -> Result<Self, CsvError> {
         let mut observations = Vec::new();
         for (lineno, line) in input.lines().enumerate() {
@@ -93,29 +115,22 @@ impl TrainingSet {
                     message: format!("expected 4 comma-separated fields, found {}", fields.len()),
                 });
             }
-            let parse = |i: usize| -> Result<f64, CsvError> {
-                let name = ["runtime", "cores", "submit", "score"][i];
-                let reject = |why: &dyn std::fmt::Display| CsvError {
-                    line: lineno + 1,
-                    message: format!("field {} ({name}, {:?}): {why}", i + 1, fields[i]),
-                };
-                let value: f64 = fields[i].parse().map_err(|e| reject(&e))?;
-                // `core::checkpoint`'s training-stage decoder applies the
-                // same rule to a resumed stage: change both or neither.
-                if !value.is_finite() {
-                    return Err(reject(&"not a finite number"));
-                }
-                if value < 0.0 && name != "score" {
-                    return Err(reject(&"negative"));
-                }
-                Ok(value)
+            let reject = |i: usize, why: &dyn std::fmt::Display| CsvError {
+                line: lineno + 1,
+                message: format!(
+                    "field {} ({}, {:?}): {why}",
+                    i + 1,
+                    ["runtime", "cores", "submit", "score"][i],
+                    fields[i]
+                ),
             };
-            observations.push(Observation {
-                runtime: parse(0)?,
-                cores: parse(1)?,
-                submit: parse(2)?,
-                score: parse(3)?,
-            });
+            let mut values = [0.0; 4];
+            for (i, value) in values.iter_mut().enumerate() {
+                *value = fields[i].parse().map_err(|e| reject(i, &e))?;
+            }
+            let observation =
+                Observation::from_fields(values).map_err(|(i, why)| reject(i, &why))?;
+            observations.push(observation);
         }
         Ok(Self { observations })
     }

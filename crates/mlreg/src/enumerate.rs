@@ -53,9 +53,14 @@
 //! with the columns, 0.43–0.51 without, 1.00–1.29 before either).
 
 use crate::dataset::{FeatureTable, TrainingSet};
-use crate::lm::{levenberg_marquardt_scoped, LmOptions, LmOutcome, LmWorkspace};
+use crate::lm::{levenberg_marquardt_scoped, LmOutcome, LmWorkspace};
 use dynsched_policies::learned::{LearnedPolicy, NonlinearFunction, OpKind};
 use dynsched_simkit::parallel::par_map_scoped;
+
+/// Initial coefficients for every fit. Scores are ~1/|Q| ≈ 0.03 while
+/// features reach 1e5; tiny symmetric starting coefficients put the first
+/// Gauss–Newton step in a sane region for every shape.
+pub(crate) const INITIAL_COEFFICIENTS: [f64; 3] = [1e-4, 1e-4, 1e-4];
 
 /// Options for the enumeration run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,21 +68,15 @@ pub struct EnumerateOptions {
     /// Use the Eq. 4 weight `r·n` (true in the paper; the ablation bench
     /// turns it off to show why it matters).
     pub weighted: bool,
-    /// Initial coefficients for every fit.
-    pub initial: [f64; 3],
-    /// Inner optimizer options.
-    pub lm: LmOptions,
+    /// Cap on the optimizer's outer iterations per fit.
+    pub max_iterations: usize,
 }
 
 impl Default for EnumerateOptions {
     fn default() -> Self {
         Self {
             weighted: true,
-            // Scores are ~1/|Q| ≈ 0.03 while features reach 1e5; tiny
-            // symmetric starting coefficients put the first Gauss–Newton
-            // step in a sane region for every shape.
-            initial: [1e-4, 1e-4, 1e-4],
-            lm: LmOptions::default(),
+            max_iterations: 200,
         }
     }
 }
@@ -228,9 +227,9 @@ pub fn fit_function_scoped(
                 out,
             )
         },
-        &options.initial,
+        &INITIAL_COEFFICIENTS,
         n,
-        &options.lm,
+        options.max_iterations,
     );
     ws.outcome = Some(outcome);
 
@@ -404,8 +403,10 @@ mod tests {
     #[test]
     fn fit_all_sorts_best_first_and_finds_truth_family() {
         let ts = synthetic_f1_set();
-        let mut opts = EnumerateOptions::default();
-        opts.lm.max_iterations = 60; // keep the 576-fit sweep quick
+        let opts = EnumerateOptions {
+            max_iterations: 60, // keep the 576-fit sweep quick
+            ..Default::default()
+        };
         let results = fit_all(&ts, &opts);
         assert_eq!(results.len(), 576);
         for w in results.windows(2) {
@@ -484,8 +485,10 @@ mod tests {
     #[test]
     fn top_policies_names_and_count() {
         let ts = synthetic_f1_set();
-        let mut opts = EnumerateOptions::default();
-        opts.lm.max_iterations = 30;
+        let opts = EnumerateOptions {
+            max_iterations: 30,
+            ..Default::default()
+        };
         let results = fit_all(&ts, &opts);
         let pols = top_policies(&results, 4);
         assert_eq!(pols.len(), 4);
@@ -505,8 +508,10 @@ mod tests {
     fn fit_all_is_thread_count_independent() {
         use dynsched_simkit::parallel::with_worker_limit;
         let ts = synthetic_f1_set();
-        let mut opts = EnumerateOptions::default();
-        opts.lm.max_iterations = 25;
+        let opts = EnumerateOptions {
+            max_iterations: 25,
+            ..Default::default()
+        };
         let wide = fit_all(&ts, &opts);
         let narrow = with_worker_limit(1, || fit_all(&ts, &opts));
         assert_eq!(wide, narrow);

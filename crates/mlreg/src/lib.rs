@@ -72,7 +72,7 @@ pub use enumerate::{
     FitWorkspace,
 };
 pub use lm::{
-    levenberg_marquardt, levenberg_marquardt_scoped, LmCounts, LmExit, LmFit, LmOptions, LmOutcome,
+    levenberg_marquardt, levenberg_marquardt_scoped, LmCounts, LmExit, LmFit, LmOutcome,
     LmWorkspace,
 };
 pub use reference::{fit_all_reference, fit_function_reference};

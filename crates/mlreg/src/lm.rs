@@ -45,36 +45,17 @@
 
 use crate::linalg::{normal_equations, solve_in_place, Matrix};
 
-/// Options controlling the optimizer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LmOptions {
-    /// Maximum outer iterations.
-    pub max_iterations: usize,
-    /// Stop when the relative cost improvement falls below this.
-    pub cost_tolerance: f64,
-    /// Stop when the step's infinity norm (relative to parameters) falls
-    /// below this.
-    pub step_tolerance: f64,
-    /// Initial damping factor λ.
-    pub initial_lambda: f64,
-    /// Multiplier applied to λ on rejection (and its inverse on success).
-    pub lambda_factor: f64,
-    /// Upper bound on λ; beyond this the fit reports non-convergence.
-    pub max_lambda: f64,
-}
-
-impl Default for LmOptions {
-    fn default() -> Self {
-        Self {
-            max_iterations: 200,
-            cost_tolerance: 1e-12,
-            step_tolerance: 1e-12,
-            initial_lambda: 1e-3,
-            lambda_factor: 10.0,
-            max_lambda: 1e12,
-        }
-    }
-}
+/// Stop when the relative cost improvement falls below this.
+pub(crate) const COST_TOLERANCE: f64 = 1e-12;
+/// Stop when the step's infinity norm (relative to parameters) falls below
+/// this.
+pub(crate) const STEP_TOLERANCE: f64 = 1e-12;
+/// Initial damping factor λ.
+pub(crate) const INITIAL_LAMBDA: f64 = 1e-3;
+/// Multiplier applied to λ on rejection (and its inverse on success).
+pub(crate) const LAMBDA_FACTOR: f64 = 10.0;
+/// Upper bound on λ; beyond this the fit reports non-convergence.
+pub(crate) const MAX_LAMBDA: f64 = 1e12;
 
 /// Result of a fit.
 #[derive(Debug, Clone, PartialEq)]
@@ -151,14 +132,14 @@ pub enum LmExit {
     NonFiniteStart,
     /// An accepted step met the cost or the step tolerance.
     ToleranceMet,
-    /// λ passed [`LmOptions::max_lambda`] without an acceptable step.
+    /// λ passed its ceiling (10¹²) without an acceptable step.
     LambdaExhausted,
-    /// [`LmOptions::max_iterations`] accepted steps, none within tolerance.
+    /// `max_iterations` accepted steps, none within tolerance.
     IterationCap,
 }
 
 /// What a fit did, as counts: a pure function of the problem and the
-/// options, so equal at any worker count and from run to run.
+/// iteration cap, so equal at any worker count and from run to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LmCounts {
     /// Residual evaluations whose cost was taken: the start and one per
@@ -191,7 +172,8 @@ pub struct LmOutcome {
     pub counts: LmCounts,
 }
 
-/// Minimize `Σ residuals(params)²` starting from `initial`.
+/// Minimize `Σ residuals(params)²` starting from `initial`, in at most
+/// `max_iterations` outer iterations.
 ///
 /// `residuals(params, out)` must fill `out` (length fixed across calls)
 /// with the residual vector; non-finite residuals are treated as an
@@ -201,13 +183,14 @@ pub fn levenberg_marquardt<F>(
     residuals: F,
     initial: &[f64],
     n_residuals: usize,
-    options: &LmOptions,
+    max_iterations: usize,
 ) -> LmFit
 where
     F: FnMut(&[f64], &mut [f64]),
 {
     let mut ws = LmWorkspace::new();
-    let outcome = levenberg_marquardt_scoped(&mut ws, residuals, initial, n_residuals, options);
+    let outcome =
+        levenberg_marquardt_scoped(&mut ws, residuals, initial, n_residuals, max_iterations);
     LmFit {
         params: ws.params,
         cost: outcome.cost,
@@ -225,7 +208,7 @@ pub fn levenberg_marquardt_scoped<F>(
     mut residuals: F,
     initial: &[f64],
     n_residuals: usize,
-    options: &LmOptions,
+    max_iterations: usize,
 ) -> LmOutcome
 where
     F: FnMut(&[f64], &mut [f64]),
@@ -253,7 +236,7 @@ where
         };
     }
 
-    let mut lambda = options.initial_lambda;
+    let mut lambda = INITIAL_LAMBDA;
     ws.jac.clear();
     ws.jac.resize(n_params * n_residuals, 0.0);
     ws.probe.clear();
@@ -262,7 +245,7 @@ where
     let mut iterations = 0;
     let mut exit = LmExit::IterationCap;
 
-    for iter in 0..options.max_iterations {
+    for iter in 0..max_iterations {
         iterations = iter + 1;
         // Forward-difference Jacobian, one contiguous column per parameter.
         for (j, column) in ws.jac.chunks_exact_mut(n_residuals).enumerate() {
@@ -282,7 +265,7 @@ where
 
         // Inner loop: adapt λ until a step is accepted or λ explodes.
         let mut stepped_ok = false;
-        while lambda <= options.max_lambda {
+        while lambda <= MAX_LAMBDA {
             // (JᵀJ + λ·diag(JᵀJ)) δ = -Jᵀr   (Marquardt scaling).
             ws.damped.copy_from(&ws.gram);
             for d in 0..n_params {
@@ -295,7 +278,7 @@ where
             ws.delta.extend(ws.gradient.iter().map(|g| -g));
             if solve_in_place(&mut ws.damped, &mut ws.delta).is_err() {
                 counts.failed_solves += 1;
-                lambda *= options.lambda_factor;
+                lambda *= LAMBDA_FACTOR;
                 continue;
             }
             ws.candidate.clear();
@@ -317,15 +300,15 @@ where
                 std::mem::swap(&mut ws.params, &mut ws.candidate);
                 std::mem::swap(&mut ws.res, &mut ws.probe);
                 cost = new_cost;
-                lambda = (lambda / options.lambda_factor).max(1e-12);
+                lambda = (lambda / LAMBDA_FACTOR).max(1e-12);
                 stepped_ok = true;
-                if rel_impr < options.cost_tolerance || rel_step < options.step_tolerance {
+                if rel_impr < COST_TOLERANCE || rel_step < STEP_TOLERANCE {
                     converged = true;
                 }
                 break;
             }
             counts.rejected += 1;
-            lambda *= options.lambda_factor;
+            lambda *= LAMBDA_FACTOR;
         }
 
         if converged || !stepped_ok {
@@ -337,7 +320,7 @@ where
             } else {
                 LmExit::LambdaExhausted
             };
-            if !stepped_ok && lambda > options.max_lambda {
+            if !stepped_ok && lambda > MAX_LAMBDA {
                 converged = converged || cost.is_finite();
             }
             break;
@@ -357,6 +340,9 @@ where
 mod tests {
     use super::*;
 
+    /// The iteration cap the enumeration uses by default.
+    const ITERATIONS: usize = 200;
+
     #[test]
     fn fits_linear_model_exactly() {
         // y = 3x + 2 — linear problems converge in one accepted step.
@@ -370,7 +356,7 @@ mod tests {
             },
             &[0.0, 0.0],
             xs.len(),
-            &LmOptions::default(),
+            ITERATIONS,
         );
         assert!((fit.params[0] - 3.0).abs() < 1e-8, "{:?}", fit.params);
         assert!((fit.params[1] - 2.0).abs() < 1e-8);
@@ -390,7 +376,7 @@ mod tests {
             },
             &[1.0, -0.1],
             xs.len(),
-            &LmOptions::default(),
+            ITERATIONS,
         );
         assert!(fit.converged, "{fit:?}");
         assert!((fit.params[0] - 2.0).abs() < 1e-6, "{:?}", fit.params);
@@ -407,10 +393,7 @@ mod tests {
             },
             &[-1.2, 1.0],
             2,
-            &LmOptions {
-                max_iterations: 500,
-                ..Default::default()
-            },
+            500,
         );
         assert!((fit.params[0] - 1.0).abs() < 1e-6, "{:?}", fit.params);
         assert!((fit.params[1] - 1.0).abs() < 1e-6);
@@ -427,7 +410,7 @@ mod tests {
             },
             &[0.0],
             2,
-            &LmOptions::default(),
+            ITERATIONS,
         );
         // Weighted LS optimum: (100·1 + 1·5)/101 ≈ 1.0396.
         assert!(
@@ -451,7 +434,7 @@ mod tests {
             },
             &[1.0, 0.5],
             xs.len(),
-            &LmOptions::default(),
+            ITERATIONS,
         );
         // Re-run and record accepted costs.
         let mut res = vec![0.0; xs.len()];
@@ -475,7 +458,7 @@ mod tests {
             },
             &[0.0, 123.0],
             1,
-            &LmOptions::default(),
+            ITERATIONS,
         );
         assert!((fit.params[0] - 7.0).abs() < 1e-8, "{:?}", fit.params);
         assert_eq!(fit.params[1], 123.0, "dead parameter must not drift");
@@ -489,7 +472,7 @@ mod tests {
             },
             &[1.0],
             1,
-            &LmOptions::default(),
+            ITERATIONS,
         );
         assert!(!fit.converged);
         assert!(fit.cost.is_infinite());
@@ -513,16 +496,17 @@ mod tests {
             }
         };
         for _ in 0..3 {
-            let opts = LmOptions::default();
-            let got = levenberg_marquardt_scoped(&mut ws, exp_res, &[1.0, -0.1], xs.len(), &opts);
-            let want = levenberg_marquardt(exp_res, &[1.0, -0.1], xs.len(), &opts);
+            let got =
+                levenberg_marquardt_scoped(&mut ws, exp_res, &[1.0, -0.1], xs.len(), ITERATIONS);
+            let want = levenberg_marquardt(exp_res, &[1.0, -0.1], xs.len(), ITERATIONS);
             assert_eq!(ws.params(), &want.params[..]);
             assert_eq!(got.cost, want.cost);
             assert_eq!(got.iterations, want.iterations);
             assert_eq!(got.converged, want.converged);
 
-            let got = levenberg_marquardt_scoped(&mut ws, lin_res, &[0.0, 0.0], xs.len(), &opts);
-            let want = levenberg_marquardt(lin_res, &[0.0, 0.0], xs.len(), &opts);
+            let got =
+                levenberg_marquardt_scoped(&mut ws, lin_res, &[0.0, 0.0], xs.len(), ITERATIONS);
+            let want = levenberg_marquardt(lin_res, &[0.0, 0.0], xs.len(), ITERATIONS);
             assert_eq!(ws.params(), &want.params[..]);
             assert_eq!(got.cost, want.cost);
         }
@@ -530,17 +514,13 @@ mod tests {
 
     #[test]
     fn respects_iteration_cap() {
-        let opts = LmOptions {
-            max_iterations: 3,
-            ..Default::default()
-        };
         let fit = levenberg_marquardt(
             |p, out| {
                 out[0] = (p[0] - 4.0) * (p[0] - 4.0) + 1.0; // never zero
             },
             &[100.0],
             1,
-            &opts,
+            3,
         );
         assert!(fit.iterations <= 3);
     }

@@ -15,9 +15,9 @@
 //! keep those tests green when touching the enumeration or the optimizer.
 
 use crate::dataset::TrainingSet;
-use crate::enumerate::{EnumerateOptions, FitResult};
+use crate::enumerate::{EnumerateOptions, FitResult, INITIAL_COEFFICIENTS};
 use crate::linalg::{solve, Matrix};
-use crate::lm::{LmFit, LmOptions};
+use crate::lm::{LmFit, COST_TOLERANCE, INITIAL_LAMBDA, LAMBDA_FACTOR, MAX_LAMBDA, STEP_TOLERANCE};
 use dynsched_policies::learned::NonlinearFunction;
 
 /// The original allocating Levenberg–Marquardt loop, kept verbatim.
@@ -25,7 +25,7 @@ fn levenberg_marquardt_reference<F>(
     mut residuals: F,
     initial: &[f64],
     n_residuals: usize,
-    options: &LmOptions,
+    max_iterations: usize,
 ) -> LmFit
 where
     F: FnMut(&[f64], &mut [f64]),
@@ -51,13 +51,13 @@ where
         };
     }
 
-    let mut lambda = options.initial_lambda;
+    let mut lambda = INITIAL_LAMBDA;
     let mut jac = Matrix::zeros(n_residuals, n_params);
     let mut probe = vec![0.0; n_residuals];
     let mut converged = false;
     let mut iterations = 0;
 
-    for iter in 0..options.max_iterations {
+    for iter in 0..max_iterations {
         iterations = iter + 1;
         for j in 0..n_params {
             let h = 1e-7 * params[j].abs().max(1e-7);
@@ -74,7 +74,7 @@ where
         let gradient = jac.transpose_mul_vec(&res);
 
         let mut stepped_ok = false;
-        while lambda <= options.max_lambda {
+        while lambda <= MAX_LAMBDA {
             let mut damped = gram.clone();
             for d in 0..n_params {
                 let diag = damped[(d, d)];
@@ -82,7 +82,7 @@ where
             }
             let neg_grad: Vec<f64> = gradient.iter().map(|g| -g).collect();
             let Ok(delta) = solve(&damped, &neg_grad) else {
-                lambda *= options.lambda_factor;
+                lambda *= LAMBDA_FACTOR;
                 continue;
             };
             let candidate: Vec<f64> = params.iter().zip(&delta).map(|(p, d)| p + d).collect();
@@ -98,18 +98,18 @@ where
                 params = candidate;
                 res.copy_from_slice(&probe);
                 cost = new_cost;
-                lambda = (lambda / options.lambda_factor).max(1e-12);
+                lambda = (lambda / LAMBDA_FACTOR).max(1e-12);
                 stepped_ok = true;
-                if rel_impr < options.cost_tolerance || rel_step < options.step_tolerance {
+                if rel_impr < COST_TOLERANCE || rel_step < STEP_TOLERANCE {
                     converged = true;
                 }
                 break;
             }
-            lambda *= options.lambda_factor;
+            lambda *= LAMBDA_FACTOR;
         }
 
         if converged || !stepped_ok {
-            if !stepped_ok && lambda > options.max_lambda {
+            if !stepped_ok && lambda > MAX_LAMBDA {
                 converged = converged || cost.is_finite();
             }
             break;
@@ -146,9 +146,9 @@ pub fn fit_function_reference(
                 out[i] = weights[i] * (f.eval(o.runtime, o.cores, o.submit) - o.score);
             }
         },
-        &options.initial,
+        &INITIAL_COEFFICIENTS,
         obs.len(),
-        &options.lm,
+        options.max_iterations,
     );
 
     let fitted = shape.with_coefficients([fit.params[0], fit.params[1], fit.params[2]]);
@@ -224,8 +224,10 @@ mod tests {
     #[test]
     fn batched_fit_matches_reference_bit_for_bit() {
         let ts = small_set();
-        let mut opts = EnumerateOptions::default();
-        opts.lm.max_iterations = 40;
+        let opts = EnumerateOptions {
+            max_iterations: 40,
+            ..Default::default()
+        };
         for shape in NonlinearFunction::enumerate_family()
             .into_iter()
             .step_by(37)

@@ -157,10 +157,9 @@ fn every_shape_matches_the_oracle_in_every_guard_lane() {
 #[test]
 fn every_exit_matches_the_oracle_at_lengths_no_vector_width_divides() {
     let pooled = pooled_set(&mut Rng::new(0xE817), 17);
-    let capped = {
-        let mut options = EnumerateOptions::default();
-        options.lm.max_iterations = 2;
-        options
+    let capped = EnumerateOptions {
+        max_iterations: 2,
+        ..Default::default()
     };
     let mut ws = FitWorkspace::default();
     let mut exits = HashSet::new();
@@ -240,7 +239,7 @@ fn optimizer_counts_are_consistent_and_worker_count_independent() {
         }
         assert_eq!(
             outcome.exit == LmExit::IterationCap,
-            outcome.iterations == options.lm.max_iterations && !outcome.converged,
+            outcome.iterations == options.max_iterations && !outcome.converged,
             "{shape:?}"
         );
     }

@@ -88,7 +88,7 @@ fn lm_solutions_satisfy_the_normal_equations() {
             },
             &[0.0, 0.0, 0.0],
             m,
-            &Default::default(),
+            EnumerateOptions::default().max_iterations,
         );
         // Residual gradient Xᵀ(Xβ − y) must vanish at the optimum.
         let x = Matrix::from_rows(&rows);
@@ -174,8 +174,10 @@ fn degenerate_training_sets_never_produce_nan_rankings() {
         score: 0.05,
     };
     let ts = TrainingSet::new(vec![one; 16]);
-    let mut options = EnumerateOptions::default();
-    options.lm.max_iterations = 30;
+    let options = EnumerateOptions {
+        max_iterations: 30,
+        ..Default::default()
+    };
     let results = fit_all(&ts, &options);
     assert_eq!(results.len(), 576);
     let mut seen_finite_tail = true;
@@ -216,8 +218,10 @@ fn rank_deficient_candidates_are_rejected_not_poisoned() {
         })
         .collect();
     let ts = TrainingSet::new(obs);
-    let mut options = EnumerateOptions::default();
-    options.lm.max_iterations = 30;
+    let options = EnumerateOptions {
+        max_iterations: 30,
+        ..Default::default()
+    };
     for shape in NonlinearFunction::enumerate_family()
         .into_iter()
         .step_by(23)
@@ -244,8 +248,10 @@ fn scoring_policies_from_degenerate_fits_stays_finite() {
         score: 0.1,
     };
     let ts = TrainingSet::new(vec![one; 8]);
-    let mut options = EnumerateOptions::default();
-    options.lm.max_iterations = 10;
+    let options = EnumerateOptions {
+        max_iterations: 10,
+        ..Default::default()
+    };
     let results = fit_all(&ts, &options);
     let policies = dynsched_mlreg::top_policies(&results, 4);
     for p in &policies {

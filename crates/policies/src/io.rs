@@ -14,7 +14,7 @@
 //! ```
 
 use crate::expr::{ExprPolicy, ParseError};
-use crate::learned::{LearnedPolicy, NonlinearFunction, OpKind};
+use crate::learned::LearnedPolicy;
 use crate::policy::Policy;
 use std::fmt::Write as _;
 
@@ -97,27 +97,10 @@ pub fn save_policies<'a>(policies: impl IntoIterator<Item = &'a ExprPolicy>) -> 
     out
 }
 
-/// Convert a fitted [`NonlinearFunction`] into expression-language text
-/// that evaluates identically (same guards on log/sqrt/inv/÷), so learned
-/// policies can be written to a policy file.
-pub fn function_to_expression_source(f: &NonlinearFunction) -> String {
-    let [c1, c2, c3] = f.coefficients;
-    let term = |c: f64, base: crate::learned::BaseFunc, var: &str| {
-        format!("({c:e} * {})", base.render(var))
-    };
-    let a = term(c1, f.alpha, "r");
-    let b = term(c2, f.beta, "n");
-    let c = term(c3, f.gamma, "s");
-    // Reproduce the family's precedence exactly: `A + (B op2 C)` when op1
-    // is + and op2 is multiplicative, else left-to-right.
-    if f.op1 == OpKind::Add && f.op2.is_multiplicative() {
-        format!("{a} + ({b} {} {c})", f.op2.symbol())
-    } else {
-        format!("({a} {} {b}) {} {c}", f.op1.symbol(), f.op2.symbol())
-    }
-}
-
-/// Export learned policies as a policy file.
+/// Export learned policies as a policy file. Each function is printed as
+/// its [`to_expr`](crate::learned::NonlinearFunction::to_expr) lowering,
+/// whose shortest round-trip constants and parentheses load back to the
+/// function's scores bit for bit.
 pub fn save_learned<'a>(policies: impl IntoIterator<Item = &'a LearnedPolicy>) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -125,12 +108,7 @@ pub fn save_learned<'a>(policies: impl IntoIterator<Item = &'a LearnedPolicy>) -
         "# dynsched learned policies (fitted nonlinear functions)"
     );
     for p in policies {
-        let _ = writeln!(
-            out,
-            "{} = {}",
-            p.name(),
-            function_to_expression_source(p.function())
-        );
+        let _ = writeln!(out, "{} = {}", p.name(), p.function().to_expr());
     }
     out
 }
@@ -193,16 +171,45 @@ mine = w / (r + 1)
 
     #[test]
     fn learned_policies_export_and_evaluate_identically() {
-        for learned in LearnedPolicy::table3() {
-            let text = save_learned([&learned]);
-            let reloaded = load_policies(&text).unwrap();
-            assert_eq!(reloaded.len(), 1);
-            for &(r, n, s) in &[(0.0, 1u32, 0.0), (100.0, 8, 1_000.0), (5e4, 256, 1.2e6)] {
+        use crate::learned::NonlinearFunction;
+        use dynsched_simkit::Rng;
+        // Table 3, then all 576 shapes with coefficients of random sign and
+        // magnitude.
+        let mut rng = Rng::new(0x10E);
+        let mut coefficient = || {
+            let c = 10f64.powf(rng.range_f64(-9.0, 9.0)) * rng.range_f64(0.5, 1.0);
+            if rng.chance(0.5) {
+                -c
+            } else {
+                c
+            }
+        };
+        let mut policies = LearnedPolicy::table3();
+        for (i, shape) in NonlinearFunction::enumerate_family()
+            .into_iter()
+            .enumerate()
+        {
+            let c = [coefficient(), coefficient(), coefficient()];
+            policies.push(LearnedPolicy::new(
+                format!("S{i}"),
+                shape.with_coefficients(c),
+            ));
+        }
+        let reloaded = load_policies(&save_learned(&policies)).unwrap();
+        assert_eq!(reloaded.len(), policies.len());
+        for (learned, reloaded) in policies.iter().zip(&reloaded) {
+            assert_eq!(learned.name(), reloaded.name());
+            for &(r, n, s) in &[
+                (0.0, 1u32, 0.0),
+                (0.5, 1, 1e-13),
+                (100.0, 8, 1_000.0),
+                (5e4, 256, 1.2e6),
+            ] {
                 let t = view(r, n, s);
-                let a = learned.score(&t);
-                let b = reloaded[0].score(&t);
-                assert!(
-                    (a - b).abs() <= 1e-9 * a.abs().max(1.0),
+                let (a, b) = (learned.score(&t), reloaded.score(&t));
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
                     "{}: {a} vs {b} at ({r},{n},{s})",
                     learned.name()
                 );
@@ -213,7 +220,7 @@ mine = w / (r + 1)
     #[test]
     fn exported_division_shapes_roundtrip() {
         // A ÷ shape exercises the guard-preserving parenthesisation.
-        use crate::learned::BaseFunc;
+        use crate::learned::{BaseFunc, NonlinearFunction, OpKind};
         let f = NonlinearFunction::with_shape(
             BaseFunc::Id,
             OpKind::Div,

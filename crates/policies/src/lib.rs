@@ -38,7 +38,7 @@ pub use compile::{compile_expr, BatchScratch, CompiledPolicy, ScoreLanes};
 pub use expr::ExprPolicy;
 pub use io::{load_policies, save_learned, save_policies};
 pub use learned::{BaseFunc, LearnedPolicy, NonlinearFunction, OpKind};
-pub use multifactor::{MultiFactor, MultiFactorScales, MultiFactorWeights};
+pub use multifactor::MultiFactor;
 pub use policy::{sort_views, Policy};
 pub use registry::{baseline_lineup, by_name, paper_lineup};
 pub use task_view::{DecisionMode, TaskView};

@@ -9,97 +9,63 @@
 //!
 //! Factors are normalized to `[0, 1]` as SLURM does, and the combined
 //! priority is negated into a score (our convention: lower runs first).
+//! The weights below are a common production flavour: age dominates
+//! (FIFO-ish fairness), with mild preferences for short and small jobs.
 
 use crate::policy::Policy;
 use crate::task_view::TaskView;
 
-/// Weights of the multifactor priority. All factors are normalized to
-/// `[0, 1]`; a higher weighted sum means higher priority (runs earlier).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MultiFactorWeights {
-    /// Weight of the age factor (`wait / max_age`, capped at 1): rewards
-    /// long-waiting jobs — the anti-starvation term.
-    pub age: f64,
-    /// Weight of the job-size factor (`cores / platform_cores`): SLURM's
-    /// "favor big jobs" knob (set negative to favor small jobs).
-    pub size: f64,
-    /// Weight of the short-job factor (`1 - min(proc_time, max_time)/max_time`):
-    /// rewards short (estimated) processing times.
-    pub shortness: f64,
-}
-
-impl Default for MultiFactorWeights {
-    fn default() -> Self {
-        // A common production flavour: age dominates (FIFO-ish fairness),
-        // with mild preferences for short and small jobs.
-        Self {
-            age: 1.0,
-            size: -0.25,
-            shortness: 0.5,
-        }
-    }
-}
-
-/// Normalization scales for the factors.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MultiFactorScales {
-    /// Wait time at which the age factor saturates (SLURM's
-    /// `PriorityMaxAge`, commonly 7 days).
-    pub max_age: f64,
-    /// Platform width used to normalize the size factor.
-    pub platform_cores: u32,
-    /// Processing time at which the shortness factor reaches 0.
-    pub max_time: f64,
-}
-
-impl Default for MultiFactorScales {
-    fn default() -> Self {
-        Self {
-            max_age: 7.0 * 86_400.0,
-            platform_cores: 256,
-            max_time: 5.0 * 86_400.0,
-        }
-    }
-}
+/// Weight of the age factor (`wait / MAX_AGE`, capped at 1): rewards
+/// long-waiting jobs — the anti-starvation term.
+const AGE_WEIGHT: f64 = 1.0;
+/// Weight of the job-size factor (`cores / platform_cores`): SLURM's
+/// "favor big jobs" knob, negative here to favor small jobs.
+const SIZE_WEIGHT: f64 = -0.25;
+/// Weight of the short-job factor (`1 - min(proc_time, MAX_TIME)/MAX_TIME`):
+/// rewards short (estimated) processing times.
+const SHORTNESS_WEIGHT: f64 = 0.5;
+/// Wait time at which the age factor saturates (SLURM's `PriorityMaxAge`,
+/// commonly 7 days).
+const MAX_AGE: f64 = 7.0 * 86_400.0;
+/// Processing time at which the shortness factor reaches 0.
+const MAX_TIME: f64 = 5.0 * 86_400.0;
 
 /// The multifactor policy: `score = -(w_age·age + w_size·size + w_short·short)`.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiFactor {
-    /// Factor weights.
-    pub weights: MultiFactorWeights,
-    /// Factor normalization.
-    pub scales: MultiFactorScales,
+    /// Platform width used to normalize the size factor.
+    pub platform_cores: u32,
+}
+
+impl Default for MultiFactor {
+    fn default() -> Self {
+        Self {
+            platform_cores: 256,
+        }
+    }
 }
 
 impl MultiFactor {
-    /// Build with explicit weights and default scales.
-    pub fn new(weights: MultiFactorWeights) -> Self {
-        Self {
-            weights,
-            ..Self::default()
-        }
-    }
-
     /// Set the platform width used by the size factor.
     pub fn for_platform(mut self, cores: u32) -> Self {
         assert!(cores > 0);
-        self.scales.platform_cores = cores;
+        self.platform_cores = cores;
         self
     }
 
     /// The normalized age factor in `[0, 1]`.
     pub fn age_factor(&self, task: &TaskView) -> f64 {
-        (task.wait() / self.scales.max_age).clamp(0.0, 1.0)
+        (task.wait() / MAX_AGE).clamp(0.0, 1.0)
     }
 
     /// The normalized size factor in `[0, 1]`.
     pub fn size_factor(&self, task: &TaskView) -> f64 {
-        (task.cores as f64 / self.scales.platform_cores as f64).clamp(0.0, 1.0)
+        (task.cores as f64 / self.platform_cores as f64).clamp(0.0, 1.0)
     }
 
     /// The normalized shortness factor in `[0, 1]` (1 = instant job).
     pub fn shortness_factor(&self, task: &TaskView) -> f64 {
-        1.0 - (task.processing_time / self.scales.max_time).clamp(0.0, 1.0)
+        1.0 - (task.processing_time / MAX_TIME).clamp(0.0, 1.0)
     }
 }
 
@@ -109,9 +75,9 @@ impl Policy for MultiFactor {
     }
 
     fn score(&self, task: &TaskView) -> f64 {
-        let priority = self.weights.age * self.age_factor(task)
-            + self.weights.size * self.size_factor(task)
-            + self.weights.shortness * self.shortness_factor(task);
+        let priority = AGE_WEIGHT * self.age_factor(task)
+            + SIZE_WEIGHT * self.size_factor(task)
+            + SHORTNESS_WEIGHT * self.shortness_factor(task);
         -priority
     }
 
@@ -123,27 +89,27 @@ impl Policy for MultiFactor {
         // normalization, left-to-right weighted sum, final negation — and
         // no NaN sanitizer, because the interpreted path has none.
         let prefix = vec![
-            // slot 0 = weights.size * size_factor
-            Op::Const(self.weights.size),
+            // slot 0 = SIZE_WEIGHT * size_factor
+            Op::Const(SIZE_WEIGHT),
             Op::LoadN,
-            Op::Const(self.scales.platform_cores as f64),
+            Op::Const(self.platform_cores as f64),
             Op::DivRaw,
             Op::Clamp01,
             Op::Mul,
-            // slot 1 = weights.shortness * shortness_factor
-            Op::Const(self.weights.shortness),
+            // slot 1 = SHORTNESS_WEIGHT * shortness_factor
+            Op::Const(SHORTNESS_WEIGHT),
             Op::Const(1.0),
             Op::LoadR,
-            Op::Const(self.scales.max_time),
+            Op::Const(MAX_TIME),
             Op::DivRaw,
             Op::Clamp01,
             Op::Sub,
             Op::Mul,
         ];
         let residual = vec![
-            Op::Const(self.weights.age),
+            Op::Const(AGE_WEIGHT),
             Op::LoadW,
-            Op::Const(self.scales.max_age),
+            Op::Const(MAX_AGE),
             Op::DivRaw,
             Op::Clamp01,
             Op::Mul,
@@ -209,12 +175,6 @@ mod tests {
         let narrow = view(100.0, 2, 0.0, 0.0);
         let wide = view(100.0, 256, 0.0, 0.0);
         assert!(mf.score(&narrow) < mf.score(&wide));
-        // Flip the sign: big jobs first (a "large job campaign" config).
-        let big_first = MultiFactor::new(MultiFactorWeights {
-            size: 2.0,
-            ..Default::default()
-        });
-        assert!(big_first.score(&wide) < big_first.score(&narrow));
     }
 
     #[test]

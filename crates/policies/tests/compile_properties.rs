@@ -8,7 +8,7 @@
 use dynsched_policies::expr::{parse_expr, BinOp, Expr, Func, Var};
 use dynsched_policies::{
     paper_lineup, BaseFunc, BatchScratch, CompiledPolicy, ExprPolicy, LearnedPolicy, MultiFactor,
-    MultiFactorWeights, NonlinearFunction, OpKind, Policy, ScoreLanes, TaskView, Unicef, Wfp3,
+    NonlinearFunction, OpKind, Policy, ScoreLanes, TaskView, Unicef, Wfp3,
 };
 use dynsched_simkit::Rng;
 
@@ -218,11 +218,6 @@ fn every_builtin_policy_compiles_bit_identically() {
     let mut rng = Rng::new(0xFACADE);
     let mut policies: Vec<Box<dyn Policy>> = paper_lineup();
     policies.push(Box::new(MultiFactor::default()));
-    policies.push(Box::new(MultiFactor::new(MultiFactorWeights {
-        age: 0.3,
-        size: 2.0,
-        shortness: -0.7,
-    })));
     for name in ["LCFS", "LPT", "SAF", "LAF"] {
         policies.push(dynsched_policies::by_name(name).unwrap());
     }

@@ -18,34 +18,36 @@ use dynsched_cluster::Job;
 use dynsched_simkit::dist::{Exponential, Sample};
 use dynsched_simkit::Rng;
 
+/// Harmonic exponent of the size distribution (`P(n) ∝ n^-h`); Feitelson
+/// used ≈ 1.5.
+const HARMONIC_EXPONENT: f64 = 1.5;
+/// Multiplier on the probability of power-of-two sizes.
+const POW2_BOOST: f64 = 3.0;
+/// Mean of the short runtime component (seconds).
+const SHORT_MEAN: f64 = 90.0;
+/// Mean of the long runtime component (seconds).
+const LONG_MEAN: f64 = 9_000.0;
+/// Probability of the short component for a serial job; decays with
+/// `log2(size)` so wide jobs skew long.
+const SHORT_PROB_SERIAL: f64 = 0.75;
+/// Probability that a job is repeated (geometric repetition count).
+const REPEAT_PROB: f64 = 0.4;
+/// Mean think time between repetitions (seconds).
+const MEAN_THINK_TIME: f64 = 600.0;
+
 /// Configuration of the Feitelson'96-style generator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeitelsonModel {
     /// Platform width.
     pub max_cores: u32,
-    /// Harmonic exponent of the size distribution (`P(n) ∝ n^-h`);
-    /// Feitelson used ≈ 1.5.
-    pub harmonic_exponent: f64,
-    /// Multiplier on the probability of power-of-two sizes.
-    pub pow2_boost: f64,
-    /// Mean of the short runtime component (seconds).
-    pub short_mean: f64,
-    /// Mean of the long runtime component (seconds).
-    pub long_mean: f64,
-    /// Probability of the short component for a serial job; decays with
-    /// `log2(size)` so wide jobs skew long.
-    pub short_prob_serial: f64,
     /// Mean inter-arrival time of job *sessions* (seconds).
     pub mean_interarrival: f64,
-    /// Probability that a job is repeated (geometric repetition count).
-    pub repeat_prob: f64,
-    /// Mean think time between repetitions (seconds).
-    pub mean_think_time: f64,
-    /// Runtime cap (seconds).
-    pub max_runtime: f64,
 }
 
 impl FeitelsonModel {
+    /// Runtime cap (seconds).
+    pub const MAX_RUNTIME: f64 = 2.0 * 86_400.0;
+
     /// Model with Feitelson'96-flavoured defaults for `max_cores`.
     ///
     /// # Panics
@@ -54,15 +56,7 @@ impl FeitelsonModel {
         assert!(max_cores >= 2);
         Self {
             max_cores,
-            harmonic_exponent: 1.5,
-            pow2_boost: 3.0,
-            short_mean: 90.0,
-            long_mean: 9_000.0,
-            short_prob_serial: 0.75,
             mean_interarrival: 900.0,
-            repeat_prob: 0.4,
-            mean_think_time: 600.0,
-            max_runtime: 2.0 * 86_400.0,
         }
     }
 
@@ -70,9 +64,9 @@ impl FeitelsonModel {
     fn size_weights(&self) -> Vec<f64> {
         (1..=self.max_cores)
             .map(|n| {
-                let base = (n as f64).powf(-self.harmonic_exponent);
+                let base = (n as f64).powf(-HARMONIC_EXPONENT);
                 if n.is_power_of_two() {
-                    base * self.pow2_boost
+                    base * POW2_BOOST
                 } else {
                     base
                 }
@@ -91,15 +85,15 @@ impl FeitelsonModel {
     pub fn sample_runtime(&self, cores: u32, rng: &mut Rng) -> f64 {
         let log_width = (cores.max(1) as f64).log2();
         let max_width = (self.max_cores as f64).log2();
-        let short_prob = self.short_prob_serial * (1.0 - 0.6 * log_width / max_width);
+        let short_prob = SHORT_PROB_SERIAL * (1.0 - 0.6 * log_width / max_width);
         let mean = if rng.chance(short_prob.clamp(0.05, 1.0)) {
-            self.short_mean
+            SHORT_MEAN
         } else {
-            self.long_mean
+            LONG_MEAN
         };
         Exponential::new(1.0 / mean)
             .sample(rng)
-            .clamp(1.0, self.max_runtime)
+            .clamp(1.0, Self::MAX_RUNTIME)
     }
 
     /// Generate `count` jobs starting at time 0 (estimates = runtimes; use
@@ -107,7 +101,7 @@ impl FeitelsonModel {
     /// estimates).
     pub fn generate_jobs(&self, count: usize, rng: &mut Rng) -> Trace {
         let arrival = Exponential::new(1.0 / self.mean_interarrival);
-        let think = Exponential::new(1.0 / self.mean_think_time);
+        let think = Exponential::new(1.0 / MEAN_THINK_TIME);
         let mut jobs = Vec::with_capacity(count);
         let mut now = 0.0;
         let mut id = 0u32;
@@ -120,7 +114,7 @@ impl FeitelsonModel {
             loop {
                 jobs.push(Job::new(id, submit, runtime, runtime, cores));
                 id += 1;
-                if jobs.len() >= count || !rng.chance(self.repeat_prob) {
+                if jobs.len() >= count || !rng.chance(REPEAT_PROB) {
                     break;
                 }
                 submit += runtime + think.sample(rng);
@@ -192,12 +186,11 @@ mod tests {
 
     #[test]
     fn repetitions_create_identical_shapes() {
-        let mut m = FeitelsonModel::new(64);
-        m.repeat_prob = 0.9;
+        let m = FeitelsonModel::new(64);
         let mut rng = Rng::new(5);
         let t = m.generate_jobs(200, &mut rng);
-        // With heavy repetition, many consecutive (runtime, cores) pairs
-        // repeat exactly.
+        // A session repeats its job 1 / (1 - REPEAT_PROB) times on average,
+        // so many consecutive (runtime, cores) pairs repeat exactly.
         let mut shapes: Vec<(u64, u32)> = t
             .jobs()
             .iter()

@@ -15,8 +15,8 @@
 //!   a routed subsequence of a parent trace as a [`TraceSource`] without
 //!   copying, the shard-local input of the scheduler's federation layer;
 //! * [`registry`] — named scenario families (heavy-tail, bursty, diurnal,
-//!   Feitelson'96, Tsafrir-estimate mixes, SWF replay) addressable by
-//!   every evaluation entry point;
+//!   Feitelson'96, Tsafrir-estimate mixes) addressable by every evaluation
+//!   entry point;
 //! * [`swf`] — full Standard Workload Format reader/writer with streaming
 //!   (`BufRead`, line-by-line) ingestion, so real Parallel Workloads
 //!   Archive logs can be dropped into the harness without fitting in one

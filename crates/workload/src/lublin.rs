@@ -3,14 +3,14 @@
 //! Lublin & Feitelson (JPDC 2003) model the stream of rigid jobs observed on
 //! production parallel machines with three coupled components:
 //!
-//! 1. **Job size** (`n`): with probability `serial_prob` the job is serial;
+//! 1. **Job size** (`n`): with probability `SERIAL_PROB` the job is serial;
 //!    otherwise `log2(n)` follows a *two-stage uniform* distribution on
-//!    `[ulow, umed] ∪ [umed, uhi]` (`uhi = log2(max_cores)`), and with
-//!    probability `pow2_prob` the size is rounded to the nearest power of
+//!    `[ULOW, umed] ∪ [umed, uhi]` (`uhi = log2(max_cores)`), and with
+//!    probability `POW2_PROB` the size is rounded to the nearest power of
 //!    two. Small jobs dominate; a thin tail reaches machine scale.
 //! 2. **Runtime** (`r`): `ln(r)` follows a *hyper-gamma* distribution whose
 //!    mixing probability depends linearly on the job size,
-//!    `p = pa·n + pb` (clamped to `[0,1]`) — so wide jobs skew long. The
+//!    `p = PA·n + PB` (clamped to `[0,1]`) — so wide jobs skew long. The
 //!    first component captures short jobs (~1 min median), the second long
 //!    production runs (~3 h median).
 //! 3. **Arrivals** (`s`): `ln(inter-arrival)` is gamma-distributed, with a
@@ -62,52 +62,56 @@ const PROBE_JOBS: usize = 30_000;
 /// Probes per calibration, each rescaling the arrival rate once.
 const PROBE_ROUNDS: usize = 3;
 
-/// Configuration of the Lublin–Feitelson generator.
+/// Probability that a job is serial (one core).
+const SERIAL_PROB: f64 = 0.2927;
+/// Probability that a parallel job's size is a power of two.
+const POW2_PROB: f64 = 0.6686;
+/// Lower bound of `log2(size)` for parallel jobs.
+const ULOW: f64 = 0.8;
+/// Break point of the two-stage uniform, as `uhi - UMED_GAP`.
+const UMED_GAP: f64 = 3.0;
+/// Probability mass of the lower stage `[ULOW, umed]`.
+const UPROB: f64 = 0.8604;
+/// First (short-job) log-runtime gamma component: shape.
+const A1: f64 = 4.2;
+/// First component: scale.
+const B1: f64 = 0.94;
+/// Second (long-job) log-runtime gamma component: shape. Its scale is
+/// [`LublinModel::b2`].
+const A2: f64 = 312.0;
+/// Slope of the size-dependent mixing probability `p = PA·n + PB`.
+const PA: f64 = -0.0054;
+/// Intercept of the mixing probability.
+const PB: f64 = 0.78;
+/// Log-inter-arrival gamma: shape.
+const AARR: f64 = 10.23;
+/// Log-inter-arrival gamma: scale.
+const BARR: f64 = 0.4871;
+/// Cap on a single raw inter-arrival gap (seconds). `exp(gamma)` has a
+/// heavy right tail that occasionally emits multi-day silences real
+/// machines never show; the cap trims the tail while leaving the bulk of
+/// the fitted distribution untouched.
+const MAX_GAP: f64 = 4.0 * 3_600.0;
+/// Minimum runtime (s).
+const MIN_RUNTIME: f64 = 1.0;
+
+/// Configuration of the Lublin–Feitelson generator: the five values some
+/// workload sets; the rest of the model is the constants above.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LublinModel {
     /// Platform size; `uhi = log2(max_cores)`.
     pub max_cores: u32,
-    /// Probability that a job is serial (one core).
-    pub serial_prob: f64,
-    /// Probability that a parallel job's size is a power of two.
-    pub pow2_prob: f64,
-    /// Lower bound of `log2(size)` for parallel jobs.
-    pub ulow: f64,
-    /// Break point of the two-stage uniform, as `uhi - umed_gap`.
-    pub umed_gap: f64,
-    /// Probability mass of the lower stage `[ulow, umed]`.
-    pub uprob: f64,
-    /// First (short-job) log-runtime gamma component: shape.
-    pub a1: f64,
-    /// First component: scale.
-    pub b1: f64,
-    /// Second (long-job) log-runtime gamma component: shape.
-    pub a2: f64,
-    /// Second component: scale.
+    /// Second (long-job) log-runtime gamma component: scale. The
+    /// heavy-tail scenario family stretches it.
     pub b2: f64,
-    /// Slope of the size-dependent mixing probability `p = pa·n + pb`.
-    pub pa: f64,
-    /// Intercept of the mixing probability.
-    pub pb: f64,
-    /// Log-inter-arrival gamma: shape.
-    pub aarr: f64,
-    /// Log-inter-arrival gamma: scale.
-    pub barr: f64,
     /// Multiplier on inter-arrival times; < 1 increases load. This is the
     /// calibration knob used to hit a target utilization.
     pub arrival_scale: f64,
-    /// Cap on a single raw inter-arrival gap (seconds). `exp(gamma)` has a
-    /// heavy right tail that occasionally emits multi-day silences real
-    /// machines never show; the cap trims the tail while leaving the bulk
-    /// of the fitted distribution untouched.
-    pub max_gap: f64,
     /// Whether to modulate arrivals with the daily cycle.
     pub daily_cycle: bool,
     /// Hard cap on runtimes (s); production systems enforce a maximum
     /// walltime and the exp-gamma tail must not escape it.
     pub max_runtime: f64,
-    /// Minimum runtime (s).
-    pub min_runtime: f64,
 }
 
 impl LublinModel {
@@ -120,24 +124,10 @@ impl LublinModel {
         assert!(max_cores >= 2, "the model needs a parallel machine");
         Self {
             max_cores,
-            serial_prob: 0.2927,
-            pow2_prob: 0.6686,
-            ulow: 0.8,
-            umed_gap: 3.0,
-            uprob: 0.8604,
-            a1: 4.2,
-            b1: 0.94,
-            a2: 312.0,
             b2: 0.03,
-            pa: -0.0054,
-            pb: 0.78,
-            aarr: 10.23,
-            barr: 0.4871,
             arrival_scale: 1.0,
-            max_gap: 4.0 * 3_600.0,
             daily_cycle: true,
             max_runtime: 5.0 * 86_400.0,
-            min_runtime: 1.0,
         }
     }
 
@@ -148,19 +138,17 @@ impl LublinModel {
 
     /// Break point of the two-stage uniform.
     fn umed(&self) -> f64 {
-        (self.uhi() - self.umed_gap)
-            .max(self.ulow + 0.1)
-            .min(self.uhi())
+        (self.uhi() - UMED_GAP).max(ULOW + 0.1).min(self.uhi())
     }
 
     /// Sample a job size (number of cores).
     pub fn sample_cores(&self, rng: &mut Rng) -> u32 {
-        if rng.chance(self.serial_prob) {
+        if rng.chance(SERIAL_PROB) {
             return 1;
         }
-        let dist = TwoStageUniform::new(self.ulow, self.umed(), self.uhi(), self.uprob);
+        let dist = TwoStageUniform::new(ULOW, self.umed(), self.uhi(), UPROB);
         let log2_size = dist.sample(rng);
-        let size = if rng.chance(self.pow2_prob) {
+        let size = if rng.chance(POW2_PROB) {
             2f64.powf(log2_size.round())
         } else {
             2f64.powf(log2_size).round()
@@ -170,18 +158,18 @@ impl LublinModel {
 
     /// Sample a runtime (seconds) for a job of `cores` cores.
     pub fn sample_runtime(&self, cores: u32, rng: &mut Rng) -> f64 {
-        let p = (self.pa * cores as f64 + self.pb).clamp(0.0, 1.0);
+        let p = (PA * cores as f64 + PB).clamp(0.0, 1.0);
         let ln_r = if rng.chance(p) {
-            Gamma::new(self.a1, self.b1).sample(rng)
+            Gamma::new(A1, B1).sample(rng)
         } else {
-            Gamma::new(self.a2, self.b2).sample(rng)
+            Gamma::new(A2, self.b2).sample(rng)
         };
-        ln_r.exp().clamp(self.min_runtime, self.max_runtime)
+        ln_r.exp().clamp(MIN_RUNTIME, self.max_runtime)
     }
 
     /// Sample one raw inter-arrival gap (seconds), before the daily cycle.
     pub fn sample_raw_gap(&self, rng: &mut Rng) -> f64 {
-        (Gamma::new(self.aarr, self.barr).sample(rng).exp() * self.arrival_scale).min(self.max_gap)
+        (Gamma::new(AARR, BARR).sample(rng).exp() * self.arrival_scale).min(MAX_GAP)
     }
 
     /// Arrival-intensity weight at time-of-day `tod` seconds (mean ≈ 1).
@@ -329,7 +317,7 @@ mod tests {
         let n = 50_000;
         let serial = (0..n).filter(|_| m.sample_cores(&mut rng) == 1).count();
         let frac = serial as f64 / n as f64;
-        // serial_prob plus a small contribution from parallel draws rounding
+        // SERIAL_PROB plus a small contribution from parallel draws rounding
         // to 1 (log2 size < 0.5 with pow2 rounding).
         assert!(frac > 0.25 && frac < 0.40, "serial fraction {frac}");
     }
@@ -366,7 +354,7 @@ mod tests {
         let mut rng = Rng::new(5);
         for _ in 0..20_000 {
             let r = m.sample_runtime(16, &mut rng);
-            assert!(r >= m.min_runtime && r <= m.max_runtime);
+            assert!(r >= MIN_RUNTIME && r <= m.max_runtime);
         }
     }
 
@@ -389,7 +377,7 @@ mod tests {
 
     #[test]
     fn log_runtime_is_bimodal() {
-        // Short component median ~ e^{a1*b1} ≈ 52 s; long ~ e^{a2*b2} ≈ 3.2 h.
+        // Short component median ~ e^{A1·B1} ≈ 52 s; long ~ e^{A2·b2} ≈ 3.2 h.
         let m = LublinModel::new(256);
         let mut rng = Rng::new(7);
         let mut short = 0;
@@ -434,21 +422,23 @@ mod tests {
 
     #[test]
     fn arrival_scale_scales_gaps() {
-        let mut m = LublinModel::new(256);
-        m.daily_cycle = false;
-        m.max_gap = f64::INFINITY; // the cap truncates scales differently
-        let mean_gap = |m: &LublinModel| {
-            let mut rng = Rng::new(9);
-            (0..20_000).fold(0.0, |now, _| m.next_arrival(now, &mut rng)) / 20_000.0
+        // Below the cap a gap scales exactly; at the cap it stays there.
+        let m = LublinModel::new(256);
+        let halved = LublinModel {
+            arrival_scale: 0.5,
+            ..m
         };
-        let base = mean_gap(&m);
-        m.arrival_scale = 0.5;
-        let halved = mean_gap(&m);
-        assert!(
-            (halved / base - 0.5).abs() < 0.02,
-            "ratio {}",
-            halved / base
-        );
+        let (mut rng, mut halved_rng) = (Rng::new(9), Rng::new(9));
+        for _ in 0..20_000 {
+            let gap = m.sample_raw_gap(&mut rng);
+            let half = halved.sample_raw_gap(&mut halved_rng);
+            assert!(gap <= MAX_GAP, "{gap}");
+            if gap < MAX_GAP {
+                assert_eq!(half, gap * 0.5);
+            } else {
+                assert!((MAX_GAP * 0.5..=MAX_GAP).contains(&half), "{half}");
+            }
+        }
     }
 
     #[test]

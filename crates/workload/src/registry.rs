@@ -84,14 +84,6 @@ type BuildFn = Arc<dyn Fn(&ScenarioParams, &mut Rng) -> Trace + Send + Sync>;
 pub struct ScenarioFamily {
     name: String,
     description: String,
-    /// Distinguishes families that share a name but capture different
-    /// state in their build closure (a replaced registry entry, two
-    /// replay families over different logs): the salt joins the
-    /// interning key, so such families never serve each other's cached
-    /// traces. Plain `custom` closures default to 0; closures capturing
-    /// data should set a content-derived salt (see
-    /// [`ScenarioFamily::with_salt`]).
-    salt: u64,
     /// Optional fault profile evaluations of this family should run
     /// under. Advisory metadata for the evaluation layer — it does *not*
     /// join the interning key, because the generated trace is unaffected
@@ -111,9 +103,9 @@ impl std::fmt::Debug for ScenarioFamily {
 impl ScenarioFamily {
     /// A custom family from a build closure. The closure must be a pure
     /// function of `(params, rng)` — the interning contract depends on
-    /// it. A closure that captures data (a trace, a lookup table) must
-    /// also set a content-derived [`ScenarioFamily::with_salt`], or two
-    /// same-named families over different data would share cache entries.
+    /// it. The interning key is the name, the parameters and the seed, so
+    /// two families that build different traces must not share a name in
+    /// one [`TraceStore`].
     pub fn custom(
         name: impl Into<String>,
         description: impl Into<String>,
@@ -122,17 +114,9 @@ impl ScenarioFamily {
         Self {
             name: name.into(),
             description: description.into(),
-            salt: 0,
             fault: None,
             build: Arc::new(build),
         }
-    }
-
-    /// Set the key salt (see the `salt` field); returns `self` for
-    /// chaining onto [`ScenarioFamily::custom`].
-    pub fn with_salt(mut self, salt: u64) -> Self {
-        self.salt = salt;
-        self
     }
 
     /// Attach a fault profile: evaluation entry points that honour the
@@ -160,12 +144,10 @@ impl ScenarioFamily {
     }
 
     /// The interning key of this family at `(params, seed)`: family name +
-    /// salt + seed + every numeric parameter as exact bits. Distinct
-    /// parameter points (or same-named families over different captured
-    /// data) therefore never share a store entry.
+    /// seed + every numeric parameter as exact bits. Distinct parameter
+    /// points therefore never share a store entry.
     pub fn key(&self, params: &ScenarioParams, seed: u64) -> TraceKey {
         TraceKey::new(format!("scenario/{}", self.name), seed)
-            .with_u64(self.salt)
             .with_u64(params.cores as u64)
             .with_f64(params.span_days)
             .with_f64(params.target_load)
@@ -338,7 +320,7 @@ impl ScenarioRegistry {
                 // through its mean session inter-arrival time.
                 let count = (p.span_seconds() / model.mean_interarrival).ceil().max(1.0) as usize;
                 let trace = model.generate_jobs(count, rng);
-                TsafrirEstimates::with_max_estimate(model.max_runtime).apply(&trace, rng)
+                TsafrirEstimates::with_max_estimate(FeitelsonModel::MAX_RUNTIME).apply(&trace, rng)
             },
         ));
         reg
@@ -492,40 +474,6 @@ mod tests {
     }
 
     #[test]
-    fn same_named_families_over_different_data_never_share_entries() {
-        use dynsched_cluster::Job;
-        // A data-capturing family salted by its data, as `custom` asks.
-        let replay = |runtime: f64| {
-            let log = Trace::from_jobs(
-                (0..50)
-                    .map(|i| Job::new(i, i as f64 * 400.0, runtime, runtime, 1))
-                    .collect(),
-            );
-            ScenarioFamily::custom("replay", "a captured log", move |_, _| log.clone())
-                .with_salt(runtime.to_bits())
-        };
-        let store = TraceStore::new();
-        let p = ScenarioParams {
-            cores: 8,
-            span_days: 0.1,
-            target_load: 0.0,
-        };
-        // A registry whose "replay" entry is later replaced by a family
-        // over a different log: the shared store must not serve the old
-        // log's windows for the new family.
-        let a = replay(30.0);
-        let b = replay(900.0);
-        let va = a.view(&store, &p, 1);
-        let vb = b.view(&store, &p, 1);
-        assert!(!va.shares_storage(&vb));
-        assert_ne!(va, vb);
-        assert_eq!(store.builds(), 2);
-        // Identical data under the same name still interns once.
-        let a2 = replay(30.0);
-        assert!(a2.view(&store, &p, 1).shares_storage(&va));
-    }
-
-    #[test]
     fn sequences_reuse_the_calibrated_base_trace() {
         let reg = ScenarioRegistry::builtin();
         let store = TraceStore::new();
@@ -590,10 +538,10 @@ mod tests {
         let store = TraceStore::new();
         let p = quick_params();
         for jobs in [1u32, 3] {
-            let family = ScenarioFamily::custom("instant", "every job at t = 0", move |_, _| {
+            let name = format!("instant-{jobs}");
+            let family = ScenarioFamily::custom(name, "every job at t = 0", move |_, _| {
                 Trace::from_jobs((0..jobs).map(|i| Job::new(i, 0.0, 60.0, 60.0, 2)).collect())
-            })
-            .with_salt(jobs as u64);
+            });
             let c = family.calibration(&store, &p, 1);
             assert_eq!(c.jobs, jobs as usize);
             assert_eq!((c.jobs_per_day, c.offered_load), (0.0, 0.0));

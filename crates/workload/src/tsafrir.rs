@@ -27,16 +27,16 @@ pub const ROUND_VALUES: [f64; 24] = [
     86_400.0, 129_600.0, 172_800.0, 259_200.0,
 ];
 
-/// Configuration of the estimate generator.
+/// Probability that the user's estimate is exact (`e` is the smallest round
+/// value ≥ `r`, i.e. the job "runs into" its estimate).
+const EXACT_HIT_PROB: f64 = 0.15;
+/// Lower bound of the accuracy ratio `r/e` for the non-exact case.
+const MIN_ACCURACY: f64 = 0.05;
+
+/// Configuration of the estimate generator: estimates come from
+/// [`ROUND_VALUES`], capped at the site's walltime limit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TsafrirEstimates {
-    /// Ascending menu of allowed estimate values (seconds).
-    pub round_values: Vec<f64>,
-    /// Probability that the user's estimate is exact (`e` is the smallest
-    /// round value ≥ `r`, i.e. the job "runs into" its estimate).
-    pub exact_hit_prob: f64,
-    /// Lower bound of the accuracy ratio `r/e` for the non-exact case.
-    pub min_accuracy: f64,
     /// Hard ceiling (site maximum walltime), seconds.
     pub max_estimate: f64,
 }
@@ -44,10 +44,7 @@ pub struct TsafrirEstimates {
 impl Default for TsafrirEstimates {
     fn default() -> Self {
         Self {
-            round_values: ROUND_VALUES.to_vec(),
-            exact_hit_prob: 0.15,
-            min_accuracy: 0.05,
-            max_estimate: *ROUND_VALUES.last().unwrap(),
+            max_estimate: ROUND_VALUES[ROUND_VALUES.len() - 1],
         }
     }
 }
@@ -56,15 +53,12 @@ impl TsafrirEstimates {
     /// Model with the default menu and a custom site walltime limit.
     pub fn with_max_estimate(max_estimate: f64) -> Self {
         assert!(max_estimate > 0.0, "max estimate must be positive");
-        Self {
-            max_estimate,
-            ..Self::default()
-        }
+        Self { max_estimate }
     }
 
     /// Smallest round value ≥ `x`, or the ceiling if `x` exceeds the menu.
     fn round_up(&self, x: f64) -> f64 {
-        for &v in &self.round_values {
+        for v in ROUND_VALUES {
             if v >= x {
                 return v.min(self.max_estimate);
             }
@@ -88,10 +82,10 @@ impl TsafrirEstimates {
             // simulation semantics stay consistent.
             return runtime;
         }
-        let accuracy = if rng.chance(self.exact_hit_prob) {
+        let accuracy = if rng.chance(EXACT_HIT_PROB) {
             1.0
         } else {
-            rng.range_f64(self.min_accuracy, 1.0)
+            rng.range_f64(MIN_ACCURACY, 1.0)
         };
         let target = runtime / accuracy;
         self.round_up(target.max(runtime)).max(runtime)
@@ -147,7 +141,7 @@ mod tests {
         for i in 0..n {
             let r = 10.0 + (i as f64 * 7.3) % 20_000.0;
             let e = m.estimate_for(r, &mut rng);
-            if m.round_values.contains(&e) {
+            if ROUND_VALUES.contains(&e) {
                 on_menu += 1;
             }
         }
@@ -156,7 +150,7 @@ mod tests {
 
     #[test]
     fn accuracy_spike_at_one() {
-        // With exact_hit_prob = 0.15 and rounding-up, the smallest round
+        // With EXACT_HIT_PROB = 0.15 and rounding-up, the smallest round
         // value >= r is chosen noticeably often.
         let m = TsafrirEstimates::default();
         let mut rng = Rng::new(3);

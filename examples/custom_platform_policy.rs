@@ -10,7 +10,8 @@
 //! Run with: `cargo run --release --example custom_platform_policy`
 
 use dynsched::cluster::Platform;
-use dynsched::core::custom::{learn_custom_policies, CustomTrainingConfig};
+use dynsched::core::custom::learn_custom_policies;
+use dynsched::core::pipeline::TrainingConfig;
 use dynsched::core::report::artifact_report;
 use dynsched::core::trials::TrialSpec;
 use dynsched::core::tuples::TupleSpec;
@@ -40,7 +41,7 @@ fn main() {
     );
 
     // --- Train from the platform's own windows --------------------------
-    let config = CustomTrainingConfig {
+    let config = TrainingConfig {
         tuple_spec: TupleSpec {
             s_size: 16,
             q_size: 32,

@@ -34,8 +34,10 @@ fn mini_training() -> TrainingConfig {
 #[test]
 fn pipeline_learns_a_plausible_policy() {
     let model = LublinModel::new(128);
-    let mut opts = EnumerateOptions::default();
-    opts.lm.max_iterations = 60;
+    let opts = EnumerateOptions {
+        max_iterations: 60,
+        ..Default::default()
+    };
     let report = learn_policies(&mini_training(), &model, &opts, 4);
 
     // The pooled distribution has one observation per Q task per tuple.
@@ -59,8 +61,10 @@ fn pipeline_learns_a_plausible_policy() {
 #[test]
 fn learned_policy_schedules_better_than_fcfs() {
     let model = LublinModel::new(128);
-    let mut opts = EnumerateOptions::default();
-    opts.lm.max_iterations = 60;
+    let opts = EnumerateOptions {
+        max_iterations: 60,
+        ..Default::default()
+    };
     let report = learn_policies(&mini_training(), &model, &opts, 1);
     let learned = report.policies.into_iter().next().expect("one policy");
 
