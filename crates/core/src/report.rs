@@ -4,7 +4,7 @@
 //! (appendix A.5.3); [`artifact_report`] reproduces it so outputs are
 //! visually comparable. [`PAPER_TABLE4`] embeds the published medians, and
 //! [`table4_comparison`] renders measured-vs-paper side by side — the
-//! source of EXPERIMENTS.md.
+//! comparison table `dynsched table4` prints.
 
 use crate::experiments::ExperimentResult;
 use crate::pipeline::FullRunReport;

@@ -51,10 +51,15 @@
 //! operation: the same operations per element, in the same order; every
 //! sum (cost, Gram entry, gradient entry) one accumulator from `0.0` in
 //! ascending observation index; `/ h` a division; the division guard the
-//! code of `OpKind::apply` itself. `tests/fit_bit_identity.rs` holds every
-//! one of the 576 shapes to `==` with [`reference`](mod@reference),
+//! code of `OpKind::apply` itself. Where the CPU has AVX2, a fit picks at
+//! run time a copy of the residual pass compiled four lanes wide, with no
+//! FMA: each lane rounds every operation as the scalar unit does
+//! ([`enumerate`] has the argument). `tests/fit_bit_identity.rs` holds
+//! every one of the 576 shapes to `==` with [`reference`](mod@reference),
 //! weighted and unweighted, through every guard lane and every exit of
-//! the step loop, and CI repeats it under `-C target-cpu=native`.
+//! the step loop; `enumerate`'s tests hold both copies to the same bits;
+//! CI repeats them in a default release build and under
+//! `-C target-cpu=native`.
 
 #![warn(missing_docs)]
 
