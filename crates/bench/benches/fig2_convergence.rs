@@ -1,9 +1,10 @@
 //! Figure 2: normalized standard deviation of trial scores vs number of
 //! trials (1k … 512k; the paper picks 256k where the value reaches 0.02).
 
+use dynsched_bench::convergence::paper_trial_counts;
 use dynsched_bench::{banner, full_scale};
 use dynsched_cluster::Platform;
-use dynsched_core::convergence::{convergence_curve, paper_trial_counts};
+use dynsched_core::convergence::convergence_curve;
 use dynsched_core::trials::TrialSpec;
 use dynsched_core::tuples::{TaskTuple, TupleSpec};
 use dynsched_simkit::Rng;

@@ -6,7 +6,7 @@
 //! (earlier arrivals darker; smaller tasks darker at fixed arrival).
 
 use dynsched_bench::banner;
-use dynsched_core::report::{heatmap_csv, heatmap_grid, HeatmapAxes};
+use dynsched_bench::report::{heatmap_csv, heatmap_grid, HeatmapAxes};
 use dynsched_policies::LearnedPolicy;
 
 const SHADES: [char; 5] = ['█', '▓', '▒', '░', ' '];
@@ -27,7 +27,8 @@ fn ascii(grid: &[Vec<f64>]) -> String {
 fn main() {
     banner("Figure 3: policy heatmaps (dark = high priority)");
     let out_dir = std::path::Path::new("target/figures");
-    std::fs::create_dir_all(out_dir).expect("create target/figures");
+    std::fs::create_dir_all(out_dir)
+        .unwrap_or_else(|e| panic!("cannot create {}: {e}", out_dir.display()));
     let panels = [
         (
             "a_runtime_vs_cores",
@@ -51,7 +52,7 @@ fn main() {
             let grid = heatmap_grid(policy.function(), axes, 32);
             let path = out_dir.join(format!("fig3{}_{}.csv", tag, policy.name()));
             dynsched_simkit::durable::write_atomic(&path, heatmap_csv(&grid))
-                .expect("write heatmap CSV");
+                .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
             if tag.starts_with("b_") {
                 // Print only panel (b) as ASCII: it shows the dominant
                 // log10(s) dependency that distinguishes the F-policies.

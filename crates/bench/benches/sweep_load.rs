@@ -7,9 +7,10 @@
 //! operator would use to decide whether deploying a learned policy is
 //! worth it.
 
+use dynsched_bench::sweep::sweep_table;
 use dynsched_bench::{banner, full_scale};
 use dynsched_cluster::Platform;
-use dynsched_core::sweep::{sweep_load, sweep_table};
+use dynsched_core::sweep::sweep_load;
 use dynsched_policies::paper_lineup;
 use dynsched_scheduler::SchedulerConfig;
 use dynsched_simkit::Rng;

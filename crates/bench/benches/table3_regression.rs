@@ -11,6 +11,7 @@ use dynsched_core::pipeline::{generate_training_set, TrainingConfig};
 use dynsched_core::trials::TrialSpec;
 use dynsched_core::tuples::TupleSpec;
 use dynsched_mlreg::{fit_all, EnumerateOptions};
+use dynsched_policies::{LearnedPolicy, Policy as _};
 use dynsched_workload::LublinModel;
 
 fn main() {
@@ -51,10 +52,13 @@ fn main() {
         );
     }
     println!("\npaper's Table 3:");
-    println!("  F1: log10(r)*n + 8.70e2*log10(s)");
-    println!("  F2: sqrt(r)*n  + 2.56e4*log10(s)");
-    println!("  F3: r*n        + 6.86e6*log10(s)");
-    println!("  F4: r*sqrt(n)  + 5.30e5*log10(s)");
+    for policy in LearnedPolicy::table3() {
+        println!(
+            "  {}: {}",
+            policy.name(),
+            policy.function().render_simplified()
+        );
+    }
     println!("\nexpected agreement: the top functions combine a task-size term");
     println!("(a product of increasing functions of r and n) with a large");
     println!("positive coefficient on log10(s) — algebraic equivalents tie.");

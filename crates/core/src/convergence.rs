@@ -90,25 +90,12 @@ pub fn convergence_curve(
         .collect()
 }
 
-/// The paper's trial-count ladder: 1k, 2k, 4k, …, 512k.
-pub fn paper_trial_counts() -> Vec<usize> {
-    (0..10).map(|k| 1_000 << k).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tuples::TupleSpec;
     use dynsched_cluster::Platform;
     use dynsched_workload::LublinModel;
-
-    #[test]
-    fn paper_ladder_is_1k_to_512k() {
-        let counts = paper_trial_counts();
-        assert_eq!(counts.first(), Some(&1_000));
-        assert_eq!(counts.last(), Some(&512_000));
-        assert_eq!(counts.len(), 10);
-    }
 
     #[test]
     fn deviation_shrinks_with_more_trials() {

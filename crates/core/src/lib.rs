@@ -23,8 +23,8 @@
 //!   registry-scenario entry points ([`scenario_results`]) that evaluate
 //!   any named workload family of
 //!   [`dynsched_workload::registry`] under the same protocol;
-//! * [`report`] — artifact-style output, Table 4 comparison against the
-//!   published medians, Fig. 3 heatmap grids;
+//! * [`report`] — artifact-style output and the Table 4 comparison
+//!   against the published medians;
 //! * [`checkpoint`] — stage-checkpointed [`run_full`]
 //!   ([`checkpoint::run_full_checkpointed`]): the whole loop persists a
 //!   validated `RunState` file after each durable stage (pooled training
@@ -114,7 +114,7 @@ pub mod trials;
 pub mod tuples;
 
 pub use checkpoint::{run_full_checkpointed, RunError, RUN_STATE_FORMAT, RUN_STATE_VERSION};
-pub use convergence::{convergence_curve, paper_trial_counts, ConvergencePoint};
+pub use convergence::{convergence_curve, ConvergencePoint};
 pub use custom::{learn_custom_policies, tuple_from_trace};
 pub use experiments::{
     run_experiment, run_experiments, try_run_experiment, try_run_experiments, Experiment,
@@ -132,7 +132,7 @@ pub use scenarios::{
     table4_experiments_in, table4_results_in, Condition, ScenarioScale,
 };
 pub use session::{EvalCell, EvalSession};
-pub use sweep::{sweep_load, sweep_table, LoadPoint};
+pub use sweep::{sweep_load, LoadPoint};
 pub use trials::{
     divergence_horizon, run_trial, to_observations, trial_outcomes_batched, trial_scores,
     trial_scores_batched, TrialBatch, TrialScores, TrialSpec,

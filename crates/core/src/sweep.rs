@@ -72,29 +72,6 @@ pub fn sweep_load(
         .collect()
 }
 
-/// Render a sweep as a compact table: one row per load, one column per
-/// policy, cells are median AVEbsld.
-pub fn sweep_table(points: &[LoadPoint]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let Some(first) = points.first() else {
-        return out;
-    };
-    let _ = write!(out, "{:>6}", "load");
-    for o in &first.result.outcomes {
-        let _ = write!(out, " {:>10}", o.policy);
-    }
-    let _ = writeln!(out);
-    for p in points {
-        let _ = write!(out, "{:>6.2}", p.offered_load);
-        for o in &p.result.outcomes {
-            let _ = write!(out, " {:>10.2}", o.median);
-        }
-        let _ = writeln!(out);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,21 +124,6 @@ mod tests {
         let spt = points[0].result.median_of("SPT").unwrap();
         assert!(fcfs < 4.0, "low load FCFS {fcfs}");
         assert!((fcfs - spt).abs() < fcfs, "gap should be small at low load");
-    }
-
-    #[test]
-    fn table_renders_all_points() {
-        let points = sweep_load(
-            "test",
-            &sequences(),
-            SchedulerConfig::actual_runtimes(Platform::new(32)),
-            &lineup(),
-            &[0.3, 0.6],
-        );
-        let table = sweep_table(&points);
-        assert_eq!(table.lines().count(), 3);
-        assert!(table.contains("FCFS"));
-        assert!(table.contains("0.30"));
     }
 
     #[test]

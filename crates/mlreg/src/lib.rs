@@ -15,7 +15,8 @@
 //!   codec, the Eq. 4 `r·n` weighting, and the pre-transformed
 //!   [`FeatureTable`] the enumeration sweeps over;
 //! * [`enumerate`] — fit all 576 family members as one batched session,
-//!   rank by Eq. 5, and export the best as scheduling policies;
+//!   rank by Eq. 5 (the paper's Table 3 uses no other selection
+//!   criterion), and export the best as scheduling policies;
 //! * [`reference`](mod@reference) — the pre-refactor sequential
 //!   enumeration, kept as the bit-identity oracle and the performance
 //!   baseline.
@@ -68,7 +69,6 @@ pub mod enumerate;
 pub mod linalg;
 pub mod lm;
 pub mod reference;
-pub mod select;
 pub mod validate;
 
 pub use dataset::{FeatureTable, Observation, TrainingSet};
@@ -81,5 +81,4 @@ pub use lm::{
     LmWorkspace,
 };
 pub use reference::{fit_all_reference, fit_function_reference};
-pub use select::{coefficient_diagnostics, selection_report, CoefficientDiagnostics};
 pub use validate::{fit_stats, FitStats};

@@ -14,9 +14,10 @@
 //! platform's core count, arrival rate tuned to the published job density,
 //! load calibrated toward the published utilization, and Tsafrir-style user
 //! estimates attached. The experiment harness consumes these through
-//! exactly the same `Trace`/SWF code path a real log would take, so anyone
-//! with the archive files can substitute them directly
-//! (see `examples/real_trace_sim.rs`).
+//! exactly the same `Trace`/SWF code path a real log would take. The
+//! Fig. 7–9 regenerators run the stand-ins; `examples/real_trace_sim.rs`
+//! runs a real archive log, and only a real one, through the same §4.3
+//! protocol.
 
 use crate::lublin::LublinModel;
 use crate::registry::fxhash;

@@ -49,7 +49,7 @@ fn main() {
 
     // --- 3. A miniature training run ------------------------------------
     // (The paper uses |S|=16, |Q|=32, 256k trials, many tuples; this is a
-    // 30-second toy version — see examples/train_policies.rs for scale.)
+    // 30-second toy version — `dynsched train` runs it at scale.)
     println!("\nTraining a policy from scratch (miniature pipeline)...");
     let config = TrainingConfig {
         tuple_spec: TupleSpec {
@@ -84,5 +84,5 @@ fn main() {
             fit.fitness
         );
     }
-    println!("\nDone. Next steps: examples/train_policies.rs, `dynsched table4 --quick`.");
+    println!("\nDone. Next steps: `dynsched train`, `dynsched table4 --quick`.");
 }

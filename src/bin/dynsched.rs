@@ -28,7 +28,8 @@ use dynsched::scheduler::{
 };
 use dynsched::simkit::durable::write_atomic;
 use dynsched::workload::{
-    read_swf_file, validate_trace, LublinModel, ScenarioParams, ScenarioRegistry, Trace, TraceStore,
+    read_swf_file, validate_trace, LublinModel, ScenarioParams, ScenarioRegistry, SequenceSpec,
+    Trace, TraceStore,
 };
 use std::process::ExitCode;
 #[path = "dynsched/args.rs"]
@@ -88,7 +89,8 @@ mod spec {
         flag("--trials", POSITIVE, "permutation trials per tuple").default("8000"),
     ];
     /// `run` and `table4`.
-    const QUICK: &[FlagSpec] = &[flag("--quick", Switch, "shrink the evaluation protocol")];
+    const QUICK: &[FlagSpec] = &[flag("--quick", Switch,
+        "evaluate on 4 sequences x 3 days, not the paper's 10 x 15")];
 
     pub const VALIDATE: CommandSpec = CommandSpec {
         name: "validate", run: cmd_validate,
@@ -541,7 +543,22 @@ fn cmd_table4(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The sequences `scenarios --eval` cuts from each family's trace: three
+/// 2-day windows of at least five jobs. Not `ScenarioScale::quick()`,
+/// whose four 3-day windows the default 7-day span cannot hold.
+const EVAL_WINDOWS: SequenceSpec = SequenceSpec {
+    count: 3,
+    days: 2.0,
+    min_jobs: 5,
+};
+
 fn cmd_scenarios(args: &[String]) -> Result<(), String> {
+    run_scenarios(args).map(drop)
+}
+
+/// `scenarios`, printing as it goes; returns the `--eval` rows' results
+/// (none without `--eval`).
+fn run_scenarios(args: &[String]) -> Result<Vec<ExperimentResult>, String> {
     let args = parse(&spec::SCENARIOS, args)?;
     let cores: u32 = args.num("--cores");
     let days: f64 = args.num("--days");
@@ -557,6 +574,15 @@ fn cmd_scenarios(args: &[String]) -> Result<(), String> {
     if let Some(name) = family.filter(|name| registry.get(name).is_none()) {
         let known = registry.names().join(", ");
         return Err(format!("bad --family: {name:?} is not one of {known}"));
+    }
+    // `--eval` cuts its windows from the `--days` trace: refuse a span they
+    // cannot fit before the table is printed, not after.
+    let windows = EVAL_WINDOWS.count as f64 * EVAL_WINDOWS.days;
+    if eval && days < windows {
+        return Err(format!(
+            "bad --days: --eval cuts {} sequences of {} days from the trace, so it needs at least {windows}",
+            EVAL_WINDOWS.count, EVAL_WINDOWS.days
+        ));
     }
     let store = TraceStore::new();
     let params = ScenarioParams {
@@ -587,65 +613,67 @@ fn cmd_scenarios(args: &[String]) -> Result<(), String> {
         );
     }
 
-    if eval {
-        let mut registry = registry;
-        let names: Vec<String> = match family {
-            Some(name) => vec![name.to_string()],
-            None => registry.names().iter().map(|n| n.to_string()).collect(),
-        };
-        if let Some(profile) = &fault {
-            // Re-register the selected families with the profile attached:
-            // scenario_experiment carries it into each experiment row.
-            for name in &names {
-                let family = registry.get(name).expect("validated above").clone();
-                registry.register(family.with_fault_profile(profile.clone()));
-            }
-            println!(
-                "\nfault injection: MTBF {:.0}s, MTTR {:.0}s, {} cores per failure, {} retries",
-                profile.mtbf, profile.mttr, profile.failure_cores, profile.max_retries
-            );
-        }
-        let scale = ScenarioScale {
-            seed,
-            ..ScenarioScale::quick()
-        };
-        println!(
-            "\nevaluating {} family(ies) under all three conditions...",
-            names.len()
-        );
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let results = scenario_results(
-            &store,
-            &registry,
-            &name_refs,
-            &params,
-            &scale,
-            &paper_lineup(),
-        )?;
-        for row in &results {
-            print!("  {:<50}", row.name);
-            for o in &row.outcomes {
-                print!(" {}={:.2}", o.policy, o.median);
-            }
-            println!();
-            if fault.is_some() {
-                print!("  {:<50}", "    resilience (mean/seq):");
-                for o in &row.outcomes {
-                    print!(
-                        " {}: pre={:.1} aband={:.1} lost={:.0}",
-                        o.policy, o.mean_preempted, o.mean_abandoned, o.mean_lost_core_seconds
-                    );
-                }
-                println!();
-            }
+    if !eval {
+        return Ok(vec![]);
+    }
+    let mut registry = registry;
+    let names: Vec<String> = match family {
+        Some(name) => vec![name.to_string()],
+        None => registry.names().iter().map(|n| n.to_string()).collect(),
+    };
+    if let Some(profile) = &fault {
+        // Re-register the selected families with the profile attached:
+        // scenario_experiment carries it into each experiment row.
+        for name in &names {
+            let family = registry.get(name).expect("validated above").clone();
+            registry.register(family.with_fault_profile(profile.clone()));
         }
         println!(
-            "({} trace builds for {} experiment rows — conditions share the store)",
-            store.builds(),
-            results.len()
+            "\nfault injection: MTBF {:.0}s, MTTR {:.0}s, {} cores per failure, {} retries",
+            profile.mtbf, profile.mttr, profile.failure_cores, profile.max_retries
         );
     }
-    Ok(())
+    let scale = ScenarioScale {
+        spec: EVAL_WINDOWS,
+        seed,
+        ..ScenarioScale::default()
+    };
+    println!(
+        "\nevaluating {} family(ies) under all three conditions...",
+        names.len()
+    );
+    let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
+    let results = scenario_results(
+        &store,
+        &registry,
+        &name_refs,
+        &params,
+        &scale,
+        &paper_lineup(),
+    )?;
+    for row in &results {
+        print!("  {:<50}", row.name);
+        for o in &row.outcomes {
+            print!(" {}={:.2}", o.policy, o.median);
+        }
+        println!();
+        if fault.is_some() {
+            print!("  {:<50}", "    resilience (mean/seq):");
+            for o in &row.outcomes {
+                print!(
+                    " {}: pre={:.1} aband={:.1} lost={:.0}",
+                    o.policy, o.mean_preempted, o.mean_abandoned, o.mean_lost_core_seconds
+                );
+            }
+            println!();
+        }
+    }
+    println!(
+        "({} trace builds for {} experiment rows — conditions share the store)",
+        store.builds(),
+        results.len()
+    );
+    Ok(results)
 }
 
 fn cmd_policies(args: &[String]) -> Result<(), String> {
@@ -879,9 +907,27 @@ mod tests {
             err.contains("--family") && err.contains("\"nope\""),
             "{err}"
         );
+        // ... and `--eval --days 5` printed the table, then failed on the
+        // first family whose trace held fewer than three 2-day windows.
+        let err = cmd_scenarios(&args(&["--eval", "--days", "5"])).unwrap_err();
+        assert!(err.contains("--days") && !err.contains('\n'), "{err}");
         let a = ["--load", "1.5", "--days", "2.5"];
         assert_eq!(parsed::<f64>(&spec::SCENARIOS, &a, "--load"), 1.5);
         assert_eq!(parsed::<f64>(&spec::SCENARIOS, &a, "--days"), 2.5);
+    }
+
+    #[test]
+    fn scenario_eval_runs_to_completion_at_the_default_span() {
+        use dynsched::core::report::TABLE4_POLICIES;
+        let results = run_scenarios(&args(&["--eval", "--family", "lublin"])).unwrap();
+        assert_eq!(results.len(), 3, "one row per condition");
+        for row in &results {
+            let columns: Vec<&str> = row.outcomes.iter().map(|o| o.policy.as_str()).collect();
+            assert_eq!(columns, TABLE4_POLICIES, "{}", row.name);
+            for o in &row.outcomes {
+                assert_eq!(o.ave_bslds.len(), EVAL_WINDOWS.count, "{}", row.name);
+            }
+        }
     }
 
     #[test]
@@ -981,6 +1027,13 @@ mod tests {
         let comparison = table4_comparison(&results);
         assert_eq!(comparison.lines().count(), 2 + 18 * 9);
         assert!(!comparison.contains("| - |"), "{comparison}");
+        // Why `quick()` is 4 x 3 days: at 3 x 2 days the paper's shape
+        // held in 12 rows.
+        let wins = results.iter().filter(|r| learned_beat_adhoc(r)).count();
+        assert!(
+            wins >= 17,
+            "best learned beats best ad-hoc in {wins}/18 rows"
+        );
     }
 
     /// Write `jobs` as an SWF file under the temp dir and return its path.

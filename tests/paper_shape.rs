@@ -8,21 +8,10 @@
 use dynsched::core::scenarios::{model_scenario_in, Condition, ScenarioScale};
 use dynsched::core::{learned_beat_adhoc, run_experiment, ExperimentResult};
 use dynsched::policies::paper_lineup;
-use dynsched::workload::{SequenceSpec, TraceStore};
-
-fn quick_scale() -> ScenarioScale {
-    ScenarioScale {
-        spec: SequenceSpec {
-            count: 4,
-            days: 3.0,
-            min_jobs: 10,
-        },
-        ..ScenarioScale::default()
-    }
-}
+use dynsched::workload::TraceStore;
 
 fn run(condition: Condition) -> ExperimentResult {
-    let scale = quick_scale();
+    let scale = ScenarioScale::quick();
     let experiment = model_scenario_in(&TraceStore::new(), 256, condition, &scale);
     run_experiment(&experiment, &paper_lineup())
 }
