@@ -17,7 +17,7 @@
 //! ```json
 //! {
 //!   "format": "dynsched-run-state",
-//!   "version": 1,
+//!   "version": 2,
 //!   "stage": "training",
 //!   "fingerprint": "d1a0…16 hex digits",
 //!   "checksum": "…16 hex digits",
@@ -36,9 +36,16 @@
 //! | file | stage | payload |
 //! |---|---|---|
 //! | `manifest.json` | `manifest` | the config summary the fingerprint hashes |
-//! | `training.json` | `training` | task tuples + pooled observations |
-//! | `fits.json` | `fits` | all 576 fits as `(family index, coefficients, …)` |
-//! | `eval_row_NN.json` | `eval_row_NN` | one Table-4 row, persisted as it completes |
+//! | `training.json` | `training` | each tuple's Eq. 3 scores, one per `Q` task |
+//! | `fits.json` | `fits` | per family member, in family order: `[c₀, c₁, c₂, weighted_sse, converged]` |
+//! | `eval_row_NN.json` | `eval_row_NN` | one Table-4 row, persisted as it completes: per policy its name, per-sequence AVEbsld and four means |
+//!
+//! A stage stores only what neither the config nor an earlier stage
+//! determines — the numbers trials, fits and simulations cost — because a
+//! value that is re-derived on resume cannot disagree with what it derives
+//! from. Decoding rebuilds the rest through the code that made it: the
+//! tuples from the fingerprinted seed and model, the observations, each
+//! fit's Eq. 5 fitness and the ranking, each row's order statistics.
 //!
 //! # Resume contract
 //!
@@ -46,10 +53,9 @@
 //! the manifest and of every stage file — a mismatch (different seed,
 //! different scale, different code vintage) is a loud error, never a
 //! silent recompute. A stage file that is *missing, truncated, unparsable,
-//! fails its checksum, or decodes to a shape this config cannot produce*
-//! (a fit table that is not one fit per family member, a training set
-//! with the wrong tuple count, tuple sizes or observations) is simply
-//! **recomputed**: partial state is never trusted, and recomputation is
+//! fails its checksum, or decodes to a value this config cannot produce* (a
+//! count other than the config's, a missing key, a non-finite number) is
+//! simply **recomputed**: partial state is never trusted, and recomputation is
 //! always safe because every stage is a deterministic function of the
 //! config. The result of a resumed run is **bit-identical** to an
 //! uninterrupted one — the `run_resume` suite pins this at every stage
@@ -67,22 +73,22 @@
 //! CI crash-recovery smoke job uses to kill a run mid-flight and prove
 //! the resumed report is byte-identical.
 
-use crate::experiments::{try_run_experiment, ExperimentResult, PolicyOutcome};
+use crate::experiments::{try_run_experiments, Experiment, ExperimentResult, PolicyOutcome};
 use crate::pipeline::{
-    generate_training_set, FullRunConfig, FullRunReport, LearnedReport, TrainingConfig,
+    generate_training_set, pool, training_tuples, FullRunConfig, FullRunReport, LearnedReport,
+    TrainingConfig,
 };
 use crate::scenarios::{table4_experiments_in, ScenarioScale};
 use crate::trials::TrialSpec;
 use crate::tuples::{TaskTuple, TupleSpec};
-use dynsched_cluster::{Job, Platform};
+use dynsched_cluster::Platform;
 use dynsched_mlreg::{
-    fit_all, top_policies, EnumerateOptions, FitResult, Observation, TrainingSet,
+    fit_all, rank, sort_ranked, top_policies, EnumerateOptions, FitResult, TrainingSet,
 };
 use dynsched_policies::{baseline_lineup, NonlinearFunction, Policy};
 use dynsched_simkit::durable::write_atomic;
 use dynsched_simkit::json::{self, Json};
 use dynsched_simkit::parallel::PoolError;
-use dynsched_simkit::stats::BoxplotSummary;
 use dynsched_workload::{LublinModel, SequenceSpec};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -91,8 +97,10 @@ use std::path::{Path, PathBuf};
 pub const RUN_STATE_FORMAT: &str = "dynsched-run-state";
 
 /// Current checkpoint format version. Bump on any payload layout change;
-/// resuming across versions is a loud error, not a guess.
-pub const RUN_STATE_VERSION: u64 = 1;
+/// resuming across versions is a loud error, not a guess. Version 2 stores
+/// only what cannot be recomputed (the stage table in the module docs);
+/// version 1 also stored tuples, observations, fitness and row statistics.
+pub const RUN_STATE_VERSION: u64 = 2;
 
 /// Why a checkpointed run failed.
 #[derive(Debug)]
@@ -370,264 +378,156 @@ fn crash_hook(stage: &str) {
 }
 
 // ---------------------------------------------------------------------------
-// Stage payload codecs. Encoders are total; decoders return `None` on any
-// semantic problem (out-of-range index, non-finite time, wrong shape) so
-// the caller recomputes instead of trusting a file that lies.
+// Stage payloads. Encoders are total; decoders rebuild what the payload
+// does not hold through the code that made it, and return `None` — the
+// caller recomputes — on anything the live path cannot produce: a count
+// other than the config's, a missing key, a non-finite number.
 
-fn job_to_json(job: &Job) -> Json {
-    Json::Array(vec![
-        Json::Uint(u64::from(job.id)),
-        Json::F64(job.submit),
-        Json::F64(job.runtime),
-        Json::F64(job.estimate),
-        Json::Uint(u64::from(job.cores)),
-    ])
+/// A stored number: every number a stage writes is finite.
+fn finite(v: &Json) -> Option<f64> {
+    v.as_f64().filter(|x| x.is_finite())
 }
 
-fn job_from_json(v: &Json) -> Option<Job> {
-    let [id, submit, runtime, estimate, cores] = v.as_array()? else {
-        return None;
-    };
-    let id = u32::try_from(id.as_u64()?).ok()?;
-    let submit = submit.as_f64()?;
-    let runtime = runtime.as_f64()?;
-    let estimate = estimate.as_f64()?;
-    let cores = u32::try_from(cores.as_u64()?).ok()?;
-    // Mirror Job::new's invariants without panicking on a lying file.
-    if cores == 0
-        || !(submit.is_finite() && submit >= 0.0)
-        || !(runtime.is_finite() && runtime >= 0.0)
-        || !(estimate.is_finite() && estimate >= 0.0)
-    {
-        return None;
-    }
-    Some(Job::new(id, submit, runtime, estimate, cores))
+fn finite_array(v: &Json) -> Option<Vec<f64>> {
+    v.as_array()?.iter().map(finite).collect()
 }
 
-fn jobs_to_json(jobs: &[Job]) -> Json {
-    Json::Array(jobs.iter().map(job_to_json).collect())
-}
-
-fn jobs_from_json(v: &Json) -> Option<Vec<Job>> {
-    v.as_array()?.iter().map(job_from_json).collect()
-}
-
+/// The training stage: the Eq. 3 score of each `Q` task, one array per
+/// tuple, in tuple order.
 fn encode_training(tuples: &[TaskTuple], training: &TrainingSet) -> Json {
-    Json::Object(vec![
-        (
-            "tuples".into(),
-            Json::Array(
-                tuples
-                    .iter()
-                    .map(|t| {
-                        Json::Object(vec![
-                            ("s".into(), jobs_to_json(&t.s_tasks)),
-                            ("q".into(), jobs_to_json(&t.q_tasks)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            // One observation per Q task: [runtime, cores, submit, score].
-            "observations".into(),
-            Json::Array(
-                training
-                    .observations()
-                    .iter()
-                    .map(|o| {
-                        Json::Array(vec![
-                            Json::F64(o.runtime),
-                            Json::F64(o.cores),
-                            Json::F64(o.submit),
-                            Json::F64(o.score),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    let mut scores = training.observations().iter().map(|o| Json::F64(o.score));
+    let per_tuple = tuples
+        .iter()
+        .map(|t| Json::Array(scores.by_ref().take(t.q_tasks.len()).collect()));
+    Json::Object(vec![("scores".into(), Json::Array(per_tuple.collect()))])
 }
 
-/// The training stage, if it has the shape `config` generates: `tuples`
-/// tuples of `|S|` and `|Q|` tasks, and one observation per `Q` task, each
-/// one [`Observation::from_fields`] admits. A stage that decodes but lies about its shape —
-/// with a checksum recomputed over the lie — is recomputed like a torn one.
+/// The training stage, if it holds one finite score per `Q` task of each
+/// tuple: the tuples drawn again from the run's seed and model, on the
+/// streams [`generate_training_set`] draws them from, pooled under the
+/// stored scores.
 fn decode_training(
     payload: &Json,
     config: &TrainingConfig,
+    model: &LublinModel,
 ) -> Option<(Vec<TaskTuple>, TrainingSet)> {
-    let spec = &config.tuple_spec;
-    let tuples = payload
-        .get("tuples")?
+    let scores = payload
+        .get("scores")?
         .as_array()?
         .iter()
-        .map(|t| {
-            let tuple = TaskTuple {
-                s_tasks: jobs_from_json(t.get("s")?)?,
-                q_tasks: jobs_from_json(t.get("q")?)?,
-            };
-            let sizes = (tuple.s_tasks.len(), tuple.q_tasks.len());
-            (sizes == (spec.s_size, spec.q_size)).then_some(tuple)
-        })
+        .map(finite_array)
         .collect::<Option<Vec<_>>>()?;
-    let observations = payload
-        .get("observations")?
-        .as_array()?
-        .iter()
-        .map(|o| {
-            let [runtime, cores, submit, score] = o.as_array()? else {
-                return None;
-            };
-            Observation::from_fields([
-                runtime.as_f64()?,
-                cores.as_f64()?,
-                submit.as_f64()?,
-                score.as_f64()?,
-            ])
-            .ok()
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let probes: usize = tuples.iter().map(|t| t.q_tasks.len()).sum();
-    let shaped = tuples.len() == config.tuples && observations.len() == probes;
-    shaped.then(|| (tuples, TrainingSet::new(observations)))
+    let tuples = training_tuples(config, model);
+    let mut sizes = tuples.iter().map(|t| t.q_tasks.len()).zip(&scores);
+    let shaped = scores.len() == tuples.len() && sizes.all(|(q, s)| s.len() == q);
+    shaped.then(|| {
+        let training = pool(&tuples, scores.iter().map(Vec::as_slice));
+        (tuples, training)
+    })
 }
 
+/// The fit stage: one `[c₀, c₁, c₂, weighted_sse, converged]` per family
+/// member, in family order.
 fn encode_fits(fits: &[FitResult]) -> Json {
-    Json::Object(vec![(
-        // One fit per entry, ranked order preserved:
-        // [family_index, c0, c1, c2, fitness, weighted_sse, converged].
-        "fits".into(),
-        Json::Array(
-            fits.iter()
-                .map(|fit| {
-                    let [c0, c1, c2] = fit.function.coefficients;
-                    Json::Array(vec![
-                        Json::Uint(fit.family_index as u64),
-                        Json::F64(c0),
-                        Json::F64(c1),
-                        Json::F64(c2),
-                        Json::F64(fit.fitness),
-                        Json::F64(fit.weighted_sse),
-                        Json::Bool(fit.converged),
-                    ])
-                })
-                .collect(),
-        ),
-    )])
+    let mut by_family: Vec<&FitResult> = fits.iter().collect();
+    by_family.sort_by_key(|fit| fit.family_index);
+    let entries = by_family.iter().map(|fit| {
+        let [c0, c1, c2] = fit.function.coefficients;
+        Json::Array(vec![
+            Json::F64(c0),
+            Json::F64(c1),
+            Json::F64(c2),
+            Json::F64(fit.weighted_sse),
+            Json::Bool(fit.converged),
+        ])
+    });
+    Json::Object(vec![("fits".into(), Json::Array(entries.collect()))])
 }
 
-/// The fit stage, if it is a ranking of the whole family: one fit per
-/// member, the family indices a permutation of `0..576`. A truncated or
-/// duplicated table re-sealed with a fresh checksum is recomputed.
-fn decode_fits(payload: &Json) -> Option<Vec<FitResult>> {
-    // The function shapes are reconstructed from the deterministic family
-    // enumeration — only the index and fitted coefficients are persisted.
+/// The ranked fit table, if the stage holds one finite entry per family
+/// member: each member under its stored coefficients, its Eq. 5 fitness
+/// computed again by [`rank`] (the arithmetic [`fit_all`] uses), and the
+/// table put in order by [`sort_ranked`], the sort [`fit_all`] ends with.
+fn decode_fits(payload: &Json, training: &TrainingSet) -> Option<Vec<FitResult>> {
     let family = NonlinearFunction::enumerate_family();
-    let mut seen = vec![false; family.len()];
-    let fits = payload
-        .get("fits")?
-        .as_array()?
+    let entries = payload.get("fits")?.as_array()?;
+    if entries.len() != family.len() {
+        return None;
+    }
+    let mut fits = family
         .iter()
-        .map(|entry| {
-            let [index, c0, c1, c2, fitness, weighted_sse, converged] = entry.as_array()? else {
+        .zip(entries)
+        .enumerate()
+        .map(|(family_index, (shape, entry))| {
+            let [c0, c1, c2, weighted_sse, converged] = entry.as_array()? else {
                 return None;
             };
-            let family_index = usize::try_from(index.as_u64()?).ok()?;
-            let shape = family.get(family_index)?;
-            if std::mem::replace(&mut seen[family_index], true) {
-                return None;
-            }
+            let function = shape.with_coefficients([finite(c0)?, finite(c1)?, finite(c2)?]);
             Some(FitResult {
-                function: shape.with_coefficients([c0.as_f64()?, c1.as_f64()?, c2.as_f64()?]),
+                function,
                 family_index,
-                fitness: fitness.as_f64()?,
-                weighted_sse: weighted_sse.as_f64()?,
+                weighted_sse: finite(weighted_sse)?,
                 converged: converged.as_bool()?,
+                fitness: rank(&function, training),
             })
         })
         .collect::<Option<Vec<_>>>()?;
-    (fits.len() == family.len()).then_some(fits)
+    sort_ranked(&mut fits);
+    Some(fits)
 }
 
-fn f64s_to_json(xs: &[f64]) -> Json {
-    Json::Array(xs.iter().map(|&x| Json::F64(x)).collect())
-}
-
-fn f64s_from_json(v: &Json) -> Option<Vec<f64>> {
-    v.as_array()?.iter().map(Json::as_f64).collect()
-}
-
+/// One Table-4 row: per policy, its name, its per-sequence AVEbsld and its
+/// four per-sequence means.
 fn encode_row(row: &ExperimentResult) -> Json {
-    Json::Object(vec![
-        ("name".into(), Json::Str(row.name.clone())),
-        (
-            "outcomes".into(),
-            Json::Array(
-                row.outcomes
-                    .iter()
-                    .map(|o| {
-                        Json::Object(vec![
-                            ("policy".into(), Json::Str(o.policy.clone())),
-                            ("ave_bslds".into(), f64s_to_json(&o.ave_bslds)),
-                            ("q1".into(), Json::F64(o.summary.q1)),
-                            ("q3".into(), Json::F64(o.summary.q3)),
-                            ("whisker_lo".into(), Json::F64(o.summary.whisker_lo)),
-                            ("whisker_hi".into(), Json::F64(o.summary.whisker_hi)),
-                            ("outliers".into(), f64s_to_json(&o.summary.outliers)),
-                            ("median".into(), Json::F64(o.median)),
-                            ("mean".into(), Json::F64(o.mean)),
-                            ("std_dev".into(), Json::F64(o.std_dev)),
-                            ("mean_backfilled".into(), Json::F64(o.mean_backfilled)),
-                            ("mean_preempted".into(), Json::F64(o.mean_preempted)),
-                            ("mean_abandoned".into(), Json::F64(o.mean_abandoned)),
-                            (
-                                "mean_lost_core_seconds".into(),
-                                Json::F64(o.mean_lost_core_seconds),
-                            ),
-                        ])
-                    })
-                    .collect(),
+    let outcomes = row.outcomes.iter().map(|o| {
+        let samples = o.ave_bslds.iter().map(|&x| Json::F64(x));
+        Json::Object(vec![
+            ("policy".into(), Json::Str(o.policy.clone())),
+            ("ave_bslds".into(), Json::Array(samples.collect())),
+            ("mean_backfilled".into(), Json::F64(o.mean_backfilled)),
+            ("mean_preempted".into(), Json::F64(o.mean_preempted)),
+            ("mean_abandoned".into(), Json::F64(o.mean_abandoned)),
+            (
+                "mean_lost_core_seconds".into(),
+                Json::F64(o.mean_lost_core_seconds),
             ),
-        ),
-    ])
+        ])
+    });
+    Json::Object(vec![("outcomes".into(), Json::Array(outcomes.collect()))])
 }
 
-fn decode_row(payload: &Json) -> Option<ExperimentResult> {
-    let outcomes = payload
-        .get("outcomes")?
-        .as_array()?
+/// Row `experiment` under the line-up `names`, if the stage holds one
+/// outcome per policy, named and ordered as `names`, each with one finite
+/// AVEbsld per sequence and four finite means. The statistics come from
+/// [`PolicyOutcome::from_samples`], the reduction of a live run.
+fn decode_row(
+    payload: &Json,
+    experiment: &Experiment,
+    names: &[String],
+) -> Option<ExperimentResult> {
+    let stored = payload.get("outcomes")?.as_array()?;
+    if stored.len() != names.len() {
+        return None;
+    }
+    let outcomes = stored
         .iter()
-        .map(|o| {
-            let ave_bslds = f64s_from_json(o.get("ave_bslds")?)?;
-            if ave_bslds.is_empty() {
-                return None;
-            }
-            Some(PolicyOutcome {
-                policy: o.get("policy")?.as_str()?.to_string(),
-                summary: BoxplotSummary {
-                    q1: o.get("q1")?.as_f64()?,
-                    median: o.get("median")?.as_f64()?,
-                    q3: o.get("q3")?.as_f64()?,
-                    whisker_lo: o.get("whisker_lo")?.as_f64()?,
-                    whisker_hi: o.get("whisker_hi")?.as_f64()?,
-                    outliers: f64s_from_json(o.get("outliers")?)?,
-                    mean: o.get("mean")?.as_f64()?,
-                    count: ave_bslds.len(),
-                },
-                median: o.get("median")?.as_f64()?,
-                mean: o.get("mean")?.as_f64()?,
-                std_dev: o.get("std_dev")?.as_f64()?,
-                mean_backfilled: o.get("mean_backfilled")?.as_f64()?,
-                mean_preempted: o.get("mean_preempted")?.as_f64()?,
-                mean_abandoned: o.get("mean_abandoned")?.as_f64()?,
-                mean_lost_core_seconds: o.get("mean_lost_core_seconds")?.as_f64()?,
-                ave_bslds,
-            })
+        .zip(names)
+        .map(|(o, name)| {
+            let ave_bslds = finite_array(o.get("ave_bslds")?)?;
+            let mean = |key: &str| o.get(key).and_then(finite);
+            let means = [
+                mean("mean_backfilled")?,
+                mean("mean_preempted")?,
+                mean("mean_abandoned")?,
+                mean("mean_lost_core_seconds")?,
+            ];
+            let shaped =
+                o.get("policy")?.as_str()? == name && ave_bslds.len() == experiment.sequences.len();
+            shaped.then(|| PolicyOutcome::from_samples(name, ave_bslds, means))
         })
         .collect::<Option<Vec<_>>>()?;
     Some(ExperimentResult {
-        name: payload.get("name")?.as_str()?.to_string(),
+        name: experiment.name.clone(),
         outcomes,
     })
 }
@@ -673,7 +573,8 @@ pub fn run_full_checkpointed(
     // Stage 1: the pooled training distribution.
     let training_path = dir.join("training.json");
     let loaded = load_stage(&training_path, "training", fp)?;
-    let (tuples, training_set) = match loaded.and_then(|p| decode_training(&p, &config.training)) {
+    let decoded = loaded.and_then(|p| decode_training(&p, &config.training, model));
+    let (tuples, training_set) = match decoded {
         Some(loaded) => loaded,
         None => {
             let (tuples, training_set) = generate_training_set(&config.training, model);
@@ -690,7 +591,8 @@ pub fn run_full_checkpointed(
 
     // Stage 2: the ranked 576-member fit table.
     let fits_path = dir.join("fits.json");
-    let fits = match load_stage(&fits_path, "fits", fp)?.and_then(|p| decode_fits(&p)) {
+    let loaded = load_stage(&fits_path, "fits", fp)?;
+    let fits = match loaded.and_then(|p| decode_fits(&p, &training_set)) {
         Some(fits) => fits,
         None => {
             let fits = fit_all(&training_set, &config.enumerate);
@@ -724,18 +626,14 @@ pub fn run_full_checkpointed(
     for (i, experiment) in experiments.iter().enumerate() {
         let stage = format!("eval_row_{i:02}");
         let path = dir.join(format!("{stage}.json"));
-        let row = match load_stage(&path, &stage, fp)?
-            .and_then(|p| decode_row(&p))
-            // A row checkpoint for a *different* row (a copied file) or a
-            // different line-up shape is stale state: recompute.
-            .filter(|row| {
-                row.name == experiment.name
-                    && row.outcomes.len() == names.len()
-                    && row.outcomes.iter().zip(&names).all(|(o, n)| &o.policy == n)
-            }) {
+        let loaded = load_stage(&path, &stage, fp)?;
+        let row = match loaded.and_then(|p| decode_row(&p, experiment, &names)) {
             Some(row) => row,
             None => {
-                let row = try_run_experiment(experiment, &lineup).map_err(RunError::Eval)?;
+                let row = try_run_experiments(std::slice::from_ref(experiment), &lineup)
+                    .map_err(RunError::Eval)?
+                    .pop()
+                    .expect("one experiment in, one result out");
                 write_stage(&path, &stage, fp, encode_row(&row))?;
                 crash_hook(&stage);
                 row

@@ -12,7 +12,7 @@
 //! of a custom policy against the paper's general F1–F4 on held-out
 //! windows of the same platform.
 
-use crate::pipeline::{pooled_training_set, LearnedReport, TrainingConfig};
+use crate::pipeline::{draw_tuples, pooled_training_set, LearnedReport, TrainingConfig};
 use crate::tuples::{TaskTuple, TupleSpec};
 use dynsched_cluster::{Job, JobId};
 use dynsched_mlreg::{fit_all, top_policies, EnumerateOptions};
@@ -78,9 +78,10 @@ pub fn learn_custom_policies(
     enumerate: &EnumerateOptions,
     top_k: usize,
 ) -> LearnedReport {
-    let (tuples, pooled) = pooled_training_set(config, |rng| {
+    let tuples = draw_tuples(config, |rng| {
         tuple_from_trace(trace, &config.tuple_spec, rng)
     });
+    let (tuples, pooled) = pooled_training_set(config, tuples);
     let fits = fit_all(&pooled, enumerate);
     let policies = top_policies(&fits, top_k);
     LearnedReport {

@@ -97,6 +97,31 @@ pub struct PolicyOutcome {
     pub mean_lost_core_seconds: f64,
 }
 
+impl PolicyOutcome {
+    /// The outcome of `policy` from its per-sequence AVEbsld samples and
+    /// its four per-sequence means, `[backfilled, preempted, abandoned,
+    /// lost core-seconds]`: the one place the sample statistics are
+    /// computed, for a live run and a resumed checkpoint alike.
+    ///
+    /// # Panics
+    /// Panics if `ave_bslds` is empty.
+    pub(crate) fn from_samples(policy: &str, ave_bslds: Vec<f64>, means: [f64; 4]) -> Self {
+        let [mean_backfilled, mean_preempted, mean_abandoned, mean_lost_core_seconds] = means;
+        Self {
+            policy: policy.to_string(),
+            summary: BoxplotSummary::from_samples(&ave_bslds).expect("non-empty"),
+            median: median(&ave_bslds).expect("non-empty"),
+            mean: mean(&ave_bslds).expect("non-empty"),
+            std_dev: std_dev(&ave_bslds).unwrap_or(0.0),
+            mean_backfilled,
+            mean_preempted,
+            mean_abandoned,
+            mean_lost_core_seconds,
+            ave_bslds,
+        }
+    }
+}
+
 /// Result of one experiment across a policy line-up.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentResult {
@@ -141,21 +166,6 @@ pub fn run_experiment(experiment: &Experiment, policies: &[Box<dyn Policy>]) -> 
         .expect("one experiment in, one result out")
 }
 
-/// Supervised twin of [`run_experiment`]: a worker panic comes back as a
-/// structured [`PoolError`] instead of unwinding. Input-validation panics
-/// (no sequences, oversized jobs) still panic — those are caller bugs, not
-/// runtime failures.
-pub fn try_run_experiment(
-    experiment: &Experiment,
-    policies: &[Box<dyn Policy>],
-) -> Result<ExperimentResult, PoolError> {
-    Ok(
-        try_run_experiments(std::slice::from_ref(experiment), policies)?
-            .pop()
-            .expect("one experiment in, one result out"),
-    )
-}
-
 /// Run several experiments as **one** batched evaluation session: all
 /// `(experiment × policy × sequence)` cells share a single fan-out, so a
 /// Table 4 run or a load sweep saturates the pool end to end instead of
@@ -178,7 +188,9 @@ pub fn run_experiments(
 /// panic isolation, so a panicking cell (a broken custom policy, an
 /// inconsistent fault schedule) yields `Err(`[`PoolError`]`)` after a
 /// clean join instead of unwinding through the caller. On success the
-/// results are bit-identical to [`run_experiments`].
+/// results are bit-identical to [`run_experiments`]. Input-validation
+/// panics (no sequences, oversized jobs) still panic — those are caller
+/// bugs, not runtime failures.
 pub fn try_run_experiments(
     experiments: &[Experiment],
     policies: &[Box<dyn Policy>],
@@ -226,7 +238,7 @@ pub fn try_run_experiments(
             ),
         };
     }
-    let table = session.try_run()?;
+    let table = session.run()?;
 
     // The session's result table is index-dense in push order, so each
     // experiment's policy-major block slices straight out of it — no
@@ -270,26 +282,20 @@ fn fault_horizon(view: &TraceView, total_cores: u32) -> f64 {
 
 /// Reduce one policy's row of per-sequence metrics to a [`PolicyOutcome`].
 fn outcome_from_metrics(policy: &str, row: &[SimMetrics]) -> PolicyOutcome {
-    let ave_bslds: Vec<f64> = row
+    let ave_bslds = row
         .iter()
         .map(|m| m.avg_bounded_slowdown().expect("sequences are non-empty"))
         .collect();
-    let backfills: Vec<f64> = row.iter().map(|m| m.backfilled_jobs as f64).collect();
-    let preempted: Vec<f64> = row.iter().map(|m| m.preempted_jobs as f64).collect();
-    let abandoned: Vec<f64> = row.iter().map(|m| m.abandoned_jobs as f64).collect();
-    let lost: Vec<f64> = row.iter().map(|m| m.lost_core_seconds).collect();
-    PolicyOutcome {
-        policy: policy.to_string(),
-        summary: BoxplotSummary::from_samples(&ave_bslds).expect("non-empty"),
-        median: median(&ave_bslds).expect("non-empty"),
-        mean: mean(&ave_bslds).expect("non-empty"),
-        std_dev: std_dev(&ave_bslds).unwrap_or(0.0),
-        mean_backfilled: mean(&backfills).expect("non-empty"),
-        mean_preempted: mean(&preempted).expect("non-empty"),
-        mean_abandoned: mean(&abandoned).expect("non-empty"),
-        mean_lost_core_seconds: mean(&lost).expect("non-empty"),
-        ave_bslds,
-    }
+    let mean_of = |metric: fn(&SimMetrics) -> f64| {
+        mean(&row.iter().map(metric).collect::<Vec<_>>()).expect("non-empty")
+    };
+    let means = [
+        mean_of(|m| m.backfilled_jobs as f64),
+        mean_of(|m| m.preempted_jobs as f64),
+        mean_of(|m| m.abandoned_jobs as f64),
+        mean_of(|m| m.lost_core_seconds),
+    ];
+    PolicyOutcome::from_samples(policy, ave_bslds, means)
 }
 
 #[cfg(test)]

@@ -117,8 +117,8 @@ pub use checkpoint::{run_full_checkpointed, RunError, RUN_STATE_FORMAT, RUN_STAT
 pub use convergence::{convergence_curve, ConvergencePoint};
 pub use custom::{learn_custom_policies, tuple_from_trace};
 pub use experiments::{
-    run_experiment, run_experiments, try_run_experiment, try_run_experiments, Experiment,
-    ExperimentResult, PolicyOutcome,
+    run_experiment, run_experiments, try_run_experiments, Experiment, ExperimentResult,
+    PolicyOutcome,
 };
 pub use pipeline::{
     generate_training_set, learn_policies, run_full, FullRunConfig, FullRunReport, LearnedReport,

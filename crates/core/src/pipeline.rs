@@ -15,7 +15,7 @@
 
 use crate::experiments::ExperimentResult;
 use crate::scenarios::{table4_results_in, ScenarioScale};
-use crate::trials::{to_observations, trial_scores_batched, TrialBatch, TrialSpec};
+use crate::trials::{observations_of, trial_scores_batched, TrialBatch, TrialSpec};
 use crate::tuples::{TaskTuple, TupleSpec};
 use dynsched_mlreg::{fit_all, top_policies, EnumerateOptions, FitResult, TrainingSet};
 use dynsched_policies::{baseline_lineup, LearnedPolicy, Policy};
@@ -70,23 +70,38 @@ pub fn generate_training_set(
     config: &TrainingConfig,
     model: &LublinModel,
 ) -> (Vec<TaskTuple>, TrainingSet) {
-    pooled_training_set(config, |rng| {
+    pooled_training_set(config, training_tuples(config, model))
+}
+
+/// The tuples [`generate_training_set`] pools: tuple `i` drawn from the
+/// Lublin model on stream `2i` of the master seed.
+pub(crate) fn training_tuples(config: &TrainingConfig, model: &LublinModel) -> Vec<TaskTuple> {
+    draw_tuples(config, |rng| {
         TaskTuple::generate(&config.tuple_spec, model, rng)
     })
 }
 
-/// [`generate_training_set`] with the tuples drawn by `sample` instead of
-/// the Lublin model: tuple `i` from stream `2i` of the master seed, its
-/// trials from stream `2i + 1`, all trials in one batched session.
-pub(crate) fn pooled_training_set(
+/// `config.tuples` tuples drawn by `sample`, tuple `i` from stream `2i` of
+/// the master seed.
+pub(crate) fn draw_tuples(
     config: &TrainingConfig,
     mut sample: impl FnMut(&mut Rng) -> TaskTuple,
-) -> (Vec<TaskTuple>, TrainingSet) {
+) -> Vec<TaskTuple> {
     assert!(config.tuples > 0, "need at least one tuple");
     let master = Rng::new(config.seed);
-    let tuples: Vec<TaskTuple> = (0..config.tuples)
+    (0..config.tuples)
         .map(|i| sample(&mut master.fork(2 * i as u64)))
-        .collect();
+        .collect()
+}
+
+/// The pooled distribution of `tuples` drawn by [`draw_tuples`]: tuple
+/// `i`'s trials from stream `2i + 1` of the master seed, all trials in one
+/// batched session.
+pub(crate) fn pooled_training_set(
+    config: &TrainingConfig,
+    tuples: Vec<TaskTuple>,
+) -> (Vec<TaskTuple>, TrainingSet) {
+    let master = Rng::new(config.seed);
     let batches: Vec<TrialBatch<'_>> = tuples
         .iter()
         .enumerate()
@@ -96,12 +111,22 @@ pub(crate) fn pooled_training_set(
             master: master.fork(2 * i as u64 + 1),
         })
         .collect();
-    let mut pooled = TrainingSet::default();
     let scores = trial_scores_batched(&batches, config.trial_spec.platform, config.trial_spec.tau);
-    for (tuple, scores) in tuples.iter().zip(scores) {
-        pooled.extend_from(&to_observations(tuple, &scores));
-    }
+    let pooled = pool(&tuples, scores.iter().map(|s| s.scores.as_slice()));
     (tuples, pooled)
+}
+
+/// The pooled distribution: each tuple's observations under its Eq. 3
+/// scores, in tuple order.
+pub(crate) fn pool<'a>(
+    tuples: &[TaskTuple],
+    scores: impl IntoIterator<Item = &'a [f64]>,
+) -> TrainingSet {
+    let mut pooled = TrainingSet::default();
+    for (tuple, scores) in tuples.iter().zip(scores) {
+        pooled.extend_from(&observations_of(tuple, scores));
+    }
+    pooled
 }
 
 /// Run the whole pipeline and keep the `top_k` best functions as policies.

@@ -166,23 +166,12 @@ impl<'a> EvalSession<'a> {
     /// per worker thread, metrics-only engine mode per cell, compiled
     /// batch scoring wherever the cell's policy lowers to bytecode.
     ///
-    /// # Panics
-    /// Re-raises the first worker panic (a panicking custom policy, an
-    /// inconsistent fault schedule). Callers that need to survive a bad
-    /// cell — the checkpointed pipeline, a future `dynsched serve` — use
-    /// [`EvalSession::try_run`] instead.
-    pub fn run(&self) -> Vec<SimMetrics> {
-        self.try_run()
-            .unwrap_or_else(|e| panic!("evaluation session failed: {e}"))
-    }
-
-    /// Supervised twin of [`EvalSession::run`]: a panic inside any cell —
-    /// a panicking custom [`Policy`], a fault schedule that drives the
-    /// engine into an inconsistent state — comes back as a structured
-    /// [`PoolError`] naming the failing cell index, after the thread scope
-    /// has joined cleanly and every completed cell has been dropped. On
-    /// success the table is bit-identical to [`EvalSession::run`].
-    pub fn try_run(&self) -> Result<Vec<SimMetrics>, PoolError> {
+    /// A panic inside any cell — a panicking custom [`Policy`], a fault
+    /// schedule that drives the engine into an inconsistent state — comes
+    /// back as a structured [`PoolError`] naming the failing cell index,
+    /// after the thread scope has joined cleanly and every completed cell
+    /// has been dropped.
+    pub fn run(&self) -> Result<Vec<SimMetrics>, PoolError> {
         // Compile each distinct policy once, up front, so workers share
         // programs instead of re-lowering per cell. Identity is the full
         // fat pointer (data address *and* vtable): zero-sized policies

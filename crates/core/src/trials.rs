@@ -477,10 +477,16 @@ pub fn trial_outcomes_batched(
 /// Convert one tuple's scores into training observations
 /// (`(r, n, s, score)` per task of `Q`).
 pub fn to_observations(tuple: &TaskTuple, scores: &TrialScores) -> TrainingSet {
+    observations_of(tuple, &scores.scores)
+}
+
+/// [`to_observations`] over the bare Eq. 3 scores, `scores[k]` for the
+/// `k`-th task of `Q`: all of a trial batch a training checkpoint keeps.
+pub(crate) fn observations_of(tuple: &TaskTuple, scores: &[f64]) -> TrainingSet {
     let obs = tuple
         .q_tasks
         .iter()
-        .zip(&scores.scores)
+        .zip(scores)
         .map(|(job, &score)| Observation {
             runtime: job.runtime,
             cores: job.cores as f64,

@@ -38,7 +38,7 @@
 use dynsched_cluster::{AvailabilitySchedule, FaultProfile, Job, Platform, DEFAULT_TAU};
 use dynsched_core::convergence::{convergence_curve, ConvergencePoint};
 use dynsched_core::experiments::{
-    run_experiments, try_run_experiment, Experiment, ExperimentResult, PolicyOutcome,
+    run_experiments, try_run_experiments, Experiment, ExperimentResult, PolicyOutcome,
 };
 use dynsched_core::pipeline::{generate_training_set, run_full, FullRunConfig, TrainingConfig};
 use dynsched_core::report::full_run_markdown;
@@ -834,7 +834,7 @@ fn check_session(d: &Drawn, wants: &Wants, width: &str, cov: &mut Coverage) -> C
         want.push(SimMetrics::from_result(&wants.cells[r][p][0], 7.0));
         *cov.entry("cells with τ ≠ 10").or_default() += 1;
     }
-    let got = session.run();
+    let got = session.run().expect("no cell panics");
     same(&at("cells".into()), &got.len(), &want.len())?;
     for (i, (g, w)) in got.iter().zip(&want).enumerate() {
         same(&at(format!("cell {i}")), g, w)?;
@@ -910,7 +910,7 @@ fn entry(d: &Drawn, width: &str) -> Result<Vec<ExperimentResult>, Failure> {
 
 /// Every evaluation entry point of one grid, at both widths, against the
 /// oracle: the session cell by cell, the grid's batched entry point and
-/// `try_run_experiment` row by row; then what the grid reached.
+/// `try_run_experiments` row by row; then what the grid reached.
 fn check_grid(d: &Drawn) -> Result<Coverage, Failure> {
     let mut cov = Coverage::new();
     let wants = per_cell(&d.rows, &d.lineup);
@@ -930,9 +930,12 @@ fn check_grid(d: &Drawn) -> Result<Coverage, Failure> {
             check_session(d, &wants, width, &mut cov)?;
             let got = entry(d, width)?;
             same_results(&format!("{:?} [{width}]", d.grid), &got, &wants.results)?;
-            let row = |e| try_run_experiment(e, &d.lineup).expect("no cell panics");
+            let row = |e: &Experiment| {
+                let rows = try_run_experiments(std::slice::from_ref(e), &d.lineup);
+                rows.expect("no cell panics").remove(0)
+            };
             let per_row: Vec<ExperimentResult> = d.rows.iter().map(row).collect();
-            let path = format!("try_run_experiment per row [{width}]");
+            let path = format!("try_run_experiments per row [{width}]");
             same_results(&path, &per_row, &wants.results)
         })?;
     }
@@ -1070,7 +1073,7 @@ fn a_panicking_calibration_leaves_the_store_as_it_found_it() {
 }
 
 /// A panicking policy is a `PoolError` naming one of its own cells, after a
-/// clean join, at either width; `try_run_experiment` — how the
+/// clean join, at either width; `try_run_experiments` — how the
 /// checkpointed run evaluates a row — returns it instead of unwinding.
 #[test]
 fn a_panicking_policy_is_a_pool_error_naming_its_cell() {
@@ -1093,12 +1096,13 @@ fn a_panicking_policy_is_a_pool_error_naming_its_cell() {
         let session = with_worker_limit(workers, || {
             let mut session = EvalSession::new();
             session.push_grid(&policies, &sequences, &config, DEFAULT_TAU);
-            session.try_run().expect_err("the grenade's cells panic")
+            session.run().expect_err("the grenade's cells panic")
         });
         // Policy-major: the grenade's cells are 2 and 3.
         let slot = session.slot;
         assert!((2..4).contains(&slot), "slot {slot} [{width}]");
-        let per_row = with_worker_limit(workers, || try_run_experiment(&row, &policies));
+        let rows = std::slice::from_ref(&row);
+        let per_row = with_worker_limit(workers, || try_run_experiments(rows, &policies));
         for err in [session, per_row.expect_err("the grenade's cells panic")] {
             let message = err.message;
             assert!(message.contains("policy blew up"), "{message} [{width}]");
@@ -1112,7 +1116,7 @@ fn a_panicking_policy_is_a_pool_error_naming_its_cell() {
 fn empty_sessions_and_fault_profiles_are_nothing() {
     for (width, workers) in WIDTHS {
         let session = EvalSession::new();
-        let table = with_worker_limit(workers, || session.run());
+        let table = with_worker_limit(workers, || session.run()).expect("no cell to panic");
         assert!(session.is_empty() && table.is_empty(), "[{width}]");
     }
     let [(_, single), ..] = hand_sequences();

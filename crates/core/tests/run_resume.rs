@@ -5,7 +5,7 @@
 //! silent wrong answer.
 
 use dynsched_cluster::Platform;
-use dynsched_core::checkpoint::{fingerprint, run_full_checkpointed, RunError};
+use dynsched_core::checkpoint::{fingerprint, run_full_checkpointed, RunError, RUN_STATE_VERSION};
 use dynsched_core::pipeline::{run_full, FullRunConfig, TrainingConfig};
 use dynsched_core::report::full_run_markdown;
 use dynsched_core::scenarios::ScenarioScale;
@@ -211,94 +211,100 @@ fn corrupt_stage_files_are_recomputed_not_trusted() {
     std::fs::remove_dir_all(&baseline_dir).unwrap();
 }
 
-/// Rewrite `file`'s payload with `edit` and re-seal it with a recomputed
-/// checksum, so only what the payload says can give the forgery away.
-fn forge(dir: &Path, file: &str, edit: impl FnOnce(&mut [(String, Json)])) {
-    let path = dir.join(file);
-    let text = std::fs::read_to_string(&path).unwrap();
-    let Ok(Json::Object(mut members)) = json::parse(&text) else {
-        panic!("{file} is not a stage file");
-    };
-    let member = |members: &[(String, Json)], key: &str| -> usize {
-        members.iter().position(|(k, _)| k == key).unwrap()
-    };
-    let at = member(&members, "payload");
-    let Json::Object(fields) = &mut members[at].1 else {
-        panic!("{file}'s payload is not an object");
-    };
-    edit(fields);
-    let sealed = json::checksum(members[at].1.to_text().as_bytes());
-    let at = member(&members, "checksum");
-    members[at].1 = Json::Str(format!("{sealed:016x}"));
-    std::fs::write(&path, Json::Object(members).to_text()).unwrap();
-}
-
-/// The array under `key` in a stage payload.
-fn array<'a>(fields: &'a mut [(String, Json)], key: &str) -> &'a mut Vec<Json> {
-    match fields.iter_mut().find(|(k, _)| k == key) {
-        Some((_, Json::Array(items))) => items,
-        _ => panic!("no array {key:?} in the payload"),
+/// Every lie the forger tells about a stage payload, each with what it
+/// did: an array truncated by one or given its first element twice, an
+/// object without one of its keys, a number made non-finite. It walks
+/// every member of an object and the first element of an array.
+fn lies(node: &Json) -> Vec<(String, Json)> {
+    let mut out = Vec::new();
+    match node {
+        Json::Array(items) if !items.is_empty() => {
+            let (mut short, mut long) = (items.clone(), items.clone());
+            short.pop();
+            long.push(items[0].clone());
+            out.push((" truncated by one".to_string(), Json::Array(short)));
+            out.push((
+                " with its first element twice".to_string(),
+                Json::Array(long),
+            ));
+            for (what, lie) in lies(&items[0]) {
+                let mut edited = items.clone();
+                edited[0] = lie;
+                out.push((format!("[0]{what}"), Json::Array(edited)));
+            }
+        }
+        Json::Object(members) => {
+            for (i, (key, value)) in members.iter().enumerate() {
+                let mut dropped = members.clone();
+                dropped.remove(i);
+                out.push((format!(" without .{key}"), Json::Object(dropped)));
+                for (what, lie) in lies(value) {
+                    let mut edited = members.clone();
+                    edited[i].1 = lie;
+                    out.push((format!(".{key}{what}"), Json::Object(edited)));
+                }
+            }
+        }
+        Json::F64(_) => out.push((" non-finite".to_string(), Json::F64(f64::NAN))),
+        _ => {}
     }
+    out
 }
 
+/// `stage` (a parsed stage file) with `payload` in place of its own, re-sealed
+/// with a recomputed checksum, so only what the payload says can give it away.
+fn reseal(stage: &Json, payload: Json) -> String {
+    let Json::Object(members) = stage else {
+        panic!("a stage file is an object");
+    };
+    let checksum = json::checksum(payload.to_text().as_bytes());
+    let members = members.iter().map(|(key, value)| {
+        let value = match key.as_str() {
+            "payload" => payload.clone(),
+            "checksum" => Json::Str(format!("{checksum:016x}")),
+            _ => value.clone(),
+        };
+        (key.clone(), value)
+    });
+    Json::Object(members.collect()).to_text()
+}
+
+/// Each stage kind, each of its payload's arrays truncated and duplicated,
+/// each key dropped and each number made non-finite, re-sealed: every one
+/// is recomputed to the uninterrupted run, what the report does not print
+/// included.
 #[test]
 fn forged_stages_with_valid_checksums_are_recomputed() {
     let config = tiny_config();
     let baseline_dir = scratch_dir("forged-baseline");
     let baseline = run_full_checkpointed(&config, &model(), &baseline_dir, false).unwrap();
     let baseline_md = full_run_markdown(&baseline);
+    let baseline_learned = format!("{:?}", baseline.learned);
 
-    type Edit = fn(&mut [(String, Json)]);
-    /// Overwrite field `field` (runtime, cores, submit, score) of the first
-    /// observation.
-    fn set(fields: &mut [(String, Json)], field: usize, value: f64) {
-        let Json::Array(observation) = &mut array(fields, "observations")[0] else {
-            panic!("an observation is an array");
-        };
-        observation[field] = Json::F64(value);
+    let dir = scratch_dir("forged");
+    copy_stages(&baseline_dir, &dir, stage_files().len());
+    let mut told = 0;
+    for file in ["training.json", "fits.json", "eval_row_00.json"] {
+        let text = std::fs::read_to_string(baseline_dir.join(file)).unwrap();
+        let stage = json::parse(&text).unwrap();
+        for (lie, payload) in lies(stage.get("payload").unwrap()) {
+            std::fs::write(dir.join(file), reseal(&stage, payload)).unwrap();
+            let what = format!("{file}: payload{lie}, re-sealed");
+            let resumed = run_full_checkpointed(&config, &model(), &dir, true)
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(full_run_markdown(&resumed), baseline_md, "{what}");
+            let learned = format!("{:?}", resumed.learned);
+            assert!(
+                learned == baseline_learned,
+                "{what}: the learned report differs"
+            );
+            assert_eq!(resumed.evaluation, baseline.evaluation, "{what}");
+            told += 1;
+        }
     }
-    let forgeries: [(&str, &str, Edit); 9] = [
-        ("fits.json", "three fits", |f| array(f, "fits").truncate(3)),
-        ("fits.json", "one fit", |f| array(f, "fits").truncate(1)),
-        ("fits.json", "no fits", |f| array(f, "fits").clear()),
-        ("fits.json", "a family index twice", |f| {
-            let fits = array(f, "fits");
-            fits[1] = fits[0].clone();
-        }),
-        ("training.json", "a tuple short", |f| {
-            array(f, "tuples").pop();
-            let observations = array(f, "observations");
-            observations.truncate(observations.len() - 8);
-        }),
-        ("training.json", "an observation short", |f| {
-            array(f, "observations").pop();
-        }),
-        ("training.json", "a probe short", |f| {
-            let Json::Object(tuple) = &mut array(f, "tuples")[0] else {
-                panic!("a tuple is an object");
-            };
-            array(tuple, "q").pop();
-            array(f, "observations").pop();
-        }),
-        ("training.json", "a negative runtime", |f| set(f, 0, -1.0)),
-        ("training.json", "an infinite submit", |f| {
-            set(f, 2, f64::INFINITY)
-        }),
-    ];
-    for (file, lie, edit) in forgeries {
-        let dir = scratch_dir("forged");
-        copy_stages(&baseline_dir, &dir, stage_files().len());
-        forge(&dir, file, edit);
-        // Recomputed, not trusted: the report, and what it does not print.
-        let what = format!("{file} with {lie}, re-sealed");
-        let resumed = run_full_checkpointed(&config, &model(), &dir, true)
-            .unwrap_or_else(|e| panic!("{what}: {e}"));
-        assert_eq!(full_run_markdown(&resumed), baseline_md, "{what}");
-        let (got, want) = (&resumed.learned, &baseline.learned);
-        assert_eq!(got.training_set, want.training_set, "{what}");
-        assert_eq!(got.tuples, want.tuples, "{what}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
+    // Training and fits: 6 lies each; a row: 16.
+    assert_eq!(told, 28);
+    std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&baseline_dir).unwrap();
 }
 
@@ -434,7 +440,9 @@ fn tampered_version_errors_loudly() {
     run_full_checkpointed(&config, &model(), &dir, false).unwrap();
     let manifest = dir.join("manifest.json");
     let text = std::fs::read_to_string(&manifest).unwrap();
-    let tampered = text.replacen("\"version\":1", "\"version\":999", 1);
+    // Version 1 stored what version 2 recomputes: such a directory is refused.
+    let current = format!("\"version\":{RUN_STATE_VERSION}");
+    let tampered = text.replacen(&current, "\"version\":1", 1);
     assert_ne!(text, tampered, "version field must be present to tamper");
     std::fs::write(&manifest, tampered).unwrap();
     assert!(matches!(

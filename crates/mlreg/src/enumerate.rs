@@ -306,10 +306,17 @@ pub fn rank(function: &NonlinearFunction, training: &TrainingSet) -> f64 {
         / obs.len() as f64
 }
 
-/// The total order of the ranking: increasing fitness (non-finite last),
-/// ties broken by the shape's position in the family enumeration. Because
-/// the secondary key is unique per candidate, the order never depends on
-/// how (or on how many threads) the candidates were evaluated.
+/// Sort fits into the ranking: increasing fitness (non-finite last), ties
+/// broken by the shape's position in the family enumeration. Because the
+/// secondary key is unique per candidate, the order never depends on how
+/// (or on how many threads) the candidates were evaluated, and an unstable
+/// sort is fully deterministic. [`fit_all`] ends with it; a fit table
+/// rebuilt from stored coefficients is ranked by it too.
+pub fn sort_ranked(fits: &mut [FitResult]) {
+    fits.sort_unstable_by(ranking_order);
+}
+
+/// The total order of [`sort_ranked`].
 fn ranking_order(a: &FitResult, b: &FitResult) -> std::cmp::Ordering {
     let key = |r: &FitResult| {
         if r.fitness.is_finite() {
@@ -338,9 +345,7 @@ pub fn fit_all(training: &TrainingSet, options: &EnumerateOptions) -> Vec<FitRes
         par_map_scoped(&family, FitWorkspace::default, |shape, ws| {
             fit_function_scoped(*shape, &table, options, ws)
         });
-    // The tie-break key is unique, so an unstable sort is fully
-    // deterministic here.
-    results.sort_unstable_by(ranking_order);
+    sort_ranked(&mut results);
     results
 }
 
@@ -636,7 +641,7 @@ mod tests {
             converged: true,
         };
         let mut results = [mk(300, 0.5), mk(7, 0.5), mk(120, 0.5), mk(42, 0.1)];
-        results.sort_unstable_by(ranking_order);
+        sort_ranked(&mut results);
         let order: Vec<usize> = results.iter().map(|r| r.family_index).collect();
         assert_eq!(order, vec![42, 7, 120, 300]);
     }
@@ -700,7 +705,7 @@ mod tests {
             mk(2, f64::INFINITY),
             mk(3, 1.0),
         ];
-        results.sort_unstable_by(ranking_order);
+        sort_ranked(&mut results);
         let order: Vec<usize> = results.iter().map(|r| r.family_index).collect();
         // NaN and +inf map to the same key; family index orders them.
         assert_eq!(order, vec![3, 1, 0, 2]);

@@ -73,8 +73,8 @@ pub mod validate;
 
 pub use dataset::{FeatureTable, Observation, TrainingSet};
 pub use enumerate::{
-    fit_all, fit_function, fit_function_scoped, rank, top_policies, EnumerateOptions, FitResult,
-    FitWorkspace,
+    fit_all, fit_function, fit_function_scoped, rank, sort_ranked, top_policies, EnumerateOptions,
+    FitResult, FitWorkspace,
 };
 pub use lm::{
     levenberg_marquardt, levenberg_marquardt_scoped, LmCounts, LmExit, LmFit, LmOutcome,

@@ -673,10 +673,8 @@ fn workspace_accessors_match_result() {
 fn swf_widths_beyond_u32_are_wider_than_any_platform() {
     // A record asking for 2^32 + 1 processors used to wrap to a 1-core
     // job and be simulated; saturated, the engine refuses it up front.
-    let trace = dynsched_workload::parse_swf_trace(
-        "9 0 5 100 4294967297 -1 -1 4 200 -1 1 3 1 -1 1 1 -1 -1\n",
-    )
-    .unwrap();
+    let record = "9 0 5 100 4294967297 -1 -1 4 200 -1 1 3 1 -1 1 1 -1 -1\n";
+    let trace = dynsched_workload::parse_swf_trace(record.as_bytes()).unwrap();
     assert_eq!(
         SimWorkspace::new().try_run(&trace, &QueueDiscipline::Policy(&Fcfs), &cfg(u32::MAX - 1)),
         Err(EngineError::JobWiderThanPlatform {

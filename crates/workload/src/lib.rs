@@ -79,8 +79,8 @@ pub use registry::{ScenarioCalibration, ScenarioFamily, ScenarioParams, Scenario
 pub use sequence::{extract_sequences, SequenceSpec};
 pub use store::{TraceColumns, TraceKey, TraceStore, TraceView};
 pub use swf::{
-    parse_swf, parse_swf_reader, parse_swf_trace, parse_swf_trace_reader, parse_swf_with_header,
-    parse_swf_with_header_reader, read_swf_file, write_swf, write_swf_trace, SwfHeader, SwfRecord,
+    parse_swf, parse_swf_trace, parse_swf_with_header, read_swf_file, write_swf, write_swf_trace,
+    SwfHeader, SwfRecord,
 };
 pub use trace::{Trace, TraceSource, TraceSummary};
 pub use tsafrir::TsafrirEstimates;

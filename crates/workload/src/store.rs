@@ -43,6 +43,7 @@
 use crate::trace::{Trace, TraceSource};
 use dynsched_cluster::Job;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -331,28 +332,6 @@ impl TraceStore {
         Self::default()
     }
 
-    /// Look up `key`; on a miss, run `build` and intern its columnarized
-    /// result. Returns cheap handles either way.
-    ///
-    /// `build` executes under the store lock — it must not re-enter this
-    /// store (builds are generator calls, not evaluations, so they have no
-    /// reason to).
-    pub fn get_or_build_set(
-        &self,
-        key: TraceKey,
-        build: impl FnOnce() -> Vec<Trace>,
-    ) -> Arc<[TraceView]> {
-        let mut entries = self.entries.lock().expect("trace store poisoned");
-        if let Some(views) = entries.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(views);
-        }
-        self.builds.fetch_add(1, Ordering::Relaxed);
-        let views: Arc<[TraceView]> = build().iter().map(TraceView::from_trace).collect();
-        entries.insert(key, Arc::clone(&views));
-        views
-    }
-
     /// Whether `key` is interned. Counts nothing: neither
     /// [`TraceStore::hits`] nor [`TraceStore::builds`] moves, so a caller
     /// can ask before preparing a build without the question showing up
@@ -362,10 +341,15 @@ impl TraceStore {
         entries.contains_key(key)
     }
 
-    /// Fallible-builder variant of [`TraceStore::get_or_build_set`]: a
-    /// builder error propagates and nothing is interned, so a broken
-    /// entry can never enter the cache. Same locking contract — `build`
-    /// runs under the store lock and must not re-enter this store.
+    /// Look up `key`; on a miss, run `build` and intern its columnarized
+    /// result. Returns cheap handles either way. A builder error
+    /// propagates and nothing is interned, so a broken entry can never
+    /// enter the cache; a build is counted once its builder has returned
+    /// its traces, so one that fails or panics counts nothing.
+    ///
+    /// `build` executes under the store lock — it must not re-enter this
+    /// store (builds are generator calls, not evaluations, so they have no
+    /// reason to).
     pub fn get_or_try_build_set<E>(
         &self,
         key: TraceKey,
@@ -382,13 +366,14 @@ impl TraceStore {
         Ok(views)
     }
 
-    /// Single-trace convenience over [`TraceStore::get_or_build_set`].
+    /// Single-trace convenience over [`TraceStore::get_or_try_build_set`],
+    /// for a builder that cannot fail.
     ///
     /// # Panics
     /// Panics if a set entry under the same key does not hold exactly one
     /// trace (a key must always be built the same way).
     pub fn get_or_build(&self, key: TraceKey, build: impl FnOnce() -> Trace) -> TraceView {
-        let set = self.get_or_build_set(key, || vec![build()]);
+        let Ok(set) = self.get_or_try_build_set(key, || Ok::<_, Infallible>(vec![build()]));
         assert_eq!(
             set.len(),
             1,
@@ -541,11 +526,26 @@ mod tests {
     }
 
     #[test]
+    fn a_builder_that_panics_counts_no_build() {
+        let store = TraceStore::new();
+        let key = TraceKey::new("panics", 1);
+        let build = || store.get_or_build(key, || panic!("generator bug"));
+        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(build)).is_err());
+        assert_eq!(
+            store.builds(),
+            0,
+            "a build is counted once its traces exist"
+        );
+    }
+
+    #[test]
     fn set_interning_shares_every_sequence() {
         let store = TraceStore::new();
         let key = || TraceKey::new("seqs", 5).with_u64(3);
-        let a = store.get_or_build_set(key(), || vec![trace(0), trace(1), trace(2)]);
-        let b = store.get_or_build_set(key(), || unreachable!("cached"));
+        let a: Result<_, ()> =
+            store.get_or_try_build_set(key(), || Ok(vec![trace(0), trace(1), trace(2)]));
+        let b: Result<_, ()> = store.get_or_try_build_set(key(), || unreachable!("cached"));
+        let (a, b) = (a.unwrap(), b.unwrap());
         assert_eq!(a.len(), 3);
         for (x, y) in a.iter().zip(b.iter()) {
             assert!(x.shares_storage(y));

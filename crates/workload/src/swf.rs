@@ -289,30 +289,16 @@ fn scan_swf<R: BufRead>(
     }
 }
 
-/// Unwrap a streaming error from an in-memory source, where I/O cannot
-/// fail.
-fn expect_parse_error(e: SwfReadError) -> SwfParseError {
-    match e {
-        SwfReadError::Parse(p) => p,
-        SwfReadError::Io(io) => unreachable!("in-memory read failed: {io}"),
-    }
-}
-
 /// Parse an SWF document into raw records, preserving header comments.
 ///
 /// Header comment lines start with `;`. Blank lines are skipped. Each data
 /// line must have at least 18 whitespace-separated numeric fields (extra
 /// fields, present in some archive conversions, are ignored).
-pub fn parse_swf(input: &str) -> Result<(Vec<String>, Vec<SwfRecord>), SwfParseError> {
-    parse_swf_reader(input.as_bytes()).map_err(expect_parse_error)
-}
-
-/// Streaming equivalent of [`parse_swf`]: reads from any [`BufRead`]
-/// line-by-line, so a multi-gigabyte archive log never has to fit in
-/// memory as one string.
-pub fn parse_swf_reader<R: BufRead>(
-    reader: R,
-) -> Result<(Vec<String>, Vec<SwfRecord>), SwfReadError> {
+///
+/// Reads from any [`BufRead`] line by line, so a multi-gigabyte archive
+/// log never has to fit in memory as one string; a document already in
+/// memory is `text.as_bytes()`, whose reads cannot fail.
+pub fn parse_swf<R: BufRead>(reader: R) -> Result<(Vec<String>, Vec<SwfRecord>), SwfReadError> {
     let mut comments = Vec::new();
     let mut records = Vec::new();
     scan_swf(
@@ -374,17 +360,11 @@ impl SwfHeader {
 /// Parse an SWF document into its header metadata and a [`Trace`] in one
 /// step — the convenient entry point for archive logs (`MaxProcs` gives
 /// the platform width to simulate).
-pub fn parse_swf_with_header(input: &str) -> Result<(SwfHeader, Trace), SwfParseError> {
-    parse_swf_with_header_reader(input.as_bytes()).map_err(expect_parse_error)
-}
-
-/// Streaming equivalent of [`parse_swf_with_header`]: each line is
-/// converted to a [`Job`] (or dropped by the documented dirty-input rules)
-/// as it is read — raw [`SwfRecord`]s are never accumulated, so peak
-/// memory is the usable jobs plus one line buffer.
-pub fn parse_swf_with_header_reader<R: BufRead>(
-    reader: R,
-) -> Result<(SwfHeader, Trace), SwfReadError> {
+///
+/// Each line is converted to a [`Job`] (or dropped by the documented
+/// dirty-input rules) as it is read — raw [`SwfRecord`]s are never
+/// accumulated, so peak memory is the usable jobs plus one line buffer.
+pub fn parse_swf_with_header<R: BufRead>(reader: R) -> Result<(SwfHeader, Trace), SwfReadError> {
     let mut comments = Vec::new();
     let mut jobs = Vec::new();
     scan_swf(
@@ -401,14 +381,9 @@ pub fn parse_swf_with_header_reader<R: BufRead>(
 
 /// Parse an SWF document straight into a [`Trace`], dropping unusable
 /// records (the archive convention: failed/cancelled jobs without a run
-/// time do not participate in scheduling studies).
-pub fn parse_swf_trace(input: &str) -> Result<Trace, SwfParseError> {
-    parse_swf_trace_reader(input.as_bytes()).map_err(expect_parse_error)
-}
-
-/// Streaming equivalent of [`parse_swf_trace`] (see
-/// [`parse_swf_with_header_reader`] for the memory contract).
-pub fn parse_swf_trace_reader<R: BufRead>(reader: R) -> Result<Trace, SwfReadError> {
+/// time do not participate in scheduling studies). Streams like
+/// [`parse_swf_with_header`].
+pub fn parse_swf_trace<R: BufRead>(reader: R) -> Result<Trace, SwfReadError> {
     let mut jobs = Vec::new();
     scan_swf(
         reader,
@@ -427,7 +402,7 @@ pub fn parse_swf_trace_reader<R: BufRead>(reader: R) -> Result<Trace, SwfReadErr
 /// comfortably in one allocation.
 pub fn read_swf_file(path: impl AsRef<Path>) -> Result<(SwfHeader, Trace), SwfReadError> {
     let file = std::fs::File::open(path).map_err(SwfReadError::Io)?;
-    parse_swf_with_header_reader(std::io::BufReader::new(file))
+    parse_swf_with_header(std::io::BufReader::new(file))
 }
 
 fn fmt_time(x: f64) -> String {
@@ -499,9 +474,17 @@ mod tests {
 3 20 2 30 -1 -1 -1 8 60 -1 0 4 1 -1 1 1 -1 -1
 ";
 
+    /// The line error of an in-memory document that must not parse.
+    fn parse_error<T: std::fmt::Debug>(parsed: Result<T, SwfReadError>) -> SwfParseError {
+        match parsed.unwrap_err() {
+            SwfReadError::Parse(p) => p,
+            SwfReadError::Io(e) => panic!("expected a parse error, got {e}"),
+        }
+    }
+
     #[test]
     fn parses_comments_and_records() {
-        let (comments, records) = parse_swf(SAMPLE).unwrap();
+        let (comments, records) = parse_swf(SAMPLE.as_bytes()).unwrap();
         assert_eq!(comments.len(), 2);
         assert!(comments[0].contains("Test cluster"));
         assert_eq!(records.len(), 3);
@@ -513,7 +496,7 @@ mod tests {
 
     #[test]
     fn to_job_semantics() {
-        let (_, records) = parse_swf(SAMPLE).unwrap();
+        let (_, records) = parse_swf(SAMPLE.as_bytes()).unwrap();
         // Record 1: allocated procs and requested time present.
         let j = records[0].to_job(0).unwrap();
         assert_eq!(j.cores, 4);
@@ -528,7 +511,7 @@ mod tests {
 
     #[test]
     fn rejects_short_lines() {
-        let err = parse_swf("1 2 3\n").unwrap_err();
+        let err = parse_error(parse_swf("1 2 3\n".as_bytes()));
         assert_eq!(err.line, 1);
         assert!(err.message.contains("18 fields"));
     }
@@ -537,11 +520,11 @@ mod tests {
     fn field_count_is_checked_against_eighteen() {
         let ok = "1 0 5 100 4 -1 -1 4 200 -1 1 3 1 -1 1 1 -1 -1";
         let seventeen = ok.rsplit_once(' ').unwrap().0;
-        let err = parse_swf(seventeen).unwrap_err();
+        let err = parse_error(parse_swf(seventeen.as_bytes()));
         assert_eq!(err.message, "expected 18 fields, found 17");
         // A 19th field (some archive conversions add one) is ignored,
         // whatever it holds.
-        let (_, records) = parse_swf(&format!("{ok}\n{ok} extra\n")).unwrap();
+        let (_, records) = parse_swf(format!("{ok}\n{ok} extra\n").as_bytes()).unwrap();
         assert_eq!(records[0], records[1]);
     }
 
@@ -557,7 +540,10 @@ mod tests {
                 }
             })
             .collect();
-        assert_eq!(parse_swf(&dos).unwrap(), parse_swf(SAMPLE).unwrap());
+        assert_eq!(
+            parse_swf(dos.as_bytes()).unwrap(),
+            parse_swf(SAMPLE.as_bytes()).unwrap()
+        );
     }
 
     #[test]
@@ -565,7 +551,7 @@ mod tests {
         // `Universit\xE9`: a Latin-1 site name, as archive headers have.
         let mut src = b"; Installation: Universit\xE9 de Test\n; MaxProcs: 128\n".to_vec();
         src.extend_from_slice(b"1 0 5 100 4 -1 -1 4 200 -1 1 3 1 -1 1 1 -1 -1\n");
-        let (header, trace) = parse_swf_with_header_reader(&src[..]).unwrap();
+        let (header, trace) = parse_swf_with_header(&src[..]).unwrap();
         assert_eq!(
             header.installation.as_deref(),
             Some("Universit\u{FFFD} de Test")
@@ -575,7 +561,7 @@ mod tests {
         // The same byte in a record line is that line's parse error, not
         // an I/O failure of the whole file.
         src.extend_from_slice(b"2 10 0 50 1 -1 -1 1 \xE9 -1 1 3 1 -1 1 1 -1 -1\n");
-        match parse_swf_with_header_reader(&src[..]).unwrap_err() {
+        match parse_swf_with_header(&src[..]).unwrap_err() {
             SwfReadError::Parse(p) => {
                 assert_eq!(p.line, 4);
                 assert!(p.message.contains("UTF-8"), "{}", p.message);
@@ -587,15 +573,15 @@ mod tests {
     #[test]
     fn rejects_garbage_fields() {
         let bad = "1 0 5 abc 4 -1 -1 4 200 -1 1 3 1 -1 1 1 -1 -1\n";
-        let err = parse_swf(bad).unwrap_err();
+        let err = parse_error(parse_swf(bad.as_bytes()));
         assert!(err.message.contains("field 4"));
     }
 
     #[test]
     fn roundtrip_preserves_records() {
-        let (comments, records) = parse_swf(SAMPLE).unwrap();
+        let (comments, records) = parse_swf(SAMPLE.as_bytes()).unwrap();
         let text = write_swf(&comments, &records);
-        let (comments2, records2) = parse_swf(&text).unwrap();
+        let (comments2, records2) = parse_swf(text.as_bytes()).unwrap();
         assert_eq!(comments, comments2);
         assert_eq!(records, records2);
     }
@@ -607,7 +593,7 @@ mod tests {
 2 10 0 -1 1 -1 -1 1 -1 -1 5 3 1 -1 1 1 -1 -1
 3 20 2 30 0 -1 -1 0 60 -1 0 4 1 -1 1 1 -1 -1
 ";
-        let trace = parse_swf_trace(with_bad).unwrap();
+        let trace = parse_swf_trace(with_bad.as_bytes()).unwrap();
         // Job 2 has no run time; job 3 has zero procs. Only job 1 survives.
         assert_eq!(trace.jobs().len(), 1);
         assert_eq!(trace.jobs()[0].cores, 4);
@@ -622,9 +608,9 @@ mod tests {
             let mut fields: Vec<&str> = ok.split_whitespace().collect();
             fields[field] = "1e400";
             let line = format!("{}\n{ok}", fields.join(" "));
-            let (_, records) = parse_swf(&line).unwrap();
+            let (_, records) = parse_swf(line.as_bytes()).unwrap();
             assert!(records[0].to_job(0).is_none(), "overflowed {name}");
-            let trace = parse_swf_trace(&line).unwrap();
+            let trace = parse_swf_trace(line.as_bytes()).unwrap();
             assert_eq!(trace.jobs().len(), 1, "overflowed {name}");
         }
     }
@@ -637,7 +623,7 @@ mod tests {
             "1 0 5 100 4294967297 -1 -1 4 200 -1 1 3 1 -1 1 1 -1 -1\n",
             "1 0 5 100 -1 -1 -1 4294967297 200 -1 1 3 1 -1 1 1 -1 -1\n",
         ] {
-            let trace = parse_swf_trace(line).unwrap();
+            let trace = parse_swf_trace(line.as_bytes()).unwrap();
             assert_eq!(trace.jobs()[0].cores, u32::MAX);
             assert!(trace.capped_to(1 << 20).jobs().is_empty());
         }
@@ -646,7 +632,7 @@ mod tests {
     #[test]
     fn zero_runtime_clamped_to_one_second() {
         let line = "1 0 0 0 2 -1 -1 2 10 -1 1 1 1 -1 1 1 -1 -1\n";
-        let trace = parse_swf_trace(line).unwrap();
+        let trace = parse_swf_trace(line.as_bytes()).unwrap();
         assert_eq!(trace.jobs()[0].runtime, 1.0);
     }
 
@@ -663,7 +649,7 @@ mod tests {
 ; Note: converted from accounting logs
 1 0 5 100 4 -1 -1 4 200 -1 1 3 1 -1 1 1 -1 -1
 ";
-        let (header, trace) = parse_swf_with_header(src).unwrap();
+        let (header, trace) = parse_swf_with_header(src.as_bytes()).unwrap();
         assert_eq!(header.computer.as_deref(), Some("IBM SP2"));
         assert_eq!(header.max_procs, Some(338));
         assert_eq!(header.max_jobs, Some(77_222));
@@ -682,31 +668,13 @@ mod tests {
     }
 
     #[test]
-    fn reader_and_str_parsers_agree() {
-        // The str entry points are thin wrappers over the streaming
-        // scanner; this pins that a BufRead with a tiny buffer (forcing
-        // many read_line calls) sees the identical document.
-        let reader = std::io::BufReader::with_capacity(8, SAMPLE.as_bytes());
-        let (comments, records) = parse_swf_reader(reader).unwrap();
-        let (c2, r2) = parse_swf(SAMPLE).unwrap();
-        assert_eq!(comments, c2);
-        assert_eq!(records, r2);
-        let t1 = parse_swf_trace_reader(std::io::BufReader::with_capacity(8, SAMPLE.as_bytes()))
-            .unwrap();
-        assert_eq!(t1, parse_swf_trace(SAMPLE).unwrap());
-    }
-
-    #[test]
     fn reader_errors_carry_line_numbers() {
+        // An 8-byte buffer forces many reads per line.
         let src = format!("{SAMPLE}not a data line\n");
-        let err = parse_swf_trace_reader(src.as_bytes()).unwrap_err();
-        match err {
-            SwfReadError::Parse(p) => {
-                assert_eq!(p.line, 7, "line numbers count comments and blanks");
-                assert!(p.message.contains("18 fields"));
-            }
-            SwfReadError::Io(_) => panic!("expected a parse error"),
-        }
+        let tiny = std::io::BufReader::with_capacity(8, src.as_bytes());
+        let err = parse_error(parse_swf_trace(tiny));
+        assert_eq!(err.line, 7, "line numbers count comments and blanks");
+        assert!(err.message.contains("18 fields"));
     }
 
     #[test]
@@ -717,7 +685,7 @@ mod tests {
         std::fs::write(&path, SAMPLE).unwrap();
         let (header, trace) = read_swf_file(&path).unwrap();
         assert_eq!(header.max_procs, Some(128));
-        assert_eq!(trace, parse_swf_trace(SAMPLE).unwrap());
+        assert_eq!(trace, parse_swf_trace(SAMPLE.as_bytes()).unwrap());
         assert!(matches!(
             read_swf_file(dir.join("missing.swf")),
             Err(SwfReadError::Io(_))
@@ -729,7 +697,7 @@ mod tests {
         let trace = Trace::from_jobs(vec![Job::new(0, 0.0, 10.0, 20.0, 2)]);
         let text = write_swf_trace(&trace, 64);
         assert!(text.contains("MaxProcs: 64"));
-        let reparsed = parse_swf_trace(&text).unwrap();
+        let reparsed = parse_swf_trace(text.as_bytes()).unwrap();
         assert_eq!(reparsed.jobs().len(), 1);
         assert_eq!(reparsed.jobs()[0].estimate, 20.0);
     }

@@ -8,8 +8,17 @@
 //! dropped by documented rules — never silently reshuffled.
 
 use dynsched_workload::swf::{
-    parse_swf, parse_swf_trace, parse_swf_with_header, write_swf, SwfRecord,
+    parse_swf, parse_swf_trace, parse_swf_with_header, write_swf, SwfParseError, SwfReadError,
+    SwfRecord,
 };
+
+/// The line error of an in-memory document that must not parse.
+fn parse_error(src: &str) -> SwfParseError {
+    match parse_swf(src.as_bytes()).unwrap_err() {
+        SwfReadError::Parse(p) => p,
+        SwfReadError::Io(e) => panic!("expected a parse error, got {e}"),
+    }
+}
 
 fn line(fields: &[&str]) -> String {
     fields.join(" ")
@@ -43,9 +52,9 @@ fn data_line(job: i64, submit: f64, runtime: f64, procs: i64) -> String {
 #[test]
 fn comment_only_and_blank_documents_parse_to_empty_traces() {
     for src in ["", "\n\n\n", "; just a header\n; Computer: X\n", ";\n\n;\n"] {
-        let (comments, records) = parse_swf(src).unwrap();
+        let (comments, records) = parse_swf(src.as_bytes()).unwrap();
         assert!(records.is_empty(), "{src:?}");
-        let trace = parse_swf_trace(src).unwrap();
+        let trace = parse_swf_trace(src.as_bytes()).unwrap();
         assert!(trace.is_empty());
         // Comments survive even when no data does.
         if src.contains("Computer") {
@@ -57,7 +66,7 @@ fn comment_only_and_blank_documents_parse_to_empty_traces() {
 #[test]
 fn short_lines_error_with_their_line_number() {
     let src = format!("; header\n{}\n1 2 3 4\n", data_line(1, 0.0, 10.0, 2));
-    let err = parse_swf(&src).unwrap_err();
+    let err = parse_error(&src);
     assert_eq!(err.line, 3);
     assert!(err.message.contains("18 fields"));
     assert!(err.message.contains("found 4"));
@@ -70,11 +79,11 @@ fn malformed_fields_error_with_line_and_field() {
     let mut fields: Vec<String> = good.split_whitespace().map(String::from).collect();
     fields[8] = "12:00:00".to_string();
     let src = format!("{good}\n{}\n", fields.join(" "));
-    let err = parse_swf(&src).unwrap_err();
+    let err = parse_error(&src);
     assert_eq!(err.line, 2);
     assert!(err.message.contains("field 9"), "{}", err.message);
     // Errors are values, not panics — parsing the good line alone works.
-    assert!(parse_swf(&good).is_ok());
+    assert!(parse_swf(good.as_bytes()).is_ok());
 }
 
 #[test]
@@ -83,7 +92,7 @@ fn error_positions_count_comments_and_blanks() {
         "; one\n\n; two\n{}\nbad line here\n",
         data_line(1, 0.0, 5.0, 1)
     );
-    let err = parse_swf(&src).unwrap_err();
+    let err = parse_error(&src);
     assert_eq!(err.line, 5, "line numbers must include comments and blanks");
 }
 
@@ -98,7 +107,7 @@ fn out_of_order_submits_normalize_to_one_canonical_order() {
         data_line(3, 250.0, 30.0, 4),
         data_line(4, 0.0, 40.0, 8),
     );
-    let trace = parse_swf_trace(&shuffled).unwrap();
+    let trace = parse_swf_trace(shuffled.as_bytes()).unwrap();
     let submits: Vec<f64> = trace.jobs().iter().map(|j| j.submit).collect();
     assert_eq!(submits, vec![0.0, 0.0, 250.0, 500.0]);
     // Equal submits tie-break on the id assigned in file order, so the
@@ -106,7 +115,7 @@ fn out_of_order_submits_normalize_to_one_canonical_order() {
     assert_eq!(trace.jobs()[0].runtime, 20.0);
     assert_eq!(trace.jobs()[1].runtime, 40.0);
     // Determinism: reparsing gives the identical trace.
-    assert_eq!(trace, parse_swf_trace(&shuffled).unwrap());
+    assert_eq!(trace, parse_swf_trace(shuffled.as_bytes()).unwrap());
 }
 
 #[test]
@@ -119,7 +128,7 @@ fn zero_runtime_jobs_are_kept_and_clamped() {
         data_line(1, 0.0, 0.0, 2),
         data_line(2, 5.0, 0.0, 1)
     );
-    let trace = parse_swf_trace(&src).unwrap();
+    let trace = parse_swf_trace(src.as_bytes()).unwrap();
     assert_eq!(trace.len(), 2);
     for job in trace.jobs() {
         assert_eq!(job.runtime, 1.0);
@@ -136,11 +145,11 @@ fn unusable_records_are_dropped_by_documented_rules() {
         data_line(3, 20.0, 10.0, -1), // no procs (allocated & requested -1) → dropped
         data_line(4, -5.0, 10.0, 2),  // negative submit → dropped
     );
-    let trace = parse_swf_trace(&src).unwrap();
+    let trace = parse_swf_trace(src.as_bytes()).unwrap();
     assert_eq!(trace.len(), 1);
     assert_eq!(trace.jobs()[0].cores, 2);
     // The raw record layer still surfaces all four for auditing.
-    let (_, records) = parse_swf(&src).unwrap();
+    let (_, records) = parse_swf(src.as_bytes()).unwrap();
     assert_eq!(records.len(), 4);
     assert_eq!(records[1].to_job(0), None);
     assert_eq!(records[2].to_job(0), None);
@@ -152,7 +161,7 @@ fn extra_trailing_fields_are_tolerated() {
     // Some archive conversions append extra columns; they must not break
     // the 18-field core.
     let src = format!("{} 99 98 97\n", data_line(7, 3.0, 60.0, 4));
-    let (_, records) = parse_swf(&src).unwrap();
+    let (_, records) = parse_swf(src.as_bytes()).unwrap();
     assert_eq!(records.len(), 1);
     assert_eq!(records[0].job_number, 7);
     assert_eq!(records[0].think_time, -1.0);
@@ -164,7 +173,7 @@ fn integer_fields_written_as_floats_parse() {
     let mut fields: Vec<String> = good.split_whitespace().map(String::from).collect();
     fields[4] = "4.0".to_string(); // allocated procs as float
     fields[10] = "1.0".to_string(); // status as float
-    let (_, records) = parse_swf(&fields.join(" ")).unwrap();
+    let (_, records) = parse_swf(fields.join(" ").as_bytes()).unwrap();
     assert_eq!(records[0].allocated_procs, 4);
     assert_eq!(records[0].status, 1);
 }
@@ -176,7 +185,7 @@ fn mid_document_comments_are_collected_with_the_header() {
         data_line(1, 0.0, 10.0, 1),
         data_line(2, 5.0, 10.0, 1),
     );
-    let (comments, records) = parse_swf(&src).unwrap();
+    let (comments, records) = parse_swf(src.as_bytes()).unwrap();
     assert_eq!(records.len(), 2);
     assert_eq!(
         comments,
@@ -191,13 +200,13 @@ fn header_and_trace_survive_a_write_parse_roundtrip_with_dirty_input() {
         data_line(2, 100.0, 0.0, 8),
         data_line(1, 0.0, 50.0, 4),
     );
-    let (header, trace) = parse_swf_with_header(&src).unwrap();
+    let (header, trace) = parse_swf_with_header(src.as_bytes()).unwrap();
     assert_eq!(header.max_procs, Some(64));
     assert_eq!(trace.len(), 2);
     // Write the normalized trace back out and reparse: stable fixpoint.
     let records: Vec<SwfRecord> = trace.jobs().iter().map(SwfRecord::from_job).collect();
     let text = write_swf(&["MaxProcs: 64".to_string()], &records);
-    let (header2, trace2) = parse_swf_with_header(&text).unwrap();
+    let (header2, trace2) = parse_swf_with_header(text.as_bytes()).unwrap();
     assert_eq!(header2.max_procs, Some(64));
     // Ids are assigned in file order, so the normalized rewrite renumbers
     // them; everything the simulation reads is a fixpoint.

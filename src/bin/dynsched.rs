@@ -21,7 +21,7 @@ use dynsched::core::{
     learned_beat_adhoc, run_experiments, run_full_checkpointed, ExperimentResult, RunError,
 };
 use dynsched::mlreg::EnumerateOptions;
-use dynsched::policies::{by_name, paper_lineup, save_learned, Policy};
+use dynsched::policies::{by_name, paper_lineup, save_learned, MultiFactor, Policy};
 use dynsched::scheduler::{
     run_federation, run_federation_faulty, BackfillMode, ConservativeStats, FederationResult,
     FederationSpec, QueueDiscipline, Router, SchedulerConfig, SimWorkspace, SimulationResult,
@@ -260,11 +260,22 @@ fn load_capped(path: &str, cores: u32) -> Result<Trace, String> {
     Ok(capped)
 }
 
+/// The policy `name` on a `cores`-wide platform: `MF` normalizes its size
+/// factor to the platform it schedules, not to the registry's 256 cores.
+fn policy_for(name: &str, cores: u32) -> Option<Box<dyn Policy>> {
+    let policy = by_name(name)?;
+    if policy.name() == "MF" {
+        return Some(Box::new(MultiFactor::default().for_platform(cores)));
+    }
+    Some(policy)
+}
+
 /// The queue policy and the scheduler knobs `simulate` and `federate` share.
 fn replay_setup(args: &Args) -> Result<(Box<dyn Policy>, SchedulerConfig), String> {
     let name = args.text("--policy");
-    let policy = by_name(name).ok_or_else(|| format!("unknown policy {name:?}"))?;
-    let platform = Platform::new(args.num("<cores>"));
+    let cores = args.num("<cores>");
+    let policy = policy_for(name, cores).ok_or_else(|| format!("unknown policy {name:?}"))?;
+    let platform = Platform::new(cores);
     let mut config = if args.switch("--estimates") {
         SchedulerConfig::user_estimates(platform)
     } else {
@@ -359,7 +370,7 @@ fn run_federate(args: &[String]) -> Result<(FederationResult, bool, f64), String
     let learned = if router_name == "learned" {
         let name = args.opt_text("--router-policy");
         let name = name.unwrap_or(args.text("--policy"));
-        let p = by_name(name).ok_or_else(|| format!("unknown router policy {name:?}"))?;
+        let p = policy_for(name, cores).ok_or_else(|| format!("unknown router policy {name:?}"))?;
         let uncompiled = || format!("policy {name:?} has no compiled form to route with");
         Some(p.compile().ok_or_else(uncompiled)?)
     } else {
@@ -1102,6 +1113,34 @@ mod tests {
         assert_eq!(single.mean_wait(), federated.mean_wait());
         assert_eq!(single.makespan, federated.makespan());
         assert_eq!(single.backfilled_jobs, federated.backfilled_jobs());
+    }
+
+    #[test]
+    fn simulate_normalizes_mf_to_the_platform_it_schedules() {
+        // Regression: `--policy MF` divided every width by 256 cores, so on
+        // 1024 cores the 1000- and the 600-core job tied on size and the
+        // shorter one went first; normalized to 1024, the narrower does.
+        let jobs = vec![
+            Job::new(0, 0.0, 1000.0, 1000.0, 1024),
+            Job::new(1, 1.0, 100.0, 100.0, 1000),
+            Job::new(2, 1.0, 5000.0, 5000.0, 600),
+        ];
+        let path = swf_file("mf-wide", jobs, 1024);
+        let line = [path.as_str(), "1024", "--policy", "MF"];
+        let (cli, _, _) = run_simulate(&args(&line)).unwrap();
+        let trace = load_capped(&path, 1024).unwrap();
+        std::fs::remove_file(path).unwrap();
+        let mf = MultiFactor::default().for_platform(1024);
+        let config = SchedulerConfig::actual_runtimes(Platform::new(1024));
+        let mut ws = SimWorkspace::new();
+        ws.try_run(&trace, &QueueDiscipline::Policy(&mf), &config)
+            .unwrap();
+        let library = ws.take_result();
+        assert_eq!(cli.completed, library.completed);
+        assert_eq!(
+            cli.avg_bounded_slowdown(DEFAULT_TAU),
+            library.avg_bounded_slowdown(DEFAULT_TAU)
+        );
     }
 
     #[test]

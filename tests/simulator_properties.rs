@@ -153,7 +153,7 @@ fn swf_roundtrip_preserves_jobs() {
             .collect();
         let trace = Trace::from_jobs(rounded);
         let text = write_swf_trace(&trace, 32);
-        let back = parse_swf_trace(&text).unwrap();
+        let back = parse_swf_trace(text.as_bytes()).unwrap();
         assert_eq!(back.len(), trace.len(), "case {case}");
         for (a, b) in trace.jobs().iter().zip(back.jobs()) {
             assert!((a.submit - b.submit).abs() < 0.011, "case {case}");
