@@ -942,6 +942,28 @@ mod tests {
     }
 
     #[test]
+    fn scenario_eval_under_faults_preempts_and_moves_every_cell() {
+        let plain = [
+            "--eval", "--family", "bursty", "--cores", "64", "--days", "6",
+        ];
+        let faulty = args(&[&plain[..], &["--mtbf", "20000"]].concat());
+        let results = run_scenarios(&faulty).unwrap();
+        assert_eq!(results, run_scenarios(&faulty).unwrap(), "deterministic");
+        let preempted = results.iter().flat_map(|row| &row.outcomes);
+        assert!(preempted.clone().any(|o| o.mean_preempted > 0.0));
+        let clean = run_scenarios(&args(&plain)).unwrap();
+        assert_eq!(results.len(), clean.len());
+        for (row, clean) in results.iter().zip(&clean) {
+            assert_eq!(row.name, clean.name);
+            // Every cell's samples move; a median may not (SPT's under
+            // aggressive backfilling lands on an unaffected window).
+            for (o, c) in row.outcomes.iter().zip(&clean.outcomes) {
+                assert_ne!(o.ave_bslds, c.ave_bslds, "{}: {}", row.name, o.policy);
+            }
+        }
+    }
+
+    #[test]
     fn fault_rates_that_inject_nothing_are_refused() {
         // Regression: `--mtbf 0|-1|nan` (and `--fault-cores 0`) built a
         // profile with no failures in it, so the run exited 0 and printed
