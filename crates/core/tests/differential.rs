@@ -21,8 +21,11 @@
 //!   reduced the way the per-cell loop did).
 //!
 //! Below them sit a convergence curve against per-trial runs, the learning
-//! golden (one `run_full` at each width), and the named cases that pin a
-//! contract that is not a differential path.
+//! golden (one `run_full` at each width), the one-tuple `trial_scores` and a
+//! seed-stable model row at every width (the root package's former
+//! `determinism` suite; its "different seeds differ" is a coverage row of
+//! the evaluation half), and the named cases that pin a contract that is
+//! not a differential path.
 //!
 //! # Reading a failure
 //!
@@ -38,7 +41,8 @@
 use dynsched_cluster::{AvailabilitySchedule, FaultProfile, Job, Platform, DEFAULT_TAU};
 use dynsched_core::convergence::{convergence_curve, ConvergencePoint};
 use dynsched_core::experiments::{
-    run_experiments, try_run_experiments, Experiment, ExperimentResult, PolicyOutcome,
+    run_experiment, run_experiments, try_run_experiments, Experiment, ExperimentResult,
+    PolicyOutcome,
 };
 use dynsched_core::pipeline::{generate_training_set, run_full, FullRunConfig, TrainingConfig};
 use dynsched_core::report::full_run_markdown;
@@ -49,12 +53,12 @@ use dynsched_core::scenarios::{
 use dynsched_core::session::{EvalCell, EvalSession};
 use dynsched_core::sweep::sweep_load;
 use dynsched_core::trials::{
-    divergence_horizon, run_trial, trial_outcomes_batched, trial_scores_batched, TrialBatch,
-    TrialScores, TrialSpec,
+    divergence_horizon, run_trial, trial_outcomes_batched, trial_scores, trial_scores_batched,
+    TrialBatch, TrialScores, TrialSpec,
 };
 use dynsched_core::tuples::{TaskTuple, TupleSpec};
 use dynsched_mlreg::{fit_all_reference, EnumerateOptions, FitResult};
-use dynsched_policies::{Fcfs, LearnedPolicy, Policy, Spt, TaskView, Wfp3};
+use dynsched_policies::{paper_lineup, Fcfs, LearnedPolicy, Policy, Spt, TaskView, Wfp3};
 use dynsched_scheduler::{
     simulate, QueueDiscipline, SchedulerConfig, SimMetrics, SimWorkspace, SimulationResult,
 };
@@ -465,6 +469,33 @@ fn probes_started_together_that_finish_together_fork_in_start_order() {
     };
     if let Err((index, failure)) = check(&[&case]) {
         disagree(index, &case.describe(), failure);
+    }
+}
+
+/// `trial_scores`, the one-tuple entry point, at the host's pool width and
+/// at both [`WIDTHS`], against per-trial runs: the thread-pool identity the
+/// root package's former `determinism` suite pinned, on its tuple and seeds.
+#[test]
+fn one_tuple_trial_scores_are_per_trial_runs_at_any_width() {
+    let spec = TupleSpec {
+        s_size: 4,
+        q_size: 8,
+        max_start_offset: 40_000.0,
+    };
+    let tuple = TaskTuple::generate(&spec, &LublinModel::new(64), &mut Rng::new(5));
+    let trial_spec = TrialSpec {
+        trials: 256,
+        platform: Platform::new(64),
+        tau: 10.0,
+    };
+    let want = per_trial(&tuple, trial_spec.trials, 11, 64).scores;
+    let run = || trial_scores(&tuple, &trial_spec, &Rng::new(11));
+    let host = ("host width", run());
+    let widths = WIDTHS.map(|(width, workers)| (width, with_worker_limit(workers, run)));
+    for (width, got) in [host].into_iter().chain(widths) {
+        if let Err(failure) = same(&format!("trial_scores [{width}]"), &got, &want) {
+            disagree(0, "the one-tuple entry point", failure);
+        }
     }
 }
 
@@ -1039,7 +1070,7 @@ fn every_evaluation_entry_point_equals_per_cell_runs() {
         let join = |t: std::thread::ScopedJoinHandle<'_, _>| t.join().expect("a grid panicked");
         threads.into_iter().map(join).collect()
     });
-    let mut cov = Coverage::new();
+    let mut cov = reached_by_reseeding();
     for (index, checked) in checked.into_iter().enumerate() {
         match checked {
             Ok(seen) => merge(&mut cov, seen),
@@ -1047,6 +1078,69 @@ fn every_evaluation_entry_point_equals_per_cell_runs() {
         }
     }
     assert_covered(&cov);
+}
+
+/// The protocol of the root package's former `determinism` suite: two
+/// one-day sequences of at least one job, at the default seed.
+fn seed_stable_scale() -> ScenarioScale {
+    let spec = SequenceSpec {
+        count: 2,
+        days: 1.0,
+        min_jobs: 1,
+    };
+    ScenarioScale {
+        spec,
+        ..ScenarioScale::default()
+    }
+}
+
+/// The 64-core model row under actual runtimes at `scale`, from a fresh
+/// store.
+fn model_row(scale: ScenarioScale) -> Experiment {
+    model_scenario_in(&TraceStore::new(), 64, Condition::ActualRuntimes, &scale)
+}
+
+/// The seed reaches the workload: [`seed_stable_scale`] reseeded
+/// (`seed ^ 0xFFFF`) cuts other sequences.
+fn reached_by_reseeding() -> Coverage {
+    let scale = seed_stable_scale();
+    let reseeded = ScenarioScale {
+        seed: scale.seed ^ 0xFFFF,
+        ..scale
+    };
+    let differ = model_row(scale).sequences != model_row(reseeded).sequences;
+    Coverage::from([(
+        "protocols a reseed gives other sequences",
+        u64::from(differ),
+    )])
+}
+
+/// One seed, one result: the row rebuilt from a fresh store at each width
+/// is the same row, and `run_experiment` over it under the paper's line-up
+/// is the per-cell oracle's (seed stability, from the root package's
+/// former `determinism` suite).
+#[test]
+fn a_row_rebuilt_from_its_seed_is_the_same_at_either_width() {
+    let (scale, lineup) = (seed_stable_scale(), paper_lineup());
+    let want = model_row(scale);
+    let wants = per_cell(std::slice::from_ref(&want), &lineup);
+    for (width, workers) in WIDTHS {
+        let (row, got) = with_worker_limit(workers, || {
+            let row = model_row(scale);
+            let got = run_experiment(&row, &lineup);
+            (row, got)
+        });
+        let rows = same_rows(
+            &format!("model_scenario_in [{width}]"),
+            &[row],
+            std::slice::from_ref(&want),
+        );
+        let path = format!("run_experiment [{width}]");
+        let results = rows.and_then(|()| same_results(&path, &[got], &wants.results));
+        if let Err(failure) = results {
+            disagree(0, "the seed-stable model row", failure);
+        }
+    }
 }
 
 /// `calibrated_to_load` asserts a target of at most 1.5, so the two model
