@@ -19,10 +19,10 @@
 //!   each cell in the engine's metrics-only mode;
 //! * [`experiments`] — the dynamic scheduling experiment harness
 //!   (ten 15-day sequences × policy line-up, Figs. 4–9);
-//! * [`scenarios`] — constructors for all 18 Table 4 rows, plus the
-//!   registry-scenario entry points ([`scenario_results`]) that evaluate
-//!   any named workload family of
-//!   [`dynsched_workload::registry`] under the same protocol;
+//! * [`scenarios`] — constructors for all 18 Table 4 rows, plus
+//!   [`scenario_results`], which evaluates the workload crate's six
+//!   [`ScenarioFamily`](dynsched_workload::ScenarioFamily) generators under
+//!   the same three conditions, optionally under a fault profile;
 //! * [`report`] — artifact-style output and the Table 4 comparison
 //!   against the published medians;
 //! * [`checkpoint`] — stage-checkpointed [`run_full`]

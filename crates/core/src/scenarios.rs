@@ -47,21 +47,21 @@
 //! they were (6.4–6.7 and 16.7–16.8 MB before and after).
 //!
 //! Beyond the paper's grid, [`scenario_experiment`] / [`scenario_results`]
-//! turn any named [`ScenarioFamily`] of the workload registry (heavy-tail,
-//! bursty, diurnal, Feitelson'96, …) into the same `Experiment` currency,
-//! so `run_experiments`, sweeps, and the CLI evaluate registry scenarios
-//! exactly like Table-4 rows.
+//! turn the workload crate's [`ScenarioFamily`]s (heavy-tail, bursty,
+//! diurnal, Feitelson'96, …) into the same `Experiment` currency, so
+//! `dynsched scenarios --eval` runs them exactly like Table-4 rows, under
+//! a fault profile when asked.
 
 use crate::experiments::{run_experiments, Experiment, ExperimentResult};
-use dynsched_cluster::Platform;
+use dynsched_cluster::{FaultProfile, Platform};
 use dynsched_policies::Policy;
 use dynsched_scheduler::SchedulerConfig;
 use dynsched_simkit::parallel::par_map_scoped;
 use dynsched_simkit::Rng;
 use dynsched_workload::sequence::SequenceError;
 use dynsched_workload::{
-    extract_sequences, ArchivePlatform, LublinModel, ScenarioFamily, ScenarioParams,
-    ScenarioRegistry, SequenceSpec, Trace, TraceKey, TraceStore, TsafrirEstimates,
+    extract_sequences, ArchivePlatform, LublinModel, ScenarioFamily, ScenarioParams, SequenceSpec,
+    Trace, TraceKey, TraceStore, TsafrirEstimates,
 };
 
 /// The three evaluation conditions of the paper.
@@ -337,16 +337,12 @@ pub fn table4_results_in(
     run_experiments(&table4_experiments_in(store, scale), policies)
 }
 
-/// Build one experiment from a named registry scenario family: the
-/// family's sequences (interned in `store` under the family's key) paired
-/// with the scheduler `condition` implies for `params.cores`. A fault
-/// profile attached to the family
-/// ([`ScenarioFamily::with_fault_profile`]) carries over to the
-/// experiment, so the family's evaluations run under deterministic
-/// failure schedules.
+/// Build one experiment from a scenario family: the family's sequences
+/// (interned in `store` under the family's key) paired with the scheduler
+/// `condition` implies for `params.cores`.
 pub fn scenario_experiment(
     store: &TraceStore,
-    family: &ScenarioFamily,
+    family: ScenarioFamily,
     params: &ScenarioParams,
     condition: Condition,
     scale: &ScenarioScale,
@@ -354,7 +350,7 @@ pub fn scenario_experiment(
     let sequences = family
         .sequences(store, params, &scale.spec, scale.seed)
         .map_err(|e| format!("scenario {:?}: {e}", family.name()))?;
-    let mut experiment = Experiment::from_views(
+    Ok(Experiment::from_views(
         format!(
             "{} scenario, {} cores, {}",
             family.name(),
@@ -363,37 +359,33 @@ pub fn scenario_experiment(
         ),
         sequences,
         condition.scheduler(Platform::new(params.cores)),
-    );
-    if let Some(profile) = family.fault_profile() {
-        experiment = experiment.with_fault_profile(profile.clone());
-    }
-    Ok(experiment)
+    ))
 }
 
-/// Evaluate named registry scenario families under every condition as
-/// **one** batched session: each `(family × condition)` pair becomes an
-/// experiment row (family-major, conditions in paper order), and all
-/// `row × policy × sequence` cells share a single fan-out. Families are
-/// resolved in `registry`; sequences intern in `store`, so the three
-/// conditions of one family share one build — the same contract as the
-/// Table-4 grid.
+/// Evaluate scenario families under every condition as **one** batched
+/// session: each `(family × condition)` pair becomes an experiment row
+/// (family-major, conditions in paper order), and all `row × policy ×
+/// sequence` cells share a single fan-out. Every row runs under `fault`
+/// when one is given ([`Experiment::with_fault_profile`]): the profile
+/// shapes the simulation, never the jobs. Sequences intern in `store`, so
+/// the three conditions of one family share one build — the same contract
+/// as the Table-4 grid.
 pub fn scenario_results(
     store: &TraceStore,
-    registry: &ScenarioRegistry,
-    names: &[&str],
+    families: &[ScenarioFamily],
     params: &ScenarioParams,
     scale: &ScenarioScale,
+    fault: Option<&FaultProfile>,
     policies: &[Box<dyn Policy>],
 ) -> Result<Vec<ExperimentResult>, String> {
-    let mut experiments = Vec::with_capacity(names.len() * Condition::ALL.len());
-    for name in names {
-        let family = registry
-            .get(name)
-            .ok_or_else(|| format!("unknown scenario family {name:?}"))?;
+    let mut experiments = Vec::with_capacity(families.len() * Condition::ALL.len());
+    for &family in families {
         for condition in Condition::ALL {
-            experiments.push(scenario_experiment(
-                store, family, params, condition, scale,
-            )?);
+            let experiment = scenario_experiment(store, family, params, condition, scale)?;
+            experiments.push(match fault {
+                Some(profile) => experiment.with_fault_profile(profile.clone()),
+                None => experiment,
+            });
         }
     }
     Ok(run_experiments(&experiments, policies))
@@ -486,42 +478,8 @@ mod tests {
     }
 
     #[test]
-    fn family_fault_profiles_carry_into_scenario_experiments() {
-        use dynsched_cluster::FaultProfile;
-        let registry = ScenarioRegistry::builtin();
-        let store = TraceStore::new();
-        let params = ScenarioParams {
-            cores: 64,
-            span_days: 4.0,
-            target_load: 0.9,
-        };
-        let scale = ScenarioScale {
-            spec: dynsched_workload::SequenceSpec {
-                count: 2,
-                days: 1.0,
-                min_jobs: 2,
-            },
-            ..ScenarioScale::default()
-        };
-        let plain = registry.get("lublin").unwrap();
-        let exp =
-            scenario_experiment(&store, plain, &params, Condition::ActualRuntimes, &scale).unwrap();
-        assert!(exp.fault.is_none());
-        let profile = FaultProfile::failures(40_000.0, 2_000.0, 8, 13);
-        let faulty = plain.clone().with_fault_profile(profile.clone());
-        let exp = scenario_experiment(&store, &faulty, &params, Condition::ActualRuntimes, &scale)
-            .unwrap();
-        assert_eq!(exp.fault.as_ref(), Some(&profile));
-        // Same sequences either way: the profile never touches the jobs.
-        let base =
-            scenario_experiment(&store, plain, &params, Condition::ActualRuntimes, &scale).unwrap();
-        assert_eq!(exp.sequences, base.sequences);
-    }
-
-    #[test]
     fn scenario_results_cover_named_families_under_all_conditions() {
         use dynsched_policies::{Fcfs, Spt};
-        let registry = ScenarioRegistry::builtin();
         let store = TraceStore::new();
         let params = ScenarioParams {
             cores: 64,
@@ -537,9 +495,8 @@ mod tests {
             ..ScenarioScale::default()
         };
         let lineup: Vec<Box<dyn Policy>> = vec![Box::new(Fcfs), Box::new(Spt)];
-        let names = ["heavy-tail", "bursty"];
-        let results =
-            scenario_results(&store, &registry, &names, &params, &scale, &lineup).unwrap();
+        let families = [ScenarioFamily::HeavyTail, ScenarioFamily::Bursty];
+        let results = scenario_results(&store, &families, &params, &scale, None, &lineup).unwrap();
         assert_eq!(results.len(), 6, "2 families x 3 conditions");
         assert!(results[0].name.starts_with("heavy-tail"));
         assert!(results[5].name.starts_with("bursty"));
@@ -554,6 +511,5 @@ mod tests {
                 assert!(outcome.median >= 1.0);
             }
         }
-        assert!(scenario_results(&store, &registry, &["nope"], &params, &scale, &lineup).is_err());
     }
 }

@@ -67,7 +67,7 @@ use dynsched_simkit::stats::{mean, median, std_dev, std_dev_population, BoxplotS
 use dynsched_simkit::Rng;
 use dynsched_workload::transform::scale_load;
 use dynsched_workload::{
-    ArchivePlatform, LublinModel, ScenarioParams, ScenarioRegistry, SequenceSpec, Trace, TraceStore,
+    ArchivePlatform, LublinModel, ScenarioFamily, ScenarioParams, SequenceSpec, Trace, TraceStore,
 };
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -576,7 +576,7 @@ const GRIDS: [Grid; 7] = [
 ];
 
 const TARGETS: [f64; 3] = [0.3, 0.8, 1.3];
-const FAMILIES: [&str; 2] = ["heavy-tail", "bursty"];
+const FAMILIES: [ScenarioFamily; 2] = [ScenarioFamily::HeavyTail, ScenarioFamily::Bursty];
 const PARAMS: ScenarioParams = ScenarioParams {
     cores: 64,
     span_days: 4.0,
@@ -630,17 +630,11 @@ fn hand_sequences() -> [(&'static str, Trace); 3] {
     ]
 }
 
-/// The built-in registry, with the [`FAMILIES`] re-registered under a
-/// fault profile when `faulty`: 16-core failures every 40 minutes or so
-/// and one retry, so one-day sequences see preemptions and abandonments.
-fn registry(faulty: bool) -> ScenarioRegistry {
-    let mut registry = ScenarioRegistry::builtin();
-    let profile = FaultProfile::failures(2_400.0, 600.0, 16, SEED).with_max_retries(1);
-    for name in FAMILIES.iter().filter(|_| faulty) {
-        let family = registry.get(name).expect("a built-in family").clone();
-        registry.register(family.with_fault_profile(profile.clone()));
-    }
-    registry
+/// The fault profile the [`FAMILIES`] run under when `faulty`: 16-core
+/// failures every 40 minutes or so and one retry, so one-day sequences see
+/// preemptions and abandonments.
+fn fault(faulty: bool) -> Option<FaultProfile> {
+    faulty.then(|| FaultProfile::failures(2_400.0, 600.0, 16, SEED).with_max_retries(1))
 }
 
 /// One grid's inputs, drawn from its own stream of [`SEED`]: the line-up,
@@ -687,12 +681,15 @@ fn draw(index: usize, grid: Grid) -> Drawn {
             TARGETS.map(at).to_vec()
         }
         Grid::Registry { faulty } => {
-            let registry = registry(faulty);
-            let row = |name: &str, c| {
-                let family = registry.get(name).expect("a built-in family");
-                scenario_experiment(&store, family, &PARAMS, c, &scale).expect("enough windows")
+            let row = |family, c| {
+                let row = scenario_experiment(&store, family, &PARAMS, c, &scale);
+                let row = row.expect("enough windows");
+                match fault(faulty) {
+                    Some(profile) => row.with_fault_profile(profile),
+                    None => row,
+                }
             };
-            let rows = FAMILIES.map(|name| Condition::ALL.map(|c| row(name, c)));
+            let rows = FAMILIES.map(|family| Condition::ALL.map(|c| row(family, c)));
             rows.into_iter().flatten().collect()
         }
         Grid::Hand => {
@@ -928,8 +925,9 @@ fn entry(d: &Drawn, width: &str) -> Result<Vec<ExperimentResult>, Failure> {
             Ok(points.into_iter().map(|p| p.result).collect())
         }
         Grid::Registry { faulty } => {
-            let (store, registry) = (TraceStore::new(), registry(faulty));
-            let got = scenario_results(&store, &registry, &FAMILIES, &PARAMS, &d.scale, lineup);
+            let (store, fault) = (TraceStore::new(), fault(faulty));
+            let got =
+                scenario_results(&store, &FAMILIES, &PARAMS, &d.scale, fault.as_ref(), lineup);
             // Per family, one base trace and one sequence set serve all
             // three conditions.
             let builds = store.builds();

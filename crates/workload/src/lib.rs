@@ -14,9 +14,10 @@
 //! * [`partition`] — per-shard trace partitioning: [`TraceSlice`] presents
 //!   a routed subsequence of a parent trace as a [`TraceSource`] without
 //!   copying, the shard-local input of the scheduler's federation layer;
-//! * [`registry`] — named scenario families (heavy-tail, bursty, diurnal,
-//!   Feitelson'96, Tsafrir-estimate mixes) addressable by every evaluation
-//!   entry point;
+//! * [`registry`] — the six scenario families beyond the paper
+//!   (heavy-tail, bursty, diurnal, Feitelson'96, Tsafrir-estimate mixes),
+//!   one [`ScenarioFamily`] enum that `dynsched scenarios` lists and
+//!   evaluates;
 //! * [`swf`] — full Standard Workload Format reader/writer with streaming
 //!   (`BufRead`, line-by-line) ingestion, so real Parallel Workloads
 //!   Archive logs can be dropped into the harness without fitting in one
@@ -75,7 +76,7 @@ pub use feitelson::FeitelsonModel;
 pub use lanes::JobLanes;
 pub use lublin::LublinModel;
 pub use partition::TraceSlice;
-pub use registry::{ScenarioCalibration, ScenarioFamily, ScenarioParams, ScenarioRegistry};
+pub use registry::{ScenarioCalibration, ScenarioFamily, ScenarioParams};
 pub use sequence::{extract_sequences, SequenceSpec};
 pub use store::{TraceColumns, TraceKey, TraceStore, TraceView};
 pub use swf::{

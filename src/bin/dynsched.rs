@@ -28,7 +28,7 @@ use dynsched::scheduler::{
 };
 use dynsched::simkit::durable::write_atomic;
 use dynsched::workload::{
-    read_swf_file, validate_trace, LublinModel, ScenarioParams, ScenarioRegistry, SequenceSpec,
+    read_swf_file, validate_trace, LublinModel, ScenarioFamily, ScenarioParams, SequenceSpec,
     Trace, TraceStore,
 };
 use std::process::ExitCode;
@@ -577,15 +577,16 @@ fn run_scenarios(args: &[String]) -> Result<Vec<ExperimentResult>, String> {
     let seed = args.num("--seed");
     let fault = fault_flags(&args, cores, seed);
 
-    let registry = ScenarioRegistry::builtin();
-    // The table below generates and calibrates the whole registry, which a
+    // The table below generates and calibrates every family, which a
     // misspelt family should not have to wait for.
     let eval = args.switch("--eval");
-    let family = args.opt_text("--family");
-    if let Some(name) = family.filter(|name| registry.get(name).is_none()) {
-        let known = registry.names().join(", ");
-        return Err(format!("bad --family: {name:?} is not one of {known}"));
-    }
+    let families = match args.opt_text("--family") {
+        None => ScenarioFamily::ALL.to_vec(),
+        Some(name) => vec![ScenarioFamily::by_name(name).ok_or_else(|| {
+            let known = ScenarioFamily::ALL.map(ScenarioFamily::name).join(", ");
+            format!("bad --family: {name:?} is not one of {known}")
+        })?],
+    };
     // `--eval` cuts its windows from the `--days` trace: refuse a span they
     // cannot fit before the table is printed, not after.
     let windows = EVAL_WINDOWS.count as f64 * EVAL_WINDOWS.days;
@@ -610,7 +611,7 @@ fn run_scenarios(args: &[String]) -> Result<Vec<ExperimentResult>, String> {
         "  {:<16} {:>8} {:>10} {:>10} {:>11} {:>10}  description",
         "family", "jobs", "jobs/day", "load", "runtime CV", "mean cores"
     );
-    for family in registry.families() {
+    for family in ScenarioFamily::ALL {
         let c = family.calibration(&store, &params, seed);
         println!(
             "  {:<16} {:>8} {:>10.1} {:>10.3} {:>11.2} {:>10.1}  {}",
@@ -627,18 +628,7 @@ fn run_scenarios(args: &[String]) -> Result<Vec<ExperimentResult>, String> {
     if !eval {
         return Ok(vec![]);
     }
-    let mut registry = registry;
-    let names: Vec<String> = match family {
-        Some(name) => vec![name.to_string()],
-        None => registry.names().iter().map(|n| n.to_string()).collect(),
-    };
     if let Some(profile) = &fault {
-        // Re-register the selected families with the profile attached:
-        // scenario_experiment carries it into each experiment row.
-        for name in &names {
-            let family = registry.get(name).expect("validated above").clone();
-            registry.register(family.with_fault_profile(profile.clone()));
-        }
         println!(
             "\nfault injection: MTBF {:.0}s, MTTR {:.0}s, {} cores per failure, {} retries",
             profile.mtbf, profile.mttr, profile.failure_cores, profile.max_retries
@@ -651,15 +641,14 @@ fn run_scenarios(args: &[String]) -> Result<Vec<ExperimentResult>, String> {
     };
     println!(
         "\nevaluating {} family(ies) under all three conditions...",
-        names.len()
+        families.len()
     );
-    let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
     let results = scenario_results(
         &store,
-        &registry,
-        &name_refs,
+        &families,
         &params,
         &scale,
+        fault.as_ref(),
         &paper_lineup(),
     )?;
     for row in &results {
