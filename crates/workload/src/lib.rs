@@ -4,7 +4,8 @@
 //!
 //! * [`trace`] — in-memory job traces with windowing/rebasing and summary
 //!   statistics, plus the [`TraceSource`] layout-abstraction trait the
-//!   scheduler engine is generic over;
+//!   scheduler engine is generic over (three layouts: [`Trace`],
+//!   [`TraceView`] and [`TraceSlice`]);
 //! * [`store`] — the columnar trace store: SoA job columns
 //!   ([`TraceColumns`]) behind `Arc`-shared [`TraceView`] handles,
 //!   interned by generation key in a [`TraceStore`];

@@ -48,9 +48,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A submit-sorted trace in structure-of-arrays layout: one dense column
-/// per job field. This is the storage format every simulation reads — the
-/// engine's arrival cursor walks [`TraceColumns::submits`] and its
-/// enqueue/complete paths assemble a [`Job`] from one lane of each column.
+/// per job field. This is the storage format every simulation reads,
+/// through the [`TraceView`] that shares it — the engine's arrival cursor
+/// walks the submit column and its enqueue/complete paths assemble a
+/// [`Job`] from one lane of each column.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceColumns {
     ids: Vec<u32>,
@@ -151,36 +152,6 @@ impl TraceColumns {
     }
 }
 
-impl TraceSource for TraceColumns {
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    fn id(&self, i: usize) -> u32 {
-        self.ids[i]
-    }
-
-    fn submit(&self, i: usize) -> f64 {
-        self.submit[i]
-    }
-
-    fn runtime(&self, i: usize) -> f64 {
-        self.runtime[i]
-    }
-
-    fn estimate(&self, i: usize) -> f64 {
-        self.estimate[i]
-    }
-
-    fn cores(&self, i: usize) -> u32 {
-        self.cores[i]
-    }
-
-    fn job(&self, i: usize) -> Job {
-        TraceColumns::job(self, i)
-    }
-}
-
 /// A cheap shared handle over one [`TraceColumns`]. Cloning bumps a
 /// reference count; the columns themselves are immutable once built, so a
 /// view can be handed to any number of grid cells (or worker threads)
@@ -234,27 +205,27 @@ impl PartialEq for TraceView {
 
 impl TraceSource for TraceView {
     fn len(&self) -> usize {
-        self.columns.len()
+        self.columns.ids.len()
     }
 
     fn id(&self, i: usize) -> u32 {
-        TraceSource::id(&*self.columns, i)
+        self.columns.ids[i]
     }
 
     fn submit(&self, i: usize) -> f64 {
-        TraceSource::submit(&*self.columns, i)
+        self.columns.submit[i]
     }
 
     fn runtime(&self, i: usize) -> f64 {
-        TraceSource::runtime(&*self.columns, i)
+        self.columns.runtime[i]
     }
 
     fn estimate(&self, i: usize) -> f64 {
-        TraceSource::estimate(&*self.columns, i)
+        self.columns.estimate[i]
     }
 
     fn cores(&self, i: usize) -> u32 {
-        TraceSource::cores(&*self.columns, i)
+        self.columns.cores[i]
     }
 
     fn job(&self, i: usize) -> Job {

@@ -11,13 +11,14 @@ use dynsched_cluster::Job;
 /// Read access to a submit-sorted job sequence, independent of storage
 /// layout.
 ///
-/// The scheduler engine is generic over this trait, so it can stride an
-/// AoS [`Trace`] (the construction/transformation format) or read the
-/// dense SoA columns of a [`TraceView`](crate::store::TraceView) (the
-/// simulation format) without a conversion step on either side. Both
-/// layouts present the identical canonical `(submit, id)` order with the
-/// identical field values, which is why switching a call site between
-/// them is bit-invisible to every simulation result.
+/// The scheduler engine is generic over this trait, and three layouts
+/// implement it: the AoS [`Trace`] (the construction/transformation
+/// format), the dense SoA columns of a
+/// [`TraceView`](crate::store::TraceView) (the simulation format), and a
+/// shard's [`TraceSlice`](crate::partition::TraceSlice) of either. All
+/// present the identical canonical `(submit, id)` order with the identical
+/// field values, which is why switching a call site between them is
+/// bit-invisible to every simulation result.
 ///
 /// Positions `i` are *trace positions* (`0..len`), the same dense index
 /// the engine keys its running tables by.
