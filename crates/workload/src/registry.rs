@@ -289,17 +289,6 @@ impl ScenarioFamily {
             .get_or_try_build_set(key, || extract_sequences(&base.to_trace(), spec))?
             .to_vec())
     }
-
-    /// Measure the family at one parameter point (generates the trace via
-    /// `store`, so a later evaluation at the same point reuses the build).
-    pub fn calibration(
-        self,
-        store: &TraceStore,
-        params: &ScenarioParams,
-        seed: u64,
-    ) -> ScenarioCalibration {
-        ScenarioCalibration::of(&self.view(store, params, seed), params.cores)
-    }
 }
 
 /// Tiny deterministic string hash (FNV-1a), used to give each family (and
@@ -399,8 +388,10 @@ mod tests {
             span_days: 6.0,
             target_load: 0.8,
         };
-        let reference = ScenarioFamily::Lublin.calibration(&store, &p, 11);
-        let heavy = ScenarioFamily::HeavyTail.calibration(&store, &p, 11);
+        let calibration =
+            |family: ScenarioFamily| ScenarioCalibration::of(&family.view(&store, &p, 11), p.cores);
+        let reference = calibration(ScenarioFamily::Lublin);
+        let heavy = calibration(ScenarioFamily::HeavyTail);
         assert!(
             heavy.runtime_cv > reference.runtime_cv,
             "heavy-tail CV {} should exceed reference CV {}",
@@ -429,10 +420,10 @@ mod tests {
             min_jobs: 2,
         };
         let family = ScenarioFamily::Lublin;
-        // Calibration interns the base trace; a later sequence extraction
-        // at the same point must reuse that build, adding only the
-        // windowed set.
-        family.calibration(&store, &p, 31);
+        // The listing's calibration interns the base trace; a later
+        // sequence extraction at the same point must reuse that build,
+        // adding only the windowed set.
+        family.view(&store, &p, 31);
         assert_eq!(store.builds(), 1);
         family.sequences(&store, &p, &spec, 31).unwrap();
         assert_eq!(store.builds(), 2, "base trace must not regenerate");
@@ -444,7 +435,7 @@ mod tests {
         let store = TraceStore::new();
         let p = quick_params();
         for family in ScenarioFamily::ALL {
-            let c = family.calibration(&store, &p, 17);
+            let c = ScenarioCalibration::of(&family.view(&store, &p, 17), p.cores);
             assert!(c.jobs > 0, "{}", family.name());
             assert!(c.jobs_per_day > 0.0);
             assert!(c.offered_load.is_finite() && c.offered_load > 0.0);
@@ -477,7 +468,7 @@ mod tests {
         };
         let store = TraceStore::new();
         for family in ScenarioFamily::ALL {
-            let c = family.calibration(&store, &brief, 0x5C17);
+            let c = ScenarioCalibration::of(&family.view(&store, &brief, 0x5C17), p.cores);
             assert!(c.jobs_per_day.is_finite(), "{}", family.name());
             assert!(c.offered_load.is_finite(), "{}", family.name());
             assert!(c.jobs > 1 || c.jobs_per_day == 0.0, "{}", family.name());

@@ -28,8 +28,8 @@ use dynsched::scheduler::{
 };
 use dynsched::simkit::durable::write_atomic;
 use dynsched::workload::{
-    read_swf_file, validate_trace, LublinModel, ScenarioFamily, ScenarioParams, SequenceSpec,
-    Trace, TraceStore,
+    read_swf_file, validate_trace, LublinModel, ScenarioCalibration, ScenarioFamily,
+    ScenarioParams, SequenceSpec, Trace, TraceStore,
 };
 use std::process::ExitCode;
 #[path = "dynsched/args.rs"]
@@ -612,7 +612,7 @@ fn run_scenarios(args: &[String]) -> Result<Vec<ExperimentResult>, String> {
         "family", "jobs", "jobs/day", "load", "runtime CV", "mean cores"
     );
     for family in ScenarioFamily::ALL {
-        let c = family.calibration(&store, &params, seed);
+        let c = ScenarioCalibration::of(&family.view(&store, &params, seed), cores);
         println!(
             "  {:<16} {:>8} {:>10.1} {:>10.3} {:>11.2} {:>10.1}  {}",
             family.name(),
