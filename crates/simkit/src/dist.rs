@@ -29,6 +29,7 @@ pub struct Uniform {
 impl Uniform {
     /// Create a uniform distribution; requires `lo <= hi` and finite bounds.
     pub fn new(lo: f64, hi: f64) -> Self {
+        // Caller contract (doc above): finite bounds in order.
         assert!(
             lo.is_finite() && hi.is_finite() && lo <= hi,
             "invalid uniform bounds"
@@ -56,6 +57,7 @@ pub struct Exponential {
 impl Exponential {
     /// Create an exponential distribution; requires `lambda > 0`.
     pub fn new(lambda: f64) -> Self {
+        // Caller contract: rates come from model constants or validated flags.
         assert!(
             lambda > 0.0 && lambda.is_finite(),
             "lambda must be positive"
@@ -89,6 +91,7 @@ pub struct Normal {
 impl Normal {
     /// Create a normal distribution; requires `sigma >= 0`.
     pub fn new(mu: f64, sigma: f64) -> Self {
+        // Caller contract (doc above); the gamma sampler passes (0, 1).
         assert!(
             sigma >= 0.0 && sigma.is_finite() && mu.is_finite(),
             "invalid normal params"
@@ -128,7 +131,9 @@ pub struct Gamma {
 impl Gamma {
     /// Create a gamma distribution; requires `alpha > 0`, `beta > 0`.
     pub fn new(alpha: f64, beta: f64) -> Self {
+        // Caller contract: the Lublin model's constants and its calibrated `b2`.
         assert!(alpha > 0.0 && alpha.is_finite(), "alpha must be positive");
+        // Caller contract: as for `alpha`.
         assert!(beta > 0.0 && beta.is_finite(), "beta must be positive");
         Self { alpha, beta }
     }
@@ -198,10 +203,12 @@ pub struct TwoStageUniform {
 impl TwoStageUniform {
     /// Create the distribution; requires `lo <= med <= hi`, `prob` in `[0,1]`.
     pub fn new(lo: f64, med: f64, hi: f64, prob: f64) -> Self {
+        // Caller contract: the Lublin size model on a platform of >= 2 cores.
         assert!(
             lo <= med && med <= hi,
             "two-stage uniform needs lo <= med <= hi"
         );
+        // Caller contract: a model constant.
         assert!((0.0..=1.0).contains(&prob), "prob must be in [0,1]");
         Self { lo, med, hi, prob }
     }

@@ -73,6 +73,7 @@ impl<E> EventQueue<E> {
     /// Panics if `time` is NaN; a NaN timestamp is no instant the clock
     /// could ever advance to.
     pub fn push(&mut self, time: Time, event: E) {
+        // Caller contract (`# Panics` above).
         assert!(!time.is_nan(), "event time must not be NaN");
         let at = self
             .events
@@ -157,6 +158,7 @@ impl Clock {
     /// # Panics
     /// Panics if `t` is earlier than the current time (causality violation).
     pub fn advance_to(&mut self, t: Time) {
+        // Invariant: callers advance to the time of the event they popped.
         assert!(
             t >= self.now,
             "clock moved backwards: now={} requested={}",

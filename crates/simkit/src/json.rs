@@ -145,6 +145,7 @@ impl Json {
             Json::Bool(false) => out.push_str("false"),
             Json::Uint(u) => {
                 use fmt::Write;
+                // Invariant: formatting into a `String` cannot fail.
                 write!(out, "{u}").expect("write to String cannot fail");
             }
             Json::F64(x) => write_f64(*x, out),
@@ -180,6 +181,7 @@ impl Json {
 /// `NaN` / `inf` / `-inf` otherwise. The hex half is [`f64::to_bits`].
 fn write_f64(x: f64, out: &mut String) {
     use fmt::Write;
+    // Invariant: formatting into a `String` cannot fail.
     write!(out, "{x:?}${:016x}", x.to_bits()).expect("write to String cannot fail");
 }
 
@@ -194,6 +196,7 @@ fn write_escaped(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
+                // Invariant: formatting into a `String` cannot fail.
                 write!(out, "\\u{:04x}", c as u32).expect("write to String cannot fail");
             }
             c => out.push(c),
@@ -478,6 +481,8 @@ impl<'a> Parser<'a> {
             }
             None
         };
+        // Invariant: the scan above consumed only ASCII signs, digits, '.',
+        // exponent markers or a non-finite keyword.
         let decimal =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("number tokens are ASCII");
 
@@ -492,6 +497,8 @@ impl<'a> Parser<'a> {
             if hex.len() != 16 {
                 return Err(self.err("expected exactly 16 hex digits after '$'"));
             }
+            // Invariant: exactly 16 bytes, each an ASCII hex digit (the scan
+            // above), so both conversions succeed.
             let bits =
                 u64::from_str_radix(std::str::from_utf8(hex).expect("hex digits are ASCII"), 16)
                     .expect("16 hex digits fit in u64");

@@ -36,12 +36,15 @@
 //! # Panic isolation
 //!
 //! A panic inside a worker closure does not abort the fan-out scope or
-//! leak completed slots: the supervised drivers
-//! ([`parallel::try_run_scoped`] and friends) catch the unwind, stop the
-//! remaining workers, join the scope cleanly and return a structured
-//! [`parallel::PoolError`] naming the failing slot. The panicking drivers
-//! (`run_scoped`, `par_map_scoped`, `for_each_part_mut`) re-raise the
-//! original payload after the clean join.
+//! leak completed slots. Every threaded fan-out runs the same supervised
+//! worker loop: each part of the output a worker claims (a `split_at_mut`
+//! piece, so disjointness is the borrow checker's) runs under
+//! `catch_unwind`, and the first panic stops the claiming; the scope then
+//! joins cleanly and the slots completed so far are dropped. [`parallel::try_run_scoped`]
+//! returns that panic as a structured [`parallel::PoolError`] naming the
+//! failing slot; `run_scoped`, `par_map_scoped` and `for_each_part_mut`
+//! re-raise the original payload. A one-worker fan-out runs inline under
+//! the same contract.
 //!
 //! # Determinism contract
 //!

@@ -120,6 +120,7 @@ impl Rng {
     /// # Panics
     /// Panics if `n == 0`.
     pub fn next_below(&mut self, n: u64) -> u64 {
+        // Caller contract (`# Panics`): an empty range has no member to draw.
         assert!(n > 0, "next_below(0) is meaningless");
         let mut x = self.next_u64();
         let mut m = (x as u128) * (n as u128);
@@ -140,6 +141,7 @@ impl Rng {
     /// # Panics
     /// Panics if `lo > hi`.
     pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
+        // Caller contract (`# Panics`), and it keeps `hi - lo + 1` from wrapping to 0.
         assert!(lo <= hi, "range_u64: lo > hi");
         lo + self.next_below(hi - lo + 1)
     }
@@ -174,6 +176,7 @@ impl Rng {
     /// # Panics
     /// Panics if the slice is empty.
     pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> &'a T {
+        // Caller contract (`# Panics`).
         assert!(!slice.is_empty(), "choose on empty slice");
         &slice[self.next_below(slice.len() as u64) as usize]
     }
@@ -188,6 +191,7 @@ impl Rng {
             .iter()
             .map(|&w| if w.is_finite() && w > 0.0 { w } else { 0.0 })
             .sum();
+        // Caller contract (`# Panics`): the Feitelson size weights are positive.
         assert!(
             total > 0.0,
             "choose_weighted: total weight must be positive"
@@ -200,7 +204,8 @@ impl Rng {
             }
             u -= w;
         }
-        // Floating-point round-off: return the last positively-weighted index.
+        // Floating-point round-off: return the last positively-weighted index,
+        // which exists because `total > 0`.
         weights
             .iter()
             .rposition(|&w| w.is_finite() && w > 0.0)

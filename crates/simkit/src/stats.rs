@@ -50,6 +50,7 @@ pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
 
 /// Quantile of an already-sorted slice (ascending). Panics on empty input.
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
+    // Caller contract (documented above): `quantile` and the boxplot check first.
     assert!(!sorted.is_empty());
     let pos = q * (sorted.len() as f64 - 1.0);
     let lo = pos.floor() as usize;
@@ -115,6 +116,7 @@ impl BoxplotSummary {
             .rev()
             .copied()
             .find(|&x| x <= hi_fence)
+            // Invariant: `xs`, so `sorted`, is non-empty (checked above).
             .unwrap_or(*sorted.last().unwrap());
         let outliers = sorted
             .iter()
@@ -128,6 +130,7 @@ impl BoxplotSummary {
             whisker_lo,
             whisker_hi,
             outliers,
+            // Invariant: `xs` is non-empty (checked above).
             mean: mean(xs).unwrap(),
             count: xs.len(),
         })

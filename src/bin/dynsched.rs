@@ -602,6 +602,15 @@ fn run_scenarios(args: &[String]) -> Result<Vec<ExperimentResult>, String> {
         span_days: days,
         target_load: load,
     };
+    // Likewise a family whose trace yields too few usable windows. The
+    // sets intern in `store`, so the evaluation below reuses them.
+    if eval {
+        for &family in &families {
+            family
+                .sequences(&store, &params, &EVAL_WINDOWS, seed)
+                .map_err(|e| format!("scenario {:?}: {e}", family.name()))?;
+        }
+    }
 
     println!(
         "workload scenario registry ({} cores, {days}-day span, target load {load:.2}, seed {seed}):\n",
@@ -927,6 +936,22 @@ mod tests {
             for o in &row.outcomes {
                 assert_eq!(o.ave_bslds.len(), EVAL_WINDOWS.count, "{}", row.name);
             }
+        }
+    }
+
+    #[test]
+    fn scenario_eval_refuses_a_family_short_of_windows_before_printing() {
+        // At 64 cores over 6 days `feitelson96` yields 2 usable 2-day
+        // windows of the 3 `--eval` needs. The check runs before the
+        // calibration table, so the command prints nothing (CI checks the
+        // binary's stdout).
+        for family in [&[][..], &["--family", "feitelson96"]] {
+            let list = [&["--eval", "--cores", "64", "--days", "6"][..], family].concat();
+            let err = run_scenarios(&args(&list)).unwrap_err();
+            assert!(
+                err.starts_with("scenario \"feitelson96\": ") && err.contains("2 usable"),
+                "{err}"
+            );
         }
     }
 
