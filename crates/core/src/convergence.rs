@@ -32,9 +32,9 @@ pub struct ConvergencePoint {
 ///
 /// Every `(count × repetition)` cell of the study runs in **one** batched
 /// trial session ([`trial_scores_batched`]): the tuple's trace is built
-/// once and the whole curve shares a single fan-out, with per-cell streams
-/// forked from `(master, count index × 1000 + repetition)` exactly as the
-/// sequential per-cell loop did — the per-cell distributions are
+/// once and the whole curve shares one trial index space, with per-cell
+/// streams forked from `(master, count index × 1000 + repetition)` exactly
+/// as the sequential per-cell loop did — the per-cell distributions are
 /// bit-identical to it.
 pub fn convergence_curve(
     tuple: &TaskTuple,

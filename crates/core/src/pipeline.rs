@@ -61,9 +61,9 @@ pub struct LearnedReport {
 
 /// Generate the pooled training distribution (workflow 1 + 2 of the
 /// artifact). Every tuple's trial batch runs in **one** batched trial
-/// session ([`trial_scores_batched`]), so the whole training stage is a
-/// single fan-out over `tuples × trials` — no per-tuple parallel-region
-/// barrier. Streams are forked exactly as the sequential per-tuple loop
+/// session ([`trial_scores_batched`]), so the whole training stage is one
+/// index space over `tuples × trials`, cut into fixed-size windows rather
+/// than per-tuple parallel regions. Streams are forked exactly as the sequential per-tuple loop
 /// did (`2i` seeds tuple `i`, `2i+1` its trials), so the pooled set is
 /// bit-identical to it.
 pub fn generate_training_set(

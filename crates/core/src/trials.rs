@@ -21,6 +21,14 @@
 //! the tuple's trace is built once per call — the steady-state trial loop
 //! performs no heap allocation.
 //!
+//! The fan-out runs in windows of 2¹⁶ trials, over a set-up (traces,
+//! checkpoints, seeded sinks) built once per call. Each window's outcomes
+//! come back in global index order and are folded into the per-batch sums
+//! before the next window starts: the additions and their order are those
+//! of one fold over every trial, so the scores' bits do not depend on the
+//! window, and memory is bounded by the window, not by the trial budget
+//! (the paper's 256 000 trials per tuple).
+//!
 //! # Checkpoint and fork
 //!
 //! Every trial of a tuple shares an identical prefix: the warmup tasks `S`
@@ -59,6 +67,7 @@ use dynsched_scheduler::{
 use dynsched_simkit::parallel::run_scoped;
 use dynsched_simkit::Rng;
 use dynsched_workload::{Trace, TraceView};
+use std::ops::Range;
 
 /// Parameters of a trial run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -323,25 +332,34 @@ pub struct TrialBatch<'a> {
     pub master: Rng,
 }
 
+/// Trials [`trial_scores_batched`] fans out at a time before folding them
+/// into the per-batch sums: its outcome buffer is bounded by this, not by
+/// the trial budget, and each window costs one pool barrier.
+const TRIAL_WINDOW: usize = 1 << 16;
+
 /// Run many trial batches — different tuples, different trial counts,
-/// different streams — as **one** fan-out over the global trial index
-/// space, and build each batch's score distribution.
+/// different streams — as **one** global trial index space, and build
+/// each batch's score distribution.
 ///
 /// This is how the whole training stage and the convergence study keep the
 /// pool saturated: instead of one parallel region per tuple (or per
-/// repetition), every trial of every batch is an index in a single
-/// [`run_scoped`] call, executed by workers that each own one reusable
-/// [`SimWorkspace`]. Per distinct tuple — keyed by content, so batches
-/// sharing a tuple (or content-equal copies of one) share everything — the
-/// trace is built once and the permutation-invariant warmup prefix is
-/// simulated once into a shared [`Checkpoint`] at the tuple's divergence
-/// horizon ([`divergence_horizon`]: the first pass whose outcome can
-/// depend on the relative order of two `Q` tasks); every trial then
-/// *forks* from the snapshot instead of re-running the warmup, and keeps
-/// one number of its schedule, not the schedule. `platform` and `tau` are
-/// shared by every cell; each batch's `trials` field supplies its own
-/// count (which is why this takes no [`TrialSpec`] — its `trials` field
-/// would be a silently ignored parameter).
+/// repetition), every trial of every batch is an index in the same
+/// fan-out over [`run_scoped`], executed by workers that each own one
+/// reusable [`SimWorkspace`]. Per distinct tuple — keyed by content, so
+/// batches sharing a tuple (or content-equal copies of one) share
+/// everything — the trace is built once and the permutation-invariant
+/// warmup prefix is simulated once into a shared [`Checkpoint`] at the
+/// tuple's divergence horizon ([`divergence_horizon`]: the first pass
+/// whose outcome can depend on the relative order of two `Q` tasks);
+/// every trial then *forks* from the snapshot instead of re-running the
+/// warmup, and keeps one number of its schedule, not the schedule.
+/// `platform` and `tau` are shared by every cell; each batch's `trials`
+/// field supplies its own count (which is why this takes no [`TrialSpec`]
+/// — its `trials` field would be a silently ignored parameter).
+///
+/// The index space runs in windows of 2¹⁶ trials: each window's outcomes
+/// are folded into the per-batch sums before the next window starts, so
+/// memory is O(window + batches · |Q|), not one outcome per trial.
 ///
 /// # Panics
 ///
@@ -352,55 +370,24 @@ pub struct TrialBatch<'a> {
 /// Determinism: batch `b`'s distribution depends only on
 /// `(b.tuple, b.trials, b.master.seed())` — trial `i` of a batch forks
 /// stream `i` from that batch's master, and per-batch accumulation runs
-/// sequentially in trial order — so the output is bit-identical to calling
-/// [`trial_scores`] per batch, at any thread count.
+/// sequentially in trial order across windows — so the output is
+/// bit-identical to calling [`trial_scores`] per batch, at any thread
+/// count.
 pub fn trial_scores_batched(
     batches: &[TrialBatch<'_>],
     platform: Platform,
     tau: f64,
 ) -> Vec<TrialScores> {
-    // Per-trial outcomes come back in global index order and are
-    // accumulated sequentially per batch: float addition is not
-    // associative, so a parallel tree reduction would make the scores
-    // depend on the reduction's split points.
-    let outcomes = trial_outcomes_batched(batches, platform, tau);
-    let mut rest = outcomes.as_slice();
-    batches
-        .iter()
-        .map(|batch| {
-            let (mine, tail) = rest.split_at(batch.trials);
-            rest = tail;
-            let q = batch.tuple.q_tasks.len();
-            let mut sum_by_first = vec![0.0; q];
-            let mut count_by_first = vec![0u64; q];
-            let mut total = 0.0;
-            for &(first, ave) in mine {
-                sum_by_first[first] += ave;
-                count_by_first[first] += 1;
-                total += ave;
-            }
-            // Invariant, not input validation (zero-trial batches were
-            // rejected up front): every trial contributes an AVEbsld >= 1.
-            debug_assert!(
-                total >= batch.trials as f64,
-                "AVEbsld is bounded below by 1"
-            );
-            let scores = sum_by_first.iter().map(|s| s / total).collect();
-            TrialScores {
-                scores,
-                trials: batch.trials,
-                first_counts: count_by_first,
-            }
-        })
-        .collect()
+    scores_in_windows(batches, platform, tau, TRIAL_WINDOW)
 }
 
-/// The fan-out behind [`trial_scores_batched`], before the reduction: one
-/// `(k, AVEbsld)` per trial in global index order — batch `b`'s trials
-/// follow batch `b - 1`'s, trial `i` of a batch forks stream `i` of its
-/// master, and `k` is the task of `Q` its permutation ran first. Each
+/// The fan-out behind [`trial_scores_batched`] as one window over every
+/// trial: one `(k, AVEbsld)` per trial in global index order — batch `b`'s
+/// trials follow batch `b - 1`'s, trial `i` of a batch forks stream `i` of
+/// its master, and `k` is the task of `Q` its permutation ran first. Each
 /// outcome is bit-identical to [`run_trial`] under the same permutation,
-/// at any thread count.
+/// at any thread count. Every outcome is held at once, 16 bytes a trial:
+/// [`trial_scores_batched`] never asks for more than one window of them.
 ///
 /// # Panics
 ///
@@ -410,68 +397,163 @@ pub fn trial_outcomes_batched(
     platform: Platform,
     tau: f64,
 ) -> Vec<(usize, f64)> {
-    let config = SchedulerConfig::actual_runtimes(platform);
-    // One *columnar* trace per distinct tuple; batches over the same tuple
-    // (the convergence study's repetitions) share its storage, and every
-    // trial of every worker reads the same dense column lanes.
-    let (distinct, trace_of) = dedup_tuples(batches);
-    let traces: Vec<TraceView> = distinct
+    let plan = TrialPlan::new(batches, platform, tau);
+    plan.outcomes(0..plan.total())
+}
+
+/// [`trial_scores_batched`] with `window` trials per fan-out (at least
+/// one). Per-trial outcomes come back in global index order and are
+/// accumulated sequentially per batch, one window after another: float
+/// addition is not associative, so a parallel tree reduction would make
+/// the scores depend on the reduction's split points, while this fold
+/// makes the same additions in the same order at any window.
+fn scores_in_windows(
+    batches: &[TrialBatch<'_>],
+    platform: Platform,
+    tau: f64,
+    window: usize,
+) -> Vec<TrialScores> {
+    let plan = TrialPlan::new(batches, platform, tau);
+    let total = plan.total();
+    // Per batch: Σ AVEbsld and trial count by first task, and Σ AVEbsld.
+    let mut folds: Vec<(Vec<f64>, Vec<u64>, f64)> = batches
         .iter()
-        .map(|t| Trace::from_jobs(t.all_jobs()).to_view())
-        .collect();
-    // The snapshots the workers fork from, two runs per distinct tuple,
-    // amortized over the tuple's whole trial budget.
-    let mut identity: Vec<usize> = Vec::new();
-    let mut prefix_ws = SimWorkspace::new();
-    let checkpoints: Vec<Checkpoint> = distinct
-        .iter()
-        .zip(&traces)
-        .map(|(tuple, trace)| {
-            tuple_checkpoint(tuple, trace, &config, &mut prefix_ws, &mut identity)
+        .map(|b| {
+            let q = b.tuple.q_tasks.len();
+            (vec![0.0; q], vec![0; q], 0.0)
         })
         .collect();
-    // What a fork keeps: the probe set's slowdown sum and count, seeded
-    // once per tuple with the prefix's completions, so no fork replays,
-    // lists or re-filters them.
-    let seeds: Vec<TrialMetrics> = distinct
+    let mut b = 0;
+    for start in (0..total).step_by(window) {
+        let end = start + window.min(total - start);
+        for (g, (first, ave)) in (start..).zip(plan.outcomes(start..end)) {
+            while g >= plan.offsets[b + 1] {
+                b += 1;
+            }
+            let (sum_by_first, count_by_first, sum) = &mut folds[b];
+            sum_by_first[first] += ave;
+            count_by_first[first] += 1;
+            *sum += ave;
+        }
+    }
+    batches
         .iter()
-        .zip(&checkpoints)
-        .map(|(tuple, ckpt)| {
-            let probes = TrialMetrics::new(tuple.s_tasks.len() as JobId, tau);
-            ckpt.fold_prefix(probes)
+        .zip(folds)
+        .map(|(batch, (sum_by_first, count_by_first, sum))| {
+            // Invariant, not input validation (zero-trial batches were
+            // rejected up front): every trial contributes an AVEbsld >= 1.
+            debug_assert!(sum >= batch.trials as f64, "AVEbsld is bounded below by 1");
+            TrialScores {
+                scores: sum_by_first.iter().map(|s| s / sum).collect(),
+                trials: batch.trials,
+                first_counts: count_by_first,
+            }
         })
-        .collect();
-    // Global index layout: batch b owns indices offsets[b]..offsets[b+1].
-    let mut offsets: Vec<usize> = Vec::with_capacity(batches.len() + 1);
-    let mut total = 0usize;
-    offsets.push(0);
-    for b in batches {
-        total += b.trials;
-        offsets.push(total);
+        .collect()
+}
+
+/// What every trial of a batched call shares, built once per call and
+/// read by every window: the batches' distinct traces, the checkpoints
+/// and seeded sinks the trials fork from, and the global index layout.
+struct TrialPlan<'b, 't> {
+    batches: &'b [TrialBatch<'t>],
+    config: SchedulerConfig,
+    /// Batch `b`'s distinct-tuple slot in `traces`, `checkpoints`, `seeds`.
+    trace_of: Vec<usize>,
+    traces: Vec<TraceView>,
+    checkpoints: Vec<Checkpoint>,
+    seeds: Vec<TrialMetrics>,
+    /// Batch `b` owns global indices `offsets[b]..offsets[b + 1]`.
+    offsets: Vec<usize>,
+}
+
+impl<'b, 't> TrialPlan<'b, 't> {
+    fn new(batches: &'b [TrialBatch<'t>], platform: Platform, tau: f64) -> Self {
+        let config = SchedulerConfig::actual_runtimes(platform);
+        // One *columnar* trace per distinct tuple; batches over the same
+        // tuple (the convergence study's repetitions) share its storage,
+        // and every trial of every worker reads the same dense column lanes.
+        let (distinct, trace_of) = dedup_tuples(batches);
+        let traces: Vec<TraceView> = distinct
+            .iter()
+            .map(|t| Trace::from_jobs(t.all_jobs()).to_view())
+            .collect();
+        // The snapshots the workers fork from, two runs per distinct
+        // tuple, amortized over the tuple's whole trial budget.
+        let mut identity: Vec<usize> = Vec::new();
+        let mut prefix_ws = SimWorkspace::new();
+        let checkpoints: Vec<Checkpoint> = distinct
+            .iter()
+            .zip(&traces)
+            .map(|(tuple, trace)| {
+                tuple_checkpoint(tuple, trace, &config, &mut prefix_ws, &mut identity)
+            })
+            .collect();
+        // What a fork keeps: the probe set's slowdown sum and count, seeded
+        // once per tuple with the prefix's completions, so no fork replays,
+        // lists or re-filters them.
+        let seeds: Vec<TrialMetrics> = distinct
+            .iter()
+            .zip(&checkpoints)
+            .map(|(tuple, ckpt)| {
+                let probes = TrialMetrics::new(tuple.s_tasks.len() as JobId, tau);
+                ckpt.fold_prefix(probes)
+            })
+            .collect();
+        let mut offsets: Vec<usize> = Vec::with_capacity(batches.len() + 1);
+        let mut total = 0usize;
+        offsets.push(0);
+        for b in batches {
+            total += b.trials;
+            offsets.push(total);
+        }
+        Self {
+            batches,
+            config,
+            trace_of,
+            traces,
+            checkpoints,
+            seeds,
+            offsets,
+        }
     }
 
-    run_scoped(total, TrialState::default, |g, st| {
-        let b = offsets.partition_point(|&o| o <= g) - 1;
-        let batch = &batches[b];
+    /// Trials over every batch.
+    fn total(&self) -> usize {
+        self.offsets[self.batches.len()]
+    }
+
+    /// The `(k, AVEbsld)` outcome of every global trial index in `window`,
+    /// in index order, from one fan-out.
+    fn outcomes(&self, window: Range<usize>) -> Vec<(usize, f64)> {
+        run_scoped(window.len(), TrialState::default, |i, st| {
+            self.outcome(window.start + i, st)
+        })
+    }
+
+    /// Global trial `g`: trial `g - offsets[b]` of the batch `b` that owns it.
+    fn outcome(&self, g: usize, st: &mut TrialState) -> (usize, f64) {
+        let b = self.offsets.partition_point(|&o| o <= g) - 1;
+        let batch = &self.batches[b];
         let tuple = batch.tuple;
-        let mut rng = batch.master.fork((g - offsets[b]) as u64);
+        let mut rng = batch.master.fork((g - self.offsets[b]) as u64);
         let q = tuple.q_tasks.len();
         // Same RNG draws as `rng.permutation(q)`, into a kept buffer.
         st.perm.clear();
         st.perm.extend(0..q);
         rng.shuffle(&mut st.perm);
         fill_ranks(&mut st.ranks, tuple.s_tasks.len(), &st.perm);
-        let t = trace_of[b];
+        let t = self.trace_of[b];
         let trial = st.ws.resume_metrics_from(
-            &checkpoints[t],
-            &traces[t],
+            &self.checkpoints[t],
+            &self.traces[t],
             &QueueDiscipline::FixedOrder(&st.ranks),
-            &config,
-            seeds[t],
+            &self.config,
+            self.seeds[t],
         );
         let ave = trial.avg_bounded_slowdown().expect("Q is non-empty");
         (st.perm[0], ave)
-    })
+    }
 }
 
 /// Convert one tuple's scores into training observations
@@ -501,6 +583,7 @@ pub(crate) fn observations_of(tuple: &TaskTuple, scores: &[f64]) -> TrainingSet 
 mod tests {
     use super::*;
     use crate::tuples::TupleSpec;
+    use dynsched_simkit::parallel::with_worker_limit;
     use dynsched_workload::LublinModel;
 
     fn small_tuple(seed: u64) -> TaskTuple {
@@ -578,6 +661,53 @@ mod tests {
         let (distinct, trace_of) = dedup_tuples(&batches);
         assert_eq!(distinct.len(), 2, "content-equal copies must share a slot");
         assert_eq!(trace_of, vec![0, 0, 1]);
+    }
+
+    #[test]
+    fn windows_fold_to_the_bits_of_one_window_at_any_width() {
+        // Unequal trial counts, and a content-equal copy sharing a slot.
+        let t1 = small_tuple(36);
+        let copy = t1.clone();
+        let t2 = small_tuple(37);
+        let batches = vec![
+            TrialBatch {
+                tuple: &t1,
+                trials: 7,
+                master: Rng::new(4),
+            },
+            TrialBatch {
+                tuple: &t2,
+                trials: 11,
+                master: Rng::new(5),
+            },
+            TrialBatch {
+                tuple: &copy,
+                trials: 5,
+                master: Rng::new(6),
+            },
+        ];
+        let platform = Platform::new(64);
+        let total = 23;
+        let bits = |scores: &[TrialScores]| -> Vec<(Vec<u64>, Vec<u64>)> {
+            scores
+                .iter()
+                .map(|s| {
+                    let bits = s.scores.iter().map(|x| x.to_bits()).collect();
+                    (bits, s.first_counts.clone())
+                })
+                .collect()
+        };
+        let want = with_worker_limit(1, || {
+            bits(&scores_in_windows(&batches, platform, DEFAULT_TAU, total))
+        });
+        for window in [1, 5, 6, 7, 11, total - 1, total, total + 1, usize::MAX] {
+            for width in [1, 2, 4] {
+                let got = with_worker_limit(width, || {
+                    scores_in_windows(&batches, platform, DEFAULT_TAU, window)
+                });
+                assert_eq!(bits(&got), want, "window {window}, width {width}");
+            }
+        }
     }
 
     #[test]

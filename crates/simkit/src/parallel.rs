@@ -12,11 +12,14 @@
 //!
 //! Every driver here guarantees: output slot `i` depends only on the master
 //! seed and `i`, and the returned vector is ordered by index. Worker threads
-//! claim contiguous chunks of indices dynamically, so scheduling varies run
-//! to run — but since no per-task state leaks between indices (worker-local
-//! state handed out by [`run_scoped`] must be *reset* by the closure, never
-//! read), results do not. A randomized task forks its stream inside the
-//! closure: `master.fork(i as u64)`.
+//! claim contiguous chunks of indices dynamically, front to back, and the
+//! chunks shrink as the unclaimed tail does (guided self-scheduling,
+//! Polychronopoulos & Kuck, IEEE Trans. Computers 1987), so the last
+//! claims are single indices and the workers finish together. Scheduling
+//! varies run to run — but since no per-task state leaks between indices
+//! (worker-local state handed out by [`run_scoped`] must be *reset* by the
+//! closure, never read), results do not. A randomized task forks its
+//! stream inside the closure: `master.fork(i as u64)`.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -107,13 +110,14 @@ impl PoolError {
     }
 }
 
-/// The one supervised worker loop both drivers run. Part `k` is the next
-/// `part_len(k)` elements of `out` (`None`: no more parts), split off the
-/// front of the unclaimed tail with `split_at_mut`, in order. Each worker
-/// builds its state with `init`, then runs `run(k, part, &mut state, &mut
-/// at)` on the parts it claims; `at` starts at `k` and names the slot a
-/// panic is blamed on. `workers` threads work; the caller is one of them
-/// if `caller_works`, otherwise it only joins.
+/// The one supervised worker loop both drivers run. Part `k` starts at
+/// offset `start` of `out` (`out.len()` minus the unclaimed tail's length)
+/// and is the next `part_len(k, start)` elements (`None`: no more parts),
+/// split off the front of the unclaimed tail with `split_at_mut`, in
+/// order. Each worker builds its state with `init`, then runs `run(k,
+/// start, part, &mut state, &mut at)` on the parts it claims; `at` starts
+/// at `k` and names the slot a panic is blamed on. `workers` threads work;
+/// the caller is one of them if `caller_works`, otherwise it only joins.
 ///
 /// `init` and every `run` go under [`catch_unwind`]: the first panic, with
 /// its slot (`init`'s is [`usize::MAX`]), stops the claiming and comes
@@ -123,17 +127,18 @@ impl PoolError {
 /// scheduling; any of them makes the run a failed one.
 fn supervise<X, S>(
     out: &mut [X],
-    part_len: impl Fn(usize) -> Option<usize> + Sync,
+    part_len: impl Fn(usize, usize) -> Option<usize> + Sync,
     workers: usize,
     caller_works: bool,
     init: impl Fn() -> S + Sync,
-    run: impl Fn(usize, &mut [X], &mut S, &mut usize) + Sync,
+    run: impl Fn(usize, usize, &mut [X], &mut S, &mut usize) + Sync,
 ) -> Option<PanicAt>
 where
     X: Send,
 {
     // `(next part, unclaimed tail)`: a claim takes its length before the
     // tail, and always advances.
+    let total = out.len();
     let rest = Mutex::new((0, out));
     let stop = AtomicBool::new(false);
     let failure: Mutex<Option<PanicAt>> = Mutex::new(None);
@@ -153,13 +158,15 @@ where
             // drivers keep panic-free, so a poisoned lock still guards a
             // valid tail.
             let mut claim = rest.lock().unwrap_or_else(PoisonError::into_inner);
-            let k = claim.0;
-            let Some(len) = part_len(k) else { break };
+            let (k, start) = (claim.0, total - claim.1.len());
+            let Some(len) = part_len(k, start) else { break };
             let (part, tail) = std::mem::take(&mut claim.1).split_at_mut(len);
             *claim = (k + 1, tail);
             drop(claim);
             let mut at = k;
-            let ran = catch_unwind(AssertUnwindSafe(|| run(k, part, &mut state, &mut at)));
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                run(k, start, part, &mut state, &mut at)
+            }));
             if let Err(payload) = ran {
                 return fail(at, payload);
             }
@@ -176,12 +183,23 @@ where
     failure.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Indices a fan-out claim takes when `remaining` of them are unclaimed on
+/// `workers` workers: an eighth of a worker's share of what is left, and
+/// at least one. The first claim is `count / 8w`; later claims shrink with
+/// the tail down to single indices, so no worker is left alone with a long
+/// last chunk, and a fan-out of `count` takes at most `8w · (ln count + 2)`
+/// claims.
+fn claim_len(remaining: usize, workers: usize) -> usize {
+    (remaining / (workers * 8)).max(1)
+}
+
 /// Core fan-out: run `f(index, &mut worker_state)` for every index in
 /// `0..count` on a scoped thread pool, collecting results in index order.
 /// `init` is called once per worker thread to build its reusable state.
-/// Workers claim chunks of a fully initialized `Vec<Option<T>>`, so on a
-/// panic every slot completed so far is dropped with it, not leaked. One
-/// worker runs inline and pushes straight into the `Vec<T>`.
+/// Workers claim shrinking chunks ([`claim_len`]) of a fully initialized
+/// `Vec<Option<T>>`, so on a panic every slot completed so far is dropped
+/// with it, not leaked. One worker runs inline and pushes straight into
+/// the `Vec<T>`.
 fn fan_out_supervised<T, S, I, F>(count: usize, init: I, f: F) -> Result<Vec<T>, PanicAt>
 where
     T: Send,
@@ -205,16 +223,16 @@ where
     }
 
     let mut out: Vec<Option<T>> = (0..count).map(|_| None).collect();
-    // Chunks small enough to balance uneven task costs, large enough to
-    // keep the claim lock cold, claimed lazily: a prototype that cut them
-    // into a `Vec` here, before the spawn, read `train_wide` at 8.8–9.05 MB
-    // peak RSS on 10/10 runs, against 6.9–7.3 MB (heap layout).
-    let chunk = (count / (workers * 8)).max(1);
-    let chunk_len = |k: usize| (k * chunk < count).then(|| chunk.min(count - k * chunk));
+    // Chunks sized from the unclaimed tail as it is claimed: large ones
+    // first keep the claim lock cold, single indices last balance uneven
+    // task costs. Sized lazily: a prototype that cut fixed chunks into a
+    // `Vec` here, before the spawn, read `train_wide` at 8.8–9.05 MB peak
+    // RSS on 10/10 runs, against 6.9–7.3 MB (heap layout).
+    let chunk_len = |_, start: usize| (start < count).then(|| claim_len(count - start, workers));
     // The caller only joins: when it worked as one of the workers,
     // `train_wide` read 8.5–8.8 MB peak RSS on 6/6 runs, against 6.9–7.3.
-    let fill = |k, part: &mut [Option<T>], state: &mut S, at: &mut usize| {
-        for (i, slot) in (k * chunk..).zip(part) {
+    let fill = |_, start, part: &mut [Option<T>], state: &mut S, at: &mut usize| {
+        for (i, slot) in (start..).zip(part) {
             *at = i;
             *slot = Some(f(i, state));
         }
@@ -323,11 +341,11 @@ where
         "part bounds must run from 0 to the output's length and never decrease"
     );
     let workers = worker_count(bounds.len() - 1);
-    let part_len = |p: usize| Some(bounds.get(p + 1)? - bounds[p]);
+    let part_len = |p: usize, _| Some(bounds.get(p + 1)? - bounds[p]);
     // The caller works: when the federation merge's parts ran on spawned
     // threads while the caller only joined, `federate` read 99–104 MB peak
     // RSS on 5/8 runs, against 91.3–92.4 MB.
-    let run = |p, part: &mut [T], _: &mut (), _: &mut usize| f(p, part);
+    let run = |p, _, part: &mut [T], _: &mut (), _: &mut usize| f(p, part);
     if let Some((_, payload)) = supervise(out, part_len, workers, true, || (), run) {
         resume_unwind(payload);
     }
@@ -484,7 +502,8 @@ mod tests {
             // the fan-out bailed out.
             let built = built.load(Ordering::SeqCst);
             assert_eq!(built, dropped.load(Ordering::SeqCst), "limit {limit}");
-            // Slot 250 is not the first of its chunk at any of these widths.
+            // Claims run whole and in index order, so every slot claimed
+            // ahead of slot 250's chunk completes.
             assert!(built > 0, "limit {limit}: some slots should complete");
         }
     }
@@ -625,11 +644,44 @@ mod tests {
     }
 
     #[test]
+    fn claims_shrink_from_an_eighth_share_to_one_and_tile_the_count() {
+        // Every count to 4 096, then a stride and the powers of two (and
+        // their neighbours) up to 2^20.
+        let mut counts: Vec<usize> = (1..=4_096).chain((4_096..=1 << 20).step_by(997)).collect();
+        for p in 12..=20 {
+            counts.extend([(1 << p) - 1, 1 << p, (1 << p) + 1]);
+        }
+        for w in 1..=5 {
+            for &n in &counts {
+                assert_eq!(
+                    claim_len(n, w),
+                    (n / (8 * w)).max(1),
+                    "width {w}, count {n}"
+                );
+                let (mut remaining, mut last, mut claims) = (n, usize::MAX, 0usize);
+                while remaining > 0 {
+                    let len = claim_len(remaining, w);
+                    assert!(
+                        (1..=last.min(remaining)).contains(&len),
+                        "width {w}, count {n}: claim {len} after {last}, {remaining} left"
+                    );
+                    (remaining, last, claims) = (remaining - len, len, claims + 1);
+                }
+                let bound = 8.0 * w as f64 * ((n as f64).ln() + 2.0);
+                assert!(
+                    claims as f64 <= bound,
+                    "width {w}, count {n}: {claims} claims"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn every_index_runs_once_at_every_chunk_boundary_and_width() {
-        // A fan-out of `n` tasks on `w` workers claims chunks of
-        // `max(n / 8w, 1)` indices: one at a time below `8w`, then whole
-        // chunks with a short last one. A claim that failed to advance
-        // would spin here forever.
+        // A fan-out of `n` tasks on `w` workers claims `max(r / 8w, 1)`
+        // of the `r` indices still unclaimed: one at a time below `8w`,
+        // otherwise chunks that shrink to one index as the tail does. A
+        // claim that failed to advance would spin here forever.
         for w in 1..=5 {
             let per = 8 * w;
             for n in [1, per - 1, per, per + 1, per * 7, per * 7 + 3, per * 8 - 1] {
