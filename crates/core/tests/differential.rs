@@ -365,6 +365,7 @@ fn check(cases: &[&Case]) -> Result<Coverage, (usize, Failure)> {
             let path = format!("batch {b}: first counts [{width}]");
             same(&path, &got.first_counts, &want.scores.first_counts).map_err(tag)?;
             same(&format!("batch {b}: scores [{width}]"), got, &want.scores).map_err(tag)?;
+            distribution(&format!("batch {b}: scores [{width}]"), got).map_err(tag)?;
         }
     }
     let mut cov = Coverage::new();
@@ -375,6 +376,18 @@ fn check(cases: &[&Case]) -> Result<Coverage, (usize, Failure)> {
         *row.or_default() += u64::from(differ);
     }
     Ok(cov)
+}
+
+/// Eq. 3's scores are a distribution over the probes: none negative, and
+/// summing to one.
+fn distribution(path: &str, scores: &TrialScores) -> Checked {
+    let total = scores.total();
+    if (total - 1.0).abs() < 1e-9 && scores.scores.iter().all(|&s| s >= 0.0) {
+        return Ok(());
+    }
+    let detail = format!("{:?} sum to {total}", scores.scores);
+    let path = format!("{path}, a distribution");
+    Err(Failure { path, detail })
 }
 
 /// What one case reaches: its horizon's kind, and from the identity
@@ -493,7 +506,8 @@ fn one_tuple_trial_scores_are_per_trial_runs_at_any_width() {
     let host = ("host width", run());
     let widths = WIDTHS.map(|(width, workers)| (width, with_worker_limit(workers, run)));
     for (width, got) in [host].into_iter().chain(widths) {
-        if let Err(failure) = same(&format!("trial_scores [{width}]"), &got, &want) {
+        let path = format!("trial_scores [{width}]");
+        if let Err(failure) = same(&path, &got, &want).and_then(|()| distribution(&path, &got)) {
             disagree(0, "the one-tuple entry point", failure);
         }
     }

@@ -234,8 +234,11 @@ fn every_builtin_policy_compiles_bit_identically() {
         );
         for _ in 0..200 {
             let v = random_view(&mut rng);
+            let score = policy.score(&v);
+            // A queue orders by `total_cmp`, under which NaN sorts apart.
+            assert!(!score.is_nan(), "{} scored NaN at {v:?}", policy.name());
             assert_eq!(
-                policy.score(&v).to_bits(),
+                score.to_bits(),
                 compiled.score(&v).to_bits(),
                 "{} diverged at {v:?}",
                 policy.name()
@@ -293,6 +296,23 @@ fn to_expr_matches_eval_transformed_semantics() {
                     "{f:?} reparse at {v:?}"
                 );
             }
+        }
+    }
+    // So must a hand-written policy's printed expression.
+    for source in [
+        "log10(r)*n + 870*log10(s)",
+        "sqrt(r)*n - inv(s + 1)",
+        "r / (n + 1) + s / 86400",
+        "-(w/r)^3 * n",
+    ] {
+        let policy = ExprPolicy::parse("hand-written", source).unwrap();
+        let printed = policy.expr().to_string();
+        let reparsed = ExprPolicy::parse("reparsed", &printed).unwrap();
+        for _ in 0..64 {
+            let v = random_view(&mut rng);
+            let (score, again) = (policy.score(&v), reparsed.score(&v));
+            let what = format!("{source} printed as {printed} at {v:?}");
+            assert_eq!(score.to_bits(), again.to_bits(), "{what}");
         }
     }
 }

@@ -1,3 +1,12 @@
+//! The engine's own contracts: worked schedules small enough to check by
+//! hand, the errors and panics of the public surface, and what only
+//! private state shows (the live window behind `head`, the
+//! narrowest-waiter width, the scratch order, `next_head`). Nothing here
+//! is compared with `scheduler::reference`: an oracle comparison is a path
+//! of `check`, a named case or a coverage row in
+//! `crates/scheduler/tests/differential.rs` — a new path, never a new
+//! suite.
+
 use super::{simulate, ConservativeStats, EngineError, QueueDiscipline, SimWorkspace};
 use crate::{BackfillMode, Checkpoint, SchedulerConfig, SimulationResult};
 use dynsched_cluster::{Job, Platform};
@@ -421,46 +430,6 @@ fn kill_at_estimate_frees_cores_for_waiters() {
 }
 
 #[test]
-fn cached_scores_match_uncached_evaluation() {
-    // Force F1 through the time-dependent (uncached) path via a wrapper
-    // and check the schedule is identical to the cached fast path.
-    use dynsched_policies::{LearnedPolicy, Policy, TaskView};
-    struct Uncached(LearnedPolicy);
-    impl Policy for Uncached {
-        fn name(&self) -> &str {
-            "F1-uncached"
-        }
-        fn score(&self, t: &TaskView) -> f64 {
-            self.0.score(t)
-        }
-        // default time_dependent() = true -> per-event evaluation
-    }
-    let jobs: Vec<Job> = (0..60)
-        .map(|i| {
-            job(
-                i,
-                (i as f64) * 11.0,
-                30.0 + (i % 9) as f64 * 200.0,
-                1 + (i % 7),
-            )
-        })
-        .collect();
-    let trace = Trace::from_jobs(jobs);
-    let config = cfg(8);
-    let cached = simulate(
-        &trace,
-        &QueueDiscipline::Policy(&LearnedPolicy::f1()),
-        &config,
-    );
-    let uncached = simulate(
-        &trace,
-        &QueueDiscipline::Policy(&Uncached(LearnedPolicy::f1())),
-        &config,
-    );
-    assert_eq!(cached.completed, uncached.completed);
-}
-
-#[test]
 fn inconsistent_trace_source_surfaces_queue_not_drained() {
     // An adversarial `TraceSource` whose per-field accessors disagree
     // with `job()`: `cores(i)` reports at most 4 (so the pre-run platform
@@ -693,14 +662,12 @@ fn gated_passes_are_unobservable() {
     // machine: job 0 pins it exactly full over three arrivals (gate
     // armed, the narrowest width falling 4 → 2); at t=100 the narrowest
     // waiter starts and the width is recomputed (6, with 2 cores free:
-    // armed again); a narrower 1-core arrival re-opens the pass; and in
-    // the faulty runs a capacity drop at t=100.5 kills the youngest
-    // starts, so the former narrowest waiter is requeued beside the wide
-    // one. Job 8 pins the machine full a second time, late. Every
-    // schedule must equal the oracle's, whose profile and passes are
-    // ungated.
-    use crate::reference::{simulate_reference, simulate_reference_faulty};
-    use dynsched_cluster::{AvailabilitySchedule, CapacityStep};
+    // armed again); a narrower 1-core arrival re-opens the pass. Job 8
+    // pins the machine full a second time, late. The harness runs this
+    // trace, with a capacity drop at t=100.5 that requeues the former
+    // narrowest waiter beside the wide one, through every path against
+    // the oracle (its `gate` cases). Here: the width and the free cores a
+    // checkpoint holds while the gate is armed, and the resume from it.
     use dynsched_policies::{LearnedPolicy, Policy, Unicef, Wfp3};
     let trace = Trace::from_jobs(vec![
         Job::new(0, 0.0, 100.0, 150.0, 8),
@@ -715,19 +682,6 @@ fn gated_passes_are_unobservable() {
         Job::new(9, 141.0, 10.0, 12.0, 1),
         Job::new(10, 142.0, 10.0, 12.0, 2),
     ]);
-    let schedule = AvailabilitySchedule::from_steps(
-        vec![
-            CapacityStep {
-                time: 100.5,
-                capacity: 5,
-            },
-            CapacityStep {
-                time: 120.0,
-                capacity: 8,
-            },
-        ],
-        3,
-    );
     let policies: [(&str, &dyn Policy); 4] = [
         ("FCFS", &Fcfs),
         ("F1", &LearnedPolicy::f1()),
@@ -743,27 +697,9 @@ fn gated_passes_are_unobservable() {
             let what = format!("{name}, {backfill:?}");
             let compiled = policy.compile().expect("every built-in compiles");
             let discipline = QueueDiscipline::Compiled(&compiled);
-
             let scratch = simulate(&trace, &discipline, &config);
-            assert_eq!(
-                scratch,
-                simulate_reference(&trace, &discipline, &config),
-                "{what}"
-            );
-
-            ws.run_faulty(&trace, &discipline, &config, &schedule)
-                .unwrap();
-            let faulty = ws.result();
-            assert!(faulty.preempted_jobs > 0, "{what}: the drop must bite");
-            assert_eq!(
-                faulty,
-                simulate_reference_faulty(&trace, &discipline, &config, &schedule),
-                "{what}, faulty"
-            );
-
-            // Checkpoint bit-identity with the horizon falling while the
-            // gate is armed: machine full behind job 0 at 3.5; after the
-            // recompute at 100.5 (FCFS started jobs 1 and 2, job 3 waits).
+            // Machine full behind job 0 at 3.5; after the recompute at
+            // 100.5 (FCFS started jobs 1 and 2, job 3 waits).
             for (horizon, narrowest, free) in [(3.5, 2, 0), (100.5, 6, 2)] {
                 ws.run_prefix(&trace, &discipline, &config, horizon, &mut ckpt);
                 if horizon < 100.0 || name == "FCFS" {
@@ -786,9 +722,10 @@ fn front_removal_is_unobservable() {
     // factors (tied SPT keys, tied expected ends), 16-wide jobs that pin
     // the machine exactly full, and every 40th job a one-second, one-core
     // sprinter that SPT and the rank table put ahead of any waiting head.
-    // Every schedule must equal the oracle's, which rebuilds and re-sorts
-    // its queue at every event.
-    use crate::reference::{simulate_reference, simulate_reference_faulty};
+    // The harness runs this backlog and its capacity drops through every
+    // path against the oracle (its `backlog` cases). Here: the window
+    // itself, at cuts around each sprinter's arrival, and the queue a
+    // faulty run leaves.
     use dynsched_cluster::{AvailabilitySchedule, CapacityStep};
     use dynsched_policies::{LearnedPolicy, Policy};
     use dynsched_simkit::Rng;
@@ -844,11 +781,6 @@ fn front_removal_is_unobservable() {
             ws.run(&trace, discipline, &config);
             let scratch = ws.result();
             assert_eq!((ws.state.queue.len(), ws.state.head), (0, 0), "{what}");
-            assert_eq!(
-                scratch,
-                simulate_reference(&trace, discipline, &config),
-                "{what}"
-            );
 
             // Cut the run just before and just after each sprinter's
             // arrival. The dead prefix never outgrows the window, a
@@ -867,8 +799,15 @@ fn front_removal_is_unobservable() {
                     assert_eq!((ckpt.state.queue.len(), ckpt.state.head), (live, 0));
                     assert_eq!(ckpt.state.q_keys, ws.state.q_keys[head..]);
                     deepest = deepest.max(live);
-                    if head > 0 && after && ws.state.ledger.used() > 1 {
-                        drop_at = drop_at.or(Some(horizon));
+                    // The harness drops capacity at the first cut after a
+                    // sprinter's arrival with more than one core busy: the
+                    // queue must have a dead prefix there.
+                    if drop_at.is_none() && after && ws.state.ledger.used() > 1 {
+                        assert!(
+                            head > 0,
+                            "{what}: the drop at {horizon} meets no dead prefix"
+                        );
+                        drop_at = Some(horizon);
                     }
                     sprinter_met_a_dead_prefix |= head > 0 && !after;
                     ws.resume_from(&ckpt, &trace, discipline, &config);
@@ -878,10 +817,9 @@ fn front_removal_is_unobservable() {
             assert!(deepest >= 200, "{what}: backlog of {deepest}");
             assert!(sprinter_met_a_dead_prefix, "{what}");
 
-            // Take all but one core away while jobs run and the queue has
-            // a dead prefix (the faulty run is the zero-fault one up to
-            // its first step): the kills are requeued into the window.
-            let drop_at = drop_at.expect("a busy cut with a dead prefix");
+            // All but one core taken away at that cut: the kills are
+            // requeued into the window, and the run still drains it.
+            let drop_at = drop_at.expect("a busy cut");
             let step = |after: f64, capacity| CapacityStep {
                 time: drop_at + after,
                 capacity,
@@ -897,14 +835,8 @@ fn front_removal_is_unobservable() {
             );
             ws.run_faulty(&trace, discipline, &config, &schedule)
                 .unwrap();
-            let faulty = ws.result();
-            assert!(faulty.preempted_jobs > 0, "{what}: the drop must bite");
+            assert!(ws.preempted_jobs() > 0, "{what}: the drop must bite");
             assert_eq!((ws.state.queue.len(), ws.state.head), (0, 0), "{what}");
-            assert_eq!(
-                faulty,
-                simulate_reference_faulty(&trace, discipline, &config, &schedule),
-                "{what}, faulty"
-            );
         }
     }
 }

@@ -705,9 +705,8 @@ fn run_routed<T: TraceSource + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate;
     use dynsched_cluster::{Job, Platform};
-    use dynsched_policies::{compile_expr, expr::parse_expr, Fcfs, Policy, Spt};
+    use dynsched_policies::{compile_expr, expr::parse_expr, Fcfs};
     use dynsched_simkit::parallel::with_worker_limit;
     use dynsched_simkit::Rng;
     use dynsched_workload::Trace;
@@ -808,78 +807,6 @@ mod tests {
     }
 
     #[test]
-    fn federation_is_worker_count_independent() {
-        let t = trace(300, 8, 21);
-        let spec = FederationSpec::uniform(4, config(8), Router::LeastLoaded);
-        let policy = Spt;
-        let discipline = QueueDiscipline::Policy(&policy);
-        let wide = run_federation(&t, &spec, &discipline).unwrap();
-        let narrow = with_worker_limit(1, || run_federation(&t, &spec, &discipline).unwrap());
-        assert_eq!(wide, narrow);
-    }
-
-    #[test]
-    fn merge_is_globally_finish_ordered_and_complete() {
-        let t = trace(300, 8, 33);
-        let spec = FederationSpec::uniform(3, config(8), Router::RoundRobin);
-        let policy = Fcfs;
-        let result = run_federation(&t, &spec, &QueueDiscipline::Policy(&policy)).unwrap();
-        assert_eq!(result.completed.len(), t.len());
-        assert!(result
-            .completed
-            .windows(2)
-            .all(|w| w[0].finish <= w[1].finish));
-        // Every job id appears exactly once.
-        let mut ids: Vec<u32> = result.completed.iter().map(|c| c.job.id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), t.len());
-    }
-
-    #[test]
-    fn one_shard_federation_matches_the_plain_engine() {
-        let t = trace(250, 8, 5);
-        let spec = FederationSpec::uniform(1, config(8), Router::LeastLoaded);
-        let policy = Spt;
-        let compiled = policy.compile().unwrap();
-        let discipline = QueueDiscipline::Compiled(&compiled);
-        let fed = run_federation(&t, &spec, &discipline).unwrap();
-        let plain = simulate(&t, &discipline, &config(8));
-        assert_eq!(fed.shards[0], plain);
-        assert_eq!(fed.completed, plain.completed);
-    }
-
-    #[test]
-    fn faulty_federation_is_deterministic_and_shard_streamed() {
-        let t = trace(200, 4, 9);
-        let spec = FederationSpec::uniform(2, config(8), Router::LeastLoaded);
-        let profile = FaultProfile::failures(2_000.0, 300.0, 2, 0xF00D).with_max_retries(2);
-        let policy = Fcfs;
-        let discipline = QueueDiscipline::Policy(&policy);
-        let a = run_federation_faulty(&t, &spec, &discipline, &profile).unwrap();
-        let b = with_worker_limit(1, || {
-            run_federation_faulty(&t, &spec, &discipline, &profile).unwrap()
-        });
-        assert_eq!(a, b);
-        // Shards see different fault streams (stream index = shard), so
-        // at least one shard's schedule should differ from shard 0's
-        // whenever faults fired at all.
-        if a.preempted_jobs() > 0 {
-            assert!(a.shards.len() == 2);
-        }
-    }
-
-    #[test]
-    fn empty_trace_federates_to_empty_shards() {
-        let t = Trace::from_jobs(Vec::new());
-        let spec = FederationSpec::uniform(3, config(4), Router::RoundRobin);
-        let policy = Fcfs;
-        let result = run_federation(&t, &spec, &QueueDiscipline::Policy(&policy)).unwrap();
-        assert!(result.completed.is_empty());
-        assert_eq!(result.jobs_per_shard(), vec![0, 0, 0]);
-    }
-
-    #[test]
     #[should_panic(expected = "no cluster is that wide")]
     fn unroutable_job_panics() {
         let t = Trace::from_jobs(vec![Job::new(0, 0.0, 10.0, 10.0, 64)]);
@@ -931,167 +858,6 @@ mod tests {
             both(&t, &spec, &QueueDiscipline::FixedOrder(&ranks)),
             EngineError::FixedOrderFederated
         );
-    }
-
-    /// `route` as it was before `try_route` — one loop for every router,
-    /// closures that re-read the spec per cluster, the fluid backlog
-    /// drained and committed whoever routes, `Option` arg-min under
-    /// `total_cmp` — kept verbatim as the oracle of the routing paths.
-    fn route_reference<T: TraceSource>(trace: &T, spec: &FederationSpec<'_>) -> RoutingTable {
-        let k = spec.clusters.len();
-        assert!(k > 0, "a federation needs at least one cluster");
-        let n = trace.len();
-        let mut shard_of = Vec::with_capacity(n);
-        let mut shards: Vec<Vec<u32>> = vec![Vec::new(); k];
-        let mut backlog = vec![0.0f64; k];
-        let mut last_t = 0.0f64;
-        let mut slot_row: Vec<f64> = Vec::new();
-        let mut stack: Vec<f64> = Vec::new();
-
-        for i in 0..n {
-            let t = trace.submit(i);
-            let dt = (t - last_t).max(0.0);
-            last_t = t;
-            for (c, b) in backlog.iter_mut().enumerate() {
-                *b = (*b - spec.clusters[c].platform.total_cores as f64 * dt).max(0.0);
-            }
-            let cores = trace.cores(i);
-            let feasible = |c: usize| spec.clusters[c].platform.total_cores >= cores;
-            let est_wait = |c: usize, backlog: &[f64]| {
-                backlog[c] / spec.clusters[c].platform.total_cores as f64
-            };
-            let least_loaded = |backlog: &[f64]| {
-                let mut best: Option<(f64, usize)> = None;
-                for c in 0..k {
-                    if !feasible(c) {
-                        continue;
-                    }
-                    let w = est_wait(c, backlog);
-                    if best.is_none_or(|(bw, _)| w.total_cmp(&bw).is_lt()) {
-                        best = Some((w, c));
-                    }
-                }
-                best
-            };
-            let chosen = match spec.router {
-                Router::RoundRobin => (0..k).map(|o| (i + o) % k).find(|&c| feasible(c)),
-                Router::LeastLoaded => least_loaded(&backlog).map(|(_, c)| c),
-                Router::LocalityAware { spill } => {
-                    let home = trace.id(i) as usize % k;
-                    least_loaded(&backlog).map(|(best_wait, best)| {
-                        if feasible(home) && est_wait(home, &backlog) <= best_wait + spill {
-                            home
-                        } else {
-                            best
-                        }
-                    })
-                }
-                Router::Learned(cp) => {
-                    let mut best: Option<(f64, usize)> = None;
-                    for c in 0..k {
-                        if !feasible(c) {
-                            continue;
-                        }
-                        let config = &spec.clusters[c];
-                        let r = config.decision_time(trace.runtime(i), trace.estimate(i));
-                        let score = cp.score_scalar(
-                            r,
-                            cores as f64,
-                            t,
-                            est_wait(c, &backlog),
-                            &mut slot_row,
-                            &mut stack,
-                        );
-                        if best.is_none_or(|(bs, _)| score.total_cmp(&bs).is_lt()) {
-                            best = Some((score, c));
-                        }
-                    }
-                    best.map(|(_, c)| c)
-                }
-            };
-            let Some(shard) = chosen else {
-                panic!(
-                    "job {} requests {cores} cores but no cluster is that wide",
-                    trace.id(i)
-                );
-            };
-            shard_of.push(shard as u32);
-            shards[shard].push(i as u32);
-            let config = &spec.clusters[shard];
-            backlog[shard] +=
-                config.decision_time(trace.runtime(i), trace.estimate(i)) * cores as f64;
-        }
-        RoutingTable { shard_of, shards }
-    }
-
-    #[test]
-    fn every_routing_path_matches_the_preserved_body() {
-        let mut rng = Rng::new(0x2007E);
-        let by_wait = compile_expr("by-wait", &parse_expr("w + r / n").unwrap());
-        let wait_blind = compile_expr("wait-blind", &parse_expr("r * n").unwrap());
-        let routers = [
-            Router::RoundRobin,
-            Router::LeastLoaded,
-            Router::LocalityAware { spill: 0.0 },
-            Router::LocalityAware { spill: 40.0 },
-            Router::LocalityAware {
-                spill: f64::INFINITY,
-            },
-            Router::Learned(&by_wait),
-            Router::Learned(&wait_blind),
-        ];
-        for case in 0..60u64 {
-            let k = [1, 2, 3, 5, 11][(case % 5) as usize];
-            // Even cases: identical clusters, so waits tie exactly
-            // whenever the backlogs do. Odd ones: mixed widths with one
-            // 16-wide cluster at a random shard, so some jobs fit only
-            // part of the federation, and mixed decision modes.
-            let mut clusters: Vec<SchedulerConfig> = (0..k)
-                .map(|_| match case % 2 {
-                    0 => config(16),
-                    _ => {
-                        let platform = Platform::new(1 << rng.range_u64(1, 4));
-                        match rng.next_u64() % 2 {
-                            0 => SchedulerConfig::actual_runtimes(platform),
-                            _ => SchedulerConfig::user_estimates(platform),
-                        }
-                    }
-                })
-                .collect();
-            clusters[(rng.next_u64() % k as u64) as usize] = config(16);
-            // Bursts of equal submit times (`dt == 0`), a handful of
-            // runtimes and widths (equal work, hence tied backlogs),
-            // scattered ids (the locality home), long idle gaps that
-            // drain every backlog to exactly zero.
-            let jobs = if case == 7 { 0 } else { 150 };
-            let mut submit = 0.0;
-            let trace = Trace::from_jobs(
-                (0..jobs)
-                    .map(|_| {
-                        submit += match rng.next_u64() % 8 {
-                            0..=2 => 0.0,
-                            3 => 5_000.0,
-                            _ => rng.range_u64(1, 30) as f64,
-                        };
-                        let runtime = [10.0, 20.0, 50.0, 400.0][(rng.next_u64() % 4) as usize];
-                        let cores = 1 << rng.range_u64(0, 4);
-                        let id = rng.next_u64() as u32 % 1_000;
-                        Job::new(id, submit, runtime, runtime * 2.0, cores)
-                    })
-                    .collect(),
-            );
-            for router in routers {
-                let spec = FederationSpec {
-                    clusters: clusters.clone(),
-                    router,
-                };
-                assert_eq!(
-                    try_route(&trace, &spec),
-                    Ok(route_reference(&trace, &spec)),
-                    "case {case}: {k} shards, {router:?}"
-                );
-            }
-        }
     }
 
     /// Shard results holding nothing but completion lists with the given

@@ -6,9 +6,29 @@
 //! [`SEED`]), one checker ([`check`]: every applicable path of a case
 //! against the oracle) and one coverage table ([`assert_covered`]) that
 //! fails when the domain stops reaching what it exists to reach. Below the
-//! harness sit the named cases that pin a *different* contract — forks
-//! under another rank table, k-shard federations, the regressions that
-//! have a name — on the same generator, configs and 1-vs-n fan-out.
+//! harness sit the named cases, on the same generator, configs, checker
+//! and 1-vs-n fan-out, in five families:
+//!
+//! * **inputs [`check`] takes as they are**, outside [`DOMAIN`]: the
+//!   engine's two shortcut traces. The `gate` cases arm and re-arm the
+//!   narrowest-waiter gate on 8 cores, with a capacity drop that requeues
+//!   the narrowest waiter (FCFS / F1 / WFP / UNI × EASY / conservative);
+//!   the `backlog` cases stand 480 jobs behind the static-order live
+//!   window, with sprinters and a four-step drop (ranks / FCFS / SPT / F1
+//!   × three backfilling modes). What only private state shows of them
+//!   stays in `engine/tests.rs`.
+//! * **forks** under another rank table than the prefix's;
+//! * **federations**: k shards at 1 and n workers, each shard against
+//!   its slice run standalone — under its own fault stream — and the
+//!   merge's order;
+//! * **the routing oracle**: `try_route` against `route_reference`, the
+//!   routing pass as first written. A 1-shard federation makes no routing
+//!   decision, so no path of [`check`] reaches it;
+//! * **regressions** that have a name.
+//!
+//! A twin of the engine belongs here and nowhere else: a new fast path is
+//! one more `expect(..)` in [`check`], a new edge a [`Shape`] or a named
+//! case, a new guard a coverage row — a new path, never a new suite.
 //!
 //! # Reading a failure
 //!
@@ -27,11 +47,12 @@ use dynsched_cluster::{
 };
 use dynsched_policies::expr::{parse_expr, BinOp, Expr, Func, Var};
 use dynsched_policies::{
-    compile_expr, paper_lineup, CompiledPolicy, DecisionMode, ExprPolicy, MultiFactor, Policy,
-    TaskView, Unicef, Wfp3,
+    compile_expr, paper_lineup, CompiledPolicy, DecisionMode, ExprPolicy, Fcfs, MultiFactor,
+    Policy, TaskView, Unicef, Wfp3,
 };
 use dynsched_scheduler::federation::{
-    route, run_federation, run_federation_faulty, FederationSpec, Router,
+    route, run_federation, run_federation_faulty, simulate_shard, try_route, FederationResult,
+    FederationSpec, Router, RoutingTable,
 };
 use dynsched_scheduler::reference::{
     reference_metrics, reference_metrics_faulty, simulate_reference, simulate_reference_faulty,
@@ -83,6 +104,8 @@ enum Shape {
     /// Whole numbers everywhere, so core-second integrals are exact and
     /// the conservation identities hold with `==`.
     Integer,
+    /// A named case's own trace, outside [`DOMAIN`].
+    Named(&'static str),
 }
 
 /// Shapes and how many traces of each the harness draws. Every trace is
@@ -191,6 +214,7 @@ impl Shape {
                 }
                 16
             }
+            Shape::Named(name) => panic!("the {name} cases bring their own jobs"),
         };
         (cores as u32, Trace::from_jobs(jobs).jobs().to_vec())
     }
@@ -519,7 +543,8 @@ const SPECIAL: [(f64, &str); 5] = [
 
 /// The oracle's schedule is a legal one: every job once, completed or
 /// abandoned; no start before the submit; each run lasting exactly its
-/// execution time; never more cores busy than are online.
+/// execution time, at a bounded slowdown of at least 1; never more cores
+/// busy than are online; a utilization between 0 and 1.
 fn legal(
     jobs: &[Job],
     result: &SimulationResult,
@@ -541,6 +566,9 @@ fn legal(
         if c.start < c.job.submit || c.finish != c.start + runs {
             return Err(format!("{c:?} is not a {runs} s run after its submit"));
         }
+        if c.bounded_slowdown(TAU) < 1.0 {
+            return Err(format!("{c:?} has a bounded slowdown below 1"));
+        }
         edges.push((c.start, i64::from(c.job.cores)));
         edges.push((c.finish, -i64::from(c.job.cores)));
     }
@@ -554,6 +582,12 @@ fn legal(
         if edges.get(k + 1).is_none_or(|next| next.0 != t) && busy > i64::from(online) {
             return Err(format!("{busy} cores busy from t = {t}, {online} online"));
         }
+    }
+    if !(0.0..=1.0 + 1e-9).contains(&result.utilization) {
+        return Err(format!(
+            "utilization {} is not a fraction",
+            result.utilization
+        ));
     }
     Ok(())
 }
@@ -889,9 +923,8 @@ fn report(case: &Case, lineup: &Lineup, failure: &Failure) -> String {
     )
 }
 
-/// The one coverage table: every row the harness needs to reach to mean
-/// anything, printed and asserted.
-fn assert_covered(cov: &Coverage) {
+/// Every row the domain needs to reach to mean anything.
+fn domain_rows() -> Vec<(String, u64)> {
     let mut want = vec![
         ("passes starting 20 jobs or more".to_string(), 1),
         ("conservative waiters skipped".to_string(), 1_001),
@@ -926,8 +959,14 @@ fn assert_covered(cov: &Coverage) {
             }
         }
     }
+    want
+}
+
+/// A coverage table: each row of `want` beside what `cov` counted,
+/// printed and asserted.
+fn assert_covered(cov: &Coverage, want: &[(String, u64)]) {
     let mut table = String::new();
-    for (row, least) in &want {
+    for (row, least) in want {
         let got = cov.get(row).copied().unwrap_or(0);
         let mark = if got >= *least { "ok" } else { "--" };
         table += &format!("  [{mark}] {row}: {got} (want ≥ {least})\n");
@@ -937,6 +976,17 @@ fn assert_covered(cov: &Coverage) {
         .iter()
         .all(|(row, least)| cov.get(row).is_some_and(|got| got >= least));
     assert!(reached, "the domain stopped reaching a row:\n{table}");
+}
+
+/// Every case through [`check`] on the pool, each case's coverage in case
+/// order; the first disagreement panics with its shrunk report.
+fn check_all(cases: &[Case], lineup: &Lineup) -> Vec<Coverage> {
+    let rig = || (SimWorkspace::new(), Checkpoint::new());
+    let outcomes = par_map_scoped(cases, rig, |case, rig| check(case, lineup, rig));
+    let reported = |(case, outcome): (&Case, Result<Coverage, Failure>)| {
+        outcome.unwrap_or_else(|failure| panic!("{}", report(case, lineup, &failure)))
+    };
+    cases.iter().zip(outcomes).map(reported).collect()
 }
 
 /// The one 1-vs-n fan-out: `f` over `items` on the pool at its natural
@@ -960,16 +1010,11 @@ fn at_both_widths<T: Sync, U: Send + PartialEq + Debug>(
 fn every_fast_path_equals_the_oracle() {
     let lineup = Lineup::new();
     let cases = cases(&lineup);
-    let rig = || (SimWorkspace::new(), Checkpoint::new());
-    let outcomes = par_map_scoped(&cases, rig, |case, rig| check(case, &lineup, rig));
     let mut cov = Coverage::new();
-    for (case, outcome) in cases.iter().zip(&outcomes) {
-        match outcome {
-            Ok(seen) => seen.iter().for_each(|(row, &n)| count(&mut cov, row, n)),
-            Err(failure) => panic!("{}", report(case, &lineup, failure)),
-        }
+    for seen in check_all(&cases, &lineup) {
+        seen.iter().for_each(|(row, &n)| count(&mut cov, row, n));
     }
-    assert_covered(&cov);
+    assert_covered(&cov, &domain_rows());
     // The evaluation session's pattern — one reused workspace per worker,
     // cells claimed in any order — over the whole case list: what each
     // case's fastest discipline streams (checked against the oracle above)
@@ -980,6 +1025,147 @@ fn every_fast_path_equals_the_oracle() {
         let fastest = case.disciplines(&lineup).pop().expect("one at least").1;
         ws.run_metrics_faulty(&trace, &fastest, &case.config, &schedule, TAU)
     });
+}
+
+// ---- Named inputs: traces `check` takes as they are ----
+
+/// Estimates decide, no walltime kills, `backfill` on `cores` cores.
+fn on_estimates(cores: u32, backfill: BackfillMode) -> SchedulerConfig {
+    SchedulerConfig {
+        backfill,
+        ..SchedulerConfig::user_estimates(Platform::new(cores))
+    }
+}
+
+/// The narrowest-waiter gate, armed and re-armed (`engine/tests.rs`'
+/// `gated_passes_are_unobservable` reads its width). On 8 cores job 0
+/// pins the machine exactly full over three arrivals, the narrowest width
+/// falling 4 → 2; at t=100 the narrowest waiter starts and the width is
+/// recomputed (6, with 2 cores free: armed again); a 1-core arrival
+/// re-opens the pass; job 8 pins the machine full a second time, late. The
+/// drop to 5 cores at t=100.5 kills the youngest starts, so the former
+/// narrowest waiter is requeued beside the wide one.
+fn gate_cases(lineup: &Lineup, out: &mut Vec<Case>) {
+    let jobs = vec![
+        Job::new(0, 0.0, 100.0, 150.0, 8),
+        Job::new(1, 1.0, 50.0, 60.0, 4),
+        Job::new(2, 2.0, 30.0, 45.0, 2),
+        Job::new(3, 3.0, 20.0, 20.0, 6),
+        Job::new(4, 101.0, 10.0, 25.0, 1),
+        Job::new(5, 102.0, 5.0, 5.0, 2),
+        Job::new(6, 103.0, 200.0, 260.0, 1),
+        Job::new(7, 104.0, 15.0, 15.0, 3),
+        Job::new(8, 140.0, 40.0, 40.0, 8),
+        Job::new(9, 141.0, 10.0, 12.0, 1),
+        Job::new(10, 142.0, 10.0, 12.0, 2),
+    ];
+    let steps = [(100.5, 5), (120.0, 8)].map(|(time, capacity)| CapacityStep { time, capacity });
+    let faults = Faults::Steps(AvailabilitySchedule::from_steps(steps.to_vec(), 3));
+    for backfill in [BackfillMode::Aggressive, BackfillMode::Conservative] {
+        for name in ["FCFS", "F1", "WFP", "UNI"] {
+            out.push(Case {
+                index: out.len(),
+                shape: Shape::Named("gate"),
+                jobs: jobs.clone(),
+                config: on_estimates(8, backfill),
+                policy: Some(lineup.slot(name)),
+                ranks: (0..jobs.len()).collect(),
+                faults: faults.clone(),
+            });
+        }
+    }
+}
+
+/// A standing backlog behind the static-order live window
+/// (`engine/tests.rs`' `front_removal_is_unobservable` reads the window):
+/// 480 jobs on 16 cores in bursts of equal submit times, five runtimes and
+/// two estimate factors (tied SPT keys, tied expected ends), 16-wide jobs
+/// that pin the machine exactly full, and every 40th job a one-second,
+/// one-core sprinter that SPT and the rank table put ahead of any waiting
+/// head. All but one core go away at the first cut half a second after a
+/// sprinter's arrival with more than one core busy — the window has a
+/// dead prefix there — and come back in three steps.
+fn backlog_cases(lineup: &Lineup, out: &mut Vec<Case>) {
+    const CORES: u32 = 16;
+    let mut rng = Rng::new(0xF407);
+    let mut submit = 0.0;
+    let mut sprinters = Vec::new();
+    let jobs: Vec<Job> = (0..480u32)
+        .map(|i| {
+            submit += rng.next_below(3) as f64;
+            if i % 40 == 39 {
+                sprinters.push(i as usize);
+                return Job::new(i, submit, 1.0, 1.0, 1);
+            }
+            let runtime = *rng.choose(&[5.0, 10.0, 20.0, 40.0, 80.0]);
+            let estimate = runtime * *rng.choose(&[1.0, 2.0]);
+            let cores = *rng.choose(&[1, 2, 2, 4, 4, 8, CORES]);
+            Job::new(i, submit, runtime, estimate, cores)
+        })
+        .collect();
+    let trace = Trace::from_jobs(jobs);
+    // Sprinters hold the lowest ranks, everything else a random order.
+    let mut by_rank = sprinters.clone();
+    let others = rng.permutation(trace.len()).into_iter();
+    by_rank.extend(others.filter(|i| !sprinters.contains(i)));
+    let mut ranks = vec![0; trace.len()];
+    for (rank, &i) in by_rank.iter().enumerate() {
+        ranks[i] = rank;
+    }
+    let busy_at = |run: &SimulationResult, t: f64| -> u32 {
+        let running = run.completed.iter().filter(|c| c.start < t && t < c.finish);
+        running.map(|c| c.job.cores).sum()
+    };
+    for backfill in [
+        BackfillMode::None,
+        BackfillMode::Aggressive,
+        BackfillMode::Conservative,
+    ] {
+        for name in [None, Some("FCFS"), Some("SPT"), Some("F1")] {
+            let mut case = Case {
+                index: out.len(),
+                shape: Shape::Named("backlog"),
+                jobs: trace.jobs().to_vec(),
+                config: on_estimates(CORES, backfill),
+                policy: name.map(|name| lineup.slot(name)),
+                ranks: ranks.clone(),
+                faults: Faults::None,
+            };
+            // Placed off the fastest path's schedule, which `check` holds
+            // to the oracle's.
+            let fastest = case.disciplines(lineup).pop().expect("one at least").1;
+            let run = simulate(&trace, &fastest, &case.config);
+            let mut cuts = sprinters.iter().map(|&s| trace.submit(s) + 0.5);
+            let drop_at = cuts.find(|&t| busy_at(&run, t) > 1).expect("a busy cut");
+            let steps = [(0.0, 1), (60.0, CORES), (200.0, CORES / 4), (240.0, CORES)];
+            let steps = steps.map(|(after, capacity)| CapacityStep {
+                time: drop_at + after,
+                capacity,
+            });
+            case.faults = Faults::Steps(AvailabilitySchedule::from_steps(steps.to_vec(), 3));
+            out.push(case);
+        }
+    }
+}
+
+/// The gate and backlog traces through every path of [`check`], as a
+/// generated case is: every fast path equals the oracle, and each case's
+/// capacity drop bites.
+#[test]
+fn gate_and_backlog_inputs_equal_the_oracle_on_every_path() {
+    let lineup = Lineup::new();
+    let mut cases = Vec::new();
+    gate_cases(&lineup, &mut cases);
+    backlog_cases(&lineup, &mut cases);
+    for (case, seen) in cases.iter().zip(check_all(&cases, &lineup)) {
+        let row = format!("preemptions on {:?} traces", case.shape);
+        let discipline = case.policy.map_or("ranks", |p| lineup.policies[p].name());
+        let what = format!("{:?}, {discipline}, {:?}", case.shape, case.config.backfill);
+        assert!(
+            seen.get(&row).is_some_and(|&n| n > 0),
+            "{what}: the drop must bite"
+        );
+    }
 }
 
 // ---- Named cases: a different contract than a differential path ----
@@ -1445,7 +1631,9 @@ fn unicef_and_multifactor_raw_ops_stay_exact() {
 
 /// A k-shard federation is a pure function of (trace, spec, discipline):
 /// the whole result, routing and merge included, is equal at one worker
-/// and at n, faulty runs too.
+/// and at n, faulty runs too. Each faulty shard is its routed slice run
+/// standalone under the profile expanded over the shard's own submission
+/// span with stream index = shard index, as `federate --help` promises.
 #[test]
 fn k_shard_federation_is_worker_count_independent() {
     let lineup = Lineup::new();
@@ -1459,31 +1647,87 @@ fn k_shard_federation_is_worker_count_independent() {
         .map(|(k, r)| FederationSpec::uniform(k, config, lineup.router(r)))
         .collect();
     let discipline = QueueDiscipline::Policy(lineup.get("WFP"));
-    at_both_widths(&specs, |spec, _| {
+    let runs = at_both_widths(&specs, |spec, _| {
         let faulty = run_federation_faulty(&trace, spec, &discipline, &profile);
         (run_federation(&trace, spec, &discipline), faulty)
     });
+    let mut ws = SimWorkspace::new();
+    let mut cov = Coverage::new();
+    let row = "shards whose stream moves their schedule off stream 0's";
+    for (spec, (_, faulty)) in specs.iter().zip(&runs) {
+        let faulty = faulty.as_ref().expect("every job fits every shard");
+        let what = format!("{} shards, {:?}", spec.clusters.len(), spec.router);
+        for (s, positions) in route(&trace, spec).shards.iter().enumerate() {
+            let span = positions.last().map_or(0.0, |&p| trace.submit(p as usize));
+            let schedule = profile.expand(cores, span, s as u64);
+            let alone = simulate_shard(
+                &mut ws,
+                &trace,
+                positions,
+                &discipline,
+                &config,
+                Some(&schedule),
+            );
+            assert_eq!(alone.as_ref(), Ok(&faulty.shards[s]), "shard {s}, {what}");
+            let moved = schedule != profile.expand(cores, span, 0);
+            count(&mut cov, row, u64::from(moved));
+        }
+    }
+    assert_covered(&cov, &[(row.to_string(), 1)]);
+}
+
+/// The merge holds every job of `trace` once, in finish order.
+fn assert_merged(fed: &FederationResult, trace: &Trace, what: &str) {
+    let ordered = fed.completed.windows(2).all(|w| w[0].finish <= w[1].finish);
+    assert!(ordered, "{what}: out of order");
+    let mut ids: Vec<u32> = fed.completed.iter().map(|c| c.job.id).collect();
+    ids.sort_unstable();
+    let mut want: Vec<u32> = trace.jobs().iter().map(|j| j.id).collect();
+    want.sort_unstable();
+    assert_eq!(ids, want, "{what}: the merge dropped or duplicated a job");
 }
 
 /// A cluster's schedule depends only on its own routed subsequence: each
 /// shard's jobs re-simulated standalone, as an owned trace, reproduce the
-/// in-federation shard bit for bit.
+/// in-federation shard bit for bit. The merge holds every job once, in
+/// finish order; on the empty trace every shard is empty.
 #[test]
 fn shard_schedules_are_independent_of_the_federation_around_them() {
-    let (cores, jobs) = Shape::Modal.jobs(&mut Rng::new(SEED).fork(0xFED5));
-    let trace = Trace::from_jobs(jobs);
-    let config = SchedulerConfig::actual_runtimes(Platform::new(cores));
-    let discipline = QueueDiscipline::Policy(&Unicef);
-    for shards in [2, 3, 4] {
-        let spec = FederationSpec::uniform(shards, config, Router::LeastLoaded);
-        let fed = run_federation(&trace, &spec, &discipline).unwrap();
-        let routing = route(&trace, &spec);
-        assert_eq!(fed.shard_of, routing.shard_of, "routing is a pure pre-pass");
-        for (s, positions) in routing.shards.iter().enumerate() {
-            let owned =
-                Trace::from_jobs(positions.iter().map(|&p| trace.job(p as usize)).collect());
-            let standalone = simulate(&owned, &discipline, &config);
-            assert_eq!(fed.shards[s], standalone, "shard {s} of {shards}");
+    let draw = |shape: Shape, stream| shape.jobs(&mut Rng::new(SEED).fork(stream));
+    let inputs: [(_, &dyn Policy, _, &[usize]); 3] = [
+        (
+            draw(Shape::Modal, 0xFED5),
+            &Unicef,
+            Router::LeastLoaded,
+            &[2, 3, 4],
+        ),
+        (
+            draw(Shape::Saturated, 0xFED7),
+            &Fcfs,
+            Router::RoundRobin,
+            &[3],
+        ),
+        ((4, Vec::new()), &Fcfs, Router::RoundRobin, &[3]),
+    ];
+    for ((cores, jobs), policy, router, shard_counts) in inputs {
+        let trace = Trace::from_jobs(jobs);
+        let config = SchedulerConfig::actual_runtimes(Platform::new(cores));
+        let discipline = QueueDiscipline::Policy(policy);
+        for &shards in shard_counts {
+            let what = format!("{} jobs over {shards} shards", trace.len());
+            let spec = FederationSpec::uniform(shards, config, router);
+            let fed = run_federation(&trace, &spec, &discipline).unwrap();
+            let routing = route(&trace, &spec);
+            assert_eq!(fed.shard_of, routing.shard_of, "routing is a pure pre-pass");
+            let per_shard = (fed.shards.len(), fed.jobs_per_shard());
+            assert_eq!(per_shard, (shards, routing.jobs_per_shard()), "{what}");
+            for (s, positions) in routing.shards.iter().enumerate() {
+                let owned =
+                    Trace::from_jobs(positions.iter().map(|&p| trace.job(p as usize)).collect());
+                let standalone = simulate(&owned, &discipline, &config);
+                assert_eq!(fed.shards[s], standalone, "shard {s}, {what}");
+            }
+            assert_merged(&fed, &trace, &what);
         }
     }
 }
@@ -1496,11 +1740,170 @@ fn merged_order_is_finish_sorted_and_loses_no_job() {
     for shards in [1, 2, 4, 8] {
         let spec = FederationSpec::uniform(shards, config, Router::RoundRobin);
         let fed = run_federation(&trace, &spec, &QueueDiscipline::Policy(&Wfp3)).unwrap();
-        assert!(fed.completed.windows(2).all(|w| w[0].finish <= w[1].finish));
-        let mut ids: Vec<u32> = fed.completed.iter().map(|c| c.job.id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), trace.len(), "merge dropped or duplicated a job");
+        assert_merged(&fed, &trace, &format!("{shards} shards"));
+    }
+}
+
+/// `route` as it was before `try_route` — one loop for every router,
+/// closures that re-read the spec per cluster, the fluid backlog
+/// drained and committed whoever routes, `Option` arg-min under
+/// `total_cmp` — kept verbatim as the oracle of the routing paths.
+fn route_reference<T: TraceSource>(trace: &T, spec: &FederationSpec<'_>) -> RoutingTable {
+    let k = spec.clusters.len();
+    assert!(k > 0, "a federation needs at least one cluster");
+    let n = trace.len();
+    let mut shard_of = Vec::with_capacity(n);
+    let mut shards: Vec<Vec<u32>> = vec![Vec::new(); k];
+    let mut backlog = vec![0.0f64; k];
+    let mut last_t = 0.0f64;
+    let mut slot_row: Vec<f64> = Vec::new();
+    let mut stack: Vec<f64> = Vec::new();
+
+    for i in 0..n {
+        let t = trace.submit(i);
+        let dt = (t - last_t).max(0.0);
+        last_t = t;
+        for (c, b) in backlog.iter_mut().enumerate() {
+            *b = (*b - spec.clusters[c].platform.total_cores as f64 * dt).max(0.0);
+        }
+        let cores = trace.cores(i);
+        let feasible = |c: usize| spec.clusters[c].platform.total_cores >= cores;
+        let est_wait =
+            |c: usize, backlog: &[f64]| backlog[c] / spec.clusters[c].platform.total_cores as f64;
+        let least_loaded = |backlog: &[f64]| {
+            let mut best: Option<(f64, usize)> = None;
+            for c in 0..k {
+                if !feasible(c) {
+                    continue;
+                }
+                let w = est_wait(c, backlog);
+                if best.is_none_or(|(bw, _)| w.total_cmp(&bw).is_lt()) {
+                    best = Some((w, c));
+                }
+            }
+            best
+        };
+        let chosen = match spec.router {
+            Router::RoundRobin => (0..k).map(|o| (i + o) % k).find(|&c| feasible(c)),
+            Router::LeastLoaded => least_loaded(&backlog).map(|(_, c)| c),
+            Router::LocalityAware { spill } => {
+                let home = trace.id(i) as usize % k;
+                least_loaded(&backlog).map(|(best_wait, best)| {
+                    if feasible(home) && est_wait(home, &backlog) <= best_wait + spill {
+                        home
+                    } else {
+                        best
+                    }
+                })
+            }
+            Router::Learned(cp) => {
+                let mut best: Option<(f64, usize)> = None;
+                for c in 0..k {
+                    if !feasible(c) {
+                        continue;
+                    }
+                    let config = &spec.clusters[c];
+                    let r = config.decision_time(trace.runtime(i), trace.estimate(i));
+                    let score = cp.score_scalar(
+                        r,
+                        cores as f64,
+                        t,
+                        est_wait(c, &backlog),
+                        &mut slot_row,
+                        &mut stack,
+                    );
+                    if best.is_none_or(|(bs, _)| score.total_cmp(&bs).is_lt()) {
+                        best = Some((score, c));
+                    }
+                }
+                best.map(|(_, c)| c)
+            }
+        };
+        let Some(shard) = chosen else {
+            panic!(
+                "job {} requests {cores} cores but no cluster is that wide",
+                trace.id(i)
+            );
+        };
+        shard_of.push(shard as u32);
+        shards[shard].push(i as u32);
+        let config = &spec.clusters[shard];
+        backlog[shard] += config.decision_time(trace.runtime(i), trace.estimate(i)) * cores as f64;
+    }
+    RoutingTable { shard_of, shards }
+}
+
+/// Every router's pass against the preserved body, on 1 to 11 shards:
+/// identical clusters, where waits tie exactly, and mixed widths and
+/// decision modes, where some jobs fit only part of the federation.
+#[test]
+fn every_routing_path_matches_the_preserved_body() {
+    let config = |cores| SchedulerConfig::actual_runtimes(Platform::new(cores));
+    let mut rng = Rng::new(0x2007E);
+    let by_wait = compile_expr("by-wait", &parse_expr("w + r / n").unwrap());
+    let wait_blind = compile_expr("wait-blind", &parse_expr("r * n").unwrap());
+    let routers = [
+        Router::RoundRobin,
+        Router::LeastLoaded,
+        Router::LocalityAware { spill: 0.0 },
+        Router::LocalityAware { spill: 40.0 },
+        Router::LocalityAware {
+            spill: f64::INFINITY,
+        },
+        Router::Learned(&by_wait),
+        Router::Learned(&wait_blind),
+    ];
+    for case in 0..60u64 {
+        let k = [1, 2, 3, 5, 11][(case % 5) as usize];
+        // Even cases: identical clusters, so waits tie exactly
+        // whenever the backlogs do. Odd ones: mixed widths with one
+        // 16-wide cluster at a random shard, so some jobs fit only
+        // part of the federation, and mixed decision modes.
+        let mut clusters: Vec<SchedulerConfig> = (0..k)
+            .map(|_| match case % 2 {
+                0 => config(16),
+                _ => {
+                    let platform = Platform::new(1 << rng.range_u64(1, 4));
+                    match rng.next_u64() % 2 {
+                        0 => SchedulerConfig::actual_runtimes(platform),
+                        _ => SchedulerConfig::user_estimates(platform),
+                    }
+                }
+            })
+            .collect();
+        clusters[(rng.next_u64() % k as u64) as usize] = config(16);
+        // Bursts of equal submit times (`dt == 0`), a handful of
+        // runtimes and widths (equal work, hence tied backlogs),
+        // scattered ids (the locality home), long idle gaps that
+        // drain every backlog to exactly zero.
+        let jobs = if case == 7 { 0 } else { 150 };
+        let mut submit = 0.0;
+        let trace = Trace::from_jobs(
+            (0..jobs)
+                .map(|_| {
+                    submit += match rng.next_u64() % 8 {
+                        0..=2 => 0.0,
+                        3 => 5_000.0,
+                        _ => rng.range_u64(1, 30) as f64,
+                    };
+                    let runtime = [10.0, 20.0, 50.0, 400.0][(rng.next_u64() % 4) as usize];
+                    let cores = 1 << rng.range_u64(0, 4);
+                    let id = rng.next_u64() as u32 % 1_000;
+                    Job::new(id, submit, runtime, runtime * 2.0, cores)
+                })
+                .collect(),
+        );
+        for router in routers {
+            let spec = FederationSpec {
+                clusters: clusters.clone(),
+                router,
+            };
+            assert_eq!(
+                try_route(&trace, &spec),
+                Ok(route_reference(&trace, &spec)),
+                "case {case}: {k} shards, {router:?}"
+            );
+        }
     }
 }
 

@@ -7,10 +7,13 @@
 //! degenerate records (zero runtimes, negative fields) are clamped or
 //! dropped by documented rules — never silently reshuffled.
 
+use dynsched_cluster::Job;
+use dynsched_simkit::Rng;
 use dynsched_workload::swf::{
-    parse_swf, parse_swf_trace, parse_swf_with_header, write_swf, SwfParseError, SwfReadError,
-    SwfRecord,
+    parse_swf, parse_swf_trace, parse_swf_with_header, write_swf, write_swf_trace, SwfParseError,
+    SwfReadError, SwfRecord,
 };
+use dynsched_workload::Trace;
 
 /// The line error of an in-memory document that must not parse.
 fn parse_error(src: &str) -> SwfParseError {
@@ -216,5 +219,31 @@ fn header_and_trace_survive_a_write_parse_roundtrip_with_dirty_input() {
             (a.submit, a.runtime, a.estimate, a.cores),
             (b.submit, b.runtime, b.estimate, b.cores)
         );
+    }
+    // Random traces with times in hundredths, which the writer keeps:
+    // through `write_swf_trace` and back, every field is a fixpoint.
+    let hundredths = |x: f64| (x * 100.0).round() / 100.0;
+    for case in 0..64u64 {
+        let mut rng = Rng::new(0xD00D ^ case);
+        let jobs: Vec<Job> = (0..rng.range_u64(1, 25))
+            .map(|i| {
+                let submit = rng.range_f64(0.0, 5_000.0);
+                let runtime = rng.range_f64(1.0, 5_000.0);
+                let estimate = runtime * rng.range_f64(1.0, 3.0);
+                let cores = rng.range_u64(1, 31) as u32;
+                let [s, r, e] = [submit, runtime, estimate].map(hundredths);
+                Job::new(i as u32, s, r, e, cores)
+            })
+            .collect();
+        let trace = Trace::from_jobs(jobs);
+        let back = parse_swf_trace(write_swf_trace(&trace, 32).as_bytes()).unwrap();
+        assert_eq!(back.len(), trace.len(), "case {case}");
+        for (a, b) in trace.jobs().iter().zip(back.jobs()) {
+            assert_eq!(
+                (a.submit, a.runtime, a.estimate, a.cores),
+                (b.submit, b.runtime, b.estimate, b.cores),
+                "case {case}"
+            );
+        }
     }
 }
