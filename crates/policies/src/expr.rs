@@ -279,7 +279,14 @@ impl Expr {
                 if need_parens {
                     write!(f, "(")?;
                 }
-                a.fmt_prec(f, p)?;
+                // `^` parses right-associatively, so a left operand that
+                // is itself a power needs its parentheses; every other
+                // left operand is printed as before.
+                let left_prec = match (op, &**a) {
+                    (BinOp::Pow, Expr::Bin(BinOp::Pow, ..)) => p + 1,
+                    _ => p,
+                };
+                a.fmt_prec(f, left_prec)?;
                 write!(f, " {} ", op.symbol())?;
                 // Right operand needs one level more to keep left-assoc
                 // round-trips exact (a - b - c ≠ a - (b - c)).
@@ -646,6 +653,7 @@ mod tests {
             "r * n / (s + 1)",
             "8 - 3 - 2",
             "2 ^ 3 ^ 2",
+            "(2 ^ 3) ^ 2",
             "inv(r) + sqrt(n) - ln(s)",
         ] {
             let e1 = parse_expr(src).unwrap();
@@ -659,6 +667,12 @@ mod tests {
             // And printing again is a fixed point.
             assert_eq!(printed, e2.to_string());
         }
+        // Both nestings of `^` print their parentheses.
+        assert_eq!(
+            parse_expr("(2 ^ 3) ^ 2").unwrap().to_string(),
+            "(2 ^ 3) ^ 2"
+        );
+        assert_eq!(parse_expr("2 ^ 3 ^ 2").unwrap().to_string(), "2 ^ (3 ^ 2)");
     }
 
     #[test]

@@ -34,7 +34,9 @@ pub mod registry;
 pub mod task_view;
 
 pub use baselines::{Fcfs, Laf, Lcfs, Lpt, Saf, Spt, Unicef, Wfp3};
-pub use compile::{compile_expr, BatchScratch, CompiledPolicy, ScoreLanes};
+pub use compile::{
+    compile_expr, least_position, order_key, BatchScratch, CompiledPolicy, ScoreLanes,
+};
 pub use expr::ExprPolicy;
 pub use io::{load_policies, save_learned, save_policies};
 pub use learned::{BaseFunc, LearnedPolicy, NonlinearFunction, OpKind};

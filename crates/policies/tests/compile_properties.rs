@@ -101,6 +101,29 @@ fn random_trees_compile_bit_identically() {
     }
 }
 
+#[test]
+fn random_trees_print_and_parse_back_to_the_same_scores() {
+    // A saved or exported policy is its printed expression: reloading it
+    // must not move a score by one bit (`(2 ^ 3) ^ 2` must not come back
+    // as `2 ^ 3 ^ 2`, which is `2 ^ 9`).
+    let mut rng = Rng::new(0x9A12E5);
+    for case in 0..300u64 {
+        let expr = random_expr(&mut rng, 5);
+        let printed = expr.to_string();
+        let reparsed = parse_expr(&printed)
+            .unwrap_or_else(|e| panic!("case {case}: {printed} does not parse: {e}"));
+        for _ in 0..20 {
+            let v = random_view(&mut rng);
+            let (score, again) = (expr.eval(&v), reparsed.eval(&v));
+            assert_eq!(
+                score.to_bits(),
+                again.to_bits(),
+                "case {case}: {printed} reloads as {reparsed} at {v:?} ({score} vs {again})"
+            );
+        }
+    }
+}
+
 /// Batch-score `views` at `now` through `scratch` and require, job by
 /// job, the exact bits of the scalar residual over the same slot row.
 /// `out` starts as NaN, so an element the kernel skipped cannot pass.

@@ -5,7 +5,7 @@
 //! time-dependent one.
 
 use super::event_loop::Engine;
-use super::ordering::next_head;
+use super::ordering::{next_head, STARTED};
 use super::{CompletionSink, EngineError, QueueOrder};
 use crate::config::BackfillMode;
 use crate::profile::clamp_release;
@@ -99,11 +99,12 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
                 return Ok(());
             }
         }
-        if self.queue_order == QueueOrder::TimeDependent {
-            self.reorder(now)?;
+        let kernel_head = if self.queue_order == QueueOrder::TimeDependent {
+            self.reorder(now)?
         } else {
             debug_assert!(self.queue_is_priority_sorted());
-        }
+            None
+        };
         let len = self.st.waiting().len();
         let mut any_started = false;
 
@@ -165,16 +166,22 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
             // that task's (order position, queue position).
             let mut blocked: Option<(usize, usize)> = None;
             for pos in 0..len {
-                let qi = if self.on_demand {
-                    next_head(&self.scratch.batch_scores, &self.st.queue, pos == 0)
-                        .expect("the pass visits at most one head per waiting entry")
-                } else {
+                let qi = if !self.on_demand {
                     self.ord(pos)
+                } else if pos == 0 {
+                    kernel_head.expect("the batch kernel finds a head in a non-empty queue")
+                } else {
+                    next_head(&self.scratch.batch_scores, &self.st.queue)
+                        .expect("the pass visits at most one head per waiting entry")
                 };
                 let job = self.st.queue[qi].job;
                 if self.st.ledger.fits(job.cores) {
                     self.start_job(qi, now)?;
                     any_started = true;
+                    if self.on_demand {
+                        // Later heads read the score lane alone.
+                        self.scratch.batch_scores[qi] = STARTED;
+                    }
                 } else {
                     blocked = Some((pos, qi));
                     break;

@@ -140,7 +140,10 @@
 //! rescheduling event then re-scores the whole queue with one chunked
 //! [`CompiledPolicy::score_batch`] pass over SoA input lanes
 //! maintained in lockstep with the queue — no vtable dispatch, no tree
-//! walk, and no per-job [`TaskView`] construction on the hot path. A
+//! walk, and no per-job [`TaskView`] construction on the hot path. The
+//! pass runs the residual as register steps, four lanes wide where the
+//! CPU has AVX2, and returns the queue's head with the scores
+//! ([`dynsched_policies::compile`] module docs). A
 //! *static* compiled policy (residual never reads `w`) skips the lanes
 //! entirely: it is scored exactly once, at enqueue, through the scalar
 //! kernel, like any other cached-score discipline.
@@ -150,18 +153,22 @@
 //!
 //! * Strict ([`BackfillMode::None`]) and EASY
 //!   ([`BackfillMode::Aggressive`]) passes build **no order at all**: the
-//!   strict pass selects each head **on demand**, by one linear scan for
-//!   the minimum score among the entries it has not started yet, and
-//!   stops asking at the first head that does not fit — which, on a
-//!   saturated machine, is usually the first one. The scan compares
-//!   scores as order-preserving integer keys (`f64::total_cmp`'s bit
-//!   transform, applied once per element), and the first scan of a pass,
-//!   which precedes every start, reads the score lane alone and skips the
-//!   queue entries' `started` flags. EASY then sorts only the waiting
-//!   jobs narrow enough to fit the cores free at that moment:
-//!   availability only falls during the backfill scan and a job that does
-//!   not fit is skipped without side effects, so the scan visits the jobs
-//!   the full order would have it visit, in the same order.
+//!   strict pass selects each head **on demand**, the minimum score among
+//!   the entries it has not started yet, and stops asking at the first
+//!   head that does not fit — which, on a saturated machine, is usually
+//!   the first one. Scores compare as order-preserving integer keys
+//!   ([`order_key`], `f64::total_cmp`'s bit transform). The first head
+//!   is `score_batch`'s return value: the kernel searches each chunk of
+//!   scores while it is still in L1. Each later head is
+//!   [`least_position`] over the score lane alone, because the pass
+//!   overwrites every entry it starts with the NaN whose key is
+//!   `i64::MAX`; one O(1) check of the found entry's `started` flag falls
+//!   back to a scan that filters on it, which only a waiting score with
+//!   exactly those bits can need. EASY then sorts only the waiting jobs
+//!   narrow enough to fit the cores free at that moment: availability
+//!   only falls during the backfill scan and a job that does not fit is
+//!   skipped without side effects, so the scan visits the jobs the full
+//!   order would have it visit, in the same order.
 //! * A conservative pass reads every position, so it full-sorts into a
 //!   per-pass scratch order.
 //!
@@ -177,6 +184,8 @@
 //! [`crate::reference`] stays on the per-task scalar, full-sort path as
 //! the oracle.
 //!
+//! [`order_key`]: dynsched_policies::order_key
+//! [`least_position`]: dynsched_policies::least_position
 //! [`BackfillMode::None`]: crate::BackfillMode::None
 //! [`BackfillMode::Aggressive`]: crate::BackfillMode::Aggressive
 //! [`BackfillMode::Conservative`]: crate::BackfillMode::Conservative
@@ -191,7 +200,6 @@ mod state;
 mod tests;
 mod workspace;
 
-pub(crate) use ordering::order_key;
 pub(crate) use state::SimState;
 pub use workspace::{simulate, SimWorkspace};
 

@@ -5,21 +5,23 @@
 
 use super::event_loop::Engine;
 use super::{task_view, CompletionSink, EngineError, QueueDiscipline, QueueEntry, QueueOrder};
-use dynsched_policies::{CompiledPolicy, Policy, ScoreLanes};
+use dynsched_policies::{least_position, order_key, CompiledPolicy, Policy, ScoreLanes};
 use dynsched_workload::TraceSource;
 
 impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
     /// Bring the priority order up to date for the pass at `now`. Only
     /// time-dependent policies come here; static disciplines keep the
-    /// queue itself priority-sorted.
-    pub(super) fn reorder(&mut self, now: f64) -> Result<(), EngineError> {
+    /// queue itself priority-sorted. Returns the queue position of the
+    /// head where the batch kernel found it (compiled policies), `None`
+    /// where the order says it.
+    pub(super) fn reorder(&mut self, now: f64) -> Result<Option<usize>, EngineError> {
         // The policy references are copied out of the discipline (they
         // outlive `self`), so the call below can borrow `self` mutably.
         match *self.discipline {
             QueueDiscipline::Compiled(cp) => self.order_queue_compiled(cp, now),
             QueueDiscipline::Policy(policy) => {
                 self.order_queue(policy, now);
-                Ok(())
+                Ok(None)
             }
             QueueDiscipline::FixedOrder(_) => unreachable!("TimeDependent implies a policy"),
         }
@@ -67,9 +69,10 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
     }
 
     /// Re-score the queue for a time-dependent *compiled* policy — one
-    /// chunked batch pass over the SoA lanes into `batch_scores` —
-    /// then bring the priority order of queue positions up to date as far
-    /// as the pass that follows will read it.
+    /// chunked batch pass over the SoA lanes into `batch_scores`, which
+    /// also finds the head — then bring the priority order of queue
+    /// positions up to date as far as the pass that follows will read it.
+    /// Returns the head's queue position.
     ///
     /// Bit-identity argument: the comparator `(score, queue position)` is
     /// total and injective (positions are distinct), so the sorted
@@ -79,7 +82,11 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
     /// section describes the two shapes): the full sort builds all of it,
     /// and the sequence of minima [`next_head`] yields where no order is
     /// built at all walks the same one.
-    fn order_queue_compiled(&mut self, cp: &CompiledPolicy, now: f64) -> Result<(), EngineError> {
+    fn order_queue_compiled(
+        &mut self,
+        cp: &CompiledPolicy,
+        now: f64,
+    ) -> Result<Option<usize>, EngineError> {
         let len = self.st.queue.len();
         if self.st.q_r.len() != len
             || self.st.q_n.len() != len
@@ -94,7 +101,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
         // No zero-fill of the surviving prefix: the kernel overwrites
         // every element.
         self.scratch.batch_scores.resize(len, 0.0);
-        cp.score_batch(
+        let head = cp.score_batch(
             self.scratch.batch_scores.as_mut_slice(),
             ScoreLanes {
                 r: self.st.q_r.as_slice(),
@@ -111,14 +118,14 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
             cp.name()
         );
         if self.on_demand {
-            return Ok(());
+            return Ok(head);
         }
         let scores: &[f64] = &self.scratch.batch_scores;
         let order = &mut self.scratch.order;
         order.clear();
         order.extend(0..len);
         order.sort_unstable_by(|a, b| scores[*a].total_cmp(&scores[*b]).then(a.cmp(b)));
-        Ok(())
+        Ok(head)
     }
 
     /// Debug check that a static discipline's queue is in priority order.
@@ -132,44 +139,34 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
     }
 }
 
-/// On-demand head selection: the queue position the full-sort order
-/// would hold next, i.e. the minimum of the not-yet-started entries under
-/// `(score.total_cmp, queue position)`. One linear scan: scores compare
-/// as [`order_key`]s and `min_by_key` keeps the first of equal keys, which
-/// is the lowest-position tie-break. Every entry ahead of it in that
-/// order has been started by this pass, so successive calls walk the
-/// unique sorted permutation without ever materializing it.
-///
-/// `nothing_started` is the caller's word that no entry is started yet —
-/// true for the first head of a pass, where most passes stop — so that
-/// scan reads the 8-byte score lane alone, never the queue entries.
-/// `None` when no waiting entry is left.
-pub(super) fn next_head(
-    scores: &[f64],
-    queue: &[QueueEntry],
-    nothing_started: bool,
-) -> Option<usize> {
-    debug_assert_eq!(scores.len(), queue.len());
-    let keyed = scores.iter().map(|&s| order_key(s)).enumerate();
-    let head = if nothing_started {
-        debug_assert!(queue.iter().all(|e| !e.started));
-        keyed.min_by_key(|&(_, key)| key)
-    } else {
-        keyed
-            .zip(queue)
-            .filter(|(_, e)| !e.started)
-            .map(|(keyed, _)| keyed)
-            .min_by_key(|&(_, key)| key)
-    };
-    head.map(|(position, _)| position)
-}
+/// The score an on-demand strict pass gives an entry it started: the NaN
+/// whose [`order_key`] is `i64::MAX`, so the least-key search passes over
+/// it while any waiting entry scores anything else.
+pub(super) const STARTED: f64 = f64::from_bits(i64::MAX as u64);
 
-/// `f64::total_cmp`'s order as an integer: `order_key(a) < order_key(b)`
-/// iff `a.total_cmp(&b).is_lt()` (so `-0.0 < +0.0`, and equal bits give
-/// equal keys). It is `total_cmp`'s own bit transform, applied once per
-/// element instead of twice per comparison.
-#[inline]
-pub(crate) fn order_key(score: f64) -> i64 {
-    let bits = score.to_bits() as i64;
-    bits ^ (((bits >> 63) as u64) >> 1) as i64
+/// On-demand head selection after the pass's first start: the queue
+/// position the full-sort order would hold next, i.e. the minimum of the
+/// not-yet-started entries under `(score.total_cmp, queue position)`.
+/// Every entry ahead of it in that order has been started by this pass,
+/// so successive calls walk the unique sorted permutation without ever
+/// materializing it. (The first head of a pass, where most passes stop,
+/// is the batch kernel's return value.)
+///
+/// The pass overwrites each entry it starts with the [`STARTED`] score,
+/// so the head is [`least_position`] over the score lane alone, with no
+/// read of the queue entries. The one exception is checked in O(1): a
+/// waiting entry whose score has [`STARTED`]'s very bits ties with the
+/// started ones, and if the search lands on a started entry, one scan
+/// that filters on `started` decides. `None` when no waiting entry is
+/// left.
+pub(super) fn next_head(scores: &[f64], queue: &[QueueEntry]) -> Option<usize> {
+    debug_assert_eq!(scores.len(), queue.len());
+    let head = least_position(scores)?;
+    if !queue[head].started {
+        return Some(head);
+    }
+    let keyed = scores.iter().map(|&s| order_key(s)).enumerate();
+    let waiting = keyed.zip(queue).filter(|(_, e)| !e.started);
+    let head = waiting.map(|(keyed, _)| keyed).min_by_key(|&(_, key)| key);
+    head.map(|(position, _)| position)
 }

@@ -542,15 +542,46 @@ fn on_demand_selection_builds_no_order() {
     }
 }
 
+/// Walk a strict pass's on-demand heads over `scores` the way the pass
+/// does — the first from the batch kernel's search, each started entry's
+/// score overwritten with [`STARTED`](super::ordering::STARTED) — and
+/// require the order of a full sort by `(score.total_cmp, position)`.
+fn assert_on_demand_walk(scores: &[f64]) {
+    use super::ordering::{next_head, STARTED};
+    use super::QueueEntry;
+    use dynsched_policies::least_position;
+    let mut queue: Vec<QueueEntry> = (0..scores.len() as u32)
+        .map(|idx| QueueEntry {
+            idx,
+            job: job(idx, 0.0, 1.0, 1),
+            started: false,
+        })
+        .collect();
+    let mut lane = scores.to_vec();
+    let mut sorted: Vec<usize> = (0..scores.len()).collect();
+    sorted.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]).then(a.cmp(&b)));
+    for (taken, &expected) in sorted.iter().enumerate() {
+        let head = if taken == 0 {
+            least_position(&lane)
+        } else {
+            next_head(&lane, &queue)
+        };
+        assert_eq!(head, Some(expected), "{scores:?}, head {taken}");
+        // Without the overwrites, the scan that filters on `started`
+        // agrees.
+        assert_eq!(next_head(scores, &queue), Some(expected));
+        queue[expected].started = true;
+        lane[expected] = STARTED;
+    }
+    assert_eq!(next_head(&lane, &queue), None);
+    assert_eq!(next_head(scores, &queue), None);
+}
+
 #[test]
 fn on_demand_heads_walk_the_full_sort_order() {
-    // Marking each returned head started, `next_head` must enumerate the
-    // queue in exactly the order of a full sort by `(score.total_cmp,
-    // position)` — through equal scores (lowest position first), both
-    // zeros (`-0.0` sorts first; WFP scores `-0.0` at `w = 0`),
-    // negatives, `f64::MAX` and the infinities.
-    use super::ordering::next_head;
-    use super::QueueEntry;
+    // Through equal scores (lowest position first), both zeros (`-0.0`
+    // sorts first; WFP scores `-0.0` at `w = 0`), negatives, `f64::MAX`
+    // and the infinities.
     const INF: f64 = f64::INFINITY;
     const MAX: f64 = f64::MAX;
     let vectors: [&[f64]; 4] = [
@@ -560,26 +591,26 @@ fn on_demand_heads_walk_the_full_sort_order() {
         &[7.0],
     ];
     for scores in vectors {
-        let mut queue: Vec<QueueEntry> = (0..scores.len() as u32)
-            .map(|idx| QueueEntry {
-                idx,
-                job: job(idx, 0.0, 1.0, 1),
-                started: false,
-            })
-            .collect();
-        let mut sorted: Vec<usize> = (0..scores.len()).collect();
-        sorted.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]).then(a.cmp(&b)));
-        for (taken, &expected) in sorted.iter().enumerate() {
-            assert_eq!(
-                next_head(scores, &queue, taken == 0),
-                Some(expected),
-                "{scores:?}, head {taken}"
-            );
-            // The general scan agrees with the score-lane-only one.
-            assert_eq!(next_head(scores, &queue, false), Some(expected));
-            queue[expected].started = true;
-        }
-        assert_eq!(next_head(scores, &queue, false), None);
+        assert_on_demand_walk(scores);
+    }
+}
+
+#[test]
+fn a_waiting_score_with_the_started_bits_comes_out_after_every_other() {
+    // A waiting entry may score `STARTED`'s very bits (a positive NaN,
+    // above +∞ under `total_cmp`). The score-lane search then ties it
+    // with the started entries and can land on a started one ahead of
+    // it: the filtered scan must still yield it, last, in position order.
+    use super::ordering::STARTED;
+    const INF: f64 = f64::INFINITY;
+    let vectors: [&[f64]; 4] = [
+        &[1.0, STARTED, 2.0],
+        &[STARTED, 2.0, STARTED, 1.0, INF, -0.0],
+        &[5.0, STARTED, STARTED, -1.0, STARTED],
+        &[STARTED],
+    ];
+    for scores in vectors {
+        assert_on_demand_walk(scores);
     }
 }
 

@@ -96,12 +96,12 @@
 //! drain → divide → arg-min), not by instruction count.
 
 use crate::config::SchedulerConfig;
-use crate::engine::{order_key, EngineError, QueueDiscipline, SimWorkspace};
+use crate::engine::{EngineError, QueueDiscipline, SimWorkspace};
 use crate::result::SimulationResult;
 use dynsched_cluster::{
     average_bounded_slowdown, AvailabilitySchedule, CompletedJob, FaultProfile,
 };
-use dynsched_policies::CompiledPolicy;
+use dynsched_policies::{order_key, CompiledPolicy};
 use dynsched_simkit::parallel::{for_each_part_mut, max_workers, run_scoped};
 use dynsched_workload::{TraceSlice, TraceSource};
 use std::hint::select_unpredictable;

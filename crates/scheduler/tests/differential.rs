@@ -15,8 +15,10 @@
 //!   the narrowest waiter (FCFS / F1 / WFP / UNI × EASY / conservative);
 //!   the `backlog` cases stand 480 jobs behind the static-order live
 //!   window, with sprinters and a four-step drop (ranks / FCFS / SPT / F1
-//!   × three backfilling modes). What only private state shows of them
-//!   stays in `engine/tests.rs`.
+//!   × three backfilling modes); the `heads` cases start three heads or
+//!   more in one on-demand pass (WFP / UNI / a random tree × strict /
+//!   EASY). What only private state shows of them stays in
+//!   `engine/tests.rs`.
 //! * **forks** under another rank table than the prefix's;
 //! * **federations**: k shards at 1 and n workers, each shard against
 //!   its slice run standalone — under its own fault stream — and the
@@ -678,6 +680,42 @@ fn queued_at(result: &SimulationResult, horizon: f64) -> usize {
         .count()
 }
 
+/// Heads an on-demand pass picked after its first, summed over the start
+/// instants of a fault-free run of `case` under a time-dependent
+/// `policy`: at each instant, the longest run of the priority order over
+/// the jobs waiting then (score at that instant, then queue position)
+/// that started then, less one. The passes of one instant (a zero-length
+/// job's completion reruns the pass) count as one.
+fn later_heads(case: &Case, policy: &dyn Policy, oracle: &SimulationResult) -> u64 {
+    let start: BTreeMap<u32, f64> = (oracle.completed.iter())
+        .map(|c| (c.job.id, c.start))
+        .collect();
+    let mut instants: Vec<f64> = start.values().copied().collect();
+    instants.sort_by(f64::total_cmp);
+    instants.dedup();
+    let mut later = 0;
+    for t in instants {
+        let waiting = case.jobs.iter().enumerate();
+        let waiting = waiting.filter(|(_, j)| j.submit <= t && start[&j.id] >= t);
+        let mut order: Vec<(f64, usize)> = waiting
+            .map(|(i, j)| {
+                let score = policy.score(&TaskView {
+                    processing_time: case.config.decision_time(j.runtime, j.estimate),
+                    cores: j.cores,
+                    submit: j.submit,
+                    now: t,
+                });
+                (score, i)
+            })
+            .collect();
+        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let started_then = |&&(_, i): &&(f64, usize)| start[&case.jobs[i].id] == t;
+        let heads = order.iter().take_while(started_then).count() as u64;
+        later += heads.saturating_sub(1);
+    }
+    later
+}
+
 /// A worker's reused state: one workspace and one checkpoint, carried
 /// from case to case.
 type Rig = (SimWorkspace, Checkpoint);
@@ -720,6 +758,16 @@ fn check(case: &Case, lineup: &Lineup, rig: &mut Rig) -> Result<Coverage, Failur
                     count(&mut cov, &format!("scores of {name}"), 1);
                 }
             }
+        }
+        // The compiled twin picks these heads from the score lane alone.
+        let on_demand = match config.backfill {
+            BackfillMode::None => Some("strict"),
+            BackfillMode::Aggressive => Some("EASY"),
+            BackfillMode::Conservative => None,
+        };
+        if let (true, Some(mode)) = (lineup.compiled[p].time_dependent(), on_demand) {
+            let later = later_heads(case, lineup.policies[p].as_ref(), &oracle);
+            count(&mut cov, &format!("on-demand later heads, {mode}"), later);
         }
     }
 
@@ -932,6 +980,9 @@ fn domain_rows() -> Vec<(String, u64)> {
         ("cases under a time-dependent policy".to_string(), 1),
     ];
     want.extend(SPECIAL.map(|(_, name)| (format!("scores of {name}"), 1)));
+    for mode in ["strict", "EASY"] {
+        want.push((format!("on-demand later heads, {mode}"), 101));
+    }
     want.push(("scatter re-key".to_string(), 1));
     want.push(("re-key fallback".to_string(), 1));
     for (shape, _) in DOMAIN {
@@ -1164,6 +1215,61 @@ fn gate_and_backlog_inputs_equal_the_oracle_on_every_path() {
         assert!(
             seen.get(&row).is_some_and(|&n| n > 0),
             "{what}: the drop must bite"
+        );
+    }
+}
+
+/// Passes that start three heads or more on demand: the heads after the
+/// first come from the score lane alone (`engine/tests.rs` holds the
+/// search's fallback for a score with the started mark's bits). On 8
+/// cores jobs 0 and 1 hold the machine full while seven narrow jobs
+/// queue — six of one core and one of two, eight cores in all. Job 0's
+/// end frees six: under any order the pass starts at least three of them
+/// before the queue blocks, and what is left starts as cores free up.
+/// WFP, UNI and a random time-dependent tree, strict and EASY.
+fn head_cases(lineup: &Lineup, out: &mut Vec<Case>) {
+    let mut jobs = vec![
+        Job::new(0, 0.0, 100.0, 100.0, 6),
+        Job::new(1, 0.0, 1_000.0, 1_000.0, 2),
+    ];
+    for (i, runtime) in [10.0, 20.0, 30.0, 40.0, 5.0, 5.0].into_iter().enumerate() {
+        let id = i as u32 + 2;
+        jobs.push(Job::new(id, id as f64, runtime, runtime * 2.0, 1));
+    }
+    jobs.push(Job::new(8, 8.0, 50.0, 60.0, 2));
+    let tree = (lineup.policies.iter())
+        .position(|p| p.name().starts_with("random-"))
+        .expect("the lineup holds random time-dependent trees");
+    for backfill in [BackfillMode::None, BackfillMode::Aggressive] {
+        for policy in [lineup.slot("WFP"), lineup.slot("UNI"), tree] {
+            out.push(Case {
+                index: out.len(),
+                shape: Shape::Named("heads"),
+                jobs: jobs.clone(),
+                config: on_estimates(8, backfill),
+                policy: Some(policy),
+                ranks: (0..jobs.len()).collect(),
+                faults: Faults::None,
+            });
+        }
+    }
+}
+
+/// The heads traces through every path of [`check`]: every fast path
+/// equals the oracle, and each case's on-demand passes pick two heads or
+/// more after their first.
+#[test]
+fn passes_of_three_heads_or_more_equal_the_oracle_on_every_path() {
+    let lineup = Lineup::new();
+    let mut cases = Vec::new();
+    head_cases(&lineup, &mut cases);
+    for (case, seen) in cases.iter().zip(check_all(&cases, &lineup)) {
+        let mode = ["strict", "EASY"][usize::from(case.config.backfill != BackfillMode::None)];
+        let later = seen.get(&format!("on-demand later heads, {mode}"));
+        let policy = lineup.policies[case.policy.expect("a policy")].name();
+        assert!(
+            later.is_some_and(|&n| n >= 2),
+            "{policy}, {mode}: {later:?}"
         );
     }
 }
