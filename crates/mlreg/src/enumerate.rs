@@ -221,25 +221,12 @@ fn residual_passes() -> &'static [[ResidualPass; 3]; 3] {
     &RESIDUAL_PASSES
 }
 
-/// Fit one family member against the training set.
-///
-/// One-shot convenience: builds a [`FeatureTable`] and a fresh
-/// [`FitWorkspace`] per call. [`fit_all`] amortizes both across the whole
-/// family; results are bit-identical either way.
-pub fn fit_function(
-    shape: NonlinearFunction,
-    training: &TrainingSet,
-    options: &EnumerateOptions,
-) -> FitResult {
-    assert!(!training.is_empty(), "cannot fit an empty training set");
-    let table = FeatureTable::build(training);
-    fit_function_scoped(shape, &table, options, &mut FitWorkspace::default())
-}
-
 /// Fit one family member out of a shared [`FeatureTable`] and a reusable
-/// [`FitWorkspace`] — the batched kernel behind [`fit_all`]. Zero heap
-/// allocation once `ws` is warm (the returned [`FitResult`] is plain
-/// `Copy`-sized data).
+/// [`FitWorkspace`] — the batched kernel behind [`fit_all`]; a one-off fit
+/// passes [`FeatureTable::build`] of its training set and a fresh
+/// workspace. Zero heap allocation once `ws` is warm (the returned
+/// [`FitResult`] is plain `Copy`-sized data), and the result depends on
+/// nothing `ws` held before.
 pub fn fit_function_scoped(
     shape: NonlinearFunction,
     table: &FeatureTable,
@@ -374,6 +361,16 @@ mod tests {
     use dynsched_policies::learned::BaseFunc;
     use dynsched_policies::Policy as _;
 
+    /// One fit of `shape` on its own feature table and a fresh workspace.
+    fn fit_one(
+        shape: NonlinearFunction,
+        training: &TrainingSet,
+        options: &EnumerateOptions,
+    ) -> FitResult {
+        let table = FeatureTable::build(training);
+        fit_function_scoped(shape, &table, options, &mut FitWorkspace::default())
+    }
+
     /// A training set generated exactly by an F1-shaped function, so the
     /// enumeration must recover it (or an algebraic equivalent) at the top.
     fn synthetic_f1_set() -> TrainingSet {
@@ -472,7 +469,7 @@ mod tests {
             OpKind::Add,
             BaseFunc::Log10,
         );
-        let fit = fit_function(shape, &ts, &EnumerateOptions::default());
+        let fit = fit_one(shape, &ts, &EnumerateOptions::default());
         // The product c1·c2 and c3 are identifiable; the merged form must
         // match the generator: c1·c2 = 2e-4, c3 = 8e-3.
         let [c1, c2, c3] = fit.function.coefficients;
@@ -576,8 +573,8 @@ mod tests {
             OpKind::Add,
             BaseFunc::Inv,
         );
-        let weighted = fit_function(shape, &ts, &EnumerateOptions::default());
-        let unweighted = fit_function(
+        let weighted = fit_one(shape, &ts, &EnumerateOptions::default());
+        let unweighted = fit_one(
             shape,
             &ts,
             &EnumerateOptions {
@@ -612,7 +609,7 @@ mod tests {
     fn empty_training_set_rejected() {
         let ts = TrainingSet::default();
         let shape = NonlinearFunction::enumerate_family()[0];
-        fit_function(shape, &ts, &EnumerateOptions::default());
+        fit_one(shape, &ts, &EnumerateOptions::default());
     }
 
     #[test]

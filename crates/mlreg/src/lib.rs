@@ -9,14 +9,17 @@
 //!   path, and [`linalg::normal_equations`]: `JᵀJ` and `Jᵀr` of a
 //!   column-major Jacobian in one sweep;
 //! * [`lm`] — Levenberg–Marquardt (the algorithm behind SciPy's
-//!   `leastsq`, which the paper used), with a reusable [`LmWorkspace`]
-//!   and, per fit, its exit and work counts ([`LmOutcome`]);
+//!   `leastsq`, which the paper used): one entry point,
+//!   [`levenberg_marquardt_scoped`], run out of a reusable [`LmWorkspace`]
+//!   and reporting, per fit, its exit and work counts ([`LmOutcome`]);
 //! * [`dataset`] — the `score(r,n,s)` observations with the artifact's CSV
 //!   codec, the Eq. 4 `r·n` weighting, and the pre-transformed
 //!   [`FeatureTable`] the enumeration sweeps over;
-//! * [`enumerate`] — fit all 576 family members as one batched session,
-//!   rank by Eq. 5 (the paper's Table 3 uses no other selection
-//!   criterion), and export the best as scheduling policies;
+//! * [`enumerate`] — fit all 576 family members as one batched session
+//!   ([`fit_all`]; one member is [`fit_function_scoped`] on a
+//!   [`FeatureTable`] and a [`FitWorkspace`]), rank by Eq. 5 (the paper's
+//!   Table 3 uses no other selection criterion), and export the best as
+//!   scheduling policies;
 //! * [`reference`](mod@reference) — the pre-refactor sequential
 //!   enumeration, kept as the bit-identity oracle and the performance
 //!   baseline.
@@ -73,12 +76,9 @@ pub mod validate;
 
 pub use dataset::{FeatureTable, Observation, TrainingSet};
 pub use enumerate::{
-    fit_all, fit_function, fit_function_scoped, rank, sort_ranked, top_policies, EnumerateOptions,
-    FitResult, FitWorkspace,
+    fit_all, fit_function_scoped, rank, sort_ranked, top_policies, EnumerateOptions, FitResult,
+    FitWorkspace,
 };
-pub use lm::{
-    levenberg_marquardt, levenberg_marquardt_scoped, LmCounts, LmExit, LmFit, LmOutcome,
-    LmWorkspace,
-};
+pub use lm::{levenberg_marquardt_scoped, LmCounts, LmExit, LmFit, LmOutcome, LmWorkspace};
 pub use reference::{fit_all_reference, fit_function_reference};
 pub use validate::{fit_stats, FitStats};

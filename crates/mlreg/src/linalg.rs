@@ -88,45 +88,30 @@ impl Matrix {
     /// `Aᵀ·A` (the Gram matrix), computed directly.
     pub fn gram(&self) -> Matrix {
         let mut g = Matrix::zeros(self.cols, self.cols);
-        self.gram_into(&mut g);
-        g
-    }
-
-    /// [`gram`](Self::gram) into a caller-owned output matrix (reshaped as
-    /// needed, no allocation in steady state). Bit-identical to `gram`.
-    pub fn gram_into(&self, out: &mut Matrix) {
-        out.reset(self.cols, self.cols);
         for i in 0..self.cols {
             for j in i..self.cols {
                 let mut acc = 0.0;
                 for k in 0..self.rows {
                     acc += self[(k, i)] * self[(k, j)];
                 }
-                out[(i, j)] = acc;
-                out[(j, i)] = acc;
+                g[(i, j)] = acc;
+                g[(j, i)] = acc;
             }
         }
+        g
     }
 
     /// `Aᵀ·v` for a vector `v` of length `rows`.
     pub fn transpose_mul_vec(&self, v: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.transpose_mul_vec_into(v, &mut out);
-        out
-    }
-
-    /// [`transpose_mul_vec`](Self::transpose_mul_vec) into a caller-owned
-    /// buffer (cleared and refilled; no allocation once warm).
-    pub fn transpose_mul_vec_into(&self, v: &[f64], out: &mut Vec<f64>) {
         assert_eq!(v.len(), self.rows, "dimension mismatch");
-        out.clear();
-        out.resize(self.cols, 0.0);
+        let mut out = vec![0.0; self.cols];
         for k in 0..self.rows {
             let vk = v[k];
             for (j, o) in out.iter_mut().enumerate() {
                 *o += self[(k, j)] * vk;
             }
         }
+        out
     }
 
     /// `A·v` for a vector `v` of length `cols`.
@@ -424,8 +409,8 @@ mod tests {
 
     #[test]
     fn scratch_buffers_are_reusable() {
-        // One set of buffers driven through systems of different sizes must
-        // reproduce the allocating paths exactly.
+        // One set of `normal_equations` buffers driven through systems that
+        // grow and shrink must reproduce the allocating paths exactly.
         let mut gram = Matrix::zeros(1, 1);
         let mut atv = Vec::new();
         for n in [2usize, 4, 3] {
@@ -436,11 +421,13 @@ mod tests {
                         .collect()
                 })
                 .collect();
+            let columns: Vec<f64> = (0..n)
+                .flat_map(|j| rows.iter().map(move |row| row[j]))
+                .collect();
             let a = Matrix::from_rows(&rows);
             let v: Vec<f64> = (0..n + 2).map(|i| i as f64 * 0.5 - 1.0).collect();
-            a.gram_into(&mut gram);
+            normal_equations(&columns, &v, &mut gram, &mut atv);
             assert_eq!(gram, a.gram());
-            a.transpose_mul_vec_into(&v, &mut atv);
             assert_eq!(atv, a.transpose_mul_vec(&v));
         }
     }

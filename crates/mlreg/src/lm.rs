@@ -10,13 +10,11 @@
 //! entry per observation (weights already applied by the caller), so the
 //! solver is reusable for any small-parameter fit.
 //!
-//! Two entry points share one step loop: [`levenberg_marquardt`] allocates
-//! its working buffers per call, while [`levenberg_marquardt_scoped`] runs
-//! out of a caller-owned [`LmWorkspace`] — once the workspace is warm, an
-//! entire fit performs **no heap allocation**. The batched enumeration
-//! hands one workspace to each worker thread and reuses it across the
-//! hundreds of fits that worker executes. Both paths are bit-identical:
-//! the wrapper simply runs the kernel on a fresh workspace.
+//! The one entry point, [`levenberg_marquardt_scoped`], runs out of a
+//! caller-owned [`LmWorkspace`] — once the workspace is warm, an entire
+//! fit performs **no heap allocation**. The batched enumeration hands one
+//! workspace to each worker thread and reuses it across the hundreds of
+//! fits that worker executes; a one-off fit passes a fresh one.
 //!
 //! # Layout, and why the bits are the oracle's
 //!
@@ -173,36 +171,15 @@ pub struct LmOutcome {
 }
 
 /// Minimize `Σ residuals(params)²` starting from `initial`, in at most
-/// `max_iterations` outer iterations.
+/// `max_iterations` outer iterations, out of a caller-owned workspace:
+/// once `ws` is warm, the whole fit allocates nothing. The fitted
+/// parameters are left in `ws.params()`; the result depends on nothing
+/// `ws` held before.
 ///
 /// `residuals(params, out)` must fill `out` (length fixed across calls)
 /// with the residual vector; non-finite residuals are treated as an
 /// immediately rejected step (the optimizer backs off rather than
 /// panicking, mirroring MINPACK's behaviour on wild steps).
-pub fn levenberg_marquardt<F>(
-    residuals: F,
-    initial: &[f64],
-    n_residuals: usize,
-    max_iterations: usize,
-) -> LmFit
-where
-    F: FnMut(&[f64], &mut [f64]),
-{
-    let mut ws = LmWorkspace::new();
-    let outcome =
-        levenberg_marquardt_scoped(&mut ws, residuals, initial, n_residuals, max_iterations);
-    LmFit {
-        params: ws.params,
-        cost: outcome.cost,
-        iterations: outcome.iterations,
-        converged: outcome.converged,
-    }
-}
-
-/// [`levenberg_marquardt`] running out of a caller-owned workspace: once
-/// `ws` is warm, the whole fit allocates nothing. The fitted parameters
-/// are left in `ws.params()`. Results are bit-identical to the allocating
-/// wrapper (which is just this kernel on a fresh workspace).
 pub fn levenberg_marquardt_scoped<F>(
     ws: &mut LmWorkspace,
     mut residuals: F,
@@ -348,7 +325,9 @@ mod tests {
         // y = 3x + 2 — linear problems converge in one accepted step.
         let xs: Vec<f64> = (0..20).map(|i| i as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x + 2.0).collect();
-        let fit = levenberg_marquardt(
+        let mut ws = LmWorkspace::new();
+        let fit = levenberg_marquardt_scoped(
+            &mut ws,
             |p, out| {
                 for (i, (&x, &y)) in xs.iter().zip(&ys).enumerate() {
                     out[i] = p[0] * x + p[1] - y;
@@ -358,8 +337,8 @@ mod tests {
             xs.len(),
             ITERATIONS,
         );
-        assert!((fit.params[0] - 3.0).abs() < 1e-8, "{:?}", fit.params);
-        assert!((fit.params[1] - 2.0).abs() < 1e-8);
+        assert!((ws.params()[0] - 3.0).abs() < 1e-8, "{:?}", ws.params());
+        assert!((ws.params()[1] - 2.0).abs() < 1e-8);
         assert!(fit.cost < 1e-12);
     }
 
@@ -368,7 +347,9 @@ mod tests {
         // y = a·exp(b·x), a=2, b=-0.5 — the classic nonlinear test.
         let xs: Vec<f64> = (0..30).map(|i| i as f64 * 0.3).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 2.0 * (-0.5 * x).exp()).collect();
-        let fit = levenberg_marquardt(
+        let mut ws = LmWorkspace::new();
+        let fit = levenberg_marquardt_scoped(
+            &mut ws,
             |p, out| {
                 for (i, (&x, &y)) in xs.iter().zip(&ys).enumerate() {
                     out[i] = p[0] * (p[1] * x).exp() - y;
@@ -379,14 +360,16 @@ mod tests {
             ITERATIONS,
         );
         assert!(fit.converged, "{fit:?}");
-        assert!((fit.params[0] - 2.0).abs() < 1e-6, "{:?}", fit.params);
-        assert!((fit.params[1] + 0.5).abs() < 1e-6);
+        assert!((ws.params()[0] - 2.0).abs() < 1e-6, "{:?}", ws.params());
+        assert!((ws.params()[1] + 0.5).abs() < 1e-6);
     }
 
     #[test]
     fn fits_rosenbrock_style_valley() {
         // Residuals (10(y-x²), 1-x): minimum at (1, 1).
-        let fit = levenberg_marquardt(
+        let mut ws = LmWorkspace::new();
+        levenberg_marquardt_scoped(
+            &mut ws,
             |p, out| {
                 out[0] = 10.0 * (p[1] - p[0] * p[0]);
                 out[1] = 1.0 - p[0];
@@ -395,15 +378,17 @@ mod tests {
             2,
             500,
         );
-        assert!((fit.params[0] - 1.0).abs() < 1e-6, "{:?}", fit.params);
-        assert!((fit.params[1] - 1.0).abs() < 1e-6);
+        assert!((ws.params()[0] - 1.0).abs() < 1e-6, "{:?}", ws.params());
+        assert!((ws.params()[1] - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn weighted_fit_prefers_heavy_points() {
         // Two incompatible observations of a constant; the heavier weight
         // should dominate the fitted value.
-        let fit = levenberg_marquardt(
+        let mut ws = LmWorkspace::new();
+        levenberg_marquardt_scoped(
+            &mut ws,
             |p, out| {
                 out[0] = 10.0 * (p[0] - 1.0); // weight 10 at y=1
                 out[1] = 1.0 * (p[0] - 5.0); // weight 1 at y=5
@@ -414,9 +399,9 @@ mod tests {
         );
         // Weighted LS optimum: (100·1 + 1·5)/101 ≈ 1.0396.
         assert!(
-            (fit.params[0] - 105.0 / 101.0).abs() < 1e-8,
+            (ws.params()[0] - 105.0 / 101.0).abs() < 1e-8,
             "{:?}",
-            fit.params
+            ws.params()
         );
     }
 
@@ -426,7 +411,9 @@ mod tests {
         let xs: Vec<f64> = (0..10).map(|i| i as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| (0.3 * x).sin() * 4.0).collect();
         let mut costs: Vec<f64> = Vec::new();
-        let fit = levenberg_marquardt(
+        let mut ws = LmWorkspace::new();
+        levenberg_marquardt_scoped(
+            &mut ws,
             |p, out| {
                 for (i, (&x, &y)) in xs.iter().zip(&ys).enumerate() {
                     out[i] = p[0] * (p[1] * x).sin() - y;
@@ -443,7 +430,7 @@ mod tests {
                 out[i] = p[0] * (p[1] * x).sin() - y;
             }
         };
-        eval(&fit.params, &mut res);
+        eval(ws.params(), &mut res);
         costs.push(cost_of(&res));
         assert!(costs[0] <= 1e-6, "final cost {}", costs[0]);
     }
@@ -452,7 +439,9 @@ mod tests {
     fn singular_directions_are_survivable() {
         // p[1] is a dead parameter (never used): JᵀJ is singular, but the
         // Marquardt diagonal floor keeps the solve alive.
-        let fit = levenberg_marquardt(
+        let mut ws = LmWorkspace::new();
+        levenberg_marquardt_scoped(
+            &mut ws,
             |p, out| {
                 out[0] = p[0] - 7.0;
             },
@@ -460,13 +449,15 @@ mod tests {
             1,
             ITERATIONS,
         );
-        assert!((fit.params[0] - 7.0).abs() < 1e-8, "{:?}", fit.params);
-        assert_eq!(fit.params[1], 123.0, "dead parameter must not drift");
+        assert!((ws.params()[0] - 7.0).abs() < 1e-8, "{:?}", ws.params());
+        assert_eq!(ws.params()[1], 123.0, "dead parameter must not drift");
     }
 
     #[test]
     fn non_finite_start_reported_not_panicked() {
-        let fit = levenberg_marquardt(
+        let mut ws = LmWorkspace::new();
+        let fit = levenberg_marquardt_scoped(
+            &mut ws,
             |p, out| {
                 out[0] = 1.0 / (p[0] - p[0]); // inf
             },
@@ -498,23 +489,27 @@ mod tests {
         for _ in 0..3 {
             let got =
                 levenberg_marquardt_scoped(&mut ws, exp_res, &[1.0, -0.1], xs.len(), ITERATIONS);
-            let want = levenberg_marquardt(exp_res, &[1.0, -0.1], xs.len(), ITERATIONS);
-            assert_eq!(ws.params(), &want.params[..]);
-            assert_eq!(got.cost, want.cost);
-            assert_eq!(got.iterations, want.iterations);
-            assert_eq!(got.converged, want.converged);
+            let mut fresh = LmWorkspace::new();
+            let want =
+                levenberg_marquardt_scoped(&mut fresh, exp_res, &[1.0, -0.1], xs.len(), ITERATIONS);
+            assert_eq!(ws.params(), fresh.params());
+            assert_eq!(got, want);
 
             let got =
                 levenberg_marquardt_scoped(&mut ws, lin_res, &[0.0, 0.0], xs.len(), ITERATIONS);
-            let want = levenberg_marquardt(lin_res, &[0.0, 0.0], xs.len(), ITERATIONS);
-            assert_eq!(ws.params(), &want.params[..]);
-            assert_eq!(got.cost, want.cost);
+            let mut fresh = LmWorkspace::new();
+            let want =
+                levenberg_marquardt_scoped(&mut fresh, lin_res, &[0.0, 0.0], xs.len(), ITERATIONS);
+            assert_eq!(ws.params(), fresh.params());
+            assert_eq!(got, want);
         }
     }
 
     #[test]
     fn respects_iteration_cap() {
-        let fit = levenberg_marquardt(
+        let mut ws = LmWorkspace::new();
+        let fit = levenberg_marquardt_scoped(
+            &mut ws,
             |p, out| {
                 out[0] = (p[0] - 4.0) * (p[0] - 4.0) + 1.0; // never zero
             },

@@ -191,8 +191,9 @@ pub fn fit_all_reference(training: &TrainingSet, options: &EnumerateOptions) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::FeatureTable;
     use crate::dataset::Observation;
-    use crate::enumerate::fit_function;
+    use crate::enumerate::{fit_function_scoped, FitWorkspace};
     use dynsched_policies::learned::{BaseFunc, OpKind};
 
     fn small_set() -> TrainingSet {
@@ -224,6 +225,7 @@ mod tests {
     #[test]
     fn batched_fit_matches_reference_bit_for_bit() {
         let ts = small_set();
+        let table = FeatureTable::build(&ts);
         let opts = EnumerateOptions {
             max_iterations: 40,
             ..Default::default()
@@ -233,7 +235,7 @@ mod tests {
             .step_by(37)
         {
             let reference = fit_function_reference(shape, &ts, &opts);
-            let batched = fit_function(shape, &ts, &opts);
+            let batched = fit_function_scoped(shape, &table, &opts, &mut FitWorkspace::default());
             assert_eq!(reference, batched, "{shape:?}");
         }
     }

@@ -17,8 +17,8 @@
 
 use dynsched_mlreg::linalg::{dot, solve, Matrix};
 use dynsched_mlreg::{
-    fit_all, fit_function, fit_function_reference, levenberg_marquardt, EnumerateOptions,
-    Observation, TrainingSet,
+    fit_all, fit_function_reference, fit_function_scoped, levenberg_marquardt_scoped,
+    EnumerateOptions, FeatureTable, FitWorkspace, LmWorkspace, Observation, TrainingSet,
 };
 use dynsched_policies::learned::{BaseFunc, NonlinearFunction, OpKind};
 use dynsched_policies::Policy as _;
@@ -80,7 +80,9 @@ fn lm_solutions_satisfy_the_normal_equations() {
             .iter()
             .map(|r| dot(r, &beta_true) + rng.range_f64(-0.01, 0.01))
             .collect();
-        let fit = levenberg_marquardt(
+        let mut ws = LmWorkspace::new();
+        levenberg_marquardt_scoped(
+            &mut ws,
             |p, out| {
                 for (i, row) in rows.iter().enumerate() {
                     out[i] = dot(row, p) - ys[i];
@@ -92,7 +94,7 @@ fn lm_solutions_satisfy_the_normal_equations() {
         );
         // Residual gradient Xᵀ(Xβ − y) must vanish at the optimum.
         let x = Matrix::from_rows(&rows);
-        let fitted_ys = x.mul_vec(&fit.params);
+        let fitted_ys = x.mul_vec(ws.params());
         let residuals: Vec<f64> = fitted_ys.iter().zip(&ys).map(|(f, y)| f - y).collect();
         let gradient = x.transpose_mul_vec(&residuals);
         for (j, g) in gradient.iter().enumerate() {
@@ -137,9 +139,13 @@ fn fits_are_invariant_under_row_permutation() {
             })
             .collect();
         let options = EnumerateOptions::default();
-        let original = fit_function(shape, &TrainingSet::new(obs.clone()), &options);
+        let fit = |obs: Vec<Observation>| {
+            let table = FeatureTable::build(&TrainingSet::new(obs));
+            fit_function_scoped(shape, &table, &options, &mut FitWorkspace::default())
+        };
+        let original = fit(obs.clone());
         rng.shuffle(&mut obs);
-        let permuted = fit_function(shape, &TrainingSet::new(obs), &options);
+        let permuted = fit(obs);
         for (a, b) in original
             .function
             .coefficients
@@ -218,6 +224,7 @@ fn rank_deficient_candidates_are_rejected_not_poisoned() {
         })
         .collect();
     let ts = TrainingSet::new(obs);
+    let table = FeatureTable::build(&ts);
     let options = EnumerateOptions {
         max_iterations: 30,
         ..Default::default()
@@ -226,7 +233,7 @@ fn rank_deficient_candidates_are_rejected_not_poisoned() {
         .into_iter()
         .step_by(23)
     {
-        let fit = fit_function(shape, &ts, &options);
+        let fit = fit_function_scoped(shape, &table, &options, &mut FitWorkspace::default());
         assert!(!fit.fitness.is_nan(), "{shape:?}");
         assert!(!fit.weighted_sse.is_nan(), "{shape:?}");
         let oracle = fit_function_reference(shape, &ts, &options);

@@ -6,7 +6,7 @@
 
 use super::event_loop::Engine;
 use super::ordering::{next_head, STARTED};
-use super::{CompletionSink, EngineError, QueueOrder};
+use super::{CompletionSink, EngineError};
 use crate::config::BackfillMode;
 use crate::profile::clamp_release;
 use dynsched_workload::TraceSource;
@@ -99,7 +99,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
                 return Ok(());
             }
         }
-        let kernel_head = if self.queue_order == QueueOrder::TimeDependent {
+        let first_head = if self.time_dependent {
             self.reorder(now)?
         } else {
             debug_assert!(self.queue_is_priority_sorted());
@@ -169,7 +169,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
                 let qi = if !self.on_demand {
                     self.ord(pos)
                 } else if pos == 0 {
-                    kernel_head.expect("the batch kernel finds a head in a non-empty queue")
+                    first_head.expect("the re-score finds a head in a non-empty queue")
                 } else {
                     next_head(&self.scratch.batch_scores, &self.st.queue)
                         .expect("the pass visits at most one head per waiting entry")
@@ -258,7 +258,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
         }
 
         if any_started {
-            if self.queue_order == QueueOrder::TimeDependent {
+            if self.time_dependent {
                 self.compact();
             } else {
                 self.advance_window();
@@ -311,10 +311,10 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
     }
 
     /// Time-dependent orders: drop the entries the pass started, which lie
-    /// anywhere in the arrival-ordered queue. Compacts `queue` and its SoA
-    /// key array in lockstep — plus the compiled batch-scoring input lanes
-    /// when they are maintained, indexed by queue position from 0 (`head`
-    /// stays 0 here).
+    /// anywhere in the arrival-ordered queue. Compacts `queue` — plus the
+    /// compiled batch-scoring input lanes in lockstep when they are
+    /// maintained, indexed by queue position from 0 (`head` stays 0 here;
+    /// there is no key lane).
     fn compact(&mut self) {
         debug_assert_eq!(self.st.head, 0);
         let stride = if self.track_lanes {
@@ -327,7 +327,6 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
             if !self.st.queue[r].started {
                 if w != r {
                     self.st.queue[w] = self.st.queue[r];
-                    self.st.q_keys[w] = self.st.q_keys[r];
                     if self.track_lanes {
                         self.st.q_r[w] = self.st.q_r[r];
                         self.st.q_n[w] = self.st.q_n[r];
@@ -341,7 +340,6 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
             }
         }
         self.st.queue.truncate(w);
-        self.st.q_keys.truncate(w);
         if self.track_lanes {
             self.st.q_r.truncate(w);
             self.st.q_n.truncate(w);

@@ -1,10 +1,10 @@
 //! The event loop: per-run set-up, the arrival / completion / capacity-step
 //! merge, and the primitive state transitions (enqueue, start, complete).
 
+use super::ordering::score_key;
 use super::state::{FaultState, Scratch, SimState};
 use super::{
-    task_view, CompletionSink, EngineError, QueueDiscipline, QueueEntry, QueueOrder, RunMode,
-    SimWorkspace,
+    task_view, CompletionSink, EngineError, QueueDiscipline, QueueEntry, RunMode, SimWorkspace,
 };
 use crate::config::{BackfillMode, SchedulerConfig};
 use dynsched_cluster::{AvailabilitySchedule, CapacityStep, CompletedJob, Job};
@@ -53,12 +53,13 @@ impl SimWorkspace {
         self.state.reset(n_jobs, config.platform);
         self.faults.reset(n_jobs);
 
-        let queue_order = match discipline {
-            QueueDiscipline::FixedOrder(_) => QueueOrder::ByRank,
-            QueueDiscipline::Policy(p) if !p.time_dependent() => QueueOrder::ByCachedScore,
-            QueueDiscipline::Policy(_) => QueueOrder::TimeDependent,
-            QueueDiscipline::Compiled(cp) if !cp.time_dependent() => QueueOrder::ByCachedScore,
-            QueueDiscipline::Compiled(_) => QueueOrder::TimeDependent,
+        // A static discipline (fixed ranks, or scores that never change
+        // after arrival) keeps the queue itself sorted by one integer key;
+        // a time-dependent one re-scores the queue at every pass.
+        let time_dependent = match discipline {
+            QueueDiscipline::FixedOrder(_) => false,
+            QueueDiscipline::Policy(p) => p.time_dependent(),
+            QueueDiscipline::Compiled(cp) => cp.time_dependent(),
         };
         // The compiled program, where it is re-scored at every event. Its
         // wait-invariant prefix is evaluated once per trace position into
@@ -68,7 +69,7 @@ impl SimWorkspace {
         // at enqueue, through the scalar kernel, so per-trace slot lanes
         // would be pure setup cost that nothing ever re-reads.
         let batch_scored = match discipline {
-            QueueDiscipline::Compiled(cp) if cp.time_dependent() => Some(*cp),
+            QueueDiscipline::Compiled(cp) if time_dependent => Some(*cp),
             _ => None,
         };
         match batch_scored {
@@ -83,16 +84,14 @@ impl SimWorkspace {
             }
             None => self.scratch.static_lanes.reset(0, 0),
         }
-        // A time-dependent compiled discipline (`batch_scored`: its
-        // `time_dependent()` holds) under strict or EASY scheduling builds
-        // no order at all and picks each head on demand; a conservative
-        // pass reads every position, so it full-sorts.
-        let on_demand = batch_scored.is_some() && config.backfill != BackfillMode::Conservative;
+        // A time-dependent discipline under strict or EASY scheduling
+        // builds no order at all and picks each head on demand; a
+        // conservative pass reads every position, so it full-sorts.
+        let on_demand = time_dependent && config.backfill != BackfillMode::Conservative;
         // The no-op skip only applies where a blocked head is a stable
         // fact: strict mode (nothing behind the head can ever start)
         // with a static order (the head cannot change by re-scoring).
-        let skip_eligible =
-            config.backfill == BackfillMode::None && queue_order != QueueOrder::TimeDependent;
+        let skip_eligible = config.backfill == BackfillMode::None && !time_dependent;
         // Resuming: overwrite the pristine state with the snapshot, then
         // replay the completion prefix into the sink — prefix completions
         // all finish strictly before the horizon, ahead of any suffix
@@ -123,7 +122,7 @@ impl SimWorkspace {
             trace,
             discipline,
             config,
-            queue_order,
+            time_dependent,
             track_releases: config.backfill != BackfillMode::None,
             skip_eligible,
             track_lanes: batch_scored.is_some(),
@@ -134,7 +133,7 @@ impl SimWorkspace {
             faults: &mut self.faults,
             sink,
         };
-        if restored.is_some() && queue_order != QueueOrder::TimeDependent {
+        if restored.is_some() && !time_dependent {
             eng.rescore_restored_queue();
         }
         // Prefix mode stops before the first event at or after the horizon.
@@ -164,7 +163,10 @@ pub(super) struct Engine<'a, 'b, K: CompletionSink, T: TraceSource> {
     pub(super) trace: &'a T,
     pub(super) discipline: &'a QueueDiscipline<'b>,
     pub(super) config: &'a SchedulerConfig,
-    pub(super) queue_order: QueueOrder,
+    /// Whether the discipline re-scores the queue at every pass
+    /// (`ordering`'s `reorder`) instead of keeping it sorted by static
+    /// keys.
+    pub(super) time_dependent: bool,
     /// Whether the run backfills at all, and with it whether the two
     /// things only backfilling passes read are kept up: the maintained
     /// release list and the narrowest-waiter width. Under
@@ -177,8 +179,8 @@ pub(super) struct Engine<'a, 'b, K: CompletionSink, T: TraceSource> {
     /// for time-dependent compiled disciplines, which batch-score them.
     pub(super) track_lanes: bool,
     /// Whether the pass picks each head on demand instead of reading a
-    /// built order (time-dependent compiled disciplines under strict or
-    /// EASY scheduling): see `ordering::next_head`.
+    /// built order (time-dependent disciplines under strict or EASY
+    /// scheduling): see `ordering::next_head`.
     pub(super) on_demand: bool,
     /// Preemption retry cap of the active fault schedule (`u32::MAX` for
     /// zero-fault runs, where it is never consulted).
@@ -292,28 +294,29 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
         Ok(())
     }
 
-    /// Priority key of a job under a static discipline: its rank, or its
-    /// score at arrival (`now = submit`, so the wait is 0 either way) —
-    /// computed once per queue stay, since static scores never change.
-    fn static_key(&mut self, idx: u32, job: &Job) -> f64 {
+    /// Priority key of a job under a static discipline: its rank, or the
+    /// [`score_key`] of its score at arrival (`now = submit`, so the wait
+    /// is 0 either way) — computed once per queue stay, since static
+    /// scores never change. A rank is its own key: any two distinct
+    /// `usize` ranks stay distinct and in order, where an `f64` image
+    /// would round ranks past 2^53 together.
+    fn static_key(&mut self, idx: u32, job: &Job) -> u64 {
         match self.discipline {
-            // Ranks are array indices, far below 2^53: the f64 image is
-            // exact and ordered identically to the integers.
-            QueueDiscipline::FixedOrder(ranks) => ranks[idx as usize] as f64,
+            QueueDiscipline::FixedOrder(ranks) => ranks[idx as usize] as u64,
             QueueDiscipline::Policy(policy) => {
-                policy.score(&task_view(self.config, job, job.submit))
+                score_key(policy.score(&task_view(self.config, job, job.submit)))
             }
             // A static compiled policy pays its one and only evaluation
             // here, through the scalar kernel: prefix into the reusable
             // slot row, then the residual at `w = 0`.
-            QueueDiscipline::Compiled(cp) => cp.score_scalar(
+            QueueDiscipline::Compiled(cp) => score_key(cp.score_scalar(
                 self.config.decision_time(job.runtime, job.estimate),
                 job.cores as f64,
                 job.submit,
                 0.0,
                 &mut self.scratch.slot_row,
                 &mut self.scratch.vm_stack,
-            ),
+            )),
         }
     }
 
@@ -327,9 +330,10 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
         if self.track_releases {
             self.st.narrowest = self.st.narrowest.min(job.cores);
         }
-        if self.queue_order == QueueOrder::TimeDependent {
+        if self.time_dependent {
+            // No key: the queue stays in arrival order and is re-scored at
+            // every pass.
             self.st.queue.push(entry);
-            self.st.q_keys.push(0.0);
             if self.track_lanes {
                 let r = self.config.decision_time(job.runtime, job.estimate);
                 self.st.q_r.push(r);
@@ -349,13 +353,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
         // is invalidated.
         let key = self.static_key(idx, &job);
         let head = self.st.head;
-        let live_keys = &self.st.q_keys[head..];
-        let pos = head
-            + if self.queue_order == QueueOrder::ByRank {
-                live_keys.partition_point(|&k| k <= key)
-            } else {
-                live_keys.partition_point(|k| k.total_cmp(&key).is_le())
-            };
+        let pos = head + self.st.q_keys[head..].partition_point(|&k| k <= key);
         self.st.queue.insert(pos, entry);
         self.st.q_keys.insert(pos, key);
         self.st.head_blocked &= pos > head;
@@ -377,16 +375,20 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
     /// — repeated or out-of-range ranks, and cached scores — takes the
     /// stable insertion sort below.
     fn rescore_restored_queue(&mut self) {
-        debug_assert_ne!(self.queue_order, QueueOrder::TimeDependent);
+        debug_assert!(!self.time_dependent);
         debug_assert_eq!(self.st.head, 0);
         if let QueueDiscipline::FixedOrder(ranks) = self.discipline {
             if self.rekey_by_scatter(ranks) {
                 return;
             }
         }
+        // Rebuilt, not overwritten: a prefix under a time-dependent order
+        // captured no key lane.
+        self.st.q_keys.clear();
         for qi in 0..self.st.queue.len() {
             let QueueEntry { idx, job, .. } = self.st.queue[qi];
-            self.st.q_keys[qi] = self.static_key(idx, &job);
+            let key = self.static_key(idx, &job);
+            self.st.q_keys.push(key);
         }
         // Stable in-place co-sort of (q_keys, queue) — adjacent swaps only
         // on strict inversions preserve the restored arrival tie-break. Its
@@ -394,7 +396,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
         // loop, which is why fixed orders scatter instead.
         for i in 1..self.st.queue.len() {
             let mut j = i;
-            while j > 0 && self.st.q_keys[j - 1].total_cmp(&self.st.q_keys[j]).is_gt() {
+            while j > 0 && self.st.q_keys[j - 1] > self.st.q_keys[j] {
                 self.st.q_keys.swap(j - 1, j);
                 self.st.queue.swap(j - 1, j);
                 j -= 1;
@@ -405,7 +407,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
     /// Put the restored queue in `ranks` order without comparing: each
     /// entry's queue position goes into the slot its rank indexes, in a
     /// buffer of the trace's length, and one pass over the slots gathers
-    /// the entries (keys `rank as f64`, as [`Engine::enqueue`] keys them).
+    /// the entries (keys the ranks, as [`Engine::enqueue`] keys them).
     /// Distinct keys have exactly one sorted order, so this is the order
     /// the stable sort produces. Returns `false`, having changed nothing
     /// but its own scratch, when two queued entries share a rank or one's
@@ -435,7 +437,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
         for &position in &slots[..filled] {
             let entry = self.st.queue[position as usize];
             rekeyed.push(entry);
-            self.st.q_keys.push(ranks[entry.idx as usize] as f64);
+            self.st.q_keys.push(ranks[entry.idx as usize] as u64);
         }
         std::mem::swap(&mut self.st.queue, rekeyed);
         true

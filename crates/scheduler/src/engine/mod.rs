@@ -52,8 +52,9 @@
 //! ([`SimWorkspace`]: the public run methods over two private finishers,
 //! the accessors, [`simulate`]); `event_loop` (per-run set-up, the
 //! arrival / completion / capacity-step merge, enqueue / start /
-//! complete); `ordering` (time-dependent queue ordering: full sort or
-//! heads on demand); `dispatch` (one rescheduling pass: strict starts, the
+//! complete); `ordering` (the one queue-ordering rule: static keys in one
+//! integer lane, or a re-score per pass followed by heads on demand or a
+//! full sort); `dispatch` (one rescheduling pass: strict starts, the
 //! two backfilling variants, taking the started jobs out of the queue);
 //! `faults` (capacity steps, victim selection, requeue, abandonment).
 //!
@@ -79,10 +80,17 @@
 //!   start anything: availability is unchanged and the strict pass stops at
 //!   the same head. The engine tracks head-blocked state and skips the
 //!   entire pass for such arrivals.
-//! * **SoA queue keys.** The priority key of every waiting job (fixed-order
-//!   rank or cached score) lives in a dense `Vec<f64>` parallel to the
-//!   entry list, so the binary-search insertions and sortedness scans touch
-//!   8-byte keys instead of full queue entries.
+//! * **SoA queue keys.** Under a static order the priority key of every
+//!   waiting job lives in a dense `Vec<u64>` parallel to the entry list,
+//!   so the binary-search insertions and sortedness scans touch 8-byte
+//!   keys instead of full queue entries, and compare them with one `<=`.
+//!   A fixed-order rank is its own key; a cached score is keyed by
+//!   [`order_key`] moved to the unsigned range, strictly monotone in
+//!   `f64::total_cmp`. Ranks never pass through `f64`: two distinct ranks
+//!   past 2^53 round to one `f64`, and a signed lane would put ranks past
+//!   2^63 first, where the reference sorts the integers themselves. A
+//!   time-dependent order keeps no key lane: its queue stays in arrival
+//!   order and is re-scored at every pass.
 //! * **Live window.** Under a static order (fixed ranks, cached scores)
 //!   the queue *is* the priority order, and the waiting jobs are the
 //!   window `queue[head..]` / `q_keys[head..]` of the two `Vec`s
@@ -177,10 +185,12 @@
 //! comparator `(score, queue position)` is total and injective, the
 //! sorted permutation of a score vector is unique: the minimum of the
 //! entries not yet taken *is* the next element of the full-sort order.
-//! Scores (and therefore every schedule) stay **bit-identical** to the
-//! interpreted [`QueueDiscipline::Policy`] path, which full-sorts in
-//! every mode; the `differential` harness pins full simulations across
-//! backfill modes, decision modes, layouts and thread counts, and
+//! An interpreted time-dependent [`QueueDiscipline::Policy`] takes the
+//! same two shapes: it fills the same score lane with one
+//! [`Policy::score`] per entry, and [`least_position`] finds its first
+//! head. Scores (and therefore every schedule) stay **bit-identical**
+//! between the two; the `differential` harness pins full simulations
+//! across backfill modes, decision modes, layouts and thread counts, and
 //! [`crate::reference`] stays on the per-task scalar, full-sort path as
 //! the oracle.
 //!
@@ -332,7 +342,10 @@ impl From<LedgerError> for EngineError {
 /// How the waiting queue is ordered at each rescheduling event.
 pub enum QueueDiscipline<'a> {
     /// Order by a scoring policy (lower score first), evaluated through
-    /// the interpreted `dyn Policy` path.
+    /// the interpreted `dyn Policy` path: a static policy once per job at
+    /// arrival, a time-dependent one per waiting job at every pass, with
+    /// the same on-demand heads or full sort as
+    /// [`QueueDiscipline::Compiled`].
     Policy(&'a dyn Policy),
     /// Order by a compiled bytecode policy (lower score first): the
     /// engine precomputes the wait-invariant prefix per job and re-scores
@@ -340,9 +353,10 @@ pub enum QueueDiscipline<'a> {
     /// [`QueueDiscipline::Policy`] on the policy it was compiled from.
     Compiled(&'a CompiledPolicy),
     /// Order by a fixed rank per **trace position**: the job at
-    /// `trace.jobs()[i]` has rank `ranks[i]`, lower rank first. Ranks must
-    /// be distinct (ties would be resolved by arrival order, which is
-    /// usually not what a permutation trial means). Used by the training
+    /// `trace.jobs()[i]` has rank `ranks[i]`, lower rank first. Ranks
+    /// should be distinct (ties are resolved by arrival order, which is
+    /// usually not what a permutation trial means); any distinct `usize`
+    /// values order correctly, compared as integers. Used by the training
     /// trials, where the queue order is a random permutation of `Q`.
     FixedOrder(&'a [usize]),
 }
@@ -388,9 +402,10 @@ fn task_view(config: &SchedulerConfig, job: &Job, now: f64) -> TaskView {
 /// a queued `(time, Completion)` entry is 16 bytes either way.
 pub(crate) type Completion = (u32, u32);
 
-/// A waiting job. Its priority key (fixed-order rank or cached score) is
-/// *not* stored here: keys live in a parallel `Vec<f64>` (`q_keys`) so the
-/// binary-search scans that order the queue stay dense — the SoA split.
+/// A waiting job. Its priority key under a static order (fixed-order rank
+/// or cached score's key) is *not* stored here: keys live in a parallel
+/// `Vec<u64>` (`q_keys`) so the binary-search scans that order the queue
+/// stay dense — the SoA split.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct QueueEntry {
     /// Position of the job in the trace — the dense key for `start_of`
@@ -484,21 +499,4 @@ impl<'c> RunMode<'c> {
             _ => None,
         }
     }
-}
-
-/// How the waiting queue is kept ordered. For *static* disciplines — fixed
-/// ranks, or policies whose scores never change after arrival — the queue
-/// itself is maintained in priority order by binary-search insertion, so a
-/// reschedule pays no sort at all (the priority order is the queue order).
-/// Time-dependent policies re-score and re-sort at every event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum QueueOrder {
-    /// Queue maintained sorted by `ranks[idx]` (ranks are distinct).
-    ByRank,
-    /// Queue maintained sorted by `(cached_score, arrival order)` — equal
-    /// scores insert after their peers, which reproduces the reference's
-    /// stable-sort arrival tie-break.
-    ByCachedScore,
-    /// Re-sorted at every rescheduling event.
-    TimeDependent,
 }

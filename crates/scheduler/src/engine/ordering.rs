@@ -1,30 +1,71 @@
 //! Queue ordering: which waiting job is the `pos`-th in priority order.
-//! Static disciplines keep the queue itself sorted at enqueue; this file is
-//! the time-dependent half — full re-score and sort (interpreted), batch
-//! re-score then heads on demand or a full sort (compiled).
+//! A static discipline keeps the queue itself sorted at enqueue, by one
+//! `u64` key per entry ([`score_key`] of a cached score, or the rank
+//! itself); a time-dependent one, compiled or interpreted, re-scores the
+//! queue into the score lane at every pass, then picks heads on demand or
+//! full-sorts by backfill mode alone.
 
 use super::event_loop::Engine;
-use super::{task_view, CompletionSink, EngineError, QueueDiscipline, QueueEntry, QueueOrder};
-use dynsched_policies::{least_position, order_key, CompiledPolicy, Policy, ScoreLanes};
+use super::{task_view, CompletionSink, EngineError, QueueDiscipline, QueueEntry};
+use dynsched_policies::{least_position, order_key, CompiledPolicy, ScoreLanes};
 use dynsched_workload::TraceSource;
 
+/// A cached score as a static key: [`order_key`] moved to the unsigned
+/// range, so `score_key(a) < score_key(b)` iff `a.total_cmp(&b).is_lt()`
+/// and equal bits give equal keys. Ranks share the lane as they are.
+#[inline]
+pub(super) fn score_key(score: f64) -> u64 {
+    order_key(score) as u64 ^ (1 << 63)
+}
+
 impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
-    /// Bring the priority order up to date for the pass at `now`. Only
-    /// time-dependent policies come here; static disciplines keep the
-    /// queue itself priority-sorted. Returns the queue position of the
-    /// head where the batch kernel found it (compiled policies), `None`
-    /// where the order says it.
+    /// Re-score the queue for the pass at `now` into `batch_scores`, then
+    /// bring the priority order of queue positions up to date as far as the
+    /// pass that follows will read it. Only time-dependent policies come
+    /// here. Returns the head's queue position.
+    ///
+    /// A compiled policy is one chunked batch pass over the SoA lanes,
+    /// which also finds the head; an interpreted one is one
+    /// [`Policy::score`](dynsched_policies::Policy::score) per entry, then
+    /// [`least_position`]. What follows depends on the backfill mode alone
+    /// (the module docs' *Compiled policy kernels* section describes the
+    /// two shapes): on-demand selection builds no order, a conservative
+    /// pass full-sorts.
+    ///
+    /// Bit-identity argument: the comparator `(score, queue position)` is
+    /// total and injective (positions are distinct), so the sorted
+    /// permutation of any score vector is **unique**, and the reference's
+    /// stable sort builds it too. Scores are always freshly evaluated; the
+    /// full sort builds all of the permutation, and the sequence of minima
+    /// [`next_head`] yields where no order is built at all walks the same
+    /// one.
     pub(super) fn reorder(&mut self, now: f64) -> Result<Option<usize>, EngineError> {
         // The policy references are copied out of the discipline (they
-        // outlive `self`), so the call below can borrow `self` mutably.
-        match *self.discipline {
-            QueueDiscipline::Compiled(cp) => self.order_queue_compiled(cp, now),
+        // outlive `self`), so the calls below can borrow `self` mutably.
+        let head = match *self.discipline {
+            QueueDiscipline::Compiled(cp) => self.score_compiled(cp, now)?,
             QueueDiscipline::Policy(policy) => {
-                self.order_queue(policy, now);
-                Ok(None)
+                let scores = &mut self.scratch.batch_scores;
+                scores.clear();
+                for e in &self.st.queue {
+                    scores.push(policy.score(&task_view(self.config, &e.job, now)));
+                }
+                least_position(scores)
             }
-            QueueDiscipline::FixedOrder(_) => unreachable!("TimeDependent implies a policy"),
+            QueueDiscipline::FixedOrder(_) => unreachable!("a time-dependent order has a policy"),
+        };
+        let scores: &[f64] = &self.scratch.batch_scores;
+        debug_assert!(
+            scores.iter().all(|s| !s.is_nan()),
+            "the policy produced NaN at t={now}"
+        );
+        if !self.on_demand {
+            let order = &mut self.scratch.order;
+            order.clear();
+            order.extend(0..scores.len());
+            order.sort_unstable_by(|a, b| scores[*a].total_cmp(&scores[*b]).then(a.cmp(b)));
         }
+        Ok(head)
     }
 
     /// Queue position holding the `pos`-th highest-priority job. Static
@@ -35,54 +76,17 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
     #[inline]
     pub(super) fn ord(&self, pos: usize) -> usize {
         debug_assert!(!self.on_demand, "on-demand selection builds no order");
-        if self.queue_order == QueueOrder::TimeDependent {
+        if self.time_dependent {
             self.scratch.order[pos]
         } else {
             self.st.head + pos
         }
     }
 
-    /// Rebuild `order` (priority order of queue positions) for a
-    /// time-dependent *interpreted* policy. Ordering semantics are
-    /// identical to the reference engine: scores sort ascending with
-    /// arrival order as tie-break, which makes the comparator total — so
-    /// the non-allocating unstable sort produces the same permutation the
-    /// reference's stable sort does. This path deliberately stays the
-    /// score-everything/full-sort twin of the compiled on-demand layer
-    /// (the `differential` harness pins the two against each other).
-    fn order_queue(&mut self, policy: &dyn Policy, now: f64) {
-        let scored = &mut self.scratch.scored;
-        scored.clear();
-        for (i, e) in self.st.queue.iter().enumerate() {
-            let view = task_view(self.config, &e.job, now);
-            let s = policy.score(&view);
-            debug_assert!(
-                !s.is_nan(),
-                "policy {} produced NaN for {view:?}",
-                policy.name()
-            );
-            scored.push((i, s));
-        }
-        scored.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        self.scratch.order.clear();
-        self.scratch.order.extend(scored.iter().map(|&(i, _)| i));
-    }
-
-    /// Re-score the queue for a time-dependent *compiled* policy — one
-    /// chunked batch pass over the SoA lanes into `batch_scores`, which
-    /// also finds the head — then bring the priority order of queue
-    /// positions up to date as far as the pass that follows will read it.
-    /// Returns the head's queue position.
-    ///
-    /// Bit-identity argument: the comparator `(score, queue position)` is
-    /// total and injective (positions are distinct), so the sorted
-    /// permutation of any score vector is **unique**. Scores are always
-    /// freshly evaluated; the backfill mode only chooses how much of the
-    /// permutation is built (the module docs' *Compiled policy kernels*
-    /// section describes the two shapes): the full sort builds all of it,
-    /// and the sequence of minima [`next_head`] yields where no order is
-    /// built at all walks the same one.
-    fn order_queue_compiled(
+    /// Batch re-score for a compiled policy, after an O(1) check that the
+    /// SoA lanes are in lockstep with the queue. Returns the head the
+    /// kernel found.
+    fn score_compiled(
         &mut self,
         cp: &CompiledPolicy,
         now: f64,
@@ -101,7 +105,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
         // No zero-fill of the surviving prefix: the kernel overwrites
         // every element.
         self.scratch.batch_scores.resize(len, 0.0);
-        let head = cp.score_batch(
+        Ok(cp.score_batch(
             self.scratch.batch_scores.as_mut_slice(),
             ScoreLanes {
                 r: self.st.q_r.as_slice(),
@@ -111,31 +115,14 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
             },
             now,
             &mut self.scratch.batch_scratch,
-        );
-        debug_assert!(
-            self.scratch.batch_scores.iter().all(|s| !s.is_nan()),
-            "policy {} produced NaN at t={now}",
-            cp.name()
-        );
-        if self.on_demand {
-            return Ok(head);
-        }
-        let scores: &[f64] = &self.scratch.batch_scores;
-        let order = &mut self.scratch.order;
-        order.clear();
-        order.extend(0..len);
-        order.sort_unstable_by(|a, b| scores[*a].total_cmp(&scores[*b]).then(a.cmp(b)));
-        Ok(head)
+        ))
     }
 
-    /// Debug check that a static discipline's queue is in priority order.
+    /// Debug check that a static discipline's live window is in priority
+    /// order.
     pub(super) fn queue_is_priority_sorted(&self) -> bool {
         let keys = &self.st.q_keys[self.st.head..];
-        match self.queue_order {
-            QueueOrder::ByRank => keys.windows(2).all(|w| w[0] <= w[1]),
-            QueueOrder::ByCachedScore => keys.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()),
-            QueueOrder::TimeDependent => true,
-        }
+        keys.windows(2).all(|w| w[0] <= w[1])
     }
 }
 
@@ -150,7 +137,7 @@ pub(super) const STARTED: f64 = f64::from_bits(i64::MAX as u64);
 /// Every entry ahead of it in that order has been started by this pass,
 /// so successive calls walk the unique sorted permutation without ever
 /// materializing it. (The first head of a pass, where most passes stop,
-/// is the batch kernel's return value.)
+/// is [`Engine::reorder`]'s return value.)
 ///
 /// The pass overwrites each entry it starts with the [`STARTED`] score,
 /// so the head is [`least_position`] over the score lane alone, with no

@@ -26,10 +26,11 @@ pub(crate) struct SimState {
     /// The waiting queue: the live window `queue[head..]` (see
     /// [`SimState::waiting`]).
     pub(crate) queue: Vec<QueueEntry>,
-    /// Priority key per queue position (rank as f64, or cached score),
-    /// maintained in lockstep with `queue` for static disciplines — the
-    /// SoA half the binary-search scans read.
-    pub(crate) q_keys: Vec<f64>,
+    /// Priority key per queue position — the rank itself, or the cached
+    /// score's `ordering::score_key` — maintained in lockstep with `queue`
+    /// for static disciplines only (empty under a time-dependent order):
+    /// the SoA half the binary-search scans read, compared with one `<=`.
+    pub(crate) q_keys: Vec<u64>,
     /// Start of the live window in `queue` / `q_keys`. A static-order
     /// pass moves it over the leading run it started instead of moving the
     /// survivors down; entries before it are dead and never read. Always 0
@@ -139,14 +140,13 @@ impl SimState {
 /// never information — which is why no reset and no checkpoint touches it.
 #[derive(Debug, Default)]
 pub(super) struct Scratch {
-    /// `(queue position, score)`: the whole queue for interpreted
-    /// time-dependent policies, the EASY backfill candidates under
+    /// `(queue position, score)` of the EASY backfill candidates under
     /// on-demand selection.
     pub(super) scored: Vec<(usize, f64)>,
     /// Priority order of queue positions, rebuilt by every time-dependent
-    /// pass that reads one (conservative backfilling, interpreted
-    /// policies); on-demand selection builds none and static disciplines
-    /// keep the queue itself priority-sorted.
+    /// pass that reads one (conservative backfilling); on-demand selection
+    /// builds none and static disciplines keep the queue itself
+    /// priority-sorted.
     pub(super) order: Vec<usize>,
     /// Clamped `(time, cores)` copy of the releases handed to the profile.
     pub(super) rel_scratch: Vec<(f64, u32)>,
@@ -154,7 +154,8 @@ pub(super) struct Scratch {
     /// trace position — recomputed from the trace at run start, read at
     /// every enqueue.
     pub(super) static_lanes: JobLanes,
-    /// Batch-kernel score output lane.
+    /// Score per queue position, rewritten by every time-dependent pass
+    /// (the batch kernel's output, or one interpreted score per entry).
     pub(super) batch_scores: Vec<f64>,
     /// Bytecode VM stack.
     pub(super) vm_stack: Vec<f64>,

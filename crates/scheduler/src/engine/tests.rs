@@ -498,18 +498,30 @@ fn events_processed_counts_arrivals_and_completions() {
 
 #[test]
 fn on_demand_selection_builds_no_order() {
-    // A time-dependent compiled policy — a job-dependent aging rate
-    // (WFP3) or a job-uniform one (the aging expression) — under strict
-    // and EASY scheduling picks its heads on demand: the scratch order is
-    // never filled. A conservative pass reads every position and still
-    // builds it.
+    // A time-dependent policy — a job-dependent aging rate (WFP3) or a
+    // job-uniform one (the aging expression), compiled or interpreted —
+    // under strict and EASY scheduling picks its heads on demand: the
+    // scratch order is never filled. A conservative pass reads every
+    // position and still builds it.
     use dynsched_policies::{ExprPolicy, Policy, Wfp3};
     let jobs: Vec<Job> = (0..40)
         .map(|i| job(i, (i / 4) as f64, 20.0 + (i % 7) as f64 * 9.0, 1 + i % 4))
         .collect();
     let trace = Trace::from_jobs(jobs);
     let aging = ExprPolicy::parse("aging", "log10(r)*n + 8.70e2*log10(s) - 1.5e-2*w").unwrap();
-    for compiled in [Wfp3.compile().unwrap(), aging.compile().unwrap()] {
+    let (wfp3, aged) = (Wfp3.compile().unwrap(), aging.compile().unwrap());
+    let disciplines = [
+        QueueDiscipline::Compiled(&wfp3),
+        QueueDiscipline::Compiled(&aged),
+        QueueDiscipline::Policy(&Wfp3),
+        QueueDiscipline::Policy(&aging),
+    ];
+    for discipline in &disciplines {
+        let what = match discipline {
+            QueueDiscipline::Compiled(cp) => format!("compiled {}", cp.name()),
+            QueueDiscipline::Policy(p) => format!("interpreted {}", p.name()),
+            QueueDiscipline::FixedOrder(_) => unreachable!(),
+        };
         for (backfill, on_demand) in [
             (BackfillMode::None, true),
             (BackfillMode::Aggressive, true),
@@ -521,13 +533,7 @@ fn on_demand_selection_builds_no_order() {
             // one keeps whatever its last conservative pass built.
             let mut ws = SimWorkspace::new();
             let mut ckpt = Checkpoint::default();
-            ws.run_prefix(
-                &trace,
-                &QueueDiscipline::Compiled(&compiled),
-                &config,
-                15.0,
-                &mut ckpt,
-            );
+            ws.run_prefix(&trace, discipline, &config, 15.0, &mut ckpt);
             assert!(
                 !ckpt.state.queue.is_empty(),
                 "the prefix must stop mid-queue"
@@ -535,8 +541,7 @@ fn on_demand_selection_builds_no_order() {
             assert_eq!(
                 ws.scratch.order.is_empty(),
                 on_demand,
-                "{}, {backfill:?}",
-                compiled.name()
+                "{what}, {backfill:?}"
             );
         }
     }

@@ -65,10 +65,13 @@
 //!   path: the oracle never changes layout.
 //! * **Compiled policies.** [`QueueDiscipline::Compiled`] runs a
 //!   [`CompiledPolicy`](dynsched_policies::CompiledPolicy) as bytecode —
-//!   wait-invariant prefix once per job, one batch re-score per event,
-//!   then heads on demand or a full sort by backfill mode (see the
-//!   [`engine`] docs). Schedules are bit-identical to
-//!   [`QueueDiscipline::Policy`] (every path's `[compiled]` twin), so a
+//!   wait-invariant prefix once per job, one batch re-score per event.
+//!   An interpreted time-dependent [`QueueDiscipline::Policy`] fills the
+//!   same score lane one [`Policy::score`](dynsched_policies::Policy::score)
+//!   at a time; either way the backfill mode alone picks heads on demand
+//!   or a full sort (see the [`engine`] docs), and a static discipline
+//!   keeps the queue sorted by one integer key per job. Schedules are
+//!   bit-identical between the two (every path's `[compiled]` twin), so a
 //!   caller holding a policy picks with [`QueueDiscipline::of`]: compiled
 //!   where [`Policy::compile`](dynsched_policies::Policy::compile) yields a
 //!   program, interpreted otherwise. [`mod@reference`] scores one task at

@@ -17,7 +17,8 @@
 //!   window, with sprinters and a four-step drop (ranks / FCFS / SPT / F1
 //!   × three backfilling modes); the `heads` cases start three heads or
 //!   more in one on-demand pass (WFP / UNI / a random tree × strict /
-//!   EASY). What only private state shows of them stays in
+//!   EASY); the `ranks` cases queue fixed ranks past 2^53 and 2^63 (three
+//!   backfilling modes). What only private state shows of them stays in
 //!   `engine/tests.rs`.
 //! * **forks** under another rank table than the prefix's;
 //! * **federations**: k shards at 1 and n workers, each shard against
@@ -1271,6 +1272,69 @@ fn passes_of_three_heads_or_more_equal_the_oracle_on_every_path() {
             later.is_some_and(|&n| n >= 2),
             "{policy}, {mode}: {later:?}"
         );
+    }
+}
+
+/// Fixed ranks the API accepts but an `f64` key cannot tell apart. On 2
+/// cores job 0 holds the machine while five 1-core jobs queue, ranked
+/// 2^53 + 1 and 2^53 (one `f64`), and `usize::MAX - 6` and
+/// `usize::MAX - 7` (one `f64` again, and negative as `i64`), with a
+/// rank of 7 ahead of them all; `check`'s past-the-trace table adds 6 to
+/// each, which reaches `usize::MAX` itself. Every rank is at least the
+/// trace's length, so each resume re-keys by the insertion-sort
+/// fallback. The drop to one core at t=12 kills a start of t=10, which
+/// requeues with its rank.
+fn rank_cases(out: &mut Vec<Case>) {
+    let jobs = vec![
+        Job::new(0, 0.0, 10.0, 10.0, 2),
+        Job::new(1, 1.0, 4.0, 4.0, 1),
+        Job::new(2, 2.0, 4.0, 4.0, 1),
+        Job::new(3, 3.0, 4.0, 4.0, 1),
+        Job::new(4, 4.0, 4.0, 4.0, 1),
+        Job::new(5, 5.0, 4.0, 4.0, 1),
+    ];
+    let n = jobs.len();
+    let ranks = vec![
+        0,
+        usize::MAX - n,
+        (1 << 53) + 1,
+        1 << 53,
+        7,
+        usize::MAX - n - 1,
+    ];
+    let steps = [(12.0, 1), (20.0, 2)].map(|(time, capacity)| CapacityStep { time, capacity });
+    let faults = Faults::Steps(AvailabilitySchedule::from_steps(steps.to_vec(), 3));
+    for backfill in [
+        BackfillMode::None,
+        BackfillMode::Aggressive,
+        BackfillMode::Conservative,
+    ] {
+        out.push(Case {
+            index: out.len(),
+            shape: Shape::Named("ranks"),
+            jobs: jobs.clone(),
+            config: on_estimates(2, backfill),
+            policy: None,
+            ranks: ranks.clone(),
+            faults: faults.clone(),
+        });
+    }
+}
+
+/// The ranks traces through every path of [`check`]: every fast path
+/// orders ranks past 2^53 and past 2^63 as the oracle does, each case
+/// re-keys a restored queue by the fallback, and its drop bites.
+#[test]
+fn ranks_that_share_an_f64_order_as_integers_on_every_path() {
+    let lineup = Lineup::new();
+    let mut cases = Vec::new();
+    rank_cases(&mut cases);
+    for (case, seen) in cases.iter().zip(check_all(&cases, &lineup)) {
+        let backfill = case.config.backfill;
+        for row in ["re-key fallback", "preemptions on Named(\"ranks\") traces"] {
+            let reached = seen.get(row).is_some_and(|&n| n > 0);
+            assert!(reached, "{backfill:?}: {row} not reached");
+        }
     }
 }
 
