@@ -75,8 +75,8 @@
 
 use crate::experiments::{try_run_experiments, Experiment, ExperimentResult, PolicyOutcome};
 use crate::pipeline::{
-    generate_training_set, pool, training_tuples, FullRunConfig, FullRunReport, LearnedReport,
-    TrainingConfig,
+    evaluation_lineup, generate_training_set, pool, training_tuples, FullRunConfig, FullRunReport,
+    LearnedReport, TrainingConfig,
 };
 use crate::scenarios::{table4_experiments_in, ScenarioScale};
 use crate::trials::TrialSpec;
@@ -85,7 +85,7 @@ use dynsched_cluster::Platform;
 use dynsched_mlreg::{
     fit_all, rank, sort_ranked, top_policies, EnumerateOptions, FitResult, TrainingSet,
 };
-use dynsched_policies::{baseline_lineup, NonlinearFunction, Policy};
+use dynsched_policies::NonlinearFunction;
 use dynsched_simkit::durable::write_atomic;
 use dynsched_simkit::json::{self, Json};
 use dynsched_simkit::parallel::PoolError;
@@ -615,11 +615,7 @@ pub fn run_full_checkpointed(
     // completes. Per-row runs are bit-identical to the one-session batch
     // `run_full` uses (the `differential` harness pins this), so
     // resumability costs nothing in fidelity.
-    let mut lineup: Vec<Box<dyn Policy>> = baseline_lineup();
-    for policy in &learned.policies {
-        lineup.push(Box::new(policy.clone()));
-    }
-    let names: Vec<String> = lineup.iter().map(|p| p.name().to_string()).collect();
+    let (lineup, names) = evaluation_lineup(&learned.policies);
     let store = dynsched_workload::TraceStore::new();
     let experiments = table4_experiments_in(&store, &config.eval_scale);
     let mut evaluation = Vec::with_capacity(experiments.len());

@@ -222,21 +222,13 @@ pub fn try_run_experiments(
             !experiment.sequences.is_empty(),
             "experiment without sequences"
         );
-        match schedules {
-            None => session.push_grid(
-                policies,
-                &experiment.sequences,
-                &experiment.scheduler,
-                experiment.tau,
-            ),
-            Some(schedules) => session.push_grid_with_faults(
-                policies,
-                &experiment.sequences,
-                &experiment.scheduler,
-                experiment.tau,
-                schedules,
-            ),
-        };
+        session.push_grid(
+            policies,
+            &experiment.sequences,
+            &experiment.scheduler,
+            experiment.tau,
+            schedules.as_deref(),
+        );
     }
     let table = session.run()?;
 

@@ -201,11 +201,7 @@ pub struct FullRunReport {
 /// this.
 pub fn run_full(config: &FullRunConfig, model: &LublinModel) -> FullRunReport {
     let learned = learn_policies(&config.training, model, &config.enumerate, config.top_k);
-    let mut lineup: Vec<Box<dyn Policy>> = baseline_lineup();
-    for policy in &learned.policies {
-        lineup.push(Box::new(policy.clone()));
-    }
-    let names: Vec<String> = lineup.iter().map(|p| p.name().to_string()).collect();
+    let (lineup, names) = evaluation_lineup(&learned.policies);
     // One trace store for the whole evaluation stage: the 18 Table-4 rows
     // intern 6 distinct workloads (shared across conditions), and the
     // interned build is bit-identical to per-row construction, so the
@@ -217,6 +213,17 @@ pub fn run_full(config: &FullRunConfig, model: &LublinModel) -> FullRunReport {
         lineup: names,
         evaluation,
     }
+}
+
+/// The line-up a full run evaluates, and its names in column order: the
+/// ad-hoc baselines, then the learned `G1..Gk`.
+pub(crate) fn evaluation_lineup(learned: &[LearnedPolicy]) -> (Vec<Box<dyn Policy>>, Vec<String>) {
+    let mut lineup: Vec<Box<dyn Policy>> = baseline_lineup();
+    for policy in learned {
+        lineup.push(Box::new(policy.clone()));
+    }
+    let names = lineup.iter().map(|p| p.name().to_string()).collect();
+    (lineup, names)
 }
 
 #[cfg(test)]

@@ -103,58 +103,40 @@ impl<'a> EvalSession<'a> {
     /// returns the cell-index range it occupies. Within the range, the
     /// cell of policy `p` and sequence `s` sits at
     /// `range.start + p * sequences.len() + s`.
+    ///
+    /// With `Some(schedules)`, each sequence runs under its own fault
+    /// schedule: `schedules[s]` applies to `sequences[s]` for every policy
+    /// (the per-sequence schedule is part of the scenario, so all policies
+    /// face the same failures — the AVEbsld-under-faults comparison the
+    /// resilience experiments make).
+    ///
+    /// # Panics
+    /// Panics unless `schedules` is `None` or holds one schedule per
+    /// sequence.
     pub fn push_grid(
         &mut self,
         policies: &'a [Box<dyn Policy>],
         sequences: &'a [TraceView],
         config: &'a SchedulerConfig,
         tau: f64,
+        schedules: Option<&'a [AvailabilitySchedule]>,
     ) -> Range<usize> {
-        let start = self.cells.len();
-        for policy in policies {
-            for trace in sequences {
-                self.cells.push(EvalCell {
-                    trace,
-                    policy: policy.as_ref(),
-                    config,
-                    tau,
-                    faults: None,
-                });
-            }
+        if let Some(schedules) = schedules {
+            assert_eq!(
+                schedules.len(),
+                sequences.len(),
+                "one fault schedule per sequence"
+            );
         }
-        start..self.cells.len()
-    }
-
-    /// Like [`EvalSession::push_grid`], but each sequence runs under its
-    /// own fault schedule: `schedules[s]` applies to `sequences[s]` for
-    /// every policy (the per-sequence schedule is part of the scenario, so
-    /// all policies face the same failures — the AVEbsld-under-faults
-    /// comparison the resilience experiments make).
-    ///
-    /// # Panics
-    /// Panics unless `schedules.len() == sequences.len()`.
-    pub fn push_grid_with_faults(
-        &mut self,
-        policies: &'a [Box<dyn Policy>],
-        sequences: &'a [TraceView],
-        config: &'a SchedulerConfig,
-        tau: f64,
-        schedules: &'a [AvailabilitySchedule],
-    ) -> Range<usize> {
-        assert_eq!(
-            schedules.len(),
-            sequences.len(),
-            "one fault schedule per sequence"
-        );
         let start = self.cells.len();
         for policy in policies {
-            for (trace, schedule) in sequences.iter().zip(schedules) {
+            for (s, trace) in sequences.iter().enumerate() {
                 self.cells.push(EvalCell {
                     trace,
                     policy: policy.as_ref(),
                     config,
                     tau,
-                    faults: Some(schedule),
+                    faults: schedules.map(|schedules| &schedules[s]),
                 });
             }
         }

@@ -841,9 +841,9 @@ fn same_rows(path: &str, got: &[Experiment], want: &[Experiment]) -> Checked {
     Ok(())
 }
 
-/// Every cell of a grid through one `EvalSession` — a fault-free row by
-/// `push_grid`, a faulty one by `push_grid_with_faults` with the oracle's
-/// schedules — and after each row one more cell by `push`: its first
+/// Every cell of a grid through one `EvalSession` — each row by
+/// `push_grid`, a faulty one with the oracle's schedules — and after each
+/// row one more cell by `push`: its first
 /// sequence under a rotating policy and τ = 7. Every cell's metrics
 /// against its oracle schedule reduced under the cell's τ.
 fn check_session(d: &Drawn, wants: &Wants, width: &str, cov: &mut Coverage) -> Checked {
@@ -853,11 +853,8 @@ fn check_session(d: &Drawn, wants: &Wants, width: &str, cov: &mut Coverage) -> C
     let mut want = Vec::new();
     for (r, e) in d.rows.iter().enumerate() {
         let (seqs, config, tau) = (&e.sequences, &e.scheduler, e.tau);
-        let faults = wants.schedules[r].as_ref();
-        let range = match faults {
-            None => session.push_grid(lineup, seqs, config, tau),
-            Some(faults) => session.push_grid_with_faults(lineup, seqs, config, tau, faults),
-        };
+        let faults = wants.schedules[r].as_deref();
+        let range = session.push_grid(lineup, seqs, config, tau, faults);
         let cells = want.len()..want.len() + lineup.len() * seqs.len();
         same(&at(format!("row {r}'s cells")), &range, &cells)?;
         for runs in &wants.cells[r] {
@@ -1201,7 +1198,7 @@ fn a_panicking_policy_is_a_pool_error_naming_its_cell() {
     for (width, workers) in WIDTHS {
         let session = with_worker_limit(workers, || {
             let mut session = EvalSession::new();
-            session.push_grid(&policies, &sequences, &config, DEFAULT_TAU);
+            session.push_grid(&policies, &sequences, &config, DEFAULT_TAU, None);
             session.run().expect_err("the grenade's cells panic")
         });
         // Policy-major: the grenade's cells are 2 and 3.

@@ -12,8 +12,8 @@
 //!
 //! * a **wait-invariant prefix** — every maximal subexpression that depends
 //!   only on `r`, `n`, `s`, constant for a job's whole queue lifetime. The
-//!   scheduler evaluates it **once per job** and stores the resulting slot
-//!   values in a dense per-trace lane; and
+//!   scheduler evaluates it **once per enqueue** and stores the resulting
+//!   slot values in the job's row of a queue-parallel slot lane; and
 //! * a **time-dependent residual** — the remaining ops, which read the
 //!   precomputed slots plus the waiting time `w`. Rescheduling events
 //!   re-run only the residual, over the whole queue in one pass
@@ -904,8 +904,8 @@ impl CompiledPolicy {
     /// Score one job from raw `(r, n, s, w)` operands through prefix +
     /// residual using caller-owned scratch — the scalar twin of the batch
     /// kernel. The scheduler uses this to score a static compiled policy
-    /// once at enqueue, without materializing per-trace slot lanes the
-    /// scores would never re-read.
+    /// once at enqueue, without keeping a slot lane the score would never
+    /// re-read.
     pub fn score_scalar(
         &self,
         r: f64,
@@ -927,19 +927,6 @@ impl CompiledPolicy {
         slot_row.resize(self.slot_count, 0.0);
         self.prefix_into(r, n, s, slot_row, stack);
         self.residual_score(r, n, s, w, slot_row, stack)
-    }
-
-    /// Score one task through prefix + residual using caller-owned scratch
-    /// (no allocation once the buffers are warm).
-    pub fn score_with(&self, task: &TaskView, slots: &mut Vec<f64>, stack: &mut Vec<f64>) -> f64 {
-        self.score_scalar(
-            task.processing_time,
-            task.cores as f64,
-            task.submit,
-            task.wait(),
-            slots,
-            stack,
-        )
     }
 
     /// Re-score a whole queue in one pass over dense SoA lanes: for each
@@ -1011,7 +998,14 @@ impl Policy for CompiledPolicy {
     }
 
     fn score(&self, task: &TaskView) -> f64 {
-        self.score_with(task, &mut Vec::new(), &mut Vec::new())
+        self.score_scalar(
+            task.processing_time,
+            task.cores as f64,
+            task.submit,
+            task.wait(),
+            &mut Vec::new(),
+            &mut Vec::new(),
+        )
     }
 
     fn time_dependent(&self) -> bool {

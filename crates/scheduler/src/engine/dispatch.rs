@@ -9,6 +9,7 @@ use super::ordering::{next_head, STARTED};
 use super::{CompletionSink, EngineError};
 use crate::config::BackfillMode;
 use crate::profile::clamp_release;
+use dynsched_policies::CompiledPolicy;
 use dynsched_workload::TraceSource;
 
 impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
@@ -317,17 +318,13 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
     /// there is no key lane).
     fn compact(&mut self) {
         debug_assert_eq!(self.st.head, 0);
-        let stride = if self.track_lanes {
-            self.scratch.static_lanes.slots()
-        } else {
-            0
-        };
+        let stride = self.lanes.map_or(0, CompiledPolicy::slot_count);
         let mut w = 0usize;
         for r in 0..self.st.queue.len() {
             if !self.st.queue[r].started {
                 if w != r {
                     self.st.queue[w] = self.st.queue[r];
-                    if self.track_lanes {
+                    if self.lanes.is_some() {
                         self.st.q_r[w] = self.st.q_r[r];
                         self.st.q_n[w] = self.st.q_n[r];
                         self.st.q_s[w] = self.st.q_s[r];
@@ -340,7 +337,7 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
             }
         }
         self.st.queue.truncate(w);
-        if self.track_lanes {
+        if self.lanes.is_some() {
             self.st.q_r.truncate(w);
             self.st.q_n.truncate(w);
             self.st.q_s.truncate(w);

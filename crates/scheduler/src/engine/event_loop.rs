@@ -8,6 +8,7 @@ use super::{
 };
 use crate::config::{BackfillMode, SchedulerConfig};
 use dynsched_cluster::{AvailabilitySchedule, CapacityStep, CompletedJob, Job};
+use dynsched_policies::CompiledPolicy;
 use dynsched_simkit::Clock;
 use dynsched_workload::TraceSource;
 
@@ -61,29 +62,14 @@ impl SimWorkspace {
             QueueDiscipline::Policy(p) => p.time_dependent(),
             QueueDiscipline::Compiled(cp) => cp.time_dependent(),
         };
-        // The compiled program, where it is re-scored at every event. Its
-        // wait-invariant prefix is evaluated once per trace position into
-        // the dense slot lanes — the per-job static part, constant for
-        // each job's whole queue lifetime. A *static* compiled policy
-        // skips this whole-trace pass: its score is computed exactly once,
-        // at enqueue, through the scalar kernel, so per-trace slot lanes
-        // would be pure setup cost that nothing ever re-reads.
-        let batch_scored = match discipline {
+        // The compiled program that is batch re-scored at every event, and
+        // with it the queue-parallel input lanes kept for it. A *static*
+        // compiled policy keeps none: its score is computed exactly once,
+        // at enqueue, through the scalar kernel.
+        let lanes = match discipline {
             QueueDiscipline::Compiled(cp) if time_dependent => Some(*cp),
             _ => None,
         };
-        match batch_scored {
-            Some(cp) => {
-                let vm_stack = &mut self.scratch.vm_stack;
-                self.scratch
-                    .static_lanes
-                    .fill(n_jobs, cp.slot_count(), |i, row| {
-                        let r = config.decision_time(trace.runtime(i), trace.estimate(i));
-                        cp.prefix_into(r, trace.cores(i) as f64, trace.submit(i), row, vm_stack);
-                    });
-            }
-            None => self.scratch.static_lanes.reset(0, 0),
-        }
         // A time-dependent discipline under strict or EASY scheduling
         // builds no order at all and picks each head on demand; a
         // conservative pass reads every position, so it full-sorts.
@@ -125,7 +111,7 @@ impl SimWorkspace {
             time_dependent,
             track_releases: config.backfill != BackfillMode::None,
             skip_eligible,
-            track_lanes: batch_scored.is_some(),
+            lanes,
             on_demand,
             max_retries: schedule.map_or(u32::MAX, AvailabilitySchedule::max_retries),
             st: &mut self.state,
@@ -175,9 +161,10 @@ pub(super) struct Engine<'a, 'b, K: CompletionSink, T: TraceSource> {
     /// Whether the no-op reschedule skip may ever fire (strict mode with a
     /// static queue order).
     pub(super) skip_eligible: bool,
-    /// Whether the queue-parallel SoA input lanes are maintained — only
-    /// for time-dependent compiled disciplines, which batch-score them.
-    pub(super) track_lanes: bool,
+    /// The program whose queue-parallel SoA input lanes are maintained —
+    /// only a time-dependent compiled discipline's, which batch-scores
+    /// them; its `slot_count` is the slot lane's stride.
+    pub(super) lanes: Option<&'b CompiledPolicy>,
     /// Whether the pass picks each head on demand instead of reading a
     /// built order (time-dependent disciplines under strict or EASY
     /// scheduling): see `ordering::next_head`.
@@ -334,14 +321,19 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
             // No key: the queue stays in arrival order and is re-scored at
             // every pass.
             self.st.queue.push(entry);
-            if self.track_lanes {
+            if let Some(cp) = self.lanes {
+                // The job's wait-invariant prefix, evaluated straight into
+                // its row of the slot lane: constant for this queue stay,
+                // and a preempted job requeued here gets the same bits.
                 let r = self.config.decision_time(job.runtime, job.estimate);
+                let n = job.cores as f64;
                 self.st.q_r.push(r);
-                self.st.q_n.push(job.cores as f64);
+                self.st.q_n.push(n);
                 self.st.q_s.push(job.submit);
-                self.st
-                    .q_slots
-                    .extend_from_slice(self.scratch.static_lanes.row(idx as usize));
+                let row = self.st.q_slots.len();
+                self.st.q_slots.resize(row + cp.slot_count(), 0.0);
+                let slots = &mut self.st.q_slots[row..];
+                cp.prefix_into(r, n, job.submit, slots, &mut self.scratch.vm_stack);
             }
             return;
         }

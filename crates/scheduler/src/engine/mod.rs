@@ -141,20 +141,20 @@
 //! # Compiled policy kernels
 //!
 //! [`QueueDiscipline::Compiled`] runs a policy as bytecode
-//! ([`CompiledPolicy`]) instead of through the `dyn Policy` vtable. At run
-//! start the engine evaluates the policy's **wait-invariant prefix** once
-//! per trace position into a dense [`JobLanes`] row block (the per-job
-//! static part: everything depending only on `r`/`n`/`s`); each
-//! rescheduling event then re-scores the whole queue with one chunked
-//! [`CompiledPolicy::score_batch`] pass over SoA input lanes
-//! maintained in lockstep with the queue — no vtable dispatch, no tree
-//! walk, and no per-job [`TaskView`] construction on the hot path. The
-//! pass runs the residual as register steps, four lanes wide where the
+//! ([`CompiledPolicy`]) instead of through the `dyn Policy` vtable. A
+//! time-dependent program's **wait-invariant prefix** (the per-job static
+//! part: everything depending only on `r`/`n`/`s`) is evaluated once per
+//! enqueue, straight into the job's row of the queue's slot lane
+//! (`SimState::q_slots`); each rescheduling event then re-scores the whole
+//! queue with one chunked [`CompiledPolicy::score_batch`] pass over SoA
+//! input lanes maintained in lockstep with the queue — no vtable dispatch,
+//! no tree walk, and no per-job [`TaskView`] construction on the hot path.
+//! The pass runs the residual as register steps, four lanes wide where the
 //! CPU has AVX2, and returns the queue's head with the scores
-//! ([`dynsched_policies::compile`] module docs). A
-//! *static* compiled policy (residual never reads `w`) skips the lanes
-//! entirely: it is scored exactly once, at enqueue, through the scalar
-//! kernel, like any other cached-score discipline.
+//! ([`dynsched_policies::compile`] module docs). A *static* compiled
+//! policy (residual never reads `w`) keeps no lanes: it is scored exactly
+//! once, at enqueue, through the scalar kernel, like any other
+//! cached-score discipline.
 //!
 //! What happens after the batch re-score has two shapes, chosen by the
 //! backfill mode alone:
@@ -199,7 +199,6 @@
 //! [`BackfillMode::None`]: crate::BackfillMode::None
 //! [`BackfillMode::Aggressive`]: crate::BackfillMode::Aggressive
 //! [`BackfillMode::Conservative`]: crate::BackfillMode::Conservative
-//! [`JobLanes`]: dynsched_workload::JobLanes
 
 mod dispatch;
 mod event_loop;

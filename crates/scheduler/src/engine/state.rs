@@ -14,7 +14,6 @@ use crate::profile::Profile;
 use dynsched_cluster::{AbandonedJob, CoreLedger, Platform};
 use dynsched_policies::BatchScratch;
 use dynsched_simkit::EventQueue;
-use dynsched_workload::JobLanes;
 
 /// The forkable simulation state: everything a prefix run hands to its
 /// continuations, at the instant every event strictly before the horizon
@@ -58,8 +57,8 @@ pub(crate) struct SimState {
     pub(crate) q_r: Vec<f64>,
     pub(crate) q_n: Vec<f64>,
     pub(crate) q_s: Vec<f64>,
-    /// Queue-parallel copies of the jobs' static slot rows (stride =
-    /// `CompiledPolicy::slot_count`), same lockstep discipline.
+    /// Each queued job's wait-invariant prefix slots, evaluated at enqueue
+    /// (stride = `CompiledPolicy::slot_count`), same lockstep discipline.
     pub(crate) q_slots: Vec<f64>,
     /// Start time per trace index; NaN when not running.
     pub(crate) start_of: Vec<f64>,
@@ -150,10 +149,6 @@ pub(super) struct Scratch {
     pub(super) order: Vec<usize>,
     /// Clamped `(time, cores)` copy of the releases handed to the profile.
     pub(super) rel_scratch: Vec<(f64, u32)>,
-    /// Wait-invariant prefix slots of a compiled policy, one row per
-    /// trace position — recomputed from the trace at run start, read at
-    /// every enqueue.
-    pub(super) static_lanes: JobLanes,
     /// Score per queue position, rewritten by every time-dependent pass
     /// (the batch kernel's output, or one interpreted score per entry).
     pub(super) batch_scores: Vec<f64>,
@@ -162,7 +157,7 @@ pub(super) struct Scratch {
     /// Batch-kernel scratch (one chunk's value-stack rows).
     pub(super) batch_scratch: BatchScratch,
     /// Prefix slot row for scoring a static compiled policy at enqueue
-    /// (its scores never change, so no per-trace lanes exist).
+    /// (its scores never change, so it keeps no slot lane).
     pub(super) slot_row: Vec<f64>,
     /// Availability profile, rebuilt from the releases at every
     /// backfilling pass that needs it.

@@ -847,7 +847,15 @@ fn check(case: &Case, lineup: &Lineup, rig: &mut Rig) -> Result<Coverage, Failur
     // pairs, and distinct ranks past the trace's length.
     let tables = ["tied ranks", "ranks past the trace"];
     for table in tables.into_iter().filter(|_| case.policy.is_none()) {
-        let derive = |&r: &usize| if table == "tied ranks" { r / 2 } else { n + r };
+        // Past the trace: `n` more where that fits in a `usize`; a rank
+        // above `usize::MAX - n` is past the trace as it is.
+        let derive = |&r: &usize| {
+            if table == "tied ranks" {
+                r / 2
+            } else {
+                r.checked_add(n).unwrap_or(r)
+            }
+        };
         let ranks: Vec<usize> = case.ranks.iter().map(derive).collect();
         let d = QueueDiscipline::FixedOrder(&ranks);
         let oracle = simulate_reference(&trace, &d, config);
@@ -1276,11 +1284,12 @@ fn passes_of_three_heads_or_more_equal_the_oracle_on_every_path() {
 }
 
 /// Fixed ranks the API accepts but an `f64` key cannot tell apart. On 2
-/// cores job 0 holds the machine while five 1-core jobs queue, ranked
-/// 2^53 + 1 and 2^53 (one `f64`), and `usize::MAX - 6` and
-/// `usize::MAX - 7` (one `f64` again, and negative as `i64`), with a
-/// rank of 7 ahead of them all; `check`'s past-the-trace table adds 6 to
-/// each, which reaches `usize::MAX` itself. Every rank is at least the
+/// cores job 0, ranked `usize::MAX`, holds the machine while five 1-core
+/// jobs queue, ranked 2^53 + 1 and 2^53 (one `f64`), and
+/// `usize::MAX - 6` and `usize::MAX - 7` (one `f64` again, and negative
+/// as `i64`), with a rank of 7 ahead of them all; `check`'s
+/// past-the-trace table adds 6 to each rank that has room, which reaches
+/// `usize::MAX` itself, and keeps job 0's. Every rank is at least the
 /// trace's length, so each resume re-keys by the insertion-sort
 /// fallback. The drop to one core at t=12 kills a start of t=10, which
 /// requeues with its rank.
@@ -1295,7 +1304,7 @@ fn rank_cases(out: &mut Vec<Case>) {
     ];
     let n = jobs.len();
     let ranks = vec![
-        0,
+        usize::MAX,
         usize::MAX - n,
         (1 << 53) + 1,
         1 << 53,

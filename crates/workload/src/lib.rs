@@ -9,9 +9,6 @@
 //! * [`store`] — the columnar trace store: SoA job columns
 //!   ([`TraceColumns`]) behind `Arc`-shared [`TraceView`] handles,
 //!   interned by generation key in a [`TraceStore`];
-//! * [`lanes`] — dense per-job value rows ([`JobLanes`]) stored beside the
-//!   columns; the scheduler keeps the wait-invariant prefix slots of a
-//!   compiled policy here, one row per trace position;
 //! * [`partition`] — per-shard trace partitioning: [`TraceSlice`] presents
 //!   a routed subsequence of a parent trace as a [`TraceSource`] without
 //!   copying, the shard-local input of the scheduler's federation layer;
@@ -60,7 +57,6 @@
 
 pub mod archive;
 pub mod feitelson;
-pub mod lanes;
 pub mod lublin;
 pub mod partition;
 pub mod registry;
@@ -74,7 +70,6 @@ pub mod validate;
 
 pub use archive::ArchivePlatform;
 pub use feitelson::FeitelsonModel;
-pub use lanes::JobLanes;
 pub use lublin::LublinModel;
 pub use partition::TraceSlice;
 pub use registry::{ScenarioCalibration, ScenarioFamily, ScenarioParams};
