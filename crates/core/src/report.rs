@@ -247,33 +247,15 @@ pub fn full_run_markdown(report: &FullRunReport) -> String {
         let _ = writeln!(out, "| {} | {} |", row.name, cells.join(" | "));
     }
     let _ = writeln!(out);
-    let generated: Vec<&str> = report
+    let (generated, adhoc): (Vec<&str>, Vec<&str>) = report
         .lineup
         .iter()
-        .filter(|n| n.starts_with('G'))
         .map(String::as_str)
-        .collect();
-    let adhoc: Vec<&str> = report
-        .lineup
-        .iter()
-        .filter(|n| !n.starts_with('G'))
-        .map(String::as_str)
-        .collect();
-    let best_of = |row: &ExperimentResult, names: &[&str]| -> Option<f64> {
-        names
-            .iter()
-            .filter_map(|n| row.median_of(n))
-            .min_by(f64::total_cmp)
-    };
+        .partition(|n| n.starts_with('G'));
     let wins = report
         .evaluation
         .iter()
-        .filter(
-            |row| match (best_of(row, &generated), best_of(row, &adhoc)) {
-                (Some(g), Some(a)) => g < a,
-                _ => false,
-            },
-        )
+        .filter(|row| best_beats(row, &generated, &adhoc))
         .count();
     let _ = writeln!(
         out,
@@ -286,17 +268,24 @@ pub fn full_run_markdown(report: &FullRunReport) -> String {
 /// Whether the best learned policy's median beats the best ad-hoc
 /// policy's median in `result` — the structural claim of the paper.
 pub fn learned_beat_adhoc(result: &ExperimentResult) -> bool {
+    best_beats(
+        result,
+        &["F1", "F2", "F3", "F4"],
+        &["FCFS", "WFP", "UNI", "SPT"],
+    )
+}
+
+/// Whether the best median among `learned` is below the best among
+/// `adhoc` in `row`; false when either set has no median there.
+fn best_beats(row: &ExperimentResult, learned: &[&str], adhoc: &[&str]) -> bool {
     let best_of = |names: &[&str]| -> Option<f64> {
         names
             .iter()
-            .filter_map(|n| result.median_of(n))
+            .filter_map(|n| row.median_of(n))
             .min_by(f64::total_cmp)
     };
-    match (
-        best_of(&["F1", "F2", "F3", "F4"]),
-        best_of(&["FCFS", "WFP", "UNI", "SPT"]),
-    ) {
-        (Some(f), Some(adhoc)) => f < adhoc,
+    match (best_of(learned), best_of(adhoc)) {
+        (Some(l), Some(a)) => l < a,
         _ => false,
     }
 }

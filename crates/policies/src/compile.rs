@@ -915,14 +915,6 @@ impl CompiledPolicy {
         slot_row: &mut Vec<f64>,
         stack: &mut Vec<f64>,
     ) -> f64 {
-        // A fully hoisted program (static policies: the whole expression
-        // is one slot and the residual just reloads it) needs no slot
-        // row: the prefix already leaves the score on top of the stack —
-        // the same value `LoadSlot(0)` would reload, bit for bit.
-        if let [OpCode::LoadSlot(0)] = self.residual.ops[..] {
-            self.prefix.exec(r, n, s, 0.0, &[], stack);
-            return stack[0];
-        }
         slot_row.clear();
         slot_row.resize(self.slot_count, 0.0);
         self.prefix_into(r, n, s, slot_row, stack);
@@ -1382,7 +1374,7 @@ mod tests {
     }
 
     #[test]
-    fn score_scalar_matches_score_with() {
+    fn score_scalar_matches_policy_score() {
         let expr = parse_expr("sqrt(r)*n + 2.56e4*log10(s) - w/(r + 1)").unwrap();
         let c = compile_expr("t", &expr);
         let v = view(42.5, 3, 17.0, 400.0);

@@ -30,22 +30,21 @@
 //! Everything the event loop reads or writes, at the instant every event
 //! strictly before the horizon has been processed and none at or after it
 //! has: the pending completion-event queue (in pop order, so same-instant
-//! completions keep their push order), the waiting queue with its SoA
-//! priority keys (the live window only: entries a static-order pass left
-//! behind its `head` cursor are not copied, and a captured or restored
-//! cursor is 0), the blocked-head fact, the sorted release list, the
-//! narrowest-waiter width, the compiled batch-scoring input lanes, per-job
-//! start times, the core ledger (capacity state plus its busy/offline
-//! integrals), the completion prefix, the arrival cursor, and the event,
-//! backfill and conservative-pass counters.
+//! completions keep their push order), the waiting queue (the live window
+//! only: entries a static-order pass left behind its `head` cursor are not
+//! copied, and a captured or restored cursor is 0), the sorted release
+//! list, the narrowest-waiter width, the compiled batch-scoring input
+//! lanes, per-job start times, the core ledger (capacity state plus its
+//! busy/offline integrals), the completion prefix, the arrival cursor, and
+//! the event, backfill and conservative-pass counters.
 //! What it deliberately does *not* capture is state the engine rebuilds
-//! from scratch at every use — the availability profile and its release
-//! scratch (rebuilt from the release list at every backfilling pass), a
-//! time-dependent priority order (no pass reads one it did not just
-//! build), per-event score scratch, and the compiled static lanes
-//! (recomputed deterministically from the trace at run start) — and
-//! the per-job attempt counters, which are identically zero in the
-//! zero-fault runs checkpointing supports.
+//! before it reads it — the queue's static priority keys (a static-order
+//! resume re-keys the restored queue under its own discipline before its
+//! first pass), the availability profile and its release scratch (rebuilt
+//! from the release list at every backfilling pass), a time-dependent
+//! priority order (no pass reads one it did not just build) and per-event
+//! score scratch — and the per-job attempt counters, which are
+//! identically zero in the zero-fault runs checkpointing supports.
 //!
 //! # The resume contract
 //!
@@ -109,12 +108,12 @@ pub struct Checkpoint {
     /// runs on, so what is captured is declared in exactly one place
     /// (`engine::state`) and capture and restore are one `copy_from`.
     pub(crate) state: SimState,
-    /// Jobs completed before the horizon, in completion order. Replayed
-    /// into the completion sink at resume (or folded once into a seed,
-    /// [`Checkpoint::fold_prefix`]), ahead of every suffix completion —
-    /// prefix completions all finish strictly before the horizon, so the
-    /// merged stream is in true completion order. Not engine state: the
-    /// engine only sees a generic sink.
+    /// Jobs completed before the horizon, in completion order. Listed
+    /// first by [`SimWorkspace::resume_from`](crate::SimWorkspace::resume_from)
+    /// (or folded once into a seed, [`Checkpoint::fold_prefix`]), ahead of
+    /// every suffix completion — prefix completions all finish strictly
+    /// before the horizon, so the merged stream is in true completion
+    /// order. Not engine state: the engine only sees a generic sink.
     pub(crate) completed: Vec<CompletedJob>,
 }
 

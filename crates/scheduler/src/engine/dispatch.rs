@@ -76,15 +76,6 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
         if self.st.waiting().is_empty() {
             return Ok(());
         }
-        if self.st.head_blocked {
-            // Fast path: strict mode, static order, and nothing since the
-            // last pass could have unblocked the head (no completion, no
-            // arrival ahead of it). The strict pass would stop at the same
-            // head immediately — a guaranteed no-op, so skip it.
-            debug_assert!(self.skip_eligible);
-            debug_assert!(!self.st.ledger.fits(self.st.waiting()[0].job.cores));
-            return Ok(());
-        }
         if self.track_releases {
             debug_assert_eq!(
                 Some(self.st.narrowest),
@@ -188,13 +179,6 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
                     break;
                 }
             }
-            // In strict mode a blocked pass is now a standing fact: until a
-            // completion frees cores or a higher-priority arrival lands,
-            // every further reschedule would stop at this same head.
-            if self.skip_eligible {
-                self.st.head_blocked = blocked.is_some();
-            }
-
             if self.config.backfill == BackfillMode::Aggressive {
                 if let Some((head_pos, head_qi)) = blocked {
                     let head = self.st.queue[head_qi].job;

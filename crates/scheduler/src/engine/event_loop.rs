@@ -74,16 +74,12 @@ impl SimWorkspace {
         // builds no order at all and picks each head on demand; a
         // conservative pass reads every position, so it full-sorts.
         let on_demand = time_dependent && config.backfill != BackfillMode::Conservative;
-        // The no-op skip only applies where a blocked head is a stable
-        // fact: strict mode (nothing behind the head can ever start)
-        // with a static order (the head cannot change by re-scoring).
-        let skip_eligible = config.backfill == BackfillMode::None && !time_dependent;
-        // Resuming: overwrite the pristine state with the snapshot, then
-        // replay the completion prefix into the sink — prefix completions
-        // all finish strictly before the horizon, ahead of any suffix
-        // completion, so the merged stream is in true completion order and
-        // metrics accumulation stays bit-identical to scratch. A seeded
-        // sink holds the prefix already.
+        // Resuming: overwrite the pristine state with the snapshot. The
+        // sink already holds the completion prefix (the caller seeded it):
+        // prefix completions all finish strictly before the horizon, ahead
+        // of any suffix completion, so the merged stream is in true
+        // completion order and metrics accumulation stays bit-identical to
+        // scratch.
         let restored = mode.restores();
         if let Some(from) = restored {
             assert_eq!(
@@ -92,17 +88,6 @@ impl SimWorkspace {
                 "checkpoint was captured for a different trace length"
             );
             self.state.copy_from(&from.state);
-            // The blocked-head fact does not survive a fork: re-keying the
-            // restored queue may change which entry is the head, and the
-            // next pass re-derives the fact at no cost to bit-identity (a
-            // blocked strict pass starts nothing and leaves no other state
-            // behind).
-            self.state.head_blocked = false;
-            if let RunMode::Resume { .. } = mode {
-                for c in &from.completed {
-                    sink.record(*c);
-                }
-            }
         }
         let mut eng = Engine {
             trace,
@@ -110,7 +95,6 @@ impl SimWorkspace {
             config,
             time_dependent,
             track_releases: config.backfill != BackfillMode::None,
-            skip_eligible,
             lanes,
             on_demand,
             max_retries: schedule.map_or(u32::MAX, AvailabilitySchedule::max_retries),
@@ -158,9 +142,6 @@ pub(super) struct Engine<'a, 'b, K: CompletionSink, T: TraceSource> {
     /// release list and the narrowest-waiter width. Under
     /// [`BackfillMode::None`] the engine skips the upkeep of both.
     pub(super) track_releases: bool,
-    /// Whether the no-op reschedule skip may ever fire (strict mode with a
-    /// static queue order).
-    pub(super) skip_eligible: bool,
     /// The program whose queue-parallel SoA input lanes are maintained —
     /// only a time-dependent compiled discipline's, which batch-scores
     /// them; its `slot_count` is the slot lane's stride.
@@ -340,15 +321,12 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
         // Static disciplines keep the live window in priority order: insert
         // at the upper bound of the new key (bisected over the window of
         // the dense SoA key array), so equal keys land *after* their peers
-        // — the arrival-order tie-break of a stable sort. An insert at the
-        // front of the window replaces the head, so any blocked-head fact
-        // is invalidated.
+        // — the arrival-order tie-break of a stable sort.
         let key = self.static_key(idx, &job);
         let head = self.st.head;
         let pos = head + self.st.q_keys[head..].partition_point(|&k| k <= key);
         self.st.queue.insert(pos, entry);
         self.st.q_keys.insert(pos, key);
-        self.st.head_blocked &= pos > head;
     }
 
     /// Re-key (and re-sort) a restored waiting queue under the *active*
@@ -461,8 +439,6 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
         let start = self.st.start_of[idx as usize];
         debug_assert!(!start.is_nan(), "completion for job that is not running");
         self.st.ledger.release(job.cores, t)?;
-        // Freed cores may unblock the head; the next reschedule must look.
-        self.st.head_blocked = false;
         if self.track_releases {
             self.remove_release(idx, start, t)?;
         }

@@ -17,9 +17,6 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
     /// which case they are reported abandoned.
     pub(super) fn apply_capacity(&mut self, capacity: u32, now: f64) -> Result<(), EngineError> {
         let overshoot = self.st.ledger.set_capacity(capacity, now);
-        // A restore may unblock the head; drops invalidate the cached fact
-        // too (conservatively — a drop can only shrink availability).
-        self.st.head_blocked = false;
         if overshoot == 0 {
             return Ok(());
         }

@@ -71,15 +71,10 @@
 //!
 //! # Reschedule fast paths
 //!
-//! Four structural optimizations keep grid-scale evaluation cheap without
+//! Three structural optimizations keep grid-scale evaluation cheap without
 //! changing any observable schedule (all are proven bit-identical against
 //! [`crate::reference`]):
 //!
-//! * **No-op reschedule skip.** Under [`BackfillMode::None`] with a static
-//!   queue order, an arrival that sorts behind a blocked queue head cannot
-//!   start anything: availability is unchanged and the strict pass stops at
-//!   the same head. The engine tracks head-blocked state and skips the
-//!   entire pass for such arrivals.
 //! * **SoA queue keys.** Under a static order the priority key of every
 //!   waiting job lives in a dense `Vec<u64>` parallel to the entry list,
 //!   so the binary-search insertions and sortedness scans touch 8-byte
@@ -110,9 +105,11 @@
 //!   returns to 0. The drain moves fewer entries than were removed since
 //!   the last one — amortised O(1) per removed entry — and the `Vec`
 //!   never holds more than twice the live queue. A [`Checkpoint`] copies
-//!   the window only. Time-dependent orders keep the full compaction and
-//!   `head == 0`: their queue is in arrival order, so a pass's starts lie
-//!   anywhere in it, and the score lanes index it by position from 0.
+//!   the window's entries only, not their keys: a static resume re-keys
+//!   the restored queue under its own discipline. Time-dependent orders
+//!   keep the full compaction and `head == 0`: their queue is in arrival
+//!   order, so a pass's starts lie anywhere in it, and the score lanes
+//!   index it by position from 0.
 //! * **Narrowest-waiter gate.** In every backfilling mode a job starts
 //!   only if its cores are free *now*, so a pass entered with fewer free
 //!   cores than the narrowest waiting job asks for starts nothing — and
@@ -135,8 +132,8 @@
 //!   test fire later than it could, never wrongly: every remaining
 //!   waiter is at least that wide. The width is tracked exactly where the
 //!   release list is (`track_releases`: `backfill != None`); the strict
-//!   mode has its own blocked-head skip and would pay the upkeep for
-//!   nothing. The oracle runs every pass in full.
+//!   mode would pay the upkeep for nothing, since a strict pass stops at
+//!   its first head that does not fit. The oracle runs every pass in full.
 //!
 //! # Compiled policy kernels
 //!
@@ -482,19 +479,17 @@ enum RunMode<'c> {
         into: &'c mut Checkpoint,
     },
     /// Start from a captured snapshot instead of the pristine state, then
-    /// run to drain as usual.
+    /// run to drain as usual, into a sink the caller already seeded with
+    /// the snapshot's completion prefix (the listed one, or
+    /// [`Checkpoint::fold_prefix`]).
     Resume { from: &'c Checkpoint },
-    /// [`RunMode::Resume`] into a sink already seeded with the snapshot's
-    /// completion prefix ([`Checkpoint::fold_prefix`]): nothing is
-    /// replayed.
-    ResumeSeeded { from: &'c Checkpoint },
 }
 
 impl<'c> RunMode<'c> {
     /// The snapshot a resume starts from.
     fn restores(&self) -> Option<&'c Checkpoint> {
         match *self {
-            RunMode::Resume { from } | RunMode::ResumeSeeded { from } => Some(from),
+            RunMode::Resume { from } => Some(from),
             _ => None,
         }
     }

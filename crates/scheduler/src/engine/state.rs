@@ -27,8 +27,9 @@ pub(crate) struct SimState {
     pub(crate) queue: Vec<QueueEntry>,
     /// Priority key per queue position — the rank itself, or the cached
     /// score's `ordering::score_key` — maintained in lockstep with `queue`
-    /// for static disciplines only (empty under a time-dependent order):
-    /// the SoA half the binary-search scans read, compared with one `<=`.
+    /// for static disciplines only (empty under a time-dependent order and
+    /// in a [`Checkpoint`](crate::Checkpoint), whose resume re-keys): the
+    /// SoA half the binary-search scans read, compared with one `<=`.
     pub(crate) q_keys: Vec<u64>,
     /// Start of the live window in `queue` / `q_keys`. A static-order
     /// pass moves it over the leading run it started instead of moving the
@@ -36,12 +37,6 @@ pub(crate) struct SimState {
     /// under a time-dependent order (those compact in full) and in a
     /// [`Checkpoint`](crate::Checkpoint).
     pub(crate) head: usize,
-    /// True while the queue head is known not to fit *and* nothing that
-    /// could change that has happened: set when a strict pass leaves the
-    /// queue blocked, cleared by any completion (cores freed) or by an
-    /// arrival that takes over the head slot. While true, a reschedule is
-    /// provably a no-op and is skipped.
-    pub(crate) head_blocked: bool,
     /// Maintained sorted releases of the running set.
     pub(crate) releases: Vec<Release>,
     /// Fewest cores any waiting job asks for (`u32::MAX` on an empty
@@ -82,7 +77,6 @@ impl SimState {
         self.queue.clear();
         self.q_keys.clear();
         self.head = 0;
-        self.head_blocked = false;
         self.releases.clear();
         self.narrowest = u32::MAX;
         self.q_r.clear();
@@ -110,15 +104,14 @@ impl SimState {
     /// derived `Clone::clone_from` would reallocate every buffer per fork;
     /// this way a warm destination allocates nothing. Of the queue only
     /// the live window is copied, to position 0: a copy never carries a
-    /// dead prefix.
+    /// dead prefix, nor a key — every static resume re-keys the queue
+    /// under its own discipline before its first pass.
     pub(super) fn copy_from(&mut self, src: &SimState) {
         self.events.restore_from(&src.events);
         self.queue.clear();
         self.queue.extend_from_slice(src.waiting());
         self.q_keys.clear();
-        self.q_keys.extend_from_slice(&src.q_keys[src.head..]);
         self.head = 0;
-        self.head_blocked = src.head_blocked;
         self.releases.clone_from(&src.releases);
         self.narrowest = src.narrowest;
         self.q_r.clone_from(&src.q_r);

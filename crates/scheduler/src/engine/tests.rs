@@ -833,7 +833,7 @@ fn front_removal_is_unobservable() {
                     let live = len - head;
                     assert!(head <= live, "{what}: {head} dead, {live} live");
                     assert_eq!((ckpt.state.queue.len(), ckpt.state.head), (live, 0));
-                    assert_eq!(ckpt.state.q_keys, ws.state.q_keys[head..]);
+                    assert!(ckpt.state.q_keys.is_empty(), "{what}");
                     deepest = deepest.max(live);
                     // The harness drops capacity at the first cut after a
                     // sprinter's arrival with more than one core busy: the

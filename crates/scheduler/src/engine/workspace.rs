@@ -254,7 +254,7 @@ impl SimWorkspace {
         let mut sink = seed;
         self.completed.clear();
         self.lists = Lists::Streamed;
-        let mode = RunMode::ResumeSeeded { from };
+        let mode = RunMode::Resume { from };
         zero_fault(self.run_with(trace, discipline, config, &mut sink, None, mode));
         // A drained zero-fault run's last ledger event is its last
         // completion.
@@ -282,6 +282,10 @@ impl SimWorkspace {
         // size: a no-op on a warm workspace, and one exact allocation —
         // not a doubling regrowth — after `take_result` moved the list out.
         completed.reserve(trace.len());
+        // A resume's list starts with the snapshot's completion prefix.
+        if let Some(from) = mode.restores() {
+            completed.extend_from_slice(&from.completed);
+        }
         let outcome = self.run_with(trace, discipline, config, &mut completed, schedule, mode);
         self.completed = completed;
         self.lists = Lists::Kept;

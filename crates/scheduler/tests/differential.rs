@@ -1586,8 +1586,8 @@ fn shared_checkpoint_fanout_is_thread_count_independent() {
 fn checkpoint_and_workspace_reuse_carry_no_state() {
     let lineup = Lineup::new();
     let compiled = |name| &lineup.compiled[lineup.slot(name)];
-    // EASY on estimates, and strict scheduling — the only mode in which a
-    // static order can leave a blocked-head fact standing.
+    // EASY on estimates, and strict scheduling — the only mode whose pass
+    // stops at the first head that does not fit and waits.
     let configs = [
         SchedulerConfig::estimates_with_backfilling(Platform::new(16)),
         SchedulerConfig::actual_runtimes(Platform::new(16)),

@@ -297,6 +297,9 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
         .opt("[cores]")
         .or(header.max_procs)
         .ok_or("no core count given and the header has no MaxProcs")?;
+    if cores == 0 {
+        return Err("a platform needs at least one core (the header says MaxProcs: 0)".to_string());
+    }
     if let Some(computer) = &header.computer {
         println!("Computer: {computer}");
     }
@@ -842,6 +845,7 @@ mod tests {
         // The core count is parsed before the trace is opened, so no file
         // is needed.
         for result in [
+            cmd_validate(&args(&["t.swf", "0"])),
             cmd_simulate(&args(&["t.swf", "0"])),
             cmd_federate(&args(&["t.swf", "0"])),
             cmd_train(&args(&["--cores", "0"])),
@@ -851,6 +855,12 @@ mod tests {
             let err = result.unwrap_err();
             assert!(err.contains("at least one core"), "{err}");
         }
+        // Regression: `validate` took a header's `MaxProcs: 0` as the
+        // platform and reported a 0-core platform with infinite load.
+        let path = swf_file("maxprocs0", Vec::new(), 0);
+        let err = cmd_validate(&args(&[&path])).unwrap_err();
+        std::fs::remove_file(path).unwrap();
+        assert!(err.contains("at least one core"), "{err}");
         // Regression: the model-based commands reached `LublinModel::new(1)`
         // ("the model needs a parallel machine"), `scenarios` after it had
         // printed its table header.
