@@ -8,7 +8,8 @@
 //! `dyn Policy` vtable call, which makes score evaluation the last
 //! interpreted hot path in the engine. This module lowers each of them into
 //! a [`CompiledPolicy`]: a flat postfix program executed by a non-recursive
-//! stack machine, split into
+//! stack machine. A time-dependent program (one that reads `w`) is split
+//! into
 //!
 //! * a **wait-invariant prefix** — every maximal subexpression that depends
 //!   only on `r`, `n`, `s`, constant for a job's whole queue lifetime. The
@@ -20,6 +21,13 @@
 //!   ([`CompiledPolicy::score_batch`]) with no vtable dispatch, no tree
 //!   walk, and no per-job [`TaskView`] construction.
 //!
+//! A **wait-free** program (FCFS, SPT, the learned F1–F4) has no prefix
+//! and no slots: it is all residual. Its score is fixed at arrival, so
+//! memoizing subtrees would save nothing; instead the scheduler scores
+//! the trace's upcoming arrivals ahead of its cursor, a chunk at a time,
+//! with the same [`CompiledPolicy::score_batch`] call over an empty slot
+//! lane, and each enqueue reads its job's score from that window.
+//!
 //! # The bit-identity contract
 //!
 //! Compilation must never change a score by even one ULP: queue order
@@ -30,10 +38,11 @@
 //!   ([`Func::eval`] for the guarded unary functions, [`BinOp::eval`] for
 //!   guarded division and sanitized `powf`), so a compiled program performs
 //!   the identical float operations in the identical order;
-//! * the prefix split only *memoizes* subtree values — a slot holds the
-//!   exact (possibly still-NaN) intermediate value the tree walk would
-//!   have produced at that node, and the final NaN sanitizer stays at the
-//!   end of the residual, exactly where [`Expr::eval`] applies it;
+//! * the prefix split only *memoizes* subtree values (a wait-free program
+//!   is not split at all) — a slot holds the exact (possibly still-NaN)
+//!   intermediate value the tree walk would have produced at that node,
+//!   and the final NaN sanitizer stays at the end of the residual,
+//!   exactly where [`Expr::eval`] applies it;
 //! * policies whose interpreted form performs unguarded arithmetic (the
 //!   multifactor factors, WFP3/UNICEF ratios) compile to dedicated raw
 //!   opcodes rather than the guarded ones.
@@ -795,9 +804,11 @@ pub fn least_position(scores: &[f64]) -> Option<usize> {
 
 /// Dense SoA inputs for one batch re-score: one lane per task variable
 /// plus the precomputed wait-invariant slot rows (`slot_count` values per
-/// job, row-major). The scheduler maintains these lanes alongside its
-/// waiting queue and hands them to [`CompiledPolicy::score_batch`] at
-/// every rescheduling event.
+/// job, row-major; empty for a wait-free program). The scheduler keeps
+/// these lanes alongside a time-dependent policy's waiting queue and
+/// hands them to [`CompiledPolicy::score_batch`] at every rescheduling
+/// event; for a wait-free policy it gathers them from a chunk of the
+/// trace's upcoming arrivals.
 #[derive(Debug, Clone, Copy)]
 pub struct ScoreLanes<'a> {
     /// Decision-mode processing time per queued job.
@@ -812,8 +823,9 @@ pub struct ScoreLanes<'a> {
 }
 
 /// A policy lowered to bytecode: a wait-invariant prefix program (run once
-/// per job, filling `slot_count` slots) plus a time-dependent residual
-/// program (run per score, reading the slots and `w`).
+/// per job, filling `slot_count` slots) plus a residual program (run per
+/// score, reading the slots and `w`). A wait-free expression compiles to
+/// the residual alone, with an empty prefix and no slots.
 ///
 /// Scores are bit-identical to the interpreted policy the program was
 /// compiled from — see the module docs for the contract. Obtain one via
@@ -834,7 +846,9 @@ impl CompiledPolicy {
     /// must leave exactly `slot_count` values and never read `w` or a
     /// slot; `residual_ops` must leave exactly one value and only read
     /// slots below `slot_count`. Time dependence is derived: the policy is
-    /// time-dependent iff the residual reads `w`.
+    /// time-dependent iff the residual reads `w`. A wait-free program
+    /// keeps no slots, so [`CompiledPolicy::score_batch`] scores it from
+    /// the `r`, `n`, `s` lanes alone.
     pub(crate) fn from_parts(
         name: impl Into<String>,
         prefix_ops: Vec<OpCode>,
@@ -844,6 +858,10 @@ impl CompiledPolicy {
         let time_dependent = residual_ops.iter().any(|op| matches!(op, OpCode::LoadW));
         let prefix = Program::new(prefix_ops, slot_count, 0, false);
         let residual = Program::new(residual_ops, 1, slot_count, true);
+        assert!(
+            time_dependent || slot_count == 0,
+            "wait-free program keeps {slot_count} slots"
+        );
         let steps = Steps::lower(&residual, slot_count);
         Self {
             name: name.into(),
@@ -903,9 +921,8 @@ impl CompiledPolicy {
 
     /// Score one job from raw `(r, n, s, w)` operands through prefix +
     /// residual using caller-owned scratch — the scalar twin of the batch
-    /// kernel. The scheduler uses this to score a static compiled policy
-    /// once at enqueue, without keeping a slot lane the score would never
-    /// re-read.
+    /// kernel, for callers that score one job at a time (the federation's
+    /// learned router, the [`Policy`] impl below).
     pub fn score_scalar(
         &self,
         r: f64,
@@ -1085,14 +1102,22 @@ fn emit_split(e: &Expr, prefix: &mut Vec<OpCode>, residual: &mut Vec<OpCode>, sl
     }
 }
 
-/// Compile an expression tree into a split bytecode policy. The residual
-/// ends with the same NaN→`f64::MAX` sanitizer [`Expr::eval`] applies, so
-/// scores are bit-identical to the tree walk at every `(r, n, s, w)`.
+/// Compile an expression tree into a bytecode policy: split into prefix
+/// and residual when it reads `w`, all residual when it does not (a static
+/// score is evaluated once per job, so memoizing its subtrees saves
+/// nothing, and the batch kernel then scores it with no slot lane). The
+/// residual ends with the same NaN→`f64::MAX` sanitizer [`Expr::eval`]
+/// applies, so scores are bit-identical to the tree walk at every
+/// `(r, n, s, w)`.
 pub fn compile_expr(name: impl Into<String>, expr: &Expr) -> CompiledPolicy {
     let mut prefix = Vec::new();
     let mut residual = Vec::new();
     let mut slots = 0u32;
-    emit_split(expr, &mut prefix, &mut residual, &mut slots);
+    if expr.uses_wait() {
+        emit_split(expr, &mut prefix, &mut residual, &mut slots);
+    } else {
+        emit_full(expr, &mut residual);
+    }
     residual.push(OpCode::NanToMax);
     CompiledPolicy::from_parts(name, prefix, slots as usize, residual)
 }
@@ -1146,13 +1171,21 @@ mod tests {
     }
 
     #[test]
-    fn wait_free_expression_collapses_to_one_slot() {
+    fn wait_free_expression_compiles_to_one_residual() {
         let expr = parse_expr("log10(r)*n + 8.70e2*log10(s)").unwrap();
         let c = compile_expr("F1", &expr);
-        assert_eq!(c.slot_count(), 1);
+        assert_eq!(c.slot_count(), 0);
         assert!(!c.time_dependent());
-        // Residual is just slot + sanitizer.
-        assert_eq!(c.residual.ops.len(), 2);
+        // No prefix: the tree's 9 ops, then the sanitizer.
+        assert!(c.prefix.ops.is_empty());
+        assert_eq!(c.residual.ops.len(), 10);
+        // The learned F1 carries its three coefficients: 13 ops + 1.
+        let f1 = crate::LearnedPolicy::f1().compile().unwrap();
+        assert_eq!((f1.slot_count(), f1.residual.ops.len()), (0, 14));
+        assert_eq!(
+            f1.to_string(),
+            "compiled F1 (0 prefix ops -> 0 slots, 14 residual ops)"
+        );
     }
 
     #[test]
@@ -1400,6 +1433,13 @@ mod tests {
     #[should_panic(expected = "loads w")]
     fn prefix_reading_wait_is_rejected() {
         let _ = CompiledPolicy::from_parts("bad", vec![OpCode::LoadW], 1, vec![OpCode::Const(0.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "wait-free program keeps 1 slots")]
+    fn wait_free_program_with_slots_is_rejected() {
+        let _ =
+            CompiledPolicy::from_parts("bad", vec![OpCode::LoadR], 1, vec![OpCode::LoadSlot(0)]);
     }
 
     #[test]

@@ -446,7 +446,8 @@ impl Policy for LearnedPolicy {
     fn compile(&self) -> Option<crate::compile::CompiledPolicy> {
         // Route through the expression lowering: same guards, same
         // operand order, same final sanitizer — the whole function is
-        // wait-invariant, so it compiles to one prefix slot per job.
+        // wait-invariant, so it compiles to a residual alone, which the
+        // engine batch-scores a chunk of arrivals at a time.
         Some(crate::compile::compile_expr(
             self.name.clone(),
             &self.function.to_expr(),

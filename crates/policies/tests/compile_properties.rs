@@ -273,6 +273,7 @@ fn every_builtin_policy_compiles_bit_identically() {
 #[test]
 fn whole_learned_family_compiles_bit_identically() {
     let mut rng = Rng::new(0x1EA12);
+    let mut scratch = BatchScratch::new();
     for (i, shape) in NonlinearFunction::enumerate_family()
         .into_iter()
         .enumerate()
@@ -285,14 +286,35 @@ fn whole_learned_family_compiles_bit_identically() {
         let policy = LearnedPolicy::new(format!("fam-{i}"), f);
         let compiled = policy.compile().unwrap();
         assert!(!compiled.time_dependent());
-        // The whole function is wait-invariant: exactly one prefix slot.
-        assert_eq!(compiled.slot_count(), 1, "fam-{i}");
-        for _ in 0..5 {
-            let v = random_view(&mut rng);
+        // The whole function is wait-invariant: no prefix, no slot.
+        assert_eq!(compiled.slot_count(), 0, "fam-{i}");
+        let views: Vec<TaskView> = (0..5).map(|_| random_view(&mut rng)).collect();
+        for v in &views {
             assert_eq!(
-                policy.score(&v).to_bits(),
-                compiled.score(&v).to_bits(),
+                policy.score(v).to_bits(),
+                compiled.score(v).to_bits(),
                 "family member {i} ({f:?}) diverged at {v:?}"
+            );
+        }
+        // The same views as one lane through the batch kernel, as the
+        // engine scores arrivals. `now` is NaN: a static program never
+        // reads it, and a wait step would turn every score to NaN.
+        let r: Vec<f64> = views.iter().map(|v| v.processing_time).collect();
+        let n: Vec<f64> = views.iter().map(|v| v.cores as f64).collect();
+        let s: Vec<f64> = views.iter().map(|v| v.submit).collect();
+        let lanes = ScoreLanes {
+            r: &r,
+            n: &n,
+            s: &s,
+            slots: &[],
+        };
+        let mut out = vec![0.0; views.len()];
+        compiled.score_batch(&mut out, lanes, f64::NAN, &mut scratch);
+        for (v, batch) in views.iter().zip(&out) {
+            assert_eq!(
+                policy.score(v).to_bits(),
+                batch.to_bits(),
+                "family member {i} ({f:?}) batch-scored apart at {v:?}"
             );
         }
     }

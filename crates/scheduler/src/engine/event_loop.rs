@@ -2,15 +2,17 @@
 //! merge, and the primitive state transitions (enqueue, start, complete).
 
 use super::ordering::score_key;
-use super::state::{FaultState, Scratch, SimState};
+use super::state::{FaultState, Scratch, SimState, StaticLanes};
 use super::{
     task_view, CompletionSink, EngineError, QueueDiscipline, QueueEntry, RunMode, SimWorkspace,
+    KEY_WINDOW,
 };
 use crate::config::{BackfillMode, SchedulerConfig};
 use dynsched_cluster::{AvailabilitySchedule, CapacityStep, CompletedJob, Job};
-use dynsched_policies::CompiledPolicy;
+use dynsched_policies::{BatchScratch, CompiledPolicy, ScoreLanes};
 use dynsched_simkit::Clock;
 use dynsched_workload::TraceSource;
+use std::ops::Range;
 
 impl SimWorkspace {
     /// The engine proper, generic over where completions go and over the
@@ -64,8 +66,9 @@ impl SimWorkspace {
         };
         // The compiled program that is batch re-scored at every event, and
         // with it the queue-parallel input lanes kept for it. A *static*
-        // compiled policy keeps none: its score is computed exactly once,
-        // at enqueue, through the scalar kernel.
+        // compiled policy keeps none: its keys are batch-scored ahead of
+        // the arrivals, a window of trace positions at a time
+        // (`Engine::static_key`).
         let lanes = match discipline {
             QueueDiscipline::Compiled(cp) if time_dependent => Some(*cp),
             _ => None,
@@ -97,6 +100,7 @@ impl SimWorkspace {
             track_releases: config.backfill != BackfillMode::None,
             lanes,
             on_demand,
+            key_window: 0..0,
             max_retries: schedule.map_or(u32::MAX, AvailabilitySchedule::max_retries),
             st: &mut self.state,
             scratch: &mut self.scratch,
@@ -150,6 +154,10 @@ pub(super) struct Engine<'a, 'b, K: CompletionSink, T: TraceSource> {
     /// built order (time-dependent disciplines under strict or EASY
     /// scheduling): see `ordering::next_head`.
     pub(super) on_demand: bool,
+    /// Trace positions whose static keys `Scratch::window_keys` holds,
+    /// under a static compiled discipline; empty at the start of every
+    /// run, a resume included.
+    pub(super) key_window: Range<usize>,
     /// Preemption retry cap of the active fault schedule (`u32::MAX` for
     /// zero-fault runs, where it is never consulted).
     pub(super) max_retries: u32,
@@ -268,23 +276,44 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
     /// scores never change. A rank is its own key: any two distinct
     /// `usize` ranks stay distinct and in order, where an `f64` image
     /// would round ranks past 2^53 together.
+    ///
+    /// A static compiled policy reads the key from a window of upcoming
+    /// trace positions that one batch call scored. Arrivals walk the trace
+    /// in order, so an arrival past the window refills it with the next
+    /// [`KEY_WINDOW`] positions. Only a job requeued after a preemption
+    /// lies behind the window; it is keyed alone, and the window stays
+    /// where the arrivals need it. The kernel gives each job the scalar
+    /// machine's bits, so the key never depends on where a window starts.
     fn static_key(&mut self, idx: u32, job: &Job) -> u64 {
-        match self.discipline {
+        match *self.discipline {
             QueueDiscipline::FixedOrder(ranks) => ranks[idx as usize] as u64,
             QueueDiscipline::Policy(policy) => {
                 score_key(policy.score(&task_view(self.config, job, job.submit)))
             }
-            // A static compiled policy pays its one and only evaluation
-            // here, through the scalar kernel: prefix into the reusable
-            // slot row, then the residual at `w = 0`.
-            QueueDiscipline::Compiled(cp) => score_key(cp.score_scalar(
-                self.config.decision_time(job.runtime, job.estimate),
-                job.cores as f64,
-                job.submit,
-                0.0,
-                &mut self.scratch.slot_row,
-                &mut self.scratch.vm_stack,
-            )),
+            QueueDiscipline::Compiled(cp) => {
+                let i = idx as usize;
+                let Scratch {
+                    static_lanes,
+                    batch_scratch,
+                    window_keys,
+                    ..
+                } = &mut *self.scratch;
+                if i < self.key_window.start {
+                    // Keyed past the window's own keys, then taken off.
+                    let one = std::iter::once(*job);
+                    static_lanes.key(cp, self.config, one, batch_scratch, window_keys);
+                    return window_keys.pop().expect("one key was appended");
+                }
+                if i >= self.key_window.end {
+                    let trace = self.trace;
+                    let to = (i + KEY_WINDOW).min(trace.len());
+                    let jobs = (i..to).map(|j| trace.job(j));
+                    window_keys.clear();
+                    static_lanes.key(cp, self.config, jobs, batch_scratch, window_keys);
+                    self.key_window = i..to;
+                }
+                window_keys[i - self.key_window.start]
+            }
         }
     }
 
@@ -343,7 +372,9 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
     /// Under a fixed order the re-sort is a scatter
     /// ([`Engine::rekey_by_scatter`]) whenever it can be; what falls through
     /// — repeated or out-of-range ranks, and cached scores — takes the
-    /// stable insertion sort below.
+    /// stable insertion sort below. A static compiled policy keys the
+    /// whole restored queue with one batch call, since its entries lie
+    /// anywhere in the trace, not in one window.
     fn rescore_restored_queue(&mut self) {
         debug_assert!(!self.time_dependent);
         debug_assert_eq!(self.st.head, 0);
@@ -355,10 +386,20 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
         // Rebuilt, not overwritten: a prefix under a time-dependent order
         // captured no key lane.
         self.st.q_keys.clear();
-        for qi in 0..self.st.queue.len() {
-            let QueueEntry { idx, job, .. } = self.st.queue[qi];
-            let key = self.static_key(idx, &job);
-            self.st.q_keys.push(key);
+        if let QueueDiscipline::Compiled(cp) = *self.discipline {
+            self.scratch.static_lanes.key(
+                cp,
+                self.config,
+                self.st.queue.iter().map(|e| e.job),
+                &mut self.scratch.batch_scratch,
+                &mut self.st.q_keys,
+            );
+        } else {
+            for qi in 0..self.st.queue.len() {
+                let QueueEntry { idx, job, .. } = self.st.queue[qi];
+                let key = self.static_key(idx, &job);
+                self.st.q_keys.push(key);
+            }
         }
         // Stable in-place co-sort of (q_keys, queue) — adjacent swaps only
         // on strict inversions preserve the restored arrival tie-break. Its
@@ -473,5 +514,41 @@ impl<K: CompletionSink, T: TraceSource> Engine<'_, '_, K, T> {
         );
         self.st.queue[qi].started = true;
         Ok(())
+    }
+}
+
+impl StaticLanes {
+    /// Score `jobs` under the wait-free program `cp` with one batch call,
+    /// gathering their decision-mode `r`, `n` and `s` into the lanes, and
+    /// append each score's [`score_key`] to `keys`.
+    fn key(
+        &mut self,
+        cp: &CompiledPolicy,
+        config: &SchedulerConfig,
+        jobs: impl Iterator<Item = Job>,
+        scratch: &mut BatchScratch,
+        keys: &mut Vec<u64>,
+    ) {
+        debug_assert!(!cp.time_dependent() && cp.slot_count() == 0);
+        let Self { r, n, s, scores } = self;
+        r.clear();
+        n.clear();
+        s.clear();
+        for job in jobs {
+            r.push(config.decision_time(job.runtime, job.estimate));
+            n.push(job.cores as f64);
+            s.push(job.submit);
+        }
+        scores.clear();
+        scores.resize(r.len(), 0.0);
+        let lanes = ScoreLanes {
+            r,
+            n,
+            s,
+            slots: &[],
+        };
+        // A wait-free program has no wait step: `now` is never read.
+        cp.score_batch(scores, lanes, 0.0, scratch);
+        keys.extend(scores.iter().map(|&score| score_key(score)));
     }
 }

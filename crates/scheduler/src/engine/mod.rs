@@ -149,9 +149,19 @@
 //! The pass runs the residual as register steps, four lanes wide where the
 //! CPU has AVX2, and returns the queue's head with the scores
 //! ([`dynsched_policies::compile`] module docs). A *static* compiled
-//! policy (residual never reads `w`) keeps no lanes: it is scored exactly
-//! once, at enqueue, through the scalar kernel, like any other
-//! cached-score discipline.
+//! policy (residual never reads `w`) keeps no queue lanes: its score is
+//! fixed at arrival and cached as the entry's key, like any other
+//! cached-score discipline. The same kernel computes it, ahead of the
+//! arrivals: when an arriving job's trace position lies past the
+//! engine's key window, one [`CompiledPolicy::score_batch`] call scores
+//! the next [`KEY_WINDOW`] (128) trace positions from there, gathered
+//! straight from the trace, and each arrival reads its key from that
+//! window — one call per 128 arrivals, where a call per job would cost
+//! more than the scalar machine it replaces. A job requeued after a
+//! preemption behind the window is keyed by a call of its own and leaves
+//! the window in place; a restored queue is re-keyed in one call. Every
+//! job gets the scalar machine's bits either way, so no key depends on
+//! where a window started.
 //!
 //! What happens after the batch re-score has two shapes, chosen by the
 //! backfill mode alone:
@@ -208,6 +218,15 @@ mod workspace;
 
 pub(crate) use state::SimState;
 pub use workspace::{simulate, SimWorkspace};
+
+/// Trace positions a static compiled policy scores per batch call, ahead
+/// of the arrival cursor: enough to amortize the call (one call per job
+/// costs more than the scalar machine), few enough that the window's
+/// lanes stay in L1. Throughput only — a key has the same bits at any
+/// window length. Public so that tests can place trace lengths on the
+/// window's edges.
+#[doc(hidden)]
+pub const KEY_WINDOW: usize = 128;
 
 use crate::checkpoint::Checkpoint;
 use crate::config::SchedulerConfig;
@@ -343,10 +362,12 @@ pub enum QueueDiscipline<'a> {
     /// the same on-demand heads or full sort as
     /// [`QueueDiscipline::Compiled`].
     Policy(&'a dyn Policy),
-    /// Order by a compiled bytecode policy (lower score first): the
-    /// engine precomputes the wait-invariant prefix per job and re-scores
-    /// the queue with the batch kernel. Bit-identical to
-    /// [`QueueDiscipline::Policy`] on the policy it was compiled from.
+    /// Order by a compiled bytecode policy (lower score first): for a
+    /// time-dependent program the engine precomputes the wait-invariant
+    /// prefix per job and re-scores the queue with the batch kernel; a
+    /// static one is batch-scored ahead of the arrivals, once per job.
+    /// Bit-identical to [`QueueDiscipline::Policy`] on the policy it was
+    /// compiled from.
     Compiled(&'a CompiledPolicy),
     /// Order by a fixed rank per **trace position**: the job at
     /// `trace.jobs()[i]` has rank `ranks[i]`, lower rank first. Ranks

@@ -149,9 +149,15 @@ pub(super) struct Scratch {
     pub(super) vm_stack: Vec<f64>,
     /// Batch-kernel scratch (one chunk's value-stack rows).
     pub(super) batch_scratch: BatchScratch,
-    /// Prefix slot row for scoring a static compiled policy at enqueue
-    /// (its scores never change, so it keeps no slot lane).
-    pub(super) slot_row: Vec<f64>,
+    /// The lanes of one batch call that keys a static compiled policy's
+    /// jobs: the trace positions of `Engine::key_window`, one job requeued
+    /// behind it, or a restored queue.
+    pub(super) static_lanes: StaticLanes,
+    /// Static key per trace position of `Engine::key_window`, scored ahead
+    /// of the arrivals by one batch call (a requeued job's key is appended
+    /// past them and popped). Read only inside that window, which every
+    /// run starts empty, so no key outlives its run.
+    pub(super) window_keys: Vec<u64>,
     /// Availability profile, rebuilt from the releases at every
     /// backfilling pass that needs it.
     pub(super) profile: Profile,
@@ -160,6 +166,16 @@ pub(super) struct Scratch {
     pub(super) rank_slots: Vec<u32>,
     /// The restored queue gathered in rank order; swapped with the queue.
     pub(super) rekeyed: Vec<QueueEntry>,
+}
+
+/// The inputs and outputs of one batch call under a static compiled
+/// policy: decision-mode `r`, `n` and `s` per job, then its score.
+#[derive(Debug, Default)]
+pub(super) struct StaticLanes {
+    pub(super) r: Vec<f64>,
+    pub(super) n: Vec<f64>,
+    pub(super) s: Vec<f64>,
+    pub(super) scores: Vec<f64>,
 }
 
 /// State only a faulty run writes. Identically pristine throughout a

@@ -18,8 +18,10 @@
 //!   × three backfilling modes); the `heads` cases start three heads or
 //!   more in one on-demand pass (WFP / UNI / a random tree × strict /
 //!   EASY); the `ranks` cases queue fixed ranks past 2^53 and 2^63 (three
-//!   backfilling modes). What only private state shows of them stays in
-//!   `engine/tests.rs`.
+//!   backfilling modes); the `window` cases put trace lengths on both
+//!   sides of the static compiled key window's edges, with a drop that
+//!   requeues jobs behind it (FCFS / SPT / F1 × strict / EASY). What only
+//!   private state shows of them stays in `engine/tests.rs`.
 //! * **forks** under another rank table than the prefix's;
 //! * **federations**: k shards at 1 and n workers, each shard against
 //!   its slice run standalone — under its own fault stream — and the
@@ -53,6 +55,7 @@ use dynsched_policies::{
     compile_expr, paper_lineup, CompiledPolicy, DecisionMode, ExprPolicy, Fcfs, MultiFactor,
     Policy, TaskView, Unicef, Wfp3,
 };
+use dynsched_scheduler::engine::KEY_WINDOW;
 use dynsched_scheduler::federation::{
     route, run_federation, run_federation_faulty, simulate_shard, try_route, FederationResult,
     FederationSpec, Router, RoutingTable,
@@ -782,6 +785,9 @@ fn check(case: &Case, lineup: &Lineup, rig: &mut Rig) -> Result<Coverage, Failur
         let ave = result.avg_bounded_slowdown_of(&|id| id >= first, TAU);
         (ave.map(f64::to_bits), result.makespan)
     };
+    let static_policy = case
+        .policy
+        .is_some_and(|p| !lineup.compiled[p].time_dependent());
     let mut sorted_ranks = case.ranks.clone();
     sorted_ranks.sort_unstable();
     let permutation = sorted_ranks.iter().enumerate().all(|(i, &r)| i == r);
@@ -830,6 +836,9 @@ fn check(case: &Case, lineup: &Lineup, rig: &mut Rig) -> Result<Coverage, Failur
             expect(&counted("SoA"), &kept(&oracle), soa)?;
             if case.policy.is_none() && permutation && queued_at(&oracle, horizon) >= 2 {
                 count(&mut cov, "scatter re-key", 1);
+            }
+            if *label == "compiled" && static_policy && queued_at(&oracle, horizon) >= 2 {
+                count(&mut cov, RESUME_ROW, 1);
             }
         }
         if case.policy.is_some() {
@@ -889,6 +898,11 @@ fn check(case: &Case, lineup: &Lineup, rig: &mut Rig) -> Result<Coverage, Failur
         let row = format!("preemptions on {:?} traces, conservative", case.shape);
         count(&mut cov, &row, oracle.preempted_jobs);
     }
+    count(
+        &mut cov,
+        REQUEUE_ROW,
+        u64::from(static_policy && oracle.preempted_jobs > 0),
+    );
     let ws = &mut rig.0;
     for (label, d) in &disciplines {
         let path = |step: &str| format!("{step} [{label}]");
@@ -931,6 +945,13 @@ fn check(case: &Case, lineup: &Lineup, rig: &mut Rig) -> Result<Coverage, Failur
 }
 
 // ---- Failure report and coverage table ----
+
+/// Cases whose static compiled run requeues a preempted job: it is keyed
+/// again at its own trace position, wherever the key window stands.
+const REQUEUE_ROW: &str = "cases requeueing a preempted job [compiled, static]";
+/// Resumes of a static compiled run that re-key a restored queue of two
+/// jobs or more in one batch call.
+const RESUME_ROW: &str = "resumes re-keying a restored queue [compiled, static]";
 
 /// Drop one job at a time while the same path still disagrees, until no
 /// single job can go.
@@ -994,6 +1015,8 @@ fn domain_rows() -> Vec<(String, u64)> {
     }
     want.push(("scatter re-key".to_string(), 1));
     want.push(("re-key fallback".to_string(), 1));
+    want.push((REQUEUE_ROW.to_string(), 1));
+    want.push((RESUME_ROW.to_string(), 1));
     for (shape, _) in DOMAIN {
         for what in ["preemptions", "abandonments"] {
             want.push((format!("{what} on {shape:?} traces"), 1));
@@ -1343,6 +1366,79 @@ fn ranks_that_share_an_f64_order_as_integers_on_every_path() {
         for row in ["re-key fallback", "preemptions on Named(\"ranks\") traces"] {
             let reached = seen.get(row).is_some_and(|&n| n > 0);
             assert!(reached, "{backfill:?}: {row} not reached");
+        }
+    }
+}
+
+/// The edges of the window a static compiled policy's keys are
+/// batch-scored in: the engine scores [`KEY_WINDOW`] trace positions ahead
+/// of the arrivals per call (128), so traces of 127, 128, 129 and 257 jobs
+/// end inside the first window, on its edge, one past it and one past the
+/// second. On 4 cores job 0 holds two from t = 0; the rest arrive 0–2 s
+/// apart (same-instant arrivals straddle window edges), 1–2 cores wide,
+/// twenty times more work than the two other cores can take, so the queue
+/// stands deep and the three orders differ. All cores go away half a
+/// second after the arrival three quarters in, so every running job —
+/// job 0 always, and in the longest trace, with the arrivals past 128,
+/// from behind the window — is requeued and keyed again, then the cores
+/// come back. FCFS, SPT and F1, strict and EASY.
+fn window_cases(lineup: &Lineup, out: &mut Vec<Case>) {
+    const CORES: u32 = 4;
+    let w = KEY_WINDOW;
+    for len in [w - 1, w, w + 1, 2 * w + 1] {
+        let mut rng = Rng::new(0xA4EAD).fork(len as u64);
+        let mut jobs = vec![Job::new(0, 0.0, 5_000.0, 6_000.0, 2)];
+        let mut submit = 0.0;
+        for i in 1..len as u32 {
+            submit += rng.next_below(3) as f64;
+            let runtime = *rng.choose(&[5.0, 10.0, 20.0, 40.0, 80.0]);
+            let estimate = runtime * *rng.choose(&[1.0, 2.0]);
+            jobs.push(Job::new(
+                i,
+                submit,
+                runtime,
+                estimate,
+                *rng.choose(&[1, 1, 2]),
+            ));
+        }
+        let drop_at = jobs[3 * len / 4].submit + 0.5;
+        let steps = [(drop_at, 0), (drop_at + 50.0, CORES)];
+        let steps = steps.map(|(time, capacity)| CapacityStep { time, capacity });
+        let faults = Faults::Steps(AvailabilitySchedule::from_steps(steps.to_vec(), 3));
+        for backfill in [BackfillMode::None, BackfillMode::Aggressive] {
+            for name in ["FCFS", "SPT", "F1"] {
+                out.push(Case {
+                    index: out.len(),
+                    shape: Shape::Named("window"),
+                    jobs: jobs.clone(),
+                    config: on_estimates(CORES, backfill),
+                    policy: Some(lineup.slot(name)),
+                    ranks: (0..jobs.len()).collect(),
+                    faults: faults.clone(),
+                });
+            }
+        }
+    }
+}
+
+/// The window traces through every path of [`check`]: every fast path
+/// equals the oracle, and each case both requeues preempted jobs and
+/// resumes a queue of two jobs or more under its static compiled policy.
+#[test]
+fn key_window_edges_equal_the_oracle_on_every_path() {
+    let lineup = Lineup::new();
+    let mut cases = Vec::new();
+    window_cases(&lineup, &mut cases);
+    for (case, seen) in cases.iter().zip(check_all(&cases, &lineup)) {
+        let policy = lineup.policies[case.policy.expect("a policy")].name();
+        let what = format!(
+            "{} jobs, {policy}, {:?}",
+            case.jobs.len(),
+            case.config.backfill
+        );
+        for row in [REQUEUE_ROW, RESUME_ROW] {
+            let reached = seen.get(row).is_some_and(|&n| n > 0);
+            assert!(reached, "{what}: {row} not reached");
         }
     }
 }
