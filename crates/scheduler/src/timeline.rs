@@ -32,9 +32,10 @@ pub fn queue_length_curve(result: &SimulationResult) -> Vec<CurvePoint> {
 /// The step curve of a level that starts at 0 and moves by `delta` at
 /// each `(time, delta)`, in any order. Equal timestamps collapse into one
 /// point holding the net level, so the order within a timestamp never
-/// shows in the curve.
+/// shows in the curve. The sort is in place and unstable: the comparator
+/// is total, so two deltas it calls equal are bit-identical.
 pub fn step_curve(mut deltas: Vec<(f64, i64)>) -> Vec<CurvePoint> {
-    deltas.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    deltas.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     let mut curve: Vec<CurvePoint> = Vec::new();
     let mut level = 0i64;
     for (time, delta) in deltas {

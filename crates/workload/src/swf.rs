@@ -5,7 +5,8 @@
 //! per line, 18 whitespace-separated fields, `;`-prefixed header comments.
 //! We implement the full record format so real archive logs can be dropped
 //! into the experiment harness unchanged, and so our synthetic stand-ins
-//! can be exported for inspection with standard SWF tooling.
+//! can be exported for inspection with standard SWF tooling. The writer
+//! appends each record's fields straight into its one output `String`.
 //!
 //! Field reference (Feitelson, Tsafrir & Krakov 2014):
 //! ```text
@@ -405,14 +406,33 @@ pub fn read_swf_file(path: impl AsRef<Path>) -> Result<(SwfHeader, Trace), SwfRe
     parse_swf_with_header(std::io::BufReader::new(file))
 }
 
-fn fmt_time(x: f64) -> String {
-    if x < 0.0 {
-        "-1".to_string()
-    } else if (x - x.round()).abs() < 1e-9 {
-        format!("{}", x.round() as i64)
-    } else {
-        format!("{x:.2}")
+/// A time field as the writer prints it: `-1` for a negative (the format's
+/// "unknown"), a value within 1e-9 of a whole number as that number with
+/// every digit (`abs` prints `-0.0` as `0`), anything else with two
+/// decimals. It formats straight into the output and allocates nothing.
+struct Time(f64);
+
+impl std::fmt::Display for Time {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0 {
+            x if x < 0.0 => f.write_str("-1"),
+            x if (x - x.round()).abs() < 1e-9 => write!(f, "{:.0}", x.abs()),
+            x => write!(f, "{x:.2}"),
+        }
     }
+}
+
+/// Append one record as an 18-field line, in the order of the field table.
+#[rustfmt::skip]
+fn push_record(out: &mut String, r: &SwfRecord) {
+    let _ = writeln!(
+        out,
+        "{} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
+        r.job_number, Time(r.submit), Time(r.wait), Time(r.run_time), r.allocated_procs,
+        Time(r.avg_cpu_time), Time(r.used_memory), r.requested_procs, Time(r.requested_time),
+        Time(r.requested_memory), r.status, r.user_id, r.group_id, r.executable, r.queue,
+        r.partition, r.preceding_job, Time(r.think_time),
+    );
 }
 
 /// Serialize records to SWF text, with optional header comment lines
@@ -423,42 +443,22 @@ pub fn write_swf(comments: &[String], records: &[SwfRecord]) -> String {
         let _ = writeln!(out, "; {c}");
     }
     for r in records {
-        let _ = writeln!(
-            out,
-            "{} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
-            r.job_number,
-            fmt_time(r.submit),
-            fmt_time(r.wait),
-            fmt_time(r.run_time),
-            r.allocated_procs,
-            fmt_time(r.avg_cpu_time),
-            fmt_time(r.used_memory),
-            r.requested_procs,
-            fmt_time(r.requested_time),
-            fmt_time(r.requested_memory),
-            r.status,
-            r.user_id,
-            r.group_id,
-            r.executable,
-            r.queue,
-            r.partition,
-            r.preceding_job,
-            fmt_time(r.think_time),
-        );
+        push_record(&mut out, r);
     }
     out
 }
 
 /// Serialize a [`Trace`] as SWF with a standard header.
 pub fn write_swf_trace(trace: &Trace, platform_cores: u32) -> String {
-    let comments = vec![
-        "Generated by dynsched (SC'17 reproduction)".to_string(),
-        format!("MaxProcs: {platform_cores}"),
-        format!("MaxJobs: {}", trace.jobs().len()),
-        "UnixStartTime: 0".to_string(),
-    ];
-    let records: Vec<SwfRecord> = trace.jobs().iter().map(SwfRecord::from_job).collect();
-    write_swf(&comments, &records)
+    let mut out = format!(
+        "; Generated by dynsched (SC'17 reproduction)\n; MaxProcs: {platform_cores}\n\
+         ; MaxJobs: {}\n; UnixStartTime: 0\n",
+        trace.jobs().len()
+    );
+    for job in trace.jobs() {
+        push_record(&mut out, &SwfRecord::from_job(job));
+    }
+    out
 }
 
 #[cfg(test)]

@@ -5,7 +5,8 @@
 //! deterministic: malformed lines error with a precise location,
 //! out-of-order submits normalize to one canonical trace order, and
 //! degenerate records (zero runtimes, negative fields) are clamped or
-//! dropped by documented rules — never silently reshuffled.
+//! dropped by documented rules — never silently reshuffled. The writer is
+//! held byte for byte to a copy of the per-field formatter it replaced.
 
 use dynsched_cluster::Job;
 use dynsched_simkit::Rng;
@@ -198,14 +199,19 @@ fn mid_document_comments_are_collected_with_the_header() {
 
 #[test]
 fn header_and_trace_survive_a_write_parse_roundtrip_with_dirty_input() {
+    // Whole submits at and past 2^63 must keep every digit, not saturate
+    // to `i64::MAX`.
     let src = format!(
-        "; MaxProcs: 64\n{}\n{}\n",
+        "; MaxProcs: 64\n{}\n{}\n{}\n{}\n{}\n",
         data_line(2, 100.0, 0.0, 8),
         data_line(1, 0.0, 50.0, 4),
+        data_line(3, 2f64.powi(63), 10.0, 2),
+        data_line(4, 1e19, 10.0, 2),
+        data_line(5, 1e300, 10.0, 2),
     );
     let (header, trace) = parse_swf_with_header(src.as_bytes()).unwrap();
     assert_eq!(header.max_procs, Some(64));
-    assert_eq!(trace.len(), 2);
+    assert_eq!(trace.len(), 5);
     // Write the normalized trace back out and reparse: stable fixpoint.
     let records: Vec<SwfRecord> = trace.jobs().iter().map(SwfRecord::from_job).collect();
     let text = write_swf(&["MaxProcs: 64".to_string()], &records);
@@ -245,5 +251,142 @@ fn header_and_trace_survive_a_write_parse_roundtrip_with_dirty_input() {
                 "case {case}"
             );
         }
+    }
+}
+
+/// The writer as it was before it appended in place: one `String` per time
+/// field. Kept only as the reference `write_swf` must match byte for byte
+/// below 2^63 (above that its `as i64` saturates, which the roundtrip test
+/// above pins as a bug).
+fn oracle_write_swf(comments: &[String], records: &[SwfRecord]) -> String {
+    use std::fmt::Write as _;
+    fn old_time(x: f64) -> String {
+        if x < 0.0 {
+            "-1".to_string()
+        } else if (x - x.round()).abs() < 1e-9 {
+            format!("{}", x.round() as i64)
+        } else {
+            format!("{x:.2}")
+        }
+    }
+    let mut out = String::new();
+    for c in comments {
+        let _ = writeln!(out, "; {c}");
+    }
+    for r in records {
+        let _ = writeln!(
+            out,
+            "{} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
+            r.job_number,
+            old_time(r.submit),
+            old_time(r.wait),
+            old_time(r.run_time),
+            r.allocated_procs,
+            old_time(r.avg_cpu_time),
+            old_time(r.used_memory),
+            r.requested_procs,
+            old_time(r.requested_time),
+            old_time(r.requested_memory),
+            r.status,
+            r.user_id,
+            r.group_id,
+            r.executable,
+            r.queue,
+            r.partition,
+            r.preceding_job,
+            old_time(r.think_time),
+        );
+    }
+    out
+}
+
+/// A time field from one of the shapes the formatter branches on.
+fn any_time(rng: &mut Rng) -> f64 {
+    const BELOW_2_63: f64 = 9_223_372_036_854_774_784.0; // 2^63 - 1024
+    let whole = rng.range_u64(0, 1 << 40) as f64;
+    match rng.next_below(12) {
+        0 => -1.0,
+        1 => -rng.range_f64(0.0, 1e6),
+        2 => 0.0,
+        3 => -0.0,
+        4 => whole,
+        5 => ((rng.next_u64() >> 1) as f64).min(BELOW_2_63),
+        6 => BELOW_2_63 - 1024.0 * rng.range_u64(0, 4) as f64,
+        7 => whole + [0.1, 0.25, 0.125, 0.999][rng.next_below(4) as usize],
+        8 => whole + 0.005 + 0.01 * rng.range_u64(0, 99) as f64,
+        9 => whole + [4e-10, -4e-10, 2e-9, -2e-9][rng.next_below(4) as usize],
+        10 => [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][rng.next_below(3) as usize],
+        _ => rng.range_f64(0.0, 1e7),
+    }
+}
+
+/// An integer field: mostly small, sometimes at an `i64` extreme.
+fn any_int(rng: &mut Rng) -> i64 {
+    match rng.next_below(5) {
+        0 => i64::MIN,
+        1 => i64::MAX,
+        2 => -1,
+        _ => rng.range_u64(0, 1 << 20) as i64 - (1 << 19),
+    }
+}
+
+#[test]
+fn the_writer_prints_the_bytes_of_the_per_field_formatter_it_replaced() {
+    for case in 0..64u64 {
+        let mut rng = Rng::new(0x5EED ^ case);
+        let records: Vec<SwfRecord> = (0..rng.range_u64(0, 40))
+            .map(|_| SwfRecord {
+                job_number: any_int(&mut rng),
+                submit: any_time(&mut rng),
+                wait: any_time(&mut rng),
+                run_time: any_time(&mut rng),
+                allocated_procs: any_int(&mut rng),
+                avg_cpu_time: any_time(&mut rng),
+                used_memory: any_time(&mut rng),
+                requested_procs: any_int(&mut rng),
+                requested_time: any_time(&mut rng),
+                requested_memory: any_time(&mut rng),
+                status: any_int(&mut rng),
+                user_id: any_int(&mut rng),
+                group_id: any_int(&mut rng),
+                executable: any_int(&mut rng),
+                queue: any_int(&mut rng),
+                partition: any_int(&mut rng),
+                preceding_job: any_int(&mut rng),
+                think_time: any_time(&mut rng),
+            })
+            .collect();
+        let comments = ["MaxProcs: 64".to_string(), format!("case {case}")];
+        let comments = &comments[..rng.next_below(3) as usize];
+        assert_eq!(
+            write_swf(comments, &records),
+            oracle_write_swf(comments, &records),
+            "case {case}"
+        );
+    }
+    // `write_swf_trace` is `write_swf` over the jobs' records, header first.
+    for case in 0..16u64 {
+        let mut rng = Rng::new(0x7ACE ^ case);
+        let jobs: Vec<Job> = (0..rng.range_u64(0, 200))
+            .map(|i| {
+                let runtime = rng.range_f64(1.0, 5_000.0);
+                let estimate = runtime * rng.range_f64(1.0, 3.0);
+                let cores = rng.range_u64(1, 64) as u32;
+                Job::new(i as u32, rng.range_f64(0.0, 1e6), runtime, estimate, cores)
+            })
+            .collect();
+        let trace = Trace::from_jobs(jobs);
+        let header = [
+            "Generated by dynsched (SC'17 reproduction)".to_string(),
+            "MaxProcs: 64".to_string(),
+            format!("MaxJobs: {}", trace.len()),
+            "UnixStartTime: 0".to_string(),
+        ];
+        let records: Vec<SwfRecord> = trace.jobs().iter().map(SwfRecord::from_job).collect();
+        assert_eq!(
+            write_swf_trace(&trace, 64),
+            write_swf(&header, &records),
+            "case {case}"
+        );
     }
 }
